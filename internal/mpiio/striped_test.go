@@ -2,10 +2,14 @@ package mpiio
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"dafsio/internal/cluster"
 	"dafsio/internal/dafs"
+	"dafsio/internal/fault"
 	"dafsio/internal/layout"
 	"dafsio/internal/sim"
 )
@@ -207,5 +211,259 @@ func TestStripedWidth1Equivalence(t *testing.T) {
 	}
 	if !bytes.Equal(d1, d2) {
 		t.Error("width-1 striped driver read different bytes")
+	}
+}
+
+// One seeded op script over every driver stack, with MemDriver as the
+// oracle: contiguous and list reads/writes whose extents cross stripe
+// boundaries (fragments on both sides of the inline/direct threshold),
+// short reads at EOF, Resize, Size and Sync. Every stack must return the
+// oracle's counts and leave the oracle's bytes. The files stay dense — a
+// striped file with a hole reads short where a local one reads zeros.
+
+const scriptStripe = 16 << 10
+
+type scriptOp struct {
+	kind byte // 'w' write, 'r' read, 'W' list write, 'R' list read, 't' resize, 's' size, 'y' sync
+	off  int64
+	n    int
+	segs []Segment
+}
+
+// genScript builds the op list; size tracks the logical file size so list
+// ops and resizes stay inside (or at the edge of) the dense extent.
+func genScript(seed int64, nops int) []scriptOp {
+	rng := rand.New(rand.NewSource(seed))
+	ops := []scriptOp{{kind: 'w', off: 0, n: 5*scriptStripe + 1234}}
+	size := int64(ops[0].n)
+	for len(ops) < nops {
+		switch k := rng.Intn(10); {
+		case k < 3: // contiguous write at or before EOF (may extend)
+			n := 1 + rng.Intn(5*scriptStripe)
+			off := rng.Int63n(size + 1)
+			ops = append(ops, scriptOp{kind: 'w', off: off, n: n})
+			size = max(size, off+int64(n))
+		case k < 6: // contiguous read, sometimes across or past EOF
+			n := 1 + rng.Intn(5*scriptStripe)
+			ops = append(ops, scriptOp{kind: 'r', off: rng.Int63n(size + scriptStripe), n: n})
+		case k < 8: // strided list op inside the extent
+			cnt, blk := 2+rng.Intn(12), 1+rng.Intn(3000)
+			stride := int64(blk + 1 + rng.Intn(scriptStripe))
+			if span := int64(cnt-1)*stride + int64(blk); span < size {
+				base := rng.Int63n(size - span + 1)
+				segs := make([]Segment, cnt)
+				for i := range segs {
+					segs[i] = Segment{Off: base + int64(i)*stride, Len: int64(blk)}
+				}
+				kind := byte('W')
+				if k == 7 {
+					kind = 'R'
+				}
+				ops = append(ops, scriptOp{kind: kind, n: cnt * blk, segs: segs})
+			}
+		case k == 8:
+			if rng.Intn(3) == 0 {
+				size = rng.Int63n(size + 2*scriptStripe)
+				ops = append(ops, scriptOp{kind: 't', off: size})
+			} else {
+				ops = append(ops, scriptOp{kind: 's'})
+			}
+		default:
+			ops = append(ops, scriptOp{kind: 'y'})
+		}
+	}
+	return append(ops, scriptOp{kind: 's'})
+}
+
+// runScript plays ops on h and returns one result per op (byte count, or
+// the size for 's') plus a digest of every byte every read returned, the
+// final contents, and the simulated instant the script ended.
+func runScript(t *testing.T, p *sim.Proc, h Handle, ops []scriptOp) (res []int64, contents []byte, end sim.Time) {
+	t.Helper()
+	lh, _ := h.(ListHandle)
+	list := func(o scriptOp, buf []byte, write bool) (int, error) {
+		if lh != nil {
+			start := lh.StartReadList
+			if write {
+				start = lh.StartWriteList
+			}
+			op, err := start(p, o.segs, buf)
+			if err != nil {
+				return 0, err
+			}
+			return op.Wait(p)
+		}
+		total, pos := 0, 0
+		for _, s := range o.segs {
+			io := h.ReadContig
+			if write {
+				io = h.WriteContig
+			}
+			n, err := io(p, s.Off, buf[pos:pos+int(s.Len)])
+			if err != nil {
+				return total, err
+			}
+			total += n
+			pos += int(s.Len)
+		}
+		return total, nil
+	}
+	sum := fnv.New64a()
+	for i, o := range ops {
+		var v int64
+		var err error
+		switch o.kind {
+		case 'w', 'W':
+			buf := pattern(o.n)
+			for j := range buf {
+				buf[j] ^= byte(i)
+			}
+			var n int
+			if o.kind == 'w' {
+				n, err = h.WriteContig(p, o.off, buf)
+			} else {
+				n, err = list(o, buf, true)
+			}
+			v = int64(n)
+		case 'r', 'R':
+			buf := make([]byte, o.n)
+			var n int
+			if o.kind == 'r' {
+				n, err = h.ReadContig(p, o.off, buf)
+			} else {
+				n, err = list(o, buf, false)
+			}
+			sum.Write(buf[:n])
+			v = int64(n)
+		case 't':
+			err = h.Resize(p, o.off)
+		case 's':
+			v, err = h.Size(p)
+		case 'y':
+			err = h.Sync(p)
+		}
+		if err != nil {
+			t.Errorf("op %d (%c off=%d n=%d): %v", i, o.kind, o.off, o.n, err)
+			return nil, nil, 0
+		}
+		res = append(res, v)
+	}
+	end = p.Now()
+	res = append(res, int64(sum.Sum64()>>1))
+	contents = make([]byte, res[len(ops)-1]+1)
+	n, err := h.ReadContig(p, 0, contents)
+	if err != nil {
+		t.Errorf("final read-back: %v", err)
+	}
+	return res, contents[:n], end
+}
+
+// TestScriptEveryStack pins behaviour and simulated time across the
+// driver family. The end instants were recorded before the striped
+// drivers were rebuilt on one dispatch core: a refactor that reorders,
+// adds or drops a single RPC on any stack moves one of them.
+func TestScriptEveryStack(t *testing.T) {
+	ops := genScript(12, 120)
+	retry := dafs.RetryPolicy{Base: 200 * sim.Microsecond, Max: sim.Millisecond, Attempts: 3}
+	type stack struct {
+		name string
+		cfg  cluster.Config
+		drv  func(p *sim.Proc, c *cluster.Cluster) (Driver, error)
+		end  sim.Time
+	}
+	striped := func(w, r int, crash, end sim.Time) stack {
+		s := stack{
+			end:  end,
+			name: fmt.Sprintf("dafs-striped/%dx%d", w, r),
+			cfg:  cluster.Config{Clients: 1, Servers: w, DAFS: true},
+		}
+		var opts *dafs.Options
+		if crash > 0 {
+			s.name += "/crash"
+			s.cfg.Faults = fault.Installer(fault.Plan{Events: []fault.Event{
+				{At: crash, Kind: fault.ServerCrash, Node: "server1"},
+			}})
+			opts = &dafs.Options{CallTimeout: 5 * sim.Millisecond}
+		}
+		s.drv = func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
+			pool, err := c.DialDAFSAll(p, 0, opts)
+			if err != nil {
+				return nil, err
+			}
+			d := NewStripedDAFSDriver(pool, layout.Striping{StripeSize: scriptStripe, Width: w, Replicas: r})
+			if crash > 0 {
+				d.Retry = retry
+			}
+			return d, nil
+		}
+		return s
+	}
+	stacks := []stack{
+		{name: "mem", end: 9362738, cfg: cluster.Config{Clients: 1},
+			drv: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
+				return NewMemDriver(c.ClientNodes[0], c.Store, nil), nil
+			}},
+		{name: "dafs", end: 47717310, cfg: cluster.Config{Clients: 1, DAFS: true},
+			drv: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
+				cl, err := c.DialDAFS(p, 0, nil)
+				return NewDAFSDriver(cl), err
+			}},
+		striped(1, 1, 0, 47717310), // width 1 is the unstriped driver, to the nanosecond
+		striped(3, 1, 0, 43271168),
+		striped(4, 2, 0, 57568985),
+		striped(4, 2, 20*sim.Millisecond, 58037813),
+		{name: "nfs-striped/3", end: 81857908, cfg: cluster.Config{Clients: 1, Servers: 3, NFSAll: true},
+			drv: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
+				mounts, err := c.MountNFSAll(p, 0, nil)
+				if err != nil {
+					return nil, err
+				}
+				return NewStripedNFSDriver(mounts, layout.Striping{StripeSize: scriptStripe, Width: 3}), nil
+			}},
+	}
+	var wantRes []int64
+	var wantContents []byte
+	for _, s := range stacks {
+		var res []int64
+		var contents []byte
+		var end sim.Time
+		c := cluster.New(s.cfg)
+		c.K.Spawn("app", func(p *sim.Proc) {
+			drv, err := s.drv(p, c)
+			if err != nil {
+				t.Errorf("%s: %v", s.name, err)
+				return
+			}
+			h, err := drv.Open(p, "script", ModeRdWr|ModeCreate)
+			if err != nil {
+				t.Errorf("%s: open: %v", s.name, err)
+				return
+			}
+			res, contents, end = runScript(t, p, h, ops)
+			h.Close(p)
+		})
+		if err := c.Run(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if end != s.end {
+			t.Errorf("%s: script ended at %d ns, recorded %d", s.name, int64(end), int64(s.end))
+		}
+		if s.name == "mem" {
+			wantRes, wantContents = res, contents
+			continue
+		}
+		if len(res) != len(wantRes) {
+			t.Errorf("%s: %d results, oracle has %d", s.name, len(res), len(wantRes))
+			continue
+		}
+		for i := range res {
+			if res[i] != wantRes[i] {
+				t.Errorf("%s: result %d = %d, oracle %d", s.name, i, res[i], wantRes[i])
+				break
+			}
+		}
+		if !bytes.Equal(contents, wantContents) {
+			t.Errorf("%s: final contents differ from the oracle's (%d vs %d bytes)", s.name, len(contents), len(wantContents))
+		}
 	}
 }
