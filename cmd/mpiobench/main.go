@@ -1,7 +1,7 @@
-// Command mpiobench regenerates the evaluation tables (T1-T15): for each
-// experiment it builds a fresh simulated cluster, runs the workload, and
-// prints the table. Results are deterministic: a given binary prints
-// identical numbers on every run.
+// Command mpiobench regenerates the evaluation tables — every experiment
+// in bench.All, which -list prints: for each one it builds a fresh
+// simulated cluster, runs the workload, and prints the table. Results are
+// deterministic: a given binary prints identical numbers on every run.
 //
 // Usage:
 //

@@ -5,7 +5,7 @@
 //
 //   - sim.Resource units: r.Acquire(p, n) without r.Release(n) starves
 //     every proc queued behind the resource for the rest of the run.
-//   - Registered staging buffers: StripedDAFSDriver.getStage without
+//   - Registered staging buffers: the striped driver's getStage without
 //     putStage / putStageAll leaks a pinned, NIC-registered window —
 //     the pool never sees it again and the registration is lost.
 //   - VIA registrations: NIC.Register without NIC.Deregister pins
@@ -63,8 +63,8 @@ const (
 // ownership to the callee and closes the pair here — the release functions
 // are simply the canonical consumers.
 var acquireKeys = map[string]string{
-	"dafsio/internal/mpiio.StripedDAFSDriver.getStage": "staging buffer from getStage",
-	"dafsio/internal/via.NIC.Register":                 "registered region from NIC.Register",
+	"dafsio/internal/mpiio.striped.getStage": "staging buffer from getStage",
+	"dafsio/internal/via.NIC.Register":       "registered region from NIC.Register",
 }
 
 func run(pass *analysis.Pass) error {

@@ -2,8 +2,11 @@ package mpiio
 
 import (
 	"errors"
+	"fmt"
 
+	"dafsio/internal/dafs"
 	"dafsio/internal/fabric"
+	"dafsio/internal/nfs"
 	"dafsio/internal/sim"
 )
 
@@ -27,6 +30,22 @@ var (
 	ErrNoEnt     = errors.New("mpiio: no such file")
 	ErrExist     = errors.New("mpiio: file exists")
 )
+
+// mapErr translates a transport's error into the package's vocabulary.
+// Everything else passes through wrapped, so dafs.ErrSession and friends
+// still match.
+func mapErr(err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, dafs.ErrNoEnt), errors.Is(err, nfs.ErrNoEnt):
+		return ErrNoEnt
+	case errors.Is(err, dafs.ErrExist), errors.Is(err, nfs.ErrExist):
+		return ErrExist
+	default:
+		return fmt.Errorf("mpiio: %w", err)
+	}
+}
 
 func checkAccessMode(mode int) error {
 	n := 0
@@ -95,23 +114,50 @@ type ListHandle interface {
 	StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error)
 }
 
-// multiOp aggregates several AsyncOps into one.
-type multiOp []AsyncOp
+// openFile is the bookkeeping every driver's handle shares.
+type openFile struct {
+	name   string
+	mode   int
+	closed bool
+}
 
-// Wait implements AsyncOp.
-func (m multiOp) Wait(p *sim.Proc) (int, error) {
-	total := 0
-	var firstErr error
-	// Always drain every op: later ops may hold cleanup (registration
-	// release) that must run even when an earlier chunk failed.
-	for _, op := range m {
-		n, err := op.Wait(p)
-		if firstErr == nil {
-			total += n
-			firstErr = err
-		}
+// check admits a read or write at off under the handle's access mode.
+func (f *openFile) check(off int64, write bool) error {
+	if f.closed {
+		return ErrClosed
 	}
-	return total, firstErr
+	if off < 0 {
+		return ErrNegative
+	}
+	if write && f.mode&ModeRdOnly != 0 {
+		return ErrReadOnly
+	}
+	if !write && f.mode&ModeWrOnly != 0 {
+		return ErrWriteOnly
+	}
+	return nil
+}
+
+// close marks the handle closed, deleting the file through drv when it
+// was opened delete-on-close. Closing twice is a no-op.
+func (f *openFile) close(p *sim.Proc, drv Driver) error {
+	if f.closed {
+		return nil
+	}
+	f.closed = true
+	if f.mode&ModeDeleteOnClose != 0 {
+		return drv.Delete(p, f.name)
+	}
+	return nil
+}
+
+// blocking completes the nonblocking start (op, err) in place: every
+// handle's ReadContig/WriteContig is its StartRead/StartWrite plus this.
+func blocking(p *sim.Proc, op AsyncOp, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return op.Wait(p)
 }
 
 // doneOp is an AsyncOp that completed immediately (used by drivers whose

@@ -2,7 +2,6 @@ package mpiio
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 
 	"dafsio/internal/dafs"
@@ -67,7 +66,7 @@ func (d *DAFSDriver) Name() string { return "dafs" }
 
 // Delete implements Driver.
 func (d *DAFSDriver) Delete(p *sim.Proc, name string) error {
-	return mapDafsErr(d.client.Remove(p, name))
+	return mapErr(d.client.Remove(p, name))
 }
 
 // Open implements Driver.
@@ -85,25 +84,12 @@ func (d *DAFSDriver) Open(p *sim.Proc, name string, mode int) (Handle, error) {
 	case errors.Is(err, dafs.ErrNoEnt) && mode&ModeCreate != 0:
 		fh, _, err = c.Create(p, name)
 		if err != nil {
-			return nil, mapDafsErr(err)
+			return nil, mapErr(err)
 		}
 	default:
-		return nil, mapDafsErr(err)
+		return nil, mapErr(err)
 	}
-	return &dafsHandle{drv: d, fh: fh, name: name, mode: mode}, nil
-}
-
-func mapDafsErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, dafs.ErrNoEnt):
-		return ErrNoEnt
-	case errors.Is(err, dafs.ErrExist):
-		return ErrExist
-	default:
-		return fmt.Errorf("mpiio: dafs: %w", err)
-	}
+	return &dafsHandle{drv: d, fh: fh, openFile: openFile{name: name, mode: mode}}, nil
 }
 
 // region returns a registration covering buf, from the cache when enabled.
@@ -150,45 +136,21 @@ func (d *DAFSDriver) release(p *sim.Proc, reg *via.Region) {
 }
 
 type dafsHandle struct {
-	drv    *DAFSDriver
-	fh     dafs.FH
-	name   string
-	mode   int
-	closed bool
-}
-
-func (h *dafsHandle) check(off int64, write bool) error {
-	if h.closed {
-		return ErrClosed
-	}
-	if off < 0 {
-		return ErrNegative
-	}
-	if write && h.mode&ModeRdOnly != 0 {
-		return ErrReadOnly
-	}
-	if !write && h.mode&ModeWrOnly != 0 {
-		return ErrWriteOnly
-	}
-	return nil
+	drv *DAFSDriver
+	fh  dafs.FH
+	openFile
 }
 
 // ReadContig implements Handle.
 func (h *dafsHandle) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) {
 	op, err := h.StartRead(p, off, buf)
-	if err != nil {
-		return 0, err
-	}
-	return op.Wait(p)
+	return blocking(p, op, err)
 }
 
 // WriteContig implements Handle.
 func (h *dafsHandle) WriteContig(p *sim.Proc, off int64, buf []byte) (int, error) {
 	op, err := h.StartWrite(p, off, buf)
-	if err != nil {
-		return 0, err
-	}
-	return op.Wait(p)
+	return blocking(p, op, err)
 }
 
 // dafsOp adapts a dafs.IO (plus optional registration release).
@@ -204,62 +166,145 @@ func (o *dafsOp) Wait(p *sim.Proc) (int, error) {
 	if o.reg != nil {
 		o.drv.release(p, o.reg)
 	}
-	return n, mapDafsErr(err)
+	return n, mapErr(err)
+}
+
+// startIO issues one contiguous transfer on session c under the driver's
+// transfer discipline: inline up to DirectThreshold, direct above it, as
+// RDMA against reg[regOff:regOff+len(buf)]. It is the one place the
+// package chooses between the two — the unstriped handle, every stripe
+// fragment and the re-silverer's chunk copies all issue through it. The
+// caller owns reg, which may be nil when buf goes inline.
+func (d *DAFSDriver) startIO(p *sim.Proc, c *dafs.Client, fh dafs.FH, off int64, buf []byte, reg *via.Region, regOff int, write bool) (*dafs.IO, error) {
+	switch inline := len(buf) <= d.DirectThreshold; {
+	case inline && write:
+		return c.StartWrite(p, fh, off, buf)
+	case inline:
+		return c.StartRead(p, fh, off, buf)
+	case write:
+		return c.StartWriteDirect(p, fh, off, reg, regOff, len(buf))
+	default:
+		return c.StartReadDirect(p, fh, off, reg, regOff, len(buf))
+	}
+}
+
+// start issues one nonblocking contiguous transfer, registering buf
+// (through the cache) when it is too large to go inline.
+func (h *dafsHandle) start(p *sim.Proc, off int64, buf []byte, write bool) (AsyncOp, error) {
+	if err := h.check(off, write); err != nil {
+		return nil, err
+	}
+	if len(buf) == 0 {
+		return doneOp{}, nil
+	}
+	d := h.drv
+	var reg *via.Region
+	if len(buf) > d.DirectThreshold {
+		reg = d.region(p, buf)
+	}
+	io, err := d.startIO(p, d.client, h.fh, off, buf, reg, 0, write)
+	if err != nil {
+		if reg != nil {
+			d.release(p, reg)
+		}
+		return nil, mapErr(err)
+	}
+	return &dafsOp{io: io, drv: d, reg: reg}, nil
 }
 
 // StartRead implements Handle.
 func (h *dafsHandle) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
-	if err := h.check(off, false); err != nil {
-		return nil, err
-	}
-	if len(buf) == 0 {
-		return doneOp{}, nil
-	}
-	c := h.drv.client
-	if len(buf) <= h.drv.DirectThreshold {
-		io, err := c.StartRead(p, h.fh, off, buf)
-		if err != nil {
-			return nil, mapDafsErr(err)
-		}
-		return &dafsOp{io: io, drv: h.drv}, nil
-	}
-	reg := h.drv.region(p, buf)
-	io, err := c.StartReadDirect(p, h.fh, off, reg, 0, len(buf))
-	if err != nil {
-		h.drv.release(p, reg)
-		return nil, mapDafsErr(err)
-	}
-	return &dafsOp{io: io, drv: h.drv, reg: reg}, nil
+	return h.start(p, off, buf, false)
 }
 
 // StartWrite implements Handle.
 func (h *dafsHandle) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
-	if err := h.check(off, true); err != nil {
-		return nil, err
-	}
-	if len(buf) == 0 {
-		return doneOp{}, nil
-	}
-	c := h.drv.client
-	if len(buf) <= h.drv.DirectThreshold {
-		io, err := c.StartWrite(p, h.fh, off, buf)
-		if err != nil {
-			return nil, mapDafsErr(err)
-		}
-		return &dafsOp{io: io, drv: h.drv}, nil
-	}
-	reg := h.drv.region(p, buf)
-	io, err := c.StartWriteDirect(p, h.fh, off, reg, 0, len(buf))
-	if err != nil {
-		h.drv.release(p, reg)
-		return nil, mapDafsErr(err)
-	}
-	return &dafsOp{io: io, drv: h.drv, reg: reg}, nil
+	return h.start(p, off, buf, true)
 }
 
-// startList issues the segment list as DAFS batch operations: the whole
-// buffer is registered once (through the cache) and each batch chunk moves
-// with a single request plus a single RDMA.
+// dafsBatch is an in-flight segment list: one DAFS batch request per chunk
+// of the session's batch capacity.
+type dafsBatch []*dafs.IO
+
+// wait drains every chunk (each completion recycles a session credit) and
+// returns the bytes moved up to the first failure.
+func (b dafsBatch) wait(p *sim.Proc) (int64, error) {
+	total := 0
+	var firstErr error
+	for _, io := range b {
+		n, err := io.Wait(p)
+		if firstErr == nil {
+			total += n
+			firstErr = err
+		}
+	}
+	return int64(total), firstErr
+}
+
+// startBatch issues a segment list against one object on session c: each
+// chunk of up to MaxBatch segments moves with a single request plus a
+// single RDMA, and the segments occupy consecutive bytes of reg from
+// offset 0. It is the package's one batch chunker, under the unstriped
+// list path and every per-server gather plan. When a chunk fails to start
+// the ones already in flight are waited out before the error returns.
+func startBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, specs []dafs.SegSpec, reg *via.Region, write bool) (dafsBatch, error) {
+	var b dafsBatch
+	for regOff := 0; len(specs) > 0; {
+		chunk := specs[:min(len(specs), c.MaxBatch())]
+		var io *dafs.IO
+		var err error
+		if write {
+			io, err = c.StartWriteBatch(p, fh, chunk, reg, regOff)
+		} else {
+			io, err = c.StartReadBatch(p, fh, chunk, reg, regOff)
+		}
+		if err != nil {
+			b.wait(p)
+			return nil, err
+		}
+		b = append(b, io)
+		for _, s := range chunk {
+			regOff += s.Len
+		}
+		specs = specs[len(chunk):]
+	}
+	return b, nil
+}
+
+// listOp is an unstriped batch transfer straight out of (or into) the
+// user buffer; its registration is released once the last chunk is in.
+type listOp struct {
+	b   dafsBatch
+	drv *DAFSDriver
+	reg *via.Region
+}
+
+// Wait implements AsyncOp.
+func (o *listOp) Wait(p *sim.Proc) (int, error) {
+	n, err := o.b.wait(p)
+	o.drv.release(p, o.reg)
+	return int(n), mapErr(err)
+}
+
+// startList issues segs — consecutive bytes of buf — as batch operations
+// on session c: the whole buffer is registered once (through the cache).
+// The striped driver's width-1 list path delegates here, so the unstriped
+// tables stay its stripes=1 special case.
+func (d *DAFSDriver) startList(p *sim.Proc, c *dafs.Client, fh dafs.FH, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
+	reg := d.region(p, buf)
+	specs := make([]dafs.SegSpec, len(segs))
+	for i, s := range segs {
+		specs[i] = dafs.SegSpec{Off: s.Off, Len: int(s.Len)}
+	}
+	b, err := startBatch(p, c, fh, specs, reg, write)
+	if err != nil {
+		d.release(p, reg)
+		return nil, mapErr(err)
+	}
+	return &listOp{b: b, drv: d, reg: reg}, nil
+}
+
+// startList implements both directions of ListHandle.
 func (h *dafsHandle) startList(p *sim.Proc, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
 	if err := h.check(0, write); err != nil {
 		return nil, err
@@ -267,57 +312,7 @@ func (h *dafsHandle) startList(p *sim.Proc, segs []Segment, buf []byte, write bo
 	if len(buf) == 0 {
 		return doneOp{}, nil
 	}
-	return startDafsList(p, h.drv, h.drv.client, h.fh, segs, buf, write)
-}
-
-// startDafsList is the session-level batch list issue shared by the
-// single-server handle and the striped handle's width-1 delegation: buf is
-// registered once through d's cache and each batch chunk moves with a
-// single request plus a single RDMA on c.
-func startDafsList(p *sim.Proc, d *DAFSDriver, c *dafs.Client, fh dafs.FH, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
-	reg := d.region(p, buf)
-	maxSegs := c.MaxBatch()
-	var ops multiOp
-	specs := make([]dafs.SegSpec, 0, min(len(segs), maxSegs))
-	pos := 0
-	chunkStart := 0
-	flush := func() error {
-		if len(specs) == 0 {
-			return nil
-		}
-		var io *dafs.IO
-		var err error
-		if write {
-			io, err = c.StartWriteBatch(p, fh, specs, reg, chunkStart)
-		} else {
-			io, err = c.StartReadBatch(p, fh, specs, reg, chunkStart)
-		}
-		if err != nil {
-			return mapDafsErr(err)
-		}
-		ops = append(ops, &dafsOp{io: io, drv: d})
-		specs = specs[:0]
-		chunkStart = pos
-		return nil
-	}
-	for _, s := range segs {
-		specs = append(specs, dafs.SegSpec{Off: s.Off, Len: int(s.Len)})
-		pos += int(s.Len)
-		if len(specs) == maxSegs {
-			if err := flush(); err != nil {
-				d.release(p, reg)
-				return nil, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		d.release(p, reg)
-		return nil, err
-	}
-	// Release the registration once, after the last chunk completes.
-	last := len(ops) - 1
-	ops[last] = &dafsOp{io: ops[last].(*dafsOp).io, drv: d, reg: reg}
-	return ops, nil
+	return h.drv.startList(p, h.drv.client, h.fh, segs, buf, write)
 }
 
 // StartReadList implements ListHandle via DAFS batch reads.
@@ -336,7 +331,7 @@ func (h *dafsHandle) Size(p *sim.Proc) (int64, error) {
 		return 0, ErrClosed
 	}
 	attr, err := h.drv.client.Getattr(p, h.fh)
-	return attr.Size, mapDafsErr(err)
+	return attr.Size, mapErr(err)
 }
 
 // Resize implements Handle.
@@ -347,7 +342,7 @@ func (h *dafsHandle) Resize(p *sim.Proc, n int64) error {
 	if n < 0 {
 		return ErrNegative
 	}
-	return mapDafsErr(h.drv.client.Setattr(p, h.fh, n))
+	return mapErr(h.drv.client.Setattr(p, h.fh, n))
 }
 
 // Sync implements Handle.
@@ -355,19 +350,12 @@ func (h *dafsHandle) Sync(p *sim.Proc) error {
 	if h.closed {
 		return ErrClosed
 	}
-	return mapDafsErr(h.drv.client.Fsync(p, h.fh))
+	return mapErr(h.drv.client.Fsync(p, h.fh))
 }
 
 // Close implements Handle.
 func (h *dafsHandle) Close(p *sim.Proc) error {
-	if h.closed {
-		return nil
-	}
-	h.closed = true
-	if h.mode&ModeDeleteOnClose != 0 {
-		return h.drv.Delete(p, h.name)
-	}
-	return nil
+	return h.close(p, h.drv)
 }
 
 // Node implements Driver.

@@ -56,7 +56,7 @@ func (d *MemDriver) Open(p *sim.Proc, name string, mode int) (Handle, error) {
 	default:
 		return nil, mapStorageErr(err)
 	}
-	return &memHandle{drv: d, f: f, name: name, mode: mode}, nil
+	return &memHandle{drv: d, f: f, openFile: openFile{name: name, mode: mode}}, nil
 }
 
 func mapStorageErr(err error) error {
@@ -71,11 +71,9 @@ func mapStorageErr(err error) error {
 }
 
 type memHandle struct {
-	drv    *MemDriver
-	f      *storage.File
-	name   string
-	mode   int
-	closed bool
+	drv *MemDriver
+	f   *storage.File
+	openFile
 }
 
 func (h *memHandle) charge(p *sim.Proc, n int) {
@@ -89,14 +87,8 @@ func (h *memHandle) charge(p *sim.Proc, n int) {
 
 // ReadContig implements Handle.
 func (h *memHandle) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) {
-	if h.closed {
-		return 0, ErrClosed
-	}
-	if off < 0 {
-		return 0, ErrNegative
-	}
-	if h.mode&ModeWrOnly != 0 {
-		return 0, ErrWriteOnly
+	if err := h.check(off, false); err != nil {
+		return 0, err
 	}
 	n := h.f.ReadAt(buf, off)
 	h.charge(p, n)
@@ -105,14 +97,8 @@ func (h *memHandle) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) 
 
 // WriteContig implements Handle.
 func (h *memHandle) WriteContig(p *sim.Proc, off int64, buf []byte) (int, error) {
-	if h.closed {
-		return 0, ErrClosed
-	}
-	if off < 0 {
-		return 0, ErrNegative
-	}
-	if h.mode&ModeRdOnly != 0 {
-		return 0, ErrReadOnly
+	if err := h.check(off, true); err != nil {
+		return 0, err
 	}
 	n := h.f.WriteAt(buf, off)
 	h.charge(p, n)
@@ -170,12 +156,8 @@ func (h *memHandle) Close(p *sim.Proc) error {
 	if h.closed {
 		return nil
 	}
-	h.closed = true
 	h.drv.node.Compute(p, h.drv.node.Profile().SyscallCost)
-	if h.mode&ModeDeleteOnClose != 0 {
-		return h.drv.Delete(p, h.name)
-	}
-	return nil
+	return h.close(p, h.drv)
 }
 
 // Node implements Driver.

@@ -2,7 +2,6 @@ package mpiio
 
 import (
 	"errors"
-	"fmt"
 
 	"dafsio/internal/fabric"
 	"dafsio/internal/nfs"
@@ -29,7 +28,7 @@ func (d *NFSDriver) Name() string { return "nfs" }
 
 // Delete implements Driver.
 func (d *NFSDriver) Delete(p *sim.Proc, name string) error {
-	return mapNfsErr(d.client.Remove(p, name))
+	return mapErr(d.client.Remove(p, name))
 }
 
 // Open implements Driver.
@@ -47,49 +46,18 @@ func (d *NFSDriver) Open(p *sim.Proc, name string, mode int) (Handle, error) {
 	case errors.Is(err, nfs.ErrNoEnt) && mode&ModeCreate != 0:
 		fh, _, err = c.Create(p, name)
 		if err != nil {
-			return nil, mapNfsErr(err)
+			return nil, mapErr(err)
 		}
 	default:
-		return nil, mapNfsErr(err)
+		return nil, mapErr(err)
 	}
-	return &nfsHandle{drv: d, fh: fh, name: name, mode: mode}, nil
-}
-
-func mapNfsErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, nfs.ErrNoEnt):
-		return ErrNoEnt
-	case errors.Is(err, nfs.ErrExist):
-		return ErrExist
-	default:
-		return fmt.Errorf("mpiio: nfs: %w", err)
-	}
+	return &nfsHandle{drv: d, fh: fh, openFile: openFile{name: name, mode: mode}}, nil
 }
 
 type nfsHandle struct {
-	drv    *NFSDriver
-	fh     nfs.FH
-	name   string
-	mode   int
-	closed bool
-}
-
-func (h *nfsHandle) check(off int64, write bool) error {
-	if h.closed {
-		return ErrClosed
-	}
-	if off < 0 {
-		return ErrNegative
-	}
-	if write && h.mode&ModeRdOnly != 0 {
-		return ErrReadOnly
-	}
-	if !write && h.mode&ModeWrOnly != 0 {
-		return ErrWriteOnly
-	}
-	return nil
+	drv *NFSDriver
+	fh  nfs.FH
+	openFile
 }
 
 type nfsOp struct{ io *nfs.IO }
@@ -97,7 +65,7 @@ type nfsOp struct{ io *nfs.IO }
 // Wait implements AsyncOp.
 func (o nfsOp) Wait(p *sim.Proc) (int, error) {
 	n, err := o.io.Wait(p)
-	return n, mapNfsErr(err)
+	return n, mapErr(err)
 }
 
 // StartRead implements Handle.
@@ -107,7 +75,7 @@ func (h *nfsHandle) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, erro
 	}
 	io, err := h.drv.client.StartRead(p, h.fh, off, buf)
 	if err != nil {
-		return nil, mapNfsErr(err)
+		return nil, mapErr(err)
 	}
 	return nfsOp{io: io}, nil
 }
@@ -119,7 +87,7 @@ func (h *nfsHandle) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, err
 	}
 	io, err := h.drv.client.StartWrite(p, h.fh, off, buf)
 	if err != nil {
-		return nil, mapNfsErr(err)
+		return nil, mapErr(err)
 	}
 	return nfsOp{io: io}, nil
 }
@@ -127,19 +95,13 @@ func (h *nfsHandle) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, err
 // ReadContig implements Handle.
 func (h *nfsHandle) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) {
 	op, err := h.StartRead(p, off, buf)
-	if err != nil {
-		return 0, err
-	}
-	return op.Wait(p)
+	return blocking(p, op, err)
 }
 
 // WriteContig implements Handle.
 func (h *nfsHandle) WriteContig(p *sim.Proc, off int64, buf []byte) (int, error) {
 	op, err := h.StartWrite(p, off, buf)
-	if err != nil {
-		return 0, err
-	}
-	return op.Wait(p)
+	return blocking(p, op, err)
 }
 
 // Size implements Handle.
@@ -148,7 +110,7 @@ func (h *nfsHandle) Size(p *sim.Proc) (int64, error) {
 		return 0, ErrClosed
 	}
 	attr, err := h.drv.client.Getattr(p, h.fh)
-	return attr.Size, mapNfsErr(err)
+	return attr.Size, mapErr(err)
 }
 
 // Resize implements Handle.
@@ -159,7 +121,7 @@ func (h *nfsHandle) Resize(p *sim.Proc, n int64) error {
 	if n < 0 {
 		return ErrNegative
 	}
-	return mapNfsErr(h.drv.client.Setattr(p, h.fh, n))
+	return mapErr(h.drv.client.Setattr(p, h.fh, n))
 }
 
 // Sync implements Handle.
@@ -167,19 +129,12 @@ func (h *nfsHandle) Sync(p *sim.Proc) error {
 	if h.closed {
 		return ErrClosed
 	}
-	return mapNfsErr(h.drv.client.Commit(p, h.fh))
+	return mapErr(h.drv.client.Commit(p, h.fh))
 }
 
 // Close implements Handle.
 func (h *nfsHandle) Close(p *sim.Proc) error {
-	if h.closed {
-		return nil
-	}
-	h.closed = true
-	if h.mode&ModeDeleteOnClose != 0 {
-		return h.drv.Delete(p, h.name)
-	}
-	return nil
+	return h.close(p, h.drv)
 }
 
 // Node implements Driver.

@@ -1,7 +1,6 @@
 package mpiio
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -39,31 +38,17 @@ var ErrReshape = errors.New("mpiio: reshape failed")
 // caller's job; the driver only guarantees that dual-writes make the copy
 // safe and that Commit is a pure local pointer flip.
 type Reshape struct {
-	d      *StripedDAFSDriver
-	shadow *StripedDAFSDriver
+	d      *striped
+	shadow *striped // the driver over the new layout; nil once Commit retired it into d
+	old    *pool    // the layout being left, kept for Cleanup after Commit rewires d
 	epoch  uint32
 
 	pairs []reshapePair
 
-	// Old-layout identity, kept for Cleanup after Commit rewires d.
-	oldClients  []*dafs.Client
-	oldStriping layout.Striping
-	oldEpoch    uint32
-
 	committed bool
 }
 
-type reshapePair struct {
-	h, sh *stripedHandle
-	name  string
-}
-
-// Shadow returns the driver over the new layout (nil after Commit retires
-// it into d).
-func (rs *Reshape) Shadow() *StripedDAFSDriver { return rs.shadow }
-
-// Epoch returns the membership epoch the reshape moves to.
-func (rs *Reshape) Epoch() uint32 { return rs.epoch }
+type reshapePair struct{ h, sh *stripedHandle }
 
 // PrepareReshape starts a reshape onto the given session pool and
 // striping at the given membership epoch. Every open handle gets a shadow
@@ -81,20 +66,11 @@ func (d *StripedDAFSDriver) PrepareReshape(p *sim.Proc, clients []*dafs.Client, 
 	if epoch <= d.layoutEpoch {
 		return nil, fmt.Errorf("%w: epoch %d does not advance %d", ErrReshape, epoch, d.layoutEpoch)
 	}
-	sd := NewStripedDAFSDriver(clients, st)
-	sd.Retry = d.Retry
-	sd.Resilver = d.Resilver
-	sd.layoutEpoch = epoch
-	// The shared epoch gauge tracks the ACTIVE layout; the constructor
-	// stamped the shadow's default, so restore until Commit flips it.
-	d.m.epochG.Set(int64(d.layoutEpoch))
 	rs := &Reshape{
-		d:           d,
-		shadow:      sd,
-		epoch:       epoch,
-		oldClients:  d.clients,
-		oldStriping: d.striping,
-		oldEpoch:    d.layoutEpoch,
+		d:      &d.striped,
+		shadow: &striped{pool: newDAFSPool(clients, st, epoch), Retry: d.Retry, Resilver: d.Resilver},
+		old:    d.pool,
+		epoch:  epoch,
 	}
 	for _, h := range append([]*stripedHandle(nil), d.handles...) {
 		if err := rs.attach(p, h); err != nil {
@@ -110,12 +86,12 @@ func (d *StripedDAFSDriver) PrepareReshape(p *sim.Proc, clients []*dafs.Client, 
 // attach opens the shadow handle for h on the new layout and starts
 // mirroring its writes. Open calls this for handles opened mid-reshape.
 func (rs *Reshape) attach(p *sim.Proc, h *stripedHandle) error {
-	sh, err := rs.shadow.Open(p, h.name, ModeRdWr|ModeCreate)
+	sh, err := rs.shadow.open(p, h.name, ModeRdWr|ModeCreate)
 	if err != nil {
 		return fmt.Errorf("%w: shadow open %q: %w", ErrReshape, h.name, err)
 	}
-	h.shadow = sh.(*stripedHandle)
-	rs.pairs = append(rs.pairs, reshapePair{h: h, sh: h.shadow, name: h.name})
+	h.shadow = sh
+	rs.pairs = append(rs.pairs, reshapePair{h, sh})
 	return nil
 }
 
@@ -128,108 +104,47 @@ func (rs *Reshape) abort(p *sim.Proc) {
 	rs.pairs = nil
 }
 
-// Migrate copies every open file onto the new layout, bounded by the
-// driver's ResilverPolicy token bucket, and verifies the copy byte for
-// byte. Ranges dirtied by concurrent foreground writes (which dual-write
+// Migrate copies every open file onto the new layout through the two
+// layouts' own handles (so both sides keep their striping, replication and
+// failover), bounded by the driver's ResilverPolicy token bucket, and
+// verifies the copy byte for byte. Ranges dirtied by concurrent foreground writes (which dual-write
 // onto both layouts) are re-verified until a whole pass is clean; if the
 // policy's pass budget runs out first, Migrate fails and the reshape can
 // be retried or abandoned. Exactly one participant of a shared file runs
 // Migrate.
 func (rs *Reshape) Migrate(p *sim.Proc) error {
 	tb := newTokenBucket(rs.d.Resilver, p.Now())
-	chunk := rs.d.Resilver.chunk()
-	buf := make([]byte, chunk)
-	ver := make([]byte, chunk)
+	buf := make([]byte, 2*rs.d.Resilver.chunk())
 	for _, pr := range rs.pairs {
 		if pr.h.closed {
 			continue
 		}
-		if err := rs.migrateFile(p, tb, buf, ver, pr.h, pr.sh); err != nil {
-			return err
+		size, err := rs.d.verifyCopy(p, tb, buf, pr.h, pr.sh, nil)
+		if err == nil {
+			// Pin the logical size: the old file may have shrunk.
+			err = pr.sh.Resize(p, size)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %q: %w", ErrReshape, pr.h.name, err)
 		}
 	}
 	return nil
 }
 
-// migrateFile copies one file old → new in chunks: each pass re-reads the
-// logical size, verifies every chunk against the shadow, and copies the
-// ones that differ. A clean non-first pass means the copy converged.
-func (rs *Reshape) migrateFile(p *sim.Proc, tb *tokenBucket, buf, ver []byte, h, sh *stripedHandle) error {
-	d := rs.d
-	chunk := len(buf)
-	for pass := 0; pass < d.Resilver.passes(); pass++ {
-		size, err := h.Size(p)
-		if err != nil {
-			return fmt.Errorf("%w: size %q: %w", ErrReshape, h.name, err)
-		}
-		clean := true
-		for off := int64(0); off < size; off += int64(chunk) {
-			n := chunk
-			if rem := size - off; rem < int64(n) {
-				n = int(rem)
-			}
-			tb.take(p, n)
-			on, err := h.ReadContig(p, off, buf[:n])
-			if err != nil {
-				return fmt.Errorf("%w: read %q: %w", ErrReshape, h.name, err)
-			}
-			tb.take(p, on)
-			sn, err := sh.ReadContig(p, off, ver[:on])
-			if err != nil {
-				return fmt.Errorf("%w: shadow read %q: %w", ErrReshape, h.name, err)
-			}
-			if sn == on && bytes.Equal(buf[:on], ver[:sn]) {
-				continue
-			}
-			clean = false
-			tb.take(p, on)
-			if _, err := sh.WriteContig(p, off, buf[:on]); err != nil {
-				return fmt.Errorf("%w: shadow write %q: %w", ErrReshape, h.name, err)
-			}
-			d.m.resilverB.Add(int64(on))
-		}
-		if clean {
-			// Pin the logical size (the old file may have shrunk) and stop
-			// once a pass after the first found nothing to fix.
-			if err := sh.Resize(p, size); err != nil {
-				return fmt.Errorf("%w: shadow resize %q: %w", ErrReshape, h.name, err)
-			}
-			if pass > 0 || size == 0 {
-				return nil
-			}
-		}
-	}
-	return fmt.Errorf("%w: %q did not converge in %d passes (foreground writes outran the copy budget)",
-		ErrReshape, h.name, d.Resilver.passes())
-}
-
-// Commit flips the driver onto the new layout: session pool, striping,
-// failure state, and every open handle's objects become the shadow's, the
-// membership epoch advances, and dual-writes stop. Idempotent; purely
-// local (no I/O), so every participant of a shared file can commit the
-// moment the migrator reports success. Old sessions stay connected —
-// draining servers keep servicing other clients until Cleanup and
-// removal.
+// Commit flips the driver onto the new layout: the pool state — sessions,
+// striping, failure flags, staging buffers, instruments — becomes the
+// shadow's in one assignment, every open handle's objects become its
+// shadow handle's, and dual-writes stop. Idempotent; purely local (no
+// I/O), so every participant of a shared file can commit the moment the
+// migrator reports success. Old sessions stay connected — draining servers
+// keep servicing other clients until Cleanup and removal.
 func (rs *Reshape) Commit(p *sim.Proc) {
 	if rs.committed {
 		return
 	}
 	rs.committed = true
-	d, sd := rs.d, rs.shadow
-	d.DAFSDriver = sd.DAFSDriver
-	d.clients = sd.clients
-	d.striping = sd.striping
-	d.down = sd.down
-	d.excluded = sd.excluded
-	d.gaveUp = sd.gaveUp
-	d.episode = sd.episode
-	d.epoch = sd.epoch
-	d.healing = sd.healing
-	d.stagePool = sd.stagePool
-	d.stageHi = sd.stageHi
-	d.StagePoolMax = sd.StagePoolMax
-	d.m = sd.m
-	d.layoutEpoch = sd.layoutEpoch
+	d := rs.d
+	d.pool = rs.shadow.pool
 	d.m.epochG.Set(int64(d.layoutEpoch))
 	for _, pr := range rs.pairs {
 		if pr.h.closed {
@@ -248,22 +163,19 @@ func (rs *Reshape) Commit(p *sim.Proc) {
 // and dead sessions are skipped (fail-stop leaves orphans, exactly like
 // Delete on a degraded pool). Only the migrator cleans up, and only after
 // EVERY participant has committed — other clients read through the old
-// layout until their Commit.
+// layout until their Commit. The removals go one object at a time: the
+// draining servers are still serving those clients' foreground reads.
 func (rs *Reshape) Cleanup(p *sim.Proc) {
 	if !rs.committed {
 		return
 	}
-	st := rs.oldStriping
+	old := &striped{pool: rs.old}
+	W, R := rs.old.striping.Width, rs.old.striping.R()
 	for _, pr := range rs.pairs {
-		for r := 0; r < st.R(); r++ {
-			name := layout.EpochName(layout.ReplicaName(pr.name, r), rs.oldEpoch)
-			for t := 0; t < st.Width; t++ {
-				c := rs.oldClients[t]
-				op, err := c.StartRemove(p, name)
-				if err != nil {
-					continue
-				}
-				op.Wait(p)
+		rm := &nameWork{d: old, kind: opRemove, name: pr.h.name}
+		for r := 0; r < R; r++ {
+			for t := 0; t < W; t++ {
+				old.once(p, rm, (t-r+W)%W, t, r)
 			}
 		}
 	}
@@ -273,6 +185,16 @@ func (rs *Reshape) Cleanup(p *sim.Proc) {
 // is the active layout's, and a hard error on either side surfaces.
 type mirroredOp struct {
 	main, shadow AsyncOp
+}
+
+// mirror pairs a started write with its shadow half; when the shadow
+// failed to start, the main half is waited out and the failure returned.
+func mirror(p *sim.Proc, main, shadow AsyncOp, err error) (AsyncOp, error) {
+	if err != nil {
+		main.Wait(p)
+		return nil, err
+	}
+	return mirroredOp{main, shadow}, nil
 }
 
 func (o mirroredOp) Wait(p *sim.Proc) (int, error) {

@@ -2,9 +2,9 @@ package mpiio
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
-	"dafsio/internal/dafs"
 	"dafsio/internal/layout"
 	"dafsio/internal/sim"
 )
@@ -107,30 +107,6 @@ func (b *tokenBucket) take(p *sim.Proc, n int) {
 	b.last = p.Now()
 }
 
-// objName is the on-store name of rank r's stripe object under the
-// driver's current layout epoch. Epoch 1 keeps the plain replica name, so
-// static clusters stay store-compatible with everything written before
-// layouts were versioned.
-func (d *StripedDAFSDriver) objName(name string, r int) string {
-	return layout.EpochName(layout.ReplicaName(name, r), d.layoutEpoch)
-}
-
-// registerHandle adds h to the driver's open-handle registry — the set a
-// background heal or reshape must cover.
-func (d *StripedDAFSDriver) registerHandle(h *stripedHandle) {
-	d.handles = append(d.handles, h)
-}
-
-// dropHandle removes h from the registry (Close).
-func (d *StripedDAFSDriver) dropHandle(h *stripedHandle) {
-	for i, o := range d.handles {
-		if o == h {
-			d.handles = append(d.handles[:i], d.handles[i+1:]...)
-			return
-		}
-	}
-}
-
 // startHeal spawns the background re-silver for server t after its
 // session redialed cleanly while the server was excluded from read-any.
 // The caller (the recovery episode) has already swapped in the fresh
@@ -138,18 +114,18 @@ func (d *StripedDAFSDriver) dropHandle(h *stripedHandle) {
 // back from live mirror replicas, verifies them, and re-admits t. Until
 // it finishes, t stays excluded — re-admission is gated on re-silver
 // completion, not on dial success.
-func (d *StripedDAFSDriver) startHeal(p *sim.Proc, t int) {
+func (d *striped) startHeal(p *sim.Proc, t int) {
 	if d.healing[t] != nil {
 		return
 	}
-	k := d.kernel()
+	k := p.Kernel()
 	fut := sim.NewFuture[struct{}](k)
 	d.healing[t] = fut
 	d.m.resilver.Add(1)
 	d.m.flight.Note(p.Now(), "resilver", "", int64(t), 0)
 	gen := d.layoutEpoch
 	ep := d.epoch[t]
-	name := fmt.Sprintf("%s.resilver.s%d.e%d", d.clients[t].NIC().Node.Name, t, ep)
+	name := fmt.Sprintf("%s.resilver.s%d.e%d", d.node.Name, t, ep)
 	k.Spawn(name, func(hp *sim.Proc) {
 		ok := d.heal(hp, t, gen, ep)
 		d.healing[t] = nil
@@ -164,28 +140,35 @@ func (d *StripedDAFSDriver) startHeal(p *sim.Proc, t int) {
 	})
 }
 
-// heal re-silvers server t's rank objects for every open handle. It
-// returns false when the heal must be abandoned (the server failed again,
-// the layout moved on, or a source replica is unreachable); the next
-// clean redial starts a fresh heal.
-func (d *StripedDAFSDriver) heal(p *sim.Proc, t int, gen uint32, ep int) bool {
+// heal re-silvers server t's rank objects for every open handle, each from
+// a live mirror replica. It returns false when the heal must be abandoned
+// (the server failed again, the layout moved on, no mirror is reachable,
+// or foreground writes keep outrunning the copy budget); the next clean
+// redial starts a fresh heal.
+func (d *striped) heal(p *sim.Proc, t int, gen uint32, ep int) bool {
+	st := d.striping
 	tb := newTokenBucket(d.Resilver, p.Now())
-	buf := make([]byte, d.Resilver.chunk())
+	buf := make([]byte, 2*d.Resilver.chunk())
+	stale := func() bool { return d.layoutEpoch != gen || d.epoch[t] != ep || d.down[t] }
 	// Snapshot: handles opened after the heal started saw the server
 	// excluded and wrote nothing it could miss.
 	hs := append([]*stripedHandle(nil), d.handles...)
 	for _, h := range hs {
-		if h.closed {
-			continue
-		}
-		for r := 0; r < d.striping.R(); r++ {
-			if d.striping.ReplicaServer((t-r+d.striping.Width)%d.striping.Width, r) != t {
-				continue // defensive; rotation makes this exact
-			}
-			if h.fhs[t][r] == 0 {
+		for r := 0; r < st.R() && !h.closed; r++ {
+			if !h.present(t, r) {
 				continue
 			}
-			if !d.healObject(p, tb, buf, h, t, r, gen, ep) {
+			prim := (t - r + st.Width) % st.Width // primary whose data rank r mirrors
+			src := rankObject{h: h, t: -1}
+			for sr := 0; sr < st.R() && src.t < 0; sr++ {
+				if m := st.ReplicaServer(prim, sr); m != t && d.live(m, true) && h.present(m, sr) {
+					src.t, src.r = m, sr
+				}
+			}
+			if src.t < 0 {
+				return false
+			}
+			if _, err := d.verifyCopy(p, tb, buf, src, rankObject{h: h, t: t, r: r}, stale); err != nil {
 				return false
 			}
 		}
@@ -193,143 +176,97 @@ func (d *StripedDAFSDriver) heal(p *sim.Proc, t int, gen uint32, ep int) bool {
 	return true
 }
 
-// healObject copies and verifies one stale rank object on server t from a
-// live mirror replica, chunk by chunk through the token bucket.
-func (d *StripedDAFSDriver) healObject(p *sim.Proc, tb *tokenBucket, buf []byte, h *stripedHandle, t, r int, gen uint32, ep int) bool {
-	st := d.striping
-	prim := (t - r + st.Width) % st.Width // primary whose data rank r mirrors
-	chunk := len(buf)
-	verify := make([]byte, chunk)
+// copyEnd is one side of a verify-first copy: a whole striped file (its
+// handle) or a single rank object.
+type copyEnd interface {
+	Size(p *sim.Proc) (int64, error)
+	ReadContig(p *sim.Proc, off int64, buf []byte) (int, error)
+	WriteContig(p *sim.Proc, off int64, buf []byte) (int, error)
+}
+
+var errCopyAbandoned = errors.New("mpiio: copy overtaken")
+
+// verifyCopy is the re-silverer's one copy loop, under both the heal of a
+// stale replica and a reshape's migration: chunk by chunk through the
+// token bucket it reads the source, reads the destination, and writes only
+// the chunks that differ — bytes already identical (an earlier pass, or
+// foreground write-all landing on both sides) cost one bucketed read each
+// side and no copy. Each pass re-reads the source size and re-verifies
+// everything, so ranges dirtied by concurrent foreground writes are picked
+// up; a clean pass after the first means the copy converged, and the
+// source size it covered is returned. stale, when set, reports that the
+// copy has been overtaken and must be abandoned. buf holds two chunks.
+func (d *striped) verifyCopy(p *sim.Proc, tb *tokenBucket, buf []byte, src, dst copyEnd, stale func() bool) (int64, error) {
+	chunk := len(buf) / 2
+	sbuf, dbuf := buf[:chunk], buf[chunk:]
 	for pass := 0; pass < d.Resilver.passes(); pass++ {
-		src, sr, ok := h.pickHealSource(prim, t)
-		if !ok {
-			return false // no live mirror to copy from; wait for another episode
-		}
-		size, err := d.objSize(p, src, h.fhs[src][sr])
+		size, err := src.Size(p)
 		if err != nil {
-			return false
+			return 0, fmt.Errorf("size: %w", err)
 		}
 		clean := true
-		for off := int64(0); off < size || off == 0 && size == 0; off += int64(chunk) {
-			if d.layoutEpoch != gen || d.epoch[t] != ep || d.down[t] {
-				return false // layout moved on or the server failed again
+		for off := int64(0); off < size; off += int64(chunk) {
+			if stale != nil && stale() {
+				return 0, errCopyAbandoned
 			}
-			if size == 0 {
-				break
-			}
-			n := chunk
-			if rem := size - off; rem < int64(n) {
-				n = int(rem)
-			}
-			// Verify first: bytes already identical (an earlier pass, or
-			// foreground write-all landing on both sides) cost one
-			// bucketed read each side, no copy.
+			n := int(min(int64(chunk), size-off))
 			tb.take(p, n)
-			sn, err := d.objRead(p, src, h.fhs[src][sr], off, buf[:n])
+			sn, err := src.ReadContig(p, off, sbuf[:n])
 			if err != nil {
-				return false
+				return 0, fmt.Errorf("read: %w", err)
 			}
-			tb.take(p, n)
-			tn, err := d.objRead(p, t, h.fhs[t][r], off, verify[:n])
+			tb.take(p, sn)
+			dn, err := dst.ReadContig(p, off, dbuf[:sn])
 			if err != nil {
-				return false
+				return 0, fmt.Errorf("verify read: %w", err)
 			}
-			if tn == sn && bytes.Equal(buf[:sn], verify[:tn]) {
+			if dn == sn && bytes.Equal(sbuf[:sn], dbuf[:dn]) {
 				continue
 			}
 			clean = false
 			tb.take(p, sn)
-			if err := d.objWrite(p, t, h.fhs[t][r], off, buf[:sn]); err != nil {
-				return false
+			if _, err := dst.WriteContig(p, off, sbuf[:sn]); err != nil {
+				return 0, fmt.Errorf("write: %w", err)
 			}
 			d.m.resilverB.Add(int64(sn))
 		}
-		if clean && pass > 0 {
-			return true // one full untouched verify pass: converged
-		}
-		if clean {
-			// First pass found nothing to fix; one more confirms.
-			continue
+		if clean && (pass > 0 || size == 0) {
+			return size, nil
 		}
 	}
-	// Passes exhausted with copies still happening: foreground writes are
-	// outrunning the bucket. Stay excluded; a later episode retries.
-	return false
+	return 0, fmt.Errorf("did not converge in %d passes (foreground writes outran the copy budget)", d.Resilver.passes())
 }
 
-// pickHealSource finds a live, fresh mirror of primary prim other than
-// the server being healed.
-func (h *stripedHandle) pickHealSource(prim, not int) (t, r int, ok bool) {
-	st := h.drv.striping
-	for r := 0; r < st.R(); r++ {
-		t := st.ReplicaServer(prim, r)
-		if t != not && h.usable(t, r, true) {
-			return t, r, true
-		}
-	}
-	return 0, 0, false
+// rankObject is the rank-r object on server t of an open file, addressed
+// directly: single flights through the dispatch core with no failover. A
+// session failure marks the server down (so recovery runs) and surfaces,
+// abandoning the heal; a later episode retries.
+type rankObject struct {
+	h    *stripedHandle
+	t, r int
 }
 
-// objSize, objRead, objWrite are the heal's raw per-object operations on
-// one server's session, inline or direct by size like the foreground
-// path. Session failures surface as errors (the heal aborts and a later
-// episode retries) after marking the failure so recovery machinery runs.
-func (d *StripedDAFSDriver) objSize(p *sim.Proc, t int, fh dafs.FH) (int64, error) {
-	c := d.clients[t]
-	op, err := c.StartGetattr(p, fh)
-	if err == nil {
-		var attr dafs.Attr
-		if attr, err = op.Wait(p); err == nil {
-			return attr.Size, nil
-		}
-	}
-	if isSessionErr(err) {
-		d.noteFailure(p, t, c)
-	}
-	return 0, err
+func (o rankObject) Size(p *sim.Proc) (int64, error) {
+	st := o.h.drv.striping
+	prim := (o.t - o.r + st.Width) % st.Width
+	w := &objWork{stripedHandle: o.h, kind: opGetattr, sizes: make([]int64, st.Width)}
+	err := o.h.drv.once(p, w, prim, o.t, o.r)
+	return w.sizes[prim], err
 }
 
-func (d *StripedDAFSDriver) objRead(p *sim.Proc, t int, fh dafs.FH, off int64, buf []byte) (int, error) {
-	c := d.clients[t]
-	var io *dafs.IO
-	var err error
-	if len(buf) <= d.DirectThreshold {
-		io, err = c.StartRead(p, fh, off, buf)
-	} else {
-		reg := d.region(p, buf)
-		io, err = c.StartReadDirect(p, fh, off, reg, 0, len(buf))
-		defer d.release(p, reg)
-	}
-	if err == nil {
-		var n int
-		if n, err = io.Wait(p); err == nil {
-			return n, nil
-		}
-	}
-	if isSessionErr(err) {
-		d.noteFailure(p, t, c)
-	}
-	return 0, err
+func (o rankObject) transfer(p *sim.Proc, off int64, buf []byte, write bool) (int, error) {
+	d := o.h.drv
+	w := &fragOp{stripedHandle: o.h, write: write, frags: []layout.Fragment{{Off: off, Len: int64(len(buf))}}, buf: buf, counts: []int{len(buf)}}
+	w.reg = d.pin(p, buf, w.frags)
+	defer d.unpin(p, w.reg)
+	err := d.once(p, w, 0, o.t, o.r)
+	return w.counts[0], err
 }
 
-func (d *StripedDAFSDriver) objWrite(p *sim.Proc, t int, fh dafs.FH, off int64, buf []byte) error {
-	c := d.clients[t]
-	var io *dafs.IO
-	var err error
-	if len(buf) <= d.DirectThreshold {
-		io, err = c.StartWrite(p, fh, off, buf)
-	} else {
-		reg := d.region(p, buf)
-		io, err = c.StartWriteDirect(p, fh, off, reg, 0, len(buf))
-		defer d.release(p, reg)
-	}
-	if err == nil {
-		if _, err = io.Wait(p); err == nil {
-			return nil
-		}
-	}
-	if isSessionErr(err) {
-		d.noteFailure(p, t, c)
-	}
-	return err
+func (o rankObject) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) {
+	return o.transfer(p, off, buf, false)
+}
+
+func (o rankObject) WriteContig(p *sim.Proc, off int64, buf []byte) (int, error) {
+	return o.transfer(p, off, buf, true)
 }

@@ -9,6 +9,7 @@ import (
 	"dafsio/internal/dafs"
 	"dafsio/internal/fault"
 	"dafsio/internal/layout"
+	"dafsio/internal/metrics"
 	"dafsio/internal/sim"
 )
 
@@ -24,7 +25,7 @@ func crashRestartRig(t *testing.T, policy ResilverPolicy,
 	fn func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster)) {
 	t.Helper()
 	const servers, stripe = 3, 4 << 10
-	cfg := cluster.Config{Clients: 1, Servers: servers, DAFS: true}
+	cfg := cluster.Config{Clients: 1, Servers: servers, DAFS: true, Metrics: metrics.New}
 	cfg.Faults = fault.Installer(fault.Plan{Events: []fault.Event{
 		{At: 10 * sim.Millisecond, Kind: fault.ServerCrash, Node: "server1"},
 		{At: 25 * sim.Millisecond, Kind: fault.ServerRestart, Node: "server1"},

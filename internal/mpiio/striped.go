@@ -1,0 +1,418 @@
+package mpiio
+
+import (
+	"errors"
+	"fmt"
+
+	"dafsio/internal/dafs"
+	"dafsio/internal/fabric"
+	"dafsio/internal/layout"
+	"dafsio/internal/metrics"
+	"dafsio/internal/nfs"
+	"dafsio/internal/sim"
+	"dafsio/internal/trace"
+)
+
+// striped is the replicated-stripe driver core. It binds MPI-IO to a pool
+// of per-server sessions with a layout.Striping policy deciding which
+// server holds which bytes: a contiguous request is mapped to per-server
+// stripe fragments, every fragment is issued as a nonblocking operation,
+// and the completions are aggregated — writes count once acked, reads
+// report the contiguous prefix so EOF mid-stripe keeps POSIX short-read
+// semantics. Each server stores one stripe object under the file's name.
+//
+// With Replicas > 1 it adds ROMIO/ADIO-style multi-backend dispatch on top
+// of the layout's rotated replica placement: writes go to every replica
+// (write-all), reads are served by the first usable replica (read-any),
+// and a session failure on one replica fails over to the next while a
+// background process re-establishes the dead session under the Retry
+// policy. A server that misses a write is excluded from read-any from then
+// on — its object is stale — and when every replica of a unit is gone the
+// operation fails wrapping dafs.ErrAllReplicasDown. All of that is written
+// once, in striped_dispatch.go, over the session seam of striped_leaf.go; this
+// file holds the state it runs on.
+//
+// With Width == 1 the layout is the identity mapping and every request
+// becomes exactly the operation the plain driver would issue, and with
+// Replicas <= 1 and no failures every code path issues exactly the
+// operations an unreplicated driver would, in the same order.
+type striped struct {
+	// pool is the state of the active layout. A reshape builds a second
+	// one beside it and Commit flips this pointer.
+	*pool
+
+	// Retry governs session recovery: after a failure the driver redials
+	// the dead server with capped exponential backoff in simulated time.
+	// The zero value (Attempts == 0) never redials — the first failure on
+	// a server is final, the pre-replication behaviour.
+	Retry dafs.RetryPolicy
+
+	// Retries counts redial attempts (stat).
+	Retries int64
+
+	// Resilver bounds background re-silver traffic (heals after a replica
+	// redials, copies during a reshape). The constructor default enables
+	// it; set Rate <= 0 to restore the pre-elastic behaviour where an
+	// excluded replica stays excluded forever.
+	Resilver ResilverPolicy
+
+	handles []*stripedHandle // open handles (heal / reshape coverage)
+	next    *Reshape         // in-progress reshape, nil when none
+}
+
+// pool is everything a striped driver knows about one layout: the sessions
+// and the placement they serve, which of them are failed or stale, the
+// registered staging buffers and the instruments. It is one value so that
+// a reshape can prepare the next layout in full and commit it by assigning
+// a single pointer.
+type pool struct {
+	// DAFSDriver (over the pool's first session) supplies the DAFS leaf's
+	// transfer-discipline knobs and the registration cache: all sessions of
+	// a pool share the client's one NIC, so one registration serves every
+	// per-server fragment of a request. nil over a leaf without registered
+	// memory (NFS), which therefore has no list path either.
+	*DAFSDriver
+
+	kind string        // leaf transport, for Name
+	node *fabric.Node  // client host
+	tr   *trace.Tracer // nil when tracing is off
+
+	sess        []session // one per server, in layout order
+	striping    layout.Striping
+	layoutEpoch uint32 // membership epoch of this layout
+
+	down     []bool                  // per server: session currently unusable
+	excluded []bool                  // per server: missed a write, stale for reads
+	gaveUp   []bool                  // per server: recovery exhausted, permanently dead
+	episode  []*sim.Future[struct{}] // per server: in-progress recovery, nil when none
+	epoch    []int                   // per server: recovery episode counter
+	healing  []*sim.Future[struct{}] // per server: in-progress re-silver, nil when none
+
+	// stagePool holds the registered staging buffers of batched gather
+	// I/O. putStage trims it back to stagePoolMax — two full collective
+	// fan-outs' worth of windows stay pinned between operations; anything
+	// beyond that is a burst and goes back to the host.
+	stagePool    []*stageBuf
+	stageHi      int
+	stagePoolMax int
+
+	m stripedMetrics
+}
+
+// stripedMetrics bundles the driver's instruments under the client node's
+// name. Shared registration: a node can host more than one pool over a
+// run (re-opened pools in tests, the two layouts of a reshape), and they
+// aggregate. Zero values (metrics off) are no-ops.
+type stripedMetrics struct {
+	retries   metrics.Counter   // redial attempts
+	failovers metrics.Counter   // sessions newly marked down
+	down      metrics.Gauge     // servers currently down
+	excluded  metrics.Gauge     // servers excluded from read-any
+	stagePool metrics.Gauge     // staging buffers currently pooled
+	stageHi   metrics.Gauge     // staging-pool high water
+	resilver  metrics.Gauge     // re-silver processes currently running
+	resilverB metrics.Counter   // bytes copied by re-silvering
+	readmits  metrics.Counter   // servers re-admitted to read-any after a heal
+	epochG    metrics.Gauge     // membership epoch of the active layout
+	dispatch  []metrics.Counter // fragments issued, per server index
+	flight    *metrics.Flight
+}
+
+func newStripedMetrics(reg *metrics.Registry, node string, width int) stripedMetrics {
+	pre := "mpiio.striped." + node + "."
+	m := stripedMetrics{
+		retries:   reg.SharedCounter(pre + "retries"),
+		failovers: reg.SharedCounter(pre + "failovers"),
+		down:      reg.SharedGauge(pre + "down"),
+		excluded:  reg.SharedGauge(pre + "excluded"),
+		stagePool: reg.SharedGauge(pre + "stage_pool"),
+		stageHi:   reg.SharedGauge(pre + "stage_hiwater"),
+		resilver:  reg.SharedGauge(pre + "resilver_active"),
+		resilverB: reg.SharedCounter(pre + "resilver_bytes"),
+		readmits:  reg.SharedCounter(pre + "readmits"),
+		epochG:    reg.SharedGauge(pre + "epoch"),
+		flight:    reg.Flight("mpiio.striped."+node, 0),
+	}
+	m.dispatch = make([]metrics.Counter, width)
+	for t := range m.dispatch {
+		m.dispatch[t] = reg.SharedCounter(fmt.Sprintf("%sdispatch.%d", pre, t))
+	}
+	return m
+}
+
+// newPool builds the state of one layout over sess, one session per server
+// in layout order. reg may be nil (no instruments).
+func newPool(sess []session, st layout.Striping, epoch uint32, kind string, node *fabric.Node, reg *metrics.Registry) *pool {
+	if err := st.Validate(); err != nil {
+		panic(err)
+	}
+	if len(sess) != st.Width {
+		panic(fmt.Sprintf("mpiio: %d sessions for stripe width %d", len(sess), st.Width))
+	}
+	return &pool{
+		kind:         kind,
+		node:         node,
+		sess:         sess,
+		striping:     st,
+		layoutEpoch:  epoch,
+		down:         make([]bool, st.Width),
+		excluded:     make([]bool, st.Width),
+		gaveUp:       make([]bool, st.Width),
+		episode:      make([]*sim.Future[struct{}], st.Width),
+		epoch:        make([]int, st.Width),
+		healing:      make([]*sim.Future[struct{}], st.Width),
+		stagePoolMax: 2 * st.Width,
+		m:            newStripedMetrics(reg, node.Name, st.Width),
+	}
+}
+
+// newDAFSPool builds a pool over DAFS sessions, which must share one NIC.
+func newDAFSPool(clients []*dafs.Client, st layout.Striping, epoch uint32) *pool {
+	drv := NewDAFSDriver(clients[0])
+	sess := make([]session, len(clients))
+	for i, c := range clients {
+		if c.NIC() != clients[0].NIC() {
+			panic("mpiio: striped session pool spans NICs")
+		}
+		// Inline fragments must fit every session's negotiated limit.
+		drv.DirectThreshold = min(drv.DirectThreshold, c.MaxInline())
+		sess[i] = &dafsSession{c: c, drv: drv}
+	}
+	pl := newPool(sess, st, epoch, "dafs", drv.Node(), clients[0].NIC().Provider().Metrics)
+	pl.DAFSDriver = drv
+	pl.tr = drv.Tracer()
+	return pl
+}
+
+// StripedDAFSDriver is the striped core over a pool of DAFS sessions, one
+// per server. Its exported knobs are the core's Retry, Retries and
+// Resilver plus the embedded DAFSDriver's DirectThreshold and RegCache.
+type StripedDAFSDriver struct{ striped }
+
+// NewStripedDAFSDriver wraps a session pool, one session per server in
+// layout order. The pool must match the policy's width and share one NIC.
+func NewStripedDAFSDriver(clients []*dafs.Client, st layout.Striping) *StripedDAFSDriver {
+	d := &StripedDAFSDriver{striped{pool: newDAFSPool(clients, st, 1), Resilver: DefaultResilverPolicy()}}
+	d.m.epochG.Set(int64(d.layoutEpoch))
+	return d
+}
+
+// Clients returns the session pool in server order.
+func (d *StripedDAFSDriver) Clients() []*dafs.Client {
+	clients := make([]*dafs.Client, len(d.sess))
+	for i, s := range d.sess {
+		clients[i] = s.(*dafsSession).c
+	}
+	return clients
+}
+
+// StripedNFSDriver is the striped core over a pool of NFS mounts, one per
+// server. It exists to split the layout effect from the transport effect:
+// striped NFS gets the aggregate disk and link bandwidth of N servers, but
+// every fragment still pays the kernel-stack and copy costs of the NFS
+// path, while striped DAFS pays the user-level VIA costs. Both run the
+// same striping code, so comparing the two at equal width isolates what
+// striping buys from what the transport buys. Metadata goes one mount at a
+// time (NFS metadata RPCs are synchronous), data fragments all in flight;
+// no replication — rank 0 objects only, like NFS deployments of the era.
+type StripedNFSDriver struct{ core striped }
+
+// NewStripedNFSDriver wraps a mount pool, one mount per server in layout
+// order. The policy must be unreplicated — NFS has no write-all fan-out.
+func NewStripedNFSDriver(clients []*nfs.Client, st layout.Striping) *StripedNFSDriver {
+	if st.R() != 1 {
+		panic("mpiio: striped NFS does not replicate")
+	}
+	sess := make([]session, len(clients))
+	for i, c := range clients {
+		sess[i] = nfsSession{c}
+	}
+	return &StripedNFSDriver{striped{pool: newPool(sess, st, 1, "nfs", clients[0].Node(), nil)}}
+}
+
+// Name implements Driver.
+func (d *StripedNFSDriver) Name() string { return d.core.Name() }
+
+// Node implements Driver.
+func (d *StripedNFSDriver) Node() *fabric.Node { return d.core.Node() }
+
+// Striping returns the placement policy.
+func (d *StripedNFSDriver) Striping() layout.Striping { return d.core.Striping() }
+
+// Open implements Driver.
+func (d *StripedNFSDriver) Open(p *sim.Proc, name string, mode int) (Handle, error) {
+	return d.core.Open(p, name, mode)
+}
+
+// Delete implements Driver.
+func (d *StripedNFSDriver) Delete(p *sim.Proc, name string) error { return d.core.Delete(p, name) }
+
+// LayoutEpoch returns the membership epoch of the driver's active layout.
+func (d *striped) LayoutEpoch() uint32 { return d.layoutEpoch }
+
+// Striping returns the placement policy.
+func (d *striped) Striping() layout.Striping { return d.striping }
+
+// Node implements Driver.
+func (d *striped) Node() *fabric.Node { return d.node }
+
+// Name implements Driver.
+func (d *striped) Name() string {
+	switch st := d.striping; {
+	case st.Width == 1:
+		return d.kind
+	case st.R() > 1:
+		return fmt.Sprintf("%s-striped/%dx%d", d.kind, st.Width, st.R())
+	default:
+		return fmt.Sprintf("%s-striped/%d", d.kind, st.Width)
+	}
+}
+
+// objName is the on-store name of rank r's stripe object under the pool's
+// layout epoch. Epoch 1 keeps the plain replica name, so static clusters
+// stay store-compatible with everything written before layouts were
+// versioned.
+func (d *striped) objName(name string, r int) string {
+	return layout.EpochName(layout.ReplicaName(name, r), d.layoutEpoch)
+}
+
+// isSessionErr reports whether err is (or wraps) a session failure — the
+// class failover handles; everything else is a hard protocol or storage
+// error surfaced to the caller.
+func isSessionErr(err error) bool {
+	return errors.Is(err, dafs.ErrSession)
+}
+
+// allDown builds the operation-level error for a unit with no usable
+// replica left, wrapping both dafs.ErrAllReplicasDown and (when known) the
+// last session failure so either sentinel matches. This is a terminal
+// condition, so the driver's flight ring is dumped for the postmortem.
+func (d *striped) allDown(last error) error {
+	d.m.flight.Dump("mpiio: " + dafs.ErrAllReplicasDown.Error())
+	if last == nil {
+		return fmt.Errorf("mpiio: %w", dafs.ErrAllReplicasDown)
+	}
+	return fmt.Errorf("mpiio: %w: %w", dafs.ErrAllReplicasDown, last)
+}
+
+// exclude marks server t stale for read-any: it missed an acked write, so
+// only replicas that saw every write may serve reads.
+func (d *striped) exclude(p *sim.Proc, t int) {
+	if d.excluded[t] {
+		return
+	}
+	d.excluded[t] = true
+	d.m.excluded.Add(1)
+	d.m.flight.Note(p.Now(), "exclude", "", int64(t), 0)
+}
+
+// noteFailure records a session failure on server s. The first failure of
+// a session marks the server down and, when a retry policy is set, spawns
+// a recovery process that redials the server with capped exponential
+// backoff; concurrent failures of the same session (every in-flight op on
+// it fails at once) collapse into one episode, and failures of an already
+// replaced session are ignored.
+func (d *striped) noteFailure(p *sim.Proc, s int, failed session) {
+	if d.sess[s] != failed || d.down[s] {
+		return
+	}
+	d.down[s] = true
+	d.m.failovers.Inc()
+	d.m.down.Add(1)
+	d.m.flight.Note(p.Now(), "failover", "", int64(s), 0)
+	if d.gaveUp[s] {
+		return
+	}
+	if d.Retry.Attempts <= 0 {
+		d.gaveUp[s] = true
+		return
+	}
+	k := p.Kernel()
+	fut := sim.NewFuture[struct{}](k)
+	d.episode[s] = fut
+	d.epoch[s]++
+	name := fmt.Sprintf("%s.redial.s%d.e%d", d.node.Name, s, d.epoch[s])
+	k.Spawn(name, func(rp *sim.Proc) {
+		defer func() {
+			d.episode[s] = nil
+			fut.Set(struct{}{})
+		}()
+		for a := 0; a < d.Retry.Attempts; a++ {
+			rp.Wait(d.Retry.Backoff(a))
+			d.Retries++
+			d.m.retries.Inc()
+			d.m.flight.Note(rp.Now(), "retry", "", int64(s), int64(a))
+			ns, err := failed.redial(rp)
+			if err == nil {
+				d.sess[s] = ns
+				d.down[s] = false
+				d.m.down.Add(-1)
+				d.m.flight.Note(rp.Now(), "recovered", "", int64(s), int64(a))
+				// A replica that missed writes while down is stale: the
+				// redial restores the session, not the data. Re-admission
+				// to read-any waits for the background re-silver, never on
+				// dial success alone.
+				if d.excluded[s] && d.Resilver.Rate > 0 {
+					d.startHeal(rp, s)
+				}
+				return
+			}
+		}
+		d.gaveUp[s] = true
+		d.m.flight.Note(rp.Now(), "gave_up", "", int64(s), 0)
+	})
+}
+
+// live reports whether server t's session can serve an operation right
+// now. Reads additionally refuse servers that missed a write — their
+// objects are stale, and write-all/read-any only guarantees freshness on
+// replicas that saw every acked write. A read therefore goes to the first
+// live rank holding the object, in rank order: with Replicas == 1 on a
+// healthy pool always the primary — the unreplicated dispatch.
+func (d *striped) live(t int, forRead bool) bool {
+	return !d.down[t] && !(forRead && d.excluded[t])
+}
+
+// waitRecovery blocks until some replica of primary server srv is usable
+// again, charging the wait to the current operation span as retry time. It
+// returns false when every replica is permanently gone (recovery given up,
+// object absent, or — for reads — stale), the ErrAllReplicasDown case.
+func (d *striped) waitRecovery(p *sim.Proc, w work, srv int, forRead bool) bool {
+	st := d.striping
+	for {
+		dead := true
+		for r := 0; r < st.R(); r++ {
+			t := st.ReplicaServer(srv, r)
+			if !w.present(t, r) {
+				continue
+			}
+			if d.live(t, forRead) {
+				return true
+			}
+			// A server under active re-silvering is excluded only until the
+			// heal completes: readers wait it out rather than declaring the
+			// unit dead.
+			if !d.gaveUp[t] && (!(forRead && d.excluded[t]) || d.healing[t] != nil) {
+				dead = false
+			}
+		}
+		if dead {
+			return false
+		}
+		// Recovery or a re-silver is in flight on some replica server: wait
+		// for the first to settle, then re-evaluate.
+		var fut *sim.Future[struct{}]
+		for r := 0; r < st.R() && fut == nil; r++ {
+			t := st.ReplicaServer(srv, r)
+			if fut = d.episode[t]; fut == nil {
+				fut = d.healing[t]
+			}
+		}
+		if fut == nil {
+			return false
+		}
+		t0 := p.Now()
+		fut.Get(p)
+		d.tr.Charge(trace.OpID(p.TraceCtx()), trace.CatRetry, p.Now()-t0)
+	}
+}

@@ -1,0 +1,591 @@
+package mpiio
+
+import (
+	"dafsio/internal/aggregate"
+	"dafsio/internal/dafs"
+	"dafsio/internal/layout"
+	"dafsio/internal/sim"
+	"dafsio/internal/trace"
+	"dafsio/internal/via"
+)
+
+// The striped driver's Driver and Handle surface: every method here builds
+// the work for its operation and hands it to the dispatch core.
+
+// nameWork is a name-addressed operation on every rank object of a file:
+// the Lookup and Create waves of Open, the Remove wave of Delete.
+type nameWork struct {
+	d    *striped
+	kind opKind
+	name string
+	fhs  [][]uint64 // opLookup, opCreate: resolved handles, per server per rank
+
+	answered, absent int // opRemove: objects heard from, and how many did not exist
+}
+
+func (w *nameWork) primary(u int) int     { return u }
+func (w *nameWork) present(t, r int) bool { return true }
+
+func (w *nameWork) request(u, t, r int) request {
+	return request{kind: w.kind, name: w.d.objName(w.name, r)}
+}
+
+func (w *nameWork) absorb(u, t, r int, v int64) {
+	if w.kind != opRemove {
+		w.fhs[t][r] = uint64(v)
+		return
+	}
+	w.answered++
+	if v == 0 {
+		w.absent++
+	}
+}
+
+// open resolves every rank's stripe object on every server, creating the
+// missing ones when the mode allows. The Lookups go out as one wave — the
+// sessions are independent, so the latency is one round trip rather than
+// Width of them — and the Creates for the objects that were absent as a
+// second. Servers whose session is down or fails mid-open are skipped
+// (their handles stay absent); the open succeeds as long as every primary
+// keeps at least one resolvable replica.
+func (d *striped) open(p *sim.Proc, name string, mode int) (*stripedHandle, error) {
+	if err := checkAccessMode(mode); err != nil {
+		return nil, err
+	}
+	st := d.striping
+	h := &stripedHandle{drv: d, fhs: make([][]uint64, st.Width), openFile: openFile{name: name, mode: mode}}
+	for t := range h.fhs {
+		h.fhs[t] = make([]uint64, st.R())
+	}
+	fl := d.grid()
+	if err := d.wave(p, &nameWork{d: d, kind: opLookup, name: name, fhs: h.fhs}, fl); err != nil {
+		return nil, err
+	}
+	var lastSess error
+	var missing []flight // objects that need a Create
+	found := 0
+	for _, f := range fl {
+		switch {
+		case f.op == nil:
+			lastSess = f.err
+		case h.fhs[f.t][f.r] != 0:
+			found++
+		default:
+			missing = append(missing, flight{u: f.u, t: f.t, r: f.r})
+		}
+	}
+	switch {
+	case len(missing) > 0 && mode&ModeCreate == 0:
+		return nil, ErrNoEnt
+	case found > 0 && mode&ModeExcl != 0:
+		return nil, ErrExist
+	}
+	if err := d.wave(p, &nameWork{d: d, kind: opCreate, name: name, fhs: h.fhs}, missing); err != nil {
+		return nil, err
+	}
+	for _, f := range missing {
+		if f.op == nil {
+			lastSess = f.err
+		}
+	}
+	// Degraded or not, every primary must keep at least one replica.
+	for s := 0; s < st.Width; s++ {
+		kept := false
+		for r := 0; r < st.R() && !kept; r++ {
+			kept = h.present(st.ReplicaServer(s, r), r)
+		}
+		if !kept {
+			return nil, d.allDown(lastSess)
+		}
+	}
+	d.handles = append(d.handles, h)
+	if d.next != nil {
+		// A reshape is in flight: the new handle joins the dual-write
+		// regime so writes it issues land on both layouts.
+		if err := d.next.attach(p, h); err != nil {
+			h.Close(p)
+			return nil, err
+		}
+	}
+	return h, nil
+}
+
+// plainHandle hides a striped handle's list path from the MPI-IO layer
+// when the leaf transport has no batch I/O.
+type plainHandle struct{ Handle }
+
+// Open implements Driver.
+func (d *striped) Open(p *sim.Proc, name string, mode int) (Handle, error) {
+	h, err := d.open(p, name, mode)
+	switch {
+	case err != nil:
+		return nil, err
+	case d.DAFSDriver == nil:
+		return plainHandle{h}, nil
+	}
+	return h, nil
+}
+
+// Delete implements Driver: every rank's stripe object is removed on every
+// live server, all removals in flight at once. Down servers are skipped —
+// fail-stop leaves their orphan objects behind.
+func (d *striped) Delete(p *sim.Proc, name string) error {
+	rm := nameWork{d: d, kind: opRemove, name: name}
+	if err := d.wave(p, &rm, d.grid()); err != nil {
+		return err
+	}
+	if rm.answered > 0 && rm.absent == rm.answered {
+		return ErrNoEnt
+	}
+	return nil
+}
+
+type stripedHandle struct {
+	drv *striped
+	fhs [][]uint64 // per server, per replica rank; 0 = absent
+	openFile
+
+	// shadow mirrors writes onto the reshape's new layout while a
+	// membership change is migrating this file; nil outside a reshape.
+	shadow *stripedHandle
+}
+
+// present makes the handle the presence half of every work addressed to
+// its objects.
+func (h *stripedHandle) present(t, r int) bool { return h.fhs[t][r] != 0 }
+
+// pin registers buf when some fragment is too large to go inline. It is
+// nil over a transport that moves no registered memory.
+func (d *striped) pin(p *sim.Proc, buf []byte, frags []layout.Fragment) *via.Region {
+	if d.DAFSDriver == nil {
+		return nil
+	}
+	for _, f := range frags {
+		if int(f.Len) > d.DirectThreshold {
+			return d.region(p, buf)
+		}
+	}
+	return nil
+}
+
+func (d *striped) unpin(p *sim.Proc, reg *via.Region) {
+	if reg != nil {
+		d.release(p, reg)
+	}
+}
+
+// fragOp is a contiguous transfer in flight: one unit per stripe fragment.
+type fragOp struct {
+	*stripedHandle
+	write  bool
+	frags  []layout.Fragment
+	buf    []byte
+	reg    *via.Region
+	fl     []flight
+	counts []int // reads: bytes each fragment delivered
+}
+
+func (o *fragOp) primary(u int) int { return o.frags[u].Server }
+
+func (o *fragOp) request(u, t, r int) request {
+	f := o.frags[u]
+	rq := request{kind: opRead, fh: o.fhs[t][r], off: f.Off, buf: o.buf[f.BufOff : f.BufOff+f.Len], reg: o.reg, regOff: int(f.BufOff)}
+	if o.write {
+		rq.kind = opWrite
+	}
+	return rq
+}
+
+func (o *fragOp) absorb(u, t, r int, v int64) {
+	if !o.write {
+		o.counts[u] = int(v)
+	}
+}
+
+// Wait implements AsyncOp: a write counts every fragment some replica
+// acked; a read reports the contiguous prefix (a plain sum would
+// over-count past EOF holes).
+func (o *fragOp) Wait(p *sim.Proc) (int, error) {
+	d := o.drv
+	err := d.finish(p, o, o.fl, o.write)
+	d.unpin(p, o.reg)
+	switch {
+	case err != nil:
+		return 0, err
+	case o.write:
+		return len(o.buf), nil
+	}
+	return layout.ContiguousCount(o.frags, o.counts), nil
+}
+
+// start maps [off, off+len(buf)) to stripe fragments and issues them all:
+// a write to every usable replica of every fragment (write-all), a read to
+// each fragment's read-any replica. Fragments with no usable replica at
+// issue time are left to Wait's failover path.
+func (h *stripedHandle) start(p *sim.Proc, off int64, buf []byte, write bool) (AsyncOp, error) {
+	if err := h.check(off, write); err != nil {
+		return nil, err
+	}
+	if len(buf) == 0 {
+		return doneOp{}, nil
+	}
+	d := h.drv
+	o := &fragOp{stripedHandle: h, write: write, frags: d.striping.Map(off, int64(len(buf))), buf: buf}
+	if !write {
+		o.counts = make([]int, len(o.frags))
+	}
+	o.reg = d.pin(p, buf, o.frags)
+	var err error
+	if o.fl, err = d.begin(p, o, len(o.frags), write); err != nil {
+		d.unpin(p, o.reg)
+		return nil, err
+	}
+	return o, nil
+}
+
+// StartRead implements Handle.
+func (h *stripedHandle) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
+	return h.start(p, off, buf, false)
+}
+
+// StartWrite implements Handle. During a reshape the write is mirrored
+// onto the new layout so the migrator never races foreground writes it
+// cannot see.
+func (h *stripedHandle) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
+	op, err := h.start(p, off, buf, true)
+	if err != nil || h.shadow == nil {
+		return op, err
+	}
+	sop, err := h.shadow.StartWrite(p, off, buf)
+	return mirror(p, op, sop, err)
+}
+
+// ReadContig implements Handle.
+func (h *stripedHandle) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) {
+	op, err := h.StartRead(p, off, buf)
+	return blocking(p, op, err)
+}
+
+// WriteContig implements Handle.
+func (h *stripedHandle) WriteContig(p *sim.Proc, off int64, buf []byte) (int, error) {
+	op, err := h.StartWrite(p, off, buf)
+	return blocking(p, op, err)
+}
+
+// objWork is one metadata operation on the rank objects of an open file:
+// Getattr (sizes collects each primary's answer), Setattr (sizes holds
+// each primary's target) or Fsync.
+type objWork struct {
+	*stripedHandle
+	kind  opKind
+	sizes []int64 // per primary
+}
+
+func (w *objWork) primary(u int) int { return u }
+
+func (w *objWork) request(u, t, r int) request {
+	rq := request{kind: w.kind, fh: w.fhs[t][r]}
+	if w.kind == opSetattr {
+		rq.off = w.sizes[u]
+	}
+	return rq
+}
+
+func (w *objWork) absorb(u, t, r int, v int64) {
+	if w.kind == opGetattr {
+		w.sizes[u] = v
+	}
+}
+
+// Size implements Handle: the logical size is recovered from the
+// per-server stripe-object sizes through the layout's inverse mapping.
+// Each primary's size is read from its read-any replica, the Getattrs all
+// in flight at once.
+func (h *stripedHandle) Size(p *sim.Proc) (int64, error) {
+	if h.closed {
+		return 0, ErrClosed
+	}
+	d := h.drv
+	w := &objWork{stripedHandle: h, kind: opGetattr, sizes: make([]int64, d.striping.Width)}
+	fl, err := d.begin(p, w, len(w.sizes), false)
+	if err == nil {
+		err = d.finish(p, w, fl, false)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return d.striping.LogicalSize(w.sizes), nil
+}
+
+// writeMeta runs one acknowledgement-only operation on every rank object
+// (write-all), all in flight at once, issued server by server — the order
+// these requests have always gone out in, which begin's unit-major order
+// is not once R > 1. Session failures on one replica are tolerated while
+// every primary keeps an acked rank; servers that missed the wave are
+// excluded from read-any (their metadata is stale).
+func (h *stripedHandle) writeMeta(p *sim.Proc, w *objWork) error {
+	d := h.drv
+	fl := d.grid()
+	if err := d.launch(p, w, fl); err != nil {
+		return err
+	}
+	return d.finish(p, w, fl, true)
+}
+
+// Resize implements Handle: each rank object is set to its primary's share
+// of the logical size.
+func (h *stripedHandle) Resize(p *sim.Proc, n int64) error {
+	if h.closed {
+		return ErrClosed
+	}
+	if n < 0 {
+		return ErrNegative
+	}
+	err := h.writeMeta(p, &objWork{stripedHandle: h, kind: opSetattr, sizes: h.drv.striping.ObjectSizes(n)})
+	if err == nil && h.shadow != nil {
+		err = h.shadow.Resize(p, n)
+	}
+	return err
+}
+
+// Sync implements Handle.
+func (h *stripedHandle) Sync(p *sim.Proc) error {
+	if h.closed {
+		return ErrClosed
+	}
+	err := h.writeMeta(p, &objWork{stripedHandle: h, kind: opSync})
+	if err == nil && h.shadow != nil {
+		err = h.shadow.Sync(p)
+	}
+	return err
+}
+
+// Close implements Handle.
+func (h *stripedHandle) Close(p *sim.Proc) error {
+	if h.closed {
+		return nil
+	}
+	d := h.drv
+	for i, o := range d.handles {
+		if o == h {
+			d.handles = append(d.handles[:i], d.handles[i+1:]...)
+			break
+		}
+	}
+	if h.shadow != nil {
+		h.shadow.Close(p)
+		h.shadow = nil
+	}
+	return h.close(p, d)
+}
+
+// ---- Batch (segment-list) I/O ----
+//
+// A batch request needs its fragments packed contiguously in one
+// registered window on ONE server. The internal/aggregate planner provides
+// exactly that — a per-server gather plan (staging buffer, object segment
+// list, buffer↔staging copy map) — so a list transfer is one unit per
+// server plan: writes pack the user buffer into per-server staging and fan
+// each staging out write-all; reads issue the batch read-any and scatter
+// the staging back on completion. Failover works at batch grain through
+// the same core as the per-fragment path.
+
+// stageBuf is a pooled staging buffer for batched gather/scatter, kept
+// registered for its lifetime: steady-state collective I/O reuses the same
+// windows and pays the pinning cost once, the same amortization the
+// registration cache gives long-lived user buffers.
+type stageBuf struct {
+	buf []byte
+	reg *via.Region
+}
+
+// getStage returns a registered staging buffer of at least n bytes: the
+// smallest pooled buffer that fits, or a fresh power-of-two allocation
+// registered on the spot.
+func (d *striped) getStage(p *sim.Proc, n int64) *stageBuf {
+	best := -1
+	for i, sb := range d.stagePool {
+		if int64(len(sb.buf)) >= n && (best < 0 || len(sb.buf) < len(d.stagePool[best].buf)) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		sb := d.stagePool[best]
+		d.stagePool = append(d.stagePool[:best], d.stagePool[best+1:]...)
+		d.m.stagePool.Set(int64(len(d.stagePool)))
+		return sb
+	}
+	size := int64(4 << 10)
+	for size < n {
+		size <<= 1
+	}
+	buf := make([]byte, size)
+	return &stageBuf{buf: buf, reg: d.client.NIC().Register(p, buf)}
+}
+
+// putStage returns a staging buffer to the pool, registration intact —
+// then trims the pool back to stagePoolMax by deregistering and dropping
+// the smallest buffer, so a collective burst (one buffer per server plan
+// in flight) does not leave its whole fan-out pinned forever.
+func (d *striped) putStage(p *sim.Proc, sb *stageBuf) {
+	d.stagePool = append(d.stagePool, sb)
+	if len(d.stagePool) > d.stageHi {
+		d.stageHi = len(d.stagePool)
+		d.m.stageHi.Set(int64(d.stageHi))
+	}
+	for len(d.stagePool) > d.stagePoolMax {
+		smallest := 0
+		for i, s := range d.stagePool {
+			if len(s.buf) < len(d.stagePool[smallest].buf) {
+				smallest = i
+			}
+		}
+		victim := d.stagePool[smallest]
+		d.stagePool = append(d.stagePool[:smallest], d.stagePool[smallest+1:]...)
+		d.client.NIC().Deregister(p, victim.reg)
+	}
+	d.m.stagePool.Set(int64(len(d.stagePool)))
+}
+
+// putStageAll returns a batch's staging buffers to the pool. Every exit
+// path of a striped list operation — issue-time failure or Wait — must
+// come through here (or putStage): a skipped return leaks a pinned,
+// registered window, which is exactly what mpiolint's pairleak pass
+// checks on the acquire side.
+func (d *striped) putStageAll(p *sim.Proc, sbs []*stageBuf) {
+	for _, sb := range sbs {
+		d.putStage(p, sb)
+	}
+}
+
+// planOp is a list transfer in flight: one unit per server gather plan.
+type planOp struct {
+	*stripedHandle
+	write bool
+	plans []aggregate.ServerPlan
+	sbs   []*stageBuf
+	buf   []byte // the user buffer the plans' copy maps refer to
+	fl    []flight
+	got   int64 // bytes moved: what the servers delivered, or the plans' total once written
+}
+
+func (o *planOp) primary(u int) int { return o.plans[u].Server }
+
+func (o *planOp) request(u, t, r int) request {
+	rq := request{kind: opReadList, fh: o.fhs[t][r], segs: o.plans[u].Segs, reg: o.sbs[u].reg}
+	if o.write {
+		rq.kind = opWriteList
+	}
+	return rq
+}
+
+func (o *planOp) absorb(u, t, r int, v int64) {
+	if !o.write {
+		o.got += v
+	}
+}
+
+// copyStaging moves every plan's bytes between the user buffer and its
+// staging buffer — pack before a write, scatter after a read — as one
+// assembly memcpy charged to the client CPU.
+func (o *planOp) copyStaging(p *sim.Proc, span string, pack bool) {
+	d := o.drv
+	id := d.tr.Begin(d.node.Name, trace.LayerAggregate, span, trace.OpID(p.TraceCtx()))
+	var moved int64
+	for i, pl := range o.plans {
+		stage := o.sbs[i].buf
+		for _, cp := range pl.Copies {
+			user, staged := o.buf[cp.BufOff:cp.BufOff+cp.Len], stage[cp.StageOff:cp.StageOff+cp.Len]
+			if pack {
+				copy(staged, user)
+			} else {
+				copy(user, staged)
+			}
+		}
+		moved += pl.Total
+	}
+	d.node.CopyMem(p, int(moved))
+	d.tr.End(id)
+}
+
+// Wait implements AsyncOp. A read's count is the byte sum the servers
+// delivered (batch reads zero-fill EOF holes inside the staging, same as
+// the single-server batch path).
+func (o *planOp) Wait(p *sim.Proc) (int, error) {
+	d := o.drv
+	err := d.finish(p, o, o.fl, o.write)
+	if err == nil && !o.write {
+		o.copyStaging(p, "scatter", false)
+	}
+	d.putStageAll(p, o.sbs)
+	if err != nil {
+		return 0, err
+	}
+	if o.write {
+		for _, pl := range o.plans {
+			o.got += pl.Total
+		}
+	}
+	return int(o.got), nil
+}
+
+func (h *stripedHandle) startList(p *sim.Proc, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
+	if err := h.check(0, write); err != nil {
+		return nil, err
+	}
+	if len(buf) == 0 {
+		return doneOp{}, nil
+	}
+	d := h.drv
+	st := d.striping
+
+	// Width 1 (identity layout, R == 1) on a healthy session: exactly the
+	// single-server batch path, sharing the registration cache — so the
+	// unstriped tables stay the stripes=1 special case of this driver.
+	if st.Width == 1 && !d.down[0] && h.fhs[0][0] != 0 {
+		c := d.sess[0].(*dafsSession).c
+		return d.DAFSDriver.startList(p, c, dafs.FH(h.fhs[0][0]), segs, buf, write)
+	}
+
+	asegs := make([]aggregate.Segment, len(segs))
+	for i, s := range segs {
+		asegs[i] = aggregate.Segment{Off: s.Off, Len: s.Len}
+	}
+	plans := aggregate.Gather(st, asegs)
+
+	// Stage per server, through the driver's registered staging pool.
+	// Writes pack the user buffer through the copy maps now; reads leave
+	// the staging to be filled by the servers and scattered back in Wait.
+	// The operation owns the buffers from here: its issue-failure path
+	// below and its Wait are the two places they go back.
+	sbs := make([]*stageBuf, len(plans))
+	for i, pl := range plans {
+		sbs[i] = d.getStage(p, pl.Total)
+	}
+	o := &planOp{stripedHandle: h, write: write, plans: plans, sbs: sbs, buf: buf}
+	if write {
+		o.copyStaging(p, "pack", true)
+	}
+	var err error
+	if o.fl, err = d.begin(p, o, len(plans), write); err != nil {
+		d.putStageAll(p, sbs)
+		return nil, err
+	}
+	return o, nil
+}
+
+// StartReadList implements ListHandle over the stripe.
+func (h *stripedHandle) StartReadList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
+	return h.startList(p, segs, buf, false)
+}
+
+// StartWriteList implements ListHandle over the stripe; during a reshape
+// batched writes mirror onto the new layout exactly like contiguous ones.
+func (h *stripedHandle) StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
+	op, err := h.startList(p, segs, buf, true)
+	if err != nil || h.shadow == nil {
+		return op, err
+	}
+	sop, err := h.shadow.startList(p, segs, buf, true)
+	return mirror(p, op, sop, err)
+}

@@ -1,0 +1,210 @@
+package mpiio
+
+import (
+	"errors"
+
+	"dafsio/internal/aggregate"
+	"dafsio/internal/dafs"
+	"dafsio/internal/nfs"
+	"dafsio/internal/sim"
+	"dafsio/internal/via"
+)
+
+// The per-server session seam under the striped dispatch core. The core
+// decides where a unit of work goes and what happens when a server fails;
+// a session only knows how to put one request on the wire to its server.
+// It has two implementations: a DAFS session and an NFS mount.
+
+// opKind names the operations the core sends to a rank object.
+type opKind uint8
+
+const (
+	opLookup  opKind = iota // name → handle (0 when absent)
+	opCreate                // name → handle
+	opRemove                // name → 1 when the object existed, 0 when absent
+	opGetattr               // handle → size
+	opSetattr               // handle, off = new size
+	opSync                  // handle
+	opRead                  // contiguous: handle, off, buf (reg/regOff when registered)
+	opWrite
+	opReadList // batch: handle, segs packed consecutively in reg
+	opWriteList
+)
+
+// request is one unit of work addressed to one rank object.
+type request struct {
+	kind   opKind
+	name   string          // name-addressed operations
+	fh     uint64          // handle-addressed operations
+	off    int64           // object offset; the new size for opSetattr
+	buf    []byte          // contiguous payload window
+	reg    *via.Region     // registration covering buf (at regOff) or the staging buffer; nil when the transport needs none
+	regOff int             // where buf sits in reg
+	segs   []aggregate.Seg // list operations: object ranges, consecutive in reg
+}
+
+// pending is a request in flight; wait yields its single result value (a
+// handle, a size, a byte count — see opKind).
+type pending interface {
+	wait(p *sim.Proc) (int64, error)
+}
+
+// session is the seam: one server's transport endpoint.
+type session interface {
+	// start puts rq on the wire without waiting for the response. A
+	// transport whose operation is synchronous performs it here and
+	// returns a completed pending. Errors are the transport's own; a
+	// session failure wraps dafs.ErrSession.
+	start(p *sim.Proc, rq request) (pending, error)
+	// redial re-establishes a failed session and returns its replacement.
+	redial(p *sim.Proc) (session, error)
+}
+
+// done is a pending that completed inside start.
+type done int64
+
+func (v done) wait(*sim.Proc) (int64, error) { return int64(v), nil }
+
+// data is a transport's in-flight transfer as a pending. It wraps one
+// pointer, so boxing it into the interface allocates nothing — and there
+// is one per stripe fragment.
+type data[T AsyncOp] struct{ io T }
+
+func (o data[T]) wait(p *sim.Proc) (int64, error) {
+	n, err := o.io.Wait(p)
+	return int64(n), err
+}
+
+// ---- DAFS session ----
+
+// dafsSession is one DAFS session of a pool. drv is the pool's shared
+// DAFSDriver: its threshold picks inline or direct for every fragment.
+type dafsSession struct {
+	c   *dafs.Client
+	drv *DAFSDriver
+}
+
+func (s *dafsSession) start(p *sim.Proc, rq request) (pending, error) {
+	c, fh := s.c, dafs.FH(rq.fh)
+	switch rq.kind {
+	case opLookup:
+		op, err := c.StartLookup(p, rq.name)
+		return dafsName{op}, err
+	case opCreate:
+		op, err := c.StartCreate(p, rq.name)
+		return dafsName{op}, err
+	case opRemove:
+		op, err := c.StartRemove(p, rq.name)
+		return dafsRemove{op}, err
+	case opGetattr:
+		op, err := c.StartGetattr(p, fh)
+		return dafsAttr{op}, err
+	case opSetattr:
+		op, err := c.StartSetattr(p, fh, rq.off)
+		return dafsAck{op}, err
+	case opSync:
+		op, err := c.StartFsync(p, fh)
+		return dafsAck{op}, err
+	case opRead, opWrite:
+		io, err := s.drv.startIO(p, c, fh, rq.off, rq.buf, rq.reg, rq.regOff, rq.kind == opWrite)
+		return data[*dafs.IO]{io}, err
+	default: // opReadList, opWriteList
+		specs := make([]dafs.SegSpec, len(rq.segs))
+		for i, sg := range rq.segs {
+			specs[i] = dafs.SegSpec{Off: sg.Off, Len: int(sg.Len)}
+		}
+		return startBatch(p, c, fh, specs, rq.reg, rq.kind == opWriteList)
+	}
+}
+
+func (s *dafsSession) redial(p *sim.Proc) (session, error) {
+	nc, err := s.c.Redial(p)
+	if err != nil {
+		return nil, err
+	}
+	return &dafsSession{c: nc, drv: s.drv}, nil
+}
+
+// The DAFS metadata pendings adapt the client's typed in-flight operations
+// to the seam's single result value.
+
+type dafsName struct{ op *dafs.NameOp }
+
+func (o dafsName) wait(p *sim.Proc) (int64, error) {
+	fh, _, err := o.op.Wait(p)
+	if errors.Is(err, dafs.ErrNoEnt) {
+		return 0, nil
+	}
+	return int64(fh), err
+}
+
+type dafsRemove struct{ op *dafs.Ack }
+
+func (o dafsRemove) wait(p *sim.Proc) (int64, error) {
+	err := o.op.Wait(p)
+	if errors.Is(err, dafs.ErrNoEnt) {
+		return 0, nil
+	}
+	return 1, err
+}
+
+type dafsAttr struct{ op *dafs.AttrOp }
+
+func (o dafsAttr) wait(p *sim.Proc) (int64, error) {
+	attr, err := o.op.Wait(p)
+	return attr.Size, err
+}
+
+type dafsAck struct{ op *dafs.Ack }
+
+func (o dafsAck) wait(p *sim.Proc) (int64, error) { return 0, o.op.Wait(p) }
+
+// ---- NFS mount ----
+
+// nfsSession is one NFS mount of a pool. Metadata RPCs are synchronous, so
+// a wave of them goes one mount at a time; data transfers are chunked to
+// rsize/wsize and pipelined by the mount and stay in flight.
+type nfsSession struct{ c *nfs.Client }
+
+func (s nfsSession) start(p *sim.Proc, rq request) (pending, error) {
+	c, fh := s.c, nfs.FH(rq.fh)
+	switch rq.kind {
+	case opLookup, opCreate:
+		call := c.Lookup
+		if rq.kind == opCreate {
+			call = c.Create
+		}
+		fh, _, err := call(p, rq.name)
+		if errors.Is(err, nfs.ErrNoEnt) {
+			return done(0), nil
+		}
+		return done(fh), err
+	case opRemove:
+		err := c.Remove(p, rq.name)
+		if errors.Is(err, nfs.ErrNoEnt) {
+			return done(0), nil
+		}
+		return done(1), err
+	case opGetattr:
+		attr, err := c.Getattr(p, fh)
+		return done(attr.Size), err
+	case opSetattr:
+		return done(0), c.Setattr(p, fh, rq.off)
+	case opSync:
+		return done(0), c.Commit(p, fh)
+	case opRead:
+		io, err := c.StartRead(p, fh, rq.off, rq.buf)
+		return data[*nfs.IO]{io}, err
+	case opWrite:
+		io, err := c.StartWrite(p, fh, rq.off, rq.buf)
+		return data[*nfs.IO]{io}, err
+	default:
+		panic("mpiio: NFS has no batch I/O")
+	}
+}
+
+// redial is never reached: an NFS mount is a hard mount with no call
+// deadline, so it reports no session failures to recover from.
+func (s nfsSession) redial(*sim.Proc) (session, error) {
+	return nil, errors.New("mpiio: nfs mounts do not redial")
+}

@@ -156,6 +156,41 @@ func TestStripedBatchFailover(t *testing.T) {
 		})
 }
 
+// TestStripedBatchExclusionGauge: a batched write that loses a replica
+// must exclude it the same way a contiguous one does — through exclude(),
+// so the excluded gauge reads 1 while server 1 is stale, the completed
+// re-silver's re-admission returns it to 0, and it never goes negative.
+// (The batch path once set the flag directly: the gauge stayed 0 and the
+// re-admission then drove it to -1.)
+func TestStripedBatchExclusionGauge(t *testing.T) {
+	crashRestartRig(t, DefaultResilverPolicy(), func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
+		gauge := func() int64 { return c.Metrics.Value("mpiio.striped.client0.excluded") }
+		watching := true
+		c.K.Spawn("gauge-watch", func(wp *sim.Proc) {
+			for ; watching; wp.Wait(50 * sim.Microsecond) {
+				if g := gauge(); g < 0 || drv.excluded[1] && g != 1 {
+					t.Errorf("excluded gauge = %d with server 1 excluded = %v", g, drv.excluded[1])
+					return
+				}
+			}
+		})
+		defer func() { watching = false }()
+		f.SetView(0, Vector(1<<20, 1024, 2048)) // every write is a segment list
+		if !writeThroughOutage(t, p, f, drv, pattern(256<<10)) {
+			return
+		}
+		for i := 0; (drv.healing[1] != nil || drv.excluded[1]) && i < 1000; i++ {
+			p.Wait(sim.Millisecond)
+		}
+		if drv.excluded[1] {
+			t.Error("still excluded after the re-silver finished")
+		}
+		if g := gauge(); g != 0 {
+			t.Errorf("excluded gauge = %d after re-admission, want 0", g)
+		}
+	})
+}
+
 // TestStripedBatchUnreplicatedCrashFails: without replication a batched
 // plan touching the dead server has nowhere to go — the operation must
 // fail wrapping ErrAllReplicasDown.
@@ -180,7 +215,7 @@ func TestStripedBatchUnreplicatedCrashFails(t *testing.T) {
 // TestStagePoolBoundedAfterBurst: a burst of concurrent batched list
 // writes allocates one staging buffer per server plan in flight — well
 // past the pool's high-water mark — and every buffer must come back
-// through putStage, which trims the pool to StagePoolMax by
+// through putStage, which trims the pool to stagePoolMax by
 // deregistering the excess. The pinned-region count on the NIC must match
 // the pool exactly: nothing above the mark stays registered, and nothing
 // in the pool lost its registration.
@@ -223,10 +258,10 @@ func TestStagePoolBoundedAfterBurst(t *testing.T) {
 			})
 		}
 		wg.Wait(p)
-		if got := len(drv.stagePool); got > drv.StagePoolMax {
-			t.Errorf("stage pool holds %d buffers after burst, high-water mark is %d", got, drv.StagePoolMax)
-		} else if got < drv.StagePoolMax {
-			t.Errorf("stage pool holds %d buffers after burst, want the full %d mark (burst should overfill it)", got, drv.StagePoolMax)
+		if got := len(drv.stagePool); got > drv.stagePoolMax {
+			t.Errorf("stage pool holds %d buffers after burst, high-water mark is %d", got, drv.stagePoolMax)
+		} else if got < drv.stagePoolMax {
+			t.Errorf("stage pool holds %d buffers after burst, want the full %d mark (burst should overfill it)", got, drv.stagePoolMax)
 		}
 		if got, want := nic.Regions()-before, len(drv.stagePool); got != want {
 			t.Errorf("%d staging regions pinned after burst, want %d (one per pooled buffer)", got, want)
