@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt faults t17 t19 bench stat results-check all
+.PHONY: build test race lint fmt faults t17 t19 bench bench-e2e stat results-check all
 
 all: build test race lint faults
 
@@ -57,6 +57,17 @@ t17:
 # determinism, events/sec within 20%).
 bench:
 	$(GO) run ./cmd/simbench -check BENCH_simkernel.json -tolerance 0.20
+
+# bench-e2e runs the repository's end-to-end benchmark (benchmark/README.md:
+# six workloads, reps in fresh child processes, tracing off) into
+# benchmark/out and compares it with a saved run of the parent commit; any
+# `worse` row fails. Save that run first, from a checkout of the parent:
+#   go run ./benchmark -trace 0 -out <dir>     (BENCH_BASE=<dir>/results.json)
+BENCH_BASE ?= benchmark/out/parent/results.json
+bench-e2e:
+	@test -f $(BENCH_BASE) || { echo "bench-e2e: no parent run at $(BENCH_BASE) (see the comment above this target)"; exit 2; }
+	$(GO) run ./benchmark -trace 0 -out benchmark/out
+	$(GO) run ./benchmark -compare $(BENCH_BASE) benchmark/out/results.json
 
 # stat re-runs the T16 failover experiment through the always-on metrics
 # plane: per-interval bandwidth and failover-state series (the kill, the

@@ -1,9 +1,14 @@
 package bench
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"dafsio/internal/cluster"
+	"dafsio/internal/mpiio"
+	"dafsio/internal/sim"
 )
 
 // parse pulls a numeric cell out of a table.
@@ -154,5 +159,56 @@ func TestT15Shape(t *testing.T) {
 	four := cellOf(t, tbl.Rows, 0, 2)
 	if four < 3*one {
 		t.Errorf("striping does not scale: 1 server %.1f MB/s, 4 servers %.1f MB/s (< 3x)", one, four)
+	}
+}
+
+// TestHostAllocBudget is the guard above the layers against an accidental
+// quadratic: host bytes allocated must stay proportional to payload bytes
+// moved. One client appends 8 MB to a new file in 4 KB calls over DAFS and
+// reads it back; everything the run allocates — cluster, session, file
+// growth in storage, wire cells, message bodies — must fit in 8x the 16 MB
+// moved. (Regrowing the object to its exact length on every append, as
+// storage once did, costs 8 GB here.)
+func TestHostAllocBudget(t *testing.T) {
+	const size, total = 4 << 10, 8 << 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	c := cluster.New(cluster.Config{Clients: 1, DAFS: true})
+	if _, err := c.Store.Create("f"); err != nil {
+		t.Fatal(err)
+	}
+	c.K.Spawn("app", func(p *sim.Proc) {
+		f, _ := openDafs(p, c, 0, "f", mpiio.ModeRdWr, nil)
+		buf := make([]byte, size)
+		for off := int64(0); off < total; off += size {
+			for i := range buf {
+				buf[i] = byte(off>>12) ^ byte(i)
+			}
+			if n, err := f.WriteAt(p, off, buf); n != size || err != nil {
+				t.Errorf("write at %d: n=%d err=%v", off, n, err)
+				return
+			}
+		}
+		for off := int64(0); off < total; off += size {
+			if n, err := f.ReadAt(p, off, buf); n != size || err != nil {
+				t.Errorf("read at %d: n=%d err=%v", off, n, err)
+				return
+			}
+			for i := range buf {
+				if buf[i] != byte(off>>12)^byte(i) {
+					t.Errorf("read-back mismatch at %d", off+int64(i))
+					return
+				}
+			}
+		}
+		f.Close(p)
+	})
+	mustRun(c)
+	runtime.ReadMemStats(&m1)
+	moved := uint64(2 * total)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 8*moved {
+		t.Errorf("moving %d MB allocated %d MB on the host, budget %d MB", moved>>20, got>>20, 8*moved>>20)
+	} else {
+		t.Logf("moving %d MB allocated %.1f MB on the host", moved>>20, float64(got)/(1<<20))
 	}
 }

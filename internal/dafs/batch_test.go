@@ -59,9 +59,16 @@ func TestReadBatchScattersIntoSlots(t *testing.T) {
 func TestReadBatchShortAndBeyondEOF(t *testing.T) {
 	r := newRig(1, nil)
 	r.run(t, func(p *sim.Proc, c *Client) {
+		// A batch write first: the server recycles staging pages, and what
+		// this request leaves in them must not reach the short read below.
+		stain := c.NIC().Register(p, bytes.Repeat([]byte{0xEE}, 300))
+		other, _, _ := c.Create(p, "stain")
+		if _, err := c.WriteBatch(p, other, []SegSpec{{Off: 0, Len: 300}}, stain, 0); err != nil {
+			t.Error(err)
+		}
 		fh, _, _ := c.Create(p, "b")
 		c.Write(p, fh, 0, pattern(150, 1))
-		reg := c.NIC().Register(p, make([]byte, 300))
+		reg := c.NIC().Register(p, bytes.Repeat([]byte{0xEE}, 300))
 		segs := []SegSpec{
 			{Off: 100, Len: 100}, // 50 available
 			{Off: 500, Len: 200}, // fully beyond EOF
@@ -69,6 +76,12 @@ func TestReadBatchShortAndBeyondEOF(t *testing.T) {
 		n, err := c.ReadBatch(p, fh, segs, reg, 0)
 		if err != nil || n != 50 {
 			t.Errorf("short batch: n=%d err=%v", n, err)
+		}
+		if !bytes.Equal(reg.Bytes()[:50], pattern(150, 1)[100:]) {
+			t.Error("available bytes mismatch")
+		}
+		if !bytes.Equal(reg.Bytes()[50:], make([]byte, 250)) {
+			t.Error("slots past EOF are not zero-filled")
 		}
 	})
 }

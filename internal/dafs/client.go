@@ -340,6 +340,11 @@ func (c *Client) dispatch(p *sim.Proc) {
 			if err := c.vi.PostRecv(p, &via.Descriptor{Region: s.reg, Offset: s.off, Len: s.size, Ctx: s}); err != nil {
 				c.fail(err)
 			}
+			// The charges above yield. If the call's deadline fired in one
+			// of them (or the re-post failed the session), fail() has
+			// already completed the call and released its credit: the
+			// response is late and is dropped.
+			call = c.pending[hdr.XID]
 			delete(c.pending, hdr.XID)
 			if call != nil {
 				// The credit frees when the response arrives, not when

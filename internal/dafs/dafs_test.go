@@ -134,6 +134,23 @@ func TestWireOverflowUnderflow(t *testing.T) {
 	}
 }
 
+// Proc.String labels every span and flight-recorder note, tracing on or
+// off, so naming a known operation must not allocate.
+func TestProcString(t *testing.T) {
+	for pr, want := range map[Proc]string{
+		ProcConnect: "CONNECT", ProcWriteDirect: "WRITE_DIRECT", ProcWriteBatch: "WRITE_BATCH",
+		0: "PROC(0)", ProcWriteBatch + 1: fmt.Sprintf("PROC(%d)", ProcWriteBatch+1),
+	} {
+		if got := pr.String(); got != want {
+			t.Errorf("Proc(%d).String() = %q, want %q", uint16(pr), got, want)
+		}
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = ProcReadDirect.String() }); n != 0 {
+		t.Errorf("Proc.String allocates %v times a call (%q)", n, sink)
+	}
+}
+
 func TestStatusErrRoundTrip(t *testing.T) {
 	for _, st := range []Status{StatusOK, StatusNoEnt, StatusExist, StatusStale,
 		StatusInval, StatusTooBig, StatusIO, StatusAccess, StatusProto} {

@@ -51,19 +51,24 @@ const (
 // session message.
 const MaxBatchSegs = 512
 
-// String names the operation.
+// procNames is indexed by Proc; the gaps (0, anything past the last
+// operation) are unnamed.
+var procNames = [...]string{
+	ProcConnect: "CONNECT", ProcDisconnect: "DISCONNECT",
+	ProcLookup: "LOOKUP", ProcCreate: "CREATE", ProcRemove: "REMOVE",
+	ProcRename: "RENAME", ProcGetattr: "GETATTR", ProcSetattr: "SETATTR",
+	ProcRead: "READ", ProcWrite: "WRITE",
+	ProcReadDirect: "READ_DIRECT", ProcWriteDirect: "WRITE_DIRECT",
+	ProcAppend: "APPEND", ProcReaddir: "READDIR", ProcFsync: "FSYNC",
+	ProcReadBatch: "READ_BATCH", ProcWriteBatch: "WRITE_BATCH",
+}
+
+// String names the operation. It runs several times per call with tracing
+// off (span and flight-recorder labels), so it allocates nothing for a
+// known operation.
 func (pr Proc) String() string {
-	names := map[Proc]string{
-		ProcConnect: "CONNECT", ProcDisconnect: "DISCONNECT",
-		ProcLookup: "LOOKUP", ProcCreate: "CREATE", ProcRemove: "REMOVE",
-		ProcRename: "RENAME", ProcGetattr: "GETATTR", ProcSetattr: "SETATTR",
-		ProcRead: "READ", ProcWrite: "WRITE",
-		ProcReadDirect: "READ_DIRECT", ProcWriteDirect: "WRITE_DIRECT",
-		ProcAppend: "APPEND", ProcReaddir: "READDIR", ProcFsync: "FSYNC",
-		ProcReadBatch: "READ_BATCH", ProcWriteBatch: "WRITE_BATCH",
-	}
-	if s, ok := names[pr]; ok {
-		return s
+	if int(pr) < len(procNames) && procNames[pr] != "" {
+		return procNames[pr]
 	}
 	return fmt.Sprintf("PROC(%d)", uint16(pr))
 }

@@ -1,6 +1,7 @@
 package dafs
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -222,5 +223,94 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	uncapped := RetryPolicy{Base: sim.Microsecond, Attempts: 3}
 	if got := uncapped.Backoff(10); got != 1024*sim.Microsecond {
 		t.Errorf("uncapped Backoff(10) = %v, want 1024us", got)
+	}
+}
+
+// TestDeadlineDuringResponseUnmarshal: a healthy call whose deadline fires
+// while dispatch is parked charging the response's unmarshal and copy-out
+// cost is failed by the deadline (credit released, call completed) and the
+// response, now late, is dropped. Dispatch used to finish it regardless and
+// release the credit a second time ("sim: bad release count"). Eight 4 KB
+// inline reads in flight keep dispatch parked back to back, so sweeping the
+// deadline across the responses' arrival lands it inside the window.
+func TestDeadlineDuringResponseUnmarshal(t *testing.T) {
+	const flights, size = 8, 4096
+	want := pattern(flights*size, 3)
+	// run issues the eight reads on a fresh session with the given deadline
+	// and reports when the first and the last completed and how many timed
+	// out; any other outcome fails the test.
+	run := func(deadline sim.Time) (first, last sim.Time, timeouts int) {
+		r := newRig(1, nil)
+		f, _ := r.store.Create("f")
+		f.WriteAt(want, 0)
+		r.k.Spawn("app", func(p *sim.Proc) {
+			c, err := Dial(p, r.cNICs[0], r.srv, &Options{CallTimeout: deadline})
+			if err != nil {
+				t.Errorf("deadline %v: dial: %v", deadline, err)
+				return
+			}
+			fh, _, err := c.Lookup(p, "f")
+			if err != nil {
+				t.Errorf("deadline %v: lookup: %v", deadline, err)
+				return
+			}
+			t0 := p.Now()
+			bufs := make([][]byte, flights)
+			ios := make([]*IO, flights)
+			for i := range ios {
+				bufs[i] = make([]byte, size)
+				if ios[i], err = c.StartRead(p, fh, int64(i*size), bufs[i]); err != nil {
+					// A deadline that fires while later reads are still
+					// being issued closes the session under them.
+					if !errors.Is(err, ErrTimeout) {
+						t.Errorf("deadline %v: start %d: %v", deadline, i, err)
+					}
+					timeouts++
+				}
+			}
+			for i, io := range ios {
+				if io == nil {
+					continue
+				}
+				n, err := io.Wait(p)
+				switch {
+				case errors.Is(err, ErrTimeout):
+					timeouts++
+				case err != nil || n != size || !bytes.Equal(bufs[i], want[i*size:(i+1)*size]):
+					t.Errorf("deadline %v: read %d: n=%d err=%v", deadline, i, n, err)
+				}
+				if i == 0 {
+					first = p.Now() - t0
+				}
+			}
+			last = p.Now() - t0
+			// Every credit is back exactly once: a healthy session takes
+			// eight more calls, a failed one reports its cause.
+			if timeouts == 0 {
+				for i := 0; i < flights; i++ {
+					if _, err := c.Getattr(p, fh); err != nil {
+						t.Errorf("deadline %v: getattr after the reads: %v", deadline, err)
+					}
+				}
+			} else if err := c.Close(p); !errors.Is(err, ErrTimeout) {
+				t.Errorf("deadline %v: Close: %v, want the timeout", deadline, err)
+			}
+		})
+		if err := r.k.Run(); err != nil {
+			t.Fatalf("deadline %v: %v", deadline, err)
+		}
+		return first, last, timeouts
+	}
+	first, last, _ := run(0)
+	healthy, failed := 0, 0
+	for d := first - 20*sim.Microsecond; d <= last+5*sim.Microsecond; d += sim.Microsecond {
+		if _, _, timeouts := run(d); timeouts > 0 {
+			failed++
+		} else {
+			healthy++
+		}
+	}
+	if healthy == 0 || failed == 0 {
+		t.Fatalf("sweep from %v to %v saw %d healthy and %d timed-out runs: it does not straddle the deadline", first, last, healthy, failed)
 	}
 }

@@ -55,6 +55,8 @@ type Server struct {
 	epoch    uint32 // current membership epoch (informational, see SetEpoch)
 	fence    uint32 // minimum client epoch admitted (see SetFence)
 
+	staging [][]byte // staging page sets no request is using (getStaging)
+
 	tr    *trace.Tracer
 	mOpNs metrics.Hist // per-request service latency, arrival to reply posted
 	stats ServerStats
@@ -505,20 +507,8 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		if n > 0 {
 			// Zero server CPU data path: the NIC DMAs straight out of
 			// the (pre-registered) buffer cache into client memory.
-			reg := s.nic.RegisterCached(f.Slice(off, n))
-			fut := sim.NewFuture[via.Completion](s.k)
-			err := sess.vi.PostSend(p, &via.Descriptor{
-				Op: via.OpRDMAWrite, Region: reg, Len: n,
-				RemoteHandle: rhandle, RemoteOffset: roff, Ctx: fut,
-			})
-			if err != nil {
-				s.nic.DropCached(reg)
-				return StatusIO, nil
-			}
-			comp := fut.Get(p)
-			s.nic.DropCached(reg)
-			if comp.Err != nil {
-				return StatusAccess, nil
+			if st := s.rdma(p, sess, via.OpRDMAWrite, f.Slice(off, n), rhandle, roff); st != StatusOK {
+				return st, nil
 			}
 		}
 		s.stats.DirectReads++
@@ -540,28 +530,20 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		if count > 0 {
 			// The NIC pulls data from client memory directly into
 			// buffer-cache pages. A real cache's pages are stable; our
-			// files are contiguous Go slices that may move when another
-			// request grows the file concurrently, so the RDMA lands in
-			// a stable staging page set which is committed to the file
-			// atomically (zero time charged: it models in-place page
-			// placement, not a CPU copy).
-			staging := make([]byte, count)
-			reg := s.nic.RegisterCached(staging)
-			fut := sim.NewFuture[via.Completion](s.k)
-			err := sess.vi.PostSend(p, &via.Descriptor{
-				Op: via.OpRDMARead, Region: reg, Len: count,
-				RemoteHandle: rhandle, RemoteOffset: roff, Ctx: fut,
-			})
-			if err != nil {
-				s.nic.DropCached(reg)
-				return StatusIO, nil
+			// files are contiguous Go slices that move when a request
+			// (this one included) grows the file past its capacity, so
+			// the RDMA lands in a stable staging page set which is
+			// committed to the file atomically (zero time charged: it
+			// models in-place page placement, not a CPU copy).
+			staging := s.getStaging(count)
+			pulled := s.rdma(p, sess, via.OpRDMARead, staging, rhandle, roff)
+			if pulled == StatusOK {
+				f.WriteAt(staging, off) // atomic: no yields during placement
 			}
-			comp := fut.Get(p)
-			s.nic.DropCached(reg)
-			if comp.Err != nil {
-				return StatusAccess, nil
+			s.putStaging(staging)
+			if pulled != StatusOK {
+				return pulled, nil
 			}
-			f.WriteAt(staging, off) // atomic: no yields during placement
 		}
 		s.touchDisk(p, off, count)
 		s.stats.DirectWrites++
@@ -643,32 +625,62 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 	}
 }
 
+// rdma moves len(buf) bytes between buf — pre-registered server memory:
+// buffer-cache pages or staging — and the client's window with one
+// server-driven transfer, and waits for its completion.
+func (s *Server) rdma(p *sim.Proc, sess *session, op via.Op, buf []byte, rhandle via.MemHandle, roff int) Status {
+	reg := s.nic.RegisterCached(buf)
+	defer s.nic.DropCached(reg)
+	fut := sim.NewFuture[via.Completion](s.k)
+	err := sess.vi.PostSend(p, &via.Descriptor{
+		Op: op, Region: reg, Len: len(buf),
+		RemoteHandle: rhandle, RemoteOffset: roff, Ctx: fut,
+	})
+	if err != nil {
+		return StatusIO
+	}
+	if comp := fut.Get(p); comp.Err != nil {
+		return StatusAccess
+	}
+	return StatusOK
+}
+
+// getStaging returns n bytes of staging pages for one request's RDMA, a
+// set an earlier request gave back when one is large enough. The content
+// is whatever that request left: a caller that does not overwrite all of
+// it clears the rest.
+func (s *Server) getStaging(n int) []byte {
+	if k := len(s.staging); k > 0 {
+		b := s.staging[k-1]
+		s.staging = s.staging[:k-1]
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// putStaging gives staging pages back once their transfer has completed
+// (no descriptor references them any more).
+func (s *Server) putStaging(b []byte) { s.staging = append(s.staging, b) }
+
 // execReadBatch gathers the requested segments from the buffer cache into
 // staging pages (per-segment DMA in a real filer: zero CPU charge) and
 // delivers everything with one RDMA write into the client's slots.
 func (s *Server) execReadBatch(p *sim.Proc, sess *session, f *storage.File, segs []SegSpec, total int, rhandle via.MemHandle, roff int) (Status, func(*wr)) {
-	staging := make([]byte, total)
+	staging := s.getStaging(total)
+	defer s.putStaging(staging)
 	got := 0
 	pos := 0
 	for _, sg := range segs {
-		got += f.ReadAt(staging[pos:pos+sg.Len], sg.Off)
+		n := f.ReadAt(staging[pos:pos+sg.Len], sg.Off)
+		clear(staging[pos+n : pos+sg.Len]) // past EOF reads as zeros
+		got += n
 		pos += sg.Len
 	}
 	if total > 0 {
-		reg := s.nic.RegisterCached(staging)
-		fut := sim.NewFuture[via.Completion](s.k)
-		err := sess.vi.PostSend(p, &via.Descriptor{
-			Op: via.OpRDMAWrite, Region: reg, Len: total,
-			RemoteHandle: rhandle, RemoteOffset: roff, Ctx: fut,
-		})
-		if err != nil {
-			s.nic.DropCached(reg)
-			return StatusIO, nil
-		}
-		comp := fut.Get(p)
-		s.nic.DropCached(reg)
-		if comp.Err != nil {
-			return StatusAccess, nil
+		if st := s.rdma(p, sess, via.OpRDMAWrite, staging, rhandle, roff); st != StatusOK {
+			return st, nil
 		}
 	}
 	s.stats.DirectReads++
@@ -680,22 +692,11 @@ func (s *Server) execReadBatch(p *sim.Proc, sess *session, f *storage.File, segs
 // places each segment at its file offset (page placement: zero CPU
 // charge, as in WriteDirect).
 func (s *Server) execWriteBatch(p *sim.Proc, sess *session, f *storage.File, segs []SegSpec, total int, rhandle via.MemHandle, roff int) (Status, func(*wr)) {
-	staging := make([]byte, total)
+	staging := s.getStaging(total)
+	defer s.putStaging(staging)
 	if total > 0 {
-		reg := s.nic.RegisterCached(staging)
-		fut := sim.NewFuture[via.Completion](s.k)
-		err := sess.vi.PostSend(p, &via.Descriptor{
-			Op: via.OpRDMARead, Region: reg, Len: total,
-			RemoteHandle: rhandle, RemoteOffset: roff, Ctx: fut,
-		})
-		if err != nil {
-			s.nic.DropCached(reg)
-			return StatusIO, nil
-		}
-		comp := fut.Get(p)
-		s.nic.DropCached(reg)
-		if comp.Err != nil {
-			return StatusAccess, nil
+		if st := s.rdma(p, sess, via.OpRDMARead, staging, rhandle, roff); st != StatusOK {
+			return st, nil
 		}
 	}
 	pos := 0

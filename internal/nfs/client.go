@@ -62,6 +62,7 @@ type Client struct {
 	inflight *sim.Resource
 	pending  map[uint32]*Call
 	nextXID  uint32
+	bufs     msgBufs // idle request buffers
 	closed   bool
 	stats    ClientStats
 }
@@ -160,7 +161,8 @@ func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wire.Writer)) (*Call,
 	c.inflight.Acquire(p, 1)
 	c.nextXID++
 	xid := c.nextXID
-	buf := make([]byte, kstack.MaxDatagram)
+	buf := c.bufs.get()
+	defer c.bufs.put(buf)
 	w := wire.NewWriter(buf[rpcHeaderLen:])
 	enc(w)
 	if w.Err() != nil {

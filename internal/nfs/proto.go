@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"dafsio/internal/kstack"
 	"dafsio/internal/wire"
 )
 
@@ -102,6 +103,23 @@ const (
 	// rpcHeaderLen is the RPC message header size.
 	rpcHeaderLen = 12
 )
+
+// msgBufs recycles the MaxDatagram-sized buffers RPC messages are encoded
+// in. A buffer is in use from its encode until SendTo returns, by when the
+// stack has copied it into packets. Several procs can be inside SendTo at
+// once, so this is a stack of idle buffers rather than one scratch buffer.
+type msgBufs [][]byte
+
+func (m *msgBufs) get() []byte {
+	if n := len(*m); n > 0 {
+		b := (*m)[n-1]
+		*m = (*m)[:n-1]
+		return b
+	}
+	return make([]byte, kstack.MaxDatagram)
+}
+
+func (m *msgBufs) put(b []byte) { *m = append(*m, b) }
 
 type rpcHeader struct {
 	Proc   Proc

@@ -35,6 +35,7 @@ type Server struct {
 
 	sock  *kstack.Socket
 	workQ *sim.Chan[kstack.Datagram]
+	bufs  msgBufs // idle reply buffers
 	stats ServerStats
 }
 
@@ -100,7 +101,8 @@ func (s *Server) handle(p *sim.Proc, dg kstack.Datagram) {
 	s.stack.Node.Compute(p, s.prof.RPCCost+s.prof.NFSOpCost)
 	st, enc := s.exec(p, hdr.Proc, wire.NewReader(body))
 
-	out := make([]byte, kstack.MaxDatagram)
+	out := s.bufs.get()
+	defer s.bufs.put(out)
 	w := wire.NewWriter(out[rpcHeaderLen:])
 	if enc != nil {
 		enc(w)

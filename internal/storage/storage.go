@@ -155,32 +155,39 @@ func (f *File) Truncate(n int64) {
 		n = 0
 	}
 	if int64(len(f.data)) >= n {
+		clear(f.data[n:]) // keep the spare capacity zero for the next grow
 		f.data = f.data[:n]
 		return
 	}
 	f.ensure(n)
 }
 
-// ensure grows the file to at least n bytes.
+// ensure grows the file to at least n bytes. Capacity at least doubles
+// whenever the object has to move, so appending n bytes in any number of
+// calls allocates O(n) bytes in O(log n) moves instead of recopying the
+// whole object per call. Bytes between length and capacity are always zero
+// (a fresh allocation is, and Truncate clears what it cuts off), so growing
+// within capacity is a reslice.
 func (f *File) ensure(n int64) {
 	if int64(len(f.data)) >= n {
 		return
 	}
-	if int64(cap(f.data)) >= n {
-		old := len(f.data)
-		f.data = f.data[:n]
-		clear(f.data[old:]) // capacity may hold stale bytes from a truncate
+	if int64(cap(f.data)) < n {
+		grown := make([]byte, n, max(n, 2*int64(cap(f.data))))
+		copy(grown, f.data)
+		f.data = grown
 		return
 	}
-	grown := make([]byte, n)
-	copy(grown, f.data)
-	f.data = grown
+	f.data = f.data[:n]
 }
 
 // Slice exposes the file's bytes in [off, off+n) for zero-copy transfer
 // (the server's pre-registered buffer cache). The range must be in bounds.
+// The result aliases the object as it is now: it keeps seeing writes until
+// a grow past capacity moves the object, after which it is a snapshot of
+// the old pages. Its own range never changes under an append either way.
 func (f *File) Slice(off int64, n int) []byte {
-	return f.data[off : off+int64(n)]
+	return f.data[:len(f.data):len(f.data)][off : off+int64(n)] // bounds are the length, not the spare capacity
 }
 
 // Disk models the backing spindle for uncached experiments: a single arm

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +189,114 @@ func TestSliceZeroCopy(t *testing.T) {
 	if string(buf) != "abXdef" {
 		t.Fatalf("after slice write: %q", buf)
 	}
+}
+
+// Appending 64 KB x 512 moves the object O(log n) times and allocates at
+// most 3x its final size (the parent reallocated on every call: 512 moves,
+// 8 GB). The bytes are counted twice over: as capacities the object moved
+// to, and as what the runtime handed out, so a copy that does not show as a
+// capacity change cannot hide.
+func TestAppendGrowsGeometrically(t *testing.T) {
+	const chunk, calls = 64 << 10, 512
+	s := NewStore()
+	f, _ := s.Create("f")
+	data := bytes.Repeat([]byte{0xA5}, chunk)
+	moves, capacities := 0, int64(0)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < calls; i++ {
+		before := cap(f.data)
+		f.WriteAt(data, f.Size())
+		if c := cap(f.data); c != before {
+			moves++
+			capacities += int64(c)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	final := int64(chunk * calls)
+	if f.Size() != final {
+		t.Fatalf("size %d, want %d", f.Size(), final)
+	}
+	if moves > 10 { // log2(512) + 1
+		t.Errorf("object moved %d times over %d appends, want O(log n)", moves, calls)
+	}
+	if allocated := int64(m1.TotalAlloc - m0.TotalAlloc); capacities > 3*final || allocated > 3*final {
+		t.Errorf("a %d-byte object cost %d bytes of capacity and %d bytes allocated, want <= 3x", final, capacities, allocated)
+	}
+}
+
+// Spare capacity never leaks old content: whatever a Truncate cut off reads
+// back as zeros when the file grows over it again, by Truncate or by a
+// write past the new end.
+func TestRegrowAfterTruncateReadsZeros(t *testing.T) {
+	s := NewStore()
+	f, _ := s.Create("f")
+	f.WriteAt(bytes.Repeat([]byte{0xFF}, 4096), 0)
+	capBefore := cap(f.data)
+
+	f.Truncate(100)
+	f.Truncate(4096)
+	if cap(f.data) != capBefore {
+		t.Fatalf("regrow within capacity moved the object (cap %d -> %d): the stale-capacity case is not exercised", capBefore, cap(f.data))
+	}
+	got := make([]byte, 4096)
+	f.ReadAt(got, 0)
+	if !bytes.Equal(got[:100], bytes.Repeat([]byte{0xFF}, 100)) || !bytes.Equal(got[100:], make([]byte, 3996)) {
+		t.Fatal("Truncate down then up did not zero the regrown tail")
+	}
+
+	f.WriteAt(bytes.Repeat([]byte{0xFF}, 4096), 0)
+	f.Truncate(100)
+	f.WriteAt([]byte{1, 2, 3}, 3000) // leaves a hole over the old content
+	if f.Size() != 3003 {
+		t.Fatalf("size %d, want 3003", f.Size())
+	}
+	got = make([]byte, 3003)
+	f.ReadAt(got, 0)
+	if !bytes.Equal(got[100:3000], make([]byte, 2900)) || !bytes.Equal(got[3000:], []byte{1, 2, 3}) {
+		t.Fatal("WriteAt past a truncated tail exposed stale bytes in the hole")
+	}
+}
+
+// A Slice taken before a grow that fits the capacity is still the file's
+// own memory afterwards; one taken before a grow that moves the object is a
+// snapshot. Either way its own range reads the same.
+func TestSliceAcrossGrow(t *testing.T) {
+	s := NewStore()
+	f, _ := s.Create("f")
+	f.WriteAt([]byte("abcdef"), 0)
+	f.WriteAt([]byte("g"), 6) // moves: capacity is now >= 12
+	if cap(f.data) < 12 {
+		t.Fatalf("cap %d after growing 6 -> 7, want doubling", cap(f.data))
+	}
+	sl := f.Slice(2, 3)
+	f.WriteAt([]byte("hij"), 7) // in-capacity grow
+	f.WriteAt([]byte("X"), 2)
+	if string(sl) != "Xde" {
+		t.Fatalf("slice %q after an in-capacity grow, want the live bytes \"Xde\"", sl)
+	}
+	f.WriteAt(make([]byte, 1<<10), 10) // moves the object
+	f.WriteAt([]byte("Y"), 2)
+	if string(sl) != "Xde" {
+		t.Fatalf("slice %q after the object moved, want the snapshot \"Xde\"", sl)
+	}
+	if got := f.Slice(2, 3); string(got) != "Yde" {
+		t.Fatalf("fresh slice %q, want \"Yde\"", got)
+	}
+}
+
+// Slice is bounded by the file's length, not by its spare capacity.
+func TestSlicePastEOFPanics(t *testing.T) {
+	s := NewStore()
+	f, _ := s.Create("f")
+	f.WriteAt(make([]byte, 100), 0)
+	f.WriteAt(make([]byte, 1), 100) // capacity 200, length 101
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Slice into spare capacity did not panic")
+		}
+	}()
+	f.Slice(100, 50)
 }
 
 func TestDiskTiming(t *testing.T) {

@@ -1,8 +1,10 @@
 package via
 
 import (
+	"bytes"
 	"testing"
 
+	"dafsio/internal/fault"
 	"dafsio/internal/model"
 	"dafsio/internal/sim"
 )
@@ -191,4 +193,74 @@ func TestDoubleConnectPanics(t *testing.T) {
 		}
 	}()
 	Connect(v1, v3)
+}
+
+// Cells are recycled with their payload buffers, so a cell freed twice
+// would be handed to two messages at once. The fault injector's drop (the
+// sender discards the cell) and duplicate (two frames from one cell) are
+// the two places a cell leaves the send-once / receive-once path.
+func TestFaultedCellsAreFreedOnce(t *testing.T) {
+	p2 := newPair(model.CLAN1998())
+	prov := p2.nicA.Provider()
+	// Verdicts are per transmitted data cell, drops first: the first cell
+	// of message 0 is dropped, the next three (message 0's) are duplicated,
+	// and so are the first two of message 1.
+	prov.Faults = fault.New(p2.k, fault.Plan{Events: []fault.Event{
+		{At: 1, Kind: fault.DropCell, Node: "a", Count: 1},
+		{At: 1, Kind: fault.DupCell, Node: "a", Count: 5},
+	}})
+	const msgs, n = 4, 30000 // four cells a message
+	dst := make([]byte, msgs*n)
+	p2.k.Spawn("send", func(p *sim.Proc) {
+		target := p2.nicB.RegisterCached(dst)
+		src := p2.nicA.Register(p, make([]byte, msgs*n))
+		for i := 0; i < msgs; i++ {
+			fill(src.Bytes()[i*n:(i+1)*n], byte(i+1))
+			err := p2.viA.PostSend(p, &Descriptor{
+				Op: OpRDMAWrite, Region: src, Offset: i * n, Len: n,
+				RemoteHandle: target.Handle, RemoteOffset: i * n, Ctx: i,
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		// Message 0 lost a cell: no ack, no completion. The rest complete
+		// in order.
+		for want := 1; want < msgs; want++ {
+			c := p2.viA.SendCQ.Wait(p)
+			if c.Err != nil || c.Desc.Ctx.(int) != want {
+				t.Errorf("completion %v err=%v, want message %d", c.Desc.Ctx, c.Err, want)
+			}
+		}
+	})
+	if err := p2.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < msgs; i++ {
+		want := make([]byte, n)
+		fill(want, byte(i+1))
+		if !bytes.Equal(dst[i*n:(i+1)*n], want) {
+			t.Errorf("message %d corrupted in transit", i)
+		}
+	}
+	if sent := int(p2.nicA.Stats().CellsOut); len(prov.freeCells) == 0 || len(prov.freeCells) >= sent {
+		t.Errorf("%d cells idle after %d data cells sent: cells are not being reused", len(prov.freeCells), sent)
+	}
+	cells := make(map[*cell]bool)
+	bufs := make(map[*byte]bool)
+	for _, c := range prov.freeCells {
+		if cells[c] {
+			t.Fatal("one cell is on the free list twice")
+		}
+		cells[c] = true
+		if cap(c.data) == 0 {
+			continue
+		}
+		b := &c.data[:1][0]
+		if bufs[b] {
+			t.Fatal("two idle cells share one payload buffer")
+		}
+		bufs[b] = true
+	}
 }

@@ -38,6 +38,13 @@ func (k cellKind) String() string {
 // cell is the NIC's wire unit. Large messages are segmented into cells of
 // at most Profile.CellSize (including CellHeader) so DMA and link stages
 // pipeline within a message.
+//
+// Cells are recycled through the provider (newCell / freeCell) together
+// with their payload buffer. A cell has one owner at a time: the sending
+// NIC until the frame is on the link, then the receiving NIC, which copies
+// the payload out and frees the cell when its handler returns. Whoever
+// discards a cell instead (dead NIC, injected drop) frees it; a cell lost
+// any other way is simply garbage.
 type cell struct {
 	kind  cellKind
 	src   fabric.NodeID
@@ -67,6 +74,25 @@ type cell struct {
 	span trace.OpID // originating descriptor's span
 	wire trace.OpID // this message's wire span (ended by the receiver)
 }
+
+// newCell returns a cell set to c. Its data is an empty slice over the
+// payload buffer the cell was last freed with (nil for a new cell), for
+// streamOut to fill.
+func (pr *Provider) newCell(c cell) *cell {
+	var p *cell
+	if n := len(pr.freeCells); n > 0 {
+		p = pr.freeCells[n-1]
+		pr.freeCells = pr.freeCells[:n-1]
+	} else {
+		p = new(cell)
+	}
+	c.data = p.data[:0]
+	*p = c
+	return p
+}
+
+// freeCell hands a cell nobody references any more back for reuse.
+func (pr *Provider) freeCell(c *cell) { pr.freeCells = append(pr.freeCells, c) }
 
 // Wire error codes carried in acks and read responses.
 const (
@@ -130,12 +156,12 @@ func (n *NIC) sendLoop(p *sim.Proc) {
 			n.readSeq++
 			d.token = n.readSeq
 			n.pendReads[d.token] = d
-			n.txQ.Send(p, cell{
+			n.txQ.Send(p, n.prov.newCell(cell{
 				kind: ckReadReq, dst: d.vi.peerNode, dstVI: d.vi.peerVI,
 				token: d.token, rhandle: d.RemoteHandle, raddr: d.RemoteOffset, rlen: d.Len,
 				span: d.span,
 				wire: tr.Begin(n.Node.Name, trace.LayerWire, "read-req", d.span),
-			})
+			}))
 		default:
 			panic("via: bad op on send queue")
 		}
@@ -178,14 +204,19 @@ func (n *NIC) streamOut(p *sim.Proc, d *Descriptor, kind cellKind, dst fabric.No
 			tr.Charge(d.span, trace.CatNIC, dmaService)
 			tr.Charge(d.span, trace.CatQueue, p.Now()-t0-dmaService)
 		}
-		data := make([]byte, nb)
-		copy(data, d.Region.buf[d.Offset+off:d.Offset+off+nb])
 		last := off+nb >= total
-		c := cell{
+		c := n.prov.newCell(cell{
 			kind: kind, dst: dst, dstVI: dstVI,
-			msgID: msgID, off: off, n: nb, total: total, last: last, data: data,
+			msgID: msgID, off: off, n: nb, total: total, last: last,
 			span: d.span, wire: wire,
+		})
+		// The payload is snapshotted now, at DMA time: later writes to the
+		// region do not reach a cell already on its way.
+		if cap(c.data) < nb {
+			c.data = make([]byte, cellData)
 		}
+		c.data = c.data[:nb]
+		copy(c.data, d.Region.buf[d.Offset+off:d.Offset+off+nb])
 		switch kind {
 		case ckRDMAWrite:
 			c.rhandle, c.raddr = d.RemoteHandle, d.RemoteOffset
@@ -211,6 +242,7 @@ func (n *NIC) txLoop(p *sim.Proc) {
 			return
 		}
 		if n.dead {
+			n.prov.freeCell(c)
 			continue
 		}
 		// Fault hooks: only data-bearing kinds are eligible. Acks are never
@@ -229,11 +261,17 @@ func (n *NIC) txLoop(p *sim.Proc) {
 					// on this cell; close it here so the trace stays sound.
 					tr.End(c.wire)
 				}
+				n.prov.freeCell(c)
 				continue
 			}
 			if dup {
+				// The duplicate is a cell of its own, because the receiver
+				// frees every cell it takes off the link. It carries no
+				// payload: it only occupies the wire, which c.n sizes.
+				d := n.prov.newCell(*c)
+				d.dup = true
 				n.txCell(p, c)
-				c.dup = true
+				c = d
 			}
 		}
 		n.txCell(p, c)
@@ -241,7 +279,7 @@ func (n *NIC) txLoop(p *sim.Proc) {
 }
 
 // txCell puts one cell on the node's transmit link.
-func (n *NIC) txCell(p *sim.Proc, c cell) {
+func (n *NIC) txCell(p *sim.Proc, c *cell) {
 	prof := n.prov.Prof
 	tr := n.prov.Tracer
 	if tr == nil {
@@ -264,12 +302,13 @@ func (n *NIC) recvLoop(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		c := fr.Payload.(cell)
+		c := fr.Payload.(*cell)
 		c.src = fr.Src
 		if n.dead || c.dup {
 			// Dead NICs hear nothing; injected duplicates have already paid
 			// their wire occupancy and the reliable layer discards them
 			// before any processing (or trace attribution).
+			n.prov.freeCell(c)
 			continue
 		}
 		if tr := n.prov.Tracer; tr != nil {
@@ -299,6 +338,7 @@ func (n *NIC) recvLoop(p *sim.Proc) {
 		case ckAck:
 			n.handleAck(p, c)
 		}
+		n.prov.freeCell(c) // every handler has copied out what it keeps
 	}
 }
 
@@ -317,7 +357,7 @@ func (n *NIC) dmaIn(p *sim.Proc, nb int, span trace.OpID) {
 	}
 }
 
-func (n *NIC) handleSend(p *sim.Proc, c cell) {
+func (n *NIC) handleSend(p *sim.Proc, c *cell) {
 	key := reasmKey{c.src, c.msgID}
 	st := n.reasm[key]
 	if st == nil {
@@ -367,13 +407,13 @@ func (n *NIC) handleSend(p *sim.Proc, c cell) {
 		tr.Charge(c.span, trace.CatNIC, n.prov.Prof.CompletionCost)
 		st.vi.RecvCQ.deliver(p, Completion{VI: st.vi, Desc: st.desc, Op: OpRecv, Len: c.total, Err: st.err, Trace: c.span})
 	}
-	n.txQ.Send(p, cell{
+	n.txQ.Send(p, n.prov.newCell(cell{
 		kind: ckAck, dst: c.src, msgID: c.msgID, errCode: codeOf(st.err),
 		span: c.span, wire: tr.Begin(n.Node.Name, trace.LayerWire, "ack", c.span),
-	})
+	}))
 }
 
-func (n *NIC) handleRDMAWrite(p *sim.Proc, c cell) {
+func (n *NIC) handleRDMAWrite(p *sim.Proc, c *cell) {
 	key := reasmKey{c.src, c.msgID}
 	st := n.reasm[key]
 	if st == nil {
@@ -399,13 +439,13 @@ func (n *NIC) handleRDMAWrite(p *sim.Proc, c cell) {
 	if st.got < c.total {
 		return // lost message (see handleSend): no ack, sender times out
 	}
-	n.txQ.Send(p, cell{
+	n.txQ.Send(p, n.prov.newCell(cell{
 		kind: ckAck, dst: c.src, msgID: c.msgID, errCode: codeOf(st.err),
 		span: c.span, wire: n.prov.Tracer.Begin(n.Node.Name, trace.LayerWire, "ack", c.span),
-	})
+	}))
 }
 
-func (n *NIC) handleAck(p *sim.Proc, c cell) {
+func (n *NIC) handleAck(p *sim.Proc, c *cell) {
 	d, ok := n.pendSends[c.msgID]
 	if !ok {
 		return
@@ -416,14 +456,14 @@ func (n *NIC) handleAck(p *sim.Proc, c cell) {
 	d.vi.SendCQ.deliver(p, Completion{VI: d.vi, Desc: d, Op: d.Op, Len: d.Len, Err: errOf(c.errCode)})
 }
 
-func (n *NIC) handleReadReq(p *sim.Proc, c cell) {
+func (n *NIC) handleReadReq(p *sim.Proc, c *cell) {
 	r := n.lookup(c.rhandle, c.raddr, c.rlen)
 	if r == nil {
-		n.txQ.Send(p, cell{
+		n.txQ.Send(p, n.prov.newCell(cell{
 			kind: ckReadResp, dst: c.src, token: c.token,
 			total: 0, last: true, errCode: ecProtection,
 			span: c.span, wire: n.prov.Tracer.Begin(n.Node.Name, trace.LayerWire, "read-resp", c.span),
-		})
+		}))
 		return
 	}
 	// The NIC serves the read autonomously: queue an internal descriptor
@@ -437,7 +477,7 @@ func (n *NIC) handleReadReq(p *sim.Proc, c cell) {
 	})
 }
 
-func (n *NIC) handleReadResp(p *sim.Proc, c cell) {
+func (n *NIC) handleReadResp(p *sim.Proc, c *cell) {
 	d, ok := n.pendReads[c.token]
 	if !ok {
 		return

@@ -92,7 +92,8 @@ type Provider struct {
 	// the registry. Observational only, like Tracer; nil disables.
 	Metrics *metrics.Registry
 
-	nics map[fabric.NodeID]*NIC
+	nics      map[fabric.NodeID]*NIC
+	freeCells []*cell // recycled wire cells, each with its payload buffer
 }
 
 // NewProvider creates a VIA provider for the fabric.
@@ -124,7 +125,7 @@ type NIC struct {
 	rxDMA *sim.Resource
 
 	sendWork *sim.Chan[*Descriptor]
-	txQ      *sim.Chan[cell]
+	txQ      *sim.Chan[*cell]
 
 	vis        []*VI
 	cqs        []*CQ
@@ -159,7 +160,7 @@ type reasmState struct {
 // NewNIC attaches a VIA NIC to the node and starts its processing engines.
 func (pr *Provider) NewNIC(node *fabric.Node) *NIC {
 	iface := node.Claim("via", func(payload any) bool {
-		_, ok := payload.(cell)
+		_, ok := payload.(*cell)
 		return ok
 	})
 	n := &NIC{
@@ -169,7 +170,7 @@ func (pr *Provider) NewNIC(node *fabric.Node) *NIC {
 		txDMA:     sim.NewResource(pr.K, node.Name+".nic.txdma", 1),
 		rxDMA:     sim.NewResource(pr.K, node.Name+".nic.rxdma", 1),
 		sendWork:  sim.NewChan[*Descriptor](pr.K, 0),
-		txQ:       sim.NewChan[cell](pr.K, 2),
+		txQ:       sim.NewChan[*cell](pr.K, 2),
 		regions:   make(map[MemHandle]*Region),
 		pendSends: make(map[uint64]*Descriptor),
 		pendReads: make(map[uint64]*Descriptor),
