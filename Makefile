@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt faults t17 t19 bench bench-e2e stat results-check all
+.PHONY: build test race lint fmt faults t17 t19 bench bench-e2e stat all
 
 all: build test race lint faults
 
@@ -74,23 +74,7 @@ bench-e2e:
 # retry spike, the replica exclusion, the recovery) plus the flight
 # recorder's postmortem dumps.
 stat:
-	$(GO) run ./cmd/mpiostat -run T16
-
-# results-check is the behavioural contract a refactor is held to: every
-# experiment in bench.All is re-run on its own (mpiobench -q -run <id>) and
-# the tables are diffed against their sections of results.txt. T18 stays
-# out, on both sides of the diff, until ROADMAP direction 1 lands: finished
-# simulations are never released, so its 512x64 grid is OOM-killed on a
-# 16 GB box.
-results-check:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o "$$tmp/mpiobench" ./cmd/mpiobench && \
-	for id in $$("$$tmp/mpiobench" -list | awk '$$1 != "T18" { print $$1 }'); do \
-		"$$tmp/mpiobench" -q -run $$id || exit 1; \
-	done > "$$tmp/got.txt" && \
-	awk '/^T[0-9]+N? — / { skip = ($$1 == "T18") } !skip' results.txt > "$$tmp/want.txt" && \
-	diff -u "$$tmp/want.txt" "$$tmp/got.txt" && \
-	echo "results-check: $$(grep -c '^T[0-9]*N\{0,1\} — ' "$$tmp/got.txt") tables match results.txt"
+	$(GO) run ./cmd/mpio stat T16
 
 fmt:
 	gofmt -s -w .

@@ -1,4 +1,4 @@
-// Root-level benchmarks: one testing.B target per evaluation table/figure.
+// Root-level benchmarks: one sub-benchmark per evaluation table/figure.
 // Each iteration regenerates the full experiment in simulated time, so wall
 // time here measures the simulator; the *results* (printed with -v) are the
 // deterministic simulated tables that EXPERIMENTS.md records.
@@ -10,39 +10,23 @@ import (
 	"dafsio/internal/bench"
 )
 
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e := bench.ByID(id)
-	if e == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		tbl := e.Run()
-		if len(tbl.Rows) == 0 {
-			b.Fatalf("%s produced no rows", id)
+// BenchmarkExperiments runs every experiment but T18, whose 512x64 grid
+// needs more than 16 GB (run it alone with `mpio run T18`).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range bench.All {
+		if e.ID == "T18" {
+			continue
 		}
-		if i == 0 {
-			b.Logf("\n%s", tbl.String())
-		}
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tbl := e.Run()
+				if len(tbl.Rows) == 0 {
+					b.Fatalf("%s produced no rows", e.ID)
+				}
+				if i == 0 {
+					b.Logf("\n%s", tbl.String())
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkT1RawVIA(b *testing.B)          { runExperiment(b, "T1") }
-func BenchmarkT2RequestSize(b *testing.B)     { runExperiment(b, "T2") }
-func BenchmarkT3InlineDirect(b *testing.B)    { runExperiment(b, "T3") }
-func BenchmarkT4CPUOverhead(b *testing.B)     { runExperiment(b, "T4") }
-func BenchmarkT5Scaling(b *testing.B)         { runExperiment(b, "T5") }
-func BenchmarkT6Collective(b *testing.B)      { runExperiment(b, "T6") }
-func BenchmarkT7Breakdown(b *testing.B)       { runExperiment(b, "T7") }
-func BenchmarkT8RegCache(b *testing.B)        { runExperiment(b, "T8") }
-func BenchmarkT9Overlap(b *testing.B)         { runExperiment(b, "T9") }
-func BenchmarkT10OpLatency(b *testing.B)      { runExperiment(b, "T10") }
-func BenchmarkT11Sensitivity(b *testing.B)    { runExperiment(b, "T11") }
-func BenchmarkT12FasterNetworks(b *testing.B) { runExperiment(b, "T12") }
-func BenchmarkT13GbEProfile(b *testing.B)     { runExperiment(b, "T13") }
-func BenchmarkT14DiskBound(b *testing.B)      { runExperiment(b, "T14") }
-func BenchmarkT15StripedScaling(b *testing.B) { runExperiment(b, "T15") }
-func BenchmarkT16Failover(b *testing.B)       { runExperiment(b, "T16") }
-func BenchmarkT17StripedColl(b *testing.B)    { runExperiment(b, "T17") }
-func BenchmarkT19Elastic(b *testing.B)        { runExperiment(b, "T19") }
-func BenchmarkT15NStripedNFS(b *testing.B)    { runExperiment(b, "T15N") }

@@ -23,7 +23,7 @@
 // DAFS point is re-run with the always-on metrics plane sampling every I
 // and the sampled series are printed: per-interval aggregate and
 // per-server bandwidth plus the failover counters, the same table
-// cmd/mpiostat renders for the benchmark experiments.
+// `mpio stat` renders for the benchmark experiments.
 //
 // Run with: go run ./examples/multiclient [-servers 4] [-replicas 2] [-kill server1@10ms] [-stats 1ms]
 package main
@@ -280,7 +280,7 @@ func main() {
 			log.Fatalf("stats: sampled run failed: %v", serr)
 		}
 		fmt.Println()
-		bench.StatResult{ID: "multiclient", Reg: reg}.SeriesTable().Fprint(os.Stdout)
+		bench.Result{ID: "multiclient", Reg: reg}.SeriesTable().Fprint(os.Stdout)
 		if n := len(reg.Dumps()); n > 0 {
 			fmt.Printf("\nflight recorder: %d postmortem dump(s) captured (see cmd/mpiostat for full rendering)\n", n)
 		}

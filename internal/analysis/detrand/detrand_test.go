@@ -15,7 +15,7 @@ func TestDetrand(t *testing.T) {
 func TestMatch(t *testing.T) {
 	for path, want := range map[string]bool{
 		"dafsio/internal/stats": true,
-		"dafsio/cmd/mpiobench":  true,
+		"dafsio/cmd/mpio":       true,
 		"fmt":                   false,
 	} {
 		if got := detrand.Analyzer.Match(path); got != want {

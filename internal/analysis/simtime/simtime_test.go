@@ -31,7 +31,7 @@ func TestMatch(t *testing.T) {
 		"dafsio/internal/bench":    true,
 		"dafsio/internal/trace":    true,
 		"dafsio/internal/metrics":  true,
-		"dafsio/cmd/mpiobench":     false,
+		"dafsio/cmd/mpio":          false,
 		"dafsio/internal/analysis": false,
 	} {
 		if got := simtime.Analyzer.Match(path); got != want {

@@ -1,105 +1,24 @@
 package bench
 
 import (
-	"fmt"
-
-	"dafsio/internal/cluster"
-	"dafsio/internal/layout"
-	"dafsio/internal/metrics"
 	"dafsio/internal/mpiio"
-	"dafsio/internal/sim"
 	"dafsio/internal/stats"
-	"dafsio/internal/trace"
 )
 
-// t17Run writes T6's 4-rank interleaved pattern (128B blocks, 1MB per rank)
-// over a file striped across width servers and returns the aggregate
-// bandwidth, the measured window, and the tracer (nil when traced is false).
-//
-// Methods map onto the striped fan-out as:
+// t17Point writes T6's 4-rank interleaved pattern (128B blocks, 1MB per
+// rank) over a file striped across width servers, after a warm-up of the
+// same call that fills the per-server handles, the registration cache and
+// the staging pool. Methods map onto the striped fan-out as:
 //
 //   - methodNaive:    independent I/O, one DAFS op per stripe fragment
 //   - methodBatch:    independent I/O through the gather planner — one DAFS
 //     batch request per server per replica
 //   - methodTwoPhase: collective two-phase with stripe-aligned file domains
 //     (cb_nodes = width), aggregators batching to their one server
-//
-// A positive mtick installs a metrics registry sampling on that interval;
-// the cluster is returned so callers reach the tracer and the registry.
-func t17Run(width int, method collMethod, traced bool, mtick sim.Time) (float64, sim.Time, sim.Time, *cluster.Cluster) {
-	const (
-		nranks    = 4
-		perRank   = 1 << 20 // 1MB each, 4MB total
-		blockSize = 128
-	)
-	blocks := int64(perRank / blockSize)
-	st := layout.Striping{StripeSize: stripeSize, Width: width}
-	cfg := cluster.Config{Clients: nranks, Servers: width, DAFS: true, MPI: true}
-	if traced {
-		cfg.Tracer = trace.New
-	}
-	if mtick > 0 {
-		cfg.Metrics = metrics.Installer(mtick)
-	}
-	c := cluster.New(cfg)
-	var start, end sim.Time
-	started := sim.NewWaitGroup(c.K, nranks)
-	err := c.SpawnClients(func(p *sim.Proc, i int) {
-		pool, err := c.DialDAFSAll(p, i, nil)
-		if err != nil {
-			panic(err)
-		}
-		drv := mpiio.NewStripedDAFSDriver(pool, st)
-		rank := c.World.Rank(i)
-		hints := &mpiio.Hints{NoBatch: method == methodNaive}
-		f, err := mpiio.Open(p, rank, drv, "aggr", mpiio.ModeRdWr|mpiio.ModeCreate, hints)
-		if err != nil {
-			panic(err)
-		}
-		disp := int64(i) * blockSize
-		f.SetView(disp, mpiio.Vector(blocks, blockSize, nranks*blockSize))
-		buf := make([]byte, perRank)
-		for j := range buf {
-			buf[j] = byte(i + j)
-		}
-		// Warm the per-server handles, the registration cache, and the
-		// staging pool (same discipline as T15).
-		if method == methodTwoPhase {
-			f.WriteAtAll(p, 0, buf)
-		} else {
-			f.WriteAt(p, 0, buf)
-		}
-		started.Done()
-		started.Wait(p)
-		if start == 0 {
-			start = p.Now()
-		}
-		var n int
-		if method == methodTwoPhase {
-			n, err = f.WriteAtAll(p, 0, buf)
-		} else {
-			n, err = f.WriteAt(p, 0, buf)
-		}
-		if err != nil || n != len(buf) {
-			panic(fmt.Sprintf("t17 point: n=%d err=%v", n, err))
-		}
-		rank.Barrier(p)
-		if now := p.Now(); now > end {
-			end = now
-		}
-		f.Close(p)
-	})
-	if err != nil {
-		panic(err)
-	}
-	c.Metrics.SampleNow() // close the series at the run's final instant
-	return stats.MBps(nranks*perRank, end-start), start, end, c
-}
-
-// t17Point is t17Run without tracing.
-func t17Point(width int, method collMethod) float64 {
-	bw, _, _, _ := t17Run(width, method, false, 0)
-	return bw
+func t17Point(width int, method collMethod) point {
+	pt := interleaved("T17", stripedDAFS, width, 128, method, mpiio.Hints{NoBatch: method == methodNaive})
+	pt.name, pt.warm = "aggr", true
+	return pt
 }
 
 // T17StripedCollective combines T6 and T15: the interleaved collective
@@ -118,9 +37,9 @@ func T17StripedCollective() *stats.Table {
 		Columns: []string{"width", "per-seg MB/s", "batch MB/s", "two-phase MB/s", "batch/per-seg"},
 	}
 	for _, w := range []int{1, 2, 4} {
-		per := t17Point(w, methodNaive)
-		batch := t17Point(w, methodBatch)
-		two := t17Point(w, methodTwoPhase)
+		per := measure(t17Point(w, methodNaive)).MBps
+		batch := measure(t17Point(w, methodBatch)).MBps
+		two := measure(t17Point(w, methodTwoPhase)).MBps
 		t.AddRow(itoa(w), stats.BW(per), stats.BW(batch), stats.BW(two), stats.Ratio(batch/per))
 	}
 	return t

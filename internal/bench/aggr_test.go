@@ -10,7 +10,7 @@ import (
 
 // t17WriteSpans collects the DAFS-layer write spans inside r's measured
 // window, grouped by track (one track per client node).
-func t17WriteSpans(r TracedResult) map[string][]trace.Span {
+func t17WriteSpans(r Result) map[string][]trace.Span {
 	byTrack := make(map[string][]trace.Span)
 	for _, s := range r.Tracer.Spans() {
 		if s.Layer != trace.LayerDAFS || !strings.HasPrefix(s.Op, "WRITE") {
@@ -31,7 +31,7 @@ func t17WriteSpans(r TracedResult) map[string][]trace.Span {
 // writes at all.
 func TestT17AggregatorTouchesOneServer(t *testing.T) {
 	for _, width := range []int{2, 4} {
-		r := TracedT17(width)
+		r := observed(t, "T17", 4, width, traced)
 		byTrack := t17WriteSpans(r)
 		if len(byTrack) != width {
 			t.Fatalf("width %d: %d tracks issued DAFS writes, want %d aggregators", width, len(byTrack), width)
@@ -62,7 +62,7 @@ func TestT17AggregatorTouchesOneServer(t *testing.T) {
 // instead of one DAFS operation per 128B fragment.
 func TestT17BatchRequestBound(t *testing.T) {
 	const width = 4
-	r := TracedT17(width)
+	r := observed(t, "T17", 4, width, traced)
 	batch := 0
 	for _, spans := range t17WriteSpans(r) {
 		for _, s := range spans {
@@ -81,8 +81,8 @@ func TestT17BatchRequestBound(t *testing.T) {
 // restore the batch win over per-fragment independent I/O at width > 1.
 func TestT17BatchWinAtWidth(t *testing.T) {
 	for _, width := range []int{2, 4} {
-		batch := t17Point(width, methodBatch)
-		per := t17Point(width, methodNaive)
+		batch := measure(t17Point(width, methodBatch)).MBps
+		per := measure(t17Point(width, methodNaive)).MBps
 		if batch <= per {
 			t.Errorf("width %d: batch %.1f MB/s does not beat per-fragment %.1f MB/s", width, batch, per)
 		}
@@ -92,11 +92,11 @@ func TestT17BatchWinAtWidth(t *testing.T) {
 // TestT17TracedMatchesUntraced pins that tracing T17 is observational and
 // that the traced run is deterministic (byte-identical Chrome exports).
 func TestT17TracedMatchesUntraced(t *testing.T) {
-	r1 := TracedT17(2)
-	if plain := t17Point(2, methodTwoPhase); r1.MBps != plain {
+	r1 := observed(t, "T17", 4, 2, traced)
+	if plain := measure(t17Point(2, methodTwoPhase)).MBps; r1.MBps != plain {
 		t.Errorf("T17 bandwidth: traced %v != untraced %v", r1.MBps, plain)
 	}
-	r2 := TracedT17(2)
+	r2 := observed(t, "T17", 4, 2, traced)
 	var b1, b2 bytes.Buffer
 	if err := r1.Tracer.WriteChrome(&b1); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package bench is the experiment harness: one entry per table/figure of
 // the (reconstructed) evaluation, each rebuilding its cluster from scratch
-// and reporting a stats.Table. The same entries back cmd/mpiobench and the
+// and reporting a stats.Table. The same entries back cmd/mpio and the
 // root-level testing.B benchmarks, so the paper's numbers regenerate from
 // either.
 //
@@ -11,10 +11,9 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"dafsio/internal/cluster"
-	"dafsio/internal/dafs"
-	"dafsio/internal/mpiio"
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
 )
@@ -24,30 +23,44 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func() *stats.Table
+
+	// observe re-runs the experiment's representative point under an
+	// Observation; nil when the experiment has none.
+	observe func(clients, servers int, o Observation) Result
 }
 
 // All lists every experiment in presentation order.
 var All = []Experiment{
-	{"T1", "Raw VIA latency and bandwidth", T1RawVIA},
-	{"T2", "MPI-IO bandwidth vs request size: DAFS vs NFS (1 client)", T2RequestSize},
-	{"T3", "DAFS inline vs direct transfer discipline", T3InlineDirect},
-	{"T4", "Client CPU overhead per megabyte", T4CPUOverhead},
-	{"T5", "Aggregate bandwidth vs number of clients", T5Scaling},
-	{"T6", "Collective vs independent noncontiguous I/O", T6Collective},
-	{"T7", "DAFS operation latency breakdown", T7Breakdown},
-	{"T8", "Memory registration cost and the registration cache", T8RegCache},
-	{"T9", "Nonblocking I/O compute/transfer overlap", T9Overlap},
-	{"T10", "Per-operation latency: DAFS vs NFS", T10OpLatency},
-	{"T11", "Model sensitivity of the headline ratios", T11Sensitivity},
-	{"T12", "Faster networks widen the gap (future-work projection)", T12FasterNetworks},
-	{"T13", "Commodity gigabit-Ethernet profile", T13GbEProfile},
-	{"T14", "Disk-bound server: transports converge (negative result)", T14DiskBound},
-	{"T15", "Striped aggregate bandwidth: clients x servers", T15StripedScaling},
-	{"T16", "Failover under a server crash: replication 1 vs 2", T16Failover},
-	{"T17", "Strided collective over striping: aligned domains + batch gather", T17StripedCollective},
-	{"T18", "Wide striped scaling: clients x servers at 10k-proc populations", T18WideStriping},
-	{"T19", "Elastic membership: live join, background re-silver, versioned layouts", T19Elastic},
-	{"T15N", "Striped NFS baseline: multi-mount striping without DAFS", T15NStripedNFS},
+	{"T1", "Raw VIA latency and bandwidth", T1RawVIA,
+		func(_, _ int, o Observation) Result { return stream(65536, 16, o) }},
+	{"T2", "MPI-IO bandwidth vs request size: DAFS vs NFS (1 client)", T2RequestSize, nil},
+	{"T3", "DAFS inline vs direct transfer discipline", T3InlineDirect, nil},
+	{"T4", "Client CPU overhead per megabyte", T4CPUOverhead, nil},
+	{"T5", "Aggregate bandwidth vs number of clients", T5Scaling, nil},
+	{"T6", "Collective vs independent noncontiguous I/O", T6Collective,
+		func(_, _ int, o Observation) Result { return run(collPoint(2048, methodTwoPhase), o) }},
+	{"T7", "DAFS operation latency breakdown", T7Breakdown, nil},
+	{"T8", "Memory registration cost and the registration cache", T8RegCache, nil},
+	{"T9", "Nonblocking I/O compute/transfer overlap", T9Overlap, nil},
+	{"T10", "Per-operation latency: DAFS vs NFS", T10OpLatency, nil},
+	{"T11", "Model sensitivity of the headline ratios", T11Sensitivity, nil},
+	{"T12", "Faster networks widen the gap (future-work projection)", T12FasterNetworks, nil},
+	{"T13", "Commodity gigabit-Ethernet profile", T13GbEProfile, nil},
+	{"T14", "Disk-bound server: transports converge (negative result)", T14DiskBound, nil},
+	// A traced T15 point reads (per-stripe fan-out is the story); a sampled
+	// one writes (the servers' byte counters are).
+	{"T15", "Striped aggregate bandwidth: clients x servers", T15StripedScaling,
+		func(n, s int, o Observation) Result {
+			return run(stripePoint("T15", stripedDAFS, n, s, stripePer, o.Tick > 0), o)
+		}},
+	{"T16", "Failover under a server crash: replication 1 vs 2", T16Failover,
+		func(_, _ int, o Observation) Result { return run(t16Point(2, true), o) }},
+	{"T17", "Strided collective over striping: aligned domains + batch gather", T17StripedCollective,
+		func(_, s int, o Observation) Result { return run(t17Point(s, methodTwoPhase), o) }},
+	{"T18", "Wide striped scaling: clients x servers at 10k-proc populations", T18WideStriping, nil},
+	{"T19", "Elastic membership: live join, background re-silver, versioned layouts", T19Elastic,
+		func(_, _ int, o Observation) Result { return t19Run(o).Result }},
+	{"T15N", "Striped NFS baseline: multi-mount striping without DAFS", T15NStripedNFS, nil},
 }
 
 // ByID finds an experiment.
@@ -60,59 +73,43 @@ func ByID(id string) *Experiment {
 	return nil
 }
 
-// mustRun drives a cluster to completion, panicking on simulation errors
-// (an error here is a bug in the model, not a result).
-func mustRun(c *cluster.Cluster) {
-	if err := c.Run(); err != nil {
+// Observe re-runs experiment id's representative point under o: clients
+// and servers size T15's striped point, and servers is T17's stripe width;
+// the other experiments have a fixed shape. T1 runs on a bare VIA pair,
+// which can be traced but not sampled.
+func Observe(id string, clients, servers int, o Observation) (Result, error) {
+	e := ByID(id)
+	if e == nil || e.observe == nil {
+		var ids []string
+		for _, e := range All {
+			if e.observe != nil {
+				ids = append(ids, e.ID)
+			}
+		}
+		return Result{}, fmt.Errorf("experiment %q cannot be observed (try %s)", id, strings.Join(ids, ", "))
+	}
+	if clients < 1 || servers < 1 {
+		return Result{}, fmt.Errorf("clients and servers must be >= 1")
+	}
+	r := e.observe(clients, servers, o)
+	if o.Tick > 0 && r.Reg == nil {
+		return Result{}, fmt.Errorf("experiment %s cannot be sampled", id)
+	}
+	return r, nil
+}
+
+// end finishes a run of c that returned err: an error is a bug in the
+// model, not a result, and panics. Otherwise the series close at the
+// run's final instant and the kernel shuts down, so the procs still
+// parked (server workers, session daemons) unwind and release the
+// cluster, which a process that runs every experiment in turn could not
+// hold on to.
+func end(c *cluster.Cluster, err error) {
+	if err != nil {
 		panic(fmt.Sprintf("bench: simulation failed: %v", err))
 	}
-}
-
-// prefill writes content into the store directly (zero simulated time), for
-// read experiments that need a populated file.
-func prefill(c *cluster.Cluster, name string, n int64) {
-	f, err := c.Store.Create(name)
-	if err != nil {
-		panic(err)
-	}
-	buf := make([]byte, 64<<10)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	for off := int64(0); off < n; off += int64(len(buf)) {
-		chunk := buf
-		if rem := n - off; rem < int64(len(chunk)) {
-			chunk = chunk[:rem]
-		}
-		f.WriteAt(chunk, off)
-	}
-}
-
-// openDafs dials a session and opens an MPI-IO file over it.
-func openDafs(p *sim.Proc, c *cluster.Cluster, client int, name string, mode int, opts *dafs.Options) (*mpiio.File, *mpiio.DAFSDriver) {
-	cl, err := c.DialDAFS(p, client, opts)
-	if err != nil {
-		panic(fmt.Sprintf("bench: dafs dial: %v", err))
-	}
-	drv := mpiio.NewDAFSDriver(cl)
-	f, err := mpiio.Open(p, nil, drv, name, mode, nil)
-	if err != nil {
-		panic(fmt.Sprintf("bench: dafs open: %v", err))
-	}
-	return f, drv
-}
-
-// openNfs mounts and opens an MPI-IO file over NFS.
-func openNfs(p *sim.Proc, c *cluster.Cluster, client int, name string, mode int) *mpiio.File {
-	cl, err := c.MountNFS(p, client, nil)
-	if err != nil {
-		panic(fmt.Sprintf("bench: nfs mount: %v", err))
-	}
-	f, err := mpiio.Open(p, nil, mpiio.NewNFSDriver(cl), name, mode, nil)
-	if err != nil {
-		panic(fmt.Sprintf("bench: nfs open: %v", err))
-	}
-	return f
+	c.Metrics.SampleNow()
+	c.K.Shutdown()
 }
 
 // totalFor picks a per-point transfer volume that keeps small-request
@@ -127,3 +124,9 @@ func totalFor(size int) int64 {
 	}
 	return total
 }
+
+// itoa formats a small integer (avoiding strconv imports everywhere).
+func itoa(n int) string { return fmt.Sprintf("%d", n) }
+
+// msFmt formats a duration in milliseconds.
+func msFmt(d sim.Time) string { return fmt.Sprintf("%.2f", float64(d)/1e6) }

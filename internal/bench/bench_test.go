@@ -6,9 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"dafsio/internal/cluster"
-	"dafsio/internal/mpiio"
 	"dafsio/internal/sim"
+	"dafsio/internal/stats"
 )
 
 // parse pulls a numeric cell out of a table.
@@ -119,7 +118,9 @@ func TestDeterministicTables(t *testing.T) {
 func TestT15Deterministic(t *testing.T) {
 	run := func() string { return T15StripedScaling().String() }
 	if testing.Short() {
-		run = func() string { return t15Table([]int{2}, []int{2}).String() }
+		run = func() string {
+			return grid(&stats.Table{ID: "T15"}, stripedDAFS, stripePer, []int{2}, []int{2}).String()
+		}
 	}
 	a := run()
 	b := run()
@@ -133,15 +134,18 @@ func TestT15Deterministic(t *testing.T) {
 // agree exactly, and (full mode) 64 servers must clearly beat 16 at 64
 // clients — the whole reason to go wide.
 func TestT18WideShape(t *testing.T) {
-	a := t18Point(16, 16, false)
-	if b := t18Point(16, 16, false); a != b {
+	t18Point := func(n, s int) float64 {
+		return measure(stripePoint("T18", stripedDAFS, n, s, t18Per, false)).MBps
+	}
+	a := t18Point(16, 16)
+	if b := t18Point(16, 16); a != b {
 		t.Fatalf("T18 point not deterministic: %v vs %v", a, b)
 	}
 	if testing.Short() {
 		t.Skip("wide T18 points in -short mode")
 	}
-	narrow := t18Point(64, 16, false)
-	wide := t18Point(64, 64, false)
+	narrow := t18Point(64, 16)
+	wide := t18Point(64, 64)
 	if wide < 1.5*narrow {
 		t.Errorf("wide striping does not scale: 16 servers %.1f MB/s, 64 servers %.1f MB/s (< 1.5x)", narrow, wide)
 	}
@@ -154,7 +158,7 @@ func TestT15Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full T15 grid in -short mode")
 	}
-	tbl := t15Table([]int{8}, []int{1, 4})
+	tbl := grid(&stats.Table{ID: "T15"}, stripedDAFS, stripePer, []int{8}, []int{1, 4})
 	one := cellOf(t, tbl.Rows, 0, 1)
 	four := cellOf(t, tbl.Rows, 0, 2)
 	if four < 3*one {
@@ -173,12 +177,10 @@ func TestHostAllocBudget(t *testing.T) {
 	const size, total = 4 << 10, 8 << 20
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	c := cluster.New(cluster.Config{Clients: 1, DAFS: true})
-	if _, err := c.Store.Create("f"); err != nil {
-		t.Fatal(err)
-	}
+	pt := point{id: "alloc", clients: 1, stack: dafsStack, name: "f", write: true}
+	c := newCluster(pt, Observation{})
 	c.K.Spawn("app", func(p *sim.Proc) {
-		f, _ := openDafs(p, c, 0, "f", mpiio.ModeRdWr, nil)
+		f, _ := open(p, c, pt, 0)
 		buf := make([]byte, size)
 		for off := int64(0); off < total; off += size {
 			for i := range buf {
@@ -203,7 +205,7 @@ func TestHostAllocBudget(t *testing.T) {
 		}
 		f.Close(p)
 	})
-	mustRun(c)
+	end(c, c.Run())
 	runtime.ReadMemStats(&m1)
 	moved := uint64(2 * total)
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > 8*moved {
@@ -211,4 +213,21 @@ func TestHostAllocBudget(t *testing.T) {
 	} else {
 		t.Logf("moving %d MB allocated %.1f MB on the host", moved>>20, float64(got)/(1<<20))
 	}
+}
+
+// TestShortCallFails pins the runner's checked I/O: a call that moves less
+// than its buffer is an error, and the error names the experiment, the
+// client and the offset.
+func TestShortCallFails(t *testing.T) {
+	pt := point{id: "T0", clients: 1, stack: dafsStack, name: "f", write: true} // an empty file
+	c := newCluster(pt, Observation{})
+	c.K.Spawn("app", func(p *sim.Proc) {
+		f, _ := open(p, c, pt, 0)
+		_, err := pt.call(p, f, 3, false)(4096, make([]byte, 512))
+		if want := "T0: client3 read at 4096: moved 0 of 512 bytes"; err == nil || err.Error() != want {
+			t.Errorf("read past EOF: %v, want %q", err, want)
+		}
+		f.Close(p)
+	})
+	end(c, c.Run())
 }

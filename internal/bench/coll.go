@@ -1,13 +1,8 @@
 package bench
 
 import (
-	"fmt"
-
-	"dafsio/internal/cluster"
 	"dafsio/internal/mpiio"
-	"dafsio/internal/sim"
 	"dafsio/internal/stats"
-	"dafsio/internal/trace"
 )
 
 // collMethod selects how the interleaved pattern is written.
@@ -20,70 +15,21 @@ const (
 	methodTwoPhase                   // collective two-phase
 )
 
-// collPoint writes a 4-rank interleaved pattern with the given block
-// granularity and method and returns the effective aggregate bandwidth.
-func collPoint(blockSize int64, method collMethod) float64 {
-	bw, _, _, _ := collRun(blockSize, method, false)
-	return bw
+// interleaved is the 4-rank pattern of T6 and T17: every rank writes 1MB
+// (4MB in all) through a view that gives it every 4th block of the file.
+func interleaved(id string, st stack, servers int, block int64, method collMethod, hints mpiio.Hints) point {
+	return point{
+		id: id, clients: 4, servers: servers, stack: st, name: "coll", req: 1 << 20, per: 1 << 20, write: true,
+		view: &view{block: block, collective: method == methodTwoPhase, hints: hints},
+	}
 }
 
-// collRun is collPoint with optional tracing; it returns the bandwidth, the
-// measured window, and the tracer (nil when traced is false).
-func collRun(blockSize int64, method collMethod, traced bool) (float64, sim.Time, sim.Time, *trace.Tracer) {
-	const (
-		nranks  = 4
-		perRank = 1 << 20 // 1MB each, 4MB total
-	)
-	blocks := perRank / blockSize
-	cfg := cluster.Config{Clients: nranks, DAFS: true, MPI: true}
-	if traced {
-		cfg.Tracer = trace.New
-	}
-	c := cluster.New(cfg)
-	var start, end sim.Time
-	started := sim.NewWaitGroup(c.K, nranks)
-	err := c.SpawnClients(func(p *sim.Proc, i int) {
-		cl, err := c.DialDAFS(p, i, nil)
-		if err != nil {
-			panic(err)
-		}
-		drv := mpiio.NewDAFSDriver(cl)
-		rank := c.World.Rank(i)
-		hints := &mpiio.Hints{Sieving: method == methodSieve, NoBatch: method != methodBatch}
-		f, err := mpiio.Open(p, rank, drv, "coll", mpiio.ModeRdWr|mpiio.ModeCreate, hints)
-		if err != nil {
-			panic(err)
-		}
-		disp := int64(i) * blockSize
-		f.SetView(disp, mpiio.Vector(blocks, blockSize, nranks*blockSize))
-		buf := make([]byte, perRank)
-		for j := range buf {
-			buf[j] = byte(i + j)
-		}
-		started.Done()
-		started.Wait(p)
-		if start == 0 {
-			start = p.Now()
-		}
-		var n int
-		if method == methodTwoPhase {
-			n, err = f.WriteAtAll(p, 0, buf)
-		} else {
-			n, err = f.WriteAt(p, 0, buf)
-		}
-		if err != nil || n != len(buf) {
-			panic(fmt.Sprintf("collective point: n=%d err=%v", n, err))
-		}
-		rank.Barrier(p)
-		if now := p.Now(); now > end {
-			end = now
-		}
-		f.Close(p)
-	})
-	if err != nil {
-		panic(err)
-	}
-	return stats.MBps(nranks*perRank, end-start), start, end, c.Tracer
+// collPoint writes the interleaved pattern over one DAFS server with the
+// given block granularity and method. There is no warm-up call: the
+// measured call is each rank's first.
+func collPoint(block int64, method collMethod) point {
+	return interleaved("T6", dafsStack, 0, block, method,
+		mpiio.Hints{Sieving: method == methodSieve, NoBatch: method != methodBatch})
 }
 
 // T6Collective reproduces the collective-I/O figure: two-phase collective
@@ -98,17 +44,11 @@ func T6Collective() *stats.Table {
 		Columns: []string{"block", "naive MB/s", "batch MB/s", "sieve MB/s", "two-phase MB/s", "2ph/naive"},
 	}
 	for _, bs := range []int64{128, 512, 2048, 8192} {
-		naive := collPoint(bs, methodNaive)
-		batch := collPoint(bs, methodBatch)
-		sieve := collPoint(bs, methodSieve)
-		two := collPoint(bs, methodTwoPhase)
+		naive := measure(collPoint(bs, methodNaive)).MBps
+		batch := measure(collPoint(bs, methodBatch)).MBps
+		sieve := measure(collPoint(bs, methodSieve)).MBps
+		two := measure(collPoint(bs, methodTwoPhase)).MBps
 		t.AddRow(stats.Size(bs), stats.BW(naive), stats.BW(batch), stats.BW(sieve), stats.BW(two), stats.Ratio(two/naive))
 	}
 	return t
 }
-
-// itoa formats a small integer (avoiding strconv imports everywhere).
-func itoa(n int) string { return fmt.Sprintf("%d", n) }
-
-// msFmt formats a duration in milliseconds.
-func msFmt(d sim.Time) string { return fmt.Sprintf("%.2f", float64(d)/1e6) }

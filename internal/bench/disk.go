@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"dafsio/internal/cluster"
-	"dafsio/internal/mpiio"
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
 )
@@ -19,33 +17,27 @@ func T14DiskBound() *stats.Table {
 			"the transports converge on disk speed — DAFS pays off on cached data and CPU",
 		Columns: []string{"stack", "MB/s", "client cpu ms/MB", "disk busy"},
 	}
-	measure := func(nfsStack bool) (transferResult, float64) {
-		c := cluster.New(cluster.Config{Clients: 1, DAFS: !nfsStack, NFS: nfsStack, ServerDisk: true})
-		const size = 256 << 10
-		const total = 8 << 20
-		prefill(c, "f", total)
+	timed := func(st stack) (transferResult, float64) {
+		pt := seq("T14", st, 256<<10, 8<<20, false)
+		pt.disk = true
+		c := newCluster(pt, Observation{})
 		var res transferResult
 		var diskFrac float64
 		c.K.Spawn("app", func(p *sim.Proc) {
-			var f *mpiio.File
-			if nfsStack {
-				f = openNfs(p, c, 0, "f", mpiio.ModeRdOnly)
-			} else {
-				f, _ = openDafs(p, c, 0, "f", mpiio.ModeRdOnly, nil)
-			}
+			f, _ := open(p, c, pt, 0)
 			start := p.Now()
 			busy0 := c.Disk.BusyTime()
-			res = sweep(p, c, f, size, total, false)
+			res = sweep(p, c, f, pt)
 			if el := p.Now() - start; el > 0 {
 				diskFrac = float64(c.Disk.BusyTime()-busy0) / float64(el)
 			}
 			f.Close(p)
 		})
-		mustRun(c)
+		end(c, c.Run())
 		return res, diskFrac
 	}
-	d, ddisk := measure(false)
-	n, ndisk := measure(true)
+	d, ddisk := timed(dafsStack)
+	n, ndisk := timed(nfsStack)
 	t.AddRow("dafs", stats.BW(d.bw), stats.Us(d.cpuMB/1000), stats.Pct(ddisk))
 	t.AddRow("nfs", stats.BW(n.bw), stats.Us(n.cpuMB/1000), stats.Pct(ndisk))
 	return t

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
-	"dafsio/internal/cluster"
 	"dafsio/internal/layout"
-	"dafsio/internal/metrics"
 	"dafsio/internal/mpiio"
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
@@ -36,8 +34,7 @@ const (
 	t19Rate = 256 << 20
 )
 
-// t19Expect writes prefillStriped's pattern for absolute file offset abs:
-// the pattern is 64KB-periodic and 64KB divides the stripe size, so the
+// t19Expect writes prefill's pattern for absolute file offset abs: the
 // logical byte at offset x is byte(x) on any layout width.
 func t19Expect(buf []byte, abs int64) {
 	for j := range buf {
@@ -46,9 +43,11 @@ func t19Expect(buf []byte, abs int64) {
 }
 
 // t19Result is one T19 run: aggregate read bandwidth before the join,
-// during the re-silver, and after commit, with the window lengths and
-// the verification verdict.
+// during the re-silver, and after commit, with the window lengths. The
+// embedded Result spans the whole run, at the post-commit bandwidth, and
+// carries the read-back verdict.
 type t19Result struct {
+	Result
 	SteadyMBps float64 // width-3 steady state, before the join
 	DuringMBps float64 // foreground reads while the migrator copies
 	PostMBps   float64 // width-4 steady state, after every client committed
@@ -56,10 +55,6 @@ type t19Result struct {
 	MigDur     sim.Time
 	PostDur    sim.Time
 	Epoch      uint32 // layout epoch after commit
-	Verified   bool   // post-reshape read-back matched the prefill pattern
-	Start      sim.Time
-	End        sim.Time
-	Reg        *metrics.Registry // non-nil when run with a metrics tick
 }
 
 // t19Run is the elastic-membership workload. Three phases, fenced by
@@ -77,19 +72,12 @@ type t19Result struct {
 //     read passes repeat at width 4.
 //
 // Read-back verification (outside every window) checks the migrated
-// bytes against the prefill pattern. A positive mtick installs the
-// metrics sampler (observational: the simulated results are identical).
-func t19Run(mtick sim.Time) t19Result {
+// bytes against the prefill pattern.
+func t19Run(o Observation) t19Result {
 	const n = t19Clients
-	st3 := layout.Striping{StripeSize: stripeSize, Width: t19Servers}
 	st4 := layout.Striping{StripeSize: stripeSize, Width: t19Servers + 1}
-	cfg := cluster.Config{Clients: n, Servers: t19Servers, DAFS: true}
-	if mtick > 0 {
-		cfg.Metrics = metrics.Installer(mtick)
-	}
-	c := cluster.New(cfg)
-	total := int64(n) * t19Per
-	prefillStriped(c, "t19", total, st3)
+	pt := point{id: "T19", clients: n, servers: t19Servers, stack: stripedDAFS, name: "t19", per: t19Per}
+	c := newCluster(pt, o)
 
 	ready := sim.NewWaitGroup(c.K, n)
 	aDone := sim.NewWaitGroup(c.K, n)
@@ -101,21 +89,14 @@ func t19Run(mtick sim.Time) t19Result {
 	firstPrep := sim.NewFuture[struct{}](c.K)
 	migDone := sim.NewFuture[error](c.K)
 
-	res := t19Result{Verified: true}
+	res := t19Result{Result: Result{ID: pt.id, Tracer: c.Tracer, Reg: c.Metrics}}
 	var aStart, aEnd, mStart, mEnd, bStart, bEnd sim.Time
 	var during int64 // foreground bytes read while the migrator ran
 
 	err := c.SpawnClients(func(p *sim.Proc, i int) {
-		pool, err := c.DialDAFSAll(p, i, nil)
-		if err != nil {
-			panic(err)
-		}
-		drv := mpiio.NewStripedDAFSDriver(pool, st3)
+		f, d := open(p, c, pt, i)
+		drv := d.(*mpiio.StripedDAFSDriver)
 		drv.Resilver.Rate = t19Rate
-		f, err := mpiio.Open(p, nil, drv, "t19", mpiio.ModeRdOnly, nil)
-		if err != nil {
-			panic(err)
-		}
 		buf := make([]byte, stripeChunk)
 		base := int64(i) * t19Per
 		readPass := func() {
@@ -218,24 +199,24 @@ func t19Run(mtick sim.Time) t19Result {
 			}
 			t19Expect(want, base+off)
 			if nr != len(buf) || !bytes.Equal(buf, want) {
-				res.Verified = false
+				res.corrupt = true
 				break
 			}
 		}
 		f.Close(p)
 	})
-	if err != nil {
-		panic(err)
-	}
-	c.Metrics.SampleNow() // close the series at the run's final instant
-	res.Reg = c.Metrics
+	end(c, err)
 	res.SteadyMBps = stats.MBps(int64(n)*t19Per*t19Passes, aEnd-aStart)
 	res.SteadyDur = aEnd - aStart
 	res.DuringMBps = stats.MBps(during, mEnd-mStart)
 	res.MigDur = mEnd - mStart
 	res.PostMBps = stats.MBps(int64(n)*t19Per*t19Passes, bEnd-bStart)
 	res.PostDur = bEnd - bStart
-	res.Start, res.End = aStart, bEnd
+	res.Start, res.End, res.MBps = aStart, bEnd, res.PostMBps
+	res.Outcome = fmt.Sprintf("joined at epoch %d, re-silvered, verified", res.Epoch)
+	if res.corrupt {
+		res.Outcome = "CORRUPT read-back"
+	}
 	return res
 }
 
@@ -244,7 +225,7 @@ func t19Run(mtick sim.Time) t19Result {
 // ramp once the wider layout commits. The three rows are the three
 // phases of one run.
 func T19Elastic() *stats.Table {
-	r := t19Run(0)
+	r := t19Run(Observation{})
 	t := &stats.Table{
 		ID:    "T19",
 		Title: "Elastic membership: live server join with background re-silver (8 clients, 3 -> 4 servers, 256KB reads)",
@@ -256,120 +237,11 @@ func T19Elastic() *stats.Table {
 	floor := fmt.Sprintf("foreground %d%% of steady", int(100*r.DuringMBps/r.SteadyMBps+0.5))
 	ramp := fmt.Sprintf("%+d%% vs steady", int(100*(r.PostMBps-r.SteadyMBps)/r.SteadyMBps+0.5))
 	verdict := "verified byte-identical"
-	if !r.Verified {
+	if r.corrupt {
 		verdict = "CORRUPT read-back"
 	}
 	t.AddRow("steady pre-join", "3", stats.BW(r.SteadyMBps), r.SteadyDur.String(), "epoch 1")
 	t.AddRow("re-silver window", "3+1", stats.BW(r.DuringMBps), r.MigDur.String(), floor)
 	t.AddRow(fmt.Sprintf("post-commit (epoch %d)", r.Epoch), "4", stats.BW(r.PostMBps), r.PostDur.String(), ramp+", "+verdict)
 	return t
-}
-
-// StatT19 runs the elastic join with the sampler on: the series show the
-// width-3 plateau, the re-silver window (resilver bytes moving under the
-// bucket, the epoch gauge stepping at commit), and the width-4 ramp.
-func StatT19(tick sim.Time) StatResult {
-	r := t19Run(tick)
-	out := fmt.Sprintf("joined at epoch %d, re-silvered, verified", r.Epoch)
-	if !r.Verified {
-		out = "CORRUPT read-back"
-	}
-	return StatResult{ID: "T19", MBps: r.PostMBps, Start: r.Start, End: r.End, Reg: r.Reg, Outcome: out}
-}
-
-// nfsStripePoint measures aggregate bandwidth for n clients striping one
-// shared file across s NFS mounts — the multi-mount baseline: the same
-// layout fan-out as stripePoint, but every fragment pays the kernel-stack
-// NFS path instead of user-level DAFS.
-func nfsStripePoint(n, s int, write bool) float64 {
-	st := layout.Striping{StripeSize: stripeSize, Width: s}
-	c := cluster.New(cluster.Config{Clients: n, Servers: s, NFSAll: true})
-	total := int64(n) * stripePer
-	if write {
-		prefillStriped(c, "striped", 0, st) // create empty stripe objects
-	} else {
-		prefillStriped(c, "striped", total, st)
-	}
-	ready := sim.NewWaitGroup(c.K, n)
-	var start, end sim.Time
-	err := c.SpawnClients(func(p *sim.Proc, i int) {
-		mounts, err := c.MountNFSAll(p, i, nil)
-		if err != nil {
-			panic(err)
-		}
-		drv := mpiio.NewStripedNFSDriver(mounts, st)
-		mode := mpiio.ModeRdOnly
-		if write {
-			mode = mpiio.ModeWrOnly
-		}
-		f, err := mpiio.Open(p, nil, drv, "striped", mode, nil)
-		if err != nil {
-			panic(err)
-		}
-		buf := make([]byte, stripeChunk)
-		base := int64(i) * stripePer
-		// Warm the per-mount handles.
-		if write {
-			f.WriteAt(p, base, buf)
-		} else {
-			f.ReadAt(p, base, buf)
-		}
-		ready.Done()
-		ready.Wait(p)
-		if start == 0 {
-			start = p.Now()
-		}
-		for off := int64(0); off < stripePer; off += stripeChunk {
-			var err error
-			if write {
-				_, err = f.WriteAt(p, base+off, buf)
-			} else {
-				_, err = f.ReadAt(p, base+off, buf)
-			}
-			if err != nil {
-				panic(err)
-			}
-		}
-		if now := p.Now(); now > end {
-			end = now
-		}
-		f.Close(p)
-	})
-	if err != nil {
-		panic(err)
-	}
-	return stats.MBps(total, end-start)
-}
-
-// t15nTable runs the striped-NFS grid for the given client and server
-// counts (parameterized so the tests can run a cheap subset).
-func t15nTable(clients, servers []int) *stats.Table {
-	cols := []string{"clients"}
-	for _, s := range servers {
-		cols = append(cols, itoa(s)+"-srv rd")
-	}
-	last := servers[len(servers)-1]
-	cols = append(cols, itoa(last)+"-srv wr")
-	t := &stats.Table{
-		ID:    "T15N",
-		Title: "Striped NFS baseline: clients x servers over a multi-mount pool (256KB requests, 64KB stripes)",
-		Note: "T15's grid with the transport swapped: the same round-robin layout over one NFS mount per server.\n" +
-			"striping scales NFS too — the aggregate ceiling multiplies with width — but each point sits below its\n" +
-			"T15 twin by the kernel-stack tax, splitting what the layout buys from what user-level DAFS buys",
-		Columns: cols,
-	}
-	for _, n := range clients {
-		row := []string{itoa(n)}
-		for _, s := range servers {
-			row = append(row, stats.BW(nfsStripePoint(n, s, false)))
-		}
-		row = append(row, stats.BW(nfsStripePoint(n, last, true)))
-		t.AddRow(row...)
-	}
-	return t
-}
-
-// T15NStripedNFS is the striped multi-mount NFS baseline on T15's grid.
-func T15NStripedNFS() *stats.Table {
-	return t15nTable([]int{1, 2, 4, 8}, []int{1, 2, 4})
 }

@@ -12,8 +12,8 @@ func TestT19Outcomes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("T19 run in short mode")
 	}
-	r := t19Run(0)
-	if !r.Verified {
+	r := t19Run(Observation{})
+	if r.corrupt {
 		t.Fatal("post-reshape read-back not byte-identical")
 	}
 	if r.Epoch != 2 {
@@ -38,7 +38,7 @@ func TestT19Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("T19 runs in short mode")
 	}
-	r1, r2 := t19Run(0), t19Run(0)
+	r1, r2 := t19Run(Observation{}), t19Run(Observation{})
 	if r1.Start != r2.Start || r1.End != r2.End || r1.MigDur != r2.MigDur {
 		t.Errorf("windows differ: [%v,%v] mig %v vs [%v,%v] mig %v",
 			r1.Start, r1.End, r1.MigDur, r2.Start, r2.End, r2.MigDur)
@@ -59,15 +59,18 @@ func TestT15NStripedNFS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("striped NFS grid points in short mode")
 	}
-	nfs1 := nfsStripePoint(2, 1, false)
-	nfs2 := nfsStripePoint(2, 2, false)
+	bw := func(st stack, s int) float64 {
+		return measure(stripePoint("T15N", st, 2, s, stripePer, false)).MBps
+	}
+	nfs1 := bw(stripedNFS, 1)
+	nfs2 := bw(stripedNFS, 2)
 	if nfs2 <= nfs1 {
 		t.Errorf("striping does not scale NFS: width 2 %.1f <= width 1 %.1f MB/s", nfs2, nfs1)
 	}
-	if dafs2 := stripePoint(2, 2, false); dafs2 <= nfs2 {
+	if dafs2 := bw(stripedDAFS, 2); dafs2 <= nfs2 {
 		t.Errorf("DAFS lost its transport edge: striped DAFS %.1f <= striped NFS %.1f MB/s", dafs2, nfs2)
 	}
-	if again := nfsStripePoint(2, 2, false); again != nfs2 {
+	if again := bw(stripedNFS, 2); again != nfs2 {
 		t.Errorf("striped NFS point not deterministic: %.3f vs %.3f", again, nfs2)
 	}
 }

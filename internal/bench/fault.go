@@ -1,19 +1,12 @@
 package bench
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 
-	"dafsio/internal/cluster"
 	"dafsio/internal/dafs"
 	"dafsio/internal/fault"
-	"dafsio/internal/layout"
-	"dafsio/internal/metrics"
-	"dafsio/internal/mpiio"
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
-	"dafsio/internal/trace"
 )
 
 // T16 parameters: the T15 4-client/4-server write point, re-run with a
@@ -35,173 +28,20 @@ const (
 	t16CallTimeout = 20 * sim.Millisecond
 )
 
-// t16Retry is the recovery policy under test: 100us base doubling to a
-// 800us cap, three attempts.
-func t16Retry() dafs.RetryPolicy {
-	return dafs.RetryPolicy{Base: 100 * sim.Microsecond, Max: 800 * sim.Microsecond, Attempts: 3}
-}
-
-// prefillReplicated creates every replica rank's stripe object of a dense
-// n-byte file directly (zero simulated time). The rank-r object on server
-// t mirrors the primary object of server (t-r+W)%W, and prefillStriped's
-// fill pattern is position-independent, so every rank gets the same bytes.
-func prefillReplicated(c *cluster.Cluster, name string, n int64, st layout.Striping) {
-	pat := make([]byte, 64<<10)
-	for i := range pat {
-		pat[i] = byte(i)
-	}
-	sizes := st.ObjectSizes(n)
-	for t := 0; t < st.Width; t++ {
-		for r := 0; r < st.R(); r++ {
-			f, err := c.Stores[t].Create(layout.ReplicaName(name, r))
-			if err != nil {
-				panic(err)
-			}
-			size := sizes[(t-r+st.Width)%st.Width]
-			for off := int64(0); off < size; off += int64(len(pat)) {
-				chunk := pat
-				if rem := size - off; rem < int64(len(chunk)) {
-					chunk = chunk[:rem]
-				}
-				f.WriteAt(chunk, off)
-			}
-		}
-	}
-}
-
-// t16Fill writes the deterministic check pattern for a chunk at absolute
-// file offset abs. The byte at absolute offset x is a function of x that
-// differs across stripes (a plain low-byte counter would repeat every
-// 256 bytes and alias 64KB-aligned stripe offsets), so a fragment landing
-// at the wrong object offset — or read back from a stale replica — fails
-// verification.
-func t16Fill(buf []byte, abs int64) {
-	for j := range buf {
-		x := abs + int64(j)
-		buf[j] = byte(x ^ x>>8 ^ x>>16)
-	}
-}
-
-// t16Result is one T16 run.
-type t16Result struct {
-	MBps     float64  // aggregate write bandwidth over the measured window
-	Recovery sim.Time // max over clients of (first post-kill completion - kill time)
-	Retries  int64    // redial attempts summed over all clients
-	Err      error    // first client error (nil when the run completed)
-	Verified bool     // every completed client's read-back matched the pattern
-	Start    sim.Time
-	End      sim.Time
-	Tracer   *trace.Tracer
-	Reg      *metrics.Registry // non-nil when run with a metrics tick
-}
-
-// t16Run is the T16 workload: 4 clients stream disjoint 4MB regions of one
-// shared striped file in 256KB writes (the T15 write point), optionally
-// with server1 crashing at t16KillAt, then read their regions back and
-// verify every byte. Client errors are captured, not panicked — the
-// replication-1 kill row is *supposed* to fail with ErrAllReplicasDown.
-// A positive mtick additionally installs a metrics registry sampling on
-// that interval (observational: the simulated results are identical).
-func t16Run(replicas int, kill, traced bool, mtick sim.Time) t16Result {
-	const n, s = 4, 4
-	st := layout.Striping{StripeSize: stripeSize, Width: s, Replicas: replicas}
-	cfg := cluster.Config{Clients: n, Servers: s, DAFS: true}
-	if traced {
-		cfg.Tracer = trace.New
-	}
-	if mtick > 0 {
-		cfg.Metrics = metrics.Installer(mtick)
-	}
+// t16Point is the T16 workload: 4 clients stream disjoint 4MB regions of
+// one shared striped file in 256KB writes (the T15 write point), at the
+// given replication and optionally with server1 crashing at t16KillAt,
+// then read their regions back and verify every byte. The retry policy is
+// 100us base doubling to an 800us cap, three attempts.
+func t16Point(replicas int, kill bool) point {
+	pt := stripePoint("T16", stripedDAFS, 4, 4, stripePer, true)
+	pt.name, pt.replicas, pt.verify = "t16", replicas, true
+	pt.opts = &dafs.Options{CallTimeout: t16CallTimeout}
+	pt.retry = dafs.RetryPolicy{Base: 100 * sim.Microsecond, Max: 800 * sim.Microsecond, Attempts: 3}
 	if kill {
-		cfg.Faults = fault.Installer(fault.Plan{Events: []fault.Event{
-			{At: t16KillAt, Kind: fault.ServerCrash, Node: "server1"},
-		}})
+		pt.faults = &fault.Plan{Events: []fault.Event{{At: t16KillAt, Kind: fault.ServerCrash, Node: "server1"}}}
 	}
-	c := cluster.New(cfg)
-	prefillReplicated(c, "t16", 0, st) // empty rank objects on every server
-	ready := sim.NewWaitGroup(c.K, n)
-	res := t16Result{Verified: true, Tracer: c.Tracer, Reg: c.Metrics}
-	firstAfter := make([]sim.Time, n)
-	errs := make([]error, n)
-	err := c.SpawnClients(func(p *sim.Proc, i int) {
-		pool, err := c.DialDAFSAll(p, i, &dafs.Options{CallTimeout: t16CallTimeout})
-		if err != nil {
-			panic(err)
-		}
-		drv := mpiio.NewStripedDAFSDriver(pool, st)
-		drv.Retry = t16Retry()
-		f, err := mpiio.Open(p, nil, drv, "t16", mpiio.ModeRdWr, nil)
-		if err != nil {
-			panic(err)
-		}
-		buf := make([]byte, stripeChunk)
-		base := int64(i) * stripePer
-		// Warm the registration cache and per-server handles (re-written
-		// with the same bytes in the measured loop).
-		t16Fill(buf, base)
-		if _, err := f.WriteAt(p, base, buf); err != nil {
-			panic(err)
-		}
-		ready.Done()
-		ready.Wait(p)
-		if res.Start == 0 {
-			res.Start = p.Now()
-		}
-		for off := int64(0); off < stripePer; off += stripeChunk {
-			t16Fill(buf, base+off)
-			if _, err := f.WriteAt(p, base+off, buf); err != nil {
-				errs[i] = fmt.Errorf("client%d write at %d: %w", i, base+off, err)
-				break
-			}
-			if kill && firstAfter[i] == 0 && p.Now() > t16KillAt {
-				firstAfter[i] = p.Now()
-			}
-		}
-		if now := p.Now(); errs[i] == nil && now > res.End {
-			res.End = now
-		}
-		if errs[i] == nil {
-			// Read-back verification (outside the measured window; under a
-			// kill, fragments of the dead server must come from a replica).
-			got := make([]byte, stripeChunk)
-			want := make([]byte, stripeChunk)
-			for off := int64(0); off < stripePer; off += stripeChunk {
-				nr, err := f.ReadAt(p, base+off, got)
-				if err != nil {
-					errs[i] = fmt.Errorf("client%d read-back at %d: %w", i, base+off, err)
-					break
-				}
-				t16Fill(want, base+off)
-				if nr != len(got) || !bytes.Equal(got, want) {
-					res.Verified = false
-					break
-				}
-			}
-		}
-		res.Retries += drv.Retries
-		f.Close(p)
-	})
-	if err != nil {
-		panic(err)
-	}
-	c.Metrics.SampleNow() // close the series at the run's final instant
-	for _, e := range errs {
-		if e != nil {
-			res.Err = e
-			break
-		}
-	}
-	if res.Err == nil {
-		res.MBps = stats.MBps(int64(n)*stripePer, res.End-res.Start)
-		if kill {
-			for _, t := range firstAfter {
-				if t > 0 && t-t16KillAt > res.Recovery {
-					res.Recovery = t - t16KillAt
-				}
-			}
-		}
-	}
-	return res
+	return pt
 }
 
 // T16Failover is the fault-tolerance experiment: the T15 4x4 write point
@@ -230,7 +70,7 @@ func T16Failover() *stats.Table {
 		{"r=1 kill@10ms", 1, true},
 		{"r=2 kill@10ms", 2, true},
 	} {
-		r := t16Run(row.replicas, row.kill, false, 0)
+		r := run(t16Point(row.replicas, row.kill), Observation{})
 		bw, rec := "-", "-"
 		if r.Err == nil {
 			bw = stats.BW(r.MBps)
@@ -238,31 +78,7 @@ func T16Failover() *stats.Table {
 				rec = r.Recovery.String()
 			}
 		}
-		var out string
-		switch {
-		case errors.Is(r.Err, dafs.ErrAllReplicasDown):
-			out = "failed: all replicas down"
-		case r.Err != nil:
-			out = "failed: " + r.Err.Error()
-		case !r.Verified:
-			out = "CORRUPT read-back"
-		case row.kill:
-			out = "recovered, verified"
-		default:
-			out = "ok, verified"
-		}
-		t.AddRow(row.label, bw, rec, fmt.Sprintf("%d", r.Retries), out)
+		t.AddRow(row.label, bw, rec, fmt.Sprintf("%d", r.Retries), r.Outcome)
 	}
 	return t
-}
-
-// TracedT16 re-runs T16's replicated kill point (r=2, server1 down at
-// 10ms) with tracing — the faulted run the determinism test replays
-// byte-for-byte, retry waits charged to the retry category.
-func TracedT16() TracedResult {
-	r := t16Run(2, true, true, 0)
-	if r.Err != nil {
-		panic(r.Err)
-	}
-	return TracedResult{ID: "T16", MBps: r.MBps, Start: r.Start, End: r.End, Tracer: r.Tracer}
 }

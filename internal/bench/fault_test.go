@@ -13,11 +13,11 @@ import (
 // 10ms) must reproduce the simulated timeline, byte counts, recovery
 // metrics, and Chrome trace export exactly.
 func TestT16FaultedDeterminism(t *testing.T) {
-	r1 := t16Run(2, true, true, 0)
-	r2 := t16Run(2, true, true, 0)
-	for _, r := range []*t16Result{&r1, &r2} {
-		if r.Err != nil || !r.Verified {
-			t.Fatalf("faulted run did not complete verified: err=%v verified=%v", r.Err, r.Verified)
+	r1 := run(t16Point(2, true), traced)
+	r2 := run(t16Point(2, true), traced)
+	for _, r := range []Result{r1, r2} {
+		if r.Err != nil || r.corrupt {
+			t.Fatalf("faulted run did not complete verified: %s", r.Outcome)
 		}
 	}
 	if r1.MBps != r2.MBps || r1.Start != r2.Start || r1.End != r2.End {
@@ -42,8 +42,8 @@ func TestT16FaultedDeterminism(t *testing.T) {
 // TestT16TracedMatchesUntraced: fault injection composes with tracing the
 // same way everything else does — observationally.
 func TestT16TracedMatchesUntraced(t *testing.T) {
-	if traced, plain := TracedT16().MBps, t16Run(2, true, false, 0).MBps; traced != plain {
-		t.Errorf("T16 bandwidth: traced %v != untraced %v", traced, plain)
+	if tr, plain := observed(t, "T16", 4, 4, traced).MBps, run(t16Point(2, true), Observation{}).MBps; tr != plain {
+		t.Errorf("T16 bandwidth: traced %v != untraced %v", tr, plain)
 	}
 }
 
@@ -51,12 +51,12 @@ func TestT16TracedMatchesUntraced(t *testing.T) {
 // the crash is fatal and surfaces as ErrAllReplicasDown; replicated, the
 // run completes with verified data and a positive recovery latency.
 func TestT16Outcomes(t *testing.T) {
-	if r := t16Run(1, true, false, 0); !errors.Is(r.Err, dafs.ErrAllReplicasDown) {
+	if r := run(t16Point(1, true), Observation{}); !errors.Is(r.Err, dafs.ErrAllReplicasDown) {
 		t.Errorf("r=1 kill: err=%v, want ErrAllReplicasDown", r.Err)
 	}
-	r := t16Run(2, true, false, 0)
-	if r.Err != nil || !r.Verified {
-		t.Fatalf("r=2 kill: err=%v verified=%v, want a verified completion", r.Err, r.Verified)
+	r := run(t16Point(2, true), Observation{})
+	if r.Outcome != "recovered, verified" {
+		t.Fatalf("r=2 kill: %s, want a verified completion", r.Outcome)
 	}
 	if r.Recovery <= 0 {
 		t.Errorf("r=2 kill: recovery latency %v, want positive", r.Recovery)
@@ -64,9 +64,9 @@ func TestT16Outcomes(t *testing.T) {
 	if r.Retries == 0 {
 		t.Error("r=2 kill: no redial attempts recorded")
 	}
-	healthy := t16Run(2, false, false, 0)
-	if healthy.Err != nil || !healthy.Verified {
-		t.Fatalf("r=2 healthy: err=%v verified=%v", healthy.Err, healthy.Verified)
+	healthy := run(t16Point(2, false), Observation{})
+	if healthy.Outcome != "ok, verified" {
+		t.Fatalf("r=2 healthy: %s", healthy.Outcome)
 	}
 	if r.MBps >= healthy.MBps {
 		t.Errorf("killed run %.1f MB/s not below healthy %.1f MB/s", r.MBps, healthy.MBps)

@@ -43,8 +43,8 @@ func T12FasterNetworks() *stats.Table {
 			}
 			return p
 		}
-		d := dafsTransferProf(mk(), size, total, false, nil, nil)
-		n := nfsTransferProf(mk(), size, total, false)
+		d := transfer(seq("T12", dafsStack, size, total, false).under(mk()))
+		n := transfer(seq("T12", nfsStack, size, total, false).under(mk()))
 		util := func(r transferResult) float64 { return float64(r.cpuMB) / 1e9 * r.bw }
 		t.AddRow(l.name,
 			stats.BW(d.bw), stats.BW(n.bw), stats.Ratio(d.bw/n.bw),
@@ -66,8 +66,8 @@ func T13GbEProfile() *stats.Table {
 	}
 	for _, size := range []int{2048, 32768, 524288} {
 		total := totalFor(size)
-		d := dafsTransferProf(model.GbE2000(), size, total, false, nil, nil)
-		n := nfsTransferProf(model.GbE2000(), size, total, false)
+		d := transfer(seq("T13", dafsStack, size, total, false).under(model.GbE2000()))
+		n := transfer(seq("T13", nfsStack, size, total, false).under(model.GbE2000()))
 		t.AddRow(stats.Size(int64(size)), stats.BW(d.bw), stats.BW(n.bw), stats.Ratio(d.bw/n.bw))
 	}
 	return t

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"dafsio/internal/cluster"
 	"dafsio/internal/fabric"
 	"dafsio/internal/model"
 	"dafsio/internal/mpiio"
@@ -14,20 +13,18 @@ import (
 // viaPair is a bare two-node VIA testbed for the microbenchmarks.
 type viaPair struct {
 	k          *sim.Kernel
-	prof       *model.Profile
 	tr         *trace.Tracer
 	nicA, nicB *via.NIC
 	viA, viB   *via.VI
 }
 
-func newViaPair() *viaPair { return newViaPairTraced(false) }
-
-func newViaPairTraced(traced bool) *viaPair {
-	prof := model.CLAN1998()
+// newViaPair builds the pair; an Observation can trace it but not sample
+// it, since there is no cluster to hold a metrics registry.
+func newViaPair(o Observation) *viaPair {
 	k := sim.NewKernel()
-	fab := fabric.New(k, prof)
+	fab := fabric.New(k, model.CLAN1998())
 	prov := via.NewProvider(fab)
-	if traced {
+	if o.Trace {
 		prov.Tracer = trace.New(k)
 	}
 	nicA := prov.NewNIC(fab.AddNode("a"))
@@ -35,12 +32,21 @@ func newViaPairTraced(traced bool) *viaPair {
 	viA := nicA.NewVI(nicA.NewCQ("a.s"), nicA.NewCQ("a.r"))
 	viB := nicB.NewVI(nicB.NewCQ("b.s"), nicB.NewCQ("b.r"))
 	via.Connect(viA, viB)
-	return &viaPair{k: k, prof: prof, tr: prov.Tracer, nicA: nicA, nicB: nicB, viA: viA, viB: viB}
+	return &viaPair{k: k, tr: prov.Tracer, nicA: nicA, nicB: nicB, viA: viA, viB: viB}
+}
+
+// run drives the pair to completion and shuts its kernel down.
+func (v *viaPair) run() {
+	err := v.k.Run()
+	v.k.Shutdown()
+	if err != nil {
+		panic(err)
+	}
 }
 
 // pingpongOneWay measures half the ping-pong round trip for one size.
 func pingpongOneWay(size, iters int) sim.Time {
-	v := newViaPair()
+	v := newViaPair(Observation{})
 	var elapsed sim.Time
 	v.k.Spawn("a", func(p *sim.Proc) {
 		send := v.nicA.Register(p, make([]byte, size))
@@ -64,15 +70,13 @@ func pingpongOneWay(size, iters int) sim.Time {
 			v.viB.SendCQ.Wait(p)
 		}
 	})
-	if err := v.k.Run(); err != nil {
-		panic(err)
-	}
+	v.run()
 	return elapsed / sim.Time(2*iters)
 }
 
-// streamBW measures back-to-back send bandwidth for one size.
-func streamBW(size, count int) float64 {
-	v := newViaPair()
+// stream measures the bandwidth of count back-to-back sends of one size.
+func stream(size, count int, o Observation) Result {
+	v := newViaPair(o)
 	var start, end sim.Time
 	v.k.Spawn("rx", func(p *sim.Proc) {
 		r := v.nicB.Register(p, make([]byte, size))
@@ -94,15 +98,13 @@ func streamBW(size, count int) float64 {
 			v.viA.SendCQ.Wait(p)
 		}
 	})
-	if err := v.k.Run(); err != nil {
-		panic(err)
-	}
-	return stats.MBps(int64(size)*int64(count), end-start)
+	v.run()
+	return Result{ID: "T1", MBps: stats.MBps(int64(size)*int64(count), end-start), Start: start, End: end, Tracer: v.tr}
 }
 
 // rdmaWriteBW measures back-to-back RDMA write bandwidth for one size.
 func rdmaWriteBW(size, count int) float64 {
-	v := newViaPair()
+	v := newViaPair(Observation{})
 	ready := sim.NewFuture[via.MemHandle](v.k)
 	var start, end sim.Time
 	v.k.Spawn("target", func(p *sim.Proc) {
@@ -124,9 +126,7 @@ func rdmaWriteBW(size, count int) float64 {
 		}
 		end = p.Now()
 	})
-	if err := v.k.Run(); err != nil {
-		panic(err)
-	}
+	v.run()
 	return stats.MBps(int64(size)*int64(count), end-start)
 }
 
@@ -141,7 +141,7 @@ func T1RawVIA() *stats.Table {
 	}
 	for _, size := range []int{8, 64, 512, 4096, 16384, 65536, 262144, 1 << 20} {
 		lat := pingpongOneWay(size, 16)
-		bw := streamBW(size, 64)
+		bw := stream(size, 64, Observation{}).MBps
 		rw := rdmaWriteBW(size, 64)
 		t.AddRow(stats.Size(int64(size)), stats.Us(lat), stats.BW(bw), stats.BW(rw))
 	}
@@ -212,16 +212,16 @@ func T7Breakdown() *stats.Table {
 
 // measureDafsReadLatency times a single warm read of the given size.
 func measureDafsReadLatency(size int, direct bool) sim.Time {
-	c := newDafsRig()
-	prefill(c, "lat", 1<<20)
+	threshold := 1 << 20
+	if direct {
+		threshold = 0
+	}
+	pt := point{id: "T7", clients: 1, stack: dafsStack, name: "lat", per: 1 << 20,
+		tune: func(d *mpiio.DAFSDriver) { d.DirectThreshold = threshold }}
+	c := newCluster(pt, Observation{})
 	var lat sim.Time
 	c.K.Spawn("app", func(p *sim.Proc) {
-		f, drv := openDafs(p, c, 0, "lat", mpiio.ModeRdOnly, nil)
-		if direct {
-			drv.DirectThreshold = 0
-		} else {
-			drv.DirectThreshold = 1 << 20
-		}
+		f, _ := open(p, c, pt, 0)
 		buf := make([]byte, size)
 		f.ReadAt(p, 0, buf) // warm (registration, caches)
 		start := p.Now()
@@ -229,11 +229,6 @@ func measureDafsReadLatency(size int, direct bool) sim.Time {
 		lat = p.Now() - start
 		f.Close(p)
 	})
-	mustRun(c)
+	end(c, c.Run())
 	return lat
-}
-
-// newDafsRig builds the standard 1-client DAFS cluster.
-func newDafsRig() *cluster.Cluster {
-	return cluster.New(cluster.Config{Clients: 1, DAFS: true})
 }

@@ -1,108 +1,11 @@
 package bench
 
 import (
-	"dafsio/internal/cluster"
 	"dafsio/internal/dafs"
-	"dafsio/internal/model"
 	"dafsio/internal/mpiio"
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
 )
-
-// transferResult captures one measured transfer sweep point.
-type transferResult struct {
-	bw    float64  // MB/s
-	cpuMB sim.Time // client CPU time per megabyte moved
-}
-
-// dafsTransfer measures sequential MPI-IO requests of one size over DAFS.
-func dafsTransfer(size int, total int64, write bool, cfg func(*mpiio.DAFSDriver), opts *dafs.Options) transferResult {
-	return dafsTransferProf(nil, size, total, write, cfg, opts)
-}
-
-// dafsTransferProf is dafsTransfer under an explicit cost model (nil =
-// default clan-1998).
-func dafsTransferProf(prof *model.Profile, size int, total int64, write bool, cfg func(*mpiio.DAFSDriver), opts *dafs.Options) transferResult {
-	c := cluster.New(cluster.Config{Clients: 1, DAFS: true, Profile: prof})
-	if !write {
-		prefill(c, "f", total)
-	} else {
-		if _, err := c.Store.Create("f"); err != nil {
-			panic(err)
-		}
-	}
-	var res transferResult
-	c.K.Spawn("app", func(p *sim.Proc) {
-		f, drv := openDafs(p, c, 0, "f", mpiio.ModeRdWr, opts)
-		if cfg != nil {
-			cfg(drv)
-		}
-		res = sweep(p, c, f, size, total, write)
-		f.Close(p)
-	})
-	mustRun(c)
-	return res
-}
-
-// nfsTransfer measures the same sweep over NFS.
-func nfsTransfer(size int, total int64, write bool) transferResult {
-	return nfsTransferProf(nil, size, total, write)
-}
-
-// nfsTransferProf is nfsTransfer under an explicit cost model.
-func nfsTransferProf(prof *model.Profile, size int, total int64, write bool) transferResult {
-	c := cluster.New(cluster.Config{Clients: 1, NFS: true, Profile: prof})
-	if !write {
-		prefill(c, "f", total)
-	} else {
-		if _, err := c.Store.Create("f"); err != nil {
-			panic(err)
-		}
-	}
-	var res transferResult
-	c.K.Spawn("app", func(p *sim.Proc) {
-		f := openNfs(p, c, 0, "f", mpiio.ModeRdWr)
-		res = sweep(p, c, f, size, total, write)
-		f.Close(p)
-	})
-	mustRun(c)
-	return res
-}
-
-// sweep issues sequential size-byte requests covering total bytes and
-// reports bandwidth plus client CPU per MB. The first request warms
-// registrations and is excluded.
-func sweep(p *sim.Proc, c *cluster.Cluster, f *mpiio.File, size int, total int64, write bool) transferResult {
-	buf := make([]byte, size)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	node := c.ClientNodes[0]
-	op := func(off int64) {
-		var err error
-		if write {
-			_, err = f.WriteAt(p, off, buf)
-		} else {
-			_, err = f.ReadAt(p, off, buf)
-		}
-		if err != nil {
-			panic(err)
-		}
-	}
-	op(0) // warm
-	start, cpu0 := p.Now(), node.CPU.BusyTime()
-	var moved int64
-	for off := int64(0); off+int64(size) <= total; off += int64(size) {
-		op(off)
-		moved += int64(size)
-	}
-	elapsed := p.Now() - start
-	cpu := node.CPU.BusyTime() - cpu0
-	return transferResult{
-		bw:    stats.MBps(moved, elapsed),
-		cpuMB: sim.Time(float64(cpu) / (float64(moved) / 1e6)),
-	}
-}
 
 // T2RequestSize reproduces the headline single-client curve: MPI-IO read
 // and write bandwidth vs request size, DAFS vs NFS.
@@ -115,10 +18,10 @@ func T2RequestSize() *stats.Table {
 	}
 	for _, size := range []int{512, 2048, 8192, 32768, 131072, 524288, 1 << 20} {
 		total := totalFor(size)
-		dr := dafsTransfer(size, total, false, nil, nil)
-		dw := dafsTransfer(size, total, true, nil, nil)
-		nr := nfsTransfer(size, total, false)
-		nw := nfsTransfer(size, total, true)
+		dr := transfer(seq("T2", dafsStack, size, total, false))
+		dw := transfer(seq("T2", dafsStack, size, total, true))
+		nr := transfer(seq("T2", nfsStack, size, total, false))
+		nw := transfer(seq("T2", nfsStack, size, total, true))
 		t.AddRow(stats.Size(int64(size)),
 			stats.BW(dr.bw), stats.BW(dw.bw), stats.BW(nr.bw), stats.BW(nw.bw))
 	}
@@ -135,12 +38,16 @@ func T3InlineDirect() *stats.Table {
 		Columns: []string{"request", "inline MB/s", "direct MB/s", "auto MB/s"},
 	}
 	// Sessions with a large MaxInline so inline can be forced at all sizes.
-	bigInline := &dafs.Options{MaxInline: 256 << 10}
+	forced := func(size, threshold int) transferResult {
+		pt := seq("T3", dafsStack, size, totalFor(size), false)
+		pt.opts = &dafs.Options{MaxInline: 256 << 10}
+		pt.tune = func(d *mpiio.DAFSDriver) { d.DirectThreshold = threshold }
+		return transfer(pt)
+	}
 	for _, size := range []int{512, 2048, 8192, 32768, 131072, 262144} {
-		total := totalFor(size)
-		inline := dafsTransfer(size, total, false, func(d *mpiio.DAFSDriver) { d.DirectThreshold = 256 << 10 }, bigInline)
-		direct := dafsTransfer(size, total, false, func(d *mpiio.DAFSDriver) { d.DirectThreshold = 0 }, bigInline)
-		auto := dafsTransfer(size, total, false, func(d *mpiio.DAFSDriver) { d.DirectThreshold = 8192 }, bigInline)
+		inline := forced(size, 256<<10)
+		direct := forced(size, 0)
+		auto := forced(size, 8192)
 		t.AddRow(stats.Size(int64(size)),
 			stats.BW(inline.bw), stats.BW(direct.bw), stats.BW(auto.bw))
 	}
@@ -163,10 +70,10 @@ func T4CPUOverhead() *stats.Table {
 		util := float64(r.cpuMB) / 1e9 * r.bw
 		t.AddRow(name, stats.BW(r.bw), stats.Us(r.cpuMB/1000), stats.Pct(util))
 	}
-	add("dafs read", dafsTransfer(size, total, false, nil, nil))
-	add("dafs write", dafsTransfer(size, total, true, nil, nil))
-	add("nfs read", nfsTransfer(size, total, false))
-	add("nfs write", nfsTransfer(size, total, true))
+	add("dafs read", transfer(seq("T4", dafsStack, size, total, false)))
+	add("dafs write", transfer(seq("T4", dafsStack, size, total, true)))
+	add("nfs read", transfer(seq("T4", nfsStack, size, total, false)))
+	add("nfs write", transfer(seq("T4", nfsStack, size, total, true)))
 	return t
 }
 
@@ -179,16 +86,15 @@ func T8RegCache() *stats.Table {
 		Note:    "no-cache registers and deregisters the buffer around every operation",
 		Columns: []string{"request", "no-cache MB/s", "cache MB/s", "speedup"},
 	}
-	measure := func(size int, cache bool) float64 {
-		c := newDafsRig()
-		if _, err := c.Store.Create("f"); err != nil {
-			panic(err)
-		}
+	timed := func(size int, cache bool) float64 {
+		pt := point{id: "T8", clients: 1, stack: dafsStack, name: "f", write: true, tune: func(d *mpiio.DAFSDriver) {
+			d.RegCache = cache
+			d.DirectThreshold = 0 // always direct
+		}}
+		c := newCluster(pt, Observation{})
 		var bw float64
 		c.K.Spawn("app", func(p *sim.Proc) {
-			f, drv := openDafs(p, c, 0, "f", mpiio.ModeRdWr, nil)
-			drv.RegCache = cache
-			drv.DirectThreshold = 0 // always direct
+			f, _ := open(p, c, pt, 0)
 			buf := make([]byte, size)
 			start := p.Now()
 			const iters = 16
@@ -200,12 +106,12 @@ func T8RegCache() *stats.Table {
 			bw = stats.MBps(int64(size)*iters, p.Now()-start)
 			f.Close(p)
 		})
-		mustRun(c)
+		end(c, c.Run())
 		return bw
 	}
 	for _, size := range []int{4096, 32768, 131072, 524288, 1 << 20} {
-		no := measure(size, false)
-		yes := measure(size, true)
+		no := timed(size, false)
+		yes := timed(size, true)
 		t.AddRow(stats.Size(int64(size)), stats.BW(no), stats.BW(yes), stats.Ratio(yes/no))
 	}
 	return t
@@ -231,17 +137,12 @@ func T10OpLatency() *stats.Table {
 		{"4KB read", func(p *sim.Proc, f *mpiio.File, i int) { f.ReadAt(p, 0, make([]byte, 4096)) }},
 		{"4KB write", func(p *sim.Proc, f *mpiio.File, i int) { f.WriteAt(p, 0, make([]byte, 4096)) }},
 	}
-	measure := func(nfsStack bool) []sim.Time {
+	timed := func(st stack) []sim.Time {
 		out := make([]sim.Time, len(probes))
-		c := cluster.New(cluster.Config{Clients: 1, DAFS: !nfsStack, NFS: nfsStack})
-		prefill(c, "ops", 64<<10)
+		pt := point{id: "T10", clients: 1, stack: st, name: "ops", per: 64 << 10}
+		c := newCluster(pt, Observation{})
 		c.K.Spawn("app", func(p *sim.Proc) {
-			var f *mpiio.File
-			if nfsStack {
-				f = openNfs(p, c, 0, "ops", mpiio.ModeRdWr)
-			} else {
-				f, _ = openDafs(p, c, 0, "ops", mpiio.ModeRdWr, nil)
-			}
+			f, _ := open(p, c, pt, 0)
 			for pi, pr := range probes {
 				pr.run(p, f, 0) // warm
 				start := p.Now()
@@ -253,11 +154,11 @@ func T10OpLatency() *stats.Table {
 			}
 			f.Close(p)
 		})
-		mustRun(c)
+		end(c, c.Run())
 		return out
 	}
-	dafsT := measure(false)
-	nfsT := measure(true)
+	dafsT := timed(dafsStack)
+	nfsT := timed(nfsStack)
 	for i, pr := range probes {
 		t.AddRow(pr.name, stats.Us(dafsT[i]), stats.Us(nfsT[i]))
 	}

@@ -1,60 +1,14 @@
 package bench
 
 import (
-	"dafsio/internal/cluster"
-	"dafsio/internal/mpiio"
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
 )
 
-// scalePoint measures aggregate read bandwidth for n clients hammering one
-// server, each reading its own region of a shared file in 64KB requests.
-func scalePoint(n int, nfsStack bool) (aggBW float64, srvUtil float64) {
-	const (
-		chunk   = 64 << 10
-		perNode = 4 << 20
-	)
-	c := cluster.New(cluster.Config{Clients: n, DAFS: !nfsStack, NFS: nfsStack})
-	prefill(c, "shared", int64(n)*perNode)
-
-	// Gate: all clients open first, then measure from a common instant.
-	ready := sim.NewWaitGroup(c.K, n)
-	var start, end sim.Time
-	srvCPU := c.ServerNode.CPU
-	var cpu0 sim.Time
-	err := c.SpawnClients(func(p *sim.Proc, i int) {
-		var f *mpiio.File
-		if nfsStack {
-			f = openNfs(p, c, i, "shared", mpiio.ModeRdOnly)
-		} else {
-			f, _ = openDafs(p, c, i, "shared", mpiio.ModeRdOnly, nil)
-		}
-		buf := make([]byte, chunk)
-		f.ReadAt(p, int64(i)*perNode, buf) // warm
-		ready.Done()
-		ready.Wait(p)
-		if start == 0 {
-			start = p.Now()
-			cpu0 = srvCPU.BusyTime()
-		}
-		base := int64(i) * perNode
-		for off := int64(0); off < perNode; off += chunk {
-			if _, err := f.ReadAt(p, base+off, buf); err != nil {
-				panic(err)
-			}
-		}
-		if now := p.Now(); now > end {
-			end = now
-		}
-		f.Close(p)
-	})
-	if err != nil {
-		panic(err)
-	}
-	elapsed := end - start
-	aggBW = stats.MBps(int64(n)*perNode, elapsed)
-	srvUtil = float64(srvCPU.BusyTime()-cpu0) / float64(elapsed)
-	return aggBW, srvUtil
+// scalePoint is n clients hammering one server, each reading its own 4MB
+// region of a shared file in 64KB calls after a warm-up read.
+func scalePoint(n int, st stack) point {
+	return point{id: "T5", clients: n, stack: st, name: "shared", req: 64 << 10, per: 4 << 20, warm: true}
 }
 
 // T5Scaling reproduces the client-scaling figure: aggregate bandwidth and
@@ -67,9 +21,9 @@ func T5Scaling() *stats.Table {
 		Columns: []string{"clients", "dafs MB/s", "dafs srv-cpu", "nfs MB/s", "nfs srv-cpu"},
 	}
 	for _, n := range []int{1, 2, 4, 6, 8} {
-		dbw, dcpu := scalePoint(n, false)
-		nbw, ncpu := scalePoint(n, true)
-		t.AddRow(itoa(n), stats.BW(dbw), stats.Pct(dcpu), stats.BW(nbw), stats.Pct(ncpu))
+		d := measure(scalePoint(n, dafsStack))
+		f := measure(scalePoint(n, nfsStack))
+		t.AddRow(itoa(n), stats.BW(d.MBps), stats.Pct(d.srvCPU), stats.BW(f.MBps), stats.Pct(f.srvCPU))
 	}
 	return t
 }
@@ -88,14 +42,12 @@ func T9Overlap() *stats.Table {
 		size    = 512 << 10
 		compute = 4 * sim.Millisecond
 	)
-	measure := func(overlap bool) sim.Time {
-		c := newDafsRig()
-		if _, err := c.Store.Create("f"); err != nil {
-			panic(err)
-		}
+	pt := point{id: "T9", clients: 1, stack: dafsStack, name: "f", write: true}
+	timed := func(overlap bool) sim.Time {
+		c := newCluster(pt, Observation{})
 		var elapsed sim.Time
 		c.K.Spawn("app", func(p *sim.Proc) {
-			f, _ := openDafs(p, c, 0, "f", mpiio.ModeRdWr, nil)
+			f, _ := open(p, c, pt, 0)
 			node := c.ClientNodes[0]
 			// Computation timeshares the CPU in scheduler-quantum slices,
 			// so the I/O path's (tiny) CPU needs interleave with it.
@@ -126,11 +78,11 @@ func T9Overlap() *stats.Table {
 			elapsed = p.Now() - start
 			f.Close(p)
 		})
-		mustRun(c)
+		end(c, c.Run())
 		return elapsed
 	}
-	blocking := measure(false)
-	overlapped := measure(true)
+	blocking := timed(false)
+	overlapped := timed(true)
 	t.AddRow("blocking", msFmt(blocking), stats.Ratio(1))
 	t.AddRow("overlapped", msFmt(overlapped), stats.Ratio(float64(blocking)/float64(overlapped)))
 	return t

@@ -39,8 +39,8 @@ func T11Sensitivity() *stats.Table {
 		v.mod(dp)
 		np := model.CLAN1998()
 		v.mod(np)
-		d := dafsTransferProf(dp, size, total, false, nil, nil)
-		n := nfsTransferProf(np, size, total, false)
+		d := transfer(seq("T11", dafsStack, size, total, false).under(dp))
+		n := transfer(seq("T11", nfsStack, size, total, false).under(np))
 		t.AddRow(v.name,
 			stats.BW(d.bw), stats.BW(n.bw),
 			stats.Ratio(d.bw/n.bw),

@@ -9,57 +9,6 @@ import (
 	"dafsio/internal/stats"
 )
 
-// StatResult is one experiment run recorded through the always-on metrics
-// plane: the experiment's headline numbers plus the registry holding the
-// sampled time series and any flight-recorder dumps. Metrics are
-// observational, so MBps matches the plain experiment exactly (pinned by
-// TestStatMatchesPlain).
-type StatResult struct {
-	ID    string
-	MBps  float64
-	Start sim.Time
-	End   sim.Time
-	Reg   *metrics.Registry
-
-	// T16 extras (zero for other experiments).
-	Recovery sim.Time
-	Retries  int64
-	Outcome  string
-	Err      error
-}
-
-// StatT15 runs one T15 striped write point with the sampler on.
-func StatT15(clients, servers int, tick sim.Time) StatResult {
-	bw, start, end, c := stripeRunN(clients, servers, stripePer, true, false, tick)
-	return StatResult{ID: "T15", MBps: bw, Start: start, End: end, Reg: c.Metrics, Outcome: "ok"}
-}
-
-// StatT16 runs T16's replicated kill point (r=2, server1 crashing at
-// 10ms) with the sampler on: the sampled series show the bandwidth dip,
-// the retry spike, the replica exclusion, and the recovery, and the crash
-// dumps every flight ring into the registry's postmortem list.
-func StatT16(tick sim.Time) StatResult {
-	r := t16Run(2, true, false, tick)
-	out := "recovered, verified"
-	switch {
-	case r.Err != nil:
-		out = "failed: " + r.Err.Error()
-	case !r.Verified:
-		out = "CORRUPT read-back"
-	}
-	return StatResult{
-		ID: "T16", MBps: r.MBps, Start: r.Start, End: r.End, Reg: r.Reg,
-		Recovery: r.Recovery, Retries: r.Retries, Outcome: out, Err: r.Err,
-	}
-}
-
-// StatT17 runs T17's stripe-aligned two-phase collective write at the
-// given width with the sampler on.
-func StatT17(width int, tick sim.Time) StatResult {
-	bw, start, end, c := t17Run(width, methodTwoPhase, false, tick)
-	return StatResult{ID: "T17", MBps: bw, Start: start, End: end, Reg: c.Metrics, Outcome: "ok"}
-}
-
 // seriesAt indexes a sampled series by instant. Instruments registered
 // after the sampler's first tick (a client dialing at t=0, a driver built
 // mid-run) have shorter series than the kernel's own, so rows are joined
@@ -94,7 +43,7 @@ func middle(name, prefix, suffix string) string {
 // the servers' byte counters), plus the failover counters that make a
 // T16 kill legible — redial attempts in the interval, sessions currently
 // down, replicas excluded from read-any.
-func (r StatResult) SeriesTable() *stats.Table {
+func (r Result) SeriesTable() *stats.Table {
 	instants := r.Reg.Series("sim.kernel.events_dispatched")
 	wrNames := namesWith(r.Reg, "dafs.server.", ".wr_bytes")
 	rdNames := namesWith(r.Reg, "dafs.server.", ".rd_bytes")
@@ -120,26 +69,10 @@ func (r StatResult) SeriesTable() *stats.Table {
 	}
 
 	at := make(map[string]map[sim.Time]int64)
-	for _, n := range wrNames {
-		at[n] = seriesAt(r.Reg, n)
-	}
-	for _, n := range rdNames {
-		at[n] = seriesAt(r.Reg, n)
-	}
-	for _, n := range retryNames {
-		at[n] = seriesAt(r.Reg, n)
-	}
-	for _, n := range downNames {
-		at[n] = seriesAt(r.Reg, n)
-	}
-	for _, n := range exclNames {
-		at[n] = seriesAt(r.Reg, n)
-	}
-	for _, n := range rslvNames {
-		at[n] = seriesAt(r.Reg, n)
-	}
-	for _, n := range epochNames {
-		at[n] = seriesAt(r.Reg, n)
+	for _, names := range [][]string{wrNames, rdNames, retryNames, downNames, exclNames, rslvNames, epochNames} {
+		for _, n := range names {
+			at[n] = seriesAt(r.Reg, n)
+		}
 	}
 	sum := func(names []string, t sim.Time) int64 {
 		var s int64

@@ -8,20 +8,20 @@ import (
 	"dafsio/internal/sim"
 )
 
-// statTick is the sampling interval the tests run the metrics plane at.
-const statTick = sim.Millisecond
+// sampled runs the metrics plane at the interval the tests use.
+var sampled = Observation{Tick: sim.Millisecond}
 
 // Metrics are observational: the T16 kill run produces byte-identical
 // experiment results with the plane on and off — same bandwidth, same
 // recovery latency, same redial count, same verified bytes.
 func TestT16MetricsOnMatchesOff(t *testing.T) {
-	off := t16Run(2, true, false, 0)
-	on := t16Run(2, true, false, statTick)
+	off := run(t16Point(2, true), Observation{})
+	on := run(t16Point(2, true), sampled)
 	if off.Err != nil || on.Err != nil {
 		t.Fatalf("errs: off=%v on=%v", off.Err, on.Err)
 	}
 	if off.MBps != on.MBps || off.Recovery != on.Recovery || off.Retries != on.Retries ||
-		off.Start != on.Start || off.End != on.End || off.Verified != on.Verified {
+		off.Start != on.Start || off.End != on.End || off.Outcome != on.Outcome {
 		t.Fatalf("metrics perturbed T16:\noff=%+v\non=%+v", off, on)
 	}
 	if on.Reg == nil || off.Reg != nil {
@@ -31,19 +31,19 @@ func TestT16MetricsOnMatchesOff(t *testing.T) {
 
 // The T15 and T17 points likewise.
 func TestStatMatchesPlain(t *testing.T) {
-	if plain := stripePoint(2, 2, true); StatT15(2, 2, statTick).MBps != plain {
+	if plain := measure(stripePoint("T15", stripedDAFS, 2, 2, stripePer, true)).MBps; observed(t, "T15", 2, 2, sampled).MBps != plain {
 		t.Fatal("metrics perturbed the T15 write point")
 	}
-	if plain := t17Point(2, methodTwoPhase); StatT17(2, statTick).MBps != plain {
+	if plain := measure(t17Point(2, methodTwoPhase)).MBps; observed(t, "T17", 4, 2, sampled).MBps != plain {
 		t.Fatal("metrics perturbed the T17 collective point")
 	}
 }
 
-// Two identical StatT16 runs render byte-identical series tables and
-// marshal byte-identical JSON exports — the mpiostat determinism contract.
+// Two identical sampled T16 runs render byte-identical series tables and
+// marshal byte-identical JSON exports — the `mpio stat` determinism contract.
 func TestStatT16Deterministic(t *testing.T) {
 	dump := func() (string, string) {
-		r := StatT16(statTick)
+		r := observed(t, "T16", 4, 4, sampled)
 		var buf bytes.Buffer
 		if err := r.Reg.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -65,7 +65,7 @@ func TestStatT16Deterministic(t *testing.T) {
 // dump the client rings, the redial counters spike, and a replica is
 // excluded on every client.
 func TestStatT16FlightRecorder(t *testing.T) {
-	r := StatT16(statTick)
+	r := observed(t, "T16", 4, 4, sampled)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -125,7 +125,7 @@ func TestStatT16FlightRecorder(t *testing.T) {
 	}
 	var atKill, final int64
 	for _, p := range s1 {
-		if p.At <= t16KillAt+statTick {
+		if p.At <= t16KillAt+sampled.Tick {
 			atKill = p.V
 		}
 		final = p.V

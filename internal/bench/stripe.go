@@ -1,13 +1,7 @@
 package bench
 
 import (
-	"dafsio/internal/cluster"
-	"dafsio/internal/layout"
-	"dafsio/internal/metrics"
-	"dafsio/internal/mpiio"
-	"dafsio/internal/sim"
 	"dafsio/internal/stats"
-	"dafsio/internal/trace"
 )
 
 // Striping parameters for T15: 64KB stripes, so a 256KB request fans out
@@ -16,150 +10,40 @@ const (
 	stripeSize  = 64 << 10
 	stripeChunk = 256 << 10
 	stripePer   = 4 << 20 // bytes each client moves
+
+	// T18 moves 1MB per client so the top point — 512 clients x 64
+	// servers, 32768 dialed sessions, >10k simultaneously live procs —
+	// regenerates in seconds; the request and stripe sizes stay T15's, so
+	// the curves join up.
+	t18Per = 1 << 20
 )
 
-// prefillStriped populates every server's stripe object of a dense n-byte
-// file directly (zero simulated time), the striped analogue of prefill.
-func prefillStriped(c *cluster.Cluster, name string, n int64, st layout.Striping) {
-	pat := make([]byte, 64<<10)
-	for i := range pat {
-		pat[i] = byte(i)
-	}
-	for srv, size := range st.ObjectSizes(n) {
-		f, err := c.Stores[srv].Create(name)
-		if err != nil {
-			panic(err)
-		}
-		for off := int64(0); off < size; off += int64(len(pat)) {
-			chunk := pat
-			if rem := size - off; rem < int64(len(chunk)) {
-				chunk = chunk[:rem]
-			}
-			f.WriteAt(chunk, off)
-		}
-	}
+// stripePoint is T15's cell: n clients each stream their own per-byte
+// region of one file striped over s servers in 256KB calls, every call
+// dispatched as concurrent per-server stripe fragments, after a warm-up
+// call that fills the registration cache and the per-server handles.
+func stripePoint(id string, st stack, n, s int, per int64, write bool) point {
+	return point{id: id, clients: n, servers: s, stack: st, name: "striped", req: stripeChunk, per: per, write: write, warm: true}
 }
 
-// openDafsStriped dials every server and opens an MPI-IO file over the
-// striped driver.
-func openDafsStriped(p *sim.Proc, c *cluster.Cluster, client int, st layout.Striping, name string, mode int) (*mpiio.File, *mpiio.StripedDAFSDriver) {
-	pool, err := c.DialDAFSAll(p, client, nil)
-	if err != nil {
-		panic(err)
-	}
-	drv := mpiio.NewStripedDAFSDriver(pool, st)
-	f, err := mpiio.Open(p, nil, drv, name, mode, nil)
-	if err != nil {
-		panic(err)
-	}
-	return f, drv
-}
-
-// stripePoint measures aggregate bandwidth for n clients against s servers:
-// each client streams its own region of one shared striped file in
-// 256KB requests, every request dispatched as concurrent per-server
-// stripe fragments. Same gating discipline as scalePoint.
-func stripePoint(n, s int, write bool) float64 {
-	bw, _, _, _ := stripeRun(n, s, write, false)
-	return bw
-}
-
-// stripeRun is stripePoint with optional tracing; it returns the bandwidth,
-// the measured window, and the tracer (nil when traced is false).
-func stripeRun(n, s int, write, traced bool) (float64, sim.Time, sim.Time, *trace.Tracer) {
-	bw, start, end, c := stripeRunN(n, s, stripePer, write, traced, 0)
-	return bw, start, end, c.Tracer
-}
-
-// stripeRunN is stripeRun with the per-client volume as a parameter, so the
-// wide T18 grid (hundreds of clients) can move less data per client than
-// T15's 4MB without disturbing T15's recorded numbers. A positive mtick
-// installs a metrics registry sampling on that interval; the cluster is
-// returned so callers can reach both the tracer and the registry.
-func stripeRunN(n, s int, per int64, write, traced bool, mtick sim.Time) (float64, sim.Time, sim.Time, *cluster.Cluster) {
-	st := layout.Striping{StripeSize: stripeSize, Width: s}
-	cfg := cluster.Config{Clients: n, Servers: s, DAFS: true}
-	if traced {
-		cfg.Tracer = trace.New
-	}
-	if mtick > 0 {
-		cfg.Metrics = metrics.Installer(mtick)
-	}
-	c := cluster.New(cfg)
-	total := int64(n) * per
-	if write {
-		prefillStriped(c, "striped", 0, st) // create empty stripe objects
-	} else {
-		prefillStriped(c, "striped", total, st)
-	}
-	ready := sim.NewWaitGroup(c.K, n)
-	var start, end sim.Time
-	err := c.SpawnClients(func(p *sim.Proc, i int) {
-		mode := mpiio.ModeRdOnly
-		if write {
-			mode = mpiio.ModeWrOnly
-		}
-		f, _ := openDafsStriped(p, c, i, st, "striped", mode)
-		buf := make([]byte, stripeChunk)
-		base := int64(i) * per
-		// Warm the registration cache and per-server handles.
-		if write {
-			f.WriteAt(p, base, buf)
-		} else {
-			f.ReadAt(p, base, buf)
-		}
-		ready.Done()
-		ready.Wait(p)
-		if start == 0 {
-			start = p.Now()
-		}
-		for off := int64(0); off < per; off += stripeChunk {
-			var err error
-			if write {
-				_, err = f.WriteAt(p, base+off, buf)
-			} else {
-				_, err = f.ReadAt(p, base+off, buf)
-			}
-			if err != nil {
-				panic(err)
-			}
-		}
-		if now := p.Now(); now > end {
-			end = now
-		}
-		f.Close(p)
-	})
-	if err != nil {
-		panic(err)
-	}
-	c.Metrics.SampleNow() // close the series at the run's final instant
-	return stats.MBps(total, end-start), start, end, c
-}
-
-// t15Table runs the striped-scaling grid for the given client and server
-// counts (parameterized so the determinism test can re-run the full grid
-// or a subset).
-func t15Table(clients, servers []int) *stats.Table {
-	cols := []string{"clients"}
-	for _, s := range servers {
-		cols = append(cols, itoa(s)+"-srv rd")
-	}
+// grid fills t with the clients x servers grid of striped points on stack:
+// a read column per server count, then a write column at the widest.
+func grid(t *stats.Table, st stack, per int64, clients, servers []int) *stats.Table {
 	last := servers[len(servers)-1]
-	cols = append(cols, itoa(last)+"-srv wr")
-	t := &stats.Table{
-		ID:    "T15",
-		Title: "Striped aggregate bandwidth: clients x servers (256KB requests, 64KB stripes)",
-		Note: "one file striped round-robin across the servers; each request issues one fragment per server in parallel.\n" +
-			"1-srv reproduces T5's single-NIC wall; more servers multiply the aggregate ceiling until the client links saturate",
-		Columns: cols,
+	t.Columns = []string{"clients"}
+	for _, s := range servers {
+		t.Columns = append(t.Columns, itoa(s)+"-srv rd")
+	}
+	t.Columns = append(t.Columns, itoa(last)+"-srv wr")
+	bw := func(n, s int, write bool) string {
+		return stats.BW(measure(stripePoint(t.ID, st, n, s, per, write)).MBps)
 	}
 	for _, n := range clients {
 		row := []string{itoa(n)}
 		for _, s := range servers {
-			row = append(row, stats.BW(stripePoint(n, s, false)))
+			row = append(row, bw(n, s, false))
 		}
-		row = append(row, stats.BW(stripePoint(n, last, true)))
-		t.AddRow(row...)
+		t.AddRow(append(row, bw(n, last, true))...)
 	}
 	return t
 }
@@ -168,5 +52,40 @@ func t15Table(clients, servers []int) *stats.Table {
 // flat-lines at one server NIC no matter how many clients push, striping
 // the file across servers multiplies the aggregate ceiling.
 func T15StripedScaling() *stats.Table {
-	return t15Table([]int{1, 2, 4, 8}, []int{1, 2, 4})
+	return grid(&stats.Table{
+		ID:    "T15",
+		Title: "Striped aggregate bandwidth: clients x servers (256KB requests, 64KB stripes)",
+		Note: "one file striped round-robin across the servers; each request issues one fragment per server in parallel.\n" +
+			"1-srv reproduces T5's single-NIC wall; more servers multiply the aggregate ceiling until the client links saturate",
+	}, stripedDAFS, stripePer, []int{1, 2, 4, 8}, []int{1, 2, 4})
+}
+
+// T15NStripedNFS is the striped multi-mount NFS baseline on T15's grid:
+// the same layout fan-out, but every fragment pays the kernel-stack NFS
+// path instead of user-level DAFS.
+func T15NStripedNFS() *stats.Table {
+	return grid(&stats.Table{
+		ID:    "T15N",
+		Title: "Striped NFS baseline: clients x servers over a multi-mount pool (256KB requests, 64KB stripes)",
+		Note: "T15's grid with the transport swapped: the same round-robin layout over one NFS mount per server.\n" +
+			"striping scales NFS too — the aggregate ceiling multiplies with width — but each point sits below its\n" +
+			"T15 twin by the kernel-stack tax, splitting what the layout buys from what user-level DAFS buys",
+	}, stripedNFS, stripePer, []int{1, 2, 4, 8}, []int{1, 2, 4})
+}
+
+// T18WideStriping extends T15's scaling curve to 64 servers and 512
+// clients — the population the pre-refactor kernel could not turn around
+// interactively (one goroutine per spawned proc, one heap allocation per
+// event). The shape to expect: with 64KB stripes a 256KB request still
+// touches only 4 consecutive servers, so per-request parallelism is
+// T15's; scale comes from hundreds of clients whose stripe phases spread
+// uniformly, multiplying the aggregate ceiling roughly with the server
+// count until client links or server NICs saturate.
+func T18WideStriping() *stats.Table {
+	return grid(&stats.Table{
+		ID:    "T18",
+		Title: "Wide striped scaling: clients x servers at 10k-proc populations (256KB requests, 64KB stripes, 1MB/client)",
+		Note: "T15's grid two orders of magnitude wider; every client dials every server (512x64 = 32768 sessions at the top point).\n" +
+			"a 256KB request still spans 4 stripes, so aggregate bandwidth scales with client spread across servers, not request fan-out",
+	}, stripedDAFS, t18Per, []int{64, 128, 256, 512}, []int{16, 64})
 }

@@ -11,12 +11,24 @@ import (
 	"dafsio/internal/trace"
 )
 
+var traced = Observation{Trace: true}
+
+// observed runs bench.Observe and fails the test on an error.
+func observed(t *testing.T, id string, clients, servers int, o Observation) Result {
+	t.Helper()
+	r, err := Observe(id, clients, servers, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestTracedDeterminism pins the headline observability guarantee: running
 // the same traced experiment twice produces byte-identical Chrome exports
 // and identical report tables.
 func TestTracedDeterminism(t *testing.T) {
-	r1 := TracedT15(2, 2)
-	r2 := TracedT15(2, 2)
+	r1 := observed(t, "T15", 2, 2, traced)
+	r2 := observed(t, "T15", 2, 2, traced)
 	var b1, b2 bytes.Buffer
 	if err := r1.Tracer.WriteChrome(&b1); err != nil {
 		t.Fatal(err)
@@ -41,11 +53,11 @@ func TestTracedDeterminism(t *testing.T) {
 // TestTracedMatchesUntraced pins that tracing is purely observational: the
 // measured bandwidth is bit-identical with the tracer on or off.
 func TestTracedMatchesUntraced(t *testing.T) {
-	if traced, plain := TracedT15(2, 2).MBps, stripePoint(2, 2, false); traced != plain {
-		t.Errorf("T15 bandwidth: traced %v != untraced %v", traced, plain)
+	if tr, plain := observed(t, "T15", 2, 2, traced).MBps, measure(stripePoint("T15", stripedDAFS, 2, 2, stripePer, false)).MBps; tr != plain {
+		t.Errorf("T15 bandwidth: traced %v != untraced %v", tr, plain)
 	}
-	if traced, plain := TracedT6().MBps, collPoint(2048, methodTwoPhase); traced != plain {
-		t.Errorf("T6 bandwidth: traced %v != untraced %v", traced, plain)
+	if tr, plain := observed(t, "T6", 4, 4, traced).MBps, measure(collPoint(2048, methodTwoPhase)).MBps; tr != plain {
+		t.Errorf("T6 bandwidth: traced %v != untraced %v", tr, plain)
 	}
 }
 
@@ -56,7 +68,7 @@ func TestTracedMatchesUntraced(t *testing.T) {
 // must equal the measured end. Any double-counted or lost span time breaks
 // the equality.
 func TestMPIIOSpansTileMeasuredWindow(t *testing.T) {
-	for _, r := range []TracedResult{TracedT15(1, 2), TracedT15(2, 2)} {
+	for _, r := range []Result{observed(t, "T15", 1, 2, traced), observed(t, "T15", 2, 2, traced)} {
 		byTrack := make(map[string][]trace.Span)
 		for _, s := range r.Tracer.Spans() {
 			if s.Layer != trace.LayerMPIIO || s.Start < r.Start {
@@ -100,7 +112,7 @@ func TestMPIIOSpansTileMeasuredWindow(t *testing.T) {
 // TestTracedT15ChromeTracks checks the export is valid trace-event JSON with
 // one track per participating node (2 clients, 2 servers).
 func TestTracedT15ChromeTracks(t *testing.T) {
-	r := TracedT15(2, 2)
+	r := observed(t, "T15", 2, 2, traced)
 	var buf bytes.Buffer
 	if err := r.Tracer.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -138,7 +150,7 @@ func TestTracedT15ChromeTracks(t *testing.T) {
 // TestTracedT1T6Smoke: the other two wired experiments produce non-empty
 // breakdowns whose tables render.
 func TestTracedT1T6Smoke(t *testing.T) {
-	for _, r := range []TracedResult{TracedT1(), TracedT6()} {
+	for _, r := range []Result{observed(t, "T1", 4, 4, traced), observed(t, "T6", 4, 4, traced)} {
 		if r.Elapsed() <= 0 {
 			t.Fatalf("%s: empty measured window", r.ID)
 		}

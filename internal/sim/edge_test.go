@@ -191,3 +191,23 @@ func TestTransferTimePanicsOnBadRate(t *testing.T) {
 	}()
 	TransferTime(100, 0)
 }
+
+// Shutdown unwinds parked procs one at a time: their deferred calls run,
+// and two that touch the same state must not race (go test -race), nor
+// may Shutdown return before every one has run.
+func TestShutdownUnwindsOneAtATime(t *testing.T) {
+	k := NewKernel()
+	ch := NewChan[int](k, 0)
+	unwound := make(map[int]bool)
+	for i := 0; i < 8; i++ {
+		k.SpawnDaemon("parked", func(p *Proc) {
+			defer func() { unwound[i] = true }()
+			ch.Recv(p)
+		})
+	}
+	k.MustRun()
+	k.Shutdown()
+	if len(unwound) != 8 {
+		t.Fatalf("%d of 8 parked procs unwound by the time Shutdown returned", len(unwound))
+	}
+}

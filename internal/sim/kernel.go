@@ -279,12 +279,14 @@ func (k *Kernel) MustRun() {
 
 // Shutdown reclaims the kernel's pooled worker goroutines: idle workers
 // exit, and parked procs (daemons included) unwind without running further
-// simulation code. It must not be called while Run is executing; after
-// Shutdown the kernel is dead — Run and Spawn panic. Kernels used in
-// loops (benchmark harnesses, repeated experiments) should Shutdown when
-// done so worker goroutines and their stacks are reclaimed; short-lived
-// kernels may skip it, leaking only what the old one-goroutine-per-proc
-// design leaked for parked daemons.
+// simulation code. Goroutines go one at a time, each gone before the next
+// is released: an unwinding proc runs its deferred calls, and those of two
+// procs may touch the same state. It must not be called while Run is
+// executing; after Shutdown the kernel is dead — Run and Spawn panic.
+// Kernels used in loops (benchmark harnesses, repeated experiments) should
+// Shutdown when done so worker goroutines and their stacks are reclaimed;
+// short-lived kernels may skip it, leaking only what the old
+// one-goroutine-per-proc design leaked for parked daemons.
 func (k *Kernel) Shutdown() {
 	if k.running {
 		panic("sim: Shutdown during Run")
@@ -295,10 +297,12 @@ func (k *Kernel) Shutdown() {
 	k.closed = true
 	for _, w := range k.freeWorkers {
 		close(w.gate)
+		<-k.gate
 	}
 	for _, p := range k.live {
 		if p.w != nil {
 			close(p.w.gate)
+			<-k.gate
 		}
 		// Never-started procs have no goroutine to reclaim.
 	}

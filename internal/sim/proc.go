@@ -141,8 +141,10 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 
 // loop is the worker goroutine: wait for a proc assignment, run it, return
 // proc and worker to their pools, continue dispatching (the finishing
-// worker holds the baton), repeat. It exits when Shutdown closes the gate.
+// worker holds the baton), repeat. It exits when Shutdown closes the gate,
+// and tells Shutdown on the kernel's gate once it is gone.
 func (w *worker) loop(k *Kernel) {
+	defer func() { k.gate <- struct{}{} }()
 	assigned := false // baton already ours: run the new assignment directly
 	for {
 		if !assigned {
