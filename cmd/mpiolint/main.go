@@ -9,12 +9,13 @@
 //	simtime   no wall-clock time inside the simulated stack
 //	detrand   no unseeded/global randomness or order-sensitive map
 //	          iteration in result-producing code
-//	regmem    VIA descriptors only carry NIC-registered memory
 //	errwrap   protocol-layer errors wrap package sentinels (%w)
 //	blockhold no may-park call while holding a sim.Resource
 //	          (flow-sensitive: CFG + interprocedural may-park set)
-//	pairleak  every acquire (Resource.Acquire, getStage, NIC.Register)
-//	          is released on every path to return
+//
+// Each pass is kept because it is the only gate that catches some seeded
+// bug (DESIGN.md §7). Memory registration is not linted: the VIA NIC
+// rejects a descriptor whose region is not the one it registered.
 //
 // A finding that is correct by design — typically a resource handed to a
 // peer proc that releases it — is suppressed at the site with
@@ -34,18 +35,14 @@ import (
 	"dafsio/internal/analysis/blockhold"
 	"dafsio/internal/analysis/detrand"
 	"dafsio/internal/analysis/errwrap"
-	"dafsio/internal/analysis/pairleak"
-	"dafsio/internal/analysis/regmem"
 	"dafsio/internal/analysis/simtime"
 )
 
 var suite = []*analysis.Analyzer{
 	simtime.Analyzer,
 	detrand.Analyzer,
-	regmem.Analyzer,
 	errwrap.Analyzer,
 	blockhold.Analyzer,
-	pairleak.Analyzer,
 }
 
 func main() {

@@ -282,7 +282,7 @@ func main() {
 		fmt.Println()
 		bench.Result{ID: "multiclient", Reg: reg}.SeriesTable().Fprint(os.Stdout)
 		if n := len(reg.Dumps()); n > 0 {
-			fmt.Printf("\nflight recorder: %d postmortem dump(s) captured (see cmd/mpiostat for full rendering)\n", n)
+			fmt.Printf("\nflight recorder: %d postmortem dump(s) captured (see mpio stat for full rendering)\n", n)
 		}
 	}
 	if *traceOut != "" {

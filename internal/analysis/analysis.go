@@ -7,8 +7,8 @@
 // go/types, and `go list` for package discovery), so the linter needs no
 // dependencies beyond the Go toolchain itself. The passes encode invariants
 // the compiler cannot see: simulated-time discipline, deterministic
-// randomness, VIA memory-registration on the data path, and sentinel-error
-// wrapping at the protocol layers.
+// randomness, sentinel-error wrapping at the protocol layers, and no
+// parking while a simulated resource is held.
 package analysis
 
 import (

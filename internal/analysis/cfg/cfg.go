@@ -1,14 +1,13 @@
 // Package cfg builds per-function control-flow graphs from go/ast, for the
-// flow-sensitive mpiolint passes (blockhold, pairleak).
+// flow-sensitive mpiolint pass (blockhold).
 //
 // The graph is intentionally modest: nodes are basic blocks holding the
 // statements and controlling expressions that execute in them, edges are
 // the possible successors. It models branches (if/switch/type switch/
 // select), loops (for/range, including break/continue with labels and
 // goto), early returns, and panic edges; defer statements stay in their
-// block (a pass decides what a deferred call means — pairleak treats a
-// deferred release as releasing at every later exit, blockhold treats the
-// window as held until the function returns). A call to the predeclared
+// block (the pass decides what a deferred call means — blockhold treats
+// the window as held until the function returns). A call to the predeclared
 // panic ends its block with an edge to Exit, which models the sim kernel's
 // behaviour: a panicking proc does not continue, the run is abandoned.
 //

@@ -413,7 +413,6 @@ func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wr)) (*Call, error) {
 	// proc — so parking on the slot pool or send queue below cannot
 	// deadlock against the release.
 	//mpiolint:ignore blockhold credit released by the dispatch daemon on response arrival or session failure
-	//mpiolint:ignore pairleak credit released by the dispatch daemon on response arrival or session failure
 	c.credits.Acquire(p, 1)
 	s, _ := c.reqPool.Recv(p)
 	c.m.credits.Add(1)

@@ -8,10 +8,10 @@ import (
 )
 
 // TestFailedDialUnregisters is the regression test for the dial-path
-// registration leak found by mpiolint's pairleak pass: Dial registers the
-// request and response buffer pools before the protocol CONNECT, and every
-// error path after that point must deregister them — a failed dial used to
-// leave both windows pinned on the client NIC for the rest of the run.
+// registration leak: Dial registers the request and response buffer pools
+// before the protocol CONNECT, and every error path after that point must
+// deregister them — a failed dial used to leave both windows pinned on the
+// client NIC for the rest of the run.
 func TestFailedDialUnregisters(t *testing.T) {
 	r := newRig(1, nil)
 	r.k.Spawn("app", func(p *sim.Proc) {

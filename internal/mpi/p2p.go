@@ -73,7 +73,6 @@ func (r *Rank) sendEager(p *sim.Proc, dst, tag int, data []byte) {
 	// control), so this proc never releases it and may park on the send
 	// pool meanwhile.
 	//mpiolint:ignore blockhold credit returned by the receiving rank in arrival once the envelope is consumed
-	//mpiolint:ignore pairleak credit returned by the receiving rank in arrival
 	pr.credits.Acquire(p, 1)
 	s, _ := pr.sendPool.Recv(p)
 	buf := s.bytes()
@@ -95,7 +94,6 @@ func (r *Rank) sendCtl(p *sim.Proc, dst int, kind uint8, tag, size int, token ui
 	// Same credit discipline as sendEager: the receiving rank returns the
 	// credit in arrival().
 	//mpiolint:ignore blockhold credit returned by the receiving rank in arrival once the envelope is consumed
-	//mpiolint:ignore pairleak credit returned by the receiving rank in arrival
 	pr.credits.Acquire(p, 1)
 	s, _ := pr.sendPool.Recv(p)
 	encodeEnv(s.bytes(), kind, r.id, tag, size, token, handle, 0)

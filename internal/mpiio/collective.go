@@ -503,16 +503,15 @@ type striper interface {
 }
 
 // collPartition builds this collective's file-domain partition over the
-// hull [gmin, gmax): stripe-aligned when the hints allow it and the driver
-// exposes a striped layout, else the legacy equal split.
+// hull [gmin, gmax): stripe-aligned when the driver exposes a striped
+// layout, else the legacy equal split (aggregate.Domains has the rest of
+// the fallback matrix).
 func (f *File) collPartition(gmin, gmax int64) aggregate.Partition {
-	world := f.rank.Size()
-	if f.hints.CollectiveAlign != AlignOff {
-		if sd, ok := f.drv.(striper); ok {
-			return aggregate.Domains(sd.Striping(), gmin, gmax, world, true)
-		}
+	st := layout.Striping{Width: 1}
+	if sd, ok := f.drv.(striper); ok {
+		st = sd.Striping()
 	}
-	return aggregate.Domains(layout.Striping{Width: 1}, gmin, gmax, world, false)
+	return aggregate.Domains(st, gmin, gmax, f.rank.Size(), true)
 }
 
 // aggSpan opens an observational aggregation-layer span (plan, pack,
@@ -524,19 +523,6 @@ func (f *File) aggSpan(p *sim.Proc, name string) func() {
 	}
 	id := f.tr.Begin(f.track, trace.LayerAggregate, name, trace.OpID(p.TraceCtx()))
 	return func() { f.tr.End(id) }
-}
-
-// domainBounds returns aggregator a's file domain [lo, hi) under the
-// legacy equal split (kept as the documented fallback contract; the math
-// lives in internal/aggregate).
-func domainBounds(gmin, gmax int64, nAgg, a int) (int64, int64) {
-	return aggregate.EqualBounds(gmin, gmax, nAgg, a)
-}
-
-// domainOf returns the aggregator owning byte offset off under the legacy
-// equal split.
-func domainOf(gmin, gmax int64, nAgg int, off int64) int {
-	return aggregate.EqualOwner(gmin, gmax, nAgg, off)
 }
 
 // mergeRanges sorts and unions byte ranges.

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dafsio/internal/aggregate"
 )
 
 func segsEqual(a, b []Segment) bool {
@@ -236,12 +238,12 @@ func TestMergeRanges(t *testing.T) {
 }
 
 func TestDomainPartition(t *testing.T) {
-	// Domains must tile [gmin, gmax) exactly and domainOf must agree.
+	// Domains must tile [gmin, gmax) exactly and EqualOwner must agree.
 	gmin, gmax := int64(100), int64(1137)
 	const n = 4
 	prev := gmin
 	for a := 0; a < n; a++ {
-		lo, hi := domainBounds(gmin, gmax, n, a)
+		lo, hi := aggregate.EqualBounds(gmin, gmax, n, a)
 		if lo != prev {
 			t.Fatalf("domain %d starts at %d, want %d", a, lo, prev)
 		}
@@ -251,8 +253,8 @@ func TestDomainPartition(t *testing.T) {
 		t.Fatalf("domains end at %d, want %d", prev, gmax)
 	}
 	for off := gmin; off < gmax; off += 13 {
-		a := domainOf(gmin, gmax, n, off)
-		lo, hi := domainBounds(gmin, gmax, n, a)
+		a := aggregate.EqualOwner(gmin, gmax, n, off)
+		lo, hi := aggregate.EqualBounds(gmin, gmax, n, a)
 		if off < lo || off >= hi {
 			t.Fatalf("offset %d assigned to domain %d [%d,%d)", off, a, lo, hi)
 		}

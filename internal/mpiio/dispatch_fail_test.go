@@ -67,6 +67,43 @@ func TestLaunchHardErrorDrainsFlights(t *testing.T) {
 	})
 }
 
+// A batched write over a striped file that fails while its per-server
+// plans are being issued hands every staging buffer it took back to the
+// pool, registration intact: the pool is as full as before, and a repeat
+// of the failed call reuses those buffers instead of registering new ones.
+func TestListIssueFailureReturnsStaging(t *testing.T) {
+	settledRig(t, 4, func(p *sim.Proc, c *cluster.Cluster, drv *StripedDAFSDriver, pool []*dafs.Client) {
+		f, err := Open(p, nil, drv, "f", ModeRdWr|ModeCreate, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		// 512B blocks every 2KB over 64KB: one gather plan per server.
+		f.SetView(0, Vector(32, 512, 2048))
+		data := pattern(32 * 512)
+		if _, err := f.WriteAt(p, 0, data); err != nil {
+			t.Errorf("warm-up write: %v", err)
+			return
+		}
+		// Server 2's plan fails at issue; servers 0 and 1 are in flight.
+		pool[2].Close(p)
+		regions, pooled := c.NICs[0].Regions(), len(drv.stagePool)
+		if _, err := f.WriteAt(p, 0, data); !errors.Is(err, dafs.ErrClosed) {
+			t.Errorf("batched write over a closed session: %v, want ErrClosed", err)
+		}
+		settled(t, c, regions)
+		if got := len(drv.stagePool); got != pooled {
+			t.Errorf("staging pool holds %d buffers after the failed write, %d before", got, pooled)
+		}
+		if _, err := f.WriteAt(p, 0, data); !errors.Is(err, dafs.ErrClosed) {
+			t.Errorf("repeated write: %v, want ErrClosed", err)
+		}
+		if got := c.NICs[0].Regions(); got != regions {
+			t.Errorf("the repeated failed write registered %d new regions", got-regions)
+		}
+	})
+}
+
 // PrepareReshape attaches a shadow handle per open file. When a later
 // file's shadow open fails — here its epoch-tagged name no longer fits a
 // request — the shadows already attached are closed and detached, so

@@ -25,20 +25,7 @@ type Hints struct {
 	// keeps collective aggregators on per-run contiguous operations
 	// instead of one batch request per collective phase.
 	NoBatch bool
-	// CollectiveAlign controls stripe-aligned file domains for two-phase
-	// collective I/O (the ROMIO-on-PVFS optimization). AlignAuto (the
-	// default) and AlignOn align when the driver exposes its striping and
-	// the world has at least Width ranks; AlignOff pins the legacy equal
-	// split. See internal/aggregate for the full fallback matrix.
-	CollectiveAlign int
 }
-
-// CollectiveAlign values.
-const (
-	AlignAuto = iota
-	AlignOff
-	AlignOn
-)
 
 func (h *Hints) withDefaults() Hints {
 	out := Hints{CollBufSize: 1 << 20, SieveBufSize: 512 << 10}
@@ -51,7 +38,6 @@ func (h *Hints) withDefaults() Hints {
 		}
 		out.Sieving = h.Sieving
 		out.NoBatch = h.NoBatch
-		out.CollectiveAlign = h.CollectiveAlign
 	}
 	return out
 }

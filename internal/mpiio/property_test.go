@@ -3,6 +3,8 @@ package mpiio
 import (
 	"testing"
 	"testing/quick"
+
+	"dafsio/internal/aggregate"
 )
 
 // Property: mergeRanges produces sorted, disjoint, non-adjacent output
@@ -41,8 +43,8 @@ func TestMergeRangesProperties(t *testing.T) {
 	}
 }
 
-// Property: domain partitioning tiles [gmin, gmax) exactly and domainOf
-// agrees with domainBounds for arbitrary hulls and aggregator counts.
+// Property: domain partitioning tiles [gmin, gmax) exactly and EqualOwner
+// agrees with EqualBounds for arbitrary hulls and aggregator counts.
 func TestDomainPartitionProperty(t *testing.T) {
 	prop := func(a, b uint16, nAggRaw uint8) bool {
 		gmin := int64(a)
@@ -50,7 +52,7 @@ func TestDomainPartitionProperty(t *testing.T) {
 		nAgg := int(nAggRaw%8) + 1
 		prev := gmin
 		for i := 0; i < nAgg; i++ {
-			lo, hi := domainBounds(gmin, gmax, nAgg, i)
+			lo, hi := aggregate.EqualBounds(gmin, gmax, nAgg, i)
 			if lo != prev || hi < lo || hi > gmax {
 				return false
 			}
@@ -59,9 +61,9 @@ func TestDomainPartitionProperty(t *testing.T) {
 		if prev != gmax {
 			return false
 		}
-		for off := gmin; off < gmax; off += max64(1, (gmax-gmin)/17) {
-			d := domainOf(gmin, gmax, nAgg, off)
-			lo, hi := domainBounds(gmin, gmax, nAgg, d)
+		for off := gmin; off < gmax; off += max(1, (gmax-gmin)/17) {
+			d := aggregate.EqualOwner(gmin, gmax, nAgg, off)
+			lo, hi := aggregate.EqualBounds(gmin, gmax, nAgg, d)
 			if off < lo || off >= hi {
 				return false
 			}
@@ -71,13 +73,6 @@ func TestDomainPartitionProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Property: for any (possibly noncontiguous) datatype and any offset, the

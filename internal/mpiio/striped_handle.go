@@ -450,8 +450,8 @@ func (d *striped) putStage(p *sim.Proc, sb *stageBuf) {
 // putStageAll returns a batch's staging buffers to the pool. Every exit
 // path of a striped list operation — issue-time failure or Wait — must
 // come through here (or putStage): a skipped return leaks a pinned,
-// registered window, which is exactly what mpiolint's pairleak pass
-// checks on the acquire side.
+// registered window (TestStagePoolBoundedAfterBurst and
+// TestListIssueFailureReturnsStaging check both paths).
 func (d *striped) putStageAll(p *sim.Proc, sbs []*stageBuf) {
 	for _, sb := range sbs {
 		d.putStage(p, sb)

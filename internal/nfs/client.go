@@ -157,7 +157,6 @@ func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wire.Writer)) (*Call,
 	// reply daemon when the response arrives (dispatch), never by this
 	// proc — the client's flow-control window.
 	//mpiolint:ignore blockhold slot released by the reply daemon on response arrival, never by this proc
-	//mpiolint:ignore pairleak slot released by the reply daemon on response arrival
 	c.inflight.Acquire(p, 1)
 	c.nextXID++
 	xid := c.nextXID

@@ -155,6 +155,33 @@ func TestDeregisterInvalidatesInFlightUse(t *testing.T) {
 	}
 }
 
+// A copy of a region names the same handle and memory, but it is not the
+// registration the NIC holds. The doorbell rejects it while the original is
+// registered and after the original is deregistered, and deregistering the
+// copy leaves the original registered.
+func TestCopiedRegionRejected(t *testing.T) {
+	p2 := newPair(model.CLAN1998())
+	p2.k.Spawn("a", func(p *sim.Proc) {
+		r := p2.nicA.Register(p, make([]byte, 64))
+		cp := *r
+		if err := p2.viA.PostSend(p, &Descriptor{Op: OpSend, Region: &cp, Len: 8}); err != ErrInvalidRegion {
+			t.Errorf("copy of a registered region: %v, want ErrInvalidRegion", err)
+		}
+		dup := *r
+		p2.nicA.Deregister(p, &dup)
+		if !r.Valid() || p2.nicA.Regions() != 1 {
+			t.Errorf("deregistering the copy dropped the original (valid %v, %d regions)", r.Valid(), p2.nicA.Regions())
+		}
+		p2.nicA.Deregister(p, r)
+		if err := p2.viA.PostSend(p, &Descriptor{Op: OpSend, Region: &cp, Len: 8}); err != ErrInvalidRegion {
+			t.Errorf("copy of a deregistered region: %v, want ErrInvalidRegion", err)
+		}
+	})
+	if err := p2.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLoopbackVIRejected(t *testing.T) {
 	p2 := newPair(model.CLAN1998())
 	cq := p2.nicA.NewCQ("x")

@@ -9,12 +9,14 @@ type MemHandle uint32
 
 // Region is a registered (pinned, NIC-translatable) memory area. Local
 // descriptors and remote RDMA operations may only touch registered memory.
+// The NIC's registration table holds the one *Region it issued per handle;
+// a copy, a forged value or a deregistered region is not in it, and the
+// doorbell rejects it.
 type Region struct {
 	Handle MemHandle
 
-	nic   *NIC
-	buf   []byte
-	valid bool
+	nic *NIC
+	buf []byte
 }
 
 // Register pins buf and installs its translation on the NIC. The
@@ -23,20 +25,16 @@ type Region struct {
 // experiment measures.
 func (n *NIC) Register(p *sim.Proc, buf []byte) *Region {
 	n.Node.Compute(p, n.prov.Prof.RegCost(len(buf)))
-	n.nextHandle++
-	r := &Region{Handle: n.nextHandle, nic: n, buf: buf, valid: true}
-	n.regions[r.Handle] = r
-	return r
+	return n.RegisterCached(buf)
 }
 
 // Deregister releases the registration. Outstanding descriptors that still
 // reference the region will complete with ErrInvalidRegion.
 func (n *NIC) Deregister(p *sim.Proc, r *Region) {
-	if r.nic != n || !r.valid {
+	if r.nic != n || !r.Valid() {
 		return
 	}
 	n.Node.Compute(p, n.prov.Prof.MemDeregCost)
-	r.valid = false
 	delete(n.regions, r.Handle)
 }
 
@@ -46,17 +44,16 @@ func (n *NIC) Deregister(p *sim.Proc, r *Region) {
 // appears on the data path. Use DropCached to release it.
 func (n *NIC) RegisterCached(buf []byte) *Region {
 	n.nextHandle++
-	r := &Region{Handle: n.nextHandle, nic: n, buf: buf, valid: true}
+	r := &Region{Handle: n.nextHandle, nic: n, buf: buf}
 	n.regions[r.Handle] = r
 	return r
 }
 
 // DropCached releases a RegisterCached region without CPU cost.
 func (n *NIC) DropCached(r *Region) {
-	if r.nic != n || !r.valid {
+	if r.nic != n || !r.Valid() {
 		return
 	}
-	r.valid = false
 	delete(n.regions, r.Handle)
 }
 
@@ -73,14 +70,15 @@ func (r *Region) Len() int { return len(r.buf) }
 // it, the way a user buffer is used around VIA operations.
 func (r *Region) Bytes() []byte { return r.buf }
 
-// Valid reports whether the region is still registered.
-func (r *Region) Valid() bool { return r.valid }
+// Valid reports whether this exact region is in its NIC's registration
+// table. Handles are never reused, so a deregistered region stays invalid.
+func (r *Region) Valid() bool { return r.nic != nil && r.nic.regions[r.Handle] == r }
 
 // lookup validates a remote handle and byte range; it returns the region
 // only if the whole range is inside it.
 func (n *NIC) lookup(h MemHandle, off, length int) *Region {
 	r := n.regions[h]
-	if r == nil || !r.valid || off < 0 || length < 0 || off+length > len(r.buf) {
+	if r == nil || off < 0 || length < 0 || off+length > len(r.buf) {
 		return nil
 	}
 	return r

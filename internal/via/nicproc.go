@@ -173,7 +173,7 @@ func (n *NIC) sendLoop(p *sim.Proc) {
 // the descriptor completes later, on the delivery ack.
 func (n *NIC) streamOut(p *sim.Proc, d *Descriptor, kind cellKind, dst fabric.NodeID, dstVI int, tracked bool) {
 	prof := n.prov.Prof
-	if !d.Region.valid {
+	if !d.Region.Valid() {
 		if tracked {
 			d.vi.SendCQ.deliver(p, Completion{VI: d.vi, Desc: d, Op: d.Op, Err: ErrInvalidRegion})
 		}

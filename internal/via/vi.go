@@ -209,7 +209,7 @@ func (vi *VI) PostSend(p *sim.Proc, d *Descriptor) error {
 }
 
 func (vi *VI) checkDesc(d *Descriptor) error {
-	if d.Region == nil || d.Region.nic != vi.NIC || !d.Region.valid {
+	if d.Region == nil || d.Region.nic != vi.NIC || !d.Region.Valid() {
 		return ErrInvalidRegion
 	}
 	if d.Offset < 0 || d.Len < 0 || d.Offset+d.Len > len(d.Region.buf) {
