@@ -10,12 +10,14 @@ import (
 )
 
 // TestOutputs runs each subcommand in-process and compares its stdout byte
-// for byte with testdata, and stat's JSON export with the digest of the
-// recorded one (2.2 MB, too large to keep). The simulation is
-// deterministic, so any change to a table, a breakdown, a series or a
-// postmortem shows here.
+// for byte with testdata, and the JSON exports with the digests of the
+// recorded ones (stat's is 2.2 MB, too large to keep). The simulation is
+// deterministic, so any change to a table, a breakdown, a series, a span
+// or a postmortem shows here. T6 is the traced run over a single DAFS
+// server.
 func TestOutputs(t *testing.T) {
-	json := filepath.Join(t.TempDir(), "t16.json")
+	dir := t.TempDir()
+	json, chrome := filepath.Join(dir, "t16.json"), filepath.Join(dir, "t6.json")
 	for _, tc := range []struct {
 		golden string
 		args   []string
@@ -23,6 +25,7 @@ func TestOutputs(t *testing.T) {
 		{"list.txt", []string{"list"}},
 		{"run-T9.txt", []string{"run", "-q", "T9"}},
 		{"trace-T15.txt", []string{"trace", "T15", "-clients", "2", "-servers", "2", "-hist"}},
+		{"trace-T6.txt", []string{"trace", "T6", "-hist", "-trace", chrome}},
 		{"stat-T16.txt", []string{"stat", "T16", "-json", json}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
@@ -37,13 +40,17 @@ func TestOutputs(t *testing.T) {
 			t.Errorf("mpio %v differs from testdata/%s:\n%s", tc.args, tc.golden, got.Bytes())
 		}
 	}
-	raw, err := os.ReadFile(json)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "ac0cacf778e8168afe556e5dcb06f764a2521c9905cd33ccd505133556a289cf"
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
-		t.Errorf("stat T16 JSON export: sha256 %s, want %s", got, want)
+	for _, d := range []struct{ what, path, want string }{
+		{"stat T16 JSON export", json, "ac0cacf778e8168afe556e5dcb06f764a2521c9905cd33ccd505133556a289cf"},
+		{"trace T6 Chrome export", chrome, "c9b276231fc1a9a33ae12d06789698628228e3f478ed9e0f3a73924988ead4c9"},
+	} {
+		raw, err := os.ReadFile(d.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != d.want {
+			t.Errorf("%s: sha256 %s, want %s", d.what, got, d.want)
+		}
 	}
 }
 
