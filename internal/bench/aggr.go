@@ -16,7 +16,7 @@ import (
 //   - methodTwoPhase: collective two-phase with stripe-aligned file domains
 //     (cb_nodes = width), aggregators batching to their one server
 func t17Point(width int, method collMethod) point {
-	pt := interleaved("T17", stripedDAFS, width, 128, method, mpiio.Hints{NoBatch: method == methodNaive})
+	pt := interleaved("T17", dafsStack, width, 128, method, mpiio.Hints{NoBatch: method == methodNaive})
 	pt.name, pt.warm = "aggr", true
 	return pt
 }

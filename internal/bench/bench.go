@@ -51,7 +51,7 @@ var All = []Experiment{
 	// one writes (the servers' byte counters are).
 	{"T15", "Striped aggregate bandwidth: clients x servers", T15StripedScaling,
 		func(n, s int, o Observation) Result {
-			return run(stripePoint("T15", stripedDAFS, n, s, stripePer, o.Tick > 0), o)
+			return run(stripePoint("T15", dafsStack, n, s, stripePer, o.Tick > 0), o)
 		}},
 	{"T16", "Failover under a server crash: replication 1 vs 2", T16Failover,
 		func(_, _ int, o Observation) Result { return run(t16Point(2, true), o) }},

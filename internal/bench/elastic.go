@@ -76,7 +76,7 @@ type t19Result struct {
 func t19Run(o Observation) t19Result {
 	const n = t19Clients
 	st4 := layout.Striping{StripeSize: stripeSize, Width: t19Servers + 1}
-	pt := point{id: "T19", clients: n, servers: t19Servers, stack: stripedDAFS, name: "t19", per: t19Per}
+	pt := point{id: "T19", clients: n, servers: t19Servers, stack: dafsStack, name: "t19", per: t19Per}
 	c := newCluster(pt, o)
 
 	ready := sim.NewWaitGroup(c.K, n)

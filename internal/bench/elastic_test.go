@@ -62,15 +62,15 @@ func TestT15NStripedNFS(t *testing.T) {
 	bw := func(st stack, s int) float64 {
 		return measure(stripePoint("T15N", st, 2, s, stripePer, false)).MBps
 	}
-	nfs1 := bw(stripedNFS, 1)
-	nfs2 := bw(stripedNFS, 2)
+	nfs1 := bw(nfsStack, 1)
+	nfs2 := bw(nfsStack, 2)
 	if nfs2 <= nfs1 {
 		t.Errorf("striping does not scale NFS: width 2 %.1f <= width 1 %.1f MB/s", nfs2, nfs1)
 	}
-	if dafs2 := bw(stripedDAFS, 2); dafs2 <= nfs2 {
+	if dafs2 := bw(dafsStack, 2); dafs2 <= nfs2 {
 		t.Errorf("DAFS lost its transport edge: striped DAFS %.1f <= striped NFS %.1f MB/s", dafs2, nfs2)
 	}
-	if again := bw(stripedNFS, 2); again != nfs2 {
+	if again := bw(nfsStack, 2); again != nfs2 {
 		t.Errorf("striped NFS point not deterministic: %.3f vs %.3f", again, nfs2)
 	}
 }

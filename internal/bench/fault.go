@@ -34,7 +34,7 @@ const (
 // then read their regions back and verify every byte. The retry policy is
 // 100us base doubling to an 800us cap, three attempts.
 func t16Point(replicas int, kill bool) point {
-	pt := stripePoint("T16", stripedDAFS, 4, 4, stripePer, true)
+	pt := stripePoint("T16", dafsStack, 4, 4, stripePer, true)
 	pt.name, pt.replicas, pt.verify = "t16", replicas, true
 	pt.opts = &dafs.Options{CallTimeout: t16CallTimeout}
 	pt.retry = dafs.RetryPolicy{Base: 100 * sim.Microsecond, Max: 800 * sim.Microsecond, Attempts: 3}

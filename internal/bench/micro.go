@@ -217,7 +217,7 @@ func measureDafsReadLatency(size int, direct bool) sim.Time {
 		threshold = 0
 	}
 	pt := point{id: "T7", clients: 1, stack: dafsStack, name: "lat", per: 1 << 20,
-		tune: func(d *mpiio.DAFSDriver) { d.DirectThreshold = threshold }}
+		tune: func(d *mpiio.StripedDAFSDriver) { d.DirectThreshold = threshold }}
 	c := newCluster(pt, Observation{})
 	var lat sim.Time
 	c.K.Spawn("app", func(p *sim.Proc) {

@@ -41,7 +41,7 @@ func T3InlineDirect() *stats.Table {
 	forced := func(size, threshold int) transferResult {
 		pt := seq("T3", dafsStack, size, totalFor(size), false)
 		pt.opts = &dafs.Options{MaxInline: 256 << 10}
-		pt.tune = func(d *mpiio.DAFSDriver) { d.DirectThreshold = threshold }
+		pt.tune = func(d *mpiio.StripedDAFSDriver) { d.DirectThreshold = threshold }
 		return transfer(pt)
 	}
 	for _, size := range []int{512, 2048, 8192, 32768, 131072, 262144} {
@@ -87,7 +87,7 @@ func T8RegCache() *stats.Table {
 		Columns: []string{"request", "no-cache MB/s", "cache MB/s", "speedup"},
 	}
 	timed := func(size int, cache bool) float64 {
-		pt := point{id: "T8", clients: 1, stack: dafsStack, name: "f", write: true, tune: func(d *mpiio.DAFSDriver) {
+		pt := point{id: "T8", clients: 1, stack: dafsStack, name: "f", write: true, tune: func(d *mpiio.StripedDAFSDriver) {
 			d.RegCache = cache
 			d.DirectThreshold = 0 // always direct
 		}}

@@ -25,15 +25,14 @@ import (
 // newCluster and connect with open, which the experiments with bodies of
 // their own (T7–T10, T14, T19) share.
 
-// stack is the client side of a point: the driver every client opens the
-// file through.
+// stack is the client side of a point: the transport every client opens
+// the file through, one session or mount per server under the striped
+// driver. With one server that is the paper's client and its baseline.
 type stack int
 
 const (
-	dafsStack   stack = iota // one DAFS session to server 0: the paper's client
-	nfsStack                 // one NFS mount of server 0: the paper's baseline
-	stripedDAFS              // a DAFS session per server under the striped driver
-	stripedNFS               // an NFS mount per server under the striped driver
+	dafsStack stack = iota // DAFS sessions
+	nfsStack               // NFS mounts
 )
 
 // point is one measured run. Every client opens name over stack and moves
@@ -44,8 +43,8 @@ const (
 type point struct {
 	id       string // experiment, named in failures
 	clients  int
-	servers  int // 0 or 1 is the paper's single server
-	replicas int // copies of each stripe (stripedDAFS)
+	servers  int // stripe width; 0 or 1 is the paper's single server
+	replicas int // copies of each stripe (DAFS)
 	stack    stack
 	profile  *model.Profile // cost model; nil is clan-1998
 	disk     bool           // servers read through a disk model instead of a cache
@@ -57,11 +56,11 @@ type point struct {
 	view     *view            // nil: contiguous regions
 	faults   *fault.Plan      // nil: a fault-free cluster
 	opts     *dafs.Options    // DAFS session options
-	retry    dafs.RetryPolicy // striped DAFS session recovery
+	retry    dafs.RetryPolicy // DAFS session recovery
 	verify   bool             // read the region back after the window and check every byte
 
-	// tune adjusts a single-session DAFS driver before the file opens.
-	tune func(*mpiio.DAFSDriver)
+	// tune adjusts the DAFS driver before the file opens.
+	tune func(*mpiio.StripedDAFSDriver)
 }
 
 // view interleaves the clients: rank i owns every clients-th block of the
@@ -119,9 +118,8 @@ func newCluster(pt point, o Observation) *cluster.Cluster {
 		Clients:    pt.clients,
 		Servers:    pt.servers,
 		Profile:    pt.profile,
-		DAFS:       pt.stack == dafsStack || pt.stack == stripedDAFS,
-		NFS:        pt.stack == nfsStack,
-		NFSAll:     pt.stack == stripedNFS,
+		DAFS:       pt.stack == dafsStack,
+		NFSAll:     pt.stack == nfsStack,
 		MPI:        pt.view != nil,
 		ServerDisk: pt.disk,
 	}
@@ -176,27 +174,16 @@ func open(p *sim.Proc, c *cluster.Cluster, pt point, i int) (*mpiio.File, mpiio.
 	var err error
 	switch pt.stack {
 	case dafsStack:
-		var cl *dafs.Client
-		if cl, err = c.DialDAFS(p, i, pt.opts); err == nil {
-			d := mpiio.NewDAFSDriver(cl)
+		var pool []*dafs.Client
+		if pool, err = c.DialDAFSAll(p, i, pt.opts); err == nil {
+			d := mpiio.NewStripedDAFSDriver(pool, pt.placement(c))
+			d.Retry = pt.retry
 			if pt.tune != nil {
 				pt.tune(d)
 			}
 			drv = d
 		}
 	case nfsStack:
-		var cl *nfs.Client
-		if cl, err = c.MountNFS(p, i, nil); err == nil {
-			drv = mpiio.NewNFSDriver(cl)
-		}
-	case stripedDAFS:
-		var pool []*dafs.Client
-		if pool, err = c.DialDAFSAll(p, i, pt.opts); err == nil {
-			d := mpiio.NewStripedDAFSDriver(pool, pt.placement(c))
-			d.Retry = pt.retry
-			drv = d
-		}
-	case stripedNFS:
 		var mounts []*nfs.Client
 		if mounts, err = c.MountNFSAll(p, i, nil); err == nil {
 			drv = mpiio.NewStripedNFSDriver(mounts, pt.placement(c))

@@ -31,7 +31,7 @@ func TestT16MetricsOnMatchesOff(t *testing.T) {
 
 // The T15 and T17 points likewise.
 func TestStatMatchesPlain(t *testing.T) {
-	if plain := measure(stripePoint("T15", stripedDAFS, 2, 2, stripePer, true)).MBps; observed(t, "T15", 2, 2, sampled).MBps != plain {
+	if plain := measure(stripePoint("T15", dafsStack, 2, 2, stripePer, true)).MBps; observed(t, "T15", 2, 2, sampled).MBps != plain {
 		t.Fatal("metrics perturbed the T15 write point")
 	}
 	if plain := measure(t17Point(2, methodTwoPhase)).MBps; observed(t, "T17", 4, 2, sampled).MBps != plain {

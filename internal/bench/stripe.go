@@ -57,7 +57,7 @@ func T15StripedScaling() *stats.Table {
 		Title: "Striped aggregate bandwidth: clients x servers (256KB requests, 64KB stripes)",
 		Note: "one file striped round-robin across the servers; each request issues one fragment per server in parallel.\n" +
 			"1-srv reproduces T5's single-NIC wall; more servers multiply the aggregate ceiling until the client links saturate",
-	}, stripedDAFS, stripePer, []int{1, 2, 4, 8}, []int{1, 2, 4})
+	}, dafsStack, stripePer, []int{1, 2, 4, 8}, []int{1, 2, 4})
 }
 
 // T15NStripedNFS is the striped multi-mount NFS baseline on T15's grid:
@@ -70,7 +70,7 @@ func T15NStripedNFS() *stats.Table {
 		Note: "T15's grid with the transport swapped: the same round-robin layout over one NFS mount per server.\n" +
 			"striping scales NFS too — the aggregate ceiling multiplies with width — but each point sits below its\n" +
 			"T15 twin by the kernel-stack tax, splitting what the layout buys from what user-level DAFS buys",
-	}, stripedNFS, stripePer, []int{1, 2, 4, 8}, []int{1, 2, 4})
+	}, nfsStack, stripePer, []int{1, 2, 4, 8}, []int{1, 2, 4})
 }
 
 // T18WideStriping extends T15's scaling curve to 64 servers and 512
@@ -87,5 +87,5 @@ func T18WideStriping() *stats.Table {
 		Title: "Wide striped scaling: clients x servers at 10k-proc populations (256KB requests, 64KB stripes, 1MB/client)",
 		Note: "T15's grid two orders of magnitude wider; every client dials every server (512x64 = 32768 sessions at the top point).\n" +
 			"a 256KB request still spans 4 stripes, so aggregate bandwidth scales with client spread across servers, not request fan-out",
-	}, stripedDAFS, t18Per, []int{64, 128, 256, 512}, []int{16, 64})
+	}, dafsStack, t18Per, []int{64, 128, 256, 512}, []int{16, 64})
 }

@@ -53,7 +53,7 @@ func TestTracedDeterminism(t *testing.T) {
 // TestTracedMatchesUntraced pins that tracing is purely observational: the
 // measured bandwidth is bit-identical with the tracer on or off.
 func TestTracedMatchesUntraced(t *testing.T) {
-	if tr, plain := observed(t, "T15", 2, 2, traced).MBps, measure(stripePoint("T15", stripedDAFS, 2, 2, stripePer, false)).MBps; tr != plain {
+	if tr, plain := observed(t, "T15", 2, 2, traced).MBps, measure(stripePoint("T15", dafsStack, 2, 2, stripePer, false)).MBps; tr != plain {
 		t.Errorf("T15 bandwidth: traced %v != untraced %v", tr, plain)
 	}
 	if tr, plain := observed(t, "T6", 4, 4, traced).MBps, measure(collPoint(2048, methodTwoPhase)).MBps; tr != plain {

@@ -92,16 +92,25 @@ type Fragment struct {
 // fragments in logical order. Unaligned edges produce partial first/last
 // fragments; an extent inside one stripe produces exactly one fragment.
 func (s Striping) Map(off, n int64) []Fragment {
+	var frags []Fragment
+	if s.Width > 1 && n > 0 {
+		frags = make([]Fragment, 0, n/s.StripeSize+2)
+	}
+	return s.AppendMap(frags, off, n)
+}
+
+// AppendMap is Map appending to frags, so a caller that keeps room for the
+// fragments of a typical request maps it without allocating.
+func (s Striping) AppendMap(frags []Fragment, off, n int64) []Fragment {
 	if off < 0 || n < 0 {
 		panic(fmt.Sprintf("layout: negative extent (%d, %d)", off, n))
 	}
 	if n == 0 {
-		return nil
+		return frags
 	}
 	if s.Width == 1 {
-		return []Fragment{{Server: 0, Off: off, Len: n}}
+		return append(frags, Fragment{Server: 0, Off: off, Len: n})
 	}
-	frags := make([]Fragment, 0, n/s.StripeSize+2)
 	end := off + n
 	var bufOff int64
 	for off < end {

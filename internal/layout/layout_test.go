@@ -95,6 +95,22 @@ func TestMapZeroLength(t *testing.T) {
 	}
 }
 
+// TestAppendMapExtendsPrefix: AppendMap leaves what frags already holds
+// and appends exactly Map's fragments, with buffer offsets relative to the
+// extent, on any width.
+func TestAppendMapExtendsPrefix(t *testing.T) {
+	prefix := []Fragment{{Server: 9, Off: 1, Len: 2, BufOff: 3}}
+	for _, s := range []Striping{{Width: 1}, {StripeSize: 64, Width: 4}} {
+		for _, n := range []int64{0, 20, 300} {
+			got := s.AppendMap(append([]Fragment(nil), prefix...), 100, n)
+			want := append(append([]Fragment(nil), prefix...), s.Map(100, n)...)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v n=%d: AppendMap = %+v, want %+v", s, n, got, want)
+			}
+		}
+	}
+}
+
 func TestObjectSizesLogicalSizeRoundTrip(t *testing.T) {
 	for _, s := range []Striping{
 		{StripeSize: 64, Width: 1},

@@ -99,7 +99,9 @@ type Handle interface {
 	Close(p *sim.Proc) error
 }
 
-// AsyncOp is an in-flight driver operation.
+// AsyncOp is an in-flight driver operation. It is waited exactly once: a
+// driver may recycle the op once Wait returns, so a second Wait, or any use
+// of the op after the first, is a bug.
 type AsyncOp interface {
 	Wait(p *sim.Proc) (int, error)
 }

@@ -120,7 +120,7 @@ func (d *striped) Open(p *sim.Proc, name string, mode int) (Handle, error) {
 	switch {
 	case err != nil:
 		return nil, err
-	case d.DAFSDriver == nil:
+	case d.dafsTransfer == nil:
 		return plainHandle{h}, nil
 	}
 	return h, nil
@@ -157,7 +157,7 @@ func (h *stripedHandle) present(t, r int) bool { return h.fhs[t][r] != 0 }
 // pin registers buf when some fragment is too large to go inline. It is
 // nil over a transport that moves no registered memory.
 func (d *striped) pin(p *sim.Proc, buf []byte, frags []layout.Fragment) *via.Region {
-	if d.DAFSDriver == nil {
+	if d.dafsTransfer == nil {
 		return nil
 	}
 	for _, f := range frags {
@@ -175,6 +175,10 @@ func (d *striped) unpin(p *sim.Proc, reg *via.Region) {
 }
 
 // fragOp is a contiguous transfer in flight: one unit per stripe fragment.
+// A request of up to inlineFrags fragments — every request at width 1 —
+// keeps its fragments, flights and read counts in the op itself, and Wait
+// hands the op back to its driver's free list, so a stream of small calls
+// allocates nothing here.
 type fragOp struct {
 	*stripedHandle
 	write  bool
@@ -183,6 +187,31 @@ type fragOp struct {
 	reg    *via.Region
 	fl     []flight
 	counts []int // reads: bytes each fragment delivered
+
+	inline struct {
+		frags  [inlineFrags]layout.Fragment
+		fl     [inlineFrags]flight
+		counts [inlineFrags]int
+	}
+}
+
+const inlineFrags = 4
+
+// newFragOp takes an op from the free list (or makes one) and maps
+// [off, off+len(buf)) onto it.
+func (d *striped) newFragOp(h *stripedHandle, off int64, buf []byte, write bool) *fragOp {
+	var o *fragOp
+	if n := len(d.free); n > 0 {
+		o, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		o = new(fragOp)
+	}
+	o.stripedHandle, o.write, o.buf = h, write, buf
+	o.frags = d.striping.AppendMap(o.inline.frags[:0], off, int64(len(buf)))
+	if !write {
+		o.counts = zeroed(o.inline.counts[:0], len(o.frags))
+	}
+	return o
 }
 
 func (o *fragOp) primary(u int) int { return o.frags[u].Server }
@@ -204,18 +233,22 @@ func (o *fragOp) absorb(u, t, r int, v int64) {
 
 // Wait implements AsyncOp: a write counts every fragment some replica
 // acked; a read reports the contiguous prefix (a plain sum would
-// over-count past EOF holes).
+// over-count past EOF holes). The op then goes back to the free list,
+// cleared so that it pins no buffer, handle or session.
 func (o *fragOp) Wait(p *sim.Proc) (int, error) {
 	d := o.drv
 	err := d.finish(p, o, o.fl, o.write)
 	d.unpin(p, o.reg)
-	switch {
-	case err != nil:
-		return 0, err
-	case o.write:
-		return len(o.buf), nil
+	n := len(o.buf)
+	if !o.write {
+		n = layout.ContiguousCount(o.frags, o.counts)
 	}
-	return layout.ContiguousCount(o.frags, o.counts), nil
+	*o = fragOp{}
+	d.free = append(d.free, o)
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // start maps [off, off+len(buf)) to stripe fragments and issues them all:
@@ -230,13 +263,10 @@ func (h *stripedHandle) start(p *sim.Proc, off int64, buf []byte, write bool) (A
 		return doneOp{}, nil
 	}
 	d := h.drv
-	o := &fragOp{stripedHandle: h, write: write, frags: d.striping.Map(off, int64(len(buf))), buf: buf}
-	if !write {
-		o.counts = make([]int, len(o.frags))
-	}
+	o := d.newFragOp(h, off, buf, write)
 	o.reg = d.pin(p, buf, o.frags)
 	var err error
-	if o.fl, err = d.begin(p, o, len(o.frags), write); err != nil {
+	if o.fl, err = d.begin(p, o, len(o.frags), write, o.inline.fl[:0]); err != nil {
 		d.unpin(p, o.reg)
 		return nil, err
 	}
@@ -307,7 +337,7 @@ func (h *stripedHandle) Size(p *sim.Proc) (int64, error) {
 	}
 	d := h.drv
 	w := &objWork{stripedHandle: h, kind: opGetattr, sizes: make([]int64, d.striping.Width)}
-	fl, err := d.begin(p, w, len(w.sizes), false)
+	fl, err := d.begin(p, w, len(w.sizes), false, nil)
 	if err == nil {
 		err = d.finish(p, w, fl, false)
 	}
@@ -420,7 +450,7 @@ func (d *striped) getStage(p *sim.Proc, n int64) *stageBuf {
 		size <<= 1
 	}
 	buf := make([]byte, size)
-	return &stageBuf{buf: buf, reg: d.client.NIC().Register(p, buf)}
+	return &stageBuf{buf: buf, reg: d.nic.Register(p, buf)}
 }
 
 // putStage returns a staging buffer to the pool, registration intact —
@@ -442,7 +472,7 @@ func (d *striped) putStage(p *sim.Proc, sb *stageBuf) {
 		}
 		victim := d.stagePool[smallest]
 		d.stagePool = append(d.stagePool[:smallest], d.stagePool[smallest+1:]...)
-		d.client.NIC().Deregister(p, victim.reg)
+		d.nic.Deregister(p, victim.reg)
 	}
 	d.m.stagePool.Set(int64(len(d.stagePool)))
 }
@@ -539,12 +569,12 @@ func (h *stripedHandle) startList(p *sim.Proc, segs []Segment, buf []byte, write
 	d := h.drv
 	st := d.striping
 
-	// Width 1 (identity layout, R == 1) on a healthy session: exactly the
-	// single-server batch path, sharing the registration cache — so the
-	// unstriped tables stay the stripes=1 special case of this driver.
+	// Width 1 (identity layout, R == 1) on a healthy session: the whole
+	// list is one object's, so it goes straight out of the user buffer as
+	// batch requests, registered through the cache, with no staging.
 	if st.Width == 1 && !d.down[0] && h.fhs[0][0] != 0 {
 		c := d.sess[0].(*dafsSession).c
-		return d.DAFSDriver.startList(p, c, dafs.FH(h.fhs[0][0]), segs, buf, write)
+		return d.dafsTransfer.startList(p, c, dafs.FH(h.fhs[0][0]), segs, buf, write)
 	}
 
 	asegs := make([]aggregate.Segment, len(segs))
@@ -567,7 +597,7 @@ func (h *stripedHandle) startList(p *sim.Proc, segs []Segment, buf []byte, write
 		o.copyStaging(p, "pack", true)
 	}
 	var err error
-	if o.fl, err = d.begin(p, o, len(plans), write); err != nil {
+	if o.fl, err = d.begin(p, o, len(plans), write, nil); err != nil {
 		d.putStageAll(p, sbs)
 		return nil, err
 	}

@@ -276,40 +276,3 @@ func TestStagePoolBoundedAfterBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestStripedWidth1BatchEquivalence: at width 1 the striped handle's list
-// path delegates to the single-server batch machinery — same bytes AND the
-// same simulated elapsed time as the plain DAFSDriver.
-func TestStripedWidth1BatchEquivalence(t *testing.T) {
-	type result struct {
-		elapsed sim.Time
-		read    []byte
-	}
-	work := func(p *sim.Proc, f *File) result {
-		f.SetView(0, Vector(64, 700, 2100))
-		data := pattern(64 * 700)
-		start := p.Now()
-		if _, err := f.WriteAt(p, 0, data); err != nil {
-			t.Error(err)
-		}
-		got := make([]byte, len(data))
-		if _, err := f.ReadAt(p, 0, got); err != nil {
-			t.Error(err)
-		}
-		return result{elapsed: p.Now() - start, read: got}
-	}
-	var striped, plain result
-	stripedListRig(t, 1, 1, dafs.RetryPolicy{}, nil,
-		func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
-			striped = work(p, f)
-		})
-	batchRig(t, nil, func(p *sim.Proc, f *File, c *cluster.Cluster) {
-		plain = work(p, f)
-	})
-	if !bytes.Equal(striped.read, plain.read) {
-		t.Fatal("width-1 striped batch reads differ from unstriped")
-	}
-	if striped.elapsed != plain.elapsed {
-		t.Fatalf("width-1 striped batch elapsed %v != unstriped %v", striped.elapsed, plain.elapsed)
-	}
-}
