@@ -206,20 +206,24 @@ func (f *File) transferAt(p *sim.Proc, off int64, buf []byte, write bool) (int, 
 	}
 	f.lock(p)
 	defer f.unlock(p)
-	segs := f.physSegs(off, len(buf))
-	if len(segs) == 1 {
-		if write {
-			return f.h.WriteContig(p, segs[0].Off, buf)
-		}
-		return f.h.ReadContig(p, segs[0].Off, buf)
-	}
-	if f.hints.Sieving {
-		if write {
+	pos := f.disp + off // a flat view is one extent: no segment list to build
+	if f.ftype != nil {
+		segs := f.physSegs(off, len(buf))
+		switch {
+		case len(segs) == 1:
+			pos = segs[0].Off
+		case f.hints.Sieving && write:
 			return f.sieveWrite(p, segs, buf)
+		case f.hints.Sieving:
+			return f.sieveRead(p, segs, buf)
+		default:
+			return f.listIO(p, segs, buf, write)
 		}
-		return f.sieveRead(p, segs, buf)
 	}
-	return f.listIO(p, segs, buf, write)
+	if write {
+		return f.h.WriteContig(p, pos, buf)
+	}
+	return f.h.ReadContig(p, pos, buf)
 }
 
 // listIO moves a noncontiguous request: through the driver's batch
