@@ -14,18 +14,21 @@ import (
 // recorded ones (stat's is 2.2 MB, too large to keep). The simulation is
 // deterministic, so any change to a table, a breakdown, a series, a span
 // or a postmortem shows here. T6 is the traced run over a single DAFS
-// server.
+// server, T15 the striped contiguous path and T17 the strided collective
+// over four servers; each run's Chrome export is pinned beside its stdout.
 func TestOutputs(t *testing.T) {
 	dir := t.TempDir()
-	json, chrome := filepath.Join(dir, "t16.json"), filepath.Join(dir, "t6.json")
+	json := filepath.Join(dir, "t16.json")
+	chrome6, chrome15, chrome17 := filepath.Join(dir, "t6.json"), filepath.Join(dir, "t15.json"), filepath.Join(dir, "t17.json")
 	for _, tc := range []struct {
 		golden string
 		args   []string
 	}{
 		{"list.txt", []string{"list"}},
 		{"run-T9.txt", []string{"run", "-q", "T9"}},
-		{"trace-T15.txt", []string{"trace", "T15", "-clients", "2", "-servers", "2", "-hist"}},
-		{"trace-T6.txt", []string{"trace", "T6", "-hist", "-trace", chrome}},
+		{"trace-T15.txt", []string{"trace", "T15", "-clients", "2", "-servers", "2", "-hist", "-trace", chrome15}},
+		{"trace-T6.txt", []string{"trace", "T6", "-hist", "-trace", chrome6}},
+		{"trace-T17.txt", []string{"trace", "T17", "-servers", "4", "-hist", "-trace", chrome17}},
 		{"stat-T16.txt", []string{"stat", "T16", "-json", json}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
@@ -42,7 +45,9 @@ func TestOutputs(t *testing.T) {
 	}
 	for _, d := range []struct{ what, path, want string }{
 		{"stat T16 JSON export", json, "ac0cacf778e8168afe556e5dcb06f764a2521c9905cd33ccd505133556a289cf"},
-		{"trace T6 Chrome export", chrome, "c9b276231fc1a9a33ae12d06789698628228e3f478ed9e0f3a73924988ead4c9"},
+		{"trace T6 Chrome export", chrome6, "c9b276231fc1a9a33ae12d06789698628228e3f478ed9e0f3a73924988ead4c9"},
+		{"trace T15 Chrome export", chrome15, "c3efa6baf68efe51c37c13582f130893d36333bac62c2c5833276d6d103e704a"},
+		{"trace T17 Chrome export", chrome17, "2a99841235637384fa9183840a30035f10d9644f9cf42d6eff79e9aaf9b6be44"},
 	} {
 		raw, err := os.ReadFile(d.path)
 		if err != nil {
