@@ -154,16 +154,18 @@ type ServerPlan struct {
 // (when contiguous on both sides), so a stripe-aligned extent collapses
 // to one Seg per server. Plans come back in server order; servers with no
 // bytes are omitted.
+//
+// Each segment is mapped into one fragment scratch the call reuses, so the
+// call allocates per destination server (its plan's two lists as they
+// grow), never per segment.
 func Gather(st layout.Striping, segs []Segment) []ServerPlan {
-	plans := make([]*ServerPlan, st.Width)
+	plans := make([]ServerPlan, st.Width)
+	var frags []layout.Fragment
 	var bufOff int64
 	for _, s := range segs {
-		for _, fr := range st.Map(s.Off, s.Len) {
-			pl := plans[fr.Server]
-			if pl == nil {
-				pl = &ServerPlan{Server: fr.Server}
-				plans[fr.Server] = pl
-			}
+		frags = st.AppendMap(frags[:0], s.Off, s.Len)
+		for _, fr := range frags {
+			pl := &plans[fr.Server]
 			stageOff := pl.Total
 			if n := len(pl.Segs); n > 0 && pl.Segs[n-1].Off+pl.Segs[n-1].Len == fr.Off {
 				pl.Segs[n-1].Len += fr.Len
@@ -182,10 +184,11 @@ func Gather(st layout.Striping, segs []Segment) []ServerPlan {
 		}
 		bufOff += s.Len
 	}
-	out := make([]ServerPlan, 0, st.Width)
-	for _, pl := range plans {
-		if pl != nil {
-			out = append(out, *pl)
+	out := plans[:0]
+	for i, pl := range plans {
+		if pl.Total > 0 {
+			pl.Server = i
+			out = append(out, pl)
 		}
 	}
 	return out

@@ -189,6 +189,22 @@ func (d *Datatype) mapRange(dataOff, length int64, out []Segment) []Segment {
 	return out
 }
 
+// segBound bounds the number of segments mapRange(dataOff, length) yields,
+// so a caller can size the list once: at most one per block of every tile
+// the range touches — one fewer per tile boundary when a tile's last block
+// runs into the next tile's first — and never more than the bytes.
+func (d *Datatype) segBound(dataOff, length int64) int {
+	if length <= 0 || d.size == 0 {
+		return 0
+	}
+	tiles := (dataOff%d.size + length + d.size - 1) / d.size
+	bound := tiles * int64(len(d.segs))
+	if first, last := d.segs[0], d.segs[len(d.segs)-1]; first.Off == 0 && last.Off+last.Len == d.extent {
+		bound -= tiles - 1
+	}
+	return int(min(bound, length))
+}
+
 // appendSeg appends s, merging with the previous segment when adjacent.
 func appendSeg(out []Segment, s Segment) []Segment {
 	if n := len(out); n > 0 && out[n-1].Off+out[n-1].Len == s.Off {

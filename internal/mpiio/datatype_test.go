@@ -144,16 +144,23 @@ func TestMapRangeZeroLen(t *testing.T) {
 }
 
 // Property: mapped segments cover exactly the requested payload length, are
-// strictly ascending, and never overlap.
+// strictly ascending, never overlap, and never outnumber segBound — with
+// and without a gap between tiles.
 func TestMapRangeProperties(t *testing.T) {
-	prop := func(offRaw, nRaw uint16, blk, strideExtra, count uint8) bool {
+	prop := func(offRaw, nRaw uint16, blk, strideExtra, count, pad uint8) bool {
 		blocklen := int64(blk%16) + 1
 		stride := blocklen + int64(strideExtra%16)
 		cnt := int64(count%8) + 1
 		d := Vector(cnt, blocklen, stride)
+		if pad%2 == 1 {
+			d = d.Resized(d.Extent() + int64(pad%16))
+		}
 		off := int64(offRaw) % (d.Size() * 3)
 		n := int64(nRaw)%(d.Size()*2) + 1
 		segs := d.mapRange(off, n, nil)
+		if len(segs) > d.segBound(off, n) {
+			return false
+		}
 		var total int64
 		prevEnd := int64(-1)
 		for _, s := range segs {
@@ -213,6 +220,9 @@ func TestMapRangeBruteForce(t *testing.T) {
 		off := int64(rng.Intn(int(d.Size() * 2)))
 		n := int64(rng.Intn(int(d.Size()))) + 1
 		segs := d.mapRange(off, n, nil)
+		if bound := d.segBound(off, n); len(segs) > bound {
+			t.Fatalf("trial %d: %d segments, segBound %d (type %v)", trial, len(segs), bound, d.Segments())
+		}
 		idx := off
 		for _, s := range segs {
 			for i := int64(0); i < s.Len; i++ {

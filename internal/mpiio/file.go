@@ -162,7 +162,7 @@ func (f *File) physSegs(off int64, n int) []Segment {
 	if f.ftype == nil {
 		return []Segment{{Off: f.disp + off, Len: int64(n)}}
 	}
-	segs := f.ftype.mapRange(off, int64(n), nil)
+	segs := f.ftype.mapRange(off, int64(n), make([]Segment, 0, f.ftype.segBound(off, int64(n))))
 	for i := range segs {
 		segs[i].Off += f.disp
 	}

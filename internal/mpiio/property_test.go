@@ -1,6 +1,7 @@
 package mpiio
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,7 @@ func TestMergeRangesProperties(t *testing.T) {
 		for i := 0; i+1 < len(raw); i += 2 {
 			in = append(in, Segment{Off: int64(raw[i] % 500), Len: int64(raw[i+1]%50) + 1})
 		}
-		out := mergeRanges(in)
+		out := mergeRanges(slices.Clone(in)) // it merges in place
 		// Sorted, disjoint, with gaps between consecutive ranges.
 		for i := 1; i < len(out); i++ {
 			if out[i].Off <= out[i-1].Off+out[i-1].Len {
