@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"dafsio/internal/dafs"
 	"dafsio/internal/mpiio"
 	"dafsio/internal/sim"
@@ -117,7 +119,10 @@ func T8RegCache() *stats.Table {
 	return t
 }
 
-// T10OpLatency times the metadata operations both stacks share.
+// T10OpLatency times the metadata operations both stacks share. Every probe
+// checks its result — the count of a read or write, the error of the rest —
+// and a failed probe fails the experiment. The truncate probe keeps the
+// file longer than the 4KB read that follows it.
 func T10OpLatency() *stats.Table {
 	t := &stats.Table{
 		ID:      "T10",
@@ -126,35 +131,56 @@ func T10OpLatency() *stats.Table {
 	}
 	type probe struct {
 		name string
-		run  func(p *sim.Proc, f *mpiio.File, i int)
+		run  func(p *sim.Proc, f *mpiio.File, i int) error
+	}
+	moved := func(size int, write bool) func(p *sim.Proc, f *mpiio.File, i int) error {
+		return func(p *sim.Proc, f *mpiio.File, i int) error {
+			op := f.ReadAt
+			if write {
+				op = f.WriteAt
+			}
+			n, err := op(p, 0, make([]byte, size))
+			if err == nil && n != size {
+				err = fmt.Errorf("moved %d of %d bytes", n, size)
+			}
+			return err
+		}
 	}
 	probes := []probe{
-		{"getattr (size)", func(p *sim.Proc, f *mpiio.File, i int) { f.GetSize(p) }},
-		{"truncate", func(p *sim.Proc, f *mpiio.File, i int) { f.SetSize(p, int64(1000+i)) }},
-		{"sync", func(p *sim.Proc, f *mpiio.File, i int) { f.Sync(p) }},
-		{"512B read", func(p *sim.Proc, f *mpiio.File, i int) { f.ReadAt(p, 0, make([]byte, 512)) }},
-		{"512B write", func(p *sim.Proc, f *mpiio.File, i int) { f.WriteAt(p, 0, make([]byte, 512)) }},
-		{"4KB read", func(p *sim.Proc, f *mpiio.File, i int) { f.ReadAt(p, 0, make([]byte, 4096)) }},
-		{"4KB write", func(p *sim.Proc, f *mpiio.File, i int) { f.WriteAt(p, 0, make([]byte, 4096)) }},
+		{"getattr (size)", func(p *sim.Proc, f *mpiio.File, i int) error { _, err := f.GetSize(p); return err }},
+		{"truncate", func(p *sim.Proc, f *mpiio.File, i int) error { return f.SetSize(p, int64(64<<10+i)) }},
+		{"sync", func(p *sim.Proc, f *mpiio.File, i int) error { return f.Sync(p) }},
+		{"512B read", moved(512, false)},
+		{"512B write", moved(512, true)},
+		{"4KB read", moved(4096, false)},
+		{"4KB write", moved(4096, true)},
 	}
 	timed := func(st stack) []sim.Time {
 		out := make([]sim.Time, len(probes))
 		pt := point{id: "T10", clients: 1, stack: st, name: "ops", per: 64 << 10}
 		c := newCluster(pt, Observation{})
+		var failed error
 		c.K.Spawn("app", func(p *sim.Proc) {
 			f, _ := open(p, c, pt, 0)
+			defer f.Close(p)
 			for pi, pr := range probes {
-				pr.run(p, f, 0) // warm
+				err := pr.run(p, f, 0) // warm
 				start := p.Now()
 				const iters = 8
-				for i := 1; i <= iters; i++ {
-					pr.run(p, f, i)
+				for i := 1; err == nil && i <= iters; i++ {
+					err = pr.run(p, f, i)
+				}
+				if err != nil {
+					failed = fmt.Errorf("%s: %w", pr.name, err)
+					return
 				}
 				out[pi] = (p.Now() - start) / iters
 			}
-			f.Close(p)
 		})
 		end(c, c.Run())
+		if failed != nil {
+			panic(fmt.Sprintf("bench: T10: %v", failed))
+		}
 		return out
 	}
 	dafsT := timed(dafsStack)
