@@ -16,9 +16,10 @@ import (
 // or a postmortem shows here. T6 is the traced run over a single DAFS
 // server, T15 the striped contiguous path and T17 the strided collective
 // over four servers; each run's Chrome export is pinned beside its stdout.
+// T19 is the elastic-membership run: a live join, re-silver and commit.
 func TestOutputs(t *testing.T) {
 	dir := t.TempDir()
-	json := filepath.Join(dir, "t16.json")
+	json, json19 := filepath.Join(dir, "t16.json"), filepath.Join(dir, "t19.json")
 	chrome6, chrome15, chrome17 := filepath.Join(dir, "t6.json"), filepath.Join(dir, "t15.json"), filepath.Join(dir, "t17.json")
 	for _, tc := range []struct {
 		golden string
@@ -30,6 +31,7 @@ func TestOutputs(t *testing.T) {
 		{"trace-T6.txt", []string{"trace", "T6", "-hist", "-trace", chrome6}},
 		{"trace-T17.txt", []string{"trace", "T17", "-servers", "4", "-hist", "-trace", chrome17}},
 		{"stat-T16.txt", []string{"stat", "T16", "-json", json}},
+		{"stat-T19.txt", []string{"stat", "T19", "-interval", "25ms", "-json", json19}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 		if err != nil {
@@ -45,6 +47,7 @@ func TestOutputs(t *testing.T) {
 	}
 	for _, d := range []struct{ what, path, want string }{
 		{"stat T16 JSON export", json, "ac0cacf778e8168afe556e5dcb06f764a2521c9905cd33ccd505133556a289cf"},
+		{"stat T19 JSON export", json19, "b92d166d3b6bcd68968955a487d08158bb3baa73f56f08a0eb705ff60a26fe68"},
 		{"trace T6 Chrome export", chrome6, "c9b276231fc1a9a33ae12d06789698628228e3f478ed9e0f3a73924988ead4c9"},
 		{"trace T15 Chrome export", chrome15, "c3efa6baf68efe51c37c13582f130893d36333bac62c2c5833276d6d103e704a"},
 		{"trace T17 Chrome export", chrome17, "2a99841235637384fa9183840a30035f10d9644f9cf42d6eff79e9aaf9b6be44"},
