@@ -222,6 +222,137 @@ func TestKstackDeterminism(t *testing.T) {
 	}
 }
 
+// TestSmallAfterLargeCarriesOwnBytes: reassembly buffers are recycled, so a
+// small datagram lands in the buffer a large one just left. It must carry
+// only its own bytes, through Recv and through RecvFrom into a user buffer
+// the large datagram filled; a user buffer shorter than the datagram gets a
+// truncated copy.
+func TestSmallAfterLargeCarriesOwnBytes(t *testing.T) {
+	d := newDuo()
+	large, small := payload(20000), []byte{7, 8, 9}
+	d.k.Spawn("rx", func(p *sim.Proc) {
+		sock, _ := d.sb.Socket(5)
+		user := make([]byte, MaxDatagram)
+		for _, recv := range []func() Datagram{
+			func() Datagram { dg, _ := sock.Recv(p); return dg },
+			func() Datagram { dg, _ := sock.RecvFrom(p, user); return dg },
+		} {
+			if dg := recv(); !bytes.Equal(dg.Data, large) {
+				t.Errorf("large datagram: got %d bytes", len(dg.Data))
+			}
+			if dg := recv(); !bytes.Equal(dg.Data, small) {
+				t.Errorf("small datagram after a large one: got %d bytes %v", len(dg.Data), dg.Data[:min(8, len(dg.Data))])
+			}
+		}
+		dg, ok := sock.RecvFrom(p, user[:100])
+		if !ok || !bytes.Equal(dg.Data, large[:100]) {
+			t.Errorf("short user buffer: ok=%v, got %d bytes", ok, len(dg.Data))
+		}
+	})
+	d.k.Spawn("tx", func(p *sim.Proc) {
+		sock, _ := d.sa.Socket(0)
+		for _, m := range [][]byte{large, small, large, small, large} {
+			if err := sock.SendTo(p, d.nb.ID, 5, m); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err := d.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInterleavedSendersReassemble: two hosts stream multi-packet datagrams
+// to one socket at once, so their fragments interleave on the receiver's
+// link and two datagrams are in reassembly together. From the second round
+// on every datagram reassembles in a recycled buffer, and each arrives
+// intact and in its sender's order.
+func TestInterleavedSendersReassemble(t *testing.T) {
+	d := newDuo()
+	nc := d.fab.AddNode("c")
+	sc := New(nc, d.prof, d.k)
+	const rounds = 6
+	msg := func(src fabric.NodeID, i int) []byte {
+		b := make([]byte, 6000+977*i+131*int(src))
+		for j := range b {
+			b[j] = byte(int(src)*101 + i*7 + j*13)
+		}
+		return b
+	}
+	d.k.Spawn("rx", func(p *sim.Proc) {
+		sock, _ := d.sb.Socket(5)
+		next := map[fabric.NodeID]int{}
+		for range 2 * rounds {
+			dg, ok := sock.Recv(p)
+			if !ok {
+				t.Error("socket closed")
+				return
+			}
+			if want := msg(dg.Src, next[dg.Src]); !bytes.Equal(dg.Data, want) {
+				t.Errorf("datagram %d from %v: %d bytes, want %d, or content differs", next[dg.Src], dg.Src, len(dg.Data), len(want))
+			}
+			next[dg.Src]++
+		}
+	})
+	for _, st := range []*Stack{d.sa, sc} {
+		d.k.Spawn("tx."+st.Node.Name, func(p *sim.Proc) {
+			sock, _ := st.Socket(0)
+			for i := range rounds {
+				if err := sock.SendTo(p, d.nb.ID, 5, msg(st.Node.ID, i)); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+	}
+	if err := d.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(d.sb.freeBufs); got < 2 || got >= 2*rounds {
+		t.Errorf("receiver holds %d reassembly buffers after %d datagrams: want at least 2 (two in reassembly at once) and fewer than one each", got, 2*rounds)
+	}
+}
+
+// TestPacketsReturnToSender: a packet goes back to the stack that sent it
+// once the receiver has copied it into reassembly. A sender that waits for
+// an echo before each datagram therefore needs exactly one datagram's worth
+// of packets, however many it sends, and none of them end up with the
+// receiver.
+func TestPacketsReturnToSender(t *testing.T) {
+	d := newDuo()
+	const n, rounds = 10000, 8
+	d.k.Spawn("echo", func(p *sim.Proc) {
+		sock, _ := d.sb.Socket(5)
+		for range rounds {
+			dg, _ := sock.Recv(p)
+			sock.SendTo(p, dg.Src, dg.SrcPort, []byte{1})
+		}
+	})
+	d.k.Spawn("tx", func(p *sim.Proc) {
+		sock, _ := d.sa.Socket(0)
+		for range rounds {
+			if err := sock.SendTo(p, d.nb.ID, 5, payload(n)); err != nil {
+				t.Error(err)
+			}
+			sock.Recv(p)
+		}
+	})
+	if err := d.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	per := (n + d.sa.mtuData - 1) / d.sa.mtuData
+	if got := len(d.sa.freePkts); got != per {
+		t.Errorf("sender's pool holds %d packets after %d sent, want %d (one datagram's worth)", got, d.sa.PktsOut, per)
+	}
+	if got := len(d.sb.freePkts); got != 1 {
+		t.Errorf("echo's pool holds %d packets, want 1 (its own one-packet replies)", got)
+	}
+	for _, pk := range d.sa.freePkts {
+		if pk.owner != d.sa {
+			t.Fatal("a packet came back to a stack that did not send it")
+		}
+	}
+}
+
 // Property: any datagram size (0..several MTUs) survives fragmentation and
 // reassembly byte-for-byte.
 func TestFragmentationRoundTripProperty(t *testing.T) {

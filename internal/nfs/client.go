@@ -62,15 +62,17 @@ type Client struct {
 	inflight *sim.Resource
 	pending  map[uint32]*Call
 	nextXID  uint32
-	bufs     msgBufs // idle request buffers
+	bufs     msgBufs // idle request and reply buffers
 	closed   bool
 	stats    ClientStats
 }
 
+// callResult is a reply: its status, and its body inside msg, the message
+// buffer dispatch received it into.
 type callResult struct {
 	status Status
 	body   []byte
-	err    error
+	msg    []byte
 }
 
 // Call is an in-flight RPC.
@@ -79,12 +81,17 @@ type Call struct {
 	fut *sim.Future[callResult]
 }
 
-func (call *Call) wait(p *sim.Proc) (callResult, error) {
+// wait blocks for the reply and, if its status is OK, decodes the body with
+// dec (nil: nothing to decode). It is the one place a reply's message buffer
+// goes back to the pool, so a body never outlives wait.
+func (call *Call) wait(p *sim.Proc, dec func(r *wire.Reader) error) error {
 	res := call.fut.Get(p)
-	if res.err != nil {
-		return res, res.err
+	err := res.status.Err()
+	if err == nil && dec != nil {
+		err = dec(wire.NewReader(res.body))
 	}
-	return res, res.status.Err()
+	call.c.bufs.put(res.msg)
+	return err
 }
 
 // Mount connects a client on the stack's node to the server and verifies
@@ -106,7 +113,7 @@ func Mount(p *sim.Proc, stack *kstack.Stack, srv *Server, opts *MountOptions) (*
 		pending:  make(map[uint32]*Call),
 	}
 	c.k.SpawnDaemon(stack.Node.Name+".nfs.dispatch", c.dispatch)
-	if _, err := c.roundtrip(p, ProcNull, func(w *wire.Writer) {}); err != nil {
+	if err := c.roundtrip(p, ProcNull, func(w *wire.Writer) {}, nil); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -124,10 +131,13 @@ func (c *Client) WSize() int { return c.opts.WSize }
 // Stats returns a copy of the mount counters.
 func (c *Client) Stats() ClientStats { return c.stats }
 
-// dispatch routes RPC replies to waiting calls.
+// dispatch routes RPC replies to waiting calls. Each reply is received into
+// a message buffer that travels with it to Call.wait; a dropped reply's
+// buffer takes the next one.
 func (c *Client) dispatch(p *sim.Proc) {
+	buf := c.bufs.get()
 	for {
-		dg, ok := c.sock.Recv(p)
+		dg, ok := c.sock.RecvFrom(p, buf)
 		if !ok {
 			return
 		}
@@ -143,7 +153,8 @@ func (c *Client) dispatch(p *sim.Proc) {
 			// the issuer collects it — otherwise a caller pipelining more
 			// RPCs than slots would deadlock against itself.
 			c.inflight.Release(1)
-			call.fut.Set(callResult{status: hdr.Status, body: body})
+			call.fut.Set(callResult{status: hdr.Status, body: body, msg: buf})
+			buf = c.bufs.get()
 		}
 	}
 }
@@ -181,25 +192,26 @@ func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wire.Writer)) (*Call,
 	return call, nil
 }
 
-func (c *Client) roundtrip(p *sim.Proc, proc Proc, enc func(w *wire.Writer)) (callResult, error) {
+// roundtrip issues an RPC and waits for its reply (see Call.wait for dec).
+func (c *Client) roundtrip(p *sim.Proc, proc Proc, enc func(w *wire.Writer), dec func(r *wire.Reader) error) error {
 	call, err := c.start(p, proc, enc)
 	if err != nil {
-		return callResult{}, err
+		return err
 	}
-	return call.wait(p)
+	return call.wait(p, dec)
 }
 
 // ---- Namespace and attributes ----
 
 func (c *Client) fhAttr(p *sim.Proc, proc Proc, name string) (FH, Attr, error) {
-	res, err := c.roundtrip(p, proc, func(w *wire.Writer) { w.Str(name) })
-	if err != nil {
-		return 0, Attr{}, err
-	}
-	r := wire.NewReader(res.body)
-	fh := FH(r.U64())
-	a := Attr{Size: int64(r.U64())}
-	return fh, a, r.Err()
+	var fh FH
+	var a Attr
+	err := c.roundtrip(p, proc, func(w *wire.Writer) { w.Str(name) }, func(r *wire.Reader) error {
+		fh = FH(r.U64())
+		a = Attr{Size: int64(r.U64())}
+		return r.Err()
+	})
+	return fh, a, err
 }
 
 // Lookup resolves a name.
@@ -214,37 +226,32 @@ func (c *Client) Create(p *sim.Proc, name string) (FH, Attr, error) {
 
 // Remove deletes a file.
 func (c *Client) Remove(p *sim.Proc, name string) error {
-	_, err := c.roundtrip(p, ProcRemove, func(w *wire.Writer) { w.Str(name) })
-	return err
+	return c.roundtrip(p, ProcRemove, func(w *wire.Writer) { w.Str(name) }, nil)
 }
 
 // Rename moves a file.
 func (c *Client) Rename(p *sim.Proc, from, to string) error {
-	_, err := c.roundtrip(p, ProcRename, func(w *wire.Writer) { w.Str(from); w.Str(to) })
-	return err
+	return c.roundtrip(p, ProcRename, func(w *wire.Writer) { w.Str(from); w.Str(to) }, nil)
 }
 
 // Getattr fetches attributes (always from the server: noac).
 func (c *Client) Getattr(p *sim.Proc, fh FH) (Attr, error) {
-	res, err := c.roundtrip(p, ProcGetattr, func(w *wire.Writer) { w.U64(uint64(fh)) })
-	if err != nil {
-		return Attr{}, err
-	}
-	r := wire.NewReader(res.body)
-	a := Attr{Size: int64(r.U64())}
-	return a, r.Err()
+	var a Attr
+	err := c.roundtrip(p, ProcGetattr, func(w *wire.Writer) { w.U64(uint64(fh)) }, func(r *wire.Reader) error {
+		a = Attr{Size: int64(r.U64())}
+		return r.Err()
+	})
+	return a, err
 }
 
 // Setattr truncates the file to size.
 func (c *Client) Setattr(p *sim.Proc, fh FH, size int64) error {
-	_, err := c.roundtrip(p, ProcSetattr, func(w *wire.Writer) { w.U64(uint64(fh)); w.U64(uint64(size)) })
-	return err
+	return c.roundtrip(p, ProcSetattr, func(w *wire.Writer) { w.U64(uint64(fh)); w.U64(uint64(size)) }, nil)
 }
 
 // Commit flushes server-side state (disk access on uncached servers).
 func (c *Client) Commit(p *sim.Proc, fh FH) error {
-	_, err := c.roundtrip(p, ProcCommit, func(w *wire.Writer) { w.U64(uint64(fh)) })
-	return err
+	return c.roundtrip(p, ProcCommit, func(w *wire.Writer) { w.U64(uint64(fh)) }, nil)
 }
 
 // Readdir lists up to max names from cookie; next is 0 at the end.
@@ -252,18 +259,18 @@ func (c *Client) Readdir(p *sim.Proc, cookie uint32, max int) ([]string, uint32,
 	if max <= 0 || max > 0xFFFF {
 		return nil, 0, ErrInval
 	}
-	res, err := c.roundtrip(p, ProcReaddir, func(w *wire.Writer) { w.U32(cookie); w.U16(uint16(max)) })
-	if err != nil {
-		return nil, 0, err
-	}
-	r := wire.NewReader(res.body)
-	n := int(r.U16())
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		names = append(names, r.Str())
-	}
-	next := r.U32()
-	return names, next, r.Err()
+	var names []string
+	var next uint32
+	err := c.roundtrip(p, ProcReaddir, func(w *wire.Writer) { w.U32(cookie); w.U16(uint16(max)) }, func(r *wire.Reader) error {
+		n := int(r.U16())
+		names = make([]string, 0, n)
+		for i := 0; i < n; i++ {
+			names = append(names, r.Str())
+		}
+		next = r.U32()
+		return r.Err()
+	})
+	return names, next, err
 }
 
 // ---- Data path ----
@@ -330,25 +337,23 @@ func (io *IO) Wait(p *sim.Proc) (int, error) {
 	total := 0
 	short := false
 	for i, call := range io.calls {
-		res, err := call.wait(p)
+		var n int
+		err := call.wait(p, func(r *wire.Reader) error {
+			if io.write {
+				n = int(r.U32())
+			} else {
+				n = copy(io.bufs[i], r.Blob())
+			}
+			return r.Err()
+		})
 		if err != nil {
 			return total, err
 		}
-		r := wire.NewReader(res.body)
 		if io.write {
-			n := int(r.U32())
-			if r.Err() != nil {
-				return total, r.Err()
-			}
 			total += n
 			io.c.stats.WriteBytes += int64(n)
 			continue
 		}
-		data := r.Blob()
-		if r.Err() != nil {
-			return total, r.Err()
-		}
-		n := copy(io.bufs[i], data)
 		io.c.stats.ReadBytes += int64(n)
 		if !short {
 			total += n

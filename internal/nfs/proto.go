@@ -104,10 +104,13 @@ const (
 	rpcHeaderLen = 12
 )
 
-// msgBufs recycles the MaxDatagram-sized buffers RPC messages are encoded
-// in. A buffer is in use from its encode until SendTo returns, by when the
-// stack has copied it into packets. Several procs can be inside SendTo at
-// once, so this is a stack of idle buffers rather than one scratch buffer.
+// msgBufs recycles the MaxDatagram-sized buffers RPC messages live in. An
+// outgoing message's buffer is in use from its encode until SendTo returns,
+// by when the stack has copied it into packets. An incoming one is what
+// RecvFrom copied the datagram into; it is in use until the message is
+// decoded: by the server worker that handles the request, or by Call.wait
+// for a reply. Several procs hold buffers at once, so this is a stack of
+// idle buffers rather than one scratch buffer.
 type msgBufs [][]byte
 
 func (m *msgBufs) get() []byte {
@@ -119,7 +122,8 @@ func (m *msgBufs) get() []byte {
 	return make([]byte, kstack.MaxDatagram)
 }
 
-func (m *msgBufs) put(b []byte) { *m = append(*m, b) }
+// put takes back a buffer, or any slice of one that starts at its head.
+func (m *msgBufs) put(b []byte) { *m = append(*m, b[:cap(b)]) }
 
 type rpcHeader struct {
 	Proc   Proc

@@ -35,7 +35,7 @@ type Server struct {
 
 	sock  *kstack.Socket
 	workQ *sim.Chan[kstack.Datagram]
-	bufs  msgBufs // idle reply buffers
+	bufs  msgBufs // idle request and reply buffers
 	stats ServerStats
 }
 
@@ -72,9 +72,11 @@ func (s *Server) Store() *storage.Store { return s.store }
 // Stats returns a copy of the server counters.
 func (s *Server) Stats() ServerStats { return s.stats }
 
+// listen receives each request into a message buffer of its own and queues
+// it for the workers; the worker that handles it gives the buffer back.
 func (s *Server) listen(p *sim.Proc) {
 	for {
-		dg, ok := s.sock.Recv(p)
+		dg, ok := s.sock.RecvFrom(p, s.bufs.get())
 		if !ok {
 			return
 		}
@@ -89,6 +91,7 @@ func (s *Server) worker(p *sim.Proc) {
 			return
 		}
 		s.handle(p, dg)
+		s.bufs.put(dg.Data)
 	}
 }
 
