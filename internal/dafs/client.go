@@ -75,6 +75,32 @@ type slot struct {
 
 func (s *slot) bytes() []byte { return s.reg.Bytes()[s.off : s.off+s.size] }
 
+// slotPool holds a session's idle send slots. get hands out the slot freed
+// most recently, whose pages are the ones still warm, so a session that
+// never has more than one request out touches one slot; it parks while no
+// slot is idle. (Receive slots are not pooled: VIA consumes posted
+// receives in order.)
+type slotPool struct {
+	idle  []*slot
+	ready *sim.Chan[struct{}] // one token per idle slot: where get parks
+}
+
+func newSlotPool(k *sim.Kernel, slots int) slotPool {
+	return slotPool{idle: make([]*slot, 0, slots), ready: sim.NewChan[struct{}](k, 0)}
+}
+
+func (sp *slotPool) get(p *sim.Proc) *slot {
+	sp.ready.Recv(p)
+	s := sp.idle[len(sp.idle)-1]
+	sp.idle = sp.idle[:len(sp.idle)-1]
+	return s
+}
+
+func (sp *slotPool) put(s *slot) {
+	sp.idle = append(sp.idle, s)
+	sp.ready.TrySend(struct{}{})
+}
+
 type callResult struct {
 	status Status
 	body   []byte
@@ -116,7 +142,7 @@ type Client struct {
 	vi      *via.VI
 	cq      *via.CQ
 	credits *sim.Resource
-	reqPool *sim.Chan[*slot]
+	reqPool slotPool
 
 	// Session-owned registrations backing the request and response slot
 	// pools. Dial tears them down on its error paths and Redial on the
@@ -198,7 +224,7 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	c.cq = nic.NewCQ(nic.Node.Name + ".dafs.cq")
 	c.vi = nic.NewVI(c.cq, c.cq)
 	c.credits = sim.NewResource(c.k, nic.Node.Name+".dafs.credits", o.Credits)
-	c.reqPool = sim.NewChan[*slot](c.k, 0)
+	c.reqPool = newSlotPool(c.k, o.Credits)
 
 	// Connection management is out of band in VIA; model it as one round
 	// trip plus the server-side session setup cost.
@@ -218,7 +244,7 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	c.reqReg = nic.Register(p, make([]byte, o.Credits*c.slotSize))
 	c.respReg = nic.Register(p, make([]byte, o.Credits*c.slotSize))
 	for i := 0; i < o.Credits; i++ {
-		c.reqPool.TrySend(&slot{reg: c.reqReg, off: i * c.slotSize, size: c.slotSize})
+		c.reqPool.put(&slot{reg: c.reqReg, off: i * c.slotSize, size: c.slotSize})
 		rs := &slot{reg: c.respReg, off: i * c.slotSize, size: c.slotSize}
 		if err := c.vi.PostRecv(p, &via.Descriptor{Region: c.respReg, Offset: rs.off, Len: rs.size, Ctx: rs}); err != nil {
 			c.unregister(p)
@@ -309,7 +335,7 @@ func (c *Client) dispatch(p *sim.Proc) {
 			if comp.Err != nil {
 				c.fail(comp.Err)
 			}
-			c.reqPool.Send(p, s)
+			c.reqPool.put(s)
 		case via.OpRecv:
 			s := comp.Desc.Ctx.(*slot)
 			if comp.Err != nil {
@@ -414,7 +440,7 @@ func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wr)) (*Call, error) {
 	// deadlock against the release.
 	//mpiolint:ignore blockhold credit released by the dispatch daemon on response arrival or session failure
 	c.credits.Acquire(p, 1)
-	s, _ := c.reqPool.Recv(p)
+	s := c.reqPool.get(p)
 	c.m.credits.Add(1)
 	if wait := p.Now() - t0; wait > 0 {
 		c.m.creditWait.Observe(int64(wait))
@@ -425,7 +451,7 @@ func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wr)) (*Call, error) {
 	w := newWr(buf[HeaderLen:])
 	enc(w)
 	if w.Err() != nil {
-		c.reqPool.Send(p, s)
+		c.reqPool.put(s)
 		c.credits.Release(1)
 		c.m.credits.Add(-1)
 		c.tr.End(op)
@@ -448,7 +474,7 @@ func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wr)) (*Call, error) {
 	p.SetTraceCtx(old)
 	if err != nil {
 		delete(c.pending, xid)
-		c.reqPool.Send(p, s)
+		c.reqPool.put(s)
 		c.credits.Release(1)
 		c.m.credits.Add(-1)
 		c.tr.End(op)
@@ -920,10 +946,12 @@ func (c *Client) WriteBatch(p *sim.Proc, fh FH, segs []SegSpec, reg *via.Region,
 	return io.Wait(p)
 }
 
-// Close disconnects the session. Closing a session that already failed is
-// a no-op that reports the original wrapped ErrSession — not a secondary
-// error: the caller tearing down after a failure needs the root cause, and
-// there is no peer left to disconnect from.
+// Close disconnects the session and, once the DISCONNECT reply is in (or
+// the session failed waiting for it), deregisters its message buffers.
+// Closing a session that already failed is a no-op that reports the
+// original wrapped ErrSession — not a secondary error: the caller tearing
+// down after a failure needs the root cause, and there is no peer left to
+// disconnect from.
 func (c *Client) Close(p *sim.Proc) error {
 	if c.failErr != nil {
 		return c.failErr
@@ -933,6 +961,7 @@ func (c *Client) Close(p *sim.Proc) error {
 	}
 	_, err := c.roundtrip(p, ProcDisconnect, func(w *wr) {})
 	c.closed = true
+	c.unregister(p)
 	return err
 }
 

@@ -639,3 +639,41 @@ func TestUncachedServerIsDiskBound(t *testing.T) {
 		t.Fatalf("uncached (%v) not slower than cached (%v)", uncached, cached)
 	}
 }
+
+// TestSequentialCallsUseOneSlot: the slot pools hand out the slot freed
+// last, so a session that has one request out at a time builds every
+// request in one client slot and every reply in one server slot, and the
+// pages of the other slots are never touched.
+func TestSequentialCallsUseOneSlot(t *testing.T) {
+	r := newRig(1, nil)
+	r.store.Create("f")
+	touched := func(region []byte, slotSize int) int {
+		n := 0
+		for off := 0; off < len(region); off += slotSize {
+			if !bytes.Equal(region[off:off+slotSize], make([]byte, slotSize)) {
+				n++
+			}
+		}
+		return n
+	}
+	r.run(t, func(p *sim.Proc, c *Client) {
+		fh, _, err := c.Lookup(p, "f")
+		if err != nil {
+			t.Errorf("lookup: %v", err)
+			return
+		}
+		for i := range 24 {
+			if _, err := c.Write(p, fh, int64(i)*512, pattern(512, byte(i))); err != nil {
+				t.Errorf("write %d: %v", i, err)
+				return
+			}
+		}
+		if got := touched(c.reqReg.Bytes(), c.slotSize); got != 1 {
+			t.Errorf("sequential calls built requests in %d client slots, want 1", got)
+		}
+		sess := r.srv.sessions[0]
+		if got := touched(sess.respReg.Bytes(), sess.slotSize); got != 1 {
+			t.Errorf("sequential calls built replies in %d server slots, want 1", got)
+		}
+	})
+}

@@ -35,6 +35,35 @@ func TestFailedDialUnregisters(t *testing.T) {
 	}
 }
 
+// TestCloseUnregisters: a clean Close gives back every registration the
+// session pinned: the client's pair once the DISCONNECT reply is in, and
+// the server's pair once that reply has left. Both used to stay pinned for
+// the rest of the run.
+func TestCloseUnregisters(t *testing.T) {
+	r := newRig(1, nil)
+	cNIC, sNIC := r.cNICs[0], r.srv.NIC()
+	cBefore, sBefore := cNIC.Regions(), sNIC.Regions()
+	r.k.Spawn("app", func(p *sim.Proc) {
+		c, err := Dial(p, cNIC, r.srv, nil)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		if err := c.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if got := cNIC.Regions(); got != cBefore {
+			t.Errorf("client NIC holds %d region(s) after Close, had %d before Dial", got, cBefore)
+		}
+	})
+	if err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sNIC.Regions(); got != sBefore {
+		t.Errorf("server NIC holds %d region(s) after the session closed, had %d before", got, sBefore)
+	}
+}
+
 // TestRedialDropsOldSessionRegistrations: Redial pins a fresh pair of
 // message-buffer regions for the replacement session and must tear down
 // the dead session's pair — otherwise every failover leaks two pinned

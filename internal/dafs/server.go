@@ -67,7 +67,7 @@ type session struct {
 	id        int
 	srv       *Server
 	vi        *via.VI
-	respPool  *sim.Chan[*slot]
+	respPool  slotPool
 	maxInline int
 	slotSize  int
 	closed    bool
@@ -96,6 +96,7 @@ type recvCtx struct {
 type respCtx struct {
 	sess *session
 	s    *slot
+	bye  bool // the DISCONNECT reply: the session's last message
 }
 
 // NewServer creates a DAFS server on the NIC's node and starts its
@@ -225,7 +226,7 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 		id:        len(s.sessions),
 		srv:       s,
 		vi:        vi,
-		respPool:  sim.NewChan[*slot](s.k, 0),
+		respPool:  newSlotPool(s.k, o.Credits),
 		maxInline: o.MaxInline,
 		slotSize:  slotSize,
 	}
@@ -240,7 +241,7 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 			s.nic.Deregister(p, sess.respReg)
 			return err
 		}
-		sess.respPool.TrySend(&slot{reg: sess.respReg, off: i * slotSize, size: slotSize})
+		sess.respPool.put(&slot{reg: sess.respReg, off: i * slotSize, size: slotSize})
 	}
 	s.sessions = append(s.sessions, sess)
 	s.stats.Sessions++
@@ -261,7 +262,13 @@ func (s *Server) dispatch(p *sim.Proc) {
 			}
 			s.workQ.Send(p, &srvReq{sess: ctx.sess, s: ctx.s, length: comp.Len, parent: comp.Trace, at: p.Now()})
 		case *respCtx:
-			ctx.sess.respPool.Send(p, ctx.s)
+			ctx.sess.respPool.put(ctx.s)
+			if ctx.bye {
+				// Nothing references the session's buffers once its
+				// DISCONNECT reply is out.
+				s.nic.Deregister(p, ctx.sess.reqReg)
+				s.nic.Deregister(p, ctx.sess.respReg)
+			}
 		case *sim.Future[via.Completion]:
 			ctx.Set(comp)
 		}
@@ -313,7 +320,7 @@ func (s *Server) handle(p *sim.Proc, req *srvReq) {
 	s.tr.Charge(op, trace.CatServerCPU, p.Now()-t0)
 	st, enc := s.exec(p, sess, hdr.Proc, newRd(body))
 
-	rs, _ := sess.respPool.Recv(p)
+	rs := sess.respPool.get(p)
 	out := rs.bytes()
 	w := newWr(out[HeaderLen:])
 	if enc != nil {
@@ -333,7 +340,8 @@ func (s *Server) handle(p *sim.Proc, req *srvReq) {
 		sess.closed = true
 		return
 	}
-	if err := sess.vi.PostSend(p, &via.Descriptor{Op: via.OpSend, Region: rs.reg, Offset: rs.off, Len: HeaderLen + w.Len(), Ctx: &respCtx{sess: sess, s: rs}}); err != nil {
+	bye := hdr.Proc == ProcDisconnect && st == StatusOK
+	if err := sess.vi.PostSend(p, &via.Descriptor{Op: via.OpSend, Region: rs.reg, Offset: rs.off, Len: HeaderLen + w.Len(), Ctx: &respCtx{sess: sess, s: rs, bye: bye}}); err != nil {
 		sess.closed = true
 		return
 	}
