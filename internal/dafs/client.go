@@ -66,11 +66,15 @@ type ClientStats struct {
 	DirectWriteBytes int64
 }
 
-// slot is one registered message buffer.
+// slot is one registered message buffer, with the descriptor it is posted
+// with and the writer that encodes what is sent from it. Both are reused
+// every time the slot is: a message allocates nothing.
 type slot struct {
 	reg  *via.Region
 	off  int
 	size int
+	desc via.Descriptor
+	w    wr
 }
 
 func (s *slot) bytes() []byte { return s.reg.Bytes()[s.off : s.off+s.size] }
@@ -80,49 +84,106 @@ func (s *slot) bytes() []byte { return s.reg.Bytes()[s.off : s.off+s.size] }
 // never has more than one request out touches one slot; it parks while no
 // slot is idle. (Receive slots are not pooled: VIA consumes posted
 // receives in order.)
-type slotPool struct {
-	idle  []*slot
+type slotPool[S any] struct {
+	idle  []S
 	ready *sim.Chan[struct{}] // one token per idle slot: where get parks
 }
 
-func newSlotPool(k *sim.Kernel, slots int) slotPool {
-	return slotPool{idle: make([]*slot, 0, slots), ready: sim.NewChan[struct{}](k, 0)}
+func newSlotPool[S any](k *sim.Kernel, slots int) slotPool[S] {
+	return slotPool[S]{idle: make([]S, 0, slots), ready: sim.NewChan[struct{}](k, 0)}
 }
 
-func (sp *slotPool) get(p *sim.Proc) *slot {
+func (sp *slotPool[S]) get(p *sim.Proc) S {
 	sp.ready.Recv(p)
 	s := sp.idle[len(sp.idle)-1]
 	sp.idle = sp.idle[:len(sp.idle)-1]
 	return s
 }
 
-func (sp *slotPool) put(s *slot) {
+func (sp *slotPool[S]) put(s S) {
 	sp.idle = append(sp.idle, s)
 	sp.ready.TrySend(struct{}{})
 }
 
-type callResult struct {
-	status Status
-	body   []byte
-	err    error // transport-level failure
-}
-
 // Call is an in-flight request (the unit of the client's asynchronous API).
+// It carries everything the request needs until it is collected: the
+// future dispatch completes, the response body, and — as the same memory
+// under another type — the IO, NameOp, AttrOp or Ack its Start method
+// returned. A session recycles its calls: the client owns one from start
+// until wait returns, wait is its one consumer (an operation is waited
+// once) and gives it back to the session's free list. XIDs are never
+// reused, so a late response finds no call to land in.
 type Call struct {
 	c      *Client
-	fut    *sim.Future[callResult]
-	op     trace.OpID // request span: issue -> response decoded (0: untraced)
-	issued sim.Time   // when the request hit the wire (call-latency metric)
+	fut    *sim.Future[error] // the session failure or the response's status error
+	op     trace.OpID         // request span: issue -> response decoded (0: untraced)
+	issued sim.Time           // when the request hit the wire (call-latency metric)
+	proc   Proc
+
+	// The response body, copied out of the receive slot by dispatch. An
+	// inline read's data goes straight to into, the caller's buffer; n and
+	// readErr are what that copy made of the body.
+	body    []byte
+	into    []byte
+	n       int
+	readErr error
+	r       rd // decodes body for wait
+
+	next *Call // free-list link
+	idle bool  // on the free list
 }
 
-// wait blocks until the response arrives and returns the decoded result.
-func (call *Call) wait(p *sim.Proc) (callResult, error) {
-	res := call.fut.Get(p)
-	call.c.node.Compute(p, call.c.prof.WakeupLatency)
-	if res.err != nil {
-		return res, res.err
+// newCall takes a collected call off the free list, or makes one, and sets
+// it up for a proc request; into is the caller's buffer of an inline read.
+func (c *Client) newCall(proc Proc, into []byte, op trace.OpID) *Call {
+	call := c.freeCalls
+	if call != nil {
+		c.freeCalls, call.next, call.idle = call.next, nil, false
+		call.fut.Reset()
+	} else {
+		call = &Call{c: c, fut: sim.NewFuture[error](c.k)}
 	}
-	return res, res.status.Err()
+	call.proc, call.into, call.op = proc, into, op
+	call.n, call.readErr = 0, nil
+	return call
+}
+
+// putCall gives a collected call back to its session.
+func (c *Client) putCall(call *Call) {
+	if call.idle {
+		panic("dafs: call waited twice")
+	}
+	call.into, call.idle, call.next = nil, true, c.freeCalls
+	c.freeCalls = call
+}
+
+// save copies a response body out of the receive slot that holds it, into
+// the caller's buffer for a successful inline read and into the call's own
+// storage for anything else. Dispatch calls it while the call is pending
+// and before it yields, so the bytes go to the request they answer.
+func (call *Call) save(st Status, body []byte) {
+	if call.proc != ProcRead || st != StatusOK {
+		call.body = append(call.body[:0], body...)
+		return
+	}
+	call.r.Reset(body)
+	data := call.r.Blob()
+	call.n, call.readErr = copy(call.into, data), call.r.Err()
+}
+
+// wait blocks until the response arrives, hands a successful response's
+// body to dec (nil: nothing to decode), and gives the call back to the
+// session. It returns the transport failure, the status error or dec's.
+func (call *Call) wait(p *sim.Proc, dec func(r *rd) error) error {
+	err := call.fut.Get(p)
+	c := call.c
+	c.node.Compute(p, c.prof.WakeupLatency)
+	if err == nil && dec != nil {
+		call.r.Reset(call.body)
+		err = dec(&call.r)
+	}
+	c.putCall(call)
+	return err
 }
 
 // Client is one DAFS session. All methods must be called from simulated
@@ -142,7 +203,7 @@ type Client struct {
 	vi      *via.VI
 	cq      *via.CQ
 	credits *sim.Resource
-	reqPool slotPool
+	reqPool slotPool[*slot]
 
 	// Session-owned registrations backing the request and response slot
 	// pools. Dial tears them down on its error paths and Redial on the
@@ -156,6 +217,8 @@ type Client struct {
 	maxInline int
 	slotSize  int
 	srvEpoch  uint32 // server's membership epoch at connect time
+
+	freeCalls *Call // collected calls, for the next requests (newCall)
 
 	// freeExpire pools per-call deadline timers: each carries a reusable
 	// kernel event bound once to its own fire action, so arming a call
@@ -224,7 +287,7 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	c.cq = nic.NewCQ(nic.Node.Name + ".dafs.cq")
 	c.vi = nic.NewVI(c.cq, c.cq)
 	c.credits = sim.NewResource(c.k, nic.Node.Name+".dafs.credits", o.Credits)
-	c.reqPool = newSlotPool(c.k, o.Credits)
+	c.reqPool = newSlotPool[*slot](c.k, o.Credits)
 
 	// Connection management is out of band in VIA; model it as one round
 	// trip plus the server-side session setup cost.
@@ -243,10 +306,14 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	// the rest of the run.
 	c.reqReg = nic.Register(p, make([]byte, o.Credits*c.slotSize))
 	c.respReg = nic.Register(p, make([]byte, o.Credits*c.slotSize))
+	slots := make([]slot, 2*o.Credits)
 	for i := 0; i < o.Credits; i++ {
-		c.reqPool.put(&slot{reg: c.reqReg, off: i * c.slotSize, size: c.slotSize})
-		rs := &slot{reg: c.respReg, off: i * c.slotSize, size: c.slotSize}
-		if err := c.vi.PostRecv(p, &via.Descriptor{Region: c.respReg, Offset: rs.off, Len: rs.size, Ctx: rs}); err != nil {
+		qs, rs := &slots[2*i], &slots[2*i+1]
+		qs.reg, qs.off, qs.size = c.reqReg, i*c.slotSize, c.slotSize
+		c.reqPool.put(qs)
+		rs.reg, rs.off, rs.size = c.respReg, i*c.slotSize, c.slotSize
+		rs.desc = via.Descriptor{Region: c.respReg, Offset: rs.off, Len: rs.size, Ctx: rs}
+		if err := c.vi.PostRecv(p, &rs.desc); err != nil {
 			c.unregister(p)
 			return nil, err
 		}
@@ -254,19 +321,23 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	c.k.SpawnDaemon(nic.Node.Name+".dafs.dispatch", c.dispatch)
 
 	// Protocol-level CONNECT.
-	res, err := c.roundtrip(p, ProcConnect, func(w *wr) {
+	var gotCredits, gotInline int
+	var decErr error
+	err := c.roundtrip(p, ProcConnect, func(w *wr) {
 		w.U16(uint16(o.Credits))
 		w.U32(uint32(o.MaxInline))
+	}, func(r *rd) error {
+		gotCredits, gotInline = int(r.U16()), int(r.U32())
+		decErr = r.Err()
+		return nil
 	})
 	if err != nil {
 		c.unregister(p)
 		return nil, fmt.Errorf("dafs: connect: %w", err)
 	}
-	r := newRd(res.body)
-	gotCredits, gotInline := int(r.U16()), int(r.U32())
-	if r.Err() != nil {
+	if decErr != nil {
 		c.unregister(p)
-		return nil, r.Err()
+		return nil, decErr
 	}
 	if gotCredits != o.Credits || gotInline != o.MaxInline {
 		c.unregister(p)
@@ -348,29 +419,30 @@ func (c *Client) dispatch(p *sim.Proc) {
 				c.fail(err)
 				continue
 			}
-			call := c.pending[hdr.XID]
 			var callOp trace.OpID
-			if call != nil {
+			if call := c.pending[hdr.XID]; call != nil {
 				callOp = call.op
+				// The body leaves the slot now, while the call is known to
+				// be pending: once the charges below yield, its deadline
+				// may fail it and its caller recycle it.
+				call.save(hdr.Status, msg[HeaderLen:HeaderLen+int(hdr.BodyLen)])
 			}
 			t0 := p.Now()
 			c.node.Compute(p, c.prof.MarshalCost)
-			body := make([]byte, hdr.BodyLen)
-			copy(body, msg[HeaderLen:HeaderLen+int(hdr.BodyLen)])
 			if hdr.BodyLen > 0 {
 				// Copying the payload out of the registered receive
 				// buffer: the inline path's receive-side copy.
 				c.node.Compute(p, c.prof.CopyTime(int(hdr.BodyLen)))
 			}
 			c.tr.Charge(callOp, trace.CatClientCPU, p.Now()-t0)
-			if err := c.vi.PostRecv(p, &via.Descriptor{Region: s.reg, Offset: s.off, Len: s.size, Ctx: s}); err != nil {
+			if err := c.vi.PostRecv(p, &s.desc); err != nil {
 				c.fail(err)
 			}
 			// The charges above yield. If the call's deadline fired in one
 			// of them (or the re-post failed the session), fail() has
 			// already completed the call and released its credit: the
 			// response is late and is dropped.
-			call = c.pending[hdr.XID]
+			call := c.pending[hdr.XID]
 			delete(c.pending, hdr.XID)
 			if call != nil {
 				// The credit frees when the response arrives, not when
@@ -381,7 +453,7 @@ func (c *Client) dispatch(p *sim.Proc) {
 				c.m.credits.Add(-1)
 				c.m.callNs.Observe(int64(p.Now() - call.issued))
 				c.tr.End(call.op)
-				call.fut.Set(callResult{status: hdr.Status, body: body})
+				call.fut.Set(hdr.Status.Err())
 			}
 		}
 	}
@@ -417,12 +489,13 @@ func (c *Client) fail(err error) {
 		c.credits.Release(1)
 		c.m.credits.Add(-1)
 		c.tr.End(call.op)
-		call.fut.Set(callResult{err: c.failErr})
+		call.fut.Set(c.failErr)
 	}
 }
 
-// start issues a request asynchronously. enc encodes the body.
-func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wr)) (*Call, error) {
+// start issues a request asynchronously. enc encodes the body; into is the
+// caller's buffer for an inline read's data (nil for anything else).
+func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*Call, error) {
 	if c.closed {
 		if c.failErr != nil {
 			return nil, c.failErr
@@ -448,7 +521,8 @@ func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wr)) (*Call, error) {
 	}
 	c.tr.Charge(op, trace.CatQueue, p.Now()-t0)
 	buf := s.bytes()
-	w := newWr(buf[HeaderLen:])
+	w := &s.w
+	w.Reset(buf[HeaderLen:])
 	enc(w)
 	if w.Err() != nil {
 		c.reqPool.put(s)
@@ -467,13 +541,15 @@ func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wr)) (*Call, error) {
 	t1 := p.Now()
 	c.node.Compute(p, c.prof.MarshalCost+c.prof.CopyTime(n))
 	c.tr.Charge(op, trace.CatClientCPU, p.Now()-t1)
-	call := &Call{c: c, fut: sim.NewFuture[callResult](c.k), op: op}
+	call := c.newCall(proc, into, op)
 	c.pending[xid] = call
 	old := p.SetTraceCtx(uint64(op))
-	err := c.vi.PostSend(p, &via.Descriptor{Op: via.OpSend, Region: s.reg, Offset: s.off, Len: n, Ctx: s})
+	s.desc = via.Descriptor{Op: via.OpSend, Region: s.reg, Offset: s.off, Len: n, Ctx: s}
+	err := c.vi.PostSend(p, &s.desc)
 	p.SetTraceCtx(old)
 	if err != nil {
 		delete(c.pending, xid)
+		c.putCall(call)
 		c.reqPool.put(s)
 		c.credits.Release(1)
 		c.m.credits.Add(-1)
@@ -532,13 +608,14 @@ func (c *Client) expire(xid uint32) {
 	c.fail(fmt.Errorf("%w: call %d got no response within %v", ErrTimeout, xid, c.opts.CallTimeout))
 }
 
-// roundtrip issues a request and waits for its response.
-func (c *Client) roundtrip(p *sim.Proc, proc Proc, enc func(w *wr)) (callResult, error) {
-	call, err := c.start(p, proc, enc)
+// roundtrip issues a request and waits for its response, which dec
+// decodes (see Call.wait).
+func (c *Client) roundtrip(p *sim.Proc, proc Proc, enc func(w *wr), dec func(r *rd) error) error {
+	call, err := c.start(p, proc, nil, enc)
 	if err != nil {
-		return callResult{}, err
+		return err
 	}
-	return call.wait(p)
+	return call.wait(p, dec)
 }
 
 // ---- Namespace and attribute operations ----
@@ -549,52 +626,47 @@ func (c *Client) roundtrip(p *sim.Proc, proc Proc, enc func(w *wr)) (callResult,
 // Lookup/Setattr/Fsync concurrently and then collecting turns a
 // Width-proportional metadata latency into roughly one round trip.
 
-// NameOp is an in-flight Lookup or Create.
-type NameOp struct{ call *Call }
+// NameOp is an in-flight Lookup or Create: its Call, collected by Wait.
+type NameOp Call
 
 // Wait blocks until the operation completes and returns the file handle
 // and attributes.
 func (o *NameOp) Wait(p *sim.Proc) (FH, Attr, error) {
-	res, err := o.call.wait(p)
-	if err != nil {
-		return 0, Attr{}, err
-	}
-	r := newRd(res.body)
-	fh := FH(r.U64())
-	size := int64(r.U64())
-	return fh, Attr{Size: size}, r.Err()
+	var fh FH
+	var a Attr
+	err := (*Call)(o).wait(p, func(r *rd) error {
+		fh, a.Size = FH(r.U64()), int64(r.U64())
+		return r.Err()
+	})
+	return fh, a, err
 }
 
 // AttrOp is an in-flight Getattr.
-type AttrOp struct{ call *Call }
+type AttrOp Call
 
 // Wait blocks until the attributes arrive.
 func (o *AttrOp) Wait(p *sim.Proc) (Attr, error) {
-	res, err := o.call.wait(p)
-	if err != nil {
-		return Attr{}, err
-	}
-	r := newRd(res.body)
-	a := Attr{Size: int64(r.U64())}
-	return a, r.Err()
+	var a Attr
+	err := (*Call)(o).wait(p, func(r *rd) error {
+		a.Size = int64(r.U64())
+		return r.Err()
+	})
+	return a, err
 }
 
 // Ack is an in-flight operation whose response carries no payload
 // (Setattr, Fsync, Remove, Rename).
-type Ack struct{ call *Call }
+type Ack Call
 
 // Wait blocks until the server acknowledges the operation.
-func (o *Ack) Wait(p *sim.Proc) error {
-	_, err := o.call.wait(p)
-	return err
-}
+func (o *Ack) Wait(p *sim.Proc) error { return (*Call)(o).wait(p, nil) }
 
 func (c *Client) startNameOp(p *sim.Proc, proc Proc, name string) (*NameOp, error) {
-	call, err := c.start(p, proc, func(w *wr) { w.Str(name) })
+	call, err := c.start(p, proc, nil, func(w *wr) { w.Str(name) })
 	if err != nil {
 		return nil, err
 	}
-	return &NameOp{call: call}, nil
+	return (*NameOp)(call), nil
 }
 
 // StartLookup issues a Lookup without waiting.
@@ -627,11 +699,11 @@ func (c *Client) Create(p *sim.Proc, name string) (FH, Attr, error) {
 
 // StartRemove issues a Remove without waiting.
 func (c *Client) StartRemove(p *sim.Proc, name string) (*Ack, error) {
-	call, err := c.start(p, ProcRemove, func(w *wr) { w.Str(name) })
+	call, err := c.start(p, ProcRemove, nil, func(w *wr) { w.Str(name) })
 	if err != nil {
 		return nil, err
 	}
-	return &Ack{call: call}, nil
+	return (*Ack)(call), nil
 }
 
 // Remove deletes a file by name.
@@ -645,17 +717,16 @@ func (c *Client) Remove(p *sim.Proc, name string) error {
 
 // Rename moves a file.
 func (c *Client) Rename(p *sim.Proc, from, to string) error {
-	_, err := c.roundtrip(p, ProcRename, func(w *wr) { w.Str(from); w.Str(to) })
-	return err
+	return c.roundtrip(p, ProcRename, func(w *wr) { w.Str(from); w.Str(to) }, nil)
 }
 
 // StartGetattr issues a Getattr without waiting.
 func (c *Client) StartGetattr(p *sim.Proc, fh FH) (*AttrOp, error) {
-	call, err := c.start(p, ProcGetattr, func(w *wr) { w.U64(uint64(fh)) })
+	call, err := c.start(p, ProcGetattr, nil, func(w *wr) { w.U64(uint64(fh)) })
 	if err != nil {
 		return nil, err
 	}
-	return &AttrOp{call: call}, nil
+	return (*AttrOp)(call), nil
 }
 
 // Getattr fetches attributes.
@@ -669,11 +740,11 @@ func (c *Client) Getattr(p *sim.Proc, fh FH) (Attr, error) {
 
 // StartSetattr issues a Setattr without waiting.
 func (c *Client) StartSetattr(p *sim.Proc, fh FH, size int64) (*Ack, error) {
-	call, err := c.start(p, ProcSetattr, func(w *wr) { w.U64(uint64(fh)); w.U64(uint64(size)) })
+	call, err := c.start(p, ProcSetattr, nil, func(w *wr) { w.U64(uint64(fh)); w.U64(uint64(size)) })
 	if err != nil {
 		return nil, err
 	}
-	return &Ack{call: call}, nil
+	return (*Ack)(call), nil
 }
 
 // Setattr truncates (or extends) the file to size.
@@ -687,11 +758,11 @@ func (c *Client) Setattr(p *sim.Proc, fh FH, size int64) error {
 
 // StartFsync issues an Fsync without waiting.
 func (c *Client) StartFsync(p *sim.Proc, fh FH) (*Ack, error) {
-	call, err := c.start(p, ProcFsync, func(w *wr) { w.U64(uint64(fh)) })
+	call, err := c.start(p, ProcFsync, nil, func(w *wr) { w.U64(uint64(fh)) })
 	if err != nil {
 		return nil, err
 	}
-	return &Ack{call: call}, nil
+	return (*Ack)(call), nil
 }
 
 // Fsync commits the file's data (a no-op timing-wise on the cached store,
@@ -710,21 +781,21 @@ func (c *Client) Readdir(p *sim.Proc, cookie uint32, max int) ([]string, uint32,
 	if max <= 0 || max > 0xFFFF {
 		return nil, 0, ErrInval
 	}
-	res, err := c.roundtrip(p, ProcReaddir, func(w *wr) {
+	var names []string
+	var next uint32
+	err := c.roundtrip(p, ProcReaddir, func(w *wr) {
 		w.U32(cookie)
 		w.U16(uint16(max))
+	}, func(r *rd) error {
+		n := int(r.U16())
+		names = make([]string, 0, n)
+		for i := 0; i < n; i++ {
+			names = append(names, r.Str())
+		}
+		next = r.U32()
+		return r.Err()
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	r := newRd(res.body)
-	n := int(r.U16())
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		names = append(names, r.Str())
-	}
-	next := r.U32()
-	return names, next, r.Err()
+	return names, next, err
 }
 
 // ---- Inline data operations ----
@@ -745,7 +816,7 @@ func (c *Client) StartRead(p *sim.Proc, fh FH, off int64, buf []byte) (*IO, erro
 	if len(buf) > c.maxInline {
 		return nil, ErrTooBig
 	}
-	call, err := c.start(p, ProcRead, func(w *wr) {
+	call, err := c.start(p, ProcRead, buf, func(w *wr) {
 		w.U64(uint64(fh))
 		w.U64(uint64(off))
 		w.U32(uint32(len(buf)))
@@ -753,7 +824,7 @@ func (c *Client) StartRead(p *sim.Proc, fh FH, off int64, buf []byte) (*IO, erro
 	if err != nil {
 		return nil, err
 	}
-	return &IO{call: call, readBuf: buf, kind: ProcRead}, nil
+	return (*IO)(call), nil
 }
 
 // Write performs an inline write; data travels in the request message.
@@ -771,7 +842,7 @@ func (c *Client) StartWrite(p *sim.Proc, fh FH, off int64, data []byte) (*IO, er
 	if len(data) > c.maxInline {
 		return nil, ErrTooBig
 	}
-	call, err := c.start(p, ProcWrite, func(w *wr) {
+	call, err := c.start(p, ProcWrite, nil, func(w *wr) {
 		w.U64(uint64(fh))
 		w.U64(uint64(off))
 		w.Blob(data)
@@ -780,7 +851,7 @@ func (c *Client) StartWrite(p *sim.Proc, fh FH, off int64, data []byte) (*IO, er
 		return nil, err
 	}
 	c.stats.InlineWriteBytes += int64(len(data))
-	return &IO{call: call, kind: ProcWrite}, nil
+	return (*IO)(call), nil
 }
 
 // Append atomically appends data at the server-chosen end of file and
@@ -789,17 +860,16 @@ func (c *Client) Append(p *sim.Proc, fh FH, data []byte) (int64, error) {
 	if len(data) > c.maxInline {
 		return 0, ErrTooBig
 	}
-	res, err := c.roundtrip(p, ProcAppend, func(w *wr) {
+	var off int64
+	err := c.roundtrip(p, ProcAppend, func(w *wr) {
 		w.U64(uint64(fh))
 		w.Blob(data)
+	}, func(r *rd) error {
+		c.stats.InlineWriteBytes += int64(len(data))
+		off = int64(r.U64())
+		return r.Err()
 	})
-	if err != nil {
-		return 0, err
-	}
-	c.stats.InlineWriteBytes += int64(len(data))
-	r := newRd(res.body)
-	off := int64(r.U64())
-	return off, r.Err()
+	return off, err
 }
 
 // ---- Direct (RDMA) data operations ----
@@ -820,7 +890,7 @@ func (c *Client) StartReadDirect(p *sim.Proc, fh FH, off int64, reg *via.Region,
 	if regOff < 0 || n < 0 || regOff+n > reg.Len() {
 		return nil, ErrInval
 	}
-	call, err := c.start(p, ProcReadDirect, func(w *wr) {
+	call, err := c.start(p, ProcReadDirect, nil, func(w *wr) {
 		w.U64(uint64(fh))
 		w.U64(uint64(off))
 		w.U32(uint32(n))
@@ -830,7 +900,7 @@ func (c *Client) StartReadDirect(p *sim.Proc, fh FH, off int64, reg *via.Region,
 	if err != nil {
 		return nil, err
 	}
-	return &IO{call: call, kind: ProcReadDirect}, nil
+	return (*IO)(call), nil
 }
 
 // WriteDirect writes n bytes from registered client memory at off; the
@@ -848,7 +918,7 @@ func (c *Client) StartWriteDirect(p *sim.Proc, fh FH, off int64, reg *via.Region
 	if regOff < 0 || n < 0 || regOff+n > reg.Len() {
 		return nil, ErrInval
 	}
-	call, err := c.start(p, ProcWriteDirect, func(w *wr) {
+	call, err := c.start(p, ProcWriteDirect, nil, func(w *wr) {
 		w.U64(uint64(fh))
 		w.U64(uint64(off))
 		w.U32(uint32(n))
@@ -858,7 +928,7 @@ func (c *Client) StartWriteDirect(p *sim.Proc, fh FH, off int64, reg *via.Region
 	if err != nil {
 		return nil, err
 	}
-	return &IO{call: call, kind: ProcWriteDirect}, nil
+	return (*IO)(call), nil
 }
 
 // SegSpec names one file segment of a batch operation.
@@ -906,11 +976,11 @@ func (c *Client) StartReadBatch(p *sim.Proc, fh FH, segs []SegSpec, reg *via.Reg
 	if _, err := batchCheck(segs, reg, regOff); err != nil {
 		return nil, err
 	}
-	call, err := c.start(p, ProcReadBatch, func(w *wr) { encodeBatch(w, fh, segs, reg, regOff) })
+	call, err := c.start(p, ProcReadBatch, nil, func(w *wr) { encodeBatch(w, fh, segs, reg, regOff) })
 	if err != nil {
 		return nil, err
 	}
-	return &IO{call: call, kind: ProcReadBatch}, nil
+	return (*IO)(call), nil
 }
 
 // ReadBatch is the blocking form of StartReadBatch. It returns the total
@@ -930,11 +1000,11 @@ func (c *Client) StartWriteBatch(p *sim.Proc, fh FH, segs []SegSpec, reg *via.Re
 	if _, err := batchCheck(segs, reg, regOff); err != nil {
 		return nil, err
 	}
-	call, err := c.start(p, ProcWriteBatch, func(w *wr) { encodeBatch(w, fh, segs, reg, regOff) })
+	call, err := c.start(p, ProcWriteBatch, nil, func(w *wr) { encodeBatch(w, fh, segs, reg, regOff) })
 	if err != nil {
 		return nil, err
 	}
-	return &IO{call: call, kind: ProcWriteBatch}, nil
+	return (*IO)(call), nil
 }
 
 // WriteBatch is the blocking form of StartWriteBatch.
@@ -959,7 +1029,7 @@ func (c *Client) Close(p *sim.Proc) error {
 	if c.closed {
 		return nil
 	}
-	_, err := c.roundtrip(p, ProcDisconnect, func(w *wr) {})
+	err := c.roundtrip(p, ProcDisconnect, func(w *wr) {}, nil)
 	c.closed = true
 	c.unregister(p)
 	return err
@@ -985,57 +1055,50 @@ func (c *Client) Redial(p *sim.Proc) (*Client, error) {
 		return nil, err
 	}
 	c.unregister(p)
+	// The replacement takes over the calls collected on this session.
+	for c.freeCalls != nil {
+		call := c.freeCalls
+		c.freeCalls = call.next
+		call.c, call.next = nc, nc.freeCalls
+		nc.freeCalls = call
+	}
 	nc.traceServer = c.traceServer
 	nc.m.redials.Inc()
 	nc.m.flight.Note(p.Now(), "redial", "", int64(c.traceServer), 0)
 	return nc, nil
 }
 
-// IO is an in-flight data operation started by one of the Start methods.
-type IO struct {
-	call    *Call
-	readBuf []byte
-	kind    Proc
-}
+// IO is an in-flight data operation started by one of the Start methods:
+// its Call, collected by Wait.
+type IO Call
 
 // Wait blocks until the operation completes and returns the transferred
 // byte count.
 func (io *IO) Wait(p *sim.Proc) (int, error) {
-	res, err := io.call.wait(p)
+	call := (*Call)(io)
+	c := call.c
+	var n int
+	err := call.wait(p, func(r *rd) error {
+		if call.proc == ProcRead {
+			// dispatch has already copied the data into the caller's buffer.
+			if call.readErr != nil {
+				return call.readErr
+			}
+			n = call.n
+			c.stats.InlineReadBytes += int64(n)
+			return nil
+		}
+		n = int(r.U32())
+		switch call.proc {
+		case ProcReadDirect, ProcReadBatch:
+			c.stats.DirectReadBytes += int64(n)
+		case ProcWriteDirect, ProcWriteBatch:
+			c.stats.DirectWriteBytes += int64(n)
+		}
+		return r.Err()
+	})
 	if err != nil {
 		return 0, err
 	}
-	c := io.call.c
-	r := newRd(res.body)
-	switch io.kind {
-	case ProcRead:
-		data := r.Blob()
-		if r.Err() != nil {
-			return 0, r.Err()
-		}
-		n := copy(io.readBuf, data)
-		c.stats.InlineReadBytes += int64(n)
-		return n, nil
-	case ProcWrite:
-		n := int(r.U32())
-		return n, r.Err()
-	case ProcReadDirect:
-		n := int(r.U32())
-		c.stats.DirectReadBytes += int64(n)
-		return n, r.Err()
-	case ProcWriteDirect:
-		n := int(r.U32())
-		c.stats.DirectWriteBytes += int64(n)
-		return n, r.Err()
-	case ProcReadBatch:
-		n := int(r.U32())
-		c.stats.DirectReadBytes += int64(n)
-		return n, r.Err()
-	case ProcWriteBatch:
-		n := int(r.U32())
-		c.stats.DirectWriteBytes += int64(n)
-		return n, r.Err()
-	default:
-		return 0, ErrProto
-	}
+	return n, nil
 }

@@ -11,6 +11,7 @@ import (
 	"dafsio/internal/sim"
 	"dafsio/internal/storage"
 	"dafsio/internal/via"
+	"dafsio/internal/wire"
 )
 
 // rig is a one-server test bed with n client nodes.
@@ -93,7 +94,7 @@ func TestWireHeaderRejectsGarbage(t *testing.T) {
 
 func TestWireWriterReader(t *testing.T) {
 	buf := make([]byte, 128)
-	w := newWr(buf)
+	w := wire.NewWriter(buf)
 	w.U8(7)
 	w.U16(300)
 	w.U32(1 << 20)
@@ -103,7 +104,7 @@ func TestWireWriterReader(t *testing.T) {
 	if w.Err() != nil {
 		t.Fatal(w.Err())
 	}
-	r := newRd(w.Bytes())
+	r := wire.NewReader(w.Bytes())
 	if r.U8() != 7 || r.U16() != 300 || r.U32() != 1<<20 || r.U64() != 1<<40 {
 		t.Fatal("integer round trip failed")
 	}
@@ -119,12 +120,12 @@ func TestWireWriterReader(t *testing.T) {
 }
 
 func TestWireOverflowUnderflow(t *testing.T) {
-	w := newWr(make([]byte, 4))
+	w := wire.NewWriter(make([]byte, 4))
 	w.U64(1)
 	if w.Err() == nil {
 		t.Fatal("overflow not latched")
 	}
-	r := newRd([]byte{1, 2})
+	r := wire.NewReader([]byte{1, 2})
 	r.U32()
 	if r.Err() == nil {
 		t.Fatal("underflow not latched")

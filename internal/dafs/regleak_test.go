@@ -64,6 +64,44 @@ func TestCloseUnregisters(t *testing.T) {
 	}
 }
 
+// TestRestartReleasesDroppedSessions: Restart drops every pre-crash
+// session, and the power cycle must unpin the two message-buffer regions
+// each one held on the server NIC. They used to stay pinned for the rest of
+// the run: after the restart, and after a redialed session closed cleanly.
+func TestRestartReleasesDroppedSessions(t *testing.T) {
+	r := newRig(1, nil)
+	sNIC := r.srv.NIC()
+	before := sNIC.Regions()
+	r.k.Spawn("app", func(p *sim.Proc) {
+		c, err := Dial(p, r.cNICs[0], r.srv, nil)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		sNIC.Kill()
+		r.srv.Crash()
+		sNIC.Revive()
+		r.srv.Restart()
+		if got := sNIC.Regions(); got != before {
+			t.Errorf("server NIC holds %d region(s) after Restart, had %d before the session", got, before)
+		}
+		nc, err := c.Redial(p)
+		if err != nil {
+			t.Errorf("redial: %v", err)
+			return
+		}
+		if err := nc.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	if err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sNIC.Regions(); got != before {
+		t.Errorf("server NIC holds %d region(s) after the redialed session closed, had %d before", got, before)
+	}
+}
+
 // TestRedialDropsOldSessionRegistrations: Redial pins a fresh pair of
 // message-buffer regions for the replacement session and must tear down
 // the dead session's pair — otherwise every failover leaks two pinned

@@ -48,7 +48,7 @@ type Server struct {
 	disk  *storage.Disk
 
 	cq       *via.CQ
-	workQ    *sim.Chan[*srvReq]
+	workQ    *sim.Chan[*reqSlot]
 	sessions []*session
 	crashed  bool
 	draining bool
@@ -67,7 +67,7 @@ type session struct {
 	id        int
 	srv       *Server
 	vi        *via.VI
-	respPool  slotPool
+	respPool  slotPool[*respSlot]
 	maxInline int
 	slotSize  int
 	closed    bool
@@ -78,25 +78,34 @@ type session struct {
 	respReg *via.Region
 }
 
-type srvReq struct {
+// reqSlot is a session's receive slot and the completion context it is
+// posted with. While a request sits in it, it is also that request's state:
+// dispatch stamps the arrival, and the slot belongs to the handler until
+// the handler re-posts it. Whatever the handler needs after the re-post it
+// copies out first.
+type reqSlot struct {
+	slot
 	sess   *session
-	s      *slot
 	length int
-
 	parent trace.OpID // client-side descriptor span the request rode in on
 	at     sim.Time   // arrival time (request delivery, before queueing)
+	r      rd         // decodes the request body
 }
 
-// Completion-routing context types (see dispatch).
-type recvCtx struct {
+// respSlot is a session's response slot and its completion context.
+type respSlot struct {
+	slot
 	sess *session
-	s    *slot
+	bye  bool // carries the DISCONNECT reply: the session's last message
 }
 
-type respCtx struct {
-	sess *session
-	s    *slot
-	bye  bool // the DISCONNECT reply: the session's last message
+// workerState is what a worker reuses from one request to the next: the
+// descriptor and the future of the RDMA it drives (one at a time, so one
+// of each) and the segment list of the batch request it serves.
+type workerState struct {
+	d    via.Descriptor
+	done *sim.Future[via.Completion]
+	segs []SegSpec
 }
 
 // NewServer creates a DAFS server on the NIC's node and starts its
@@ -118,7 +127,7 @@ func NewServer(nic *via.NIC, store *storage.Store, opts *ServerOptions) *Server 
 		k:     prov.K,
 		store: store,
 		disk:  disk,
-		workQ: sim.NewChan[*srvReq](prov.K, 0),
+		workQ: sim.NewChan[*reqSlot](prov.K, 0),
 		tr:    prov.Tracer,
 	}
 	s.cq = nic.NewCQ(nic.Node.Name + ".dafs.cq")
@@ -169,6 +178,10 @@ func (s *Server) Restart() {
 	s.crashed = false
 	for _, sess := range s.sessions {
 		sess.closed = true
+		// The power cycle unpins the session's buffers with the rest of
+		// its state, at no CPU cost (Restart runs in kernel context).
+		s.nic.DropCached(sess.reqReg)
+		s.nic.DropCached(sess.respReg)
 	}
 	s.sessions = nil
 }
@@ -226,22 +239,27 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 		id:        len(s.sessions),
 		srv:       s,
 		vi:        vi,
-		respPool:  newSlotPool(s.k, o.Credits),
+		respPool:  newSlotPool[*respSlot](s.k, o.Credits),
 		maxInline: o.MaxInline,
 		slotSize:  slotSize,
 	}
 	sess.reqReg = s.nic.Register(p, make([]byte, o.Credits*slotSize))
 	sess.respReg = s.nic.Register(p, make([]byte, o.Credits*slotSize))
+	reqs, resps := make([]reqSlot, o.Credits), make([]respSlot, o.Credits)
 	for i := 0; i < o.Credits; i++ {
-		rs := &slot{reg: sess.reqReg, off: i * slotSize, size: slotSize}
-		if err := vi.PostRecv(p, &via.Descriptor{Region: sess.reqReg, Offset: rs.off, Len: rs.size, Ctx: &recvCtx{sess: sess, s: rs}}); err != nil {
+		rq := &reqs[i]
+		rq.reg, rq.off, rq.size, rq.sess = sess.reqReg, i*slotSize, slotSize, sess
+		rq.desc = via.Descriptor{Region: sess.reqReg, Offset: rq.off, Len: rq.size, Ctx: rq}
+		if err := vi.PostRecv(p, &rq.desc); err != nil {
 			// Session establishment failed partway: the session is never
 			// appended, so nothing else will ever release its registrations.
 			s.nic.Deregister(p, sess.reqReg)
 			s.nic.Deregister(p, sess.respReg)
 			return err
 		}
-		sess.respPool.put(&slot{reg: sess.respReg, off: i * slotSize, size: slotSize})
+		rs := &resps[i]
+		rs.reg, rs.off, rs.size, rs.sess = sess.respReg, i*slotSize, slotSize, sess
+		sess.respPool.put(rs)
 	}
 	s.sessions = append(s.sessions, sess)
 	s.stats.Sessions++
@@ -255,15 +273,17 @@ func (s *Server) dispatch(p *sim.Proc) {
 	for {
 		comp := s.cq.Wait(p)
 		switch ctx := comp.Desc.Ctx.(type) {
-		case *recvCtx:
+		case *reqSlot:
 			if comp.Err != nil {
 				ctx.sess.closed = true
 				continue
 			}
-			s.workQ.Send(p, &srvReq{sess: ctx.sess, s: ctx.s, length: comp.Len, parent: comp.Trace, at: p.Now()})
-		case *respCtx:
-			ctx.sess.respPool.put(ctx.s)
-			if ctx.bye {
+			ctx.length, ctx.parent, ctx.at = comp.Len, comp.Trace, p.Now()
+			s.workQ.Send(p, ctx)
+		case *respSlot:
+			bye := ctx.bye
+			ctx.sess.respPool.put(ctx)
+			if bye {
 				// Nothing references the session's buffers once its
 				// DISCONNECT reply is out.
 				s.nic.Deregister(p, ctx.sess.reqReg)
@@ -277,16 +297,17 @@ func (s *Server) dispatch(p *sim.Proc) {
 
 // worker services requests from the shared work queue.
 func (s *Server) worker(p *sim.Proc) {
+	ws := &workerState{done: sim.NewFuture[via.Completion](s.k)}
 	for {
 		req, ok := s.workQ.Recv(p)
 		if !ok {
 			return
 		}
-		s.handle(p, req)
+		s.handle(p, ws, req)
 	}
 }
 
-func (s *Server) handle(p *sim.Proc, req *srvReq) {
+func (s *Server) handle(p *sim.Proc, ws *workerState, req *reqSlot) {
 	if s.crashed {
 		return
 	}
@@ -294,7 +315,7 @@ func (s *Server) handle(p *sim.Proc, req *srvReq) {
 	if sess.closed {
 		return // session predates a restart or died mid-service: no reply
 	}
-	msg := req.s.bytes()[:req.length]
+	msg := req.bytes()[:req.length]
 	hdr, err := decodeHeader(msg)
 	if err != nil {
 		s.node.Compute(p, s.prof.MarshalCost)
@@ -306,9 +327,10 @@ func (s *Server) handle(p *sim.Proc, req *srvReq) {
 	// send descriptor that carried the request, joining the trees across
 	// nodes. The span becomes the proc's trace context so the RDMA and
 	// response descriptors the handler posts parent back to it.
-	op := s.tr.BeginAt(s.node.Name, trace.LayerServer, hdr.Proc.String(), req.parent, uint64(hdr.XID), -1, req.at)
+	at := req.at
+	op := s.tr.BeginAt(s.node.Name, trace.LayerServer, hdr.Proc.String(), req.parent, uint64(hdr.XID), -1, at)
 	t0 := p.Now()
-	s.tr.Charge(op, trace.CatQueue, t0-req.at)
+	s.tr.Charge(op, trace.CatQueue, t0-at)
 	oldCtx := p.SetTraceCtx(uint64(op))
 	defer func() {
 		p.SetTraceCtx(oldCtx)
@@ -318,17 +340,21 @@ func (s *Server) handle(p *sim.Proc, req *srvReq) {
 	body := msg[HeaderLen : HeaderLen+int(hdr.BodyLen)]
 	s.node.Compute(p, s.prof.DAFSOpCost)
 	s.tr.Charge(op, trace.CatServerCPU, p.Now()-t0)
-	st, enc := s.exec(p, sess, hdr.Proc, newRd(body))
+	req.r.Reset(body)
+	st, rp := s.exec(p, ws, sess, hdr.Proc, &req.r)
 
 	rs := sess.respPool.get(p)
 	out := rs.bytes()
-	w := newWr(out[HeaderLen:])
-	if enc != nil {
-		enc(w)
+	w := &rs.w
+	w.Reset(out[HeaderLen:])
+	if st == StatusOK {
+		rp.encode(w, hdr.Proc)
 	}
 	if w.Err() != nil {
-		st, w = StatusProto, newWr(out[HeaderLen:])
+		st = StatusProto
+		w.Reset(out[HeaderLen:])
 	}
+	n := HeaderLen + w.Len()
 	encodeHeader(out, Header{Proc: hdr.Proc, XID: hdr.XID, Status: st, BodyLen: uint32(w.Len())})
 	t1 := p.Now()
 	s.node.Compute(p, s.prof.MarshalCost)
@@ -336,17 +362,58 @@ func (s *Server) handle(p *sim.Proc, req *srvReq) {
 
 	// Re-post the request buffer before replying so the credit the client
 	// recovers on this response always finds a posted receive.
-	if err := sess.vi.PostRecv(p, &via.Descriptor{Region: req.s.reg, Offset: req.s.off, Len: req.s.size, Ctx: &recvCtx{sess: sess, s: req.s}}); err != nil {
+	if err := sess.vi.PostRecv(p, &req.desc); err != nil {
 		sess.closed = true
 		return
 	}
-	bye := hdr.Proc == ProcDisconnect && st == StatusOK
-	if err := sess.vi.PostSend(p, &via.Descriptor{Op: via.OpSend, Region: rs.reg, Offset: rs.off, Len: HeaderLen + w.Len(), Ctx: &respCtx{sess: sess, s: rs, bye: bye}}); err != nil {
+	rs.bye = hdr.Proc == ProcDisconnect && st == StatusOK
+	rs.desc = via.Descriptor{Op: via.OpSend, Region: rs.reg, Offset: rs.off, Len: n, Ctx: rs}
+	if err := sess.vi.PostSend(p, &rs.desc); err != nil {
 		sess.closed = true
 		return
 	}
 	s.stats.Requests++
-	s.mOpNs.Observe(int64(p.Now() - req.at))
+	s.mOpNs.Observe(int64(p.Now() - at))
+}
+
+// reply is what exec answers a request with when its status is OK. It is
+// encoded once the response slot is taken, after exec: Lookup, Create and
+// Getattr read the file's size then, and an inline read its bytes.
+type reply struct {
+	f       *storage.File // LOOKUP, CREATE, GETATTR, READ
+	off     int64         // READ: where the data starts; APPEND: where it landed
+	n       uint32        // data operations: the byte count; CONNECT: the inline limit; READDIR: the next cookie
+	credits uint16        // CONNECT
+	names   []string      // READDIR: the page
+}
+
+// encode writes the response body of a proc request.
+func (rp *reply) encode(w *wr, proc Proc) {
+	switch proc {
+	case ProcConnect:
+		w.U16(rp.credits)
+		w.U32(rp.n)
+	case ProcLookup, ProcCreate:
+		w.U64(uint64(rp.f.ID()))
+		w.U64(uint64(rp.f.Size()))
+	case ProcGetattr:
+		w.U64(uint64(rp.f.Size()))
+	case ProcRead:
+		w.U32(rp.n)
+		if b := w.Need(int(rp.n)); b != nil {
+			rp.f.ReadAt(b, rp.off)
+		}
+	case ProcWrite, ProcReadDirect, ProcWriteDirect, ProcReadBatch, ProcWriteBatch:
+		w.U32(rp.n)
+	case ProcAppend:
+		w.U64(uint64(rp.off))
+	case ProcReaddir:
+		w.U16(uint16(len(rp.names)))
+		for _, name := range rp.names {
+			w.Str(name)
+		}
+		w.U32(rp.n)
+	}
 }
 
 // storageStatus maps storage errors to wire statuses.
@@ -365,82 +432,83 @@ func storageStatus(err error) Status {
 	}
 }
 
-// exec runs one operation and returns the response status and body encoder.
-func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, func(*wr)) {
+// exec runs one operation and returns the response status and what to
+// answer with.
+func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r *rd) (Status, reply) {
 	switch proc {
 	case ProcConnect:
 		credits := r.U16()
 		inline := r.U32()
 		if r.Err() != nil {
-			return StatusProto, nil
+			return StatusProto, reply{}
 		}
-		return StatusOK, func(w *wr) { w.U16(credits); w.U32(inline) }
+		return StatusOK, reply{credits: credits, n: inline}
 
 	case ProcDisconnect:
 		sess.closed = true
-		return StatusOK, nil
+		return StatusOK, reply{}
 
 	case ProcLookup:
 		name := r.Str()
 		if r.Err() != nil {
-			return StatusProto, nil
+			return StatusProto, reply{}
 		}
 		f, err := s.store.Lookup(name)
 		if err != nil {
-			return storageStatus(err), nil
+			return storageStatus(err), reply{}
 		}
-		return StatusOK, func(w *wr) { w.U64(uint64(f.ID())); w.U64(uint64(f.Size())) }
+		return StatusOK, reply{f: f}
 
 	case ProcCreate:
 		name := r.Str()
 		if r.Err() != nil {
-			return StatusProto, nil
+			return StatusProto, reply{}
 		}
 		f, err := s.store.Create(name)
 		if err != nil {
-			return storageStatus(err), nil
+			return storageStatus(err), reply{}
 		}
-		return StatusOK, func(w *wr) { w.U64(uint64(f.ID())); w.U64(uint64(f.Size())) }
+		return StatusOK, reply{f: f}
 
 	case ProcRemove:
 		name := r.Str()
 		if r.Err() != nil {
-			return StatusProto, nil
+			return StatusProto, reply{}
 		}
-		return storageStatus(s.store.Remove(name)), nil
+		return storageStatus(s.store.Remove(name)), reply{}
 
 	case ProcRename:
 		from, to := r.Str(), r.Str()
 		if r.Err() != nil {
-			return StatusProto, nil
+			return StatusProto, reply{}
 		}
-		return storageStatus(s.store.Rename(from, to)), nil
+		return storageStatus(s.store.Rename(from, to)), reply{}
 
 	case ProcGetattr:
 		f, st := s.file(r)
 		if st != StatusOK {
-			return st, nil
+			return st, reply{}
 		}
-		return StatusOK, func(w *wr) { w.U64(uint64(f.Size())) }
+		return StatusOK, reply{f: f}
 
 	case ProcSetattr:
 		f, st := s.file(r)
 		size := int64(r.U64())
 		if st != StatusOK || r.Err() != nil {
-			return firstBad(st, r), nil
+			return firstBad(st, r), reply{}
 		}
 		f.Truncate(size)
-		return StatusOK, nil
+		return StatusOK, reply{}
 
 	case ProcRead:
 		f, st := s.file(r)
 		off := int64(r.U64())
 		count := int(r.U32())
 		if st != StatusOK || r.Err() != nil {
-			return firstBad(st, r), nil
+			return firstBad(st, r), reply{}
 		}
 		if count < 0 || count > sess.maxInline {
-			return StatusTooBig, nil
+			return StatusTooBig, reply{}
 		}
 		n := clampCount(f.Size(), off, count)
 		s.touchDisk(p, off, n)
@@ -451,22 +519,17 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		s.chargeCPU(p, p.Now()-t0)
 		s.stats.InlineReads++
 		s.stats.InlineReadBytes += int64(n)
-		return StatusOK, func(w *wr) {
-			w.U32(uint32(n))
-			if b := w.Need(n); b != nil {
-				f.ReadAt(b, off)
-			}
-		}
+		return StatusOK, reply{f: f, off: off, n: uint32(n)}
 
 	case ProcWrite:
 		f, st := s.file(r)
 		off := int64(r.U64())
 		data := r.Blob()
 		if st != StatusOK || r.Err() != nil {
-			return firstBad(st, r), nil
+			return firstBad(st, r), reply{}
 		}
 		if len(data) > sess.maxInline {
-			return StatusTooBig, nil
+			return StatusTooBig, reply{}
 		}
 		s.touchDisk(p, off, len(data))
 		t0 := p.Now()
@@ -475,16 +538,16 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		n := f.WriteAt(data, off)
 		s.stats.InlineWrites++
 		s.stats.InlineWriteBytes += int64(n)
-		return StatusOK, func(w *wr) { w.U32(uint32(n)) }
+		return StatusOK, reply{n: uint32(n)}
 
 	case ProcAppend:
 		f, st := s.file(r)
 		data := r.Blob()
 		if st != StatusOK || r.Err() != nil {
-			return firstBad(st, r), nil
+			return firstBad(st, r), reply{}
 		}
 		if len(data) > sess.maxInline {
-			return StatusTooBig, nil
+			return StatusTooBig, reply{}
 		}
 		s.touchDisk(p, f.Size(), len(data))
 		t0 := p.Now()
@@ -496,7 +559,7 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		f.WriteAt(data, off)
 		s.stats.InlineWrites++
 		s.stats.InlineWriteBytes += int64(len(data))
-		return StatusOK, func(w *wr) { w.U64(uint64(off)) }
+		return StatusOK, reply{off: off}
 
 	case ProcReadDirect:
 		f, st := s.file(r)
@@ -505,23 +568,23 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		rhandle := via.MemHandle(r.U32())
 		roff := int(r.U32())
 		if st != StatusOK || r.Err() != nil {
-			return firstBad(st, r), nil
+			return firstBad(st, r), reply{}
 		}
 		if count < 0 {
-			return StatusInval, nil
+			return StatusInval, reply{}
 		}
 		n := clampCount(f.Size(), off, count)
 		s.touchDisk(p, off, n)
 		if n > 0 {
 			// Zero server CPU data path: the NIC DMAs straight out of
 			// the (pre-registered) buffer cache into client memory.
-			if st := s.rdma(p, sess, via.OpRDMAWrite, f.Slice(off, n), rhandle, roff); st != StatusOK {
-				return st, nil
+			if st := s.rdma(p, ws, sess, via.OpRDMAWrite, f.Slice(off, n), rhandle, roff); st != StatusOK {
+				return st, reply{}
 			}
 		}
 		s.stats.DirectReads++
 		s.stats.DirectReadBytes += int64(n)
-		return StatusOK, func(w *wr) { w.U32(uint32(n)) }
+		return StatusOK, reply{n: uint32(n)}
 
 	case ProcWriteDirect:
 		f, st := s.file(r)
@@ -530,10 +593,10 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		rhandle := via.MemHandle(r.U32())
 		roff := int(r.U32())
 		if st != StatusOK || r.Err() != nil {
-			return firstBad(st, r), nil
+			return firstBad(st, r), reply{}
 		}
 		if count < 0 || off < 0 {
-			return StatusInval, nil
+			return StatusInval, reply{}
 		}
 		if count > 0 {
 			// The NIC pulls data from client memory directly into
@@ -544,19 +607,19 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 			// committed to the file atomically (zero time charged: it
 			// models in-place page placement, not a CPU copy).
 			staging := s.getStaging(count)
-			pulled := s.rdma(p, sess, via.OpRDMARead, staging, rhandle, roff)
+			pulled := s.rdma(p, ws, sess, via.OpRDMARead, staging, rhandle, roff)
 			if pulled == StatusOK {
 				f.WriteAt(staging, off) // atomic: no yields during placement
 			}
 			s.putStaging(staging)
 			if pulled != StatusOK {
-				return pulled, nil
+				return pulled, reply{}
 			}
 		}
 		s.touchDisk(p, off, count)
 		s.stats.DirectWrites++
 		s.stats.DirectWriteBytes += int64(count)
-		return StatusOK, func(w *wr) { w.U32(uint32(count)) }
+		return StatusOK, reply{n: uint32(count)}
 
 	case ProcReadBatch, ProcWriteBatch:
 		f, st := s.file(r)
@@ -564,37 +627,40 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		roff := int(r.U32())
 		nsegs := int(r.U16())
 		if st != StatusOK || r.Err() != nil {
-			return firstBad(st, r), nil
+			return firstBad(st, r), reply{}
 		}
 		if nsegs == 0 || nsegs > MaxBatchSegs {
-			return StatusInval, nil
+			return StatusInval, reply{}
 		}
-		segs := make([]SegSpec, nsegs)
+		if cap(ws.segs) < nsegs {
+			ws.segs = make([]SegSpec, MaxBatchSegs)
+		}
+		segs := ws.segs[:nsegs]
 		total := 0
 		for i := range segs {
 			segs[i].Off = int64(r.U64())
 			segs[i].Len = int(r.U32())
 			if segs[i].Off < 0 || segs[i].Len < 0 {
-				return StatusInval, nil
+				return StatusInval, reply{}
 			}
 			total += segs[i].Len
 		}
 		if r.Err() != nil {
-			return StatusProto, nil
+			return StatusProto, reply{}
 		}
 		for _, sg := range segs {
 			s.touchDisk(p, sg.Off, sg.Len)
 		}
 		if proc == ProcReadBatch {
-			return s.execReadBatch(p, sess, f, segs, total, rhandle, roff)
+			return s.execReadBatch(p, ws, sess, f, segs, total, rhandle, roff)
 		}
-		return s.execWriteBatch(p, sess, f, segs, total, rhandle, roff)
+		return s.execWriteBatch(p, ws, sess, f, segs, total, rhandle, roff)
 
 	case ProcReaddir:
 		cookie := int(r.U32())
 		maxN := int(r.U16())
 		if r.Err() != nil {
-			return StatusProto, nil
+			return StatusProto, reply{}
 		}
 		names := s.store.List()
 		if cookie > len(names) {
@@ -606,18 +672,12 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 		if end < len(names) {
 			next = uint32(end)
 		}
-		return StatusOK, func(w *wr) {
-			w.U16(uint16(len(page)))
-			for _, n := range page {
-				w.Str(n)
-			}
-			w.U32(next)
-		}
+		return StatusOK, reply{names: page, n: next}
 
 	case ProcFsync:
 		_, st := s.file(r)
 		if st != StatusOK {
-			return st, nil
+			return st, reply{}
 		}
 		if s.disk != nil {
 			op := s.tr.Begin(s.node.Name, trace.LayerDisk, "fsync", trace.OpID(p.TraceCtx()))
@@ -626,28 +686,28 @@ func (s *Server) exec(p *sim.Proc, sess *session, proc Proc, r *rd) (Status, fun
 			s.tr.Charge(op, trace.CatDisk, p.Now()-t0)
 			s.tr.End(op)
 		}
-		return StatusOK, nil
+		return StatusOK, reply{}
 
 	default:
-		return StatusProto, nil
+		return StatusProto, reply{}
 	}
 }
 
 // rdma moves len(buf) bytes between buf — pre-registered server memory:
 // buffer-cache pages or staging — and the client's window with one
 // server-driven transfer, and waits for its completion.
-func (s *Server) rdma(p *sim.Proc, sess *session, op via.Op, buf []byte, rhandle via.MemHandle, roff int) Status {
+func (s *Server) rdma(p *sim.Proc, ws *workerState, sess *session, op via.Op, buf []byte, rhandle via.MemHandle, roff int) Status {
 	reg := s.nic.RegisterCached(buf)
 	defer s.nic.DropCached(reg)
-	fut := sim.NewFuture[via.Completion](s.k)
-	err := sess.vi.PostSend(p, &via.Descriptor{
+	ws.done.Reset()
+	ws.d = via.Descriptor{
 		Op: op, Region: reg, Len: len(buf),
-		RemoteHandle: rhandle, RemoteOffset: roff, Ctx: fut,
-	})
-	if err != nil {
+		RemoteHandle: rhandle, RemoteOffset: roff, Ctx: ws.done,
+	}
+	if err := sess.vi.PostSend(p, &ws.d); err != nil {
 		return StatusIO
 	}
-	if comp := fut.Get(p); comp.Err != nil {
+	if comp := ws.done.Get(p); comp.Err != nil {
 		return StatusAccess
 	}
 	return StatusOK
@@ -675,7 +735,7 @@ func (s *Server) putStaging(b []byte) { s.staging = append(s.staging, b) }
 // execReadBatch gathers the requested segments from the buffer cache into
 // staging pages (per-segment DMA in a real filer: zero CPU charge) and
 // delivers everything with one RDMA write into the client's slots.
-func (s *Server) execReadBatch(p *sim.Proc, sess *session, f *storage.File, segs []SegSpec, total int, rhandle via.MemHandle, roff int) (Status, func(*wr)) {
+func (s *Server) execReadBatch(p *sim.Proc, ws *workerState, sess *session, f *storage.File, segs []SegSpec, total int, rhandle via.MemHandle, roff int) (Status, reply) {
 	staging := s.getStaging(total)
 	defer s.putStaging(staging)
 	got := 0
@@ -687,24 +747,24 @@ func (s *Server) execReadBatch(p *sim.Proc, sess *session, f *storage.File, segs
 		pos += sg.Len
 	}
 	if total > 0 {
-		if st := s.rdma(p, sess, via.OpRDMAWrite, staging, rhandle, roff); st != StatusOK {
-			return st, nil
+		if st := s.rdma(p, ws, sess, via.OpRDMAWrite, staging, rhandle, roff); st != StatusOK {
+			return st, reply{}
 		}
 	}
 	s.stats.DirectReads++
 	s.stats.DirectReadBytes += int64(got)
-	return StatusOK, func(w *wr) { w.U32(uint32(got)) }
+	return StatusOK, reply{n: uint32(got)}
 }
 
 // execWriteBatch pulls the packed segment data with one RDMA read and
 // places each segment at its file offset (page placement: zero CPU
 // charge, as in WriteDirect).
-func (s *Server) execWriteBatch(p *sim.Proc, sess *session, f *storage.File, segs []SegSpec, total int, rhandle via.MemHandle, roff int) (Status, func(*wr)) {
+func (s *Server) execWriteBatch(p *sim.Proc, ws *workerState, sess *session, f *storage.File, segs []SegSpec, total int, rhandle via.MemHandle, roff int) (Status, reply) {
 	staging := s.getStaging(total)
 	defer s.putStaging(staging)
 	if total > 0 {
-		if st := s.rdma(p, sess, via.OpRDMARead, staging, rhandle, roff); st != StatusOK {
-			return st, nil
+		if st := s.rdma(p, ws, sess, via.OpRDMARead, staging, rhandle, roff); st != StatusOK {
+			return st, reply{}
 		}
 	}
 	pos := 0
@@ -714,7 +774,7 @@ func (s *Server) execWriteBatch(p *sim.Proc, sess *session, f *storage.File, seg
 	}
 	s.stats.DirectWrites++
 	s.stats.DirectWriteBytes += int64(total)
-	return StatusOK, func(w *wr) { w.U32(uint32(total)) }
+	return StatusOK, reply{n: uint32(total)}
 }
 
 // file decodes a file handle and resolves it.

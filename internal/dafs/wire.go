@@ -9,10 +9,5 @@ type (
 	rd = wire.Reader
 )
 
-var (
-	newWr = wire.NewWriter
-	newRd = wire.NewReader
-)
-
 // ErrWire reports a malformed message.
 var ErrWire = wire.ErrWire

@@ -1,7 +1,7 @@
 package mpiio
 
 import (
-	"reflect"
+	"unsafe"
 
 	"dafsio/internal/dafs"
 	"dafsio/internal/sim"
@@ -33,8 +33,8 @@ type dafsTransfer struct {
 	// RegCache enables the registration cache (default on).
 	RegCache bool
 
-	cache    map[uintptr]*regEntry
-	order    []uintptr
+	cache    map[*byte]*regEntry // keyed by the buffer's address
+	order    []*byte
 	cacheCap int
 
 	// Stats.
@@ -51,7 +51,7 @@ func newDAFSTransfer(nic *via.NIC, threshold int) *dafsTransfer {
 		nic:             nic,
 		DirectThreshold: threshold,
 		RegCache:        true,
-		cache:           make(map[uintptr]*regEntry),
+		cache:           make(map[*byte]*regEntry),
 		cacheCap:        64,
 	}
 }
@@ -61,7 +61,7 @@ func (d *dafsTransfer) region(p *sim.Proc, buf []byte) *via.Region {
 	if !d.RegCache {
 		return d.nic.Register(p, buf)
 	}
-	key := reflect.ValueOf(buf).Pointer()
+	key := unsafe.SliceData(buf)
 	if e, ok := d.cache[key]; ok && e.n >= len(buf) && e.reg.Valid() {
 		d.RegHits++
 		return e.reg

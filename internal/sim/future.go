@@ -37,6 +37,14 @@ func (f *Future[T]) Set(v T) {
 	}
 }
 
+// Reset returns a resolved future to the unset state, so its owner can use
+// it for the next completion. Only the owner may call it, once every
+// process woken by Set has read the value.
+func (f *Future[T]) Reset() {
+	var zero T
+	f.set, f.val = false, zero
+}
+
 // Get blocks p until the future resolves and returns the value.
 func (f *Future[T]) Get(p *Proc) T {
 	for !f.set {

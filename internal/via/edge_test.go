@@ -291,3 +291,62 @@ func TestFaultedCellsAreFreedOnce(t *testing.T) {
 		bufs[b] = true
 	}
 }
+
+// TestNICStateIsRecycled: one descriptor reposted for every message, and
+// sequential sends and RDMA reads, leave the receiving NIC one idle
+// reassembly state and the read target one idle read-response descriptor,
+// each on its free list once, with every message's bytes intact.
+func TestNICStateIsRecycled(t *testing.T) {
+	p2 := newPair(model.CLAN1998())
+	const msgs, n = 6, 20000 // several cells a message
+	remote := make([]byte, msgs*n)
+	fill(remote, 9)
+	p2.k.Spawn("b", func(p *sim.Proc) {
+		recv := p2.nicB.Register(p, make([]byte, n))
+		d := &Descriptor{Region: recv, Len: n}
+		for i := 0; i < msgs; i++ {
+			if err := p2.viB.PostRecv(p, d); err != nil {
+				t.Error(err)
+				return
+			}
+			c := p2.viB.RecvCQ.Wait(p)
+			want := make([]byte, n)
+			fill(want, byte(i))
+			if c.Err != nil || c.Desc != d || !bytes.Equal(recv.Bytes(), want) {
+				t.Errorf("message %d: err=%v or its bytes differ", i, c.Err)
+			}
+		}
+	})
+	p2.k.Spawn("a", func(p *sim.Proc) {
+		target := p2.nicB.RegisterCached(remote)
+		src := p2.nicA.Register(p, make([]byte, n))
+		dst := p2.nicA.Register(p, make([]byte, n))
+		for i := 0; i < msgs; i++ {
+			fill(src.Bytes(), byte(i))
+			if err := p2.viA.PostSend(p, &Descriptor{Op: OpSend, Region: src, Len: n}); err != nil {
+				t.Error(err)
+				return
+			}
+			p2.viA.SendCQ.Wait(p)
+			if err := p2.viA.PostSend(p, &Descriptor{Op: OpRDMARead, Region: dst, Len: n, RemoteHandle: target.Handle, RemoteOffset: i * n}); err != nil {
+				t.Error(err)
+				return
+			}
+			if c := p2.viA.SendCQ.Wait(p); c.Err != nil || !bytes.Equal(dst.Bytes(), remote[i*n:(i+1)*n]) {
+				t.Errorf("read %d: err=%v or its bytes differ", i, c.Err)
+			}
+		}
+	})
+	if err := p2.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(p2.nicB.freeReasms); got != 1 {
+		t.Errorf("receiver holds %d idle reassembly states after %d sequential messages, want 1", got, msgs)
+	}
+	if got := len(p2.nicB.freeReadResps); got != 1 {
+		t.Errorf("read target holds %d idle read-response descriptors after %d sequential reads, want 1", got, msgs)
+	}
+	if len(p2.nicB.reasm) != 0 {
+		t.Errorf("%d reassemblies left open", len(p2.nicB.reasm))
+	}
+}

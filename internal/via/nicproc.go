@@ -152,6 +152,7 @@ func (n *NIC) sendLoop(p *sim.Proc) {
 			n.streamOut(p, d, ckRDMAWrite, d.vi.peerNode, d.vi.peerVI, true)
 		case opReadResp:
 			n.streamOut(p, d, ckReadResp, d.respDst, 0, false)
+			n.freeReadResps = append(n.freeReadResps, d) // its cells hold all it said
 		case OpRDMARead:
 			n.readSeq++
 			d.token = n.readSeq
@@ -357,12 +358,46 @@ func (n *NIC) dmaIn(p *sim.Proc, nb int, span trace.OpID) {
 	}
 }
 
+// newReasm starts the reassembly of message key with a state an earlier
+// message gave back, when there is one.
+func (n *NIC) newReasm(key reasmKey) *reasmState {
+	var st *reasmState
+	if k := len(n.freeReasms); k > 0 {
+		st = n.freeReasms[k-1]
+		n.freeReasms = n.freeReasms[:k-1]
+	} else {
+		st = new(reasmState)
+	}
+	n.reasm[key] = st
+	return st
+}
+
+// freeReasm ends the reassembly of message key once its last cell is in:
+// the state is cleared and kept for the next message, so the caller copies
+// out what it still needs first.
+func (n *NIC) freeReasm(key reasmKey, st *reasmState) {
+	delete(n.reasm, key)
+	*st = reasmState{}
+	n.freeReasms = append(n.freeReasms, st)
+}
+
+// newReadResp returns an internal descriptor for streaming an RDMA read's
+// response, one that served an earlier read when there is one. sendLoop
+// gives it back once the response's cells are out.
+func (n *NIC) newReadResp() *Descriptor {
+	if k := len(n.freeReadResps); k > 0 {
+		d := n.freeReadResps[k-1]
+		n.freeReadResps = n.freeReadResps[:k-1]
+		return d
+	}
+	return new(Descriptor)
+}
+
 func (n *NIC) handleSend(p *sim.Proc, c *cell) {
 	key := reasmKey{c.src, c.msgID}
 	st := n.reasm[key]
 	if st == nil {
-		st = &reasmState{}
-		n.reasm[key] = st
+		st = n.newReasm(key)
 		if c.dstVI < 0 || c.dstVI >= len(n.vis) {
 			st.err = ErrNotConnected
 		} else {
@@ -375,8 +410,7 @@ func (n *NIC) handleSend(p *sim.Proc, c *cell) {
 				vi.enterError(p, ErrRecvUnderrun)
 				st.err = ErrRecvUnderrun
 			default:
-				d := vi.recvQ[0]
-				vi.recvQ = vi.recvQ[1:]
+				d := vi.takeRecv()
 				st.desc = d
 				if d.Len < c.total {
 					st.err = ErrRecvTooSmall
@@ -394,21 +428,22 @@ func (n *NIC) handleSend(p *sim.Proc, c *cell) {
 	if !c.last {
 		return
 	}
-	delete(n.reasm, key)
-	if st.got < c.total {
+	got, desc, vi, err := st.got, st.desc, st.vi, st.err
+	n.freeReasm(key, st)
+	if got < c.total {
 		// An injected drop lost part of the message. Deliver nothing and
 		// send no ack: the sender's session surfaces the loss as a timeout,
 		// the model's reliability-level connection break.
 		return
 	}
 	tr := n.prov.Tracer
-	if st.desc != nil {
+	if desc != nil {
 		p.Wait(n.prov.Prof.CompletionCost)
 		tr.Charge(c.span, trace.CatNIC, n.prov.Prof.CompletionCost)
-		st.vi.RecvCQ.deliver(p, Completion{VI: st.vi, Desc: st.desc, Op: OpRecv, Len: c.total, Err: st.err, Trace: c.span})
+		vi.RecvCQ.deliver(p, Completion{VI: vi, Desc: desc, Op: OpRecv, Len: c.total, Err: err, Trace: c.span})
 	}
 	n.txQ.Send(p, n.prov.newCell(cell{
-		kind: ckAck, dst: c.src, msgID: c.msgID, errCode: codeOf(st.err),
+		kind: ckAck, dst: c.src, msgID: c.msgID, errCode: codeOf(err),
 		span: c.span, wire: tr.Begin(n.Node.Name, trace.LayerWire, "ack", c.span),
 	}))
 }
@@ -417,8 +452,7 @@ func (n *NIC) handleRDMAWrite(p *sim.Proc, c *cell) {
 	key := reasmKey{c.src, c.msgID}
 	st := n.reasm[key]
 	if st == nil {
-		st = &reasmState{}
-		n.reasm[key] = st
+		st = n.newReasm(key)
 		if r := n.lookup(c.rhandle, c.raddr, c.total); r != nil {
 			st.region = r
 		} else {
@@ -435,12 +469,13 @@ func (n *NIC) handleRDMAWrite(p *sim.Proc, c *cell) {
 	if !c.last {
 		return
 	}
-	delete(n.reasm, key)
-	if st.got < c.total {
+	got, err := st.got, st.err
+	n.freeReasm(key, st)
+	if got < c.total {
 		return // lost message (see handleSend): no ack, sender times out
 	}
 	n.txQ.Send(p, n.prov.newCell(cell{
-		kind: ckAck, dst: c.src, msgID: c.msgID, errCode: codeOf(st.err),
+		kind: ckAck, dst: c.src, msgID: c.msgID, errCode: codeOf(err),
 		span: c.span, wire: n.prov.Tracer.Begin(n.Node.Name, trace.LayerWire, "ack", c.span),
 	}))
 }
@@ -471,10 +506,12 @@ func (n *NIC) handleReadReq(p *sim.Proc, c *cell) {
 	// this side — the essence of one-sided RDMA. The internal descriptor
 	// inherits the requester's span, so the response's DMA and wire time
 	// land on the rdma-read descriptor that asked for it.
-	n.sendWork.TrySend(&Descriptor{
+	d := n.newReadResp()
+	*d = Descriptor{
 		Op: opReadResp, Region: r, Offset: c.raddr, Len: c.rlen,
 		token: c.token, respDst: c.src, span: c.span,
-	})
+	}
+	n.sendWork.TrySend(d)
 }
 
 func (n *NIC) handleReadResp(p *sim.Proc, c *cell) {

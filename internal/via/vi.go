@@ -109,6 +109,9 @@ type VI struct {
 	connected bool
 	errState  error
 
+	// recvQ holds the posted receives, oldest first. Taking one shifts the
+	// rest down (a queue holds one session's or pair's credits, a handful of
+	// pointers), so the backing array is allocated once and reused.
 	recvQ []*Descriptor
 }
 
@@ -228,4 +231,13 @@ func (vi *VI) enterError(p *sim.Proc, err error) {
 		vi.RecvCQ.deliver(p, Completion{VI: vi, Desc: d, Op: OpRecv, Err: err})
 	}
 	vi.recvQ = nil
+}
+
+// takeRecv removes and returns the oldest posted receive.
+func (vi *VI) takeRecv() *Descriptor {
+	d := vi.recvQ[0]
+	n := copy(vi.recvQ, vi.recvQ[1:])
+	vi.recvQ[n] = nil
+	vi.recvQ = vi.recvQ[:n]
+	return d
 }

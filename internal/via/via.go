@@ -139,6 +139,11 @@ type NIC struct {
 	respGot   map[uint64]int         // token -> RDMA read bytes received
 	reasm     map[reasmKey]*reasmState
 
+	// Recycled NIC-side state: reassembly states of finished messages and
+	// the internal descriptors of RDMA read responses already streamed.
+	freeReasms    []*reasmState
+	freeReadResps []*Descriptor
+
 	dead bool // fail-stopped: transmits and receives nothing
 
 	stats Stats

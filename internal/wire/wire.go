@@ -24,6 +24,10 @@ type Writer struct {
 // NewWriter wraps buf.
 func NewWriter(buf []byte) *Writer { return &Writer{buf: buf} }
 
+// Reset makes w a fresh writer over buf, so a Writer kept with a message
+// buffer encodes every message sent from it without allocating.
+func (w *Writer) Reset(buf []byte) { *w = Writer{buf: buf} }
+
 // Need reserves n bytes and returns them for in-place filling (nil after an
 // error or on overflow).
 func (w *Writer) Need(n int) []byte {
@@ -107,6 +111,9 @@ type Reader struct {
 
 // NewReader wraps buf.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
+
+// Reset makes r a fresh reader over buf (see Writer.Reset).
+func (r *Reader) Reset(buf []byte) { *r = Reader{buf: buf} }
 
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {

@@ -121,3 +121,30 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A codec kept with a message buffer is Reset for every message: Reset
+// clears a latched error and the position as well as the buffer.
+func TestResetStartsOver(t *testing.T) {
+	var w Writer
+	w.Reset(make([]byte, 2))
+	w.U32(1)
+	if w.Err() == nil {
+		t.Fatal("overflow not latched")
+	}
+	buf := make([]byte, 4)
+	w.Reset(buf)
+	w.U32(7)
+	if w.Err() != nil || w.Len() != 4 {
+		t.Fatalf("after Reset: len %d err %v", w.Len(), w.Err())
+	}
+	var r Reader
+	r.Reset(buf[:2])
+	r.U32()
+	if r.Err() == nil {
+		t.Fatal("underflow not latched")
+	}
+	r.Reset(buf)
+	if v := r.U32(); v != 7 || r.Err() != nil {
+		t.Fatalf("after Reset: read %d err %v", v, r.Err())
+	}
+}
