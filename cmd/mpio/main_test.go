@@ -50,7 +50,7 @@ func TestOutputs(t *testing.T) {
 		{"stat T19 JSON export", json19, "b92d166d3b6bcd68968955a487d08158bb3baa73f56f08a0eb705ff60a26fe68"},
 		{"trace T6 Chrome export", chrome6, "c9b276231fc1a9a33ae12d06789698628228e3f478ed9e0f3a73924988ead4c9"},
 		{"trace T15 Chrome export", chrome15, "c3efa6baf68efe51c37c13582f130893d36333bac62c2c5833276d6d103e704a"},
-		{"trace T17 Chrome export", chrome17, "2a99841235637384fa9183840a30035f10d9644f9cf42d6eff79e9aaf9b6be44"},
+		{"trace T17 Chrome export", chrome17, "fc0276bf9ec9c7277db35083df733470e7adfc76f7bd2baa7f886e3f0cadbe15"},
 	} {
 		raw, err := os.ReadFile(d.path)
 		if err != nil {

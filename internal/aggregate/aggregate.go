@@ -126,12 +126,21 @@ type Seg struct {
 	Off, Len int64
 }
 
+// joins reports whether object offset off continues s.
+func (s Seg) joins(off int64) bool { return s.Off+s.Len == off }
+
 // Copy relates user-buffer bytes to staging-buffer bytes:
 // stage[StageOff:StageOff+Len] ↔ buf[BufOff:BufOff+Len]. Applied forward
 // it packs a write's gather buffer; applied backward it scatters a read's
 // completion.
 type Copy struct {
 	BufOff, StageOff, Len int64
+}
+
+// joins reports whether the bytes at user-buffer offset b and staging
+// offset stageOff continue c on both sides.
+func (c Copy) joins(b, stageOff int64) bool {
+	return c.BufOff+c.Len == b && c.StageOff+c.Len == stageOff
 }
 
 // ServerPlan is the complete transfer plan for one destination server: a
@@ -155,30 +164,68 @@ type ServerPlan struct {
 // to one Seg per server. Plans come back in server order; servers with no
 // bytes are omitted.
 //
-// Each segment is mapped into one fragment scratch the call reuses, so the
-// call allocates per destination server (its plan's two lists as they
-// grow), never per segment.
+// Each segment is mapped into one fragment scratch the call reuses, and a
+// counting pass sizes every plan's two lists before a second pass fills
+// them, so the call makes the same few allocations whatever the segment
+// count or the width.
 func Gather(st layout.Striping, segs []Segment) []ServerPlan {
 	plans := make([]ServerPlan, st.Width)
 	var frags []layout.Fragment
+
+	// Counting pass: coalescing looks only at a list's last entry, so
+	// tracking that entry per server counts each list exactly.
+	type tail struct {
+		seg            Seg
+		cp             Copy
+		nSegs, nCopies int
+	}
+	tails := make([]tail, st.Width)
 	var bufOff int64
 	for _, s := range segs {
 		frags = st.AppendMap(frags[:0], s.Off, s.Len)
 		for _, fr := range frags {
-			pl := &plans[fr.Server]
-			stageOff := pl.Total
-			if n := len(pl.Segs); n > 0 && pl.Segs[n-1].Off+pl.Segs[n-1].Len == fr.Off {
+			t, b := &tails[fr.Server], bufOff+fr.BufOff
+			stageOff := plans[fr.Server].Total
+			if t.nSegs == 0 || !t.seg.joins(fr.Off) {
+				t.seg = Seg{Off: fr.Off}
+				t.nSegs++
+			}
+			if t.nCopies == 0 || !t.cp.joins(b, stageOff) {
+				t.cp = Copy{BufOff: b, StageOff: stageOff}
+				t.nCopies++
+			}
+			t.seg.Len += fr.Len
+			t.cp.Len += fr.Len
+			plans[fr.Server].Total += fr.Len
+		}
+		bufOff += s.Len
+	}
+	nSegs, nCopies := 0, 0
+	for _, t := range tails {
+		nSegs, nCopies = nSegs+t.nSegs, nCopies+t.nCopies
+	}
+	allSegs, allCopies := make([]Seg, nSegs), make([]Copy, nCopies)
+	for i, t := range tails {
+		plans[i].Segs, allSegs = allSegs[:0:t.nSegs], allSegs[t.nSegs:]
+		plans[i].Copies, allCopies = allCopies[:0:t.nCopies], allCopies[t.nCopies:]
+		plans[i].Total = 0
+	}
+
+	// Filling pass: the same walk, appending within those capacities.
+	bufOff = 0
+	for _, s := range segs {
+		frags = st.AppendMap(frags[:0], s.Off, s.Len)
+		for _, fr := range frags {
+			pl, b := &plans[fr.Server], bufOff+fr.BufOff
+			if n := len(pl.Segs); n > 0 && pl.Segs[n-1].joins(fr.Off) {
 				pl.Segs[n-1].Len += fr.Len
 			} else {
 				pl.Segs = append(pl.Segs, Seg{Off: fr.Off, Len: fr.Len})
 			}
-			b := bufOff + fr.BufOff
-			if n := len(pl.Copies); n > 0 &&
-				pl.Copies[n-1].BufOff+pl.Copies[n-1].Len == b &&
-				pl.Copies[n-1].StageOff+pl.Copies[n-1].Len == stageOff {
+			if n := len(pl.Copies); n > 0 && pl.Copies[n-1].joins(b, pl.Total) {
 				pl.Copies[n-1].Len += fr.Len
 			} else {
-				pl.Copies = append(pl.Copies, Copy{BufOff: b, StageOff: stageOff, Len: fr.Len})
+				pl.Copies = append(pl.Copies, Copy{BufOff: b, StageOff: pl.Total, Len: fr.Len})
 			}
 			pl.Total += fr.Len
 		}

@@ -254,11 +254,14 @@ func TestGatherCoalescesAligned(t *testing.T) {
 	}
 }
 
-// TestGatherAllocsPerServer: planning a strided call allocates per
-// destination server, not per segment. 8,192 128-byte segments of a 4-rank
-// interleave over 4 servers (the list-I/O call of the strided benchmark)
-// made 8,275 heap allocations when every segment mapped into a fresh
-// fragment list.
+// TestGatherAllocsPerServer: planning a strided call makes a fixed handful
+// of allocations — the plans, the fragment scratch, the counting pass's
+// tails and one backing array for all segment lists and one for all copy
+// lists — not one per segment, nor one per doubling of a server's list.
+// 8,192 128-byte segments of a 4-rank interleave over 4 servers (the
+// list-I/O call of the strided benchmark) made 8,275 heap allocations when
+// every segment mapped into a fresh fragment list, and 78 while each
+// server's lists grew by doubling.
 func TestGatherAllocsPerServer(t *testing.T) {
 	st := layout.Striping{StripeSize: 64 << 10, Width: 4}
 	segs := make([]Segment, 8192)
@@ -266,8 +269,8 @@ func TestGatherAllocsPerServer(t *testing.T) {
 		segs[k] = Segment{Off: int64(k) * 4 * 128, Len: 128}
 	}
 	allocs := testing.AllocsPerRun(5, func() { Gather(st, segs) })
-	if allocs > 100 {
-		t.Errorf("Gather over %d segments at width %d: %.0f allocations, budget 100", len(segs), st.Width, allocs)
+	if allocs > 5 {
+		t.Errorf("Gather over %d segments at width %d: %.0f allocations, budget 5", len(segs), st.Width, allocs)
 	} else {
 		t.Logf("Gather over %d segments at width %d: %.0f allocations", len(segs), st.Width, allocs)
 	}

@@ -162,29 +162,49 @@ func (r *Rank) AllreduceI64(p *sim.Proc, v int64, op ReduceOp) int64 {
 }
 
 // AlltoallvBytes sends send[i] to rank i and returns what each rank sent to
-// this one (recv[j] came from rank j). Implemented as n-1 pairwise
-// exchanges plus a local copy; sizes are exchanged ahead of each payload.
+// this one (recv[j] came from rank j). It is AlltoallvStream with the own
+// payload copied (and the copy charged) before the first exchange.
 func (r *Rank) AlltoallvBytes(p *sim.Proc, send [][]byte) [][]byte {
 	n := r.Size()
 	if len(send) != n {
 		panic("mpi: AlltoallvBytes needs one buffer per rank")
 	}
+	recv := make([][]byte, n)
+	r.AlltoallvStream(p, func(dst int) []byte { return send[dst] }, func(src int, data []byte) {
+		if src == r.id {
+			data = append([]byte(nil), data...)
+			if len(data) > 0 {
+				r.nic.Node.CopyMem(p, len(data))
+			}
+		}
+		recv[src] = data
+	})
+	return recv
+}
+
+// AlltoallvStream is the personalized all-to-all with both sides handed
+// over one step at a time, so a caller can act on each source's payload
+// while the later steps are still in flight. Step 0 is this rank's own
+// payload; step k (1 ≤ k < n) is a pairwise exchange that sends to rank
+// id+k and receives from rank id-k (mod n), the size ahead of the payload.
+// send(dst) produces the payload for dst just before its step, and
+// recv(src, data) is called as the step completes. The own payload is
+// handed to recv as send returned it, uncopied; every other payload
+// arrives in a fresh buffer the callee owns.
+func (r *Rank) AlltoallvStream(p *sim.Proc, send func(dst int) []byte, recv func(src int, data []byte)) {
+	n := r.Size()
 	sizeTag := r.nextCollTag()
 	dataTag := r.nextCollTag()
-	recv := make([][]byte, n)
-	recv[r.id] = append([]byte(nil), send[r.id]...)
-	if len(send[r.id]) > 0 {
-		r.nic.Node.CopyMem(p, len(send[r.id]))
-	}
+	recv(r.id, send(r.id))
 	for step := 1; step < n; step++ {
 		dst := (r.id + step) % n
 		src := (r.id - step + n) % n
+		out := send(dst)
 		var szb, rszb [8]byte
-		binary.LittleEndian.PutUint64(szb[:], uint64(len(send[dst])))
+		binary.LittleEndian.PutUint64(szb[:], uint64(len(out)))
 		r.Sendrecv(p, dst, sizeTag, szb[:], src, sizeTag, rszb[:])
 		buf := make([]byte, binary.LittleEndian.Uint64(rszb[:]))
-		r.Sendrecv(p, dst, dataTag, send[dst], src, dataTag, buf)
-		recv[src] = buf
+		r.Sendrecv(p, dst, dataTag, out, src, dataTag, buf)
+		recv(src, buf)
 	}
-	return recv
 }

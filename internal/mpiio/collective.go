@@ -3,6 +3,7 @@ package mpiio
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -23,11 +24,20 @@ import (
 //     server, cb_nodes = stripe width) when the driver exposes a striped
 //     layout and the world is wide enough, else equal chunks, one per
 //     rank (cb_nodes = world size).
-//  3. Writes: each rank ships (offset, data) tuples to the domain owners
-//     over MPI (Alltoallv); owners assemble contiguous runs in collective
-//     buffers and issue few large driver writes.
-//     Reads: owners read merged ranges once and ship the requested pieces
-//     back.
+//  3. Writes: each rank ships one write block per domain owner over MPI —
+//     its pieces' (offset, length) headers, then their data — and the
+//     owners issue few large driver writes.
+//     Reads: ranks ship their (offset, length) requests to the owners,
+//     which read the pieces and ship them back.
+//
+// Over a driver with list I/O (and NoBatch off) the exchange and the I/O
+// overlap source by source, the pipelined two-phase of Thakur, Gropp and
+// Lusk: an aggregator starts a list write on each source's block the
+// moment it arrives, and starts one list read per source straight into
+// that source's reply, waiting on it only at the exchange step that ships
+// it — so the servers work while the exchange is still in flight. Other
+// drivers run the phases one after the other: the whole exchange, then
+// sorted and assembled contiguous runs.
 //
 // The payoff is turning many small, hole-separated accesses — which pay
 // per-operation latency and server cost — into link-speed bulk transfers,
@@ -62,32 +72,25 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 		endPlan()
 		return 0, nil
 	}
-	n := r.Size()
 	pt := f.collPartition(gmin, gmax)
 	endPlan()
-	node := f.drv.Node()
 
-	// Phase 1: pack (offset, length, data) tuples per destination domain
-	// owner, each payload allocated at the size a counting walk found.
+	// Phase 1: pack one write block per domain owner.
 	endPack := f.aggSpan(p, "pack")
-	sizes := make([]int, n)
-	eachPiece(pt, segs, func(a int, _ int64, take, _ int) { sizes[a] += tupleHdr + take })
-	payloads := carve[byte](sizes)
-	packed := 0
-	eachPiece(pt, segs, func(a int, off int64, take, bufPos int) {
-		pl := binary.LittleEndian.AppendUint64(payloads[a], uint64(off))
-		pl = binary.LittleEndian.AppendUint32(pl, uint32(take))
-		payloads[a] = append(pl, buf[bufPos:bufPos+take]...)
-		packed += take
-	})
-	node.CopyMem(p, packed)
+	blocks := packBlocks(pt, r.Size(), segs, buf)
+	f.drv.Node().CopyMem(p, len(buf))
 	endPack()
 
 	// Phase 2: exchange and aggregate.
-	endEx := f.aggSpan(p, "exchange")
-	recv := r.AlltoallvBytes(p, payloads)
-	endEx()
-	aggErr := f.aggregateWrite(p, recv)
+	var aggErr error
+	if lh, ok := f.h.(ListHandle); ok && !f.hints.NoBatch {
+		aggErr = f.pipelinedWrite(p, lh, blocks)
+	} else {
+		endEx := f.aggSpan(p, "exchange")
+		recv := r.AlltoallvBytes(p, blocks)
+		endEx()
+		aggErr = f.aggregateWrite(p, recv)
+	}
 
 	// Completion + error propagation (also orders the data for any
 	// subsequent collective).
@@ -104,35 +107,66 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 	return len(buf), nil
 }
 
-// aggregateWrite sorts this rank's incoming tuples, assembles contiguous
+// pipelinedWrite exchanges the write blocks and starts a list write on each
+// source's block the moment it arrives — this rank's own block first, as
+// packed — then waits for every write it started. After a failure it
+// starts no more writes, but it stays in the exchange, which every rank
+// must finish.
+func (f *File) pipelinedWrite(p *sim.Proc, lh ListHandle, blocks [][]byte) error {
+	ops := make([]AsyncOp, 0, len(blocks))
+	var segs []Segment
+	var err error
+	endEx := f.aggSpan(p, "exchange")
+	f.rank.AlltoallvStream(p, func(dst int) []byte { return blocks[dst] }, func(_ int, b []byte) {
+		if err != nil {
+			return
+		}
+		var blk writeBlock
+		if blk, err = splitBlock(b); err != nil || blk.pieces() == 0 {
+			return
+		}
+		segs = appendSegs(slices.Grow(segs[:0], blk.pieces()), blk.hdrs)
+		var op AsyncOp
+		if op, err = lh.StartWriteList(p, segs, blk.data); err == nil {
+			ops = append(ops, op)
+		}
+	})
+	endEx()
+	for _, op := range ops {
+		if _, werr := op.Wait(p); err == nil {
+			err = werr
+		}
+	}
+	return err
+}
+
+// aggregateWrite sorts this rank's incoming pieces, assembles contiguous
 // runs (each capped at CollBufSize) into one packed collective buffer, and
-// issues them — as a single batch request when the driver supports list
-// I/O and more than one run survived, else as pipelined contiguous writes
-// (the exact pre-aggregate sequence).
+// issues them as pipelined contiguous writes.
 func (f *File) aggregateWrite(p *sim.Proc, recv [][]byte) error {
 	node := f.drv.Node()
 	type tuple struct {
 		off  int64
 		data []byte
 	}
-	// Count first, so the tuple list and the collective buffer are sized
-	// once.
+	// Check every block first, so the tuple list and the collective buffer
+	// are sized once.
 	nt, nb := 0, 0
-	for _, pl := range recv {
-		for len(pl) > 0 {
-			_, data, rest, err := nextTuple(pl)
-			if err != nil {
-				return err
-			}
-			nt, nb, pl = nt+1, nb+len(data), rest
+	for _, b := range recv {
+		blk, err := splitBlock(b)
+		if err != nil {
+			return err
 		}
+		nt, nb = nt+blk.pieces(), nb+len(blk.data)
 	}
 	tuples := make([]tuple, 0, nt)
-	for _, pl := range recv {
-		for len(pl) > 0 {
-			off, data, rest, _ := nextTuple(pl)
-			tuples = append(tuples, tuple{off: off, data: data})
-			pl = rest
+	for _, b := range recv {
+		blk, _ := splitBlock(b)
+		data := blk.data
+		for h := blk.hdrs; len(h) > 0; h = h[tupleHdr:] {
+			off, l := readReq(h)
+			tuples = append(tuples, tuple{off: off, data: data[:l]})
+			data = data[l:]
 		}
 	}
 	slices.SortStableFunc(tuples, func(a, b tuple) int { return cmp.Compare(a.off, b.off) })
@@ -166,18 +200,6 @@ func (f *File) aggregateWrite(p *sim.Proc, recv [][]byte) error {
 			packed = append(packed, t.data...)
 		}
 		assembled += len(t.data)
-	}
-
-	// One batch request for the whole hole-separated domain when the
-	// protocol can carry it.
-	if lh, ok := f.h.(ListHandle); ok && !f.hints.NoBatch && len(runs) > 1 {
-		op, err := lh.StartWriteList(p, runs, packed)
-		if err != nil {
-			return err
-		}
-		node.CopyMem(p, assembled) // collective-buffer assembly copy
-		_, err = op.Wait(p)
-		return err
 	}
 
 	ops := make([]AsyncOp, 0, len(runs))
@@ -259,29 +281,48 @@ func (f *File) ReadAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 	endEx()
 
 	// Phase 2: serve my domain and exchange the data back.
-	replies, aggErr := f.aggregateRead(p, reqs)
-	endEx2 := f.aggSpan(p, "exchange")
-	datas := r.AlltoallvBytes(p, replies)
-	endEx2()
+	var datas [][]byte
+	var aggErr error
+	if lh, ok := f.h.(ListHandle); ok && !f.hints.NoBatch {
+		datas, aggErr = f.pipelinedRead(p, lh, reqs)
+	} else {
+		replies, err := f.aggregateRead(p, reqs)
+		if aggErr = err; replies == nil {
+			replies = make([][]byte, n)
+		}
+		endEx2 := f.aggSpan(p, "exchange")
+		datas = r.AlltoallvBytes(p, replies)
+		endEx2()
+	}
 
-	// Scatter replies into buf (reply tuples mirror request order).
+	// Scatter the replies into buf. An empty reply to a nonempty request
+	// list means its owner failed, which the Allreduce below reports.
 	endScatter := f.aggSpan(p, "scatter")
 	total := 0
+	failed := false
 	var scatterErr error
 	for a, reply := range datas {
-		for _, ref := range myReqs[a] {
-			if len(reply) < replyHdr {
-				scatterErr = fmt.Errorf("mpiio: corrupt collective reply")
+		refs := myReqs[a]
+		if len(refs) == 0 {
+			continue
+		}
+		if len(reply) == 0 {
+			failed = true
+			continue
+		}
+		if len(reply) < replyHdr*len(refs) {
+			scatterErr = errCorruptReply
+			continue
+		}
+		avails, data := reply[:replyHdr*len(refs)], reply[replyHdr*len(refs):]
+		for i, ref := range refs {
+			avail := int(binary.LittleEndian.Uint32(avails[i*replyHdr:]))
+			if avail > ref.n || len(data) < avail {
+				scatterErr = errCorruptReply
 				break
 			}
-			avail := int(binary.LittleEndian.Uint32(reply))
-			reply = reply[replyHdr:]
-			if avail > ref.n || len(reply) < avail {
-				scatterErr = fmt.Errorf("mpiio: corrupt collective reply")
-				break
-			}
-			copy(buf[ref.bufPos:ref.bufPos+avail], reply[:avail])
-			reply = reply[avail:]
+			copy(buf[ref.bufPos:ref.bufPos+avail], data[:avail])
+			data = data[avail:]
 			total += avail
 		}
 	}
@@ -289,7 +330,7 @@ func (f *File) ReadAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 	endScatter()
 
 	ok := int64(1)
-	if aggErr != nil || scatterErr != nil {
+	if aggErr != nil || scatterErr != nil || failed {
 		ok = 0
 	}
 	if r.AllreduceI64(p, ok, mpi.OpMin) == 0 {
@@ -335,21 +376,102 @@ func (f *File) ReadAtAllBegin(p *sim.Proc, off int64, buf []byte) *Request {
 	return f.async(p, func(hp *sim.Proc) (int, error) { return f.ReadAtAll(hp, off, buf) })
 }
 
+// pipelinedRead starts one list read per source, straight into the data
+// area of that source's reply, in the order the exchange ships the replies
+// (this rank's own first), then exchanges them, waiting on each source's
+// read only at the step that sends it. A read that comes back short — an
+// EOF hole, which batch reads zero-fill and report only as a total — is
+// redone for that source alone with contiguous reads. After a failure the
+// remaining sources get empty replies, but every started read is waited
+// and the exchange runs to the end, as every rank must.
+func (f *File) pipelinedRead(p *sim.Proc, lh ListHandle, reqs [][]byte) ([][]byte, error) {
+	n, me := len(reqs), f.rank.ID()
+	var err error
+	sizes, most := make([]int, n), 0
+	for src, pl := range reqs {
+		if len(pl)%tupleHdr != 0 {
+			err = errCorruptRequest
+			break
+		}
+		for h := pl; len(h) > 0; h = h[tupleHdr:] {
+			_, l := readReq(h)
+			sizes[src] += replyHdr + l
+		}
+		most = max(most, len(pl)/tupleHdr)
+	}
+	replies := make([][]byte, n)
+	ops := make([]AsyncOp, n)
+	if err == nil {
+		all := carve[byte](sizes)
+		segs := make([]Segment, 0, most)
+		for step := 0; step < n && err == nil; step++ {
+			src := (me + step) % n
+			pl := reqs[src]
+			if len(pl) == 0 {
+				continue
+			}
+			reply := all[src][:sizes[src]]
+			segs = appendSegs(segs[:0], pl)
+			for i, s := range segs {
+				binary.LittleEndian.PutUint32(reply[i*replyHdr:], uint32(s.Len))
+			}
+			op, serr := lh.StartReadList(p, segs, reply[len(segs)*replyHdr:])
+			if err = serr; err == nil {
+				ops[src], replies[src] = op, reply
+			}
+		}
+	}
+
+	datas := make([][]byte, n)
+	endEx := f.aggSpan(p, "exchange")
+	f.rank.AlltoallvStream(p, func(dst int) []byte {
+		op := ops[dst]
+		if op == nil {
+			return nil
+		}
+		reply, k := replies[dst], len(reqs[dst])/tupleHdr
+		got, werr := op.Wait(p)
+		if werr == nil && got < len(reply)-k*replyHdr {
+			reply, werr = f.rereadSource(p, reply, reqs[dst])
+		}
+		if werr != nil {
+			if err == nil {
+				err = werr
+			}
+			return nil
+		}
+		return reply
+	}, func(src int, data []byte) { datas[src] = data })
+	endEx()
+	return datas, err
+}
+
+// rereadSource rebuilds one source's reply in place from contiguous reads
+// of its merged requests: the short-count reply the non-list path builds.
+func (f *File) rereadSource(p *sim.Proc, reply, reqs []byte) ([]byte, error) {
+	ranges := appendSegs(make([]Segment, 0, len(reqs)/tupleHdr), reqs)
+	spans, err := f.readSpans(p, mergeRanges(ranges))
+	if err != nil {
+		return nil, err
+	}
+	reply, served := buildReply(reply[:0], reqs, spans)
+	f.drv.Node().CopyMem(p, served) // reply assembly copy
+	return reply, nil
+}
+
 // aggregateRead parses request tuples from every source, reads the merged
-// ranges of this rank's domain with few large driver reads, and builds the
-// per-source replies.
+// ranges of this rank's domain with few large contiguous driver reads, and
+// builds the per-source replies.
 func (f *File) aggregateRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
-	node := f.drv.Node()
 	nreq := 0
 	for _, pl := range reqs {
 		if len(pl)%tupleHdr != 0 {
-			return nil, fmt.Errorf("mpiio: corrupt collective request")
+			return nil, errCorruptRequest
 		}
 		nreq += len(pl) / tupleHdr
 	}
-	// Each source's reply is a 4-byte count and the bytes available per
-	// request, in request order: sized here for every byte asked for, so it
-	// is short only at an EOF hole.
+	// Each reply is sized for every byte asked for, so it is short only at
+	// an EOF hole.
 	ranges := make([]Segment, 0, nreq)
 	sizes := make([]int, len(reqs))
 	for src, pl := range reqs {
@@ -359,104 +481,89 @@ func (f *File) aggregateRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
 			sizes[src] += replyHdr + l
 		}
 	}
-	merged := mergeRanges(ranges)
-
-	type span struct {
-		off  int64
-		data []byte
+	spans, err := f.readSpans(p, mergeRanges(ranges))
+	if err != nil {
+		return nil, err
 	}
-	var spans []span
-
-	// One batch request for the whole hole-separated domain when the
-	// protocol can carry it. Batch reads zero-fill EOF holes inside the
-	// staging buffer and report only the byte total, so a short count
-	// leaves hole positions ambiguous — discard and fall back to chunked
-	// contiguous reads (correct, and rare: collectives over dense files).
-	if lh, ok := f.h.(ListHandle); ok && !f.hints.NoBatch && len(merged) > 1 {
-		var total int64
-		for _, m := range merged {
-			total += m.Len
-		}
-		stage := make([]byte, total)
-		op, err := lh.StartReadList(p, merged, stage)
-		if err != nil {
-			return nil, err
-		}
-		got, err := op.Wait(p)
-		if err != nil {
-			return nil, err
-		}
-		if int64(got) == total {
-			spans = make([]span, len(merged))
-			pos := int64(0)
-			for i, m := range merged {
-				spans[i] = span{off: m.Off, data: stage[pos : pos+m.Len]}
-				pos += m.Len
-			}
-		}
-	}
-
-	// Read merged ranges in CollBufSize chunks (the non-batch path, and
-	// the fallback when a batch read came back short).
-	if spans == nil {
-		for _, m := range merged {
-			cur := m.Off
-			remaining := m.Len
-			for remaining > 0 {
-				take := min(remaining, int64(f.hints.CollBufSize))
-				chunk := make([]byte, take)
-				got, err := f.h.ReadContig(p, cur, chunk)
-				if err != nil {
-					return nil, err
-				}
-				if got > 0 {
-					spans = append(spans, span{off: cur, data: chunk[:got]})
-				}
-				cur += take
-				remaining -= take
-				if got < int(take) {
-					break // EOF inside this range
-				}
-			}
-		}
-	}
-
-	// appendAvail appends the available prefix of [off, off+n) to out.
-	appendAvail := func(out []byte, off int64, n int) []byte {
-		cur := off
-		for n > 0 {
-			i := sort.Search(len(spans), func(i int) bool {
-				return spans[i].off+int64(len(spans[i].data)) > cur
-			})
-			if i == len(spans) || spans[i].off > cur {
-				break // hole (EOF region)
-			}
-			s := spans[i]
-			rel := cur - s.off
-			take := min(int64(n), int64(len(s.data))-rel)
-			out = append(out, s.data[rel:rel+take]...)
-			cur += take
-			n -= int(take)
-		}
-		return out
-	}
-
 	replies := carve[byte](sizes)
 	served := 0
 	for src, pl := range reqs {
-		reply := replies[src]
-		for ; len(pl) > 0; pl = pl[tupleHdr:] {
-			o, l := readReq(pl)
-			hdr := len(reply)
-			reply = appendAvail(append(reply, 0, 0, 0, 0), o, l)
-			got := len(reply) - hdr - replyHdr
-			binary.LittleEndian.PutUint32(reply[hdr:], uint32(got))
-			served += got
-		}
-		replies[src] = reply
+		var got int
+		replies[src], got = buildReply(replies[src], pl, spans)
+		served += got
 	}
-	node.CopyMem(p, served) // reply assembly copy
+	f.drv.Node().CopyMem(p, served) // reply assembly copy
 	return replies, nil
+}
+
+// span is a run of file bytes an aggregator has read.
+type span struct {
+	off  int64
+	data []byte
+}
+
+// readSpans reads merged ranges in CollBufSize chunks of contiguous driver
+// reads; a range stops at its first short chunk (EOF).
+func (f *File) readSpans(p *sim.Proc, merged []Segment) ([]span, error) {
+	var spans []span
+	for _, m := range merged {
+		cur := m.Off
+		remaining := m.Len
+		for remaining > 0 {
+			take := min(remaining, int64(f.hints.CollBufSize))
+			chunk := make([]byte, take)
+			got, err := f.h.ReadContig(p, cur, chunk)
+			if err != nil {
+				return nil, err
+			}
+			if got > 0 {
+				spans = append(spans, span{off: cur, data: chunk[:got]})
+			}
+			cur += take
+			remaining -= take
+			if got < int(take) {
+				break // EOF inside this range
+			}
+		}
+	}
+	return spans, nil
+}
+
+// buildReply appends to reply (empty, with room for every byte asked for)
+// the answer to one source's requests out of spans, and returns it with
+// the bytes it served.
+func buildReply(reply, reqs []byte, spans []span) ([]byte, int) {
+	k := len(reqs) / tupleHdr
+	reply = reply[:k*replyHdr]
+	served := 0
+	for i := 0; i < k; i++ {
+		o, l := readReq(reqs[i*tupleHdr:])
+		before := len(reply)
+		reply = appendAvail(reply, spans, o, l)
+		binary.LittleEndian.PutUint32(reply[i*replyHdr:], uint32(len(reply)-before))
+		served += len(reply) - before
+	}
+	return reply, served
+}
+
+// appendAvail appends the prefix of [off, off+n) that spans hold to out.
+func appendAvail(out []byte, spans []span, off int64, n int) []byte {
+	cur := off
+	for n > 0 {
+		i := sort.Search(len(spans), func(i int) bool {
+			return spans[i].off+int64(len(spans[i].data)) > cur
+		})
+		if i == len(spans) || spans[i].off > cur {
+			break // hole (EOF region)
+		}
+		s := spans[i]
+		rel := cur - s.off
+		take := min(int64(n), int64(len(s.data))-rel)
+		out = append(out, s.data[rel:rel+take]...)
+		cur += take
+		n -= int(take)
+	}
+	return out
 }
 
 // exchangeExtents allgathers each rank's [lo, hi) access range and returns
@@ -539,29 +646,97 @@ func mergeRanges(in []Segment) []Segment {
 	return out
 }
 
-// tupleHdr is the (offset uint64, length uint32) header of an exchange
-// tuple: a write tuple's data follows it, a read request is the header
-// alone. replyHdr is the count that leads each piece of a read reply.
+// The exchange formats. tupleHdr is a piece's (offset uint64, length
+// uint32) header: a read request is the header alone.
+//
+// A write block is one owner's share of a rank's collective write: the
+// pieces' headers, then their data, contiguous and in header order — so an
+// aggregator hands a received block's data to a list write as it is. It
+// carries no count, so it is no longer than its headers and data: the
+// headers end at the first one after which they and the data they
+// describe account for the whole block. A rank with nothing for an owner
+// sends it an empty block.
+//
+// A read reply answers one source's requests in request order: a uint32
+// count per request (replyHdr) — the bytes available, short only at an
+// EOF hole — then those bytes, contiguous. A list read fills the data area
+// in place, every count the full request.
 const (
 	tupleHdr = 12
 	replyHdr = 4
 )
 
-// nextTuple splits the first (offset, length, data) write tuple off pl.
-func nextTuple(pl []byte) (off int64, data, rest []byte, err error) {
-	if len(pl) < tupleHdr {
-		return 0, nil, nil, fmt.Errorf("mpiio: corrupt collective payload")
+var (
+	errCorruptPayload = errors.New("mpiio: corrupt collective payload")
+	errCorruptRequest = errors.New("mpiio: corrupt collective request")
+	errCorruptReply   = errors.New("mpiio: corrupt collective reply")
+)
+
+// writeBlock is a parsed write block: its piece headers and its data.
+type writeBlock struct {
+	hdrs, data []byte
+}
+
+// splitBlock finds the end of a write block's headers: each header read
+// grows the headers-plus-data total by at least tupleHdr, so the first
+// total that reaches len(b) must hit it exactly. An empty block splits
+// into no pieces.
+func splitBlock(b []byte) (writeBlock, error) {
+	hdrEnd, data := 0, 0
+	for hdrEnd+data < len(b) {
+		if len(b)-hdrEnd < tupleHdr {
+			return writeBlock{}, errCorruptPayload
+		}
+		_, l := readReq(b[hdrEnd:])
+		hdrEnd, data = hdrEnd+tupleHdr, data+l
 	}
-	off, l := readReq(pl)
-	if len(pl) < tupleHdr+l {
-		return 0, nil, nil, fmt.Errorf("mpiio: corrupt collective payload")
+	if hdrEnd+data != len(b) {
+		return writeBlock{}, errCorruptPayload
 	}
-	return off, pl[tupleHdr : tupleHdr+l], pl[tupleHdr+l:], nil
+	return writeBlock{hdrs: b[:hdrEnd], data: b[hdrEnd:]}, nil
+}
+
+// pieces returns the block's piece count.
+func (blk writeBlock) pieces() int { return len(blk.hdrs) / tupleHdr }
+
+// appendSegs appends the pieces a run of tuple headers describes.
+func appendSegs(segs []Segment, hdrs []byte) []Segment {
+	for ; len(hdrs) > 0; hdrs = hdrs[tupleHdr:] {
+		off, l := readReq(hdrs)
+		segs = append(segs, Segment{Off: off, Len: int64(l)})
+	}
+	return segs
 }
 
 // readReq decodes the tuple header at the start of pl.
 func readReq(pl []byte) (off int64, n int) {
 	return int64(binary.LittleEndian.Uint64(pl)), int(binary.LittleEndian.Uint32(pl[8:]))
+}
+
+// packBlocks cuts segs, consecutive bytes of buf, at the partition's domain
+// boundaries into one write block per owner, every block cut at the size a
+// counting walk found from one allocation.
+func packBlocks(pt aggregate.Partition, n int, segs []Segment, buf []byte) [][]byte {
+	type cursor struct{ hdr, data int }
+	cur := make([]cursor, n)
+	sizes := make([]int, n)
+	eachPiece(pt, segs, func(a int, _ int64, take, _ int) {
+		cur[a].data += tupleHdr // the data starts after every header
+		sizes[a] += tupleHdr + take
+	})
+	blocks := carve[byte](sizes)
+	for a := range blocks {
+		blocks[a] = blocks[a][:sizes[a]]
+	}
+	eachPiece(pt, segs, func(a int, off int64, take, bufPos int) {
+		b, c := blocks[a], &cur[a]
+		binary.LittleEndian.PutUint64(b[c.hdr:], uint64(off))
+		binary.LittleEndian.PutUint32(b[c.hdr+8:], uint32(take))
+		copy(b[c.data:], buf[bufPos:bufPos+take])
+		c.hdr += tupleHdr
+		c.data += take
+	})
+	return blocks
 }
 
 // eachPiece cuts segs, consecutive bytes of one user buffer, at the

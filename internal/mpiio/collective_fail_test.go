@@ -1,0 +1,197 @@
+package mpiio
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"dafsio/internal/aggregate"
+	"dafsio/internal/cluster"
+	"dafsio/internal/layout"
+	"dafsio/internal/sim"
+)
+
+var errInjected = errors.New("injected list failure")
+
+// failingList wraps a file's list handle: its failWrite-th list write and
+// its failRead-th list read (counting from 1; 0 never) fail at issue
+// without starting, every contiguous read fails while failContig is set,
+// and it counts the list operations it did start and the Waits they got.
+type failingList struct {
+	Handle
+	lh                  ListHandle
+	failWrite, failRead int
+	failContig          bool
+	writes, reads       int
+	started, waited     int
+}
+
+func (h *failingList) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) {
+	if h.failContig {
+		return 0, errInjected
+	}
+	return h.Handle.ReadContig(p, off, buf)
+}
+
+func (h *failingList) StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
+	if h.writes++; h.writes == h.failWrite {
+		return nil, errInjected
+	}
+	return h.count(h.lh.StartWriteList(p, segs, buf))
+}
+
+func (h *failingList) StartReadList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
+	if h.reads++; h.reads == h.failRead {
+		return nil, errInjected
+	}
+	return h.count(h.lh.StartReadList(p, segs, buf))
+}
+
+func (h *failingList) count(op AsyncOp, err error) (AsyncOp, error) {
+	if err != nil {
+		return nil, err
+	}
+	h.started++
+	return countedOp{op, h}, nil
+}
+
+type countedOp struct {
+	AsyncOp
+	h *failingList
+}
+
+func (o countedOp) Wait(p *sim.Proc) (int, error) {
+	o.h.waited++
+	return o.AsyncOp.Wait(p)
+}
+
+// TestWriteBlockCorrupt: a write block from a peer carries no piece count,
+// so it is checked against its own length before any piece reaches a
+// driver — its headers end where they and their data account for the
+// whole block, and a block that never lands exactly there is corrupt.
+func TestWriteBlockCorrupt(t *testing.T) {
+	pt := aggregate.Domains(layout.Striping{Width: 1}, 0, 1000, 2, true) // owners split at 500
+	buf := pattern(500)
+	blocks := packBlocks(pt, 2, []Segment{{Off: 0, Len: 300}, {Off: 600, Len: 200}}, buf)
+	for a, want := range []struct {
+		seg  Segment
+		data []byte
+	}{{Segment{Off: 0, Len: 300}, buf[:300]}, {Segment{Off: 600, Len: 200}, buf[300:]}} {
+		blk, err := splitBlock(blocks[a])
+		if err != nil || blk.pieces() != 1 || !bytes.Equal(blk.data, want.data) {
+			t.Fatalf("owner %d: block splits into %d pieces, err %v", a, blk.pieces(), err)
+		}
+		if segs := appendSegs(nil, blk.hdrs); segs[0] != want.seg {
+			t.Errorf("owner %d: piece %+v, want %+v", a, segs[0], want.seg)
+		}
+	}
+	if blk, err := splitBlock(nil); err != nil || blk.pieces() != 0 {
+		t.Errorf("empty block: %d pieces, err %v", blk.pieces(), err)
+	}
+	good := blocks[0]
+	for _, bad := range []struct {
+		name string
+		b    []byte
+	}{
+		{"truncated header", good[:8]},
+		{"short data", good[:len(good)-1]},
+		{"trailing bytes", append(append([]byte(nil), good...), 0, 0, 0)},
+	} {
+		if _, err := splitBlock(bad.b); !errors.Is(err, errCorruptPayload) {
+			t.Errorf("%s: %v, want errCorruptPayload", bad.name, err)
+		}
+	}
+}
+
+// TestCollectiveListFailureMidExchange: aggregator 1's list write for its
+// second source fails at issue — its own block's write already in flight,
+// two exchange steps still to run. Every rank must get an error (rank 1
+// its own, the others the peer failure), every list operation that
+// started must be waited, and each rank's staging pool must be back
+// within its bound with nothing else left pinned. The next collective
+// write then succeeds, and the read twin fails aggregator 2's second list
+// read the same way. Last, under NoBatch, aggregator 3's contiguous reads
+// fail: it must still ship its (empty) replies, not abandon the exchange.
+func TestCollectiveListFailureMidExchange(t *testing.T) {
+	const ranks, width, block, blocks = 4, 4, 128, 1024
+	c := cluster.New(cluster.Config{Clients: ranks, Servers: width, DAFS: true, MPI: true})
+	err := c.SpawnClients(func(p *sim.Proc, i int) {
+		pool, err := c.DialDAFSAll(p, i, nil)
+		if err != nil {
+			t.Errorf("rank %d: dial: %v", i, err)
+			return
+		}
+		drv := NewStripedDAFSDriver(pool, layout.Striping{StripeSize: 4 << 10, Width: width})
+		f, err := Open(p, c.World.Rank(i), drv, "fail", ModeRdWr|ModeCreate, nil)
+		if err != nil {
+			t.Errorf("rank %d: open: %v", i, err)
+			return
+		}
+		f.SetView(int64(i)*block, Vector(blocks, block, ranks*block))
+		fl := &failingList{Handle: f.h, lh: f.h.(ListHandle)}
+		f.h = fl
+		nic := drv.Clients()[0].NIC()
+		before := nic.Regions()
+		settledOK := func(what string) {
+			t.Helper()
+			if fl.waited != fl.started {
+				t.Errorf("rank %d %s: %d list operations started, %d waited", i, what, fl.started, fl.waited)
+			}
+			if got := len(drv.stagePool); got > drv.stagePoolMax {
+				t.Errorf("rank %d %s: stage pool holds %d buffers, bound %d", i, what, got, drv.stagePoolMax)
+			}
+			if got, want := nic.Regions()-before, len(drv.stagePool); got != want {
+				t.Errorf("rank %d %s: %d regions pinned, want %d (one per pooled buffer)", i, what, got, want)
+			}
+		}
+		failed := func(what string, err error, culprit int) {
+			t.Helper()
+			switch {
+			case err == nil:
+				t.Errorf("rank %d %s: succeeded past the injected failure", i, what)
+			case i == culprit && !errors.Is(err, errInjected):
+				t.Errorf("rank %d %s: %v, want the injected failure", i, what, err)
+			}
+			settledOK(what)
+		}
+
+		data := rankPattern(blocks*block, i, 7)
+		if i == 1 {
+			fl.failWrite = 2
+		}
+		_, err = f.WriteAtAll(p, 0, data)
+		failed("write", err, 1)
+		if i == 1 && fl.writes != 2 {
+			t.Errorf("rank 1 started %d list writes, want 2 (none after the failure)", fl.writes)
+		}
+
+		fl.failWrite = 0
+		if n, err := f.WriteAtAll(p, 0, data); n != len(data) || err != nil {
+			t.Errorf("rank %d: write after the failure: n=%d err=%v", i, n, err)
+		}
+		got := make([]byte, len(data))
+		if i == 2 {
+			fl.failRead = 2
+		}
+		_, err = f.ReadAtAll(p, 0, got)
+		failed("read", err, 2)
+
+		fl.failRead = 0
+		clear(got)
+		if n, err := f.ReadAtAll(p, 0, got); n != len(got) || err != nil || !bytes.Equal(got, data) {
+			t.Errorf("rank %d: read after the failure: n=%d err=%v, bytes match %v", i, n, err, bytes.Equal(got, data))
+		}
+		settledOK("recovery")
+
+		// The sequential path: an aggregator whose contiguous read fails
+		// still takes part in the reply exchange, with empty replies.
+		f.hints.NoBatch = true
+		fl.failContig = i == 3
+		_, err = f.ReadAtAll(p, 0, got)
+		failed("sequential read", err, 3)
+		f.Close(p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

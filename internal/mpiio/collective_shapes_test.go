@@ -109,6 +109,7 @@ func (s collShape) run(t *testing.T, stack string, collective bool, seed int) []
 		cfg.Servers, cfg.DAFS = s.width, true
 	}
 	c := cluster.New(cfg)
+	defer c.K.Shutdown() // reclaim the parked procs: a run of shapes makes hundreds of clusters
 	var extent []byte
 	err := c.SpawnClients(func(p *sim.Proc, i int) {
 		var drv Driver = NewMemDriver(c.ClientNodes[i], c.Store, nil)
@@ -167,10 +168,12 @@ func (s collShape) run(t *testing.T, stack string, collective bool, seed int) []
 // domains when the world covers the width, the equal split otherwise),
 // stripe sizes unrelated to the block so pieces straddle domain
 // boundaries, small collective buffers, the non-batch path, and an empty
-// participant. The counting walks that size the exchange buffers and the
-// walks that fill them must agree on every one: each rank reads back what
-// it wrote, and the file is byte for byte the one independent I/O and the
-// oracle leave.
+// participant. Every shape's collective also runs over striped DAFS at
+// widths 1, 2 and 4, so the pipelined list path and the assembly path
+// (NoBatch) each meet the equal split and the aligned domains. The
+// counting walks that size the exchange buffers and the walks that fill
+// them must agree on every one: each rank reads back what it wrote, and
+// the file is byte for byte the one independent I/O and the oracle leave.
 func TestCollectiveShapes(t *testing.T) {
 	iters := 100
 	if testing.Short() {
@@ -192,12 +195,22 @@ func TestCollectiveShapes(t *testing.T) {
 			empty++
 		}
 		want := s.want(iter)
-		for _, run := range []struct {
+		type stackRun struct {
 			stack      string
 			collective bool
-		}{{"dafs", true}, {"dafs", false}, {"mem", true}} {
-			if got := s.run(t, run.stack, run.collective, iter); !bytes.Equal(got, want) {
-				t.Fatalf("iter %d (%v): %s collective=%v left other bytes than the ranks wrote", iter, s, run.stack, run.collective)
+			width      int
+		}
+		runs := []stackRun{{"dafs", true, s.width}, {"dafs", false, s.width}, {"mem", true, s.width}}
+		for _, w := range []int{1, 2, 4} {
+			if w != s.width {
+				runs = append(runs, stackRun{"dafs", true, w})
+			}
+		}
+		for _, run := range runs {
+			sw := s
+			sw.width = run.width
+			if got := sw.run(t, run.stack, run.collective, iter); !bytes.Equal(got, want) {
+				t.Fatalf("iter %d (%v): %s collective=%v at width %d left other bytes than the ranks wrote", iter, s, run.stack, run.collective, run.width)
 			}
 		}
 		if t.Failed() {

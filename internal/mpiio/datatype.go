@@ -13,14 +13,14 @@ package mpiio
 import (
 	"fmt"
 	"sort"
+
+	"dafsio/internal/aggregate"
 )
 
-// Segment is one contiguous byte range of a type map, relative to the
-// datatype's origin.
-type Segment struct {
-	Off int64
-	Len int64
-}
+// Segment is one contiguous byte range: of a type map, relative to the
+// datatype's origin, or of the file. It is the gather planner's segment,
+// so a list transfer hands its segments to the planner as they are.
+type Segment = aggregate.Segment
 
 // Datatype is a derived datatype over bytes (the base type is MPI_BYTE): a
 // normalized type map (sorted, non-overlapping, coalesced segments) plus an
@@ -40,7 +40,7 @@ func Contiguous(n int64) *Datatype {
 	if n == 0 {
 		return &Datatype{}
 	}
-	return &Datatype{segs: []Segment{{0, n}}, extent: n, size: n}
+	return &Datatype{segs: []Segment{{Off: 0, Len: n}}, extent: n, size: n}
 }
 
 // Vector returns count blocks of blocklen bytes, the start of each block

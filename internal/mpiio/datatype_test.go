@@ -37,7 +37,7 @@ func TestVector(t *testing.T) {
 	if d.Size() != 12 || d.Extent() != 24 {
 		t.Fatalf("vector: %v", d)
 	}
-	want := []Segment{{0, 4}, {10, 4}, {20, 4}}
+	want := []Segment{{Off: 0, Len: 4}, {Off: 10, Len: 4}, {Off: 20, Len: 4}}
 	if !segsEqual(d.Segments(), want) {
 		t.Fatalf("segments %v", d.Segments())
 	}
@@ -52,16 +52,16 @@ func TestVector(t *testing.T) {
 }
 
 func TestIndexedNormalization(t *testing.T) {
-	d := Indexed([]Segment{{20, 5}, {0, 10}, {10, 10}}) // out of order, adjacent
-	if !segsEqual(d.Segments(), []Segment{{0, 25}}) {
+	d := Indexed([]Segment{{Off: 20, Len: 5}, {Off: 0, Len: 10}, {Off: 10, Len: 10}}) // out of order, adjacent
+	if !segsEqual(d.Segments(), []Segment{{Off: 0, Len: 25}}) {
 		t.Fatalf("segments %v", d.Segments())
 	}
 	if d.Size() != 25 || d.Extent() != 25 {
 		t.Fatalf("%v", d)
 	}
 	// Zero-length blocks vanish.
-	e := Indexed([]Segment{{5, 0}, {10, 3}})
-	if !segsEqual(e.Segments(), []Segment{{10, 3}}) {
+	e := Indexed([]Segment{{Off: 5, Len: 0}, {Off: 10, Len: 3}})
+	if !segsEqual(e.Segments(), []Segment{{Off: 10, Len: 3}}) {
 		t.Fatalf("segments %v", e.Segments())
 	}
 }
@@ -72,13 +72,13 @@ func TestIndexedOverlapPanics(t *testing.T) {
 			t.Fatal("want panic on overlap")
 		}
 	}()
-	Indexed([]Segment{{0, 10}, {5, 10}})
+	Indexed([]Segment{{Off: 0, Len: 10}, {Off: 5, Len: 10}})
 }
 
 func TestSubarray2D(t *testing.T) {
 	// 4x6 array of 2-byte elements; 2x3 tile at (1,2).
 	d := Subarray2D(4, 6, 1, 2, 2, 3, 2)
-	want := []Segment{{(1*6 + 2) * 2, 6}, {(2*6 + 2) * 2, 6}}
+	want := []Segment{{Off: (1*6 + 2) * 2, Len: 6}, {Off: (2*6 + 2) * 2, Len: 6}}
 	if !segsEqual(d.Segments(), want) {
 		t.Fatalf("segments %v, want %v", d.Segments(), want)
 	}
@@ -107,11 +107,11 @@ func TestMapRangeWithinTile(t *testing.T) {
 		off, n int64
 		want   []Segment
 	}{
-		{0, 4, []Segment{{0, 4}}},
-		{0, 6, []Segment{{0, 4}, {10, 2}}},
-		{2, 4, []Segment{{2, 2}, {10, 2}}},
-		{4, 8, []Segment{{10, 4}, {20, 4}}},
-		{11, 1, []Segment{{23, 1}}},
+		{0, 4, []Segment{{Off: 0, Len: 4}}},
+		{0, 6, []Segment{{Off: 0, Len: 4}, {Off: 10, Len: 2}}},
+		{2, 4, []Segment{{Off: 2, Len: 2}, {Off: 10, Len: 2}}},
+		{4, 8, []Segment{{Off: 10, Len: 4}, {Off: 20, Len: 4}}},
+		{11, 1, []Segment{{Off: 23, Len: 1}}},
 	}
 	for _, c := range cases {
 		got := d.mapRange(c.off, c.n, nil)
@@ -126,12 +126,12 @@ func TestMapRangeAcrossTiles(t *testing.T) {
 	// Bytes 6..10 = last 2 of tile0 block1 (phys 12,13) + first 2 of
 	// tile1 block0 (phys 14,15) -> coalesces to {12,4}.
 	got := d.mapRange(6, 4, nil)
-	if !segsEqual(got, []Segment{{12, 4}}) {
+	if !segsEqual(got, []Segment{{Off: 12, Len: 4}}) {
 		t.Fatalf("cross-tile mapRange = %v", got)
 	}
 	// Whole second tile.
 	got = d.mapRange(8, 8, nil)
-	if !segsEqual(got, []Segment{{14, 4}, {24, 4}}) {
+	if !segsEqual(got, []Segment{{Off: 14, Len: 4}, {Off: 24, Len: 4}}) {
 		t.Fatalf("tile1 mapRange = %v", got)
 	}
 }
@@ -237,8 +237,8 @@ func TestMapRangeBruteForce(t *testing.T) {
 }
 
 func TestMergeRanges(t *testing.T) {
-	got := mergeRanges([]Segment{{10, 5}, {0, 4}, {14, 3}, {30, 2}, {3, 2}})
-	want := []Segment{{0, 5}, {10, 7}, {30, 2}}
+	got := mergeRanges([]Segment{{Off: 10, Len: 5}, {Off: 0, Len: 4}, {Off: 14, Len: 3}, {Off: 30, Len: 2}, {Off: 3, Len: 2}})
+	want := []Segment{{Off: 0, Len: 5}, {Off: 10, Len: 7}, {Off: 30, Len: 2}}
 	if !segsEqual(got, want) {
 		t.Fatalf("mergeRanges = %v, want %v", got, want)
 	}

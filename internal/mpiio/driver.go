@@ -110,7 +110,8 @@ type AsyncOp interface {
 // supports batched noncontiguous access in a single request (DAFS batch
 // I/O: one segment list, one RDMA). The MPI-IO layer prefers it over
 // per-segment operations unless Hints.NoBatch is set. segs map to
-// consecutive bytes of buf.
+// consecutive bytes of buf, and a handle is done with segs once the Start
+// call returns, so a caller may reuse the slice for its next list.
 type ListHandle interface {
 	StartReadList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error)
 	StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error)

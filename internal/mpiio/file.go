@@ -12,7 +12,8 @@ import (
 // same defaults scale).
 type Hints struct {
 	// CollBufSize caps each contiguous access an aggregator issues during
-	// two-phase collective I/O (cb_buffer_size). Default 1 MiB.
+	// two-phase collective I/O (cb_buffer_size) when it has no list I/O to
+	// issue. Default 1 MiB.
 	CollBufSize int
 	// SieveBufSize is the data-sieving window (ind_rd_buffer_size).
 	// Default 512 KiB.
@@ -22,8 +23,9 @@ type Hints struct {
 	Sieving bool
 	// NoBatch disables protocol-level batch I/O (ListHandle) even when
 	// the driver supports it, forcing per-segment list operations. It also
-	// keeps collective aggregators on per-run contiguous operations
-	// instead of one batch request per collective phase.
+	// keeps collective aggregators on per-run contiguous operations issued
+	// after the whole exchange, instead of list I/O per source overlapped
+	// with it.
 	NoBatch bool
 }
 

@@ -577,11 +577,7 @@ func (h *stripedHandle) startList(p *sim.Proc, segs []Segment, buf []byte, write
 		return d.dafsTransfer.startList(p, c, dafs.FH(h.fhs[0][0]), segs, buf, write)
 	}
 
-	asegs := make([]aggregate.Segment, len(segs))
-	for i, s := range segs {
-		asegs[i] = aggregate.Segment{Off: s.Off, Len: s.Len}
-	}
-	plans := aggregate.Gather(st, asegs)
+	plans := aggregate.Gather(st, segs)
 
 	// Stage per server, through the driver's registered staging pool.
 	// Writes pack the user buffer through the copy maps now; reads leave
