@@ -13,9 +13,11 @@ import (
 // for byte with testdata, and the JSON exports with the digests of the
 // recorded ones (stat's is 2.2 MB, too large to keep). The simulation is
 // deterministic, so any change to a table, a breakdown, a series, a span
-// or a postmortem shows here. T6 is the traced run over a single DAFS
-// server, T15 the striped contiguous path and T17 the strided collective
-// over four servers; each run's Chrome export is pinned beside its stdout.
+// or a postmortem shows here. T4 is the paper's single-client DAFS read,
+// pinned by its stdout. T6 is the traced run over a single DAFS server,
+// T15 the striped contiguous path and T17 the strided collective over
+// four servers; each of these runs' Chrome export is pinned beside its
+// stdout.
 // T19 is the elastic-membership run: a live join, re-silver and commit.
 func TestOutputs(t *testing.T) {
 	dir := t.TempDir()
@@ -28,6 +30,7 @@ func TestOutputs(t *testing.T) {
 		{"list.txt", []string{"list"}},
 		{"run-T9.txt", []string{"run", "-q", "T9"}},
 		{"trace-T15.txt", []string{"trace", "T15", "-clients", "2", "-servers", "2", "-hist", "-trace", chrome15}},
+		{"trace-T4.txt", []string{"trace", "T4", "-hist"}},
 		{"trace-T6.txt", []string{"trace", "T6", "-hist", "-trace", chrome6}},
 		{"trace-T17.txt", []string{"trace", "T17", "-servers", "4", "-hist", "-trace", chrome17}},
 		{"stat-T16.txt", []string{"stat", "T16", "-json", json}},

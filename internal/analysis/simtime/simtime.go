@@ -31,40 +31,21 @@ var banned = map[string]bool{
 	"AfterFunc": true,
 }
 
-// simulatedTree holds the packages that execute inside (or assemble) the
-// simulation; they must advance only virtual time.
-var simulatedTree = []string{
-	"dafsio/internal/sim",
-	"dafsio/internal/via",
-	"dafsio/internal/dafs",
-	"dafsio/internal/fabric",
-	"dafsio/internal/mpi",
-	"dafsio/internal/mpiio",
-	"dafsio/internal/model",
-	"dafsio/internal/kstack",
-	"dafsio/internal/nfs",
-	"dafsio/internal/storage",
-	"dafsio/internal/cluster",
-	"dafsio/internal/layout",
-	"dafsio/internal/bench",
-	"dafsio/internal/wire",
-	"dafsio/internal/stats",
-	"dafsio/internal/trace",
-	"dafsio/internal/fault",
-	"dafsio/internal/metrics",
-}
+// The simulated tree is every package under dafsio/internal but the
+// analysis framework, which runs on the host: whatever is added there
+// executes inside (or assembles) the simulation and must advance only
+// virtual time.
+const (
+	internalTree = "dafsio/internal"
+	analysisTree = "dafsio/internal/analysis"
+)
 
 // Analyzer is the simtime pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "simtime",
 	Doc:  "forbid wall-clock time (time.Now, time.Sleep, timers) in simulated packages; use sim virtual time",
 	Match: func(pkgPath string) bool {
-		for _, p := range simulatedTree {
-			if analysis.PathHasPrefix(pkgPath, p) {
-				return true
-			}
-		}
-		return false
+		return analysis.PathHasPrefix(pkgPath, internalTree) && !analysis.PathHasPrefix(pkgPath, analysisTree)
 	},
 	Run: run,
 }

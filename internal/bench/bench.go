@@ -35,7 +35,8 @@ var All = []Experiment{
 		func(_, _ int, o Observation) Result { return stream(65536, 16, o) }},
 	{"T2", "MPI-IO bandwidth vs request size: DAFS vs NFS (1 client)", T2RequestSize, nil},
 	{"T3", "DAFS inline vs direct transfer discipline", T3InlineDirect, nil},
-	{"T4", "Client CPU overhead per megabyte", T4CPUOverhead, nil},
+	{"T4", "Client CPU overhead per megabyte", T4CPUOverhead,
+		func(_, _ int, o Observation) Result { return run(t4Point(dafsStack, false), o) }},
 	{"T5", "Aggregate bandwidth vs number of clients", T5Scaling, nil},
 	{"T6", "Collective vs independent noncontiguous I/O", T6Collective,
 		func(_, _ int, o Observation) Result { return run(collPoint(2048, methodTwoPhase), o) }},
@@ -46,7 +47,7 @@ var All = []Experiment{
 	{"T11", "Model sensitivity of the headline ratios", T11Sensitivity, nil},
 	{"T12", "Faster networks widen the gap (future-work projection)", T12FasterNetworks, nil},
 	{"T13", "Commodity gigabit-Ethernet profile", T13GbEProfile, nil},
-	{"T14", "Disk-bound server: transports converge (negative result)", T14DiskBound, nil},
+	{"T14", "Disk-bound server: NFS leads on bandwidth (negative result)", T14DiskBound, nil},
 	// A traced T15 point reads (per-stripe fan-out is the story); a sampled
 	// one writes (the servers' byte counters are).
 	{"T15", "Striped aggregate bandwidth: clients x servers", T15StripedScaling,

@@ -368,8 +368,13 @@ func TestShortCallFails(t *testing.T) {
 
 // TestCrossTableIdentities: two tables that time the same operation print
 // the same number. T10's 4KB read and T7's measured 4KB inline read are one
-// warm 4KB DAFS read of a file longer than 4KB (T10 once timed a 1,008-byte
-// read here, because its truncate probe had just shrunk the file).
+// warm 4KB DAFS read of a file at least 4KB long (T10 once timed a 1,008-byte
+// read here, because its truncate probe had just shrunk the file). The
+// rest hold because every table below is a point measured by run: T4's
+// reads are T5's one-client points, T3's 256KB direct read is T15's one
+// client on one server, and T2's 1MB and 32KB reads are T11's baseline and
+// T3's forced-direct 32KB read. T12's 1.25 Gb/s row is not T2's 1MB read:
+// T12 raises NIC DMA to twice the link on that row too (101.9 vs 96.1).
 func TestCrossTableIdentities(t *testing.T) {
 	cell := func(tbl *stats.Table, row string, col int) string {
 		for _, r := range tbl.Rows {
@@ -380,12 +385,20 @@ func TestCrossTableIdentities(t *testing.T) {
 		t.Fatalf("%s has no row %q", tbl.ID, row)
 		return ""
 	}
+	t2, t3, t4, t11 := T2RequestSize(), T3InlineDirect(), T4CPUOverhead(), T11Sensitivity()
+	t5, t15 := T5Scaling(), T15StripedScaling()
 	for _, id := range []struct {
 		name string
 		a, b string
 	}{
 		{"T10[4KB read, dafs] = T7[measured end-to-end, 4KB inline]",
 			cell(T10OpLatency(), "4KB read", 1), cell(T7Breakdown(), "measured end-to-end", 1)},
+		{"T4[dafs read] = T5[1 client, dafs]", cell(t4, "dafs read", 1), cell(t5, "1", 1)},
+		{"T4[nfs read] = T5[1 client, nfs]", cell(t4, "nfs read", 1), cell(t5, "1", 3)},
+		{"T3[256KB direct] = T15[1 client, 1-srv rd]", cell(t3, "256KB", 2), cell(t15, "1", 1)},
+		{"T2[1MB dafs-rd] = T11[baseline, dafs]", cell(t2, "1MB", 1), cell(t11, "baseline", 1)},
+		{"T2[1MB nfs-rd] = T11[baseline, nfs]", cell(t2, "1MB", 3), cell(t11, "baseline", 2)},
+		{"T2[32KB dafs-rd] = T3[32KB direct]", cell(t2, "32KB", 1), cell(t3, "32KB", 2)},
 	} {
 		if id.a != id.b {
 			t.Errorf("%s: %s != %s", id.name, id.a, id.b)

@@ -180,6 +180,10 @@ func T7Breakdown() *stats.Table {
 	type split struct{ post, reqWire, server, respWire, complete, measured sim.Time }
 	mk := func(size int, direct bool) split {
 		var s split
+		threshold := 1 << 20 // inline
+		if direct {
+			threshold = 0
+		}
 		s.post = prof.MarshalCost + prof.CopyTime(reqLen) + prof.DoorbellCost
 		s.reqWire = wire(reqLen)
 		s.server = 2*prof.MarshalCost + prof.DAFSOpCost
@@ -193,7 +197,10 @@ func T7Breakdown() *stats.Table {
 			s.respWire = wire(size + 24)
 			s.complete = prof.WakeupLatency + prof.MarshalCost + prof.CopyTime(size+8)
 		}
-		s.measured = measureDafsReadLatency(size, direct)
+		// One warm read of size bytes, timed alone.
+		pt := seq("T7", dafsStack, size, int64(size), false)
+		pt.tune = func(d *mpiio.StripedDAFSDriver) { d.DirectThreshold = threshold }
+		s.measured = measure(pt).Elapsed()
 		return s
 	}
 	small := mk(4096, false)
@@ -208,27 +215,4 @@ func T7Breakdown() *stats.Table {
 	row("model sum", sum(small), sum(big))
 	row("measured end-to-end", small.measured, big.measured)
 	return t
-}
-
-// measureDafsReadLatency times a single warm read of the given size.
-func measureDafsReadLatency(size int, direct bool) sim.Time {
-	threshold := 1 << 20
-	if direct {
-		threshold = 0
-	}
-	pt := point{id: "T7", clients: 1, stack: dafsStack, name: "lat", per: 1 << 20,
-		tune: func(d *mpiio.StripedDAFSDriver) { d.DirectThreshold = threshold }}
-	c := newCluster(pt, Observation{})
-	var lat sim.Time
-	c.K.Spawn("app", func(p *sim.Proc) {
-		f, _ := open(p, c, pt, 0)
-		buf := make([]byte, size)
-		f.ReadAt(p, 0, buf) // warm (registration, caches)
-		start := p.Now()
-		f.ReadAt(p, 0, buf)
-		lat = p.Now() - start
-		f.Close(p)
-	})
-	end(c, c.Run())
-	return lat
 }

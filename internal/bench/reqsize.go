@@ -20,12 +20,12 @@ func T2RequestSize() *stats.Table {
 	}
 	for _, size := range []int{512, 2048, 8192, 32768, 131072, 524288, 1 << 20} {
 		total := totalFor(size)
-		dr := transfer(seq("T2", dafsStack, size, total, false))
-		dw := transfer(seq("T2", dafsStack, size, total, true))
-		nr := transfer(seq("T2", nfsStack, size, total, false))
-		nw := transfer(seq("T2", nfsStack, size, total, true))
+		dr := measure(seq("T2", dafsStack, size, total, false))
+		dw := measure(seq("T2", dafsStack, size, total, true))
+		nr := measure(seq("T2", nfsStack, size, total, false))
+		nw := measure(seq("T2", nfsStack, size, total, true))
 		t.AddRow(stats.Size(int64(size)),
-			stats.BW(dr.bw), stats.BW(dw.bw), stats.BW(nr.bw), stats.BW(nw.bw))
+			stats.BW(dr.MBps), stats.BW(dw.MBps), stats.BW(nr.MBps), stats.BW(nw.MBps))
 	}
 	return t
 }
@@ -40,21 +40,24 @@ func T3InlineDirect() *stats.Table {
 		Columns: []string{"request", "inline MB/s", "direct MB/s", "auto MB/s"},
 	}
 	// Sessions with a large MaxInline so inline can be forced at all sizes.
-	forced := func(size, threshold int) transferResult {
+	forced := func(size, threshold int) Result {
 		pt := seq("T3", dafsStack, size, totalFor(size), false)
 		pt.opts = &dafs.Options{MaxInline: 256 << 10}
 		pt.tune = func(d *mpiio.StripedDAFSDriver) { d.DirectThreshold = threshold }
-		return transfer(pt)
+		return measure(pt)
 	}
 	for _, size := range []int{512, 2048, 8192, 32768, 131072, 262144} {
 		inline := forced(size, 256<<10)
 		direct := forced(size, 0)
 		auto := forced(size, 8192)
 		t.AddRow(stats.Size(int64(size)),
-			stats.BW(inline.bw), stats.BW(direct.bw), stats.BW(auto.bw))
+			stats.BW(inline.MBps), stats.BW(direct.MBps), stats.BW(auto.MBps))
 	}
 	return t
 }
+
+// t4Point is one of T4's rows: one client moving 8MB in 64KB calls.
+func t4Point(st stack, write bool) point { return seq("T4", st, 64<<10, 8<<20, write) }
 
 // T4CPUOverhead reports the paper's key efficiency metric: client CPU time
 // per megabyte moved.
@@ -65,17 +68,14 @@ func T4CPUOverhead() *stats.Table {
 		Note:    "CPU ms per MB of data; direct DAFS I/O leaves the client CPU nearly idle",
 		Columns: []string{"stack", "MB/s", "cpu ms/MB", "cpu util"},
 	}
-	const size = 64 << 10
-	const total = 8 << 20
-	add := func(name string, r transferResult) {
-		// Utilization while streaming = cpu-per-byte * bytes-per-sec.
-		util := float64(r.cpuMB) / 1e9 * r.bw
-		t.AddRow(name, stats.BW(r.bw), stats.Us(r.cpuMB/1000), stats.Pct(util))
+	add := func(name string, st stack, write bool) {
+		r := measure(t4Point(st, write))
+		t.AddRow(name, stats.BW(r.MBps), stats.Us(r.cpuMB/1000), stats.Pct(r.cpuUtil()))
 	}
-	add("dafs read", transfer(seq("T4", dafsStack, size, total, false)))
-	add("dafs write", transfer(seq("T4", dafsStack, size, total, true)))
-	add("nfs read", transfer(seq("T4", nfsStack, size, total, false)))
-	add("nfs write", transfer(seq("T4", nfsStack, size, total, true)))
+	add("dafs read", dafsStack, false)
+	add("dafs write", dafsStack, true)
+	add("nfs read", nfsStack, false)
+	add("nfs write", nfsStack, true)
 	return t
 }
 
@@ -88,28 +88,14 @@ func T8RegCache() *stats.Table {
 		Note:    "no-cache registers and deregisters the buffer around every operation",
 		Columns: []string{"request", "no-cache MB/s", "cache MB/s", "speedup"},
 	}
+	// One buffer written 16 times, always direct, with no warm-up: the
+	// uncached point pays a registration on every call.
 	timed := func(size int, cache bool) float64 {
-		pt := point{id: "T8", clients: 1, stack: dafsStack, name: "f", write: true, tune: func(d *mpiio.StripedDAFSDriver) {
-			d.RegCache = cache
-			d.DirectThreshold = 0 // always direct
-		}}
-		c := newCluster(pt, Observation{})
-		var bw float64
-		c.K.Spawn("app", func(p *sim.Proc) {
-			f, _ := open(p, c, pt, 0)
-			buf := make([]byte, size)
-			start := p.Now()
-			const iters = 16
-			for i := 0; i < iters; i++ {
-				if _, err := f.WriteAt(p, 0, buf); err != nil {
-					panic(err)
-				}
-			}
-			bw = stats.MBps(int64(size)*iters, p.Now()-start)
-			f.Close(p)
-		})
-		end(c, c.Run())
-		return bw
+		return measure(point{id: "T8", clients: 1, stack: dafsStack, name: "f", req: size, per: 16 * int64(size), write: true,
+			tune: func(d *mpiio.StripedDAFSDriver) {
+				d.RegCache = cache
+				d.DirectThreshold = 0
+			}}).MBps
 	}
 	for _, size := range []int{4096, 32768, 131072, 524288, 1 << 20} {
 		no := timed(size, false)
@@ -135,14 +121,7 @@ func T10OpLatency() *stats.Table {
 	}
 	moved := func(size int, write bool) func(p *sim.Proc, f *mpiio.File, i int) error {
 		return func(p *sim.Proc, f *mpiio.File, i int) error {
-			op := f.ReadAt
-			if write {
-				op = f.WriteAt
-			}
-			n, err := op(p, 0, make([]byte, size))
-			if err == nil && n != size {
-				err = fmt.Errorf("moved %d of %d bytes", n, size)
-			}
+			_, err := point{id: "T10"}.call(p, f, 0, write)(0, make([]byte, size))
 			return err
 		}
 	}

@@ -19,11 +19,13 @@ import (
 	"dafsio/internal/trace"
 )
 
-// The measured runs. Every experiment that moves data from several clients
-// at once is a point handed to run, and every single-client sweep a point
-// handed to transfer. Both build the cluster and fill the file with
-// newCluster and connect with open, which the experiments with bodies of
-// their own (T7–T10, T14, T19) share.
+// The measured runs. Every experiment that moves file data through MPI-IO
+// and times it is a point handed to run: one client or many, one server or
+// a stripe, observed or not. run builds the cluster and fills the file
+// with newCluster and connects with open, which the experiments with
+// bodies of their own share: T9 (compute overlap), T10 (metadata probes)
+// and T19 (elastic phases). T1 runs on a bare VIA pair (micro.go), and
+// T7's model rows are arithmetic over the cost profile.
 
 // stack is the client side of a point: the transport every client opens
 // the file through, one session or mount per server under the striped
@@ -92,12 +94,18 @@ type Result struct {
 	Tracer     *trace.Tracer     // nil unless traced
 	Reg        *metrics.Registry // nil unless sampled
 
-	srvCPU  float64 // server 0's CPU busy share over the window
-	corrupt bool    // a read-back differed from what was written
+	srvCPU  float64  // server 0's CPU busy share from the window's start to the run's end
+	disk    float64  // server 0's disk busy share over the window (0 without a disk)
+	cpuMB   sim.Time // client CPU busy time over the window, summed across clients, per MB moved
+	corrupt bool     // a read-back differed from what was written
 }
 
 // Elapsed returns the measured window's length.
 func (r Result) Elapsed() sim.Time { return r.End - r.Start }
+
+// cpuUtil is the client CPU's utilization while streaming: CPU time per
+// byte times bytes per second.
+func (r Result) cpuUtil() float64 { return float64(r.cpuMB) / 1e9 * r.MBps }
 
 // BreakdownTable renders a traced run's per-category time breakdown.
 func (r Result) BreakdownTable() *stats.Table {
@@ -259,7 +267,9 @@ func run(pt point, o Observation) Result {
 	}
 	r := Result{ID: pt.id, Tracer: c.Tracer, Reg: c.Metrics}
 	srvCPU := c.ServerNode.CPU
-	var cpu0 sim.Time
+	var cpu0, disk0 sim.Time
+	cli0 := make([]sim.Time, pt.clients) // each client's CPU busy time at the window's start
+	var cliCPU sim.Time
 	ready := sim.NewWaitGroup(c.K, pt.clients)
 	first := make([]sim.Time, pt.clients) // first completion after at
 	errs := make([]error, pt.clients)
@@ -278,7 +288,10 @@ func run(pt point, o Observation) Result {
 		ready.Done()
 		ready.Wait(p)
 		if r.Start == 0 {
-			r.Start, cpu0 = p.Now(), srvCPU.BusyTime()
+			r.Start, cpu0, disk0 = p.Now(), srvCPU.BusyTime(), diskBusy(c)
+			for j, n := range c.ClientNodes {
+				cli0[j] = n.CPU.BusyTime()
+			}
 		}
 		for off := int64(0); err == nil && off < pt.per; off += int64(pt.req) {
 			if _, err = move(base+off, buf); err == nil && first[i] == 0 && p.Now() > at {
@@ -289,7 +302,9 @@ func run(pt point, o Observation) Result {
 			c.World.Rank(i).Barrier(p)
 		}
 		if err == nil {
-			r.End = max(r.End, p.Now())
+			r.End = p.Now() // the clients finish in simulated-time order
+			r.disk = float64(diskBusy(c) - disk0)
+			cliCPU += c.ClientNodes[i].CPU.BusyTime() - cli0[i]
 		}
 		if err == nil && pt.verify {
 			// A fresh buffer, registered on first use like any application
@@ -321,6 +336,8 @@ func run(pt point, o Observation) Result {
 	if r.Err == nil {
 		r.MBps = stats.MBps(int64(pt.clients)*pt.per, r.Elapsed())
 		r.srvCPU = float64(srvCPU.BusyTime()-cpu0) / float64(r.Elapsed())
+		r.disk /= float64(r.Elapsed())
+		r.cpuMB = sim.Time(float64(cliCPU) / (float64(int64(pt.clients)*pt.per) / 1e6))
 		if pt.faults != nil {
 			for _, t := range first {
 				if t > 0 {
@@ -361,16 +378,10 @@ func measure(pt point) Result {
 	return r
 }
 
-// transferResult is one single-client sweep.
-type transferResult struct {
-	bw    float64  // MB/s
-	cpuMB sim.Time // client CPU time per megabyte moved
-}
-
 // seq is the single-client sequential point: size-byte calls over total
-// bytes of file "f".
+// bytes of file "f", after one untimed call that warms registrations.
 func seq(id string, st stack, size int, total int64, write bool) point {
-	return point{id: id, clients: 1, stack: st, name: "f", req: size, per: total, write: write}
+	return point{id: id, clients: 1, stack: st, name: "f", req: size, per: total, write: write, warm: true}
 }
 
 // under returns pt on another cost model.
@@ -379,42 +390,10 @@ func (pt point) under(prof *model.Profile) point {
 	return pt
 }
 
-// transfer measures pt's one client sweeping its file.
-func transfer(pt point) transferResult {
-	c := newCluster(pt, Observation{})
-	var res transferResult
-	c.K.Spawn("app", func(p *sim.Proc) {
-		f, _ := open(p, c, pt, 0)
-		res = sweep(p, c, f, pt)
-		f.Close(p)
-	})
-	end(c, c.Run())
-	return res
-}
-
-// sweep issues sequential req-byte calls covering per bytes and reports
-// bandwidth plus client CPU per MB. The first call warms registrations and
-// is excluded.
-func sweep(p *sim.Proc, c *cluster.Cluster, f *mpiio.File, pt point) transferResult {
-	move := pt.call(p, f, 0, pt.write)
-	buf := make([]byte, pt.req)
-	must := func(n int, err error) int64 {
-		if err != nil {
-			panic(err)
-		}
-		return int64(n)
+// diskBusy is server 0's disk busy time so far; 0 when it has no disk.
+func diskBusy(c *cluster.Cluster) sim.Time {
+	if c.Disk == nil {
+		return 0
 	}
-	node := c.ClientNodes[0]
-	must(move(0, buf))
-	start, cpu0 := p.Now(), node.CPU.BusyTime()
-	var moved int64
-	for off := int64(0); off+int64(pt.req) <= pt.per; off += int64(pt.req) {
-		moved += must(move(off, buf))
-	}
-	elapsed := p.Now() - start
-	cpu := node.CPU.BusyTime() - cpu0
-	return transferResult{
-		bw:    stats.MBps(moved, elapsed),
-		cpuMB: sim.Time(float64(cpu) / (float64(moved) / 1e6)),
-	}
+	return c.Disk.BusyTime()
 }

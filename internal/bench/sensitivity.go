@@ -39,11 +39,11 @@ func T11Sensitivity() *stats.Table {
 		v.mod(dp)
 		np := model.CLAN1998()
 		v.mod(np)
-		d := transfer(seq("T11", dafsStack, size, total, false).under(dp))
-		n := transfer(seq("T11", nfsStack, size, total, false).under(np))
+		d := measure(seq("T11", dafsStack, size, total, false).under(dp))
+		n := measure(seq("T11", nfsStack, size, total, false).under(np))
 		t.AddRow(v.name,
-			stats.BW(d.bw), stats.BW(n.bw),
-			stats.Ratio(d.bw/n.bw),
+			stats.BW(d.MBps), stats.BW(n.MBps),
+			stats.Ratio(d.MBps/n.MBps),
 			stats.Ratio(float64(n.cpuMB)/float64(d.cpuMB)))
 	}
 	return t
