@@ -127,7 +127,7 @@ func newCluster(pt point, o Observation) *cluster.Cluster {
 		Servers:    pt.servers,
 		Profile:    pt.profile,
 		DAFS:       pt.stack == dafsStack,
-		NFSAll:     pt.stack == nfsStack,
+		NFS:        pt.stack == nfsStack,
 		MPI:        pt.view != nil,
 		ServerDisk: pt.disk,
 	}

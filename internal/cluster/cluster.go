@@ -1,9 +1,9 @@
 // Package cluster assembles the standard experiment topology: one or more
 // file servers and N client hosts on a shared SAN, with DAFS servers (over
-// VIA), an NFS server (over the kernel stack), or both — plus an optional
-// MPI world spanning the clients. With Servers > 1 each DAFS server gets
-// its own node, NIC, and store, the substrate for striped (parallel-file-
-// system style) experiments; Servers == 1 is the paper's topology.
+// VIA), NFS servers (over the kernel stack), or both — plus an optional
+// MPI world spanning the clients. With Servers > 1 each server gets its
+// own node and store, the substrate for striped (parallel-file-system
+// style) experiments; Servers == 1 is the paper's topology.
 //
 // Every test, benchmark, example, and CLI in this repository builds its
 // machines through this package so that all results come from identical
@@ -31,30 +31,25 @@ import (
 type Config struct {
 	// Clients is the number of client hosts (>= 1).
 	Clients int
-	// Servers is the number of DAFS server hosts (default 1). Each server
-	// gets its own node, NIC, store, and (with ServerDisk) disk; the NFS
-	// baseline always exports server 0's store.
+	// Servers is the number of server hosts (default 1). Each server gets
+	// its own node, store, and (with ServerDisk) disk, plus a DAFS server
+	// on its own NIC (with DAFS) and an NFS export (with NFS).
 	Servers int
 	// Profile is the cost model (default model.CLAN1998()).
 	Profile *model.Profile
 	// DAFS starts a DAFS server and puts a VIA NIC on every client.
 	DAFS bool
-	// NFS starts an NFS server and puts a kernel stack on every client.
+	// NFS starts an NFS server on every server node, each exporting its
+	// own store, and puts a kernel stack on every client. Server 0's export
+	// is NFSSrv, the one MountNFS mounts; a striped-NFS baseline mounts
+	// them all (one mount per server, striping done client-side).
 	NFS bool
-	// NFSAll starts an NFS server on every server node, each exporting
-	// its own store — the multi-mount substrate a striped-NFS baseline
-	// needs (one mount per server, striping done client-side). Implies
-	// NFS for server 0, so single-mount callers see the usual NFSSrv.
-	NFSAll bool
 	// MPI builds an MPI world across the clients (requires VIA NICs; they
 	// are added even when DAFS is off).
 	MPI bool
 	// ServerDisk backs the store with a disk model (default: fully
 	// cached, the paper-era configuration).
 	ServerDisk bool
-	// DAFSOptions / NFSOptions tune the servers.
-	DAFSOptions *dafs.ServerOptions
-	NFSOptions  *nfs.ServerOptions
 	// Tracer, when non-nil, records cross-layer spans for every DAFS/VIA
 	// operation in the cluster. It must be built on the cluster's kernel —
 	// use NewTraced, which handles the ordering. Tracing is observational:
@@ -95,7 +90,7 @@ type Cluster struct {
 	Stores      []*storage.Store
 	Disks       []*storage.Disk
 	DAFSSrvs    []*dafs.Server
-	NFSSrvs     []*nfs.Server // per server when NFSAll; else just server 0
+	NFSSrvs     []*nfs.Server // nil when NFS is off
 
 	ClientNodes []*fabric.Node
 	NICs        []*via.NIC      // per client (when DAFS or MPI)
@@ -165,26 +160,14 @@ func New(cfg Config) *Cluster {
 	if cfg.DAFS {
 		c.DAFSSrv = c.DAFSSrvs[0]
 	}
-	if cfg.NFS || cfg.NFSAll {
-		nopts := cfg.NFSOptions
-		if nopts == nil {
-			nopts = &nfs.ServerOptions{}
+	if cfg.NFS {
+		// Like the DAFS servers: per-server store and disk, each export
+		// on its own node and kernel stack.
+		for i := 0; i < servers; i++ {
+			stack := kstack.New(c.ServerNodes[i], prof, k)
+			c.NFSSrvs = append(c.NFSSrvs, nfs.NewServer(stack, prof, k, c.Stores[i], &nfs.ServerOptions{Disk: c.Disks[i]}))
 		}
-		if nopts.Disk == nil {
-			nopts.Disk = c.Disk
-		}
-		srvStack := kstack.New(c.ServerNode, prof, k)
-		c.NFSSrv = nfs.NewServer(srvStack, prof, k, c.Store, nopts)
-		c.NFSSrvs = append(c.NFSSrvs, c.NFSSrv)
-		if cfg.NFSAll {
-			// Like extra DAFS servers: shared tuning, per-server store and
-			// disk, each export on its own node and kernel stack.
-			for i := 1; i < servers; i++ {
-				ni := &nfs.ServerOptions{Workers: nopts.Workers, Disk: c.Disks[i]}
-				stack := kstack.New(c.ServerNodes[i], prof, k)
-				c.NFSSrvs = append(c.NFSSrvs, nfs.NewServer(stack, prof, k, c.Stores[i], ni))
-			}
-		}
+		c.NFSSrv = c.NFSSrvs[0]
 	}
 	for i := 0; i < cfg.Clients; i++ {
 		node := c.Fab.AddNode(fmt.Sprintf("client%d", i))
@@ -192,7 +175,7 @@ func New(cfg Config) *Cluster {
 		if cfg.DAFS || cfg.MPI {
 			c.NICs = append(c.NICs, c.Prov.NewNIC(node))
 		}
-		if cfg.NFS || cfg.NFSAll {
+		if cfg.NFS {
 			c.Stacks = append(c.Stacks, kstack.New(node, prof, k))
 		}
 	}
@@ -222,18 +205,7 @@ func (c *Cluster) buildServer(i int) {
 	}
 	c.Disks = append(c.Disks, disk)
 	if c.cfg.DAFS {
-		dopts := c.cfg.DAFSOptions
-		if dopts == nil {
-			dopts = &dafs.ServerOptions{}
-		}
-		if i > 0 {
-			// Servers past the first share tuning but never a disk or
-			// an explicitly injected one (that would serialize them).
-			dopts = &dafs.ServerOptions{Workers: dopts.Workers, Disk: disk}
-		} else if dopts.Disk == nil {
-			dopts.Disk = disk
-		}
-		srv := dafs.NewServer(c.Prov.NewNIC(node), store, dopts)
+		srv := dafs.NewServer(c.Prov.NewNIC(node), store, &dafs.ServerOptions{Disk: disk})
 		srv.SetEpoch(c.epoch)
 		c.DAFSSrvs = append(c.DAFSSrvs, srv)
 	}
@@ -448,7 +420,7 @@ func (c *Cluster) MountNFS(p *sim.Proc, i int, opts *nfs.MountOptions) (*nfs.Cli
 	return nfs.Mount(p, c.Stacks[i], c.NFSSrv, opts)
 }
 
-// MountNFSServer mounts server s's NFS export from client i (NFSAll).
+// MountNFSServer mounts server s's NFS export from client i.
 func (c *Cluster) MountNFSServer(p *sim.Proc, i, s int, opts *nfs.MountOptions) (*nfs.Client, error) {
 	if s < 0 || s >= len(c.NFSSrvs) {
 		return nil, fmt.Errorf("cluster: no NFS server %d (have %d)", s, len(c.NFSSrvs))

@@ -109,10 +109,10 @@ func TestDrainAndRemoveServer(t *testing.T) {
 	}
 }
 
-// NFSAll puts an export on every server node; a client can mount them all
+// NFS puts an export on every server node; a client can mount them all
 // and each mount reaches a distinct store.
 func TestNFSAllMultiMount(t *testing.T) {
-	c := New(Config{Clients: 1, Servers: 3, NFSAll: true})
+	c := New(Config{Clients: 1, Servers: 3, NFS: true})
 	if len(c.NFSSrvs) != 3 || c.NFSSrv != c.NFSSrvs[0] {
 		t.Fatalf("NFSSrvs = %d, want 3 with server 0 aliased", len(c.NFSSrvs))
 	}

@@ -655,7 +655,7 @@ func (o *AttrOp) Wait(p *sim.Proc) (Attr, error) {
 }
 
 // Ack is an in-flight operation whose response carries no payload
-// (Setattr, Fsync, Remove, Rename).
+// (Setattr, Fsync, Remove).
 type Ack Call
 
 // Wait blocks until the server acknowledges the operation.
@@ -715,11 +715,6 @@ func (c *Client) Remove(p *sim.Proc, name string) error {
 	return op.Wait(p)
 }
 
-// Rename moves a file.
-func (c *Client) Rename(p *sim.Proc, from, to string) error {
-	return c.roundtrip(p, ProcRename, func(w *wr) { w.Str(from); w.Str(to) }, nil)
-}
-
 // StartGetattr issues a Getattr without waiting.
 func (c *Client) StartGetattr(p *sim.Proc, fh FH) (*AttrOp, error) {
 	call, err := c.start(p, ProcGetattr, nil, func(w *wr) { w.U64(uint64(fh)) })
@@ -773,29 +768,6 @@ func (c *Client) Fsync(p *sim.Proc, fh FH) error {
 		return err
 	}
 	return op.Wait(p)
-}
-
-// Readdir lists up to max names starting at cookie; it returns the names
-// and the next cookie (0 when the listing is exhausted).
-func (c *Client) Readdir(p *sim.Proc, cookie uint32, max int) ([]string, uint32, error) {
-	if max <= 0 || max > 0xFFFF {
-		return nil, 0, ErrInval
-	}
-	var names []string
-	var next uint32
-	err := c.roundtrip(p, ProcReaddir, func(w *wr) {
-		w.U32(cookie)
-		w.U16(uint16(max))
-	}, func(r *rd) error {
-		n := int(r.U16())
-		names = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			names = append(names, r.Str())
-		}
-		next = r.U32()
-		return r.Err()
-	})
-	return names, next, err
 }
 
 // ---- Inline data operations ----

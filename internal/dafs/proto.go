@@ -33,7 +33,6 @@ const (
 	ProcLookup
 	ProcCreate
 	ProcRemove
-	ProcRename
 	ProcGetattr
 	ProcSetattr
 	ProcRead        // inline read
@@ -41,7 +40,6 @@ const (
 	ProcReadDirect  // server RDMA-writes into client memory
 	ProcWriteDirect // server RDMA-reads from client memory
 	ProcAppend      // inline atomic append (DAFS shared-log op)
-	ProcReaddir
 	ProcFsync
 	ProcReadBatch  // scatter read: many (off,len) segments, one RDMA write
 	ProcWriteBatch // gather write: many (off,len) segments, one RDMA read
@@ -56,10 +54,10 @@ const MaxBatchSegs = 512
 var procNames = [...]string{
 	ProcConnect: "CONNECT", ProcDisconnect: "DISCONNECT",
 	ProcLookup: "LOOKUP", ProcCreate: "CREATE", ProcRemove: "REMOVE",
-	ProcRename: "RENAME", ProcGetattr: "GETATTR", ProcSetattr: "SETATTR",
+	ProcGetattr: "GETATTR", ProcSetattr: "SETATTR",
 	ProcRead: "READ", ProcWrite: "WRITE",
 	ProcReadDirect: "READ_DIRECT", ProcWriteDirect: "WRITE_DIRECT",
-	ProcAppend: "APPEND", ProcReaddir: "READDIR", ProcFsync: "FSYNC",
+	ProcAppend: "APPEND", ProcFsync: "FSYNC",
 	ProcReadBatch: "READ_BATCH", ProcWriteBatch: "WRITE_BATCH",
 }
 

@@ -382,9 +382,8 @@ func (s *Server) handle(p *sim.Proc, ws *workerState, req *reqSlot) {
 type reply struct {
 	f       *storage.File // LOOKUP, CREATE, GETATTR, READ
 	off     int64         // READ: where the data starts; APPEND: where it landed
-	n       uint32        // data operations: the byte count; CONNECT: the inline limit; READDIR: the next cookie
+	n       uint32        // data operations: the byte count; CONNECT: the inline limit
 	credits uint16        // CONNECT
-	names   []string      // READDIR: the page
 }
 
 // encode writes the response body of a proc request.
@@ -407,12 +406,6 @@ func (rp *reply) encode(w *wr, proc Proc) {
 		w.U32(rp.n)
 	case ProcAppend:
 		w.U64(uint64(rp.off))
-	case ProcReaddir:
-		w.U16(uint16(len(rp.names)))
-		for _, name := range rp.names {
-			w.Str(name)
-		}
-		w.U32(rp.n)
 	}
 }
 
@@ -476,13 +469,6 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 			return StatusProto, reply{}
 		}
 		return storageStatus(s.store.Remove(name)), reply{}
-
-	case ProcRename:
-		from, to := r.Str(), r.Str()
-		if r.Err() != nil {
-			return StatusProto, reply{}
-		}
-		return storageStatus(s.store.Rename(from, to)), reply{}
 
 	case ProcGetattr:
 		f, st := s.file(r)
@@ -655,24 +641,6 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 			return s.execReadBatch(p, ws, sess, f, segs, total, rhandle, roff)
 		}
 		return s.execWriteBatch(p, ws, sess, f, segs, total, rhandle, roff)
-
-	case ProcReaddir:
-		cookie := int(r.U32())
-		maxN := int(r.U16())
-		if r.Err() != nil {
-			return StatusProto, reply{}
-		}
-		names := s.store.List()
-		if cookie > len(names) {
-			cookie = len(names)
-		}
-		end := min(cookie+maxN, len(names))
-		page := names[cookie:end]
-		var next uint32
-		if end < len(names) {
-			next = uint32(end)
-		}
-		return StatusOK, reply{names: page, n: next}
 
 	case ProcFsync:
 		_, st := s.file(r)

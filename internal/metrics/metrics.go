@@ -261,18 +261,6 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// KindOf returns the kind of a registered instrument.
-func (r *Registry) KindOf(name string) (Kind, bool) {
-	if r == nil {
-		return 0, false
-	}
-	in, ok := r.byName[name]
-	if !ok {
-		return 0, false
-	}
-	return in.kind, true
-}
-
 // Value returns the current value of a counter or gauge (func-backed
 // instruments are evaluated now), or 0 if the name is unknown or a
 // histogram.

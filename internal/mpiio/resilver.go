@@ -168,7 +168,20 @@ func (d *striped) heal(p *sim.Proc, t int, gen uint32, ep int) bool {
 			if src.t < 0 {
 				return false
 			}
-			if _, err := d.verifyCopy(p, tb, buf, src, rankObject{h: h, t: t, r: r}, stale); err != nil {
+			// A shrink the server missed leaves its object long, and the
+			// copy only ever writes up to the source's size: take the
+			// source's size first. A write landing after this is picked
+			// up by verifyCopy's next pass; truncating after the copy
+			// would cut such writes off.
+			dst := rankObject{h: h, t: t, r: r}
+			size, err := src.Size(p)
+			if err == nil {
+				err = dst.truncate(p, size)
+			}
+			if err != nil {
+				return false
+			}
+			if _, err := d.verifyCopy(p, tb, buf, src, dst, stale); err != nil {
 				return false
 			}
 		}
@@ -246,12 +259,23 @@ type rankObject struct {
 	t, r int
 }
 
-func (o rankObject) Size(p *sim.Proc) (int64, error) {
+// meta runs a Getattr (kind opGetattr) or a Setattr to size n (opSetattr)
+// on the object and returns the size the Getattr reported.
+func (o rankObject) meta(p *sim.Proc, kind opKind, n int64) (int64, error) {
 	st := o.h.drv.striping
 	prim := (o.t - o.r + st.Width) % st.Width
-	w := &objWork{stripedHandle: o.h, kind: opGetattr, sizes: make([]int64, st.Width)}
+	w := &objWork{stripedHandle: o.h, kind: kind, sizes: make([]int64, st.Width)}
+	w.sizes[prim] = n
 	err := o.h.drv.once(p, w, prim, o.t, o.r)
 	return w.sizes[prim], err
+}
+
+func (o rankObject) Size(p *sim.Proc) (int64, error) { return o.meta(p, opGetattr, 0) }
+
+// truncate sets the object's size to n.
+func (o rankObject) truncate(p *sim.Proc, n int64) error {
+	_, err := o.meta(p, opSetattr, n)
+	return err
 }
 
 func (o rankObject) transfer(p *sim.Proc, off int64, buf []byte, write bool) (int, error) {

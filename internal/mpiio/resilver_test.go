@@ -11,6 +11,7 @@ import (
 	"dafsio/internal/layout"
 	"dafsio/internal/metrics"
 	"dafsio/internal/sim"
+	"dafsio/internal/storage"
 )
 
 // resilverRetry is a redial policy tuned for the crash/restart windows in
@@ -142,6 +143,42 @@ func TestReadmissionWaitsForResilver(t *testing.T) {
 	})
 }
 
+// healedPair is one of server 1's objects in crashRestartRig's file and
+// the mirror it is healed from.
+type healedPair struct {
+	name           string
+	healed, mirror *storage.File
+}
+
+// healedPairs returns server 1's two objects with their mirrors: primary
+// 1's rank-0 object (mirrored on server 2) and primary 0's rank-1 mirror
+// (of server 0's object). A missing object is reported and left out.
+func healedPairs(t *testing.T, c *cluster.Cluster) []healedPair {
+	t.Helper()
+	var prs []healedPair
+	for _, x := range []struct {
+		name    string
+		ref     int
+		refName string
+	}{
+		{"s", 2, layout.ReplicaName("s", 1)},
+		{layout.ReplicaName("s", 1), 0, "s"},
+	} {
+		healed, err := c.Stores[1].Lookup(x.name)
+		if err != nil {
+			t.Errorf("healed object %q: %v", x.name, err)
+			continue
+		}
+		mirror, err := c.Stores[x.ref].Lookup(x.refName)
+		if err != nil {
+			t.Errorf("reference object %q on server %d: %v", x.refName, x.ref, err)
+			continue
+		}
+		prs = append(prs, healedPair{x.name, healed, mirror})
+	}
+	return prs
+}
+
 // The full heal: after the re-silver completes the server is re-admitted
 // and its store is a byte-identical mirror again — reads can be served
 // from it.
@@ -158,33 +195,59 @@ func TestHealReadmitsWithVerifiedBytes(t *testing.T) {
 			t.Error("still excluded after the re-silver finished")
 			return
 		}
-		// Server 1 hosts primary 1's rank-0 object and primary 0's rank-1
-		// mirror; both must match their counterparts byte for byte.
-		check := func(name string, ref int, refName string) {
-			t.Helper()
-			healed, err := c.Stores[1].Lookup(name)
-			if err != nil {
-				t.Errorf("healed object %q: %v", name, err)
-				return
-			}
-			want, err := c.Stores[ref].Lookup(refName)
-			if err != nil {
-				t.Errorf("reference object %q on server %d: %v", refName, ref, err)
-				return
-			}
-			a := make([]byte, healed.Size())
-			b := make([]byte, want.Size())
-			healed.ReadAt(a, 0)
-			want.ReadAt(b, 0)
+		// Both of server 1's objects must match their mirrors byte for byte.
+		for _, pr := range healedPairs(t, c) {
+			a := make([]byte, pr.healed.Size())
+			b := make([]byte, pr.mirror.Size())
+			pr.healed.ReadAt(a, 0)
+			pr.mirror.ReadAt(b, 0)
 			if !bytes.Equal(a, b) {
-				t.Errorf("object %q not byte-identical after heal", name)
+				t.Errorf("object %q not byte-identical after heal", pr.name)
 			}
 		}
-		check("s", 2, layout.ReplicaName("s", 1)) // primary 1 vs its mirror on server 2
-		check(layout.ReplicaName("s", 1), 0, "s") // mirror of primary 0 vs server 0
 		got := make([]byte, len(data))
 		if n, err := f.ReadAt(p, 0, got); err != nil || n != len(data) || !bytes.Equal(got, data) {
 			t.Errorf("read-back after heal: n=%d err=%v", n, err)
+		}
+	})
+}
+
+// A shrink server 1 missed while down must reach it through the heal:
+// copying the mirror's bytes alone leaves the healed objects at their
+// pre-shrink length, and a read-any Getattr served by server 1 would then
+// report the old size.
+func TestHealAppliesMissedShrink(t *testing.T) {
+	crashRestartRig(t, DefaultResilverPolicy(), func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
+		const size, shrunk = 256 << 10, 40 << 10
+		if n, err := f.WriteAt(p, 0, pattern(size)); err != nil || n != size {
+			t.Errorf("write: n=%d err=%v", n, err)
+			return
+		}
+		if at := 12 * sim.Millisecond; p.Now() < at {
+			p.Wait(at - p.Now())
+		}
+		if err := f.SetSize(p, shrunk); err != nil {
+			t.Errorf("shrink during the outage: %v", err)
+			return
+		}
+		if !drv.excluded[1] {
+			t.Error("server 1 not excluded after missing the shrink")
+			return
+		}
+		for i := 0; (drv.down[1] || drv.healing[1] != nil) && i < 1000; i++ {
+			p.Wait(sim.Millisecond)
+		}
+		if drv.excluded[1] {
+			t.Error("still excluded after the re-silver finished")
+			return
+		}
+		for _, pr := range healedPairs(t, c) {
+			if pr.healed.Size() != pr.mirror.Size() {
+				t.Errorf("object %q is %d bytes after heal, its mirror %d", pr.name, pr.healed.Size(), pr.mirror.Size())
+			}
+		}
+		if n, err := f.GetSize(p); err != nil || n != shrunk {
+			t.Errorf("size after heal: %d, %v; want %d", n, err, shrunk)
 		}
 	})
 }

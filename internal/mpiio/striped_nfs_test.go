@@ -13,7 +13,7 @@ import (
 // holds its own stripe object), size inversion, and delete.
 func TestStripedNFSRoundTrip(t *testing.T) {
 	const servers, stripe = 3, 4 << 10
-	c := cluster.New(cluster.Config{Clients: 1, Servers: servers, NFSAll: true})
+	c := cluster.New(cluster.Config{Clients: 1, Servers: servers, NFS: true})
 	c.K.Spawn("app", func(p *sim.Proc) {
 		mounts, err := c.MountNFSAll(p, 0, nil)
 		if err != nil {

@@ -358,7 +358,7 @@ func TestScriptEveryStack(t *testing.T) {
 				m, err := c.MountNFS(p, 0, nil)
 				return NewNFSDriver(m), err
 			}},
-		{name: "nfs-striped/3", end: 81857908, cfg: cluster.Config{Clients: 1, Servers: 3, NFSAll: true},
+		{name: "nfs-striped/3", end: 81857908, cfg: cluster.Config{Clients: 1, Servers: 3, NFS: true},
 			drv: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
 				mounts, err := c.MountNFSAll(p, 0, nil)
 				if err != nil {

@@ -229,11 +229,6 @@ func (c *Client) Remove(p *sim.Proc, name string) error {
 	return c.roundtrip(p, ProcRemove, func(w *wire.Writer) { w.Str(name) }, nil)
 }
 
-// Rename moves a file.
-func (c *Client) Rename(p *sim.Proc, from, to string) error {
-	return c.roundtrip(p, ProcRename, func(w *wire.Writer) { w.Str(from); w.Str(to) }, nil)
-}
-
 // Getattr fetches attributes (always from the server: noac).
 func (c *Client) Getattr(p *sim.Proc, fh FH) (Attr, error) {
 	var a Attr
@@ -252,25 +247,6 @@ func (c *Client) Setattr(p *sim.Proc, fh FH, size int64) error {
 // Commit flushes server-side state (disk access on uncached servers).
 func (c *Client) Commit(p *sim.Proc, fh FH) error {
 	return c.roundtrip(p, ProcCommit, func(w *wire.Writer) { w.U64(uint64(fh)) }, nil)
-}
-
-// Readdir lists up to max names from cookie; next is 0 at the end.
-func (c *Client) Readdir(p *sim.Proc, cookie uint32, max int) ([]string, uint32, error) {
-	if max <= 0 || max > 0xFFFF {
-		return nil, 0, ErrInval
-	}
-	var names []string
-	var next uint32
-	err := c.roundtrip(p, ProcReaddir, func(w *wire.Writer) { w.U32(cookie); w.U16(uint16(max)) }, func(r *wire.Reader) error {
-		n := int(r.U16())
-		names = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			names = append(names, r.Str())
-		}
-		next = r.U32()
-		return r.Err()
-	})
-	return names, next, err
 }
 
 // ---- Data path ----

@@ -27,20 +27,6 @@ func TestWriteToStaleHandle(t *testing.T) {
 	})
 }
 
-func TestReaddirCookieBeyondEnd(t *testing.T) {
-	r := newRig(1, nil)
-	r.store.Create("only")
-	r.run(t, func(p *sim.Proc, c *Client) {
-		names, next, err := c.Readdir(p, 999, 10)
-		if err != nil || len(names) != 0 || next != 0 {
-			t.Errorf("past-end readdir: %v next=%d err=%v", names, next, err)
-		}
-		if _, _, err := c.Readdir(p, 0, 0); err != ErrInval {
-			t.Errorf("zero max: %v", err)
-		}
-	})
-}
-
 func TestServerDropsGarbageDatagrams(t *testing.T) {
 	// A non-RPC datagram to the NFS port must be dropped, and the server
 	// must keep working afterwards.

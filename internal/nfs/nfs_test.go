@@ -81,10 +81,7 @@ func TestNamespace(t *testing.T) {
 		if _, _, err := c.Create(p, "x"); err != ErrExist {
 			t.Errorf("dup create: %v", err)
 		}
-		if err := c.Rename(p, "x", "y"); err != nil {
-			t.Error(err)
-		}
-		if err := c.Remove(p, "y"); err != nil {
+		if err := c.Remove(p, "x"); err != nil {
 			t.Error(err)
 		}
 		if _, err := c.Getattr(p, fh); err != ErrStale {
@@ -166,23 +163,6 @@ func TestTruncateAndCommit(t *testing.T) {
 		}
 		if err := c.Commit(p, fh); err != nil {
 			t.Error(err)
-		}
-	})
-}
-
-func TestReaddir(t *testing.T) {
-	r := newRig(1, nil)
-	for i := 0; i < 7; i++ {
-		r.store.Create(fmt.Sprintf("f%d", i))
-	}
-	r.run(t, func(p *sim.Proc, c *Client) {
-		names, next, err := c.Readdir(p, 0, 5)
-		if err != nil || len(names) != 5 || next != 5 {
-			t.Errorf("page1: %v next=%d err=%v", names, next, err)
-		}
-		names, next, err = c.Readdir(p, next, 5)
-		if err != nil || len(names) != 2 || next != 0 {
-			t.Errorf("page2: %v next=%d err=%v", names, next, err)
 		}
 	})
 }

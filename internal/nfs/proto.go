@@ -28,17 +28,15 @@ const (
 	ProcLookup
 	ProcCreate
 	ProcRemove
-	ProcRename
 	ProcRead
 	ProcWrite
-	ProcReaddir
 	ProcCommit
 )
 
 // String names the procedure.
 func (pr Proc) String() string {
 	names := [...]string{"NULL", "GETATTR", "SETATTR", "LOOKUP", "CREATE",
-		"REMOVE", "RENAME", "READ", "WRITE", "READDIR", "COMMIT"}
+		"REMOVE", "READ", "WRITE", "COMMIT"}
 	if int(pr) < len(names) {
 		return names[pr]
 	}

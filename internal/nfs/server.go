@@ -175,13 +175,6 @@ func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader) (Status, func(*wir
 		}
 		return stStatus(s.store.Remove(name)), nil
 
-	case ProcRename:
-		from, to := r.Str(), r.Str()
-		if r.Err() != nil {
-			return ErrsProto, nil
-		}
-		return stStatus(s.store.Rename(from, to)), nil
-
 	case ProcGetattr:
 		f, st := s.file(r)
 		if st != OK {
@@ -233,30 +226,6 @@ func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader) (Status, func(*wir
 		n := f.WriteAt(data, off)
 		s.stats.WriteBytes += int64(n)
 		return OK, func(w *wire.Writer) { w.U32(uint32(n)) }
-
-	case ProcReaddir:
-		cookie := int(r.U32())
-		maxN := int(r.U16())
-		if r.Err() != nil {
-			return ErrsProto, nil
-		}
-		names := s.store.List()
-		if cookie > len(names) {
-			cookie = len(names)
-		}
-		end := min(cookie+maxN, len(names))
-		page := names[cookie:end]
-		var next uint32
-		if end < len(names) {
-			next = uint32(end)
-		}
-		return OK, func(w *wire.Writer) {
-			w.U16(uint16(len(page)))
-			for _, n := range page {
-				w.Str(n)
-			}
-			w.U32(next)
-		}
 
 	case ProcCommit:
 		_, st := s.file(r)

@@ -25,9 +25,6 @@ type Event struct {
 	daemon bool // pending presence does not keep Run alive (NewDaemonEvent)
 }
 
-// Scheduled reports whether the event is currently in the queue.
-func (e *Event) Scheduled() bool { return e.queued }
-
 // The queue is a hierarchical timer wheel: wheelLevels levels of
 // wheelSlots slots, level l covering 64^l nanoseconds per slot. With 5
 // levels of 64 slots the wheel spans 64^5 ns ≈ 1.07 simulated seconds
@@ -54,6 +51,13 @@ type wheelLevel struct {
 
 // eventQueue is the kernel's pending-event set, totally ordered by
 // (at, seq) exactly like the container/heap queue it replaced.
+//
+// The wheel stays because it is faster, not because a heap would be
+// wrong. A 4-ary intrusive min-heap with the same (at, seq) order passes
+// every test and keeps simbench's event count and checksum, but runs the
+// full simbench load at a median 1.74M events/s against the wheel's 2.69M
+// (five alternating runs each on a 2-core Xeon, go1.24; ranges 1.65-1.83M
+// and 2.24-2.83M).
 //
 // cur is the wheel cursor: placement of an event compares its timestamp
 // against cur's bit groups, and cur only ever advances to instants that

@@ -10,7 +10,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"dafsio/internal/sim"
 )
@@ -89,42 +88,13 @@ func (s *Store) Remove(name string) error {
 	return nil
 }
 
-// Rename moves a file to a new name, failing if the target exists.
-func (s *Store) Rename(oldName, newName string) error {
-	f, ok := s.files[oldName]
-	if !ok {
-		return ErrNotFound
-	}
-	if newName == "" {
-		return fmt.Errorf("storage: empty file name")
-	}
-	if _, ok := s.files[newName]; ok {
-		return ErrExists
-	}
-	delete(s.files, oldName)
-	f.name = newName
-	s.files[newName] = f
-	return nil
-}
-
-// List returns all file names in sorted order (sorted so simulations stay
-// deterministic).
-func (s *Store) List() []string {
-	names := make([]string, 0, len(s.files))
-	for n := range s.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Len returns the number of files.
 func (s *Store) Len() int { return len(s.files) }
 
 // ID returns the file's handle.
 func (f *File) ID() FileID { return f.id }
 
-// Name returns the file's current name.
+// Name returns the file's name.
 func (f *File) Name() string { return f.name }
 
 // Size returns the file length in bytes.

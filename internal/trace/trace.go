@@ -242,14 +242,3 @@ func (t *Tracer) Spans() []Span {
 	}
 	return t.spans
 }
-
-// ChargesFor returns the per-category charges recorded against one span.
-func (t *Tracer) ChargesFor(id OpID) [NumCategories]sim.Time {
-	if t == nil {
-		return [NumCategories]sim.Time{}
-	}
-	if c := t.charges[id]; c != nil {
-		return *c
-	}
-	return [NumCategories]sim.Time{}
-}

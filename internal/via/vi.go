@@ -140,9 +140,6 @@ func Connect(a, b *VI) {
 	a.connected, b.connected = true, true
 }
 
-// Connected reports whether the VI has a peer.
-func (vi *VI) Connected() bool { return vi.connected }
-
 // Err returns the VI's sticky error state (receive underrun etc.).
 func (vi *VI) Err() error { return vi.errState }
 

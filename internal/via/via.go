@@ -225,6 +225,3 @@ func (n *NIC) Kill() { n.dead = true }
 // now on. Everything discarded while dead is gone for good — the restart
 // model is a power cycle, not a replay.
 func (n *NIC) Revive() { n.dead = false }
-
-// Dead reports whether the NIC has been killed.
-func (n *NIC) Dead() bool { return n.dead }
