@@ -7,10 +7,12 @@ import (
 	"testing"
 )
 
-// TestResultsGolden is the behavioural contract: every experiment but T18
-// prints exactly its section of results.txt. T18 stays out until a
-// finished simulation releases its memory; its 512x64 grid does not fit a
-// 16 GB box. Regenerate a section with `mpio run -q <id>`.
+// TestResultsGolden is the behavioural contract: every experiment prints
+// exactly its section of results.txt. T18, the 512x64 wide grid, takes
+// most of the package's time and memory (32,768 sessions at its top
+// point), so -short leaves it out, and so does the race detector, under
+// which it outgrows a CI runner. Regenerate a section with
+// `mpio run -q <id>`.
 func TestResultsGolden(t *testing.T) {
 	raw, err := os.ReadFile("../../results.txt")
 	if err != nil {
@@ -27,10 +29,10 @@ func TestResultsGolden(t *testing.T) {
 		want[string(raw[m[2]:m[3]])] = string(raw[m[0]:end])
 	}
 	for _, e := range All {
-		if e.ID == "T18" {
-			continue
-		}
 		t.Run(e.ID, func(t *testing.T) {
+			if e.ID == "T18" && (testing.Short() || raceEnabled) {
+				t.Skip("the wide grid in -short mode or under the race detector")
+			}
 			t.Parallel()
 			w, ok := want[e.ID]
 			if !ok {

@@ -66,24 +66,28 @@ type ClientStats struct {
 	DirectWriteBytes int64
 }
 
-// slot is one registered message buffer, with the descriptor it is posted
-// with and the writer that encodes what is sent from it. Both are reused
-// every time the slot is: a message allocates nothing.
+// slot is one message slot of a registered ring, with the descriptor it is
+// posted with and the writer that encodes what is sent from it. Both are
+// reused every time the slot is: a message allocates nothing. The slot's
+// bytes exist only while a message does: bytes takes them from the
+// provider, and release hands them back once the message is dead.
 type slot struct {
 	reg  *via.Region
-	off  int
-	size int
+	i    int
 	desc via.Descriptor
 	w    wr
 }
 
-func (s *slot) bytes() []byte { return s.reg.Bytes()[s.off : s.off+s.size] }
+func (s *slot) bytes() []byte { return s.reg.Slot(s.i) }
+
+// release clears the first n bytes, the most the slot's message wrote, and
+// gives the slot's bytes back.
+func (s *slot) release(n int) { s.reg.Release(s.i, n) }
 
 // slotPool holds a session's idle send slots. get hands out the slot freed
-// most recently, whose pages are the ones still warm, so a session that
-// never has more than one request out touches one slot; it parks while no
-// slot is idle. (Receive slots are not pooled: VIA consumes posted
-// receives in order.)
+// most recently; it parks while no slot is idle. Which slot it is no longer
+// decides memory, since an idle slot holds none. (Receive slots are not
+// pooled: VIA consumes posted receives in order.)
 type slotPool[S any] struct {
 	idle  []S
 	ready *sim.Chan[struct{}] // one token per idle slot: where get parks
@@ -300,19 +304,19 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	// no modeled wire cost).
 	c.srvEpoch = srv.epoch
 
-	// Registered message buffers: one pool for requests, one for
-	// responses (pre-posted receives). The session owns both regions; every
-	// error path below must unregister them or the pinned windows leak for
-	// the rest of the run.
-	c.reqReg = nic.Register(p, make([]byte, o.Credits*c.slotSize))
-	c.respReg = nic.Register(p, make([]byte, o.Credits*c.slotSize))
+	// Registered message rings: one for requests, one for responses
+	// (pre-posted receives). The session owns both regions; every error path
+	// below must unregister them or the pinned windows leak for the rest of
+	// the run.
+	c.reqReg = nic.RegisterRing(p, o.Credits, c.slotSize)
+	c.respReg = nic.RegisterRing(p, o.Credits, c.slotSize)
 	slots := make([]slot, 2*o.Credits)
 	for i := 0; i < o.Credits; i++ {
 		qs, rs := &slots[2*i], &slots[2*i+1]
-		qs.reg, qs.off, qs.size = c.reqReg, i*c.slotSize, c.slotSize
+		qs.reg, qs.i = c.reqReg, i
 		c.reqPool.put(qs)
-		rs.reg, rs.off, rs.size = c.respReg, i*c.slotSize, c.slotSize
-		rs.desc = via.Descriptor{Region: c.respReg, Offset: rs.off, Len: rs.size, Ctx: rs}
+		rs.reg, rs.i = c.respReg, i
+		rs.desc = via.Descriptor{Region: c.respReg, Offset: i * c.slotSize, Len: c.slotSize, Ctx: rs}
 		if err := c.vi.PostRecv(p, &rs.desc); err != nil {
 			c.unregister(p)
 			return nil, err
@@ -406,6 +410,7 @@ func (c *Client) dispatch(p *sim.Proc) {
 			if comp.Err != nil {
 				c.fail(comp.Err)
 			}
+			s.release(comp.Desc.Len)
 			c.reqPool.put(s)
 		case via.OpRecv:
 			s := comp.Desc.Ctx.(*slot)
@@ -427,6 +432,7 @@ func (c *Client) dispatch(p *sim.Proc) {
 				// may fail it and its caller recycle it.
 				call.save(hdr.Status, msg[HeaderLen:HeaderLen+int(hdr.BodyLen)])
 			}
+			s.release(comp.Len) // the message is dead once saved
 			t0 := p.Now()
 			c.node.Compute(p, c.prof.MarshalCost)
 			if hdr.BodyLen > 0 {
@@ -525,6 +531,7 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 	w.Reset(buf[HeaderLen:])
 	enc(w)
 	if w.Err() != nil {
+		s.release(HeaderLen + w.Len())
 		c.reqPool.put(s)
 		c.credits.Release(1)
 		c.m.credits.Add(-1)
@@ -544,12 +551,13 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 	call := c.newCall(proc, into, op)
 	c.pending[xid] = call
 	old := p.SetTraceCtx(uint64(op))
-	s.desc = via.Descriptor{Op: via.OpSend, Region: s.reg, Offset: s.off, Len: n, Ctx: s}
+	s.desc = via.Descriptor{Op: via.OpSend, Region: s.reg, Offset: s.i * c.slotSize, Len: n, Ctx: s}
 	err := c.vi.PostSend(p, &s.desc)
 	p.SetTraceCtx(old)
 	if err != nil {
 		delete(c.pending, xid)
 		c.putCall(call)
+		s.release(n)
 		c.reqPool.put(s)
 		c.credits.Release(1)
 		c.m.credits.Add(-1)

@@ -243,13 +243,13 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 		maxInline: o.MaxInline,
 		slotSize:  slotSize,
 	}
-	sess.reqReg = s.nic.Register(p, make([]byte, o.Credits*slotSize))
-	sess.respReg = s.nic.Register(p, make([]byte, o.Credits*slotSize))
+	sess.reqReg = s.nic.RegisterRing(p, o.Credits, slotSize)
+	sess.respReg = s.nic.RegisterRing(p, o.Credits, slotSize)
 	reqs, resps := make([]reqSlot, o.Credits), make([]respSlot, o.Credits)
 	for i := 0; i < o.Credits; i++ {
 		rq := &reqs[i]
-		rq.reg, rq.off, rq.size, rq.sess = sess.reqReg, i*slotSize, slotSize, sess
-		rq.desc = via.Descriptor{Region: sess.reqReg, Offset: rq.off, Len: rq.size, Ctx: rq}
+		rq.reg, rq.i, rq.sess = sess.reqReg, i, sess
+		rq.desc = via.Descriptor{Region: sess.reqReg, Offset: i * slotSize, Len: slotSize, Ctx: rq}
 		if err := vi.PostRecv(p, &rq.desc); err != nil {
 			// Session establishment failed partway: the session is never
 			// appended, so nothing else will ever release its registrations.
@@ -258,7 +258,7 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 			return err
 		}
 		rs := &resps[i]
-		rs.reg, rs.off, rs.size, rs.sess = sess.respReg, i*slotSize, slotSize, sess
+		rs.reg, rs.i, rs.sess = sess.respReg, i, sess
 		sess.respPool.put(rs)
 	}
 	s.sessions = append(s.sessions, sess)
@@ -282,6 +282,7 @@ func (s *Server) dispatch(p *sim.Proc) {
 			s.workQ.Send(p, ctx)
 		case *respSlot:
 			bye := ctx.bye
+			ctx.release(comp.Desc.Len)
 			ctx.sess.respPool.put(ctx)
 			if bye {
 				// Nothing references the session's buffers once its
@@ -352,6 +353,7 @@ func (s *Server) handle(p *sim.Proc, ws *workerState, req *reqSlot) {
 	}
 	if w.Err() != nil {
 		st = StatusProto
+		clear(w.Bytes()) // the slot starts the reply again from zeros
 		w.Reset(out[HeaderLen:])
 	}
 	n := HeaderLen + w.Len()
@@ -361,13 +363,15 @@ func (s *Server) handle(p *sim.Proc, ws *workerState, req *reqSlot) {
 	s.tr.Charge(op, trace.CatServerCPU, p.Now()-t1)
 
 	// Re-post the request buffer before replying so the credit the client
-	// recovers on this response always finds a posted receive.
+	// recovers on this response always finds a posted receive. The request
+	// is dead by now: exec has consumed its body and the reply is encoded.
+	req.release(req.length)
 	if err := sess.vi.PostRecv(p, &req.desc); err != nil {
 		sess.closed = true
 		return
 	}
 	rs.bye = hdr.Proc == ProcDisconnect && st == StatusOK
-	rs.desc = via.Descriptor{Op: via.OpSend, Region: rs.reg, Offset: rs.off, Len: n, Ctx: rs}
+	rs.desc = via.Descriptor{Op: via.OpSend, Region: rs.reg, Offset: rs.i * sess.slotSize, Len: n, Ctx: rs}
 	if err := sess.vi.PostSend(p, &rs.desc); err != nil {
 		sess.closed = true
 		return

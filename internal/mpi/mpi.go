@@ -117,14 +117,18 @@ func (w *World) ReserveTags(n int) int {
 // Rank returns rank i.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
-// slot is one registered bounce buffer.
+// slot is one bounce buffer: a slot of a registered ring, whose bytes exist
+// only while a message does.
 type slot struct {
 	reg *via.Region
-	off int
-	n   int
+	i   int
 }
 
-func (s *slot) bytes() []byte { return s.reg.Bytes()[s.off : s.off+s.n] }
+func (s *slot) bytes() []byte { return s.reg.Slot(s.i) }
+
+// release clears the first n bytes, the most the slot's message wrote, and
+// gives the slot's bytes back.
+func (s *slot) release(n int) { s.reg.Release(s.i, n) }
 
 // pair is one direction-agnostic endpoint of a rank-to-rank connection.
 type pair struct {
@@ -210,12 +214,12 @@ func connectPair(a, b *Rank) {
 			sendPool: sim.NewChan[*slot](w.k, 0),
 		}
 		ss := w.slotSize()
-		sendReg := r.nic.RegisterCached(make([]byte, eagerCredits*ss))
-		recvReg := r.nic.RegisterCached(make([]byte, eagerCredits*ss))
+		sendReg := r.nic.RegisterCachedRing(eagerCredits, ss)
+		recvReg := r.nic.RegisterCachedRing(eagerCredits, ss)
 		for i := 0; i < eagerCredits; i++ {
-			pr.sendPool.TrySend(&slot{reg: sendReg, off: i * ss, n: ss})
-			rs := &slot{reg: recvReg, off: i * ss, n: ss}
-			if err := vi.PrepostRecv(&via.Descriptor{Region: recvReg, Offset: rs.off, Len: rs.n, Ctx: rs}); err != nil {
+			pr.sendPool.TrySend(&slot{reg: sendReg, i: i})
+			rs := &slot{reg: recvReg, i: i}
+			if err := vi.PrepostRecv(&via.Descriptor{Region: recvReg, Offset: i * ss, Len: ss, Ctx: rs}); err != nil {
 				panic(err)
 			}
 		}

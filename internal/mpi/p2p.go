@@ -80,7 +80,7 @@ func (r *Rank) sendEager(p *sim.Proc, dst, tag int, data []byte) {
 	copy(buf[envLen:], data)
 	r.nic.Node.CopyMem(p, len(data)) // user buffer -> bounce buffer
 	err := pr.vi.PostSend(p, &via.Descriptor{
-		Op: via.OpSend, Region: s.reg, Offset: s.off, Len: envLen + len(data),
+		Op: via.OpSend, Region: s.reg, Offset: s.i * r.world.slotSize(), Len: envLen + len(data),
 		Ctx: &sendCtx{pr: pr, s: s},
 	})
 	if err != nil {
@@ -98,7 +98,7 @@ func (r *Rank) sendCtl(p *sim.Proc, dst int, kind uint8, tag, size int, token ui
 	s, _ := pr.sendPool.Recv(p)
 	encodeEnv(s.bytes(), kind, r.id, tag, size, token, handle, 0)
 	err := pr.vi.PostSend(p, &via.Descriptor{
-		Op: via.OpSend, Region: s.reg, Offset: s.off, Len: envLen,
+		Op: via.OpSend, Region: s.reg, Offset: s.i * r.world.slotSize(), Len: envLen,
 		Ctx: &sendCtx{pr: pr, s: s},
 	})
 	if err != nil {
@@ -218,6 +218,7 @@ func (r *Rank) progress(p *sim.Proc) {
 			if comp.Err != nil {
 				panic(fmt.Sprintf("mpi: send completion error: %v", comp.Err))
 			}
+			ctx.s.release(comp.Desc.Len)
 			ctx.pr.sendPool.Send(p, ctx.s)
 		case *slot:
 			if comp.Err != nil {
@@ -238,8 +239,11 @@ func (r *Rank) arrival(p *sim.Proc, comp via.Completion, s *slot) {
 
 	finish := func() {
 		// Recycle the bounce slot and return the sender's credit
-		// (piggybacked flow control, modeled as free).
-		if err := comp.VI.PostRecv(p, &via.Descriptor{Region: s.reg, Offset: s.off, Len: s.n, Ctx: s}); err != nil {
+		// (piggybacked flow control, modeled as free). The message is dead:
+		// its payload has been copied out.
+		s.release(comp.Len)
+		ss := r.world.slotSize()
+		if err := comp.VI.PostRecv(p, &via.Descriptor{Region: s.reg, Offset: s.i * ss, Len: ss, Ctx: s}); err != nil {
 			panic(fmt.Sprintf("mpi: repost failed: %v", err))
 		}
 		r.world.ranks[env.src].pairs[r.id].credits.Release(1)

@@ -217,7 +217,7 @@ func (n *NIC) streamOut(p *sim.Proc, d *Descriptor, kind cellKind, dst fabric.No
 			c.data = make([]byte, cellData)
 		}
 		c.data = c.data[:nb]
-		copy(c.data, d.Region.buf[d.Offset+off:d.Offset+off+nb])
+		copy(c.data, d.Region.at(d.Offset+off, nb))
 		switch kind {
 		case ckRDMAWrite:
 			c.rhandle, c.raddr = d.RemoteHandle, d.RemoteOffset
@@ -461,7 +461,7 @@ func (n *NIC) handleRDMAWrite(p *sim.Proc, c *cell) {
 	}
 	if st.region != nil && st.err == nil && c.n > 0 {
 		n.dmaIn(p, c.n, c.span)
-		copy(st.region.buf[c.raddr+c.off:], c.data)
+		copy(st.region.at(c.raddr+c.off, c.n), c.data)
 		n.stats.CellsIn++
 		n.stats.BytesIn += int64(c.n)
 	}

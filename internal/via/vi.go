@@ -32,7 +32,7 @@ type Descriptor struct {
 	span    trace.OpID    // descriptor span: post -> completion (0: untraced)
 }
 
-func (d *Descriptor) buf() []byte { return d.Region.buf[d.Offset : d.Offset+d.Len] }
+func (d *Descriptor) buf() []byte { return d.Region.at(d.Offset, d.Len) }
 
 // Completion reports the outcome of a descriptor.
 type Completion struct {
@@ -212,7 +212,7 @@ func (vi *VI) checkDesc(d *Descriptor) error {
 	if d.Region == nil || d.Region.nic != vi.NIC || !d.Region.Valid() {
 		return ErrInvalidRegion
 	}
-	if d.Offset < 0 || d.Len < 0 || d.Offset+d.Len > len(d.Region.buf) {
+	if !d.Region.covers(d.Offset, d.Len) {
 		return ErrBounds
 	}
 	return nil

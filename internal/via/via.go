@@ -94,6 +94,12 @@ type Provider struct {
 
 	nics      map[fabric.NodeID]*NIC
 	freeCells []*cell // recycled wire cells, each with its payload buffer
+
+	// Ring slot buffers no message holds, one free list per slot size, and
+	// the ledger RingMem reports.
+	slotFrees    []*slotFree
+	ringIdle     int
+	ringIdleHigh int
 }
 
 // NewProvider creates a VIA provider for the fabric.
