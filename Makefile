@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt bench bench-e2e stat all
+.PHONY: build test race lint fmt bench bench-e2e evaluation stat all
 
 all: build test race lint
 
@@ -39,6 +39,12 @@ bench-e2e:
 	@test -f $(BENCH_BASE) || { echo "bench-e2e: no parent run at $(BENCH_BASE) (see the comment above this target)"; exit 2; }
 	$(GO) run ./benchmark -trace 0 -out benchmark/out
 	$(GO) run ./benchmark -compare $(BENCH_BASE) benchmark/out/results.json
+
+# evaluation regenerates every table, T18 included (~40 s, about 2 GB
+# peak), and diffs the output against the committed results.txt. CI's
+# evaluation job runs the same diff and also fails above 3 GB maximum RSS.
+evaluation:
+	$(GO) run ./cmd/mpio run -q | diff results.txt -
 
 # stat re-runs the T16 failover experiment through the always-on metrics
 # plane: per-interval bandwidth and failover-state series (the kill, the

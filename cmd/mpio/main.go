@@ -18,7 +18,7 @@
 // recorder's postmortems (-json writes every series). -clients and
 // -servers size T15's striped point, and -servers is T17's stripe width;
 // the other experiments have a fixed shape. The bare `mpio run` includes
-// T18, which needs more than 16 GB.
+// T18 (32,768 sessions); the whole run peaks near 2 GB of memory.
 package main
 
 import (

@@ -35,7 +35,7 @@ func TestSimSinksGolden(t *testing.T) {
 		"Kernel.Now", "Kernel.Events", "Proc.Now", "Future.Done",
 		"Chan.Len", "Chan.Closed", "Resource.Cap", "Resource.InUse",
 		"Resource.Utilization",
-		"Kernel.Run", "Kernel.RunUntil", "Kernel.MustRun", "Kernel.Shutdown",
+		"Kernel.Run", "Kernel.Shutdown",
 		"Kernel.schedule", "Kernel.wake", "pushWaiter",
 	}
 	for _, k := range mustNotHave {

@@ -38,7 +38,7 @@ func TestDerivedSinks(t *testing.T) {
 		"Chan.Len", "Chan.Closed", "Resource.Cap", "Resource.InUse",
 		"Resource.Utilization",
 		// The run loop consumes events; it does not schedule them.
-		"Kernel.Run", "Kernel.RunUntil", "Kernel.MustRun", "Kernel.Shutdown",
+		"Kernel.Run", "Kernel.Shutdown",
 		// Unexported funnels must not leak into the exported set.
 		"Kernel.schedule", "Kernel.wake", "pushWaiter",
 	}

@@ -96,7 +96,7 @@ func t19Run(o Observation) t19Result {
 	err := c.SpawnClients(func(p *sim.Proc, i int) {
 		f, d := open(p, c, pt, i)
 		drv := d.(*mpiio.StripedDAFSDriver)
-		drv.Resilver.Rate = t19Rate
+		drv.ResilverRate = t19Rate
 		buf := make([]byte, stripeChunk)
 		base := int64(i) * t19Per
 		readPass := func() {

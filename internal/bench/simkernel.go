@@ -20,7 +20,7 @@ import (
 type KernelLoadConfig struct {
 	Clients int // client procs issuing requests (default 10000)
 	Servers int // server procs consuming them (default 100)
-	Rounds  int // requests issued per client (default 10)
+	Rounds  int // requests issued per client (default 30)
 
 	// Faults, when positive, makes each server silently drop roughly one
 	// request in Faults (deterministically, by arrival count): no sub-ops

@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"testing"
+)
 
 // kernelTestShape is a small load: big enough that every server drops
 // requests in fault mode and clients span all three think-time scales,
@@ -48,5 +52,41 @@ func TestKernelLoadFaultsZeroIsHealthy(t *testing.T) {
 	faulty := RunKernelLoad(cfg)
 	if faulty.Checksum == healthy.Checksum {
 		t.Fatal("faulty and healthy loads share a checksum; drops are not perturbing the schedule")
+	}
+}
+
+// TestKernelLoadMatchesCommittedReport runs the default load and checks
+// its schedule against BENCH_simkernel.json: same events, checksum,
+// replies and final clock. Any change to dispatch order moves the
+// checksum. It runs the full 10k-proc load, so -short and the race
+// detector skip it.
+func TestKernelLoadMatchesCommittedReport(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("full 10k-proc kernel load")
+	}
+	raw, err := os.ReadFile("../../BENCH_simkernel.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		Clients  int     `json:"clients"`
+		Servers  int     `json:"servers"`
+		Rounds   int     `json:"rounds"`
+		Events   uint64  `json:"events"`
+		SimSecs  float64 `json:"sim_seconds"`
+		Replies  int64   `json:"replies"`
+		Checksum uint64  `json:"checksum"`
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	cfg := KernelLoadConfig{}.WithDefaults()
+	if cfg.Clients != want.Clients || cfg.Servers != want.Servers || cfg.Rounds != want.Rounds {
+		t.Fatalf("default shape %d/%d/%d, report %d/%d/%d", cfg.Clients, cfg.Servers, cfg.Rounds, want.Clients, want.Servers, want.Rounds)
+	}
+	got := RunKernelLoad(cfg)
+	if got.Events != want.Events || got.Checksum != want.Checksum || got.Replies != want.Replies || got.SimTime.Seconds() != want.SimSecs {
+		t.Fatalf("kernel load: events=%d checksum=%d replies=%d sim=%vs, report events=%d checksum=%d replies=%d sim=%vs",
+			got.Events, got.Checksum, got.Replies, got.SimTime.Seconds(), want.Events, want.Checksum, want.Replies, want.SimSecs)
 	}
 }

@@ -165,7 +165,7 @@ func New(cfg Config) *Cluster {
 		// on its own node and kernel stack.
 		for i := 0; i < servers; i++ {
 			stack := kstack.New(c.ServerNodes[i], prof, k)
-			c.NFSSrvs = append(c.NFSSrvs, nfs.NewServer(stack, prof, k, c.Stores[i], &nfs.ServerOptions{Disk: c.Disks[i]}))
+			c.NFSSrvs = append(c.NFSSrvs, nfs.NewServer(stack, prof, k, c.Stores[i], c.Disks[i]))
 		}
 		c.NFSSrv = c.NFSSrvs[0]
 	}
@@ -205,7 +205,7 @@ func (c *Cluster) buildServer(i int) {
 	}
 	c.Disks = append(c.Disks, disk)
 	if c.cfg.DAFS {
-		srv := dafs.NewServer(c.Prov.NewNIC(node), store, &dafs.ServerOptions{Disk: disk})
+		srv := dafs.NewServer(c.Prov.NewNIC(node), store, disk)
 		srv.SetEpoch(c.epoch)
 		c.DAFSSrvs = append(c.DAFSSrvs, srv)
 	}

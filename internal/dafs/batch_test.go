@@ -8,7 +8,7 @@ import (
 )
 
 func TestWriteBatchGathersSegments(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "b")
 		// Packed data: three segments landing at scattered offsets.
@@ -36,7 +36,7 @@ func TestWriteBatchGathersSegments(t *testing.T) {
 }
 
 func TestReadBatchScattersIntoSlots(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "b")
 		c.Write(p, fh, 0, pattern(8000, 7))
@@ -57,7 +57,7 @@ func TestReadBatchScattersIntoSlots(t *testing.T) {
 }
 
 func TestReadBatchShortAndBeyondEOF(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		// A batch write first: the server recycles staging pages, and what
 		// this request leaves in them must not reach the short read below.
@@ -87,7 +87,7 @@ func TestReadBatchShortAndBeyondEOF(t *testing.T) {
 }
 
 func TestBatchValidation(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "b")
 		reg := c.NIC().Register(p, make([]byte, 100))
@@ -113,7 +113,7 @@ func TestBatchValidation(t *testing.T) {
 }
 
 func TestBatchStaleHandle(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "b")
 		c.Remove(p, "b")
@@ -125,7 +125,7 @@ func TestBatchStaleHandle(t *testing.T) {
 }
 
 func TestBatchMaxBatchAccessor(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		if mb := c.MaxBatch(); mb <= 0 || mb > MaxBatchSegs {
 			t.Errorf("MaxBatch = %d", mb)
@@ -135,7 +135,7 @@ func TestBatchMaxBatchAccessor(t *testing.T) {
 
 func TestBatchFewerRequestsThanPerOp(t *testing.T) {
 	// 64 segments in one batch: 1 request vs 64.
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "b")
 		const nseg = 64

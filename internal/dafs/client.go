@@ -13,11 +13,12 @@ import (
 	"dafsio/internal/via"
 )
 
+// credits is the number of outstanding requests a session allows (and the
+// number of receive descriptors each side pre-posts).
+const credits = 8
+
 // Options configures a client session.
 type Options struct {
-	// Credits is the number of outstanding requests the session allows
-	// (and the number of receive descriptors each side pre-posts).
-	Credits int
 	// MaxInline is the largest data payload carried inside a message;
 	// larger transfers must use the direct (RDMA) operations.
 	MaxInline int
@@ -41,11 +42,8 @@ type Options struct {
 }
 
 func (o *Options) withDefaults() Options {
-	out := Options{Credits: 8, MaxInline: 8192}
+	out := Options{MaxInline: 8192}
 	if o != nil {
-		if o.Credits > 0 {
-			out.Credits = o.Credits
-		}
 		if o.MaxInline > 0 {
 			out.MaxInline = o.MaxInline
 		}
@@ -264,7 +262,7 @@ func newClientMetrics(reg *metrics.Registry, node string) clientMetrics {
 		timeouts:   reg.SharedCounter(pre + "timeouts"),
 		failures:   reg.SharedCounter(pre + "failures"),
 		redials:    reg.SharedCounter(pre + "redials"),
-		flight:     reg.Flight("dafs.client."+node, 0),
+		flight:     reg.Flight("dafs.client." + node),
 	}
 }
 
@@ -290,8 +288,8 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	c.m = newClientMetrics(prov.Metrics, nic.Node.Name)
 	c.cq = nic.NewCQ(nic.Node.Name + ".dafs.cq")
 	c.vi = nic.NewVI(c.cq, c.cq)
-	c.credits = sim.NewResource(c.k, nic.Node.Name+".dafs.credits", o.Credits)
-	c.reqPool = newSlotPool[*slot](c.k, o.Credits)
+	c.credits = sim.NewResource(c.k, nic.Node.Name+".dafs.credits", credits)
+	c.reqPool = newSlotPool[*slot](c.k, credits)
 
 	// Connection management is out of band in VIA; model it as one round
 	// trip plus the server-side session setup cost.
@@ -308,10 +306,10 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	// (pre-posted receives). The session owns both regions; every error path
 	// below must unregister them or the pinned windows leak for the rest of
 	// the run.
-	c.reqReg = nic.RegisterRing(p, o.Credits, c.slotSize)
-	c.respReg = nic.RegisterRing(p, o.Credits, c.slotSize)
-	slots := make([]slot, 2*o.Credits)
-	for i := 0; i < o.Credits; i++ {
+	c.reqReg = nic.RegisterRing(p, credits, c.slotSize)
+	c.respReg = nic.RegisterRing(p, credits, c.slotSize)
+	slots := make([]slot, 2*credits)
+	for i := 0; i < credits; i++ {
 		qs, rs := &slots[2*i], &slots[2*i+1]
 		qs.reg, qs.i = c.reqReg, i
 		c.reqPool.put(qs)
@@ -328,7 +326,7 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	var gotCredits, gotInline int
 	var decErr error
 	err := c.roundtrip(p, ProcConnect, func(w *wr) {
-		w.U16(uint16(o.Credits))
+		w.U16(uint16(credits))
 		w.U32(uint32(o.MaxInline))
 	}, func(r *rd) error {
 		gotCredits, gotInline = int(r.U16()), int(r.U32())
@@ -343,7 +341,7 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 		c.unregister(p)
 		return nil, decErr
 	}
-	if gotCredits != o.Credits || gotInline != o.MaxInline {
+	if gotCredits != credits || gotInline != o.MaxInline {
 		c.unregister(p)
 		return nil, fmt.Errorf("%w: negotiation mismatch", ErrProto)
 	}

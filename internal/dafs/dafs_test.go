@@ -25,14 +25,14 @@ type rig struct {
 	cNICs []*via.NIC
 }
 
-func newRig(nclients int, sopts *ServerOptions) *rig {
+func newRig(nclients int) *rig {
 	prof := model.CLAN1998()
 	k := sim.NewKernel()
 	fab := fabric.New(k, prof)
 	prov := via.NewProvider(fab)
 	srvNode := fab.AddNode("server")
 	store := storage.NewStore()
-	srv := NewServer(prov.NewNIC(srvNode), store, sopts)
+	srv := NewServer(prov.NewNIC(srvNode), store, nil)
 	r := &rig{k: k, prof: prof, fab: fab, prov: prov, store: store, srv: srv}
 	for i := 0; i < nclients; i++ {
 		r.cNICs = append(r.cNICs, prov.NewNIC(fab.AddNode(fmt.Sprintf("client%d", i))))
@@ -166,7 +166,7 @@ func TestStatusErrRoundTrip(t *testing.T) {
 }
 
 func TestNamespaceOps(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		if _, _, err := c.Lookup(p, "nope"); err != ErrNoEnt {
 			t.Errorf("lookup missing: %v", err)
@@ -198,7 +198,7 @@ func TestNamespaceOps(t *testing.T) {
 }
 
 func TestInlineReadWrite(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	want := pattern(5000, 0x5a)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, err := c.Create(p, "f")
@@ -235,7 +235,7 @@ func TestInlineReadWrite(t *testing.T) {
 }
 
 func TestInlineTooBigRejectedClientSide(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
 		big := make([]byte, c.MaxInline()+1)
@@ -249,7 +249,7 @@ func TestInlineTooBigRejectedClientSide(t *testing.T) {
 }
 
 func TestDirectReadWrite(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	const n = 300000 // multi-cell, beyond inline
 	want := pattern(n, 0xc3)
 	r.run(t, func(p *sim.Proc, c *Client) {
@@ -282,7 +282,7 @@ func TestDirectReadWrite(t *testing.T) {
 }
 
 func TestDirectReadShortAtEOF(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
 		c.Write(p, fh, 0, pattern(1000, 1))
@@ -299,7 +299,7 @@ func TestDirectReadShortAtEOF(t *testing.T) {
 }
 
 func TestDirectWriteExtendsFile(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
 		reg := c.NIC().Register(p, make([]byte, 100))
@@ -320,7 +320,7 @@ func TestDirectWriteExtendsFile(t *testing.T) {
 }
 
 func TestAppend(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "log")
 		off1, err := c.Append(p, fh, []byte("hello "))
@@ -340,7 +340,7 @@ func TestAppend(t *testing.T) {
 }
 
 func TestSetattrTruncate(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
 		c.Write(p, fh, 0, pattern(100, 2))
@@ -355,7 +355,7 @@ func TestSetattrTruncate(t *testing.T) {
 }
 
 func TestFsync(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
 		if err := c.Fsync(p, fh); err != nil {
@@ -365,7 +365,7 @@ func TestFsync(t *testing.T) {
 }
 
 func TestClosedSessionRejectsOps(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		c.Close(p)
 		if _, _, err := c.Lookup(p, "x"); err != ErrClosed {
@@ -375,7 +375,7 @@ func TestClosedSessionRejectsOps(t *testing.T) {
 }
 
 func TestPipelinedAsyncIO(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	const chunk = 8192
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
@@ -415,7 +415,7 @@ func TestPipeliningOverlaps(t *testing.T) {
 
 func measureDafs(t *testing.T, pipelined bool) sim.Time {
 	t.Helper()
-	r := newRig(1, nil)
+	r := newRig(1)
 	const k = 8
 	var elapsed sim.Time
 	r.run(t, func(p *sim.Proc, c *Client) {
@@ -447,7 +447,7 @@ func measureDafs(t *testing.T, pipelined bool) sim.Time {
 
 func TestConcurrentClients(t *testing.T) {
 	const nc = 4
-	r := newRig(nc, nil)
+	r := newRig(nc)
 	r.store.Create("shared")
 	for i := 0; i < nc; i++ {
 		i := i
@@ -517,7 +517,7 @@ func timeTransfer(t *testing.T, direct bool, total int) sim.Time {
 
 func timeAndCPU(t *testing.T, direct bool, total int) (sim.Time, sim.Time) {
 	t.Helper()
-	r := newRig(1, nil)
+	r := newRig(1)
 	var elapsed, cpu sim.Time
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
@@ -546,7 +546,7 @@ func timeAndCPU(t *testing.T, direct bool, total int) (sim.Time, sim.Time) {
 func TestDafsDeterminism(t *testing.T) {
 	trace := func() string {
 		var sb strings.Builder
-		r := newRig(2, nil)
+		r := newRig(2)
 		r.store.Create("f")
 		for i := 0; i < 2; i++ {
 			nic := r.cNICs[i]
@@ -580,11 +580,11 @@ func TestUncachedServerIsDiskBound(t *testing.T) {
 		prov := via.NewProvider(fab)
 		srvNode := fab.AddNode("server")
 		store := storage.NewStore()
-		var so *ServerOptions
+		var disk *storage.Disk
 		if withDisk {
-			so = &ServerOptions{Disk: storage.NewDisk(k, "disk", prof.DiskSeek, prof.DiskBW)}
+			disk = storage.NewDisk(k, "disk", prof.DiskSeek, prof.DiskBW)
 		}
-		srv := NewServer(prov.NewNIC(srvNode), store, so)
+		srv := NewServer(prov.NewNIC(srvNode), store, disk)
 		r := &rig{k: k, prof: prof, fab: fab, prov: prov, store: store, srv: srv}
 		r.cNICs = append(r.cNICs, prov.NewNIC(fab.AddNode("client0")))
 		return r, k
@@ -614,7 +614,7 @@ func TestUncachedServerIsDiskBound(t *testing.T) {
 // they come from never holds more than the one slab its first refill
 // allocated: 8 slots of the session's size, 69,760 bytes.
 func TestIdleSessionHoldsNoSlotMemory(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.store.Create("f")
 	r.run(t, func(p *sim.Proc, c *Client) {
 		slab := 8 * c.slotSize

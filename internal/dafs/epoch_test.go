@@ -11,7 +11,7 @@ import (
 // and admits equal or newer ones; the admitted client observes the
 // server's current epoch through the connection phase.
 func TestStaleEpochRejectedAtConnect(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.srv.SetEpoch(2)
 	r.srv.SetFence(2)
 	r.k.Spawn("client", func(p *sim.Proc) {
@@ -46,7 +46,7 @@ func TestStaleEpochRejectedAtConnect(t *testing.T) {
 // clients — the pre-elastic compatibility case every existing test and
 // experiment relies on.
 func TestUnfencedServerAdmitsUnversionedClients(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.srv.SetEpoch(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		if c.Epoch() != 0 || c.ServerEpoch() != 1 {
@@ -58,7 +58,7 @@ func TestUnfencedServerAdmitsUnversionedClients(t *testing.T) {
 // Draining refuses new sessions but keeps established ones servicing —
 // the graceful-removal half of elastic membership.
 func TestDrainRefusesNewSessionsKeepsOld(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.k.Spawn("client", func(p *sim.Proc) {
 		c, err := Dial(p, r.cNICs[0], r.srv, nil)
 		if err != nil {

@@ -12,9 +12,9 @@ import (
 // ErrSession, credits must be recovered, and later operations must be
 // rejected with the same failure.
 func TestSessionFailureFailsPendingCalls(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.k.Spawn("app", func(p *sim.Proc) {
-		c, err := Dial(p, r.cNICs[0], r.srv, &Options{Credits: 4})
+		c, err := Dial(p, r.cNICs[0], r.srv, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -60,7 +60,7 @@ func TestSessionFailureFailsPendingCalls(t *testing.T) {
 // TestFailureIsIsolatedPerSession: one session's failure must not disturb
 // another session from the same or another client.
 func TestFailureIsIsolatedPerSession(t *testing.T) {
-	r := newRig(2, nil)
+	r := newRig(2)
 	r.store.Create("shared")
 	broken := sim.NewFuture[struct{}](r.k)
 	r.k.Spawn("victim", func(p *sim.Proc) {
@@ -96,7 +96,7 @@ func TestFailureIsIsolatedPerSession(t *testing.T) {
 // TestDirectOpBadClientRegion: the client validates direct-op regions
 // before anything reaches the wire.
 func TestDirectOpBadClientRegion(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
 		reg := c.NIC().Register(p, make([]byte, 100))
@@ -113,13 +113,13 @@ func TestDirectOpBadClientRegion(t *testing.T) {
 // and credits, across sessions, all complete.
 func TestServerSurvivesRequestStorm(t *testing.T) {
 	const nclients = 4
-	r := newRig(nclients, &ServerOptions{Workers: 2})
+	r := newRig(nclients)
 	r.store.Create("f")
 	for i := 0; i < nclients; i++ {
 		nic := r.cNICs[i]
 		i := i
 		r.k.Spawn("storm", func(p *sim.Proc) {
-			c, err := Dial(p, nic, r.srv, &Options{Credits: 8})
+			c, err := Dial(p, nic, r.srv, nil)
 			if err != nil {
 				t.Errorf("dial %d: %v", i, err)
 				return

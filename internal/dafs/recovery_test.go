@@ -14,7 +14,7 @@ import (
 // attempt a disconnect round trip, and a second failure must not
 // overwrite the first.
 func TestCloseAfterFailureReturnsFailErr(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		first := errors.New("injected: first failure")
 		c.fail(first)
@@ -42,7 +42,7 @@ func TestCloseAfterFailureReturnsFailErr(t *testing.T) {
 // must fail the whole session after exactly the deadline, with an error
 // matching both ErrTimeout and ErrSession.
 func TestCallTimeoutFailsSession(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	const deadline = 3 * sim.Millisecond
 	r.k.Spawn("app", func(p *sim.Proc) {
 		c, err := Dial(p, r.cNICs[0], r.srv, &Options{CallTimeout: deadline})
@@ -86,7 +86,7 @@ func TestCallTimeoutFailsSession(t *testing.T) {
 // TestRedialToCrashedServerFailsFast: Redial against a crashed server is
 // rejected at accept (ErrSession) instead of hanging on a dead NIC.
 func TestRedialToCrashedServerFailsFast(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		c.fail(errors.New("injected"))
 		r.srv.Crash()
@@ -101,7 +101,7 @@ func TestRedialToCrashedServerFailsFast(t *testing.T) {
 // options — and file handles issued by the old session stay valid,
 // because FHs are store-level and survive reconnection.
 func TestRedialRestoresServiceAndHandles(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	const deadline = 5 * sim.Millisecond
 	r.k.Spawn("app", func(p *sim.Proc) {
 		c, err := Dial(p, r.cNICs[0], r.srv, &Options{CallTimeout: deadline})
@@ -152,7 +152,7 @@ func TestRedialRestoresServiceAndHandles(t *testing.T) {
 // are store-level — and the pre-crash data reads back. The old, broken
 // session stays broken: its state predates the restart.
 func TestRedialAfterRestartSucceeds(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	const deadline = 3 * sim.Millisecond
 	r.k.Spawn("app", func(p *sim.Proc) {
 		c, err := Dial(p, r.cNICs[0], r.srv, &Options{CallTimeout: deadline})
@@ -240,7 +240,7 @@ func TestDeadlineDuringResponseUnmarshal(t *testing.T) {
 	// and reports when the first and the last completed and how many timed
 	// out; any other outcome fails the test.
 	run := func(deadline sim.Time) (first, last sim.Time, timeouts int) {
-		r := newRig(1, nil)
+		r := newRig(1)
 		f, _ := r.store.Create("f")
 		f.WriteAt(want, 0)
 		r.k.Spawn("app", func(p *sim.Proc) {

@@ -19,7 +19,7 @@ import (
 // gave back.
 func TestInlineReadsBeyondCreditsWaitedInReverse(t *testing.T) {
 	const flights, size = 20, 2048 // the default session has 8 credits
-	r := newRig(1, nil)
+	r := newRig(1)
 	want := pattern(2*flights*size, 5)
 	f, _ := r.store.Create("f")
 	f.WriteAt(want, 0)
@@ -67,7 +67,7 @@ func TestLateResponseAfterCallRecycled(t *testing.T) {
 	// timed out, 512 bytes from the next size bytes on a redialed session.
 	// It reports how long the first read took and whether it timed out.
 	run := func(deadline sim.Time) (took sim.Time, timedOut bool) {
-		r := newRig(1, nil)
+		r := newRig(1)
 		f, _ := r.store.Create("f")
 		f.WriteAt(want, 0)
 		r.k.Spawn("app", func(p *sim.Proc) {

@@ -13,7 +13,7 @@ import (
 // deregister them — a failed dial used to leave both windows pinned on the
 // client NIC for the rest of the run.
 func TestFailedDialUnregisters(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.k.Spawn("app", func(p *sim.Proc) {
 		// The server NIC is dead but the server is not crashed: accept
 		// succeeds, so Dial gets as far as registering its buffers and
@@ -40,7 +40,7 @@ func TestFailedDialUnregisters(t *testing.T) {
 // the server's pair once that reply has left. Both used to stay pinned for
 // the rest of the run.
 func TestCloseUnregisters(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	cNIC, sNIC := r.cNICs[0], r.srv.NIC()
 	cBefore, sBefore := cNIC.Regions(), sNIC.Regions()
 	r.k.Spawn("app", func(p *sim.Proc) {
@@ -69,7 +69,7 @@ func TestCloseUnregisters(t *testing.T) {
 // each one held on the server NIC. They used to stay pinned for the rest of
 // the run: after the restart, and after a redialed session closed cleanly.
 func TestRestartReleasesDroppedSessions(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	sNIC := r.srv.NIC()
 	before := sNIC.Regions()
 	r.k.Spawn("app", func(p *sim.Proc) {
@@ -107,7 +107,7 @@ func TestRestartReleasesDroppedSessions(t *testing.T) {
 // the dead session's pair — otherwise every failover leaks two pinned
 // windows on the client NIC.
 func TestRedialDropsOldSessionRegistrations(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.store.Create("f")
 	r.run(t, func(p *sim.Proc, c *Client) {
 		nic := c.NIC()

@@ -12,17 +12,10 @@ import (
 	"dafsio/internal/via"
 )
 
-// ServerOptions configures a DAFS server.
-type ServerOptions struct {
-	// Workers is the number of concurrent request-service contexts
-	// (default 4). Direct operations block their worker for the duration
-	// of the server-driven RDMA, so workers bound RDMA concurrency.
-	Workers int
-	// Disk, when non-nil, makes data operations touch the backing disk
-	// (uncached server). The default models the fully cached server the
-	// paper-era evaluations used.
-	Disk *storage.Disk
-}
+// serverWorkers is the number of concurrent request-service contexts.
+// Direct operations block their worker for the duration of the
+// server-driven RDMA, so workers bound RDMA concurrency.
+const serverWorkers = 4
 
 // ServerStats counts server activity.
 type ServerStats struct {
@@ -109,16 +102,10 @@ type workerState struct {
 }
 
 // NewServer creates a DAFS server on the NIC's node and starts its
-// dispatcher and worker processes.
-func NewServer(nic *via.NIC, store *storage.Store, opts *ServerOptions) *Server {
-	workers := 4
-	var disk *storage.Disk
-	if opts != nil {
-		if opts.Workers > 0 {
-			workers = opts.Workers
-		}
-		disk = opts.Disk
-	}
+// dispatcher and worker processes. A non-nil disk makes data operations
+// touch it (uncached server); nil models the fully cached server the
+// paper-era evaluations used.
+func NewServer(nic *via.NIC, store *storage.Store, disk *storage.Disk) *Server {
 	prov := nic.Provider()
 	s := &Server{
 		node:  nic.Node,
@@ -132,7 +119,7 @@ func NewServer(nic *via.NIC, store *storage.Store, opts *ServerOptions) *Server 
 	}
 	s.cq = nic.NewCQ(nic.Node.Name + ".dafs.cq")
 	s.k.SpawnDaemon(nic.Node.Name+".dafs.dispatch", s.dispatch)
-	for i := 0; i < workers; i++ {
+	for i := 0; i < serverWorkers; i++ {
 		s.k.SpawnDaemon(fmt.Sprintf("%s.dafs.worker%d", nic.Node.Name, i), s.worker)
 	}
 	if m := prov.Metrics; m != nil {
@@ -239,14 +226,14 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 		id:        len(s.sessions),
 		srv:       s,
 		vi:        vi,
-		respPool:  newSlotPool[*respSlot](s.k, o.Credits),
+		respPool:  newSlotPool[*respSlot](s.k, credits),
 		maxInline: o.MaxInline,
 		slotSize:  slotSize,
 	}
-	sess.reqReg = s.nic.RegisterRing(p, o.Credits, slotSize)
-	sess.respReg = s.nic.RegisterRing(p, o.Credits, slotSize)
-	reqs, resps := make([]reqSlot, o.Credits), make([]respSlot, o.Credits)
-	for i := 0; i < o.Credits; i++ {
+	sess.reqReg = s.nic.RegisterRing(p, credits, slotSize)
+	sess.respReg = s.nic.RegisterRing(p, credits, slotSize)
+	reqs, resps := make([]reqSlot, credits), make([]respSlot, credits)
+	for i := 0; i < credits; i++ {
 		rq := &reqs[i]
 		rq.reg, rq.i, rq.sess = sess.reqReg, i, sess
 		rq.desc = via.Descriptor{Region: sess.reqReg, Offset: i * slotSize, Len: slotSize, Ctx: rq}

@@ -40,23 +40,20 @@ type FlightDump struct {
 	Events []FlightEvent
 }
 
-// defaultFlightDepth is the ring size when callers pass depth <= 0.
-const defaultFlightDepth = 32
+// flightDepth is the number of events a ring keeps.
+const flightDepth = 32
 
-// Flight returns the named ring, creating it with the given depth on
-// first use. Like shared instruments it is get-or-create — a redialed
-// session keeps appending to its node's existing ring.
-func (r *Registry) Flight(name string, depth int) *Flight {
+// Flight returns the named ring, creating it on first use. Like shared
+// instruments it is get-or-create — a redialed session keeps appending to
+// its node's existing ring.
+func (r *Registry) Flight(name string) *Flight {
 	if r == nil {
 		return nil
 	}
 	if f, ok := r.flights[name]; ok {
 		return f
 	}
-	if depth <= 0 {
-		depth = defaultFlightDepth
-	}
-	f := &Flight{name: name, reg: r, buf: make([]FlightEvent, depth)}
+	f := &Flight{name: name, reg: r, buf: make([]FlightEvent, flightDepth)}
 	r.flights[name] = f
 	return f
 }

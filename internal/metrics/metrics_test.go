@@ -55,7 +55,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	c := r.Counter("a")
 	g := r.SharedGauge("b")
 	h := r.Hist("c")
-	f := r.Flight("ring", 8)
+	f := r.Flight("ring")
 	c.Inc()
 	g.Set(5)
 	h.Observe(100)
@@ -134,8 +134,9 @@ func TestStartSamplerTwicePanics(t *testing.T) {
 func TestFlightRingWrapAndDumpBounds(t *testing.T) {
 	k := sim.NewKernel()
 	r := New(k)
-	f := r.Flight("dafs.client.c0", 4)
-	for i := 0; i < 10; i++ {
+	f := r.Flight("dafs.client.c0")
+	const total = flightDepth + 6
+	for i := 0; i < total; i++ {
 		f.Note(sim.Time(i), "call", "write", int64(i), 0)
 	}
 	f.Dump("timeout")
@@ -143,8 +144,8 @@ func TestFlightRingWrapAndDumpBounds(t *testing.T) {
 	if len(d) != 1 {
 		t.Fatalf("dumps = %d, want 1", len(d))
 	}
-	if d[0].Total != 10 || len(d[0].Events) != 4 {
-		t.Fatalf("dump total=%d events=%d, want 10/4", d[0].Total, len(d[0].Events))
+	if d[0].Total != total || len(d[0].Events) != flightDepth {
+		t.Fatalf("dump total=%d events=%d, want %d/%d", d[0].Total, len(d[0].Events), total, flightDepth)
 	}
 	for i, e := range d[0].Events {
 		if e.Arg != int64(6+i) {
@@ -152,7 +153,7 @@ func TestFlightRingWrapAndDumpBounds(t *testing.T) {
 		}
 	}
 	// Empty rings dump nothing; full postmortem lists drop with a count.
-	r.Flight("empty", 4).Dump("timeout")
+	r.Flight("empty").Dump("timeout")
 	if len(r.Dumps()) != 1 {
 		t.Fatal("empty ring produced a dump")
 	}
@@ -175,7 +176,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		c := r.Counter("a.ops")
 		g := r.Gauge("b.depth")
 		h := r.Hist("a.ns")
-		f := r.Flight("a", 4)
+		f := r.Flight("a")
 		r.StartSampler(7)
 		k.Spawn("w", func(p *sim.Proc) {
 			for i := 0; i < 5; i++ {

@@ -26,7 +26,7 @@ var ErrReshape = errors.New("mpiio: reshape failed")
 // dual-writes: from here every foreground write (contiguous, batched,
 // Resize, Sync) lands on both layouts, so the migrator never races a
 // write it cannot see. Migrate copies the file old → new through the
-// driver's ResilverPolicy token bucket and verifies it byte for byte,
+// driver's re-silver token bucket and verifies it byte for byte,
 // re-verifying ranges foreground writes dirtied until a full pass is
 // clean. Commit atomically flips the driver (and its open handles) to the
 // new pool; it is idempotent, so in a multi-client run each client
@@ -53,22 +53,18 @@ type reshapePair struct{ h, sh *stripedHandle }
 // PrepareReshape starts a reshape onto the given session pool and
 // striping at the given membership epoch. Every open handle gets a shadow
 // handle on the new layout (objects created under epoch-tagged names) and
-// dual-writes begin. The pool must share the driver's NIC; the epoch must
-// advance; re-silvering must be enabled — with Rate <= 0 the migrator
-// could never copy, so the reshape refuses to start.
+// dual-writes begin. The pool must share the driver's NIC and the epoch
+// must advance.
 func (d *StripedDAFSDriver) PrepareReshape(p *sim.Proc, clients []*dafs.Client, st layout.Striping, epoch uint32) (*Reshape, error) {
 	if d.next != nil {
 		return nil, fmt.Errorf("%w: reshape already in progress", ErrReshape)
-	}
-	if d.Resilver.Rate <= 0 {
-		return nil, fmt.Errorf("%w: re-silvering disabled", ErrReshape)
 	}
 	if epoch <= d.layoutEpoch {
 		return nil, fmt.Errorf("%w: epoch %d does not advance %d", ErrReshape, epoch, d.layoutEpoch)
 	}
 	rs := &Reshape{
 		d:      &d.striped,
-		shadow: &striped{pool: newDAFSPool(clients, st, epoch), Retry: d.Retry, Resilver: d.Resilver},
+		shadow: &striped{pool: newDAFSPool(clients, st, epoch), Retry: d.Retry, ResilverRate: d.ResilverRate},
 		old:    d.pool,
 		epoch:  epoch,
 	}
@@ -106,15 +102,15 @@ func (rs *Reshape) abort(p *sim.Proc) {
 
 // Migrate copies every open file onto the new layout through the two
 // layouts' own handles (so both sides keep their striping, replication and
-// failover), bounded by the driver's ResilverPolicy token bucket, and
-// verifies the copy byte for byte. Ranges dirtied by concurrent foreground writes (which dual-write
-// onto both layouts) are re-verified until a whole pass is clean; if the
-// policy's pass budget runs out first, Migrate fails and the reshape can
-// be retried or abandoned. Exactly one participant of a shared file runs
-// Migrate.
+// failover), bounded by the driver's re-silver token bucket, and
+// verifies the copy byte for byte. Ranges dirtied by concurrent foreground
+// writes (which dual-write onto both layouts) are re-verified until a
+// whole pass is clean; if resilverPasses run out first, Migrate fails and
+// the reshape can be retried or abandoned. Exactly one participant of a
+// shared file runs Migrate.
 func (rs *Reshape) Migrate(p *sim.Proc) error {
-	tb := newTokenBucket(rs.d.Resilver, p.Now())
-	buf := make([]byte, 2*rs.d.Resilver.chunk())
+	tb := newTokenBucket(rs.d.ResilverRate, p.Now())
+	buf := make([]byte, 2*resilverChunk)
 	for _, pr := range rs.pairs {
 		if pr.h.closed {
 			continue

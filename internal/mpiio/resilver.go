@@ -28,71 +28,38 @@ import (
 // bounded-bandwidth re-silver of the elastic-membership design (DESIGN
 // §14).
 
-// ResilverPolicy bounds background copy traffic.
-type ResilverPolicy struct {
-	// Rate is the copy budget in bytes per second of simulated time,
-	// applied to every byte the re-silverer moves or verifies. <= 0
-	// disables re-silvering entirely: a replica that missed writes then
-	// stays excluded forever (the pre-elastic behaviour) and reshapes
-	// refuse to start.
-	Rate float64
-	// Burst is the token bucket depth in bytes (default Chunk).
-	Burst int
-	// Chunk is the copy and verify granularity in bytes (default 64 KiB).
-	Chunk int
-	// Passes bounds the copy+verify rounds per object (default 4): each
-	// round re-verifies and re-copies ranges foreground writes dirtied
-	// since the last one, so the loop converges once writes quiesce.
-	Passes int
-}
-
-// DefaultResilverPolicy is the constructor default: re-silvering on, a
-// quarter of a paper-era SAN link's worth of copy bandwidth, 64 KiB
-// chunks.
-func DefaultResilverPolicy() ResilverPolicy {
-	return ResilverPolicy{Rate: 32 << 20, Chunk: 64 << 10, Passes: 4}
-}
-
-func (rp ResilverPolicy) chunk() int {
-	if rp.Chunk > 0 {
-		return rp.Chunk
-	}
-	return 64 << 10
-}
-
-func (rp ResilverPolicy) passes() int {
-	if rp.Passes > 0 {
-		return rp.Passes
-	}
-	return 4
-}
+// Re-silver pacing. Every byte the re-silverer moves or verifies is
+// charged to a token bucket refilling at the driver's ResilverRate; the
+// copy and verify granularity is one chunk, which is also the bucket
+// depth. A copy that has not converged after resilverPasses copy+verify
+// rounds (each re-verifies and re-copies the ranges foreground writes
+// dirtied since the last) is abandoned.
+const (
+	// defaultResilverRate is a quarter of a paper-era SAN link's worth of
+	// copy bandwidth, in bytes per second of simulated time.
+	defaultResilverRate = 32 << 20
+	resilverChunk       = 64 << 10
+	resilverPasses      = 4
+)
 
 // tokenBucket paces background bytes on simulated time: take blocks the
-// calling process until the bucket holds n tokens, refilling at Rate.
+// calling process until the bucket holds n tokens, refilling at rate.
 type tokenBucket struct {
 	rate   float64 // bytes per second of simulated time
-	burst  float64
 	tokens float64
 	last   sim.Time
 }
 
-func newTokenBucket(rp ResilverPolicy, now sim.Time) *tokenBucket {
-	burst := float64(rp.Burst)
-	if burst <= 0 {
-		burst = float64(rp.chunk())
-	}
-	return &tokenBucket{rate: rp.Rate, burst: burst, tokens: burst, last: now}
+func newTokenBucket(rate float64, now sim.Time) *tokenBucket {
+	return &tokenBucket{rate: rate, tokens: resilverChunk, last: now}
 }
 
 func (b *tokenBucket) take(p *sim.Proc, n int) {
-	if b.rate <= 0 {
-		return
-	}
 	now := p.Now()
 	b.tokens += float64(now-b.last) * b.rate / 1e9
 	b.last = now
-	if b.tokens > b.burst {
-		b.tokens = b.burst
+	if b.tokens > resilverChunk {
+		b.tokens = resilverChunk
 	}
 	if b.tokens >= float64(n) {
 		b.tokens -= float64(n)
@@ -147,8 +114,8 @@ func (d *striped) startHeal(p *sim.Proc, t int) {
 // redial starts a fresh heal.
 func (d *striped) heal(p *sim.Proc, t int, gen uint32, ep int) bool {
 	st := d.striping
-	tb := newTokenBucket(d.Resilver, p.Now())
-	buf := make([]byte, 2*d.Resilver.chunk())
+	tb := newTokenBucket(d.ResilverRate, p.Now())
+	buf := make([]byte, 2*resilverChunk)
 	stale := func() bool { return d.layoutEpoch != gen || d.epoch[t] != ep || d.down[t] }
 	// Snapshot: handles opened after the heal started saw the server
 	// excluded and wrote nothing it could miss.
@@ -212,7 +179,7 @@ var errCopyAbandoned = errors.New("mpiio: copy overtaken")
 func (d *striped) verifyCopy(p *sim.Proc, tb *tokenBucket, buf []byte, src, dst copyEnd, stale func() bool) (int64, error) {
 	chunk := len(buf) / 2
 	sbuf, dbuf := buf[:chunk], buf[chunk:]
-	for pass := 0; pass < d.Resilver.passes(); pass++ {
+	for pass := 0; pass < resilverPasses; pass++ {
 		size, err := src.Size(p)
 		if err != nil {
 			return 0, fmt.Errorf("size: %w", err)
@@ -247,7 +214,7 @@ func (d *striped) verifyCopy(p *sim.Proc, tb *tokenBucket, buf []byte, src, dst 
 			return size, nil
 		}
 	}
-	return 0, fmt.Errorf("did not converge in %d passes (foreground writes outran the copy budget)", d.Resilver.passes())
+	return 0, fmt.Errorf("did not converge in %d passes (foreground writes outran the copy budget)", resilverPasses)
 }
 
 // rankObject is the rank-r object on server t of an open file, addressed

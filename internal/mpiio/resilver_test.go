@@ -22,7 +22,7 @@ var resilverRetry = dafs.RetryPolicy{Base: 2 * sim.Millisecond, Max: 8 * sim.Mil
 // crashRestartRig runs fn on a replicated striped file whose server 1
 // crashes at 10ms and restarts (store intact, sessions gone) at 25ms —
 // the canonical "replica missed writes" scenario.
-func crashRestartRig(t *testing.T, policy ResilverPolicy,
+func crashRestartRig(t *testing.T, rate float64,
 	fn func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster)) {
 	t.Helper()
 	const servers, stripe = 3, 4 << 10
@@ -40,7 +40,7 @@ func crashRestartRig(t *testing.T, policy ResilverPolicy,
 		}
 		drv := NewStripedDAFSDriver(pool, layout.Striping{StripeSize: stripe, Width: servers, Replicas: 2})
 		drv.Retry = resilverRetry
-		drv.Resilver = policy
+		drv.ResilverRate = rate
 		f, err := Open(p, nil, drv, "s", ModeRdWr|ModeCreate, nil)
 		if err != nil {
 			t.Error(err)
@@ -94,39 +94,15 @@ func writeThroughOutage(t *testing.T, p *sim.Proc, f *File, drv *StripedDAFSDriv
 	return true
 }
 
-// The PR 4 regression: a clean redial restores the session, not the data.
-// With re-silvering disabled the replica must stay excluded forever; dial
-// success alone never re-admits it to read-any.
-func TestRedialAloneDoesNotReadmit(t *testing.T) {
-	off := ResilverPolicy{} // Rate 0: disabled
-	crashRestartRig(t, off, func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
-		data := pattern(256 << 10)
-		if !writeThroughOutage(t, p, f, drv, data) {
-			return
-		}
-		p.Wait(50 * sim.Millisecond)
-		if !drv.excluded[1] {
-			t.Error("excluded replica re-admitted without a re-silver")
-		}
-		if drv.healing[1] != nil {
-			t.Error("re-silver spawned with the policy disabled")
-		}
-		// Reads still work — served by the replicas that saw every write.
-		got := make([]byte, len(data))
-		if n, err := f.ReadAt(p, 0, got); err != nil || n != len(data) || !bytes.Equal(got, data) {
-			t.Errorf("degraded read-back: n=%d err=%v", n, err)
-		}
-	})
-}
-
 // With a very slow re-silver the gating is observable mid-flight: after
 // the redial lands the server is up (down[1] false) yet still excluded,
 // with the heal in progress — exactly "re-admission gated on re-silver
 // completion, not dial success".
 func TestReadmissionWaitsForResilver(t *testing.T) {
-	slow := ResilverPolicy{Rate: 64 << 10, Chunk: 16 << 10} // ~4s to heal 256KB
+	const slow = 64 << 10 // ~4s to heal 256KB
 	crashRestartRig(t, slow, func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
-		if !writeThroughOutage(t, p, f, drv, pattern(256<<10)) {
+		data := pattern(256 << 10)
+		if !writeThroughOutage(t, p, f, drv, data) {
 			return
 		}
 		p.Wait(10 * sim.Millisecond)
@@ -139,6 +115,11 @@ func TestReadmissionWaitsForResilver(t *testing.T) {
 		}
 		if drv.healing[1] == nil {
 			t.Error("no re-silver in progress after a redial with stale data")
+		}
+		// Reads still work — served by the replicas that saw every write.
+		got := make([]byte, len(data))
+		if n, err := f.ReadAt(p, 0, got); err != nil || n != len(data) || !bytes.Equal(got, data) {
+			t.Errorf("degraded read-back: n=%d err=%v", n, err)
 		}
 	})
 }
@@ -183,7 +164,7 @@ func healedPairs(t *testing.T, c *cluster.Cluster) []healedPair {
 // and its store is a byte-identical mirror again — reads can be served
 // from it.
 func TestHealReadmitsWithVerifiedBytes(t *testing.T) {
-	crashRestartRig(t, DefaultResilverPolicy(), func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
+	crashRestartRig(t, defaultResilverRate, func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
 		data := pattern(256 << 10)
 		if !writeThroughOutage(t, p, f, drv, data) {
 			return
@@ -217,7 +198,7 @@ func TestHealReadmitsWithVerifiedBytes(t *testing.T) {
 // pre-shrink length, and a read-any Getattr served by server 1 would then
 // report the old size.
 func TestHealAppliesMissedShrink(t *testing.T) {
-	crashRestartRig(t, DefaultResilverPolicy(), func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
+	crashRestartRig(t, defaultResilverRate, func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
 		const size, shrunk = 256 << 10, 40 << 10
 		if n, err := f.WriteAt(p, 0, pattern(size)); err != nil || n != size {
 			t.Errorf("write: n=%d err=%v", n, err)
@@ -384,8 +365,8 @@ func TestReshapeShrinkDrain(t *testing.T) {
 	})
 }
 
-// Reshape refusals: a disabled re-silver policy, a non-advancing epoch,
-// and a double prepare are all rejected up front.
+// Reshape refusals: a non-advancing epoch and a double prepare are both
+// rejected up front.
 func TestReshapeRefusals(t *testing.T) {
 	data := pattern(64 << 10)
 	reshapeRig(t, 3, data, func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
@@ -398,12 +379,6 @@ func TestReshapeRefusals(t *testing.T) {
 		if _, err := drv.PrepareReshape(p, pool, st, 1); !errors.Is(err, ErrReshape) {
 			t.Errorf("non-advancing epoch: err=%v", err)
 		}
-		saved := drv.Resilver
-		drv.Resilver = ResilverPolicy{}
-		if _, err := drv.PrepareReshape(p, pool, st, 2); !errors.Is(err, ErrReshape) {
-			t.Errorf("disabled policy: err=%v", err)
-		}
-		drv.Resilver = saved
 		rs, err := drv.PrepareReshape(p, pool, st, 2)
 		if err != nil {
 			t.Errorf("prepare: %v", err)

@@ -51,11 +51,10 @@ type striped struct {
 	// Retries counts redial attempts (stat).
 	Retries int64
 
-	// Resilver bounds background re-silver traffic (heals after a replica
-	// redials, copies during a reshape). The constructor default enables
-	// it; set Rate <= 0 to restore the pre-elastic behaviour where an
-	// excluded replica stays excluded forever.
-	Resilver ResilverPolicy
+	// ResilverRate bounds background re-silver traffic (heals after a
+	// replica redials, copies during a reshape) in bytes per second of
+	// simulated time. The DAFS constructors set defaultResilverRate.
+	ResilverRate float64
 
 	handles []*stripedHandle // open handles (heal / reshape coverage)
 	next    *Reshape         // in-progress reshape, nil when none
@@ -134,7 +133,7 @@ func newStripedMetrics(reg *metrics.Registry, node string, width int) stripedMet
 		resilverB: reg.SharedCounter(pre + "resilver_bytes"),
 		readmits:  reg.SharedCounter(pre + "readmits"),
 		epochG:    reg.SharedGauge(pre + "epoch"),
-		flight:    reg.Flight("mpiio.striped."+node, 0),
+		flight:    reg.Flight("mpiio.striped." + node),
 	}
 	m.dispatch = make([]metrics.Counter, width)
 	for t := range m.dispatch {
@@ -191,7 +190,7 @@ func newDAFSPool(clients []*dafs.Client, st layout.Striping, epoch uint32) *pool
 
 // StripedDAFSDriver is the striped core over a pool of DAFS sessions, one
 // per server. Its exported knobs are the core's Retry, Retries and
-// Resilver plus the transfer discipline's DirectThreshold and RegCache;
+// ResilverRate plus the transfer discipline's DirectThreshold and RegCache;
 // RegHits and RegMisses count the registration cache's lookups.
 type StripedDAFSDriver struct{ striped }
 
@@ -205,7 +204,7 @@ func NewDAFSDriver(c *dafs.Client) *StripedDAFSDriver {
 // NewStripedDAFSDriver wraps a session pool, one session per server in
 // layout order. The pool must match the policy's width and share one NIC.
 func NewStripedDAFSDriver(clients []*dafs.Client, st layout.Striping) *StripedDAFSDriver {
-	d := &StripedDAFSDriver{striped{pool: newDAFSPool(clients, st, 1), Resilver: DefaultResilverPolicy()}}
+	d := &StripedDAFSDriver{striped{pool: newDAFSPool(clients, st, 1), ResilverRate: defaultResilverRate}}
 	d.m.epochG.Set(int64(d.layoutEpoch))
 	return d
 }
@@ -378,7 +377,7 @@ func (d *striped) noteFailure(p *sim.Proc, s int, failed session, err error) {
 				// redial restores the session, not the data. Re-admission
 				// to read-any waits for the background re-silver, never on
 				// dial success alone.
-				if d.excluded[s] && d.Resilver.Rate > 0 {
+				if d.excluded[s] {
 					d.startHeal(rp, s)
 				}
 				return

@@ -163,7 +163,7 @@ func TestStripedBatchFailover(t *testing.T) {
 // (The batch path once set the flag directly: the gauge stayed 0 and the
 // re-admission then drove it to -1.)
 func TestStripedBatchExclusionGauge(t *testing.T) {
-	crashRestartRig(t, DefaultResilverPolicy(), func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
+	crashRestartRig(t, defaultResilverRate, func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
 		gauge := func() int64 { return c.Metrics.Value("mpiio.striped.client0.excluded") }
 		watching := true
 		c.K.Spawn("gauge-watch", func(wp *sim.Proc) {

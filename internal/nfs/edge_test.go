@@ -8,7 +8,7 @@ import (
 )
 
 func TestWriteToStaleHandle(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
 		c.Remove(p, "f")
@@ -30,7 +30,7 @@ func TestWriteToStaleHandle(t *testing.T) {
 func TestServerDropsGarbageDatagrams(t *testing.T) {
 	// A non-RPC datagram to the NFS port must be dropped, and the server
 	// must keep working afterwards.
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.k.Spawn("app", func(p *sim.Proc) {
 		sock, err := r.stacks[0].Socket(0)
 		if err != nil {
@@ -54,7 +54,7 @@ func TestServerDropsGarbageDatagrams(t *testing.T) {
 }
 
 func TestOversizedReadCountRejected(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
 		// Bypass the client's chunking by issuing a raw RPC with an
@@ -71,7 +71,7 @@ func TestOversizedReadCountRejected(t *testing.T) {
 }
 
 func TestMountOptionsClamped(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.k.Spawn("app", func(p *sim.Proc) {
 		c, err := Mount(p, r.stacks[0], r.srv, &MountOptions{RSize: 1 << 20, WSize: 1 << 20})
 		if err != nil {
@@ -93,7 +93,7 @@ func TestMountOptionsClamped(t *testing.T) {
 }
 
 func TestClientCloseRejectsFurtherCalls(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		c.Close(p)
 		if _, _, err := c.Lookup(p, "x"); err != ErrClosed {

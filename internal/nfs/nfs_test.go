@@ -21,13 +21,13 @@ type rig struct {
 	stacks []*kstack.Stack
 }
 
-func newRig(nclients int, sopts *ServerOptions) *rig {
+func newRig(nclients int) *rig {
 	prof := model.CLAN1998()
 	k := sim.NewKernel()
 	fab := fabric.New(k, prof)
 	srvStack := kstack.New(fab.AddNode("server"), prof, k)
 	store := storage.NewStore()
-	srv := NewServer(srvStack, prof, k, store, sopts)
+	srv := NewServer(srvStack, prof, k, store, nil)
 	r := &rig{k: k, prof: prof, fab: fab, store: store, srv: srv}
 	for i := 0; i < nclients; i++ {
 		r.stacks = append(r.stacks, kstack.New(fab.AddNode(fmt.Sprintf("client%d", i)), prof, k))
@@ -59,7 +59,7 @@ func pat(n int, seed byte) []byte {
 }
 
 func TestMountAndNull(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		if c.RSize() != 32768 || c.WSize() != 32768 {
 			t.Errorf("defaults rsize=%d wsize=%d", c.RSize(), c.WSize())
@@ -68,7 +68,7 @@ func TestMountAndNull(t *testing.T) {
 }
 
 func TestNamespace(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		if _, _, err := c.Lookup(p, "x"); err != ErrNoEnt {
 			t.Errorf("lookup missing: %v", err)
@@ -91,7 +91,7 @@ func TestNamespace(t *testing.T) {
 }
 
 func TestReadWriteSingleRPC(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	want := pat(1000, 3)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
@@ -109,7 +109,7 @@ func TestReadWriteSingleRPC(t *testing.T) {
 }
 
 func TestReadWriteMultiRPC(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	const n = 200000 // > 6 RPCs at default wsize
 	want := pat(n, 5)
 	r.run(t, func(p *sim.Proc, c *Client) {
@@ -135,7 +135,7 @@ func TestReadWriteMultiRPC(t *testing.T) {
 }
 
 func TestShortReadAtEOF(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
 		c.Write(p, fh, 0, pat(100, 1))
@@ -150,7 +150,7 @@ func TestShortReadAtEOF(t *testing.T) {
 }
 
 func TestTruncateAndCommit(t *testing.T) {
-	r := newRig(1, nil)
+	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
 		c.Write(p, fh, 0, pat(100, 1))
@@ -171,7 +171,7 @@ func TestTruncateAndCommit(t *testing.T) {
 // CPU time scales with bytes moved.
 func TestNFSBurnsClientCPUPerByte(t *testing.T) {
 	measure := func(nbytes int) sim.Time {
-		r := newRig(1, nil)
+		r := newRig(1)
 		var cpu sim.Time
 		r.run(t, func(p *sim.Proc, c *Client) {
 			fh, _, _ := c.Create(p, "f")
@@ -192,7 +192,7 @@ func TestNFSBurnsClientCPUPerByte(t *testing.T) {
 
 func TestConcurrentMounts(t *testing.T) {
 	const nc = 3
-	r := newRig(nc, nil)
+	r := newRig(nc)
 	r.store.Create("shared")
 	for i := 0; i < nc; i++ {
 		i := i
@@ -229,7 +229,7 @@ func TestConcurrentMounts(t *testing.T) {
 
 func TestNfsDeterminism(t *testing.T) {
 	run := func() string {
-		r := newRig(1, nil)
+		r := newRig(1)
 		var s string
 		r.run(t, func(p *sim.Proc, c *Client) {
 			fh, _, _ := c.Create(p, "f")
@@ -252,11 +252,11 @@ func TestUncachedServerSlower(t *testing.T) {
 		fab := fabric.New(k, prof)
 		srvStack := kstack.New(fab.AddNode("server"), prof, k)
 		store := storage.NewStore()
-		var so *ServerOptions
+		var disk *storage.Disk
 		if withDisk {
-			so = &ServerOptions{Disk: storage.NewDisk(k, "d", prof.DiskSeek, prof.DiskBW)}
+			disk = storage.NewDisk(k, "d", prof.DiskSeek, prof.DiskBW)
 		}
-		srv := NewServer(srvStack, prof, k, store, so)
+		srv := NewServer(srvStack, prof, k, store, disk)
 		cst := kstack.New(fab.AddNode("client"), prof, k)
 		var elapsed sim.Time
 		k.Spawn("c", func(p *sim.Proc) {

@@ -10,13 +10,8 @@ import (
 	"dafsio/internal/wire"
 )
 
-// ServerOptions configures the NFS server.
-type ServerOptions struct {
-	// Workers is the number of nfsd service threads (default 4).
-	Workers int
-	// Disk, when non-nil, makes data operations hit the backing disk.
-	Disk *storage.Disk
-}
+// serverWorkers is the number of nfsd service threads.
+const serverWorkers = 4
 
 // ServerStats counts server activity.
 type ServerStats struct {
@@ -40,16 +35,9 @@ type Server struct {
 }
 
 // NewServer starts an NFS server on the stack's node, listening on the
-// well-known port.
-func NewServer(stack *kstack.Stack, prof *model.Profile, k *sim.Kernel, store *storage.Store, opts *ServerOptions) *Server {
-	workers := 4
-	var disk *storage.Disk
-	if opts != nil {
-		if opts.Workers > 0 {
-			workers = opts.Workers
-		}
-		disk = opts.Disk
-	}
+// well-known port. A non-nil disk makes data operations hit it; nil models
+// a fully cached server.
+func NewServer(stack *kstack.Stack, prof *model.Profile, k *sim.Kernel, store *storage.Store, disk *storage.Disk) *Server {
 	sock, err := stack.Socket(Port)
 	if err != nil {
 		panic(fmt.Sprintf("nfs: cannot bind server port: %v", err))
@@ -60,7 +48,7 @@ func NewServer(stack *kstack.Stack, prof *model.Profile, k *sim.Kernel, store *s
 		workQ: sim.NewChan[kstack.Datagram](k, 0),
 	}
 	k.SpawnDaemon(stack.Node.Name+".nfs.listen", s.listen)
-	for i := 0; i < workers; i++ {
+	for i := 0; i < serverWorkers; i++ {
 		k.SpawnDaemon(fmt.Sprintf("%s.nfsd%d", stack.Node.Name, i), s.worker)
 	}
 	return s

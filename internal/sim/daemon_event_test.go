@@ -50,36 +50,6 @@ func TestDaemonEventDoesNotMaskDeadlock(t *testing.T) {
 	}
 }
 
-// RunUntil pauses (nil error, resumable) when a non-daemon event lies
-// beyond the limit, and daemon ticks within the limit fire alongside it.
-func TestDaemonEventRunUntil(t *testing.T) {
-	k := NewKernel()
-	var ticks, work int
-	var ev *Event
-	ev = k.NewDaemonEvent(func() {
-		ticks++
-		k.AfterEvent(ev, 10)
-	})
-	k.AfterEvent(ev, 10)
-	k.At(25, func() { work++ })
-	k.At(45, func() { work++ })
-	if err := k.RunUntil(30); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 3 || work != 1 {
-		t.Fatalf("ticks=%d work=%d after RunUntil(30), want 3/1", ticks, work)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 4 || work != 2 {
-		t.Fatalf("ticks=%d work=%d after Run, want 4/2", ticks, work)
-	}
-	if k.Now() != 45 {
-		t.Fatalf("Now = %v, want 45", k.Now())
-	}
-}
-
 // Live and PendingEvents expose the sampler-facing kernel gauges.
 func TestKernelGauges(t *testing.T) {
 	k := NewKernel()

@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestMustRunPanicsOnDeadlock(t *testing.T) {
-	k := NewKernel()
-	ch := NewChan[int](k, 0)
-	k.Spawn("stuck", func(p *Proc) { ch.Recv(p) })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRun did not panic on deadlock")
-		}
-	}()
-	k.MustRun()
-}
-
 func TestReentrantRunPanics(t *testing.T) {
 	k := NewKernel()
 	k.At(1, func() {
@@ -205,7 +193,9 @@ func TestShutdownUnwindsOneAtATime(t *testing.T) {
 			ch.Recv(p)
 		})
 	}
-	k.MustRun()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
 	k.Shutdown()
 	if len(unwound) != 8 {
 		t.Fatalf("%d of 8 parked procs unwound by the time Shutdown returned", len(unwound))

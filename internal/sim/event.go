@@ -61,17 +61,15 @@ type wheelLevel struct {
 //
 // cur is the wheel cursor: placement of an event compares its timestamp
 // against cur's bit groups, and cur only ever advances to instants that
-// are <= every queued wheel event. The one exception is RunUntil
-// returning early: resolving "is the next event past the limit" may
-// cascade the cursor forward, so events scheduled afterwards between now
-// and cur land in the (almost always empty) sorted front list, which pops
-// before the wheel.
+// are <= every queued event — a popped event's instant, or the base of a
+// slot being cascaded. So when control returns to a proc, cur <= now, and
+// the kernel never schedules before now: no event can land behind the
+// cursor.
 type eventQueue struct {
 	cur      Time
 	n        int
 	levels   [wheelLevels]wheelLevel
 	overflow []*Event // min-heap by (at, seq): beyond the wheel horizon
-	front    []*Event // sorted by (at, seq): before the cursor (rare)
 }
 
 // evBefore is the queue's total order.
@@ -85,13 +83,12 @@ func (q *eventQueue) push(e *Event) {
 	q.place(e)
 }
 
-// place routes an event to the front list, a wheel slot, or the overflow
-// heap. It does not touch the count (cascade and migration re-place
-// events that are already counted).
+// place routes an event to a wheel slot or the overflow heap. It does not
+// touch the count (cascade and migration re-place events that are already
+// counted).
 func (q *eventQueue) place(e *Event) {
 	if e.at < q.cur {
-		q.placeFront(e)
-		return
+		panic("sim: event behind the wheel cursor")
 	}
 	d := uint64(e.at) ^ uint64(q.cur)
 	for lvl := 0; lvl < wheelLevels; lvl++ {
@@ -138,17 +135,6 @@ func (q *eventQueue) placeSlot(lvl int, e *Event) {
 	if e.next == nil {
 		l.tail[slot] = e
 	}
-}
-
-// placeFront inserts into the sorted pre-cursor list.
-func (q *eventQueue) placeFront(e *Event) {
-	i := len(q.front)
-	q.front = append(q.front, e)
-	for i > 0 && evBefore(e, q.front[i-1]) {
-		q.front[i] = q.front[i-1]
-		i--
-	}
-	q.front[i] = e
 }
 
 // placeOverflow pushes onto the far-future min-heap.
@@ -237,24 +223,9 @@ func (q *eventQueue) cascade(lvl, slot int) {
 }
 
 // pop removes and returns the globally earliest event by (at, seq), or
-// nil if the queue is empty or (when limited) the earliest event is past
-// the limit — in which case the event stays queued.
-func (q *eventQueue) pop(limit Time, limited bool) *Event {
+// nil if the queue is empty.
+func (q *eventQueue) pop() *Event {
 	for {
-		// Front events precede everything: they are strictly before the
-		// cursor, and wheel/overflow events never are.
-		if len(q.front) > 0 {
-			f := q.front[0]
-			if limited && f.at > limit {
-				return nil
-			}
-			copy(q.front, q.front[1:])
-			q.front[len(q.front)-1] = nil
-			q.front = q.front[:len(q.front)-1]
-			q.n--
-			f.queued = false
-			return f
-		}
 		if t, lvl, slot, ok := q.scanWheel(); ok {
 			// An overflow event at or before the wheel candidate must
 			// migrate first: it may share the candidate's instant with a
@@ -269,9 +240,6 @@ func (q *eventQueue) pop(limit Time, limited bool) *Event {
 				q.cur = t
 				q.cascade(lvl, slot)
 				continue
-			}
-			if limited && t > limit {
-				return nil
 			}
 			l := &q.levels[0]
 			e := l.head[slot]
@@ -291,11 +259,7 @@ func (q *eventQueue) pop(limit Time, limited bool) *Event {
 		}
 		// Wheel empty: jump the cursor to the far-future minimum and pull
 		// it (and, next iterations, its horizon-mates) into the wheel.
-		e := q.overflow[0]
-		if limited && e.at > limit {
-			return nil
-		}
-		q.cur = e.at
+		q.cur = q.overflow[0].at
 		q.place(q.popOverflow())
 	}
 }

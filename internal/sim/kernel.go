@@ -32,9 +32,6 @@ type Kernel struct {
 	freeWorkers []*worker // parked worker goroutines awaiting a proc to run
 	freeEvents  *Event    // recycled At/After callback events
 
-	limit   Time // RunUntil bound, valid while running
-	limited bool
-
 	daemonEv int // queued daemon events; they alone never keep Run alive
 
 	failure  error // first panic raised inside a process
@@ -61,7 +58,7 @@ func (k *Kernel) Events() uint64 { return k.dispatched }
 func (k *Kernel) Live() int { return len(k.live) }
 
 // PendingEvents returns the number of events currently queued — the
-// occupancy of the timer wheel (plus its overflow and front lists).
+// occupancy of the timer wheel (plus its overflow heap).
 func (k *Kernel) PendingEvents() int { return k.q.n }
 
 // schedule assigns the next sequence number and enqueues e at t. All
@@ -132,8 +129,8 @@ func (k *Kernel) NewEvent(fn func()) *Event {
 }
 
 // NewDaemonEvent returns a reusable event, like NewEvent, except that its
-// pending presence does not keep the simulation alive: Run and RunUntil
-// stop when only daemon events remain queued, leaving them unexecuted.
+// pending presence does not keep the simulation alive: Run stops when
+// only daemon events remain queued, leaving them unexecuted.
 // This is the background-activity analogue of SpawnDaemon — a periodic
 // self-rescheduling action (a metrics sampler tick, a scrubber) can arm
 // its next firing unconditionally without live-locking the kernel once
@@ -172,14 +169,10 @@ func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("sim: deadlock at %v: %d process(es) parked: %v", e.Time, len(e.Parked), e.Parked)
 }
 
-// Run processes events until the queue is empty. It returns a non-nil error
-// if a process panicked or if processes remain parked with no pending events
-// (deadlock).
-func (k *Kernel) Run() error { return k.RunUntil(-1) }
-
-// RunUntil processes events with timestamps <= limit (limit < 0 means no
-// limit). Virtual time never advances past the last executed event.
-func (k *Kernel) RunUntil(limit Time) error {
+// Run processes events until no non-daemon event is queued. It returns a
+// non-nil error if a process panicked or if processes remain parked with no
+// pending events (deadlock).
+func (k *Kernel) Run() error {
 	if k.running {
 		panic("sim: Run called reentrantly")
 	}
@@ -188,10 +181,9 @@ func (k *Kernel) RunUntil(limit Time) error {
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	k.limit, k.limited = limit, limit >= 0
 	if p := k.dispatch(); p != nil {
 		// Hand the baton to the first proc; it comes home on k.gate when
-		// dispatch stops (queue drained, limit reached, or failure).
+		// dispatch stops (no non-daemon event left, or failure).
 		p.w.gate <- struct{}{}
 		<-k.gate
 	}
@@ -202,9 +194,6 @@ func (k *Kernel) RunUntil(limit Time) error {
 	}
 	if k.failure != nil {
 		return k.failure
-	}
-	if k.q.n > k.daemonEv {
-		return nil // next non-daemon event is beyond the limit
 	}
 	var names []string
 	for _, p := range k.live {
@@ -222,17 +211,14 @@ func (k *Kernel) RunUntil(limit Time) error {
 // dispatch runs the event loop on the calling goroutine — the current baton
 // holder — executing callback events inline until it hits a proc-step
 // event, which it returns for the caller to hand the baton to. It returns
-// nil when the loop must stop: queue empty, next event past the RunUntil
-// limit, a recorded failure, or a callback panic. A nil return obliges a
-// proc caller to send the baton home on k.gate.
+// nil when the loop must stop: no non-daemon event queued, a recorded
+// failure, or a callback panic. A nil return obliges a proc caller to send
+// the baton home on k.gate.
 func (k *Kernel) dispatch() *Proc {
 	// The loop stops when only daemon events remain: they are left queued
 	// and unexecuted, exactly as parked daemon procs are left parked.
 	for k.failure == nil && !k.cbPanic && k.q.n > k.daemonEv {
-		ev := k.q.pop(k.limit, k.limited)
-		if ev == nil {
-			return nil
-		}
+		ev := k.q.pop()
 		k.now = ev.at
 		k.dispatched++
 		if ev.daemon {
@@ -259,7 +245,7 @@ func (k *Kernel) dispatch() *Proc {
 
 // runCallback executes a callback event, trapping a panic so it does not
 // unwind the (arbitrary) proc goroutine that happens to hold the baton;
-// RunUntil re-raises it on the Run caller's stack.
+// Run re-raises it on the Run caller's stack.
 func (k *Kernel) runCallback(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -267,14 +253,6 @@ func (k *Kernel) runCallback(fn func()) {
 		}
 	}()
 	fn()
-}
-
-// MustRun runs the simulation and panics on error. Intended for examples and
-// benchmarks where an error indicates a bug in the model.
-func (k *Kernel) MustRun() {
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
 }
 
 // Shutdown reclaims the kernel's pooled worker goroutines: idle workers

@@ -42,61 +42,55 @@ func TestSameInstantOrderAcrossLevels(t *testing.T) {
 	}
 }
 
-// TestRunUntilSlotBoundary stops a run exactly at a level-1 slot edge.
-// Resolving "is the next event past the limit" cascades the cursor into
-// the following slot, so an event then scheduled at the current instant
-// is behind the cursor and must take the front-list path — and still
-// dispatch before everything in the wheel.
-func TestRunUntilSlotBoundary(t *testing.T) {
+// TestRunResumesAcrossSlotEdge drains a run on the last instant of a
+// level-1 slot, then schedules at that same instant and across the edge
+// and runs again, one slot further each round. Dispatch must stay in
+// (Time, seq) order: the drained cursor sits at now, so nothing scheduled
+// afterwards lands behind it. A push behind the cursor is a kernel bug and
+// must panic.
+func TestRunResumesAcrossSlotEdge(t *testing.T) {
 	k := NewKernel()
 	var got []Time
-	mark := func(at Time) { k.At(at, func() { got = append(got, at) }) }
-	for _, at := range []Time{62, 63, 64, 65, 66} {
-		mark(at)
-	}
-	if err := k.RunUntil(63); err != nil {
-		t.Fatal(err)
-	}
-	if k.Now() != 63 {
-		t.Fatalf("time after RunUntil(63) = %v", k.Now())
-	}
-	if want := []Time{62, 63}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("events before the boundary: %v, want %v", got, want)
-	}
-	// now == 63 but the cursor has cascaded to the 64-slot; this event is
-	// pre-cursor and exercises placeFront.
-	k.At(63, func() { got = append(got, 630) })
+	mark := func(at, id Time) { k.At(at, func() { got = append(got, id) }) }
+	mark(62, 62)
+	mark(63, 63)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []Time{62, 63, 630, 64, 65, 66}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("full dispatch order: %v, want %v", got, want)
+	if want := []Time{62, 63}; k.Now() != 63 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("first run: now %v, dispatched %v, want 63 and %v", k.Now(), got, want)
 	}
-}
-
-// TestRunUntilBoundaryRepeated walks a run forward one level-1 slot at a
-// time; every stop lands on a boundary and every event must run exactly
-// once, in order.
-func TestRunUntilBoundaryRepeated(t *testing.T) {
-	k := NewKernel()
-	var got []Time
-	for at := Time(0); at < 512; at += 7 {
-		at := at
-		k.At(at, func() { got = append(got, at) })
-	}
-	for limit := Time(64); limit <= 512; limit += 64 {
-		if err := k.RunUntil(limit); err != nil {
+	for edge := Time(64); edge <= 512; edge += 64 {
+		now := k.Now()
+		got = nil
+		// Scrambled times; ids record (time, seq): the second id at edge
+		// is scheduled later and must run later.
+		mark(edge+2, 4)
+		mark(edge, 1)
+		mark(now, 0)
+		mark(edge+1, 3)
+		mark(edge, 2)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := []Time{0, 1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("edge %v: dispatch order %v, want %v", edge, got, want)
+		}
+		if k.Now() != edge+2 {
+			t.Fatalf("edge %v: drained at %v", edge, k.Now())
+		}
+		// The next round starts on the last instant of this slot.
+		mark(edge+63, 0)
+		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, at := range got {
-		if want := Time(i * 7); at != want {
-			t.Fatalf("event %d ran at %v, want %v", i, at, want)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push behind the wheel cursor did not panic")
 		}
-	}
-	if len(got) != 74 {
-		t.Fatalf("ran %d events, want 74", len(got))
-	}
+	}()
+	k.q.push(&Event{at: k.Now() - 1, seq: k.seq + 1})
 }
 
 // TestFarFutureOverflow schedules events beyond the wheel horizon (64^5 ns
@@ -176,8 +170,8 @@ func (r *refQueue) push(e *Event) {
 	(*r)[i] = e
 }
 
-func (r *refQueue) pop(limit Time, limited bool) *Event {
-	if len(*r) == 0 || (limited && (*r)[0].at > limit) {
+func (r *refQueue) pop() *Event {
+	if len(*r) == 0 {
 		return nil
 	}
 	e := (*r)[0]
@@ -188,7 +182,7 @@ func (r *refQueue) pop(limit Time, limited bool) *Event {
 // TestWheelMatchesHeapReference drives the timer wheel and a sorted-slice
 // reference with an identical randomized schedule — bursts of pushes at
 // time offsets spanning every wheel level and the overflow horizon,
-// interleaved with plain and limited pops — and requires identical event
+// interleaved with pops — and requires identical event
 // identity at every step. The seed is fixed: failures reproduce.
 func TestWheelMatchesHeapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -220,14 +214,9 @@ func TestWheelMatchesHeapReference(t *testing.T) {
 		for i := rng.Intn(4); i > 0; i-- {
 			push()
 		}
-		limited := rng.Intn(4) == 0
-		var limit Time
-		if limited {
-			limit = now + Time(rng.Int63n(2*horizon))
-		}
 		for i := rng.Intn(5); i > 0; i-- {
-			want := ref.pop(limit, limited)
-			got := q.pop(limit, limited)
+			want := ref.pop()
+			got := q.pop()
 			if got != want {
 				t.Fatalf("step %d: wheel popped %+v, reference %+v", step, got, want)
 			}
@@ -245,8 +234,8 @@ func TestWheelMatchesHeapReference(t *testing.T) {
 	}
 	// Drain and compare the tails.
 	for {
-		want := ref.pop(0, false)
-		got := q.pop(0, false)
+		want := ref.pop()
+		got := q.pop()
 		if got != want {
 			t.Fatalf("drain: wheel popped %+v, reference %+v", got, want)
 		}

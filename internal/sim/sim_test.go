@@ -162,26 +162,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	k := NewKernel()
-	var n int
-	k.At(10, func() { n++ })
-	k.At(20, func() { n++ })
-	if err := k.RunUntil(15); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 || k.Now() != 10 {
-		t.Fatalf("n=%d now=%v after RunUntil(15)", n, k.Now())
-	}
-	if err := k.Run(); err == nil || err.(*DeadlockError) == nil {
-		// no procs, so Run drains and returns nil actually
-		_ = err
-	}
-	if n != 2 {
-		t.Fatalf("n=%d after full run", n)
-	}
-}
-
 func TestChanFIFOAndBlocking(t *testing.T) {
 	k := NewKernel()
 	ch := NewChan[int](k, 0)
