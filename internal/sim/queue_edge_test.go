@@ -42,13 +42,13 @@ func TestSameInstantOrderAcrossLevels(t *testing.T) {
 	}
 }
 
-// TestRunResumesAcrossSlotEdge drains a run on the last instant of a
-// level-1 slot, then schedules at that same instant and across the edge
-// and runs again, one slot further each round. Dispatch must stay in
-// (Time, seq) order: the drained cursor sits at now, so nothing scheduled
-// afterwards lands behind it. A push behind the cursor is a kernel bug and
-// must panic.
-func TestRunResumesAcrossSlotEdge(t *testing.T) {
+// TestRunUntilSlotBoundary stops a run exactly on the last instant of a
+// level-1 slot. The kernel has no bounded run any more: Run stops there by
+// draining, with the cursor left at now rather than cascaded into the next
+// slot. Events then scheduled at that same instant and across the edge
+// must dispatch in (Time, seq) order, and a push behind the cursor is a
+// kernel bug and must panic.
+func TestRunUntilSlotBoundary(t *testing.T) {
 	k := NewKernel()
 	var got []Time
 	mark := func(at, id Time) { k.At(at, func() { got = append(got, id) }) }
@@ -59,6 +59,36 @@ func TestRunResumesAcrossSlotEdge(t *testing.T) {
 	}
 	if want := []Time{62, 63}; k.Now() != 63 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("first run: now %v, dispatched %v, want 63 and %v", k.Now(), got, want)
+	}
+	mark(65, 65)
+	mark(63, 630)
+	mark(66, 66)
+	mark(64, 64)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{62, 63, 630, 64, 65, 66}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("full dispatch order: %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push behind the wheel cursor did not panic")
+		}
+	}()
+	k.q.push(&Event{at: k.Now() - 1, seq: k.seq + 1})
+}
+
+// TestRunUntilBoundaryRepeated walks runs forward one level-1 slot at a
+// time. Each round starts from a run drained on the last instant of a
+// slot, schedules at that instant and across the next edge, and runs
+// again. Dispatch must stay in (Time, seq) order every round.
+func TestRunUntilBoundaryRepeated(t *testing.T) {
+	k := NewKernel()
+	var got []Time
+	mark := func(at, id Time) { k.At(at, func() { got = append(got, id) }) }
+	mark(63, 0)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
 	for edge := Time(64); edge <= 512; edge += 64 {
 		now := k.Now()
@@ -85,12 +115,6 @@ func TestRunResumesAcrossSlotEdge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("push behind the wheel cursor did not panic")
-		}
-	}()
-	k.q.push(&Event{at: k.Now() - 1, seq: k.seq + 1})
 }
 
 // TestFarFutureOverflow schedules events beyond the wheel horizon (64^5 ns
