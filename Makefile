@@ -40,7 +40,7 @@ bench-e2e:
 	$(GO) run ./benchmark -trace 0 -out benchmark/out
 	$(GO) run ./benchmark -compare $(BENCH_BASE) benchmark/out/results.json
 
-# evaluation regenerates every table, T18 included (~40 s, about 2 GB
+# evaluation regenerates every table, T18 included (~40 s, 1.5-2.0 GB
 # peak), and diffs the output against the committed results.txt. CI's
 # evaluation job runs the same diff and also fails above 3 GB maximum RSS.
 evaluation:

@@ -107,9 +107,11 @@ func main() {
 	if file.Size() != total {
 		log.Fatalf("checkpoint size %d, want %d", file.Size(), total)
 	}
+	elem := make([]byte, elemSize)
 	for _, probe := range [][2]int{{0, 0}, {7, 500}, {300, 2}, {511, 511}} {
 		off := int64(probe[0]*N+probe[1]) * elemSize
-		got := binary.LittleEndian.Uint64(file.Slice(off, 8))
+		file.ReadAt(elem, off)
+		got := binary.LittleEndian.Uint64(elem)
 		if got != element(probe[0], probe[1]) {
 			log.Fatalf("file element (%d,%d) = %x, want %x", probe[0], probe[1], got, element(probe[0], probe[1]))
 		}

@@ -50,7 +50,8 @@ func record(rank, round int) []byte {
 // each round-robin group.
 func parseLog(f *storage.File) (perRank map[int]int, total int) {
 	perRank = make(map[int]int)
-	data := f.Slice(0, int(f.Size()))
+	data := make([]byte, f.Size())
+	f.ReadAt(data, 0)
 	for pos := 0; pos+8 <= len(data); {
 		size := int(binary.LittleEndian.Uint16(data[pos:]))
 		if size < 8 || pos+size > len(data) {

@@ -20,13 +20,13 @@ func TestWriteBatchGathersSegments(t *testing.T) {
 			t.Errorf("write batch: n=%d err=%v", n, err)
 		}
 		f, _ := r.store.Lookup("b")
-		if !bytes.Equal(f.Slice(1000, 100), pattern(100, 1)) {
+		if !bytes.Equal(stored(f, 1000, 100), pattern(100, 1)) {
 			t.Error("segment 1 misplaced")
 		}
-		if !bytes.Equal(f.Slice(5000, 200), pattern(200, 2)) {
+		if !bytes.Equal(stored(f, 5000, 200), pattern(200, 2)) {
 			t.Error("segment 2 misplaced")
 		}
-		if !bytes.Equal(f.Slice(0, 50), pattern(50, 3)) {
+		if !bytes.Equal(stored(f, 0, 50), pattern(50, 3)) {
 			t.Error("segment 3 misplaced")
 		}
 		if f.Size() != 5200 {

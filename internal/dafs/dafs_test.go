@@ -266,7 +266,7 @@ func TestDirectReadWrite(t *testing.T) {
 		}
 		// Verify server-side content.
 		f, _ := r.store.Lookup("big")
-		if !bytes.Equal(f.Slice(0, n), want) {
+		if !bytes.Equal(stored(f, 0, n), want) {
 			t.Error("server file content mismatch after direct write")
 		}
 		// Clear and read back.
@@ -277,6 +277,42 @@ func TestDirectReadWrite(t *testing.T) {
 		}
 		if !bytes.Equal(dst.Bytes(), want) {
 			t.Error("direct read data mismatch")
+		}
+	})
+}
+
+// A direct read returns the file as it was when the server ran the
+// request, even when a write to the same range lands while the read's
+// cells are still on the wire.
+func TestDirectReadReturnsFileAsOfRequest(t *testing.T) {
+	r := newRig(1)
+	const n = 300000
+	before, after := pattern(n, 0x11), pattern(n, 0x77)
+	r.run(t, func(p *sim.Proc, c *Client) {
+		fh, _, _ := c.Create(p, "f")
+		f, _ := r.store.Lookup("f")
+		f.WriteAt(before, 0)
+		dst := c.NIC().Register(p, make([]byte, n))
+		t0 := p.Now()
+		if _, err := c.ReadDirect(p, fh, 0, dst, 0, n); err != nil {
+			t.Error(err)
+			return
+		}
+		half := (p.Now() - t0) / 2
+		clear(dst.Bytes())
+		r.k.Spawn("writer", func(q *sim.Proc) {
+			q.Wait(half)
+			f.WriteAt(after, 0)
+		})
+		if _, err := c.ReadDirect(p, fh, 0, dst, 0, n); err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(stored(f, 0, n), after) {
+			t.Error("the concurrent write did not land")
+		}
+		if !bytes.Equal(dst.Bytes(), before) {
+			t.Error("a direct read saw a write that landed after the request ran")
 		}
 	})
 }
@@ -313,7 +349,7 @@ func TestDirectWriteExtendsFile(t *testing.T) {
 			t.Errorf("size %d", attr.Size)
 		}
 		f, _ := r.store.Lookup("f")
-		if !bytes.Equal(f.Slice(1<<16, 100), fill) {
+		if !bytes.Equal(stored(f, 1<<16, 100), fill) {
 			t.Error("extended write content mismatch")
 		}
 	})
@@ -478,7 +514,7 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatalf("file size %d", f.Size())
 	}
 	for i := 0; i < nc; i++ {
-		if !bytes.Equal(f.Slice(int64(i)*65536, 65536), pattern(65536, byte(i))) {
+		if !bytes.Equal(stored(f, int64(i)*65536, 65536), pattern(65536, byte(i))) {
 			t.Fatalf("stripe %d corrupted", i)
 		}
 	}
@@ -640,4 +676,14 @@ func TestIdleSessionHoldsNoSlotMemory(t *testing.T) {
 			idle(fmt.Sprintf("after write %d", i))
 		}
 	})
+}
+
+// stored reads n bytes at off straight out of a server's store. The range
+// must lie inside the file, or it panics.
+func stored(f *storage.File, off int64, n int) []byte {
+	b := make([]byte, n)
+	if got := f.ReadAt(b, off); got != n {
+		panic(fmt.Sprintf("stored: %d of %d bytes at %d in %s", got, n, off, f.Name()))
+	}
+	return b
 }

@@ -93,9 +93,11 @@ type respSlot struct {
 }
 
 // workerState is what a worker reuses from one request to the next: the
-// descriptor and the future of the RDMA it drives (one at a time, so one
-// of each) and the segment list of the batch request it serves.
+// registration record, descriptor and future of the RDMA it drives (one at
+// a time, so one of each) and the segment list of the batch request it
+// serves.
 type workerState struct {
+	reg  via.Region
 	d    via.Descriptor
 	done *sim.Future[via.Completion]
 	segs []SegSpec
@@ -552,16 +554,10 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		}
 		n := clampCount(f.Size(), off, count)
 		s.touchDisk(p, off, n)
-		if n > 0 {
-			// Zero server CPU data path: the NIC DMAs straight out of
-			// the (pre-registered) buffer cache into client memory.
-			if st := s.rdma(p, ws, sess, via.OpRDMAWrite, f.Slice(off, n), rhandle, roff); st != StatusOK {
-				return st, reply{}
-			}
-		}
-		s.stats.DirectReads++
-		s.stats.DirectReadBytes += int64(n)
-		return StatusOK, reply{n: uint32(n)}
+		// Zero server CPU data path: a one-segment batch read, gathered
+		// from the buffer cache and DMAed into client memory.
+		seg := [1]SegSpec{{Off: off, Len: n}}
+		return s.execReadBatch(p, ws, sess, f, seg[:], n, rhandle, roff)
 
 	case ProcWriteDirect:
 		f, st := s.file(r)
@@ -577,12 +573,11 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		}
 		if count > 0 {
 			// The NIC pulls data from client memory directly into
-			// buffer-cache pages. A real cache's pages are stable; our
-			// files are contiguous Go slices that move when a request
-			// (this one included) grows the file past its capacity, so
-			// the RDMA lands in a stable staging page set which is
-			// committed to the file atomically (zero time charged: it
-			// models in-place page placement, not a CPU copy).
+			// buffer-cache pages. The RDMA lands in a staging page set
+			// which is committed to the file atomically (zero time
+			// charged: it models in-place page placement, not a CPU
+			// copy), so a concurrent reader never sees a half-placed
+			// write and a failed pull leaves the file untouched.
 			staging := s.getStaging(count)
 			pulled := s.rdma(p, ws, sess, via.OpRDMARead, staging, rhandle, roff)
 			if pulled == StatusOK {
@@ -653,10 +648,10 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 }
 
 // rdma moves len(buf) bytes between buf — pre-registered server memory:
-// buffer-cache pages or staging — and the client's window with one
-// server-driven transfer, and waits for its completion.
+// staging pages standing for the buffer cache — and the client's window
+// with one server-driven transfer, and waits for its completion.
 func (s *Server) rdma(p *sim.Proc, ws *workerState, sess *session, op via.Op, buf []byte, rhandle via.MemHandle, roff int) Status {
-	reg := s.nic.RegisterCached(buf)
+	reg := s.nic.RegisterCachedIn(&ws.reg, buf)
 	defer s.nic.DropCached(reg)
 	ws.done.Reset()
 	ws.d = via.Descriptor{
@@ -693,7 +688,9 @@ func (s *Server) putStaging(b []byte) { s.staging = append(s.staging, b) }
 
 // execReadBatch gathers the requested segments from the buffer cache into
 // staging pages (per-segment DMA in a real filer: zero CPU charge) and
-// delivers everything with one RDMA write into the client's slots.
+// delivers everything with one RDMA write into the client's slots. The
+// read returns the file as it was when the request ran, even if a write
+// lands while the transfer is on the wire.
 func (s *Server) execReadBatch(p *sim.Proc, ws *workerState, sess *session, f *storage.File, segs []SegSpec, total int, rhandle via.MemHandle, roff int) (Status, reply) {
 	staging := s.getStaging(total)
 	defer s.putStaging(staging)

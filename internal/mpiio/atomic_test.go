@@ -45,12 +45,12 @@ func TestAtomicOverlappingWritesNeverTear(t *testing.T) {
 	// The whole strided region must carry exactly one signature: the last
 	// holder of the lock wrote all blocks without interleaving.
 	file, _ := c.Store.Lookup("atomic")
-	sig := file.Slice(0, 1)[0]
+	sig := stored(file, 0, 1)[0]
 	if sig < 1 || sig > nranks {
 		t.Fatalf("bad signature %d", sig)
 	}
 	for b := 0; b < blocks; b++ {
-		blk := file.Slice(int64(b)*2*bs, bs)
+		blk := stored(file, int64(b)*2*bs, bs)
 		for _, v := range blk {
 			if v != sig {
 				t.Fatalf("block %d torn: found %d among %d", b, v, sig)
@@ -86,7 +86,7 @@ func TestNonAtomicOverlappingWritesMayTear(t *testing.T) {
 	file, _ := c.Store.Lookup("loose")
 	sigs := map[byte]bool{}
 	for b := 0; b < blocks; b++ {
-		sigs[file.Slice(int64(b)*2*bs, 1)[0]] = true
+		sigs[stored(file, int64(b)*2*bs, 1)[0]] = true
 	}
 	if len(sigs) < 2 {
 		t.Skip("writers happened not to interleave in this schedule")

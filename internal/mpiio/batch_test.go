@@ -48,7 +48,7 @@ func TestBatchListEquivalence(t *testing.T) {
 			}
 			readBack = got
 			file, _ := c.Store.Lookup("b")
-			fileBytes = append([]byte(nil), file.Slice(0, int(file.Size()))...)
+			fileBytes = stored(file, 0, int(file.Size()))
 		})
 		return fileBytes, readBack
 	}

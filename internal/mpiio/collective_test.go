@@ -97,7 +97,7 @@ func TestCollectiveWriteReadRoundTrip(t *testing.T) {
 				rank := blk % nranks
 				tile := blk / nranks
 				want := rankPattern(blockSize*blocks, rank, 1)[tile*blockSize : (tile+1)*blockSize]
-				got := file.Slice(int64(blk)*blockSize, blockSize)
+				got := stored(file, int64(blk)*blockSize, blockSize)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("physical block %d (rank %d tile %d) mismatch", blk, rank, tile)
 				}
@@ -140,7 +140,7 @@ func TestCollectiveMatchesIndependent(t *testing.T) {
 	if fa.Size() != fb.Size() {
 		t.Fatalf("sizes differ: %d vs %d", fa.Size(), fb.Size())
 	}
-	if !bytes.Equal(fa.Slice(0, int(fa.Size())), fb.Slice(0, int(fb.Size()))) {
+	if !bytes.Equal(stored(fa, 0, int(fa.Size())), stored(fb, 0, int(fb.Size()))) {
 		t.Fatal("collective and independent writes produced different files")
 	}
 }
@@ -319,7 +319,7 @@ func TestCollectiveOverlappingWritesLastWinsDeterministically(t *testing.T) {
 			f.Close(p)
 		})
 		file, _ := c.Store.Lookup("ovl")
-		return file.Slice(0, 1)[0]
+		return stored(file, 0, 1)[0]
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("overlapping collective writes nondeterministic: %d vs %d", a, b)

@@ -7,6 +7,7 @@ import (
 
 	"dafsio/internal/cluster"
 	"dafsio/internal/sim"
+	"dafsio/internal/storage"
 )
 
 // driverCase runs a serial (rank-less) scenario against each driver so the
@@ -535,4 +536,14 @@ func TestManyFilesOneSession(t *testing.T) {
 			f.Close(p)
 		}
 	})
+}
+
+// stored reads n bytes at off straight out of a server's store. The range
+// must lie inside the file, or it panics.
+func stored(f *storage.File, off int64, n int) []byte {
+	b := make([]byte, n)
+	if got := f.ReadAt(b, off); got != n {
+		panic(fmt.Sprintf("stored: %d of %d bytes at %d in %s", got, n, off, f.Name()))
+	}
+	return b
 }

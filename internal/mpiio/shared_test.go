@@ -69,7 +69,7 @@ func TestWriteSharedDisjoint(t *testing.T) {
 	// exactly twice.
 	counts := map[byte]int{}
 	for b := 0; b < nranks*2; b++ {
-		blk := file.Slice(int64(b)*chunk, chunk)
+		blk := stored(file, int64(b)*chunk, chunk)
 		sig := blk[0]
 		if sig < 1 || sig > nranks {
 			t.Fatalf("block %d has bad signature %d", b, sig)
@@ -135,7 +135,7 @@ func TestWriteOrdered(t *testing.T) {
 	want = append(want, bytes.Repeat([]byte{'B'}, 200)...)
 	want = append(want, bytes.Repeat([]byte{'C'}, 300)...)
 	for round := int64(0); round < 2; round++ {
-		if !bytes.Equal(file.Slice(round*roundLen, int(roundLen)), want) {
+		if !bytes.Equal(stored(file, round*roundLen, int(roundLen)), want) {
 			t.Fatalf("round %d not in rank order", round)
 		}
 	}
@@ -171,7 +171,7 @@ func TestSharedPointerWithView(t *testing.T) {
 		{0, 100, 1}, {200, 50, 1}, {250, 50, 2}, {400, 100, 2},
 	}
 	for _, ck := range checks {
-		blk := file.Slice(ck.off, int(ck.n))
+		blk := stored(file, ck.off, int(ck.n))
 		for _, v := range blk {
 			if v != ck.sig {
 				t.Fatalf("bytes at %d not from rank %d: %v", ck.off, ck.sig-1, blk[:8])
@@ -179,7 +179,7 @@ func TestSharedPointerWithView(t *testing.T) {
 		}
 	}
 	// The hole between the ranks' view data stays zero.
-	if file.Slice(100, 1)[0] != 0 {
+	if stored(file, 100, 1)[0] != 0 {
 		t.Fatal("view hole written")
 	}
 }

@@ -221,7 +221,7 @@ func TestConcurrentMounts(t *testing.T) {
 		t.Fatalf("size %d", f.Size())
 	}
 	for i := 0; i < nc; i++ {
-		if !bytes.Equal(f.Slice(int64(i)*50000, 50000), pat(50000, byte(i))) {
+		if !bytes.Equal(stored(f, int64(i)*50000, 50000), pat(50000, byte(i))) {
 			t.Fatalf("stripe %d corrupted", i)
 		}
 	}
@@ -278,4 +278,14 @@ func TestUncachedServerSlower(t *testing.T) {
 	if cached, uncached := measure(false), measure(true); uncached <= cached {
 		t.Fatalf("uncached %v not slower than cached %v", uncached, cached)
 	}
+}
+
+// stored reads n bytes at off straight out of a server's store. The range
+// must lie inside the file, or it panics.
+func stored(f *storage.File, off int64, n int) []byte {
+	b := make([]byte, n)
+	if got := f.ReadAt(b, off); got != n {
+		panic(fmt.Sprintf("stored: %d of %d bytes at %d in %s", got, n, off, f.Name()))
+	}
+	return b
 }

@@ -36,11 +36,21 @@ func NewStore() *Store {
 	return &Store{files: make(map[string]*File), byID: make(map[FileID]*File)}
 }
 
-// File is a byte-addressed file.
+// pageSize is the size of one buffer-cache page of a file.
+const pageSize = 1 << 20
+
+// indexRoom is how many pages a file's page index has room for when it
+// first grows, so that files of up to 64 MB never regrow it.
+const indexRoom = 64
+
+// File is a byte-addressed file held in fixed pages of the buffer cache.
+// A page is allocated the first time a write touches it and never moves;
+// a nil page is a hole and reads as zeros.
 type File struct {
-	id   FileID
-	name string
-	data []byte
+	id    FileID
+	name  string
+	size  int64
+	pages [][]byte // page i holds bytes [i*pageSize, (i+1)*pageSize)
 }
 
 // Create makes a new empty file. It fails with ErrExists if the name is
@@ -98,66 +108,78 @@ func (f *File) ID() FileID { return f.id }
 func (f *File) Name() string { return f.name }
 
 // Size returns the file length in bytes.
-func (f *File) Size() int64 { return int64(len(f.data)) }
+func (f *File) Size() int64 { return f.size }
 
 // ReadAt copies file content at off into b and returns the byte count; a
 // read past EOF returns a short (possibly zero) count.
 func (f *File) ReadAt(b []byte, off int64) int {
-	if off < 0 || off >= int64(len(f.data)) {
+	if off < 0 || off >= f.size {
 		return 0
 	}
-	return copy(b, f.data[off:])
+	b = b[:min(int64(len(b)), f.size-off)]
+	for done := 0; done < len(b); {
+		i, o := locate(off + int64(done))
+		rest := b[done:min(len(b), done+pageSize-o)]
+		if i < len(f.pages) && f.pages[i] != nil {
+			copy(rest, f.pages[i][o:])
+		} else {
+			clear(rest)
+		}
+		done += len(rest)
+	}
+	return len(b)
 }
 
-// WriteAt stores b at off, growing (zero-filling) the file as needed.
+// WriteAt stores b at off, growing the file as needed; the bytes between
+// the old end and off read as zeros.
 func (f *File) WriteAt(b []byte, off int64) int {
 	if off < 0 {
 		return 0
 	}
-	end := off + int64(len(b))
-	f.ensure(end)
-	return copy(f.data[off:], b)
+	for done := 0; done < len(b); {
+		i, o := locate(off + int64(done))
+		done += copy(f.page(i)[o:], b[done:])
+	}
+	f.size = max(f.size, off+int64(len(b)))
+	return len(b)
 }
 
-// Truncate sets the file length, growing with zeros or discarding the tail.
+// Truncate sets the file length. Growing only moves the end: the new
+// range is a hole. Shrinking drops every page past the new end and clears
+// the tail of the last page kept, so a later grow reads zeros there.
 func (f *File) Truncate(n int64) {
-	if n < 0 {
-		n = 0
+	n = max(n, 0)
+	if n < f.size {
+		keep := int((n + pageSize - 1) / pageSize)
+		if keep < len(f.pages) {
+			clear(f.pages[keep:])
+			f.pages = f.pages[:keep]
+		}
+		if i, o := locate(n); o > 0 && i < len(f.pages) && f.pages[i] != nil {
+			clear(f.pages[i][o:])
+		}
 	}
-	if int64(len(f.data)) >= n {
-		clear(f.data[n:]) // keep the spare capacity zero for the next grow
-		f.data = f.data[:n]
-		return
-	}
-	f.ensure(n)
+	f.size = n
 }
 
-// ensure grows the file to at least n bytes. Capacity at least doubles
-// whenever the object has to move, so appending n bytes in any number of
-// calls allocates O(n) bytes in O(log n) moves instead of recopying the
-// whole object per call. Bytes between length and capacity are always zero
-// (a fresh allocation is, and Truncate clears what it cuts off), so growing
-// within capacity is a reslice.
-func (f *File) ensure(n int64) {
-	if int64(len(f.data)) >= n {
-		return
-	}
-	if int64(cap(f.data)) < n {
-		grown := make([]byte, n, max(n, 2*int64(cap(f.data))))
-		copy(grown, f.data)
-		f.data = grown
-		return
-	}
-	f.data = f.data[:n]
+// locate splits a file offset into a page number and an offset in it.
+func locate(off int64) (int, int) {
+	return int(off / pageSize), int(off % pageSize)
 }
 
-// Slice exposes the file's bytes in [off, off+n) for zero-copy transfer
-// (the server's pre-registered buffer cache). The range must be in bounds.
-// The result aliases the object as it is now: it keeps seeing writes until
-// a grow past capacity moves the object, after which it is a snapshot of
-// the old pages. Its own range never changes under an append either way.
-func (f *File) Slice(off int64, n int) []byte {
-	return f.data[:len(f.data):len(f.data)][off : off+int64(n)] // bounds are the length, not the spare capacity
+// page returns page i, allocating it, and room for it in the index, on
+// first touch.
+func (f *File) page(i int) []byte {
+	if i >= len(f.pages) {
+		if f.pages == nil {
+			f.pages = make([][]byte, 0, max(i+1, indexRoom))
+		}
+		f.pages = append(f.pages, make([][]byte, i+1-len(f.pages))...)
+	}
+	if f.pages[i] == nil {
+		f.pages[i] = make([]byte, pageSize)
+	}
+	return f.pages[i]
 }
 
 // Disk models the backing spindle for uncached experiments: a single arm

@@ -3,8 +3,10 @@ package storage
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dafsio/internal/sim"
 )
@@ -144,70 +146,51 @@ func TestSizeProperty(t *testing.T) {
 	}
 }
 
-func TestSliceZeroCopy(t *testing.T) {
-	s := NewStore()
-	f, _ := s.Create("f")
-	f.WriteAt([]byte("abcdef"), 0)
-	sl := f.Slice(2, 3)
-	if string(sl) != "cde" {
-		t.Fatalf("slice %q", sl)
-	}
-	sl[0] = 'X' // writes through to the file (buffer-cache semantics)
-	buf := make([]byte, 6)
-	f.ReadAt(buf, 0)
-	if string(buf) != "abXdef" {
-		t.Fatalf("after slice write: %q", buf)
-	}
-}
-
-// Appending 64 KB x 512 moves the object O(log n) times and allocates at
-// most 3x its final size (the parent reallocated on every call: 512 moves,
-// 8 GB). The bytes are counted twice over: as capacities the object moved
-// to, and as what the runtime handed out, so a copy that does not show as a
-// capacity change cannot hide.
-func TestAppendGrowsGeometrically(t *testing.T) {
+// Appending 64 KB x 512 allocates each page once and never moves it: the
+// runtime hands out at most the final size plus one page and the page
+// index, however many calls built the file.
+func TestAppendAllocatesOnlyItsPages(t *testing.T) {
 	const chunk, calls = 64 << 10, 512
 	s := NewStore()
 	f, _ := s.Create("f")
 	data := bytes.Repeat([]byte{0xA5}, chunk)
-	moves, capacities := 0, int64(0)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	for i := 0; i < calls; i++ {
-		before := cap(f.data)
+	f.WriteAt(data, 0)
+	first := &f.pages[0][0]
+	for i := 1; i < calls; i++ {
 		f.WriteAt(data, f.Size())
-		if c := cap(f.data); c != before {
-			moves++
-			capacities += int64(c)
-		}
 	}
 	runtime.ReadMemStats(&m1)
 	final := int64(chunk * calls)
 	if f.Size() != final {
 		t.Fatalf("size %d, want %d", f.Size(), final)
 	}
-	if moves > 10 { // log2(512) + 1
-		t.Errorf("object moved %d times over %d appends, want O(log n)", moves, calls)
+	if &f.pages[0][0] != first {
+		t.Error("the first page moved while the file grew")
 	}
-	if allocated := int64(m1.TotalAlloc - m0.TotalAlloc); capacities > 3*final || allocated > 3*final {
-		t.Errorf("a %d-byte object cost %d bytes of capacity and %d bytes allocated, want <= 3x", final, capacities, allocated)
+	index := int64(indexRoom) * int64(unsafe.Sizeof(f.pages[0]))
+	if allocated := int64(m1.TotalAlloc - m0.TotalAlloc); allocated > final+pageSize+index {
+		t.Errorf("a %d-byte file allocated %d bytes, want <= %d (the file, one page and the index)", final, allocated, final+pageSize+index)
+	}
+	got := make([]byte, chunk)
+	for off := int64(0); off < final; off += chunk {
+		if n := f.ReadAt(got, off); n != chunk || !bytes.Equal(got, data) {
+			t.Fatalf("read-back at %d: n=%d", off, n)
+		}
 	}
 }
 
-// Spare capacity never leaks old content: whatever a Truncate cut off reads
-// back as zeros when the file grows over it again, by Truncate or by a
-// write past the new end.
+// Whatever a Truncate cut off reads back as zeros when the file grows over
+// it again, by Truncate or by a write past the new end, within a page and
+// across the pages it dropped.
 func TestRegrowAfterTruncateReadsZeros(t *testing.T) {
 	s := NewStore()
 	f, _ := s.Create("f")
 	f.WriteAt(bytes.Repeat([]byte{0xFF}, 4096), 0)
-	capBefore := cap(f.data)
 
 	f.Truncate(100)
 	f.Truncate(4096)
-	if cap(f.data) != capBefore {
-		t.Fatalf("regrow within capacity moved the object (cap %d -> %d): the stale-capacity case is not exercised", capBefore, cap(f.data))
-	}
 	got := make([]byte, 4096)
 	f.ReadAt(got, 0)
 	if !bytes.Equal(got[:100], bytes.Repeat([]byte{0xFF}, 100)) || !bytes.Equal(got[100:], make([]byte, 3996)) {
@@ -225,47 +208,144 @@ func TestRegrowAfterTruncateReadsZeros(t *testing.T) {
 	if !bytes.Equal(got[100:3000], make([]byte, 2900)) || !bytes.Equal(got[3000:], []byte{1, 2, 3}) {
 		t.Fatal("WriteAt past a truncated tail exposed stale bytes in the hole")
 	}
-}
 
-// A Slice taken before a grow that fits the capacity is still the file's
-// own memory afterwards; one taken before a grow that moves the object is a
-// snapshot. Either way its own range reads the same.
-func TestSliceAcrossGrow(t *testing.T) {
-	s := NewStore()
-	f, _ := s.Create("f")
-	f.WriteAt([]byte("abcdef"), 0)
-	f.WriteAt([]byte("g"), 6) // moves: capacity is now >= 12
-	if cap(f.data) < 12 {
-		t.Fatalf("cap %d after growing 6 -> 7, want doubling", cap(f.data))
+	const size = 3*pageSize + 10
+	f.WriteAt(bytes.Repeat([]byte{0xFF}, size), 0)
+	f.Truncate(pageSize + 100)
+	if len(f.pages) != 2 || slices.ContainsFunc(f.pages[2:cap(f.pages)], func(p []byte) bool { return p != nil }) {
+		t.Fatalf("Truncate to 1 page + 100 B kept %d pages and still holds later ones", len(f.pages))
 	}
-	sl := f.Slice(2, 3)
-	f.WriteAt([]byte("hij"), 7) // in-capacity grow
-	f.WriteAt([]byte("X"), 2)
-	if string(sl) != "Xde" {
-		t.Fatalf("slice %q after an in-capacity grow, want the live bytes \"Xde\"", sl)
-	}
-	f.WriteAt(make([]byte, 1<<10), 10) // moves the object
-	f.WriteAt([]byte("Y"), 2)
-	if string(sl) != "Xde" {
-		t.Fatalf("slice %q after the object moved, want the snapshot \"Xde\"", sl)
-	}
-	if got := f.Slice(2, 3); string(got) != "Yde" {
-		t.Fatalf("fresh slice %q, want \"Yde\"", got)
+	f.Truncate(size)
+	got = make([]byte, size)
+	f.ReadAt(got, 0)
+	if !bytes.Equal(got[:pageSize+100], bytes.Repeat([]byte{0xFF}, pageSize+100)) || !bytes.Equal(got[pageSize+100:], make([]byte, size-pageSize-100)) {
+		t.Fatal("regrowing over dropped pages exposed stale bytes")
 	}
 }
 
-// Slice is bounded by the file's length, not by its spare capacity.
-func TestSlicePastEOFPanics(t *testing.T) {
+// Growing by Truncate only moves the end: a 1 GB file costs less than one
+// page, and its bytes read as zeros.
+func TestTruncateUpAllocatesNoPages(t *testing.T) {
 	s := NewStore()
 	f, _ := s.Create("f")
-	f.WriteAt(make([]byte, 100), 0)
-	f.WriteAt(make([]byte, 1), 100) // capacity 200, length 101
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Slice into spare capacity did not panic")
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f.Truncate(1 << 30)
+	runtime.ReadMemStats(&m1)
+	if allocated := m1.TotalAlloc - m0.TotalAlloc; allocated >= pageSize {
+		t.Fatalf("a 1 GB Truncate allocated %d bytes, want less than a page (%d)", allocated, pageSize)
+	}
+	if f.Size() != 1<<30 {
+		t.Fatalf("size %d, want 1 GB", f.Size())
+	}
+	got := bytes.Repeat([]byte{0xFF}, 4096)
+	if n := f.ReadAt(got, 1<<30-100); n != 100 || !bytes.Equal(got[:100], make([]byte, 100)) {
+		t.Fatalf("tail of a truncated-up file: n=%d, want 100 zeros", n)
+	}
+}
+
+// A page no write touched is a hole: it holds no memory and reads as
+// zeros, alone or between pages that hold data.
+func TestHolesReadZeros(t *testing.T) {
+	s := NewStore()
+	f, _ := s.Create("f")
+	f.WriteAt([]byte("head"), 0)
+	f.WriteAt([]byte("tail"), 3*pageSize)
+	if f.pages[1] != nil || f.pages[2] != nil {
+		t.Fatal("a write past a hole allocated the pages in between")
+	}
+	got := bytes.Repeat([]byte{0xFF}, 3*pageSize+4)
+	if n := f.ReadAt(got, 0); n != len(got) {
+		t.Fatalf("ReadAt = %d, want %d", n, len(got))
+	}
+	if string(got[:4]) != "head" || string(got[3*pageSize:]) != "tail" {
+		t.Fatalf("data around the hole: %q ... %q", got[:4], got[3*pageSize:])
+	}
+	if !bytes.Equal(got[4:3*pageSize], make([]byte, 3*pageSize-4)) {
+		t.Fatal("the hole did not read as zeros")
+	}
+}
+
+// Writes and reads that straddle page boundaries, by a few bytes and by
+// more than a page, land and read back whole.
+func TestPageStraddle(t *testing.T) {
+	s := NewStore()
+	f, _ := s.Create("f")
+	small := []byte("0123456789")
+	f.WriteAt(small, pageSize-4)
+	big := make([]byte, 2*pageSize+20)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	f.WriteAt(big, 2*pageSize-10)
+
+	got := make([]byte, len(small))
+	if n := f.ReadAt(got, pageSize-4); n != len(small) || !bytes.Equal(got, small) {
+		t.Fatalf("straddling read %q (n=%d), want %q", got, n, small)
+	}
+	got = make([]byte, len(big))
+	if n := f.ReadAt(got, 2*pageSize-10); n != len(big) || !bytes.Equal(got, big) {
+		t.Fatalf("read across three pages: n=%d, content differs", n)
+	}
+	if f.Size() != 4*pageSize+10 {
+		t.Fatalf("size %d, want %d", f.Size(), 4*pageSize+10)
+	}
+	// A read that straddles the end of the file stops there.
+	got = make([]byte, 100)
+	if n := f.ReadAt(got, 4*pageSize-20); n != 30 || !bytes.Equal(got[:30], big[len(big)-30:]) {
+		t.Fatalf("read across EOF: n=%d", n)
+	}
+}
+
+// FuzzFile runs a sequence of WriteAt, Truncate and ReadAt calls on a File
+// and on a flat []byte reference, and checks that they agree after every
+// step. Each call is six input bytes: the operation, a page number, a
+// signed offset from that page's start (so sequences reach page
+// boundaries from both sides) and a length.
+func FuzzFile(f *testing.F) {
+	f.Add([]byte{0, 1, 0xFF, 0xF0, 0x01, 0x00, 2, 1, 0xFF, 0xF8, 0x00, 0x40})
+	f.Add([]byte{0, 0, 0, 0, 0xFF, 0xFF, 1, 0, 0, 0x10, 0, 0, 1, 3, 0, 0, 0, 0, 2, 0, 0, 0, 0xFF, 0xFF})
+	f.Add([]byte{0, 2, 0x00, 0x10, 0x00, 0x20, 1, 1, 0x00, 0x08, 0, 0, 0, 3, 0xFF, 0xFF, 0x00, 0x10, 2, 1, 0xFF, 0x00, 0x10, 0x00})
+	f.Add([]byte{1, 3, 0x7F, 0xFF, 0, 0, 2, 2, 0, 0, 0x80, 0x00, 1, 0, 0x00, 0x05, 0, 0, 0, 0, 0x00, 0x03, 0x00, 0x04})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := NewStore()
+		file, _ := s.Create("f")
+		var ref []byte
+		for step := 0; len(ops) >= 6; step, ops = step+1, ops[6:] {
+			off := max(0, int64(ops[1]%4)*pageSize+int64(int16(ops[2])<<8|int16(ops[3])))
+			n := int(ops[4])<<8 | int(ops[5])
+			switch ops[0] % 3 {
+			case 0:
+				b := bytes.Repeat([]byte{byte(step + 1)}, n)
+				if got := file.WriteAt(b, off); got != n {
+					t.Fatalf("step %d: WriteAt(%d B, %d) = %d", step, n, off, got)
+				}
+				if end := off + int64(n); end > int64(len(ref)) {
+					ref = append(ref, make([]byte, end-int64(len(ref)))...)
+				}
+				copy(ref[off:], b)
+			case 1:
+				file.Truncate(off)
+				if off > int64(len(ref)) {
+					ref = append(ref, make([]byte, off-int64(len(ref)))...)
+				}
+				ref = ref[:off:off]
+			case 2:
+				got := bytes.Repeat([]byte{0xEE}, n)
+				want := int(min(int64(n), max(0, int64(len(ref))-off)))
+				if k := file.ReadAt(got, off); k != want || k > 0 && !bytes.Equal(got[:k], ref[off:off+int64(k)]) {
+					t.Fatalf("step %d: ReadAt(%d B, %d) = %d, want %d (or content differs)", step, n, off, k, want)
+				}
+			}
+			if file.Size() != int64(len(ref)) {
+				t.Fatalf("step %d: size %d, want %d", step, file.Size(), len(ref))
+			}
 		}
-	}()
-	f.Slice(100, 50)
+		all := make([]byte, len(ref))
+		if n := file.ReadAt(all, 0); n != len(ref) || !bytes.Equal(all, ref) {
+			t.Fatalf("final content differs from the reference (n=%d of %d)", n, len(ref))
+		}
+	})
 }
 
 func TestDiskTiming(t *testing.T) {

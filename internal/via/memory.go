@@ -64,7 +64,22 @@ func (n *NIC) Deregister(p *sim.Proc, r *Region) {
 // pre-registers its buffer cache at boot so per-request registration never
 // appears on the data path. Use DropCached to release it.
 func (n *NIC) RegisterCached(buf []byte) *Region {
-	return n.install(&Region{buf: buf})
+	return n.RegisterCachedIn(new(Region), buf)
+}
+
+// RegisterCachedIn is RegisterCached into a record the caller owns, so a
+// caller that registers one window at a time reuses one record instead of
+// allocating one per registration. The record must not be registered:
+// one that was is reusable once DropCached or Deregister has released it.
+// Each registration gets a fresh handle, so a peer still naming an old one
+// is refused; a local descriptor holds the record itself, so the caller
+// must have none outstanding over it when it reuses the record.
+func (n *NIC) RegisterCachedIn(r *Region, buf []byte) *Region {
+	if r.Valid() {
+		panic("via: RegisterCachedIn of a registered region")
+	}
+	*r = Region{buf: buf}
+	return n.install(r)
 }
 
 // RegisterCachedRing is RegisterRing with no CPU cost, for rings set up out

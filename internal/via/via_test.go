@@ -419,6 +419,51 @@ func TestRegistrationCostCharged(t *testing.T) {
 	}
 }
 
+// A record registered again after DropCached gets a fresh handle: a peer
+// still naming the old one is refused, and the NIC counts one live
+// registration. A record that is still registered cannot be reused.
+func TestRegisterCachedInReusesRecord(t *testing.T) {
+	p2 := newPair(model.CLAN1998())
+	base := p2.nicB.Regions()
+	var rec Region
+	old := p2.nicB.RegisterCachedIn(&rec, make([]byte, 64)).Handle
+	p2.nicB.DropCached(&rec)
+	target := make([]byte, 64)
+	if r := p2.nicB.RegisterCachedIn(&rec, target); r != &rec || r.Handle == old || !r.Valid() {
+		t.Fatalf("re-registered record: %p (want %p), handle %d (old %d), valid %v", r, &rec, r.Handle, old, r.Valid())
+	}
+	if n := p2.nicB.Regions() - base; n != 1 {
+		t.Fatalf("%d live registrations after reuse, want 1", n)
+	}
+	p2.k.Spawn("writer", func(p *sim.Proc) {
+		r := p2.nicA.Register(p, make([]byte, 64))
+		fill(r.Bytes(), 5)
+		for _, tc := range []struct {
+			h    MemHandle
+			want error
+		}{{old, ErrProtection}, {rec.Handle, nil}} {
+			p2.viA.PostSend(p, &Descriptor{Op: OpRDMAWrite, Region: r, Len: 64, RemoteHandle: tc.h})
+			if c := p2.viA.SendCQ.Wait(p); c.Err != tc.want {
+				t.Errorf("rdma write to handle %d: %v, want %v", tc.h, c.Err, tc.want)
+			}
+		}
+	})
+	if err := p2.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 64)
+	fill(want, 5)
+	if !bytes.Equal(target, want) {
+		t.Error("rdma write through the new handle did not land")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RegisterCachedIn of a registered record did not panic")
+		}
+	}()
+	p2.nicB.RegisterCachedIn(&rec, make([]byte, 64))
+}
+
 func TestSenderCPUFreeDuringTransfer(t *testing.T) {
 	// The OS-bypass claim: after the doorbell, the host CPU does nothing
 	// while the NIC moves a megabyte.
