@@ -54,8 +54,8 @@ func TestOutputs(t *testing.T) {
 		}
 	}
 	for _, d := range []struct{ what, path, kernel, model string }{
-		{"stat T16 JSON export", json, "b6875208588c9cf0e09e16a3c5a78ff84c4f63a98ae34064e79529901417a20d", "6e4e4a8f4b31ffca3c1aebaf978788ccebfa99d7095c1f70d5b108e9db8a2fdf"},
-		{"stat T19 JSON export", json19, "b17a3668acaeddddace4b8d74dc378e835b8eb6f53bfee5fb950c54b4b390766", "a5266a312b1c801202169de5c1f152590bbf4bf22e7abc780c6abd708cbffeee"},
+		{"stat T16 JSON export", json, "e7023dd5cd744c6cf8f4669236d2e31484b4fb23024737359d9ccd44f2479560", "6e4e4a8f4b31ffca3c1aebaf978788ccebfa99d7095c1f70d5b108e9db8a2fdf"},
+		{"stat T19 JSON export", json19, "607896a3d8646f493736f351f049020c55b40925a328183c0304cf6ab28c1702", "a5266a312b1c801202169de5c1f152590bbf4bf22e7abc780c6abd708cbffeee"},
 	} {
 		kernel, model := statDigests(t, d.path)
 		if kernel != d.kernel {

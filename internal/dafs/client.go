@@ -91,8 +91,10 @@ type slotPool[S any] struct {
 	ready *sim.Chan[struct{}] // one token per idle slot: where get parks
 }
 
-func newSlotPool[S any](k *sim.Kernel, slots int) slotPool[S] {
-	return slotPool[S]{idle: make([]S, 0, slots), ready: sim.NewChan[struct{}](k, 0)}
+// newSlotPool makes a pool over room, an empty slice with room for every
+// slot, which the session owns.
+func newSlotPool[S any](k *sim.Kernel, room []S) slotPool[S] {
+	return slotPool[S]{idle: room, ready: sim.NewChan[struct{}](k, 0)}
 }
 
 func (sp *slotPool[S]) get(p *sim.Proc) S {
@@ -203,16 +205,23 @@ type Client struct {
 	opts Options
 
 	vi      *via.VI
-	cq      *via.CQ
+	cq      *via.CQ // a notify queue: dispatch runs on its completions
 	credits *sim.Resource
 	reqPool slotPool[*slot]
 
-	// Session-owned registrations backing the request and response slot
-	// pools. Dial tears them down on its error paths and Redial on the
-	// session it replaces; Deregister is idempotent, so a double teardown
-	// (failed dial followed by redial) is harmless.
-	reqReg  *via.Region
-	respReg *via.Region
+	// The session's rings, registered into records it owns: one for
+	// requests and one for responses, with their slot tables, the slots
+	// (request i at 2i, response i at 2i+1) and the request pool's room. A
+	// dial allocates them with the Client, not per slot. Dial tears the
+	// rings down on its error paths and Redial on the session it
+	// replaces; Deregister is idempotent, so a double teardown (failed
+	// dial followed by redial) is harmless. Redial builds a new Client,
+	// so no record is registered twice and a stale descriptor still finds
+	// its region invalid.
+	reqReg, respReg     via.Region
+	reqTable, respTable [credits][]byte
+	slots               [2 * credits]slot
+	reqIdle             [credits]*slot
 
 	pending   map[uint32]*Call
 	nextXID   uint32
@@ -252,7 +261,11 @@ type clientMetrics struct {
 }
 
 // newClientMetrics registers (or re-attaches) the per-node instruments.
+// With metrics off it names nothing: the zero instruments are no-ops.
 func newClientMetrics(reg *metrics.Registry, node string) clientMetrics {
+	if reg == nil {
+		return clientMetrics{}
+	}
 	pre := "dafs.client." + node + "."
 	return clientMetrics{
 		ops:        reg.SharedCounter(pre + "ops"),
@@ -286,10 +299,10 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 		traceServer: -1,
 	}
 	c.m = newClientMetrics(prov.Metrics, nic.Node.Name)
-	c.cq = nic.NewCQ(nic.Node.Name + ".dafs.cq")
+	c.cq = nic.NewNotifyCQ(nic.Node.Name+".dafs.cq", c.dispatch)
 	c.vi = nic.NewVI(c.cq, c.cq)
 	c.credits = sim.NewResource(c.k, nic.Node.Name+".dafs.credits", credits)
-	c.reqPool = newSlotPool[*slot](c.k, credits)
+	c.reqPool = newSlotPool(c.k, c.reqIdle[:0])
 
 	// Connection management is out of band in VIA; model it as one round
 	// trip plus the server-side session setup cost.
@@ -306,21 +319,19 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	// (pre-posted receives). The session owns both regions; every error path
 	// below must unregister them or the pinned windows leak for the rest of
 	// the run.
-	c.reqReg = nic.RegisterRing(p, credits, c.slotSize)
-	c.respReg = nic.RegisterRing(p, credits, c.slotSize)
-	slots := make([]slot, 2*credits)
+	nic.RegisterRing(p, &c.reqReg, c.reqTable[:], c.slotSize)
+	nic.RegisterRing(p, &c.respReg, c.respTable[:], c.slotSize)
 	for i := 0; i < credits; i++ {
-		qs, rs := &slots[2*i], &slots[2*i+1]
-		qs.reg, qs.i = c.reqReg, i
+		qs, rs := &c.slots[2*i], &c.slots[2*i+1]
+		qs.reg, qs.i = &c.reqReg, i
 		c.reqPool.put(qs)
-		rs.reg, rs.i = c.respReg, i
-		rs.desc = via.Descriptor{Region: c.respReg, Offset: i * c.slotSize, Len: c.slotSize, Ctx: rs}
+		rs.reg, rs.i = &c.respReg, i
+		rs.desc = via.Descriptor{Region: &c.respReg, Offset: i * c.slotSize, Len: c.slotSize, Ctx: rs}
 		if err := c.vi.PostRecv(p, &rs.desc); err != nil {
 			c.unregister(p)
 			return nil, err
 		}
 	}
-	c.k.SpawnDaemon(nic.Node.Name+".dafs.dispatch", c.dispatch)
 
 	// Protocol-level CONNECT.
 	var gotCredits, gotInline int
@@ -353,12 +364,8 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 // outstanding descriptors over the regions complete with ErrInvalidRegion,
 // which is the intended fate of traffic on a torn-down session.
 func (c *Client) unregister(p *sim.Proc) {
-	if c.reqReg != nil {
-		c.nic.Deregister(p, c.reqReg)
-	}
-	if c.respReg != nil {
-		c.nic.Deregister(p, c.respReg)
-	}
+	c.nic.Deregister(p, &c.reqReg)
+	c.nic.Deregister(p, &c.respReg)
 }
 
 // NIC returns the client's VIA NIC (for registering user buffers used in
@@ -398,67 +405,65 @@ func (c *Client) MaxBatch() int {
 func (c *Client) Stats() ClientStats { return c.stats }
 
 // dispatch is the session's completion handler: it routes responses to
-// waiting calls, recycles request buffers, and re-posts receives.
-func (c *Client) dispatch(p *sim.Proc) {
-	for {
-		comp := c.cq.Wait(p)
-		switch comp.Op {
-		case via.OpSend:
-			s := comp.Desc.Ctx.(*slot)
-			if comp.Err != nil {
-				c.fail(comp.Err)
-			}
-			s.release(comp.Desc.Len)
-			c.reqPool.put(s)
-		case via.OpRecv:
-			s := comp.Desc.Ctx.(*slot)
-			if comp.Err != nil {
-				c.fail(comp.Err)
-				continue
-			}
-			msg := s.bytes()[:comp.Len]
-			hdr, err := decodeHeader(msg)
-			if err != nil {
-				c.fail(err)
-				continue
-			}
-			var callOp trace.OpID
-			if call := c.pending[hdr.XID]; call != nil {
-				callOp = call.op
-				// The body leaves the slot now, while the call is known to
-				// be pending: once the charges below yield, its deadline
-				// may fail it and its caller recycle it.
-				call.save(hdr.Status, msg[HeaderLen:HeaderLen+int(hdr.BodyLen)])
-			}
-			s.release(comp.Len) // the message is dead once saved
-			t0 := p.Now()
-			c.node.Compute(p, c.prof.MarshalCost)
-			if hdr.BodyLen > 0 {
-				// Copying the payload out of the registered receive
-				// buffer: the inline path's receive-side copy.
-				c.node.Compute(p, c.prof.CopyTime(int(hdr.BodyLen)))
-			}
-			c.tr.Charge(callOp, trace.CatClientCPU, p.Now()-t0)
-			if err := c.vi.PostRecv(p, &s.desc); err != nil {
-				c.fail(err)
-			}
-			// The charges above yield. If the call's deadline fired in one
-			// of them (or the re-post failed the session), fail() has
-			// already completed the call and released its credit: the
-			// response is late and is dropped.
-			call := c.pending[hdr.XID]
-			delete(c.pending, hdr.XID)
-			if call != nil {
-				// The credit frees when the response arrives, not when
-				// the issuer collects it — a caller pipelining more
-				// requests than credits must not deadlock against
-				// itself.
-				c.credits.Release(1)
-				c.m.credits.Add(-1)
-				c.m.callNs.Observe(int64(p.Now() - call.issued))
-				c.tr.End(call.op)
-				call.fut.Set(hdr.Status.Err())
-			}
+// waiting calls, recycles request buffers, and re-posts receives. It runs
+// on the notify queue's drain proc, one completion at a time.
+func (c *Client) dispatch(p *sim.Proc, comp via.Completion) {
+	switch comp.Op {
+	case via.OpSend:
+		s := comp.Desc.Ctx.(*slot)
+		if comp.Err != nil {
+			c.fail(comp.Err)
+		}
+		s.release(comp.Desc.Len)
+		c.reqPool.put(s)
+	case via.OpRecv:
+		s := comp.Desc.Ctx.(*slot)
+		if comp.Err != nil {
+			c.fail(comp.Err)
+			return
+		}
+		msg := s.bytes()[:comp.Len]
+		hdr, err := decodeHeader(msg)
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		var callOp trace.OpID
+		if call := c.pending[hdr.XID]; call != nil {
+			callOp = call.op
+			// The body leaves the slot now, while the call is known to
+			// be pending: once the charges below yield, its deadline
+			// may fail it and its caller recycle it.
+			call.save(hdr.Status, msg[HeaderLen:HeaderLen+int(hdr.BodyLen)])
+		}
+		s.release(comp.Len) // the message is dead once saved
+		t0 := p.Now()
+		c.node.Compute(p, c.prof.MarshalCost)
+		if hdr.BodyLen > 0 {
+			// Copying the payload out of the registered receive
+			// buffer: the inline path's receive-side copy.
+			c.node.Compute(p, c.prof.CopyTime(int(hdr.BodyLen)))
+		}
+		c.tr.Charge(callOp, trace.CatClientCPU, p.Now()-t0)
+		if err := c.vi.PostRecv(p, &s.desc); err != nil {
+			c.fail(err)
+		}
+		// The charges above yield. If the call's deadline fired in one
+		// of them (or the re-post failed the session), fail() has
+		// already completed the call and released its credit: the
+		// response is late and is dropped.
+		call := c.pending[hdr.XID]
+		delete(c.pending, hdr.XID)
+		if call != nil {
+			// The credit frees when the response arrives, not when
+			// the issuer collects it — a caller pipelining more
+			// requests than credits must not deadlock against
+			// itself.
+			c.credits.Release(1)
+			c.m.credits.Add(-1)
+			c.m.callNs.Observe(int64(p.Now() - call.issued))
+			c.tr.End(call.op)
+			call.fut.Set(hdr.Status.Err())
 		}
 	}
 }
@@ -511,11 +516,11 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 	op := c.tr.BeginTagged(c.node.Name, trace.LayerDAFS, proc.String(), trace.OpID(p.TraceCtx()), 0, c.traceServer)
 	t0 := p.Now()
 	// The credit is the session's flow-control window: held for the whole
-	// request lifetime and released by the dispatch daemon when the
+	// request lifetime and released by the completion handler when the
 	// response arrives (or by fail() on session death), never by this
 	// proc — so parking on the slot pool or send queue below cannot
 	// deadlock against the release.
-	//mpiolint:ignore blockhold credit released by the dispatch daemon on response arrival or session failure
+	//mpiolint:ignore blockhold credit released by the completion handler on response arrival or session failure
 	c.credits.Acquire(p, 1)
 	s := c.reqPool.get(p)
 	c.m.credits.Add(1)

@@ -65,10 +65,15 @@ type session struct {
 	slotSize  int
 	closed    bool
 
-	// Session-owned registrations backing the request and response slot
-	// pools; accept tears them down if session establishment fails partway.
-	reqReg  *via.Region
-	respReg *via.Region
+	// The session's rings, registered into records it owns, with their
+	// slot tables, the slots and the response pool's room: accept
+	// allocates them with the session, not per slot, and tears the rings
+	// down if session establishment fails partway.
+	reqReg, respReg     via.Region
+	reqTable, respTable [credits][]byte
+	reqs                [credits]reqSlot
+	resps               [credits]respSlot
+	respIdle            [credits]*respSlot
 }
 
 // reqSlot is a session's receive slot and the completion context it is
@@ -103,8 +108,8 @@ type workerState struct {
 	segs []SegSpec
 }
 
-// NewServer creates a DAFS server on the NIC's node and starts its
-// dispatcher and worker processes. A non-nil disk makes data operations
+// NewServer creates a DAFS server on the NIC's node, with its completion
+// queue and worker processes. A non-nil disk makes data operations
 // touch it (uncached server); nil models the fully cached server the
 // paper-era evaluations used.
 func NewServer(nic *via.NIC, store *storage.Store, disk *storage.Disk) *Server {
@@ -119,8 +124,7 @@ func NewServer(nic *via.NIC, store *storage.Store, disk *storage.Disk) *Server {
 		workQ: sim.NewChan[*reqSlot](prov.K, 0),
 		tr:    prov.Tracer,
 	}
-	s.cq = nic.NewCQ(nic.Node.Name + ".dafs.cq")
-	s.k.SpawnDaemon(nic.Node.Name+".dafs.dispatch", s.dispatch)
+	s.cq = nic.NewNotifyCQ(nic.Node.Name+".dafs.cq", s.dispatch)
 	for i := 0; i < serverWorkers; i++ {
 		s.k.SpawnDaemon(fmt.Sprintf("%s.dafs.worker%d", nic.Node.Name, i), s.worker)
 	}
@@ -169,8 +173,8 @@ func (s *Server) Restart() {
 		sess.closed = true
 		// The power cycle unpins the session's buffers with the rest of
 		// its state, at no CPU cost (Restart runs in kernel context).
-		s.nic.DropCached(sess.reqReg)
-		s.nic.DropCached(sess.respReg)
+		s.nic.DropCached(&sess.reqReg)
+		s.nic.DropCached(&sess.respReg)
 	}
 	s.sessions = nil
 }
@@ -228,26 +232,25 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 		id:        len(s.sessions),
 		srv:       s,
 		vi:        vi,
-		respPool:  newSlotPool[*respSlot](s.k, credits),
 		maxInline: o.MaxInline,
 		slotSize:  slotSize,
 	}
-	sess.reqReg = s.nic.RegisterRing(p, credits, slotSize)
-	sess.respReg = s.nic.RegisterRing(p, credits, slotSize)
-	reqs, resps := make([]reqSlot, credits), make([]respSlot, credits)
+	sess.respPool = newSlotPool(s.k, sess.respIdle[:0])
+	s.nic.RegisterRing(p, &sess.reqReg, sess.reqTable[:], slotSize)
+	s.nic.RegisterRing(p, &sess.respReg, sess.respTable[:], slotSize)
 	for i := 0; i < credits; i++ {
-		rq := &reqs[i]
-		rq.reg, rq.i, rq.sess = sess.reqReg, i, sess
-		rq.desc = via.Descriptor{Region: sess.reqReg, Offset: i * slotSize, Len: slotSize, Ctx: rq}
+		rq := &sess.reqs[i]
+		rq.reg, rq.i, rq.sess = &sess.reqReg, i, sess
+		rq.desc = via.Descriptor{Region: &sess.reqReg, Offset: i * slotSize, Len: slotSize, Ctx: rq}
 		if err := vi.PostRecv(p, &rq.desc); err != nil {
 			// Session establishment failed partway: the session is never
 			// appended, so nothing else will ever release its registrations.
-			s.nic.Deregister(p, sess.reqReg)
-			s.nic.Deregister(p, sess.respReg)
+			s.nic.Deregister(p, &sess.reqReg)
+			s.nic.Deregister(p, &sess.respReg)
 			return err
 		}
-		rs := &resps[i]
-		rs.reg, rs.i, rs.sess = sess.respReg, i, sess
+		rs := &sess.resps[i]
+		rs.reg, rs.i, rs.sess = &sess.respReg, i, sess
 		sess.respPool.put(rs)
 	}
 	s.sessions = append(s.sessions, sess)
@@ -255,33 +258,31 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 	return nil
 }
 
-// dispatch routes completions: incoming requests to the work queue,
-// response-send completions back to buffer pools, and RDMA completions to
-// the worker awaiting them.
-func (s *Server) dispatch(p *sim.Proc) {
-	for {
-		comp := s.cq.Wait(p)
-		switch ctx := comp.Desc.Ctx.(type) {
-		case *reqSlot:
-			if comp.Err != nil {
-				ctx.sess.closed = true
-				continue
-			}
-			ctx.length, ctx.parent, ctx.at = comp.Len, comp.Trace, p.Now()
-			s.workQ.Send(p, ctx)
-		case *respSlot:
-			bye := ctx.bye
-			ctx.release(comp.Desc.Len)
-			ctx.sess.respPool.put(ctx)
-			if bye {
-				// Nothing references the session's buffers once its
-				// DISCONNECT reply is out.
-				s.nic.Deregister(p, ctx.sess.reqReg)
-				s.nic.Deregister(p, ctx.sess.respReg)
-			}
-		case *sim.Future[via.Completion]:
-			ctx.Set(comp)
+// dispatch is the server's completion handler: it routes incoming
+// requests to the work queue, response-send completions back to buffer
+// pools, and RDMA completions to the worker awaiting them. It runs on the
+// notify queue's drain proc, one completion at a time.
+func (s *Server) dispatch(p *sim.Proc, comp via.Completion) {
+	switch ctx := comp.Desc.Ctx.(type) {
+	case *reqSlot:
+		if comp.Err != nil {
+			ctx.sess.closed = true
+			return
 		}
+		ctx.length, ctx.parent, ctx.at = comp.Len, comp.Trace, p.Now()
+		s.workQ.Send(p, ctx)
+	case *respSlot:
+		bye := ctx.bye
+		ctx.release(comp.Desc.Len)
+		ctx.sess.respPool.put(ctx)
+		if bye {
+			// Nothing references the session's buffers once its
+			// DISCONNECT reply is out.
+			s.nic.Deregister(p, &ctx.sess.reqReg)
+			s.nic.Deregister(p, &ctx.sess.respReg)
+		}
+	case *sim.Future[via.Completion]:
+		ctx.Set(comp)
 	}
 }
 

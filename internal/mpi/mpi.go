@@ -78,20 +78,16 @@ func NewWorld(nics []*via.NIC) *World {
 	for i, nic := range nics {
 		r := &Rank{
 			world: w, id: i, nic: nic,
-			cq:    nic.NewCQ(fmt.Sprintf("%s.mpi.cq", nic.Node.Name)),
 			pairs: make(map[int]*pair),
 			fins:  make(map[uint64]*sim.Future[struct{}]),
 		}
+		r.cq = nic.NewNotifyCQ(fmt.Sprintf("%s.mpi.cq", nic.Node.Name), r.progress)
 		w.ranks = append(w.ranks, r)
 	}
 	for i := range w.ranks {
 		for j := i + 1; j < len(w.ranks); j++ {
 			connectPair(w.ranks[i], w.ranks[j])
 		}
-	}
-	for _, r := range w.ranks {
-		r := r
-		w.k.SpawnDaemon(fmt.Sprintf("mpi.rank%d.progress", r.id), r.progress)
 	}
 	return w
 }
@@ -136,6 +132,12 @@ type pair struct {
 	vi       *via.VI
 	credits  *sim.Resource    // sender-side credits toward this peer
 	sendPool *sim.Chan[*slot] // free send bounce slots
+
+	// The bounce rings, registered into records the pair owns, with their
+	// slot tables and slots.
+	sendReg, recvReg     via.Region
+	sendTable, recvTable [eagerCredits][]byte
+	sendSlots, recvSlots [eagerCredits]slot
 }
 
 // Rank is one MPI process endpoint. All methods must be called from the
@@ -214,12 +216,13 @@ func connectPair(a, b *Rank) {
 			sendPool: sim.NewChan[*slot](w.k, 0),
 		}
 		ss := w.slotSize()
-		sendReg := r.nic.RegisterCachedRing(eagerCredits, ss)
-		recvReg := r.nic.RegisterCachedRing(eagerCredits, ss)
+		r.nic.RegisterCachedRing(&pr.sendReg, pr.sendTable[:], ss)
+		r.nic.RegisterCachedRing(&pr.recvReg, pr.recvTable[:], ss)
 		for i := 0; i < eagerCredits; i++ {
-			pr.sendPool.TrySend(&slot{reg: sendReg, i: i})
-			rs := &slot{reg: recvReg, i: i}
-			if err := vi.PrepostRecv(&via.Descriptor{Region: recvReg, Offset: i * ss, Len: ss, Ctx: rs}); err != nil {
+			qs, rs := &pr.sendSlots[i], &pr.recvSlots[i]
+			*qs, *rs = slot{reg: &pr.sendReg, i: i}, slot{reg: &pr.recvReg, i: i}
+			pr.sendPool.TrySend(qs)
+			if err := vi.PrepostRecv(&via.Descriptor{Region: &pr.recvReg, Offset: i * ss, Len: ss, Ctx: rs}); err != nil {
 				panic(err)
 			}
 		}

@@ -207,27 +207,24 @@ func (r *Rank) pull(p *sim.Proc, env *envelope, buf []byte) int {
 	return n
 }
 
-// progress is the rank's completion engine: it matches arrivals against
-// posted receives, recycles buffers, returns credits, and dispatches
-// rendezvous work.
-func (r *Rank) progress(p *sim.Proc) {
-	for {
-		comp := r.cq.Wait(p)
-		switch ctx := comp.Desc.Ctx.(type) {
-		case *sendCtx:
-			if comp.Err != nil {
-				panic(fmt.Sprintf("mpi: send completion error: %v", comp.Err))
-			}
-			ctx.s.release(comp.Desc.Len)
-			ctx.pr.sendPool.Send(p, ctx.s)
-		case *slot:
-			if comp.Err != nil {
-				panic(fmt.Sprintf("mpi: recv completion error: %v", comp.Err))
-			}
-			r.arrival(p, comp, ctx)
-		case *sim.Future[via.Completion]:
-			ctx.Set(comp)
+// progress is the rank's completion engine, the handler of its notify
+// queue: it matches arrivals against posted receives, recycles buffers,
+// returns credits, and dispatches rendezvous work.
+func (r *Rank) progress(p *sim.Proc, comp via.Completion) {
+	switch ctx := comp.Desc.Ctx.(type) {
+	case *sendCtx:
+		if comp.Err != nil {
+			panic(fmt.Sprintf("mpi: send completion error: %v", comp.Err))
 		}
+		ctx.s.release(comp.Desc.Len)
+		ctx.pr.sendPool.Send(p, ctx.s)
+	case *slot:
+		if comp.Err != nil {
+			panic(fmt.Sprintf("mpi: recv completion error: %v", comp.Err))
+		}
+		r.arrival(p, comp, ctx)
+	case *sim.Future[via.Completion]:
+		ctx.Set(comp)
 	}
 }
 
@@ -270,7 +267,7 @@ func (r *Rank) arrival(p *sim.Proc, comp via.Completion, s *slot) {
 		e := env
 		if pr := r.matchPosted(&e); pr != nil {
 			finish()
-			// The pull blocks on RDMA; run it outside the progress loop.
+			// The pull blocks on RDMA; run it outside the progress handler.
 			r.world.k.Spawn(fmt.Sprintf("mpi.rank%d.pull", r.id), func(hp *sim.Proc) {
 				n := r.pull(hp, &e, pr.buf)
 				pr.fut.Set(RecvStatus{Source: e.src, Tag: e.tag, Count: n})

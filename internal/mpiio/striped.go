@@ -121,6 +121,11 @@ type stripedMetrics struct {
 }
 
 func newStripedMetrics(reg *metrics.Registry, node string, width int) stripedMetrics {
+	dispatch := make([]metrics.Counter, width)
+	if reg == nil {
+		// Metrics off: the zero instruments are no-ops, and no name is built.
+		return stripedMetrics{dispatch: dispatch}
+	}
 	pre := "mpiio.striped." + node + "."
 	m := stripedMetrics{
 		retries:   reg.SharedCounter(pre + "retries"),
@@ -133,11 +138,11 @@ func newStripedMetrics(reg *metrics.Registry, node string, width int) stripedMet
 		resilverB: reg.SharedCounter(pre + "resilver_bytes"),
 		readmits:  reg.SharedCounter(pre + "readmits"),
 		epochG:    reg.SharedGauge(pre + "epoch"),
+		dispatch:  dispatch,
 		flight:    reg.Flight("mpiio.striped." + node),
 	}
-	m.dispatch = make([]metrics.Counter, width)
-	for t := range m.dispatch {
-		m.dispatch[t] = reg.SharedCounter(fmt.Sprintf("%sdispatch.%d", pre, t))
+	for t := range dispatch {
+		dispatch[t] = reg.SharedCounter(fmt.Sprintf("%sdispatch.%d", pre, t))
 	}
 	return m
 }

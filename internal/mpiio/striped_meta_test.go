@@ -86,3 +86,11 @@ func TestStripedMetadataConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// With metrics off a striped driver builds no instrument name: its
+// metrics are one allocation, the per-server dispatch slice, at any width.
+func TestStripedMetricsOffBuildNoNames(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { newStripedMetrics(nil, "client0", 32) }); n != 1 {
+		t.Fatalf("newStripedMetrics with no registry: %v allocations, want 1", n)
+	}
+}

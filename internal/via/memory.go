@@ -39,11 +39,14 @@ func (n *NIC) Register(p *sim.Proc, buf []byte) *Region {
 	return n.RegisterCached(buf)
 }
 
-// RegisterRing registers a ring of slots message slots of size bytes each,
-// charged like Register of one slots*size buffer.
-func (n *NIC) RegisterRing(p *sim.Proc, slots, size int) *Region {
-	n.Node.Compute(p, n.prov.Prof.RegCost(slots*size))
-	return n.RegisterCachedRing(slots, size)
+// RegisterRing registers a ring of len(slots) message slots of size bytes
+// each into r, charged like Register of one len(slots)*size buffer. The
+// caller owns r and slots, the ring's slot table, as with RegisterCachedIn:
+// a session keeps both inside its own record, so a ring costs no
+// allocation of its own.
+func (n *NIC) RegisterRing(p *sim.Proc, r *Region, slots [][]byte, size int) *Region {
+	n.Node.Compute(p, n.prov.Prof.RegCost(len(slots)*size))
+	return n.RegisterCachedRing(r, slots, size)
 }
 
 // Deregister releases the registration. Outstanding descriptors that still
@@ -83,9 +86,16 @@ func (n *NIC) RegisterCachedIn(r *Region, buf []byte) *Region {
 }
 
 // RegisterCachedRing is RegisterRing with no CPU cost, for rings set up out
-// of band (an MPI world's bounce rings). Use DropCached to release it.
-func (n *NIC) RegisterCachedRing(slots, size int) *Region {
-	return n.install(&Region{slots: make([][]byte, slots), free: n.prov.slotFree(size)})
+// of band (an MPI world's bounce rings). Use DropCached to release it. The
+// record must not be registered; the slot table starts empty, and what a
+// previous registration left in it goes to the garbage collector.
+func (n *NIC) RegisterCachedRing(r *Region, slots [][]byte, size int) *Region {
+	if r.Valid() {
+		panic("via: RegisterCachedRing of a registered region")
+	}
+	clear(slots)
+	*r = Region{slots: slots, free: n.prov.slotFree(size)}
+	return n.install(r)
 }
 
 func (n *NIC) install(r *Region) *Region {

@@ -18,7 +18,7 @@ func TestRingDescriptorStaysInOneSlot(t *testing.T) {
 	want := make([]byte, 16)
 	fill(want, 4)
 	p2.k.Spawn("recv", func(p *sim.Proc) {
-		r := p2.nicB.RegisterRing(p, 4, ringSlot)
+		r := p2.nicB.RegisterRing(p, new(Region), make([][]byte, 4), ringSlot)
 		if err := p2.viB.PostRecv(p, &Descriptor{Region: r, Offset: ringSlot - 8, Len: 16}); err != ErrBounds {
 			t.Errorf("receive across a slot boundary: %v, want ErrBounds", err)
 		}
@@ -37,7 +37,7 @@ func TestRingDescriptorStaysInOneSlot(t *testing.T) {
 		}
 	})
 	p2.k.Spawn("send", func(p *sim.Proc) {
-		r := p2.nicA.RegisterRing(p, 4, ringSlot)
+		r := p2.nicA.RegisterRing(p, new(Region), make([][]byte, 4), ringSlot)
 		if err := p2.viA.PostSend(p, &Descriptor{Op: OpSend, Region: r, Offset: 3*ringSlot - 1, Len: 2}); err != ErrBounds {
 			t.Errorf("send across a slot boundary: %v, want ErrBounds", err)
 		}
@@ -65,7 +65,7 @@ func TestRingRDMAStaysInOneSlot(t *testing.T) {
 	var target *Region
 	ready := sim.NewFuture[MemHandle](p2.k)
 	p2.k.Spawn("target", func(p *sim.Proc) {
-		target = p2.nicB.RegisterRing(p, 4, ringSlot)
+		target = p2.nicB.RegisterRing(p, new(Region), make([][]byte, 4), ringSlot)
 		fill(target.Slot(3), 6)
 		ready.Set(target.Handle)
 	})
@@ -111,8 +111,8 @@ func TestRingRDMAStaysInOneSlot(t *testing.T) {
 func TestReleasedSlotReadsZero(t *testing.T) {
 	p2 := newPair(model.CLAN1998())
 	prov := p2.nicA.Provider()
-	a := p2.nicA.RegisterCachedRing(2, ringSlot)
-	b := p2.nicA.RegisterCachedRing(2, ringSlot)
+	a := p2.nicA.RegisterCachedRing(new(Region), make([][]byte, 2), ringSlot)
+	b := p2.nicA.RegisterCachedRing(new(Region), make([][]byte, 2), ringSlot)
 	zero := make([]byte, ringSlot)
 	fill(a.Slot(0), 1)
 	a.Release(0, ringSlot)
@@ -141,7 +141,7 @@ func TestDeregisteredRingSlotsNotPooled(t *testing.T) {
 	p2 := newPair(model.CLAN1998())
 	prov := p2.nicA.Provider()
 	p2.k.Spawn("a", func(p *sim.Proc) {
-		dead := p2.nicA.RegisterRing(p, 2, ringSlot)
+		dead := p2.nicA.RegisterRing(p, new(Region), make([][]byte, 2), ringSlot)
 		held := dead.Slot(0)
 		fill(held, 8)
 		before := prov.RingMem()
@@ -150,7 +150,7 @@ func TestDeregisteredRingSlotsNotPooled(t *testing.T) {
 		if m := prov.RingMem(); m.Idle != before.Idle || m.Live != 0 {
 			t.Errorf("after deregistering and releasing: %+v, want idle %d and nothing live", m, before.Idle)
 		}
-		live := p2.nicA.RegisterRing(p, 4*slabSlots, ringSlot)
+		live := p2.nicA.RegisterRing(p, new(Region), make([][]byte, 4*slabSlots), ringSlot)
 		for i := range 4 * slabSlots {
 			if s := live.Slot(i); &s[0] == &held[0] {
 				t.Fatalf("slot %d of a new ring reuses a deregistered ring's bytes", i)
@@ -179,7 +179,7 @@ func TestRingRegistrationCost(t *testing.T) {
 		}
 		return p2.fab.Node(0).CPU.BusyTime()
 	}
-	ring := busy(func(p *sim.Proc, n *NIC) { n.RegisterRing(p, slots, size) })
+	ring := busy(func(p *sim.Proc, n *NIC) { n.RegisterRing(p, new(Region), make([][]byte, slots), size) })
 	flat := busy(func(p *sim.Proc, n *NIC) { n.Register(p, make([]byte, slots*size)) })
 	if ring != flat || ring != model.CLAN1998().RegCost(slots*size) {
 		t.Fatalf("ring registration cost %v, flat %v, want both %v", ring, flat, model.CLAN1998().RegCost(slots*size))

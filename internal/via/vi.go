@@ -49,26 +49,54 @@ type Completion struct {
 	Trace trace.OpID
 }
 
-// CQ is a completion queue. Waiting on an empty CQ models a blocking wait:
-// the waiter is descheduled and pays the wakeup latency when a completion
-// arrives (VIA's "notify" mode).
+// CQ is a completion queue, consumed in one of VIA's two ways. A queue
+// from NewCQ is waited on: a process blocked in Wait is descheduled and
+// pays the wakeup latency when a completion arrives. A queue from
+// NewNotifyCQ hands every completion to its handler (VipCQNotify) and
+// holds no process between completions.
 type CQ struct {
 	Name string
 
 	nic *NIC
 	ch  *sim.Chan[Completion]
+
+	// Notify queues only: the handler, the drain bound to a func value once
+	// (a method value per Spawn would allocate per burst), and whether a
+	// drain proc is running.
+	handler  func(p *sim.Proc, c Completion)
+	drainFn  func(p *sim.Proc)
+	draining bool
 }
 
-// NewCQ creates a completion queue on the NIC.
+// NewCQ creates a completion queue on the NIC, for processes that Wait.
 func (n *NIC) NewCQ(name string) *CQ {
 	cq := &CQ{Name: name, nic: n, ch: sim.NewChan[Completion](n.prov.K, 0)}
 	n.cqs = append(n.cqs, cq)
 	return cq
 }
 
+// NewNotifyCQ creates a completion queue whose completions go to h, the
+// way VipCQNotify runs a handler instead of a blocked thread. The first
+// completion to reach an idle queue spawns one drain proc: it pays the
+// wakeup latency once, then runs h on each queued completion in arrival
+// order, and ends, without yielding, when it finds the queue empty. h may
+// yield; completions that arrive meanwhile queue behind the one it holds.
+// So h sees exactly the completions, instants and charges a daemon looping
+// on Wait would, and between bursts the queue parks no process.
+func (n *NIC) NewNotifyCQ(name string, h func(p *sim.Proc, c Completion)) *CQ {
+	cq := n.NewCQ(name)
+	cq.handler = h
+	cq.drainFn = cq.drain
+	return cq
+}
+
 // Wait blocks until a completion is available. If the process had to sleep,
-// it is charged the wakeup latency on its host CPU.
+// it is charged the wakeup latency on its host CPU. A notify queue has no
+// waiters.
 func (cq *CQ) Wait(p *sim.Proc) Completion {
+	if cq.handler != nil {
+		panic("via: Wait on a notify CQ")
+	}
 	if c, ok := cq.ch.TryRecv(); ok {
 		return c
 	}
@@ -80,12 +108,25 @@ func (cq *CQ) Wait(p *sim.Proc) Completion {
 	return c
 }
 
+// drain is a notify queue's proc: the wakeup, then the handler on every
+// queued completion.
+func (cq *CQ) drain(p *sim.Proc) {
+	c, _ := cq.ch.TryRecv()
+	cq.nic.Node.Compute(p, cq.nic.prov.Prof.WakeupLatency)
+	for ok := true; ok; c, ok = cq.ch.TryRecv() {
+		cq.handler(p, c)
+	}
+	cq.draining = false
+}
+
 // Poll returns a completion without blocking.
 func (cq *CQ) Poll() (Completion, bool) { return cq.ch.TryRecv() }
 
 // Len returns the number of undelivered completions.
 func (cq *CQ) Len() int { return cq.ch.Len() }
 
+// deliver queues c. On an idle notify queue it spawns the drain, which
+// takes the sequence slot a waiter's wake takes.
 func (cq *CQ) deliver(p *sim.Proc, c Completion) {
 	c.At = cq.nic.prov.K.Now()
 	if c.Desc != nil {
@@ -93,6 +134,10 @@ func (cq *CQ) deliver(p *sim.Proc, c Completion) {
 		cq.nic.prov.Tracer.End(c.Desc.span)
 	}
 	cq.ch.Send(p, c)
+	if cq.handler != nil && !cq.draining {
+		cq.draining = true
+		cq.nic.prov.K.SpawnDaemon(cq.Name, cq.drainFn)
+	}
 }
 
 // VI is a Virtual Interface: a connected pair of work queues. Send-side
@@ -111,8 +156,10 @@ type VI struct {
 
 	// recvQ holds the posted receives, oldest first. Taking one shifts the
 	// rest down (a queue holds one session's or pair's credits, a handful of
-	// pointers), so the backing array is allocated once and reused.
-	recvQ []*Descriptor
+	// pointers), so the backing array is allocated once and reused. It
+	// starts in recvRoom, which holds a DAFS session's receives.
+	recvQ    []*Descriptor
+	recvRoom [8]*Descriptor
 }
 
 // NewVI creates an unconnected VI using the given completion queues (which
@@ -122,6 +169,7 @@ func (n *NIC) NewVI(sendCQ, recvCQ *CQ) *VI {
 		panic("via: CQ belongs to a different NIC")
 	}
 	vi := &VI{ID: len(n.vis), NIC: n, SendCQ: sendCQ, RecvCQ: recvCQ}
+	vi.recvQ = vi.recvRoom[:0]
 	n.vis = append(n.vis, vi)
 	return vi
 }
