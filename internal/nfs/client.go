@@ -63,6 +63,8 @@ type Client struct {
 	pending  map[uint32]*Call
 	nextXID  uint32
 	bufs     msgBufs // idle request and reply buffers
+	calls    []*Call // collected calls, for the next RPCs (newCall)
+	ios      []*IO   // waited IOs, for the next transfers (newIO)
 	closed   bool
 	stats    ClientStats
 }
@@ -75,22 +77,44 @@ type callResult struct {
 	msg    []byte
 }
 
-// Call is an in-flight RPC.
+// Call is an in-flight RPC. A mount recycles its calls: start takes one
+// from the free list, and wait, its one consumer, gives it back once the
+// reply is in, so a call in pending is never on the list.
 type Call struct {
 	c   *Client
 	fut *sim.Future[callResult]
+	w   wire.Writer // encodes the request
+	r   wire.Reader // decodes the reply
 }
+
+// newCall takes a collected call off the free list, or makes one.
+func (c *Client) newCall() *Call {
+	if n := len(c.calls); n > 0 {
+		call := c.calls[n-1]
+		c.calls = c.calls[:n-1]
+		call.fut.Reset()
+		return call
+	}
+	return &Call{c: c, fut: sim.NewFuture[callResult](c.k)}
+}
+
+// putCall gives a collected call back to its mount.
+func (c *Client) putCall(call *Call) { c.calls = append(c.calls, call) }
 
 // wait blocks for the reply and, if its status is OK, decodes the body with
 // dec (nil: nothing to decode). It is the one place a reply's message buffer
-// goes back to the pool, so a body never outlives wait.
+// goes back to the pool, so a body never outlives wait, and the one place a
+// sent call goes back to the mount, right after its buffer.
 func (call *Call) wait(p *sim.Proc, dec func(r *wire.Reader) error) error {
 	res := call.fut.Get(p)
 	err := res.status.Err()
 	if err == nil && dec != nil {
-		err = dec(wire.NewReader(res.body))
+		call.r.Reset(res.body)
+		err = dec(&call.r)
 	}
-	call.c.bufs.put(res.msg)
+	c := call.c
+	c.bufs.put(res.msg)
+	c.putCall(call)
 	return err
 }
 
@@ -173,19 +197,21 @@ func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wire.Writer)) (*Call,
 	xid := c.nextXID
 	buf := c.bufs.get()
 	defer c.bufs.put(buf)
-	w := wire.NewWriter(buf[rpcHeaderLen:])
-	enc(w)
-	if w.Err() != nil {
+	call := c.newCall()
+	call.w.Reset(buf[rpcHeaderLen:])
+	enc(&call.w)
+	if err := call.w.Err(); err != nil {
 		c.inflight.Release(1)
-		return nil, w.Err()
+		c.putCall(call)
+		return nil, err
 	}
 	encodeRPC(buf, rpcHeader{Proc: proc, XID: xid})
 	c.stack.Node.Compute(p, c.prof.RPCCost) // XDR encode
-	call := &Call{c: c, fut: sim.NewFuture[callResult](c.k)}
 	c.pending[xid] = call
-	if err := c.sock.SendTo(p, c.srvNode, Port, buf[:rpcHeaderLen+w.Len()]); err != nil {
+	if err := c.sock.SendTo(p, c.srvNode, Port, buf[:rpcHeaderLen+call.w.Len()]); err != nil {
 		delete(c.pending, xid)
 		c.inflight.Release(1)
+		c.putCall(call)
 		return nil, err
 	}
 	c.stats.RPCs++
@@ -251,54 +277,79 @@ func (c *Client) Commit(p *sim.Proc, fh FH) error {
 
 // ---- Data path ----
 
-// IO is an in-flight data transfer (possibly multiple RPCs).
+// IO is an in-flight data transfer (possibly multiple RPCs). A mount
+// recycles its IOs with their slices: Wait, which must be called exactly
+// once, ends an IO's life, and the IO is invalid afterwards.
 type IO struct {
+	c     *Client
 	calls []*Call
 	bufs  [][]byte // destination slices for reads, aligned with calls
 	write bool
-	c     *Client
+}
+
+// newIO takes a waited IO off the free list, or makes one.
+func (c *Client) newIO(write bool) *IO {
+	var io *IO
+	if n := len(c.ios); n > 0 {
+		io = c.ios[n-1]
+		c.ios = c.ios[:n-1]
+	} else {
+		io = &IO{}
+	}
+	io.c, io.write = c, write
+	return io
+}
+
+// putIO gives an IO back to its mount, dropping its hold on the calls and
+// the caller's buffers.
+func (c *Client) putIO(io *IO) {
+	clear(io.calls)
+	clear(io.bufs)
+	io.c, io.calls, io.bufs = nil, io.calls[:0], io.bufs[:0]
+	c.ios = append(c.ios, io)
 }
 
 // StartRead issues pipelined READ RPCs covering buf.
 func (c *Client) StartRead(p *sim.Proc, fh FH, off int64, buf []byte) (*IO, error) {
-	io := &IO{c: c}
-	for done := 0; done < len(buf) || (len(buf) == 0 && done == 0); {
-		n := min(c.opts.RSize, len(buf)-done)
-		chunkOff := off + int64(done)
-		call, err := c.start(p, ProcRead, func(w *wire.Writer) {
-			w.U64(uint64(fh))
-			w.U64(uint64(chunkOff))
-			w.U32(uint32(n))
-		})
-		if err != nil {
-			return nil, err
-		}
-		io.calls = append(io.calls, call)
-		io.bufs = append(io.bufs, buf[done:done+n])
-		done += n
-		if n == 0 {
-			break
-		}
-	}
-	return io, nil
+	return c.startIO(p, ProcRead, fh, off, buf)
 }
 
 // StartWrite issues pipelined WRITE RPCs covering data.
 func (c *Client) StartWrite(p *sim.Proc, fh FH, off int64, data []byte) (*IO, error) {
-	io := &IO{c: c, write: true}
-	for done := 0; done < len(data) || (len(data) == 0 && done == 0); {
-		n := min(c.opts.WSize, len(data)-done)
+	return c.startIO(p, ProcWrite, fh, off, data)
+}
+
+// startIO issues one READ or WRITE RPC per rsize or wsize chunk of buf (a
+// single RPC when buf is empty). A failed start abandons the chunks already
+// in flight.
+func (c *Client) startIO(p *sim.Proc, proc Proc, fh FH, off int64, buf []byte) (*IO, error) {
+	write := proc == ProcWrite
+	size := c.opts.RSize
+	if write {
+		size = c.opts.WSize
+	}
+	io := c.newIO(write)
+	for done := 0; done < len(buf) || (len(buf) == 0 && done == 0); {
+		n := min(size, len(buf)-done)
 		chunkOff := off + int64(done)
-		chunk := data[done : done+n]
-		call, err := c.start(p, ProcWrite, func(w *wire.Writer) {
+		chunk := buf[done : done+n]
+		call, err := c.start(p, proc, func(w *wire.Writer) {
 			w.U64(uint64(fh))
 			w.U64(uint64(chunkOff))
-			w.Blob(chunk)
+			if write {
+				w.Blob(chunk)
+			} else {
+				w.U32(uint32(n))
+			}
 		})
 		if err != nil {
+			c.putIO(io)
 			return nil, err
 		}
 		io.calls = append(io.calls, call)
+		if !write {
+			io.bufs = append(io.bufs, chunk)
+		}
 		done += n
 		if n == 0 {
 			break
@@ -309,12 +360,24 @@ func (c *Client) StartWrite(p *sim.Proc, fh FH, off int64, data []byte) (*IO, er
 
 // Wait collects all chunk RPCs and returns the total byte count. A short
 // read chunk (EOF) stops the count at the first gap, like a POSIX read.
+// After a failed chunk it still collects the rest, undecoded, so their
+// calls and message buffers go back to the mount, and returns the first
+// error. Wait gives the IO back to its mount.
 func (io *IO) Wait(p *sim.Proc) (int, error) {
+	c := io.c
+	if c == nil {
+		panic("nfs: IO waited twice")
+	}
 	total := 0
 	short := false
+	var failed error
 	for i, call := range io.calls {
+		if failed != nil {
+			call.wait(p, nil)
+			continue
+		}
 		var n int
-		err := call.wait(p, func(r *wire.Reader) error {
+		failed = call.wait(p, func(r *wire.Reader) error {
 			if io.write {
 				n = int(r.U32())
 			} else {
@@ -322,15 +385,15 @@ func (io *IO) Wait(p *sim.Proc) (int, error) {
 			}
 			return r.Err()
 		})
-		if err != nil {
-			return total, err
+		if failed != nil {
+			continue
 		}
 		if io.write {
 			total += n
-			io.c.stats.WriteBytes += int64(n)
+			c.stats.WriteBytes += int64(n)
 			continue
 		}
-		io.c.stats.ReadBytes += int64(n)
+		c.stats.ReadBytes += int64(n)
 		if !short {
 			total += n
 			if n < len(io.bufs[i]) {
@@ -338,7 +401,8 @@ func (io *IO) Wait(p *sim.Proc) (int, error) {
 			}
 		}
 	}
-	return total, nil
+	c.putIO(io)
+	return total, failed
 }
 
 // Read transfers up to len(buf) bytes at off (multiple RPCs as needed).

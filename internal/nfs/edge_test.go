@@ -1,6 +1,7 @@
 package nfs
 
 import (
+	"bytes"
 	"testing"
 
 	"dafsio/internal/kstack"
@@ -101,6 +102,75 @@ func TestClientCloseRejectsFurtherCalls(t *testing.T) {
 		}
 		if err := c.Close(p); err != nil {
 			t.Errorf("double close: %v", err)
+		}
+	})
+}
+
+// TestFailedReadCollectsEveryChunk: a multi-chunk read whose chunks fail
+// still collects every reply, so their message buffers go back to the
+// mount, and the mount keeps working.
+func TestFailedReadCollectsEveryChunk(t *testing.T) {
+	r := newRig(1)
+	r.run(t, func(p *sim.Proc, c *Client) {
+		buf := make([]byte, 3*c.RSize())
+		good, _, _ := c.Create(p, "good")
+		if _, err := c.Write(p, good, 0, pat(len(buf), 1)); err != nil {
+			t.Error(err)
+			return
+		}
+		// A first three-chunk read grows the buffer pool to its high mark.
+		if n, err := c.Read(p, good, 0, buf); err != nil || n != len(buf) {
+			t.Errorf("warm-up read n=%d err=%v", n, err)
+			return
+		}
+		stale, _, _ := c.Create(p, "stale")
+		c.Remove(p, "stale")
+		idle := len(c.bufs)
+		if _, err := c.Read(p, stale, 0, buf); err != ErrStale {
+			t.Errorf("stale read: %v", err)
+		}
+		p.Wait(sim.Millisecond) // every chunk's reply is in
+		if len(c.bufs) != idle {
+			t.Errorf("after a failed read the mount has %d idle buffers, %d before", len(c.bufs), idle)
+		}
+		if n, err := c.Read(p, good, 0, buf); err != nil || n != len(buf) {
+			t.Errorf("read after the failed one: n=%d err=%v", n, err)
+		}
+		if !bytes.Equal(buf, pat(len(buf), 1)) {
+			t.Error("read after the failed one: data mismatch")
+		}
+		if len(c.bufs) != idle {
+			t.Errorf("after the next read the mount has %d idle buffers, %d before", len(c.bufs), idle)
+		}
+	})
+}
+
+// TestObjectSizeBound: a WRITE or SETATTR past maxObject is refused with
+// ErrInval and leaves the file alone; SETATTR to exactly maxObject is not.
+func TestObjectSizeBound(t *testing.T) {
+	r := newRig(1)
+	r.run(t, func(p *sim.Proc, c *Client) {
+		fh, _, _ := c.Create(p, "f")
+		if _, err := c.Write(p, fh, 1<<62, []byte{1}); err != ErrInval {
+			t.Errorf("write at 2^62: %v", err)
+		}
+		if _, err := c.Write(p, fh, maxObject, []byte{1}); err != ErrInval {
+			t.Errorf("write past maxObject: %v", err)
+		}
+		if _, err := c.Write(p, fh, -1, []byte{1}); err != ErrInval {
+			t.Errorf("write at -1: %v", err)
+		}
+		if err := c.Setattr(p, fh, maxObject+1); err != ErrInval {
+			t.Errorf("setattr past maxObject: %v", err)
+		}
+		if err := c.Setattr(p, fh, -1); err != ErrInval {
+			t.Errorf("setattr to -1: %v", err)
+		}
+		if a, err := c.Getattr(p, fh); err != nil || a.Size != 0 {
+			t.Errorf("after refused requests: size %d err=%v", a.Size, err)
+		}
+		if err := c.Setattr(p, fh, maxObject); err != nil {
+			t.Errorf("setattr to maxObject: %v", err)
 		}
 	})
 }

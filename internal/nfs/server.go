@@ -13,6 +13,12 @@ import (
 // serverWorkers is the number of nfsd service threads.
 const serverWorkers = 4
 
+// maxObject bounds the file size a WRITE or SETATTR may ask for: 1 TiB, far
+// above any table's file (T18 prefills 512 MB). A request past it is
+// refused with ErrsInval rather than handed to the store, whose page index
+// grows with the offset written.
+const maxObject = 1 << 40
+
 // ServerStats counts server activity.
 type ServerStats struct {
 	RPCs       int64
@@ -72,34 +78,41 @@ func (s *Server) listen(p *sim.Proc) {
 	}
 }
 
+// worker is one nfsd thread. It owns the codec pair every request it
+// handles is decoded and answered with.
 func (s *Server) worker(p *sim.Proc) {
+	var r wire.Reader
+	var w wire.Writer
 	for {
 		dg, ok := s.workQ.Recv(p)
 		if !ok {
 			return
 		}
-		s.handle(p, dg)
+		s.handle(p, dg, &r, &w)
 		s.bufs.put(dg.Data)
 	}
 }
 
-func (s *Server) handle(p *sim.Proc, dg kstack.Datagram) {
+// handle serves one request, decoding it with r and encoding the reply
+// with w straight into a reply buffer. A reply that is not OK, or whose
+// body overflowed (then ErrsProto), carries an empty body.
+func (s *Server) handle(p *sim.Proc, dg kstack.Datagram, r *wire.Reader, w *wire.Writer) {
 	hdr, body, err := decodeRPC(dg.Data)
 	if err != nil {
 		return // malformed: drop, client would retransmit
 	}
 	// XDR decode + VFS dispatch.
 	s.stack.Node.Compute(p, s.prof.RPCCost+s.prof.NFSOpCost)
-	st, enc := s.exec(p, hdr.Proc, wire.NewReader(body))
-
 	out := s.bufs.get()
 	defer s.bufs.put(out)
-	w := wire.NewWriter(out[rpcHeaderLen:])
-	if enc != nil {
-		enc(w)
-	}
+	r.Reset(body)
+	w.Reset(out[rpcHeaderLen:])
+	st := s.exec(p, hdr.Proc, r, w)
 	if w.Err() != nil {
-		st, w = ErrsProto, wire.NewWriter(out[rpcHeaderLen:])
+		st = ErrsProto
+	}
+	if st != OK {
+		w.Reset(out[rpcHeaderLen:])
 	}
 	encodeRPC(out, rpcHeader{Proc: hdr.Proc, XID: hdr.XID, Status: st})
 	s.stack.Node.Compute(p, s.prof.RPCCost) // XDR encode
@@ -134,15 +147,17 @@ func (s *Server) file(r *wire.Reader) (*storage.File, Status) {
 	return f, OK
 }
 
-func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader) (Status, func(*wire.Writer)) {
+// exec performs one procedure, decoding its arguments from r and encoding
+// an OK reply's body into w, and returns the reply status.
+func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader, w *wire.Writer) Status {
 	switch proc {
 	case ProcNull:
-		return OK, nil
+		return OK
 
 	case ProcLookup, ProcCreate:
 		name := r.Str()
 		if r.Err() != nil {
-			return ErrsProto, nil
+			return ErrsProto
 		}
 		var f *storage.File
 		var err error
@@ -152,81 +167,90 @@ func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader) (Status, func(*wir
 			f, err = s.store.Create(name)
 		}
 		if err != nil {
-			return stStatus(err), nil
+			return stStatus(err)
 		}
-		return OK, func(w *wire.Writer) { w.U64(uint64(f.ID())); w.U64(uint64(f.Size())) }
+		w.U64(uint64(f.ID()))
+		w.U64(uint64(f.Size()))
+		return OK
 
 	case ProcRemove:
 		name := r.Str()
 		if r.Err() != nil {
-			return ErrsProto, nil
+			return ErrsProto
 		}
-		return stStatus(s.store.Remove(name)), nil
+		return stStatus(s.store.Remove(name))
 
 	case ProcGetattr:
 		f, st := s.file(r)
 		if st != OK {
-			return st, nil
+			return st
 		}
-		return OK, func(w *wire.Writer) { w.U64(uint64(f.Size())) }
+		w.U64(uint64(f.Size()))
+		return OK
 
 	case ProcSetattr:
 		f, st := s.file(r)
-		size := int64(r.U64())
+		size := r.U64()
 		if st != OK || r.Err() != nil {
-			return bad(st, r), nil
+			return bad(st, r)
 		}
-		f.Truncate(size)
-		return OK, nil
+		if size > maxObject {
+			return ErrsInval
+		}
+		f.Truncate(int64(size))
+		return OK
 
 	case ProcRead:
 		f, st := s.file(r)
 		off := int64(r.U64())
 		count := int(r.U32())
 		if st != OK || r.Err() != nil {
-			return bad(st, r), nil
+			return bad(st, r)
 		}
 		if count < 0 || count > kstack.MaxDatagram-1024 {
-			return ErrsInval, nil
+			return ErrsInval
 		}
 		n := clampCount(f.Size(), off, count)
 		if s.disk != nil && n > 0 {
 			s.disk.AccessAt(p, off, n)
 		}
 		s.stats.ReadBytes += int64(n)
-		return OK, func(w *wire.Writer) {
-			w.U32(uint32(n))
-			if b := w.Need(n); b != nil {
-				f.ReadAt(b, off)
-			}
+		w.U32(uint32(n))
+		if b := w.Need(n); b != nil {
+			f.ReadAt(b, off)
 		}
+		return OK
 
 	case ProcWrite:
 		f, st := s.file(r)
 		off := int64(r.U64())
 		data := r.Blob()
 		if st != OK || r.Err() != nil {
-			return bad(st, r), nil
+			return bad(st, r)
+		}
+		if off < 0 || off > maxObject-int64(len(data)) {
+			return ErrsInval
 		}
 		if s.disk != nil && len(data) > 0 {
 			s.disk.AccessAt(p, off, len(data))
 		}
 		n := f.WriteAt(data, off)
 		s.stats.WriteBytes += int64(n)
-		return OK, func(w *wire.Writer) { w.U32(uint32(n)) }
+		w.U32(uint32(n))
+		return OK
 
 	case ProcCommit:
 		_, st := s.file(r)
 		if st != OK {
-			return st, nil
+			return st
 		}
 		if s.disk != nil {
 			s.disk.Access(p, 0)
 		}
-		return OK, nil
+		return OK
 
 	default:
-		return ErrsProto, nil
+		return ErrsProto
 	}
 }
 
