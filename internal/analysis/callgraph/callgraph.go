@@ -15,22 +15,24 @@
 //   - Function literals are merged into their enclosing declaration —
 //     calling a locally-built closure runs its body on the caller's
 //     stack — except literals handed to the kernel's asynchronous
-//     entry points (Spawn, SpawnDaemon, At, After, ...), whose bodies run
-//     on some other proc or in kernel context later: a caller does not
-//     block just because the proc it spawned eventually does.
+//     entry points (Spawn, SpawnDaemon, SpawnEngine, At, After, ...), whose
+//     bodies run on some other proc or in kernel context later: a caller
+//     does not block just because the proc it spawned eventually does.
 //
 // Two anchor sets matter:
 //
 //   - may-block (the detrand sinks): everything reaching Kernel.schedule
 //     or pushWaiter — mutating event order or wait-list order, the set
 //     whose call order is semantically order-sensitive.
-//   - may-park: everything reaching pushWaiter alone — operations that
-//     can leave the calling proc parked on a FIFO whose wake requires
-//     *another proc* to act (Resource.Acquire, Chan.Recv, Future.Get...).
-//     Timer waits (Proc.Wait) reach only Kernel.schedule: they always
-//     wake by themselves and cannot deadlock, so they are deliberately
-//     not in this set. blockhold flags may-park calls made while holding
-//     a sim.Resource.
+//   - may-park: everything reaching Proc.park — operations that can leave
+//     the calling proc parked on a FIFO whose wake requires *another
+//     proc* to act (Resource.Acquire, Chan.Recv, Future.Get...). The
+//     non-blocking forms an engine steps with (Chan.Poll, Chan.Offer,
+//     Resource.Claim) enlist on the same FIFOs through pushWaiter but
+//     return at once, and timer waits (Proc.Wait) suspend without
+//     parking: they always wake by themselves and cannot deadlock. None
+//     of them is in this set. blockhold flags may-park calls made while
+//     holding a sim.Resource.
 package callgraph
 
 import (
@@ -48,12 +50,14 @@ import (
 // set.
 const SimPkgPath = "dafsio/internal/sim"
 
-// The two funnels (see internal/sim/kernel.go and proc.go): every
-// event-queue insertion flows through Kernel.schedule, every wait-list
-// registration through pushWaiter.
+// The funnels (see internal/sim/kernel.go and proc.go): every event-queue
+// insertion flows through Kernel.schedule, every wait-list registration
+// through pushWaiter, and every suspension that waits for a peer's wake
+// through Proc.park.
 const (
 	anchorSchedule = SimPkgPath + ".Kernel.schedule"
-	anchorPark     = SimPkgPath + ".pushWaiter"
+	anchorEnlist   = SimPkgPath + ".pushWaiter"
+	anchorPark     = SimPkgPath + ".Proc.park"
 )
 
 // asyncSpawners are sim entry points whose function-literal arguments run
@@ -61,6 +65,7 @@ const (
 var asyncSpawners = map[string]bool{
 	SimPkgPath + ".Kernel.Spawn":       true,
 	SimPkgPath + ".Kernel.SpawnDaemon": true,
+	SimPkgPath + ".Kernel.SpawnEngine": true,
 	SimPkgPath + ".Proc.Spawn":         true,
 	SimPkgPath + ".Kernel.At":          true,
 	SimPkgPath + ".Kernel.After":       true,
@@ -390,7 +395,7 @@ func Module() (*Graph, error) {
 		moduleCache.graph = g
 		moduleCache.mayPark = g.ReachersOf(func(k string) bool { return k == anchorPark })
 		moduleCache.sinks = g.ReachersOf(func(k string) bool {
-			return k == anchorPark || k == anchorSchedule
+			return k == anchorEnlist || k == anchorSchedule
 		})
 	})
 	return moduleCache.graph, moduleCache.err
@@ -398,7 +403,7 @@ func Module() (*Graph, error) {
 
 // MayPark returns the module-wide set of function keys that can leave the
 // calling proc parked on a peer-woken wait list (transitively reaching
-// sim's pushWaiter). This is blockhold's interprocedural oracle.
+// sim's Proc.park). This is blockhold's interprocedural oracle.
 func MayPark() (map[string]bool, error) {
 	if _, err := Module(); err != nil {
 		return nil, err

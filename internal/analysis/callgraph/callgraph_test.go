@@ -17,10 +17,11 @@ func TestSimSinksGolden(t *testing.T) {
 	}
 	mustHave := []string{
 		"Kernel.At", "Kernel.After", "Kernel.AtEvent", "Kernel.AfterEvent",
-		"Kernel.Spawn", "Kernel.SpawnDaemon",
-		"Proc.Spawn", "Proc.Wait", "Proc.WaitUntil",
+		"Kernel.Spawn", "Kernel.SpawnDaemon", "Kernel.SpawnEngine",
+		"Proc.Spawn", "Proc.Wait", "Proc.WaitUntil", "Proc.Sleep",
 		"Chan.Send", "Chan.TrySend", "Chan.Recv", "Chan.TryRecv", "Chan.Close",
-		"Resource.Acquire", "Resource.Release", "Resource.Use",
+		"Chan.Poll", "Chan.Offer",
+		"Resource.Acquire", "Resource.Release", "Resource.Use", "Resource.Claim",
 		"Future.Set",
 		"WaitGroup.Add", "WaitGroup.Done",
 		"Future.Get", "WaitGroup.Wait",
@@ -65,10 +66,11 @@ func TestMayParkSemantics(t *testing.T) {
 		}
 	}
 	for _, k := range []string{
-		"Proc.Wait", "Proc.WaitUntil", // timer waits: the kernel wakes them
+		"Proc.Wait", "Proc.WaitUntil", "Proc.Sleep", // timer waits: the kernel wakes them
+		"Chan.Poll", "Chan.Offer", "Resource.Claim", // enlist an engine, never park
 		"Resource.Release", "Chan.TrySend", "Chan.TryRecv",
 		"Future.Set", "WaitGroup.Done",
-		"Kernel.At", "Kernel.After", "Kernel.Spawn",
+		"Kernel.At", "Kernel.After", "Kernel.Spawn", "Kernel.SpawnEngine",
 	} {
 		if park[sim+k] {
 			t.Errorf("may-park wrongly contains %s%s", sim, k)
@@ -116,8 +118,11 @@ func TestModuleGraphShape(t *testing.T) {
 	if n == nil {
 		t.Fatal("no node for Resource.Acquire")
 	}
-	if !n.Calls[SimPkgPath+".pushWaiter"] {
-		t.Errorf("Resource.Acquire edges = %v, want pushWaiter", n.Calls)
+	if !n.Calls[SimPkgPath+".Proc.park"] || !n.Calls[SimPkgPath+".Resource.Claim"] {
+		t.Errorf("Resource.Acquire edges = %v, want Proc.park and Resource.Claim", n.Calls)
+	}
+	if n := g.Nodes[SimPkgPath+".Resource.Claim"]; n == nil || !n.Calls[SimPkgPath+".pushWaiter"] {
+		t.Error("Resource.Claim has no edge to pushWaiter")
 	}
 	// Generic methods key by their origin receiver name.
 	if g.Nodes[SimPkgPath+".Chan.Recv"] == nil {

@@ -15,15 +15,15 @@ func TestDerivedSinks(t *testing.T) {
 	mustHave := []string{
 		// Event-queue mutators.
 		"Kernel.At", "Kernel.After", "Kernel.AtEvent", "Kernel.AfterEvent",
-		"Kernel.Spawn", "Kernel.SpawnDaemon",
-		"Proc.Spawn", "Proc.Wait", "Proc.WaitUntil",
+		"Kernel.Spawn", "Kernel.SpawnDaemon", "Kernel.SpawnEngine",
+		"Proc.Spawn", "Proc.Wait", "Proc.WaitUntil", "Proc.Sleep",
 		// Wake sources.
 		"Chan.Send", "Chan.TrySend", "Chan.Recv", "Chan.TryRecv", "Chan.Close",
 		"Resource.Acquire", "Resource.Release", "Resource.Use",
 		"Future.Set",
 		"WaitGroup.Add", "WaitGroup.Done",
 		// Wait-list registration (park-FIFO position is order-sensitive).
-		"Future.Get", "WaitGroup.Wait",
+		"Future.Get", "WaitGroup.Wait", "Chan.Poll", "Chan.Offer", "Resource.Claim",
 	}
 	for _, k := range mustHave {
 		if !sinks[k] {
@@ -34,7 +34,7 @@ func TestDerivedSinks(t *testing.T) {
 		// Constructors and pool management.
 		"Kernel.NewEvent", "Kernel.Reserve", "NewKernel", "NewChan", "NewResource",
 		// Pure readers.
-		"Kernel.Now", "Kernel.Events", "Proc.Now", "Future.Done",
+		"Kernel.Now", "Kernel.Events", "Kernel.Goroutines", "Proc.Now", "Future.Done",
 		"Chan.Len", "Chan.Closed", "Resource.Cap", "Resource.InUse",
 		"Resource.Utilization",
 		// The run loop consumes events; it does not schedule them.

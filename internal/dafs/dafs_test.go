@@ -390,6 +390,48 @@ func TestSetattrTruncate(t *testing.T) {
 	})
 }
 
+// TestObjectSizeBound: every write path and SETATTR refuses a byte past
+// storage.MaxObject with StatusInval before it touches the file, which
+// allocates no page; SETATTR to exactly the bound is allowed.
+func TestObjectSizeBound(t *testing.T) {
+	r := newRig(1)
+	r.run(t, func(p *sim.Proc, c *Client) {
+		fh, _, _ := c.Create(p, "f")
+		reg := c.NIC().Register(p, make([]byte, 100))
+		if _, err := c.Write(p, fh, 1<<62, []byte{1}); err != ErrInval {
+			t.Errorf("inline write at 2^62: %v", err)
+		}
+		if _, err := c.Write(p, fh, storage.MaxObject, []byte{1}); err != ErrInval {
+			t.Errorf("inline write past the bound: %v", err)
+		}
+		if _, err := c.WriteDirect(p, fh, storage.MaxObject-50, reg, 0, 100); err != ErrInval {
+			t.Errorf("direct write past the bound: %v", err)
+		}
+		if _, err := c.WriteBatch(p, fh, []SegSpec{{Off: 0, Len: 10}, {Off: 1 << 62, Len: 10}}, reg, 0); err != ErrInval {
+			t.Errorf("batch write past the bound: %v", err)
+		}
+		if err := c.Setattr(p, fh, storage.MaxObject+1); err != ErrInval {
+			t.Errorf("setattr past the bound: %v", err)
+		}
+		if err := c.Setattr(p, fh, -1); err != ErrInval {
+			t.Errorf("setattr to -1: %v", err)
+		}
+		f, _ := r.store.Lookup("f")
+		if f.Size() != 0 || f.Pages() != 0 {
+			t.Errorf("after refused requests: size %d, %d pages", f.Size(), f.Pages())
+		}
+		if err := c.Setattr(p, fh, storage.MaxObject); err != nil {
+			t.Errorf("setattr to the bound: %v", err)
+		}
+		if _, err := c.Append(p, fh, []byte{1}); err != ErrInval {
+			t.Errorf("append past the bound: %v", err)
+		}
+		if f.Pages() != 0 {
+			t.Errorf("after growing to the bound: %d pages", f.Pages())
+		}
+	})
+}
+
 func TestFsync(t *testing.T) {
 	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {

@@ -477,6 +477,9 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if st != StatusOK || r.Err() != nil {
 			return firstBad(st, r), reply{}
 		}
+		if !storage.Fits(size, 0) {
+			return StatusInval, reply{}
+		}
 		f.Truncate(size)
 		return StatusOK, reply{}
 
@@ -511,6 +514,9 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if len(data) > sess.maxInline {
 			return StatusTooBig, reply{}
 		}
+		if !storage.Fits(off, int64(len(data))) {
+			return StatusInval, reply{}
+		}
 		s.touchDisk(p, off, len(data))
 		t0 := p.Now()
 		s.node.Compute(p, sim.TransferTime(int64(len(data)), s.prof.ServerMemBW))
@@ -528,6 +534,9 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		}
 		if len(data) > sess.maxInline {
 			return StatusTooBig, reply{}
+		}
+		if !storage.Fits(f.Size(), int64(len(data))) {
+			return StatusInval, reply{}
 		}
 		s.touchDisk(p, f.Size(), len(data))
 		t0 := p.Now()
@@ -569,7 +578,7 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if st != StatusOK || r.Err() != nil {
 			return firstBad(st, r), reply{}
 		}
-		if count < 0 || off < 0 {
+		if !storage.Fits(off, int64(count)) {
 			return StatusInval, reply{}
 		}
 		if count > 0 {
@@ -614,6 +623,9 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 			segs[i].Off = int64(r.U64())
 			segs[i].Len = int(r.U32())
 			if segs[i].Off < 0 || segs[i].Len < 0 {
+				return StatusInval, reply{}
+			}
+			if proc == ProcWriteBatch && !storage.Fits(segs[i].Off, int64(segs[i].Len)) {
 				return StatusInval, reply{}
 			}
 			total += segs[i].Len

@@ -1,7 +1,6 @@
 package dafs
 
 import (
-	"runtime"
 	"testing"
 
 	"dafsio/internal/sim"
@@ -10,13 +9,11 @@ import (
 // TestOpenSessionsParkNothing: a session holds no process between its
 // completions. One client dials a session to the server, then 31 more,
 // and leaves them all open; once each round has settled, the kernel's
-// live procs and the process's goroutines read the same after 32 sessions
-// as after 1. Each session's client dispatch, and the server's, are
-// notify handlers whose drain procs end with their bursts; a daemon
-// parked per session would add one proc and one goroutine per dial.
-//
-// Both readings come from one run, which is not shut down: no goroutine
-// of this test is exiting while they are taken.
+// live procs and its worker goroutines read the same after 32 sessions as
+// after 1. Each session's client dispatch, and the server's, are notify
+// handlers whose drain procs end with their bursts; a daemon parked per
+// session would add one proc and one goroutine per dial. The goroutines
+// are the kernel's own count, so no other test's goroutine can move it.
 func TestOpenSessionsParkNothing(t *testing.T) {
 	r := newRig(1)
 	var live, goroutines [2]int
@@ -29,7 +26,7 @@ func TestOpenSessionsParkNothing(t *testing.T) {
 				}
 			}
 			p.Wait(sim.Millisecond) // the last send completions drain
-			live[round], goroutines[round] = r.k.Live(), runtime.NumGoroutine()
+			live[round], goroutines[round] = r.k.Live(), r.k.Goroutines()
 		}
 	})
 	if err := r.k.Run(); err != nil {

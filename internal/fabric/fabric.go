@@ -154,8 +154,28 @@ func (n *Node) Claim(owner string, match func(payload any) bool) *Iface {
 // Send transmits a frame from this node: it serializes on the tx link in
 // the caller's (driver) process, then delivers to the destination's receive
 // queue after the wire latency. Frames between a given pair arrive in the
-// order sent.
+// order sent. An engine takes the same steps without blocking: ClaimTx,
+// LinkTime of serialization, Transmit.
 func (n *Node) Send(p *sim.Proc, fr Frame) {
+	n.txLink.Acquire(p, 1)
+	p.Wait(n.LinkTime(fr.Bytes))
+	n.Transmit(fr)
+}
+
+// ClaimTx is Send's first step for an engine: it queues p for the transmit
+// link and reports whether p holds it now; otherwise the grant steps p
+// holding it.
+func (n *Node) ClaimTx(p *sim.Proc) bool { return n.txLink.Claim(p, 1) }
+
+// LinkTime is how long a frame of the given wire size occupies a link.
+func (n *Node) LinkTime(bytes int) sim.Time {
+	return sim.TransferTime(int64(bytes), n.fab.Prof.LinkBandwidth)
+}
+
+// Transmit is Send's last step: the caller has held the transmit link for
+// the frame's LinkTime. It releases the link and puts the frame on the
+// wire, to land in the destination's receive queue after the wire latency.
+func (n *Node) Transmit(fr Frame) {
 	if fr.Bytes <= 0 {
 		panic("fabric: frame with non-positive size")
 	}
@@ -164,7 +184,7 @@ func (n *Node) Send(p *sim.Proc, fr Frame) {
 	}
 	fr.Src = n.ID
 	f := n.fab
-	n.txLink.Use(p, 1, sim.TransferTime(int64(fr.Bytes), f.Prof.LinkBandwidth))
+	n.txLink.Release(1)
 	f.framesSent++
 	f.bytesSent += int64(fr.Bytes)
 	d := f.freeDeliv
@@ -183,16 +203,31 @@ func (n *Node) Send(p *sim.Proc, fr Frame) {
 // Recv blocks the driver process until a frame for this interface is
 // available, then pays the receive-link serialization for it (cut-through:
 // the rx link is busy while the frame's tail arrives). ok is false if the
-// queue was closed.
+// queue was closed. An engine takes the same steps without blocking: Poll,
+// ClaimRx, LinkTime of serialization, Received.
 func (i *Iface) Recv(p *sim.Proc) (Frame, bool) {
 	fr, ok := i.q.Recv(p)
 	if !ok {
 		return Frame{}, false
 	}
 	n := i.node
-	n.rxLink.Use(p, 1, sim.TransferTime(int64(fr.Bytes), n.fab.Prof.LinkBandwidth))
+	n.rxLink.Acquire(p, 1)
+	p.Wait(n.LinkTime(fr.Bytes))
+	i.Received()
 	return fr, true
 }
+
+// Poll is Recv's first step for an engine: it takes the next frame, or
+// enlists p so that the next arrival steps it, and reports false.
+func (i *Iface) Poll(p *sim.Proc) (Frame, bool) { return i.q.Poll(p) }
+
+// ClaimRx is Recv's second step: it queues p for the receive link and
+// reports whether p holds it now; otherwise the grant steps p holding it.
+func (i *Iface) ClaimRx(p *sim.Proc) bool { return i.node.rxLink.Claim(p, 1) }
+
+// Received is Recv's last step: the frame's tail is in, one LinkTime after
+// the claim, and the receive link is released.
+func (i *Iface) Received() { i.node.rxLink.Release(1) }
 
 // Profile returns the fabric's cost model.
 func (n *Node) Profile() *model.Profile { return n.fab.Prof }

@@ -6,6 +6,7 @@ import (
 
 	"dafsio/internal/kstack"
 	"dafsio/internal/sim"
+	"dafsio/internal/storage"
 )
 
 func TestWriteToStaleHandle(t *testing.T) {
@@ -145,8 +146,9 @@ func TestFailedReadCollectsEveryChunk(t *testing.T) {
 	})
 }
 
-// TestObjectSizeBound: a WRITE or SETATTR past maxObject is refused with
-// ErrInval and leaves the file alone; SETATTR to exactly maxObject is not.
+// TestObjectSizeBound: a WRITE or SETATTR past storage.MaxObject is
+// refused with ErrInval and leaves the file alone; SETATTR to exactly
+// storage.MaxObject is not.
 func TestObjectSizeBound(t *testing.T) {
 	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
@@ -154,14 +156,14 @@ func TestObjectSizeBound(t *testing.T) {
 		if _, err := c.Write(p, fh, 1<<62, []byte{1}); err != ErrInval {
 			t.Errorf("write at 2^62: %v", err)
 		}
-		if _, err := c.Write(p, fh, maxObject, []byte{1}); err != ErrInval {
-			t.Errorf("write past maxObject: %v", err)
+		if _, err := c.Write(p, fh, storage.MaxObject, []byte{1}); err != ErrInval {
+			t.Errorf("write past storage.MaxObject: %v", err)
 		}
 		if _, err := c.Write(p, fh, -1, []byte{1}); err != ErrInval {
 			t.Errorf("write at -1: %v", err)
 		}
-		if err := c.Setattr(p, fh, maxObject+1); err != ErrInval {
-			t.Errorf("setattr past maxObject: %v", err)
+		if err := c.Setattr(p, fh, storage.MaxObject+1); err != ErrInval {
+			t.Errorf("setattr past storage.MaxObject: %v", err)
 		}
 		if err := c.Setattr(p, fh, -1); err != ErrInval {
 			t.Errorf("setattr to -1: %v", err)
@@ -169,8 +171,8 @@ func TestObjectSizeBound(t *testing.T) {
 		if a, err := c.Getattr(p, fh); err != nil || a.Size != 0 {
 			t.Errorf("after refused requests: size %d err=%v", a.Size, err)
 		}
-		if err := c.Setattr(p, fh, maxObject); err != nil {
-			t.Errorf("setattr to maxObject: %v", err)
+		if err := c.Setattr(p, fh, storage.MaxObject); err != nil {
+			t.Errorf("setattr to storage.MaxObject: %v", err)
 		}
 	})
 }

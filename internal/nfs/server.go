@@ -13,12 +13,6 @@ import (
 // serverWorkers is the number of nfsd service threads.
 const serverWorkers = 4
 
-// maxObject bounds the file size a WRITE or SETATTR may ask for: 1 TiB, far
-// above any table's file (T18 prefills 512 MB). A request past it is
-// refused with ErrsInval rather than handed to the store, whose page index
-// grows with the offset written.
-const maxObject = 1 << 40
-
 // ServerStats counts server activity.
 type ServerStats struct {
 	RPCs       int64
@@ -194,7 +188,7 @@ func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader, w *wire.Writer) St
 		if st != OK || r.Err() != nil {
 			return bad(st, r)
 		}
-		if size > maxObject {
+		if size > storage.MaxObject {
 			return ErrsInval
 		}
 		f.Truncate(int64(size))
@@ -228,7 +222,7 @@ func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader, w *wire.Writer) St
 		if st != OK || r.Err() != nil {
 			return bad(st, r)
 		}
-		if off < 0 || off > maxObject-int64(len(data)) {
+		if !storage.Fits(off, int64(len(data))) {
 			return ErrsInval
 		}
 		if s.disk != nil && len(data) > 0 {

@@ -87,20 +87,24 @@ func (c *Chan[T]) Close() {
 
 // Send enqueues v, blocking p while a bounded channel is full.
 func (c *Chan[T]) Send(p *Proc, v T) {
-	for c.cap > 0 && c.count >= c.cap {
-		if c.closed {
-			panic("sim: send on closed channel")
-		}
-		pushWaiter(&c.sendH, &c.sendT, p)
+	for !c.Offer(p, v) {
 		p.park()
+	}
+}
+
+// Offer is Send's non-blocking step: it enqueues v and reports true, or,
+// while a bounded channel is full, enlists p as a sender — the next
+// receive wakes it — and reports false. Offering on a closed channel
+// panics.
+func (c *Chan[T]) Offer(p *Proc, v T) bool {
+	if c.TrySend(v) {
+		return true
 	}
 	if c.closed {
 		panic("sim: send on closed channel")
 	}
-	c.put(v)
-	if w := popWaiter(&c.recvH, &c.recvT); w != nil {
-		c.k.wake(w)
-	}
+	pushWaiter(&c.sendH, &c.sendT, p)
+	return false
 }
 
 // TrySend enqueues v without blocking; it reports false if the channel is
@@ -119,19 +123,23 @@ func (c *Chan[T]) TrySend(v T) bool {
 // Recv dequeues the oldest message, blocking p while the channel is empty.
 // ok is false only when the channel is closed and drained.
 func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
-	for c.count == 0 && !c.closed {
-		pushWaiter(&c.recvH, &c.recvT, p)
+	for {
+		if v, ok = c.Poll(p); ok || c.closed {
+			return v, ok
+		}
 		p.park()
 	}
-	if c.count == 0 {
-		var zero T
-		return zero, false
+}
+
+// Poll is Recv's non-blocking step: it dequeues the oldest message, or,
+// while the channel is empty and open, enlists p as a receiver — the next
+// send wakes it — and reports false. A closed, drained channel reports
+// false and enlists nothing.
+func (c *Chan[T]) Poll(p *Proc) (v T, ok bool) {
+	if v, ok = c.TryRecv(); !ok && !c.closed {
+		pushWaiter(&c.recvH, &c.recvT, p)
 	}
-	v = c.take()
-	if w := popWaiter(&c.sendH, &c.sendT); w != nil {
-		c.k.wake(w)
-	}
-	return v, true
+	return v, ok
 }
 
 // TryRecv dequeues without blocking; ok is false if nothing is buffered.

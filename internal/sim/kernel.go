@@ -19,7 +19,8 @@ import (
 // holds the baton pops events itself (see dispatch). Callback events run
 // inline on the holder's stack; a proc-step event hands the baton straight
 // to the target proc. A proc event therefore costs one goroutine transfer,
-// not a round trip through a central scheduler goroutine.
+// not a round trip through a central scheduler goroutine, and an engine's
+// step event (SpawnEngine) costs none: it runs inline like a callback.
 type Kernel struct {
 	now Time
 	seq uint64
@@ -31,6 +32,7 @@ type Kernel struct {
 	freeProcs   []*Proc   // finished Proc records awaiting reuse by Spawn
 	freeWorkers []*worker // parked worker goroutines awaiting a proc to run
 	freeEvents  *Event    // recycled At/After callback events
+	workers     int       // worker goroutines started and not yet reclaimed
 
 	daemonEv int // queued daemon events; they alone never keep Run alive
 
@@ -56,6 +58,10 @@ func (k *Kernel) Events() uint64 { return k.dispatched }
 // Live returns the number of live procs: spawned and not yet finished,
 // whether running, runnable, or parked.
 func (k *Kernel) Live() int { return len(k.live) }
+
+// Goroutines returns the number of worker goroutines this kernel holds,
+// bound to a proc or pooled. Engines hold none. Shutdown reclaims them all.
+func (k *Kernel) Goroutines() int { return k.workers }
 
 // PendingEvents returns the number of events currently queued — the
 // occupancy of the timer wheel (plus its overflow heap).
@@ -209,11 +215,11 @@ func (k *Kernel) Run() error {
 }
 
 // dispatch runs the event loop on the calling goroutine — the current baton
-// holder — executing callback events inline until it hits a proc-step
-// event, which it returns for the caller to hand the baton to. It returns
-// nil when the loop must stop: no non-daemon event queued, a recorded
-// failure, or a callback panic. A nil return obliges a proc caller to send
-// the baton home on k.gate.
+// holder — executing callback events and engine steps inline until it
+// hits a proc-step event, which it returns for the caller to hand the
+// baton to. It returns nil when the loop must stop: no non-daemon event
+// queued, a recorded failure, or a callback panic. A nil return obliges a
+// proc caller to send the baton home on k.gate.
 func (k *Kernel) dispatch() *Proc {
 	// The loop stops when only daemon events remain: they are left queued
 	// and unexecuted, exactly as parked daemon procs are left parked.
@@ -225,6 +231,10 @@ func (k *Kernel) dispatch() *Proc {
 			k.daemonEv--
 		}
 		if p := ev.proc; p != nil {
+			if p.step != nil {
+				k.stepEngine(p)
+				continue
+			}
 			if p.w == nil {
 				k.bind(p) // first step: attach a pooled worker goroutine
 			}
@@ -257,10 +267,11 @@ func (k *Kernel) runCallback(fn func()) {
 
 // Shutdown reclaims the kernel's pooled worker goroutines: idle workers
 // exit, and parked procs (daemons included) unwind without running further
-// simulation code. Goroutines go one at a time, each gone before the next
-// is released: an unwinding proc runs its deferred calls, and those of two
-// procs may touch the same state. It must not be called while Run is
-// executing; after Shutdown the kernel is dead — Run and Spawn panic.
+// simulation code; engines have no goroutine and are skipped. Goroutines
+// go one at a time, each gone before the next is released: an unwinding
+// proc runs its deferred calls, and those of two procs may touch the same
+// state. It must not be called while Run is executing; after Shutdown the
+// kernel is dead — Run and Spawn panic.
 // Kernels used in loops (benchmark harnesses, repeated experiments) should
 // Shutdown when done so worker goroutines and their stacks are reclaimed;
 // short-lived kernels may skip it, leaking only what the old
@@ -285,6 +296,7 @@ func (k *Kernel) Shutdown() {
 		// Never-started procs have no goroutine to reclaim.
 	}
 	k.freeProcs, k.freeWorkers, k.live = nil, nil, nil
+	k.workers = 0
 }
 
 // removeLive swap-removes a finished proc from the live set.

@@ -12,6 +12,11 @@ import (
 // goroutine; the kernel enforces single-threaded execution, so no locking is
 // needed anywhere in the simulation.
 //
+// An engine (SpawnEngine) is a Proc with no goroutine at all: its step
+// function runs inline on the baton holder's stack each time its step
+// event fires, and arranges the next firing with the non-blocking forms
+// Sleep, Chan.Poll, Chan.Offer and Resource.Claim instead of parking.
+//
 // Procs are pooled, and so are the goroutines that run them — separately.
 // A Proc is the simulation-visible identity (name, wait state, its step
 // event in the queue); a worker is a parked goroutine with a rendezvous
@@ -27,9 +32,11 @@ type Proc struct {
 	k       *Kernel
 	w       *worker       // bound at first dispatch; nil before start and after finish
 	fn      func(p *Proc) // current assignment
+	step    func(p *Proc) // engines only: runs once per step event, never parks
 	done    bool
 	daemon  bool
-	liveIdx int // index in k.live; -1 when finished
+	armed   bool // a step event or a wake is arranged (engines end when not)
+	liveIdx int  // index in k.live; -1 when finished
 
 	// stepEv is the proc's intrusive kernel event: Spawn, Wait, and every
 	// wake schedule it, so stepping a proc never allocates. The park/wake
@@ -66,15 +73,24 @@ func (p *Proc) SetTraceCtx(id uint64) (old uint64) {
 
 // procPanic carries a panic out of a process into the kernel's error return.
 type procPanic struct {
-	proc  string
-	value any
-	stack []byte
+	proc   string
+	engine bool
+	value  any
+	stack  []byte
 }
 
 // Error implements error.
 func (e *procPanic) Error() string {
-	return fmt.Sprintf("sim: process %q panicked: %v\n%s", e.proc, e.value, e.stack)
+	kind := "process"
+	if e.engine {
+		kind = "engine"
+	}
+	return fmt.Sprintf("sim: %s %q panicked: %v\n%s", kind, e.proc, e.value, e.stack)
 }
+
+// errEngineBlocked is the panic an engine's step raises by calling a
+// blocking primitive: it has no goroutine to park.
+const errEngineBlocked = "sim: engine step blocked (an engine arranges its next step with Sleep, Poll, Offer or Claim)"
 
 // Spawn creates a process running fn and schedules it to start at the
 // current virtual time. It may be called from kernel context (before Run)
@@ -82,6 +98,11 @@ func (e *procPanic) Error() string {
 // pool when one is available; no goroutine is involved until the proc's
 // first step dispatches (see Kernel.bind).
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
+	return k.spawn(name, fn, nil)
+}
+
+// spawn queues the first step of a goroutine proc (fn) or an engine (step).
+func (k *Kernel) spawn(name string, fn, step func(p *Proc)) *Proc {
 	if k.closed {
 		panic("sim: Spawn after Shutdown")
 	}
@@ -99,6 +120,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	}
 	p.Name = name
 	p.fn = fn
+	p.step = step
 	p.liveIdx = len(k.live)
 	k.live = append(k.live, p)
 	k.schedule(&p.stepEv, k.now)
@@ -124,6 +146,7 @@ func (k *Kernel) bind(p *Proc) {
 		k.freeWorkers = k.freeWorkers[:n-1]
 	} else {
 		w = &worker{gate: make(chan struct{})}
+		k.workers++
 		go w.loop(k)
 	}
 	w.p = p
@@ -137,6 +160,46 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	p := k.Spawn(name, fn)
 	p.daemon = true
 	return p
+}
+
+// SpawnEngine starts an engine: a daemon with no goroutine of its own.
+// Each time its step event fires, step runs inline on the stack of
+// whoever holds the baton, and before it returns it arranges its next
+// step: Sleep for a timer, Chan.Poll or Chan.Offer to wait on a channel,
+// Resource.Claim to queue for units (the grant steps it, holding them).
+// A step that arranges nothing ends the engine. A step must not block: one
+// that calls Wait, Recv, Send, Acquire or any other parking primitive, or
+// that panics, ends Run with an error naming the engine.
+//
+// An engine that makes the same primitive calls in the same order as a
+// blocking proc's body leaves every event at the same (Time, seq): the
+// blocking forms are park loops over the same non-blocking ones.
+func (k *Kernel) SpawnEngine(name string, step func(p *Proc)) *Proc {
+	p := k.spawn(name, nil, step)
+	p.daemon = true
+	return p
+}
+
+// stepEngine runs one step of an engine on the caller's stack, turning a
+// panic into the kernel's failure and retiring an engine that arranged no
+// next step.
+func (k *Kernel) stepEngine(p *Proc) {
+	p.armed = false
+	defer func() {
+		if r := recover(); r != nil {
+			if k.failure == nil {
+				k.failure = &procPanic{proc: p.Name, engine: true, value: r, stack: debug.Stack()}
+			}
+			return
+		}
+		if !p.armed {
+			p.done = true
+			p.step = nil
+			k.removeLive(p)
+			k.freeProcs = append(k.freeProcs, p)
+		}
+	}()
+	p.step(p)
 }
 
 // loop is the worker goroutine: wait for a proc assignment, run it, return
@@ -199,11 +262,19 @@ func (w *worker) exec(k *Kernel) {
 }
 
 // park blocks the process until another component wakes it via k.wake. The
-// caller must have registered itself with whoever will perform the wake.
-// The parking proc holds the baton, so it keeps dispatching: if its own
-// wake is the very next event it simply continues; otherwise it hands the
-// baton to the next proc (or home to the kernel) and sleeps on its gate.
-func (p *Proc) park() {
+// caller must have enlisted the process on a wait list (pushWaiter), so the
+// wake takes another proc's action; the lint's may-park set is anchored
+// here. A timer wait suspends without parking: it wakes by itself.
+func (p *Proc) park() { p.suspend() }
+
+// suspend gives up the baton until p's step event fires. The suspending
+// proc holds the baton, so it keeps dispatching: if its own step is the
+// very next event it simply continues; otherwise it hands the baton to the
+// next proc (or home to the kernel) and sleeps on its gate.
+func (p *Proc) suspend() {
+	if p.step != nil {
+		panic(errEngineBlocked)
+	}
 	k := p.k
 	q := k.dispatch()
 	if q == p {
@@ -223,8 +294,9 @@ func (p *Proc) park() {
 }
 
 // wake schedules p to continue at the current virtual time. It must be
-// called for a process that is parked (or about to park); the FIFO event
-// queue makes the wake order deterministic.
+// called for a process that is parked (or about to park), or for an
+// engine enlisted on a wait list; the FIFO event queue makes the wake
+// order deterministic.
 func (k *Kernel) wake(p *Proc) {
 	k.schedule(&p.stepEv, k.now)
 }
@@ -239,12 +311,20 @@ func (p *Proc) Now() Time { return p.k.now }
 // treated as zero (the process still yields, giving same-instant events a
 // chance to run first).
 func (p *Proc) Wait(d Time) {
+	p.Sleep(d)
+	p.suspend()
+}
+
+// Sleep is Wait without the suspension: it arranges p's next step d from
+// now (negative d counts as zero) and returns at once. It is how an
+// engine waits out a service time.
+func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
 	k := p.k
 	k.schedule(&p.stepEv, k.now+d)
-	p.park()
+	p.armed = true
 }
 
 // WaitUntil suspends the process until virtual time t (no-op if t has
@@ -266,8 +346,10 @@ func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
 // waits for), so the synchronization primitives enqueue waiters without
 // allocating.
 
-// pushWaiter appends p to the FIFO list (head, tail).
+// pushWaiter appends p to the FIFO list (head, tail); the wake that pops
+// it arranges p's next step.
 func pushWaiter(head, tail **Proc, p *Proc) {
+	p.armed = true
 	p.wnext = nil
 	if *tail == nil {
 		*head, *tail = p, p

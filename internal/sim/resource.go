@@ -55,24 +55,33 @@ func (r *Resource) account() {
 // a large request at the head of the queue blocks smaller requests behind
 // it, which keeps service order deterministic and fair.
 func (r *Resource) Acquire(p *Proc, n int) {
+	if r.Claim(p, n) {
+		return
+	}
+	for !p.wgranted {
+		p.park()
+	}
+}
+
+// Claim is Acquire's non-blocking step: it takes n units and reports true
+// when they are free and nobody is queued, or queues p FIFO and reports
+// false. The grant hands p the units and wakes it.
+func (r *Resource) Claim(p *Proc, n int) bool {
 	if n < 1 || n > r.cap {
 		panic("sim: bad acquire count")
 	}
 	r.acquires++
-	if r.waitH == nil && r.inUse+n <= r.cap {
-		r.account()
-		r.inUse += n
-		return
-	}
 	r.account()
+	if r.waitH == nil && r.inUse+n <= r.cap {
+		r.inUse += n
+		return true
+	}
 	p.wn = n
 	p.wsince = r.k.now
 	p.wgranted = false
 	pushWaiter(&r.waitH, &r.waitT, p)
 	r.nwait++
-	for !p.wgranted {
-		p.park()
-	}
+	return false
 }
 
 // Release returns n units and grants as many FIFO waiters as now fit.
@@ -122,8 +131,8 @@ func (r *Resource) Utilization() float64 {
 	return float64(r.BusyTime()) / float64(elapsed)
 }
 
-// Acquires returns the number of Acquire calls since creation or the last
-// ResetStats.
+// Acquires returns the number of Acquire and Claim calls since creation or
+// the last ResetStats.
 func (r *Resource) Acquires() int64 { return r.acquires }
 
 // Waits returns how many acquisitions had to queue before being granted.

@@ -39,6 +39,15 @@ func NewStore() *Store {
 // pageSize is the size of one buffer-cache page of a file.
 const pageSize = 1 << 20
 
+// MaxObject bounds a file's size: 1 TiB, far above any table's file (T18
+// prefills 512 MB). The page index grows with the offset written, so the
+// protocol servers refuse a write or truncate that would reach past it,
+// before any page is touched.
+const MaxObject = 1 << 40
+
+// Fits reports whether n bytes at off lie within [0, MaxObject].
+func Fits(off, n int64) bool { return off >= 0 && n >= 0 && off <= MaxObject-n }
+
 // indexRoom is how many pages a file's page index has room for when it
 // first grows, so that files of up to 64 MB never regrow it.
 const indexRoom = 64
@@ -106,6 +115,17 @@ func (f *File) ID() FileID { return f.id }
 
 // Name returns the file's name.
 func (f *File) Name() string { return f.name }
+
+// Pages returns how many buffer-cache pages the file holds.
+func (f *File) Pages() int {
+	n := 0
+	for _, pg := range f.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // Size returns the file length in bytes.
 func (f *File) Size() int64 { return f.size }

@@ -61,7 +61,7 @@ func runNotifyScript(t *testing.T, waiter bool) notifyRun {
 			for _, off := range burst {
 				p.WaitUntil(start + off)
 				n++
-				cq.deliver(p, Completion{Len: n})
+				cq.deliver(Completion{Len: n})
 			}
 		}
 	})
@@ -109,7 +109,7 @@ func TestNotifyCQParksNothingBetweenBursts(t *testing.T) {
 func TestNotifyCQHandlerPanicFailsRun(t *testing.T) {
 	p2 := newPair(model.CLAN1998())
 	cq := p2.nicA.NewNotifyCQ("boom", func(p *sim.Proc, c Completion) { panic("handler failed") })
-	p2.k.Spawn("script", func(p *sim.Proc) { cq.deliver(p, Completion{}) })
+	p2.k.Spawn("script", func(p *sim.Proc) { cq.deliver(Completion{}) })
 	err := p2.k.Run()
 	if err == nil || !strings.Contains(err.Error(), "handler failed") {
 		t.Fatalf("Run: %v, want the handler's panic", err)

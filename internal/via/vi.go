@@ -127,13 +127,15 @@ func (cq *CQ) Len() int { return cq.ch.Len() }
 
 // deliver queues c. On an idle notify queue it spawns the drain, which
 // takes the sequence slot a waiter's wake takes.
-func (cq *CQ) deliver(p *sim.Proc, c Completion) {
+func (cq *CQ) deliver(c Completion) {
 	c.At = cq.nic.prov.K.Now()
 	if c.Desc != nil {
 		// Descriptor spans end when their completion is delivered.
 		cq.nic.prov.Tracer.End(c.Desc.span)
 	}
-	cq.ch.Send(p, c)
+	if !cq.ch.TrySend(c) {
+		panic("via: CQ closed")
+	}
 	if cq.handler != nil && !cq.draining {
 		cq.draining = true
 		cq.nic.prov.K.SpawnDaemon(cq.Name, cq.drainFn)
@@ -268,12 +270,12 @@ func (vi *VI) checkDesc(d *Descriptor) error {
 
 // enterError puts the VI in the sticky error state and fails all posted
 // receives.
-func (vi *VI) enterError(p *sim.Proc, err error) {
+func (vi *VI) enterError(err error) {
 	if vi.errState == nil {
 		vi.errState = err
 	}
 	for _, d := range vi.recvQ {
-		vi.RecvCQ.deliver(p, Completion{VI: vi, Desc: d, Op: OpRecv, Err: err})
+		vi.RecvCQ.deliver(Completion{VI: vi, Desc: d, Op: OpRecv, Err: err})
 	}
 	vi.recvQ = nil
 }

@@ -133,6 +133,11 @@ type NIC struct {
 	sendWork *sim.Chan[*Descriptor]
 	txQ      *sim.Chan[*cell]
 
+	// The engines' state between steps (nicproc.go).
+	snd sendEngine
+	tx  txEngine
+	rx  rxEngine
+
 	vis        []*VI
 	cqs        []*CQ
 	regions    map[MemHandle]*Region
@@ -189,9 +194,9 @@ func (pr *Provider) NewNIC(node *fabric.Node) *NIC {
 		reasm:     make(map[reasmKey]*reasmState),
 	}
 	pr.nics[node.ID] = n
-	pr.K.SpawnDaemon(node.Name+".nic.send", n.sendLoop)
-	pr.K.SpawnDaemon(node.Name+".nic.tx", n.txLoop)
-	pr.K.SpawnDaemon(node.Name+".nic.rx", n.recvLoop)
+	pr.K.SpawnEngine(node.Name+".nic.send", n.sendStep)
+	pr.K.SpawnEngine(node.Name+".nic.tx", n.txStep)
+	pr.K.SpawnEngine(node.Name+".nic.rx", n.recvStep)
 	if m := pr.Metrics; m != nil {
 		// All func-backed over counters the NIC already keeps: zero cost on
 		// the data path, evaluated only at sampling instants.

@@ -581,3 +581,49 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("cells out %d, want %d", sa.CellsOut, cells)
 	}
 }
+
+// TestNICsHoldNoGoroutines: a NIC's send, tx and rx engines are kernel
+// engines, so the NICs hold no worker goroutine before or after traffic.
+// One app proc moves a multi-cell send, an RDMA write and an RDMA read;
+// the kernel then holds its one worker and nothing else.
+func TestNICsHoldNoGoroutines(t *testing.T) {
+	p2 := newPair(model.CLAN1998())
+	if live, g := p2.k.Live(), p2.k.Goroutines(); live != 6 || g != 0 {
+		t.Fatalf("before traffic: %d live, %d goroutines; want the 6 NIC engines and none", live, g)
+	}
+	const n = 70000
+	p2.k.Spawn("app", func(p *sim.Proc) {
+		src := p2.nicA.Register(p, make([]byte, n))
+		dst := p2.nicB.Register(p, make([]byte, n))
+		fill(src.Bytes(), 3)
+		if err := p2.viB.PrepostRecv(&Descriptor{Region: dst, Len: n}); err != nil {
+			t.Error(err)
+			return
+		}
+		for _, d := range []*Descriptor{
+			{Op: OpSend, Region: src, Len: n},
+			{Op: OpRDMAWrite, Region: src, Len: n, RemoteHandle: dst.Handle},
+			{Op: OpRDMARead, Region: src, Len: n, RemoteHandle: dst.Handle},
+		} {
+			if err := p2.viA.PostSend(p, d); err != nil {
+				t.Error(err)
+				return
+			}
+			if c := p2.viA.SendCQ.Wait(p); c.Err != nil || c.Len != n {
+				t.Errorf("%v: len %d err %v", d.Op, c.Len, c.Err)
+			}
+		}
+		if c := p2.viB.RecvCQ.Wait(p); c.Err != nil || c.Len != n {
+			t.Errorf("recv: len %d err %v", c.Len, c.Err)
+		}
+	})
+	if err := p2.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if live, g := p2.k.Live(), p2.k.Goroutines(); live != 6 || g != 1 {
+		t.Errorf("after traffic: %d live, %d goroutines; want the 6 NIC engines and the app's 1", live, g)
+	}
+	if s := p2.nicA.Stats(); s.CellsOut == 0 || s.CellsIn == 0 {
+		t.Errorf("no traffic moved: %+v", s)
+	}
+}
