@@ -26,7 +26,7 @@ import "dafsio/internal/layout"
 
 // Segment is one contiguous byte range of the logical file. A plan input
 // is a list of segments mapping to consecutive bytes of one user buffer
-// (the same contract as mpiio.ListHandle).
+// (the same contract as mpiio.Handle's list operations).
 type Segment struct {
 	Off, Len int64
 }

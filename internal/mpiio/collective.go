@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"dafsio/internal/aggregate"
-	"dafsio/internal/layout"
 	"dafsio/internal/mpi"
 	"dafsio/internal/sim"
 	"dafsio/internal/trace"
@@ -21,23 +20,23 @@ import (
 //     exchange their access extents.
 //  2. The aggregate file range is partitioned into *file domains* by the
 //     internal/aggregate planner: stripe-aligned (one aggregator per
-//     server, cb_nodes = stripe width) when the driver exposes a striped
-//     layout and the world is wide enough, else equal chunks, one per
-//     rank (cb_nodes = world size).
+//     server, cb_nodes = stripe width) when the driver's layout is striped
+//     and the world is wide enough, else equal chunks, one per rank
+//     (cb_nodes = world size).
 //  3. Writes: each rank ships one write block per domain owner over MPI —
 //     its pieces' (offset, length) headers, then their data — and the
 //     owners issue few large driver writes.
 //     Reads: ranks ship their (offset, length) requests to the owners,
 //     which read the pieces and ship them back.
 //
-// Over a driver with list I/O (and NoBatch off) the exchange and the I/O
-// overlap source by source, the pipelined two-phase of Thakur, Gropp and
-// Lusk: an aggregator starts a list write on each source's block the
-// moment it arrives, and starts one list read per source straight into
-// that source's reply, waiting on it only at the exchange step that ships
-// it — so the servers work while the exchange is still in flight. Other
-// drivers run the phases one after the other: the whole exchange, then
-// sorted and assembled contiguous runs.
+// Unless NoBatch is set (and Open sets it over a leaf without batch I/O)
+// the exchange and the I/O overlap source by source, the pipelined
+// two-phase of Thakur, Gropp and Lusk: an aggregator starts a list write
+// on each source's block the moment it arrives, and starts one list read
+// per source straight into that source's reply, waiting on it only at the
+// exchange step that ships it — so the servers work while the exchange is
+// still in flight. With NoBatch the phases run one after the other: the
+// whole exchange, then sorted and assembled contiguous runs.
 //
 // The payoff is turning many small, hole-separated accesses — which pay
 // per-operation latency and server cost — into link-speed bulk transfers,
@@ -83,8 +82,8 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 
 	// Phase 2: exchange and aggregate.
 	var aggErr error
-	if lh, ok := f.h.(ListHandle); ok && !f.hints.NoBatch {
-		aggErr = f.pipelinedWrite(p, lh, blocks)
+	if !f.hints.NoBatch {
+		aggErr = f.pipelinedWrite(p, blocks)
 	} else {
 		endEx := f.aggSpan(p, "exchange")
 		recv := r.AlltoallvBytes(p, blocks)
@@ -112,7 +111,7 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 // packed — then waits for every write it started. After a failure it
 // starts no more writes, but it stays in the exchange, which every rank
 // must finish.
-func (f *File) pipelinedWrite(p *sim.Proc, lh ListHandle, blocks [][]byte) error {
+func (f *File) pipelinedWrite(p *sim.Proc, blocks [][]byte) error {
 	ops := make([]AsyncOp, 0, len(blocks))
 	var segs []Segment
 	var err error
@@ -127,22 +126,19 @@ func (f *File) pipelinedWrite(p *sim.Proc, lh ListHandle, blocks [][]byte) error
 		}
 		segs = appendSegs(slices.Grow(segs[:0], blk.pieces()), blk.hdrs)
 		var op AsyncOp
-		if op, err = lh.StartWriteList(p, segs, blk.data); err == nil {
+		if op, err = f.h.StartWriteList(p, segs, blk.data); err == nil {
 			ops = append(ops, op)
 		}
 	})
 	endEx()
-	for _, op := range ops {
-		if _, werr := op.Wait(p); err == nil {
-			err = werr
-		}
-	}
+	_, err = waitAll(p, ops, err)
 	return err
 }
 
 // aggregateWrite sorts this rank's incoming pieces, assembles contiguous
 // runs (each capped at CollBufSize) into one packed collective buffer, and
-// issues them as pipelined contiguous writes.
+// issues them as pipelined contiguous writes. A failed start stops the
+// issuing; every write already started is waited out.
 func (f *File) aggregateWrite(p *sim.Proc, recv [][]byte) error {
 	node := f.drv.Node()
 	type tuple struct {
@@ -203,22 +199,19 @@ func (f *File) aggregateWrite(p *sim.Proc, recv [][]byte) error {
 	}
 
 	ops := make([]AsyncOp, 0, len(runs))
+	var err error
 	pos := 0
 	for _, run := range runs {
-		op, err := f.h.StartWrite(p, run.Off, packed[pos:pos+int(run.Len)])
-		if err != nil {
-			return err
+		var op AsyncOp
+		if op, err = f.h.StartWrite(p, run.Off, packed[pos:pos+int(run.Len)]); err != nil {
+			break
 		}
 		pos += int(run.Len)
 		ops = append(ops, op)
 	}
 	node.CopyMem(p, assembled) // collective-buffer assembly copy
-	for _, op := range ops {
-		if _, err := op.Wait(p); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = waitAll(p, ops, err)
+	return err
 }
 
 // ReadAtAll is the collective MPI_File_read_at_all. The returned count is
@@ -283,8 +276,8 @@ func (f *File) ReadAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 	// Phase 2: serve my domain and exchange the data back.
 	var datas [][]byte
 	var aggErr error
-	if lh, ok := f.h.(ListHandle); ok && !f.hints.NoBatch {
-		datas, aggErr = f.pipelinedRead(p, lh, reqs)
+	if !f.hints.NoBatch {
+		datas, aggErr = f.pipelinedRead(p, reqs)
 	} else {
 		replies, err := f.aggregateRead(p, reqs)
 		if aggErr = err; replies == nil {
@@ -384,7 +377,7 @@ func (f *File) ReadAtAllBegin(p *sim.Proc, off int64, buf []byte) *Request {
 // redone for that source alone with contiguous reads. After a failure the
 // remaining sources get empty replies, but every started read is waited
 // and the exchange runs to the end, as every rank must.
-func (f *File) pipelinedRead(p *sim.Proc, lh ListHandle, reqs [][]byte) ([][]byte, error) {
+func (f *File) pipelinedRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
 	n, me := len(reqs), f.rank.ID()
 	var err error
 	sizes, most := make([]int, n), 0
@@ -415,7 +408,7 @@ func (f *File) pipelinedRead(p *sim.Proc, lh ListHandle, reqs [][]byte) ([][]byt
 			for i, s := range segs {
 				binary.LittleEndian.PutUint32(reply[i*replyHdr:], uint32(s.Len))
 			}
-			op, serr := lh.StartReadList(p, segs, reply[len(segs)*replyHdr:])
+			op, serr := f.h.StartReadList(p, segs, reply[len(segs)*replyHdr:])
 			if err = serr; err == nil {
 				ops[src], replies[src] = op, reply
 			}
@@ -595,23 +588,11 @@ func (f *File) exchangeExtents(p *sim.Proc, segs []Segment) (gmin, gmax int64, a
 	return gmin, gmax, any
 }
 
-// striper is the optional Driver extension exposing the placement policy
-// (StripedDAFSDriver implements it); the collective layer uses it to align
-// file domains to the stripe.
-type striper interface {
-	Striping() layout.Striping
-}
-
 // collPartition builds this collective's file-domain partition over the
-// hull [gmin, gmax): stripe-aligned when the driver exposes a striped
-// layout, else the legacy equal split (aggregate.Domains has the rest of
-// the fallback matrix).
+// hull [gmin, gmax) from the driver's layout (aggregate.Domains has the
+// fallback matrix).
 func (f *File) collPartition(gmin, gmax int64) aggregate.Partition {
-	st := layout.Striping{Width: 1}
-	if sd, ok := f.drv.(striper); ok {
-		st = sd.Striping()
-	}
-	return aggregate.Domains(st, gmin, gmax, f.rank.Size(), true)
+	return aggregate.Domains(f.drv.core().Striping(), gmin, gmax, f.rank.Size(), true)
 }
 
 // aggSpan opens an observational aggregation-layer span (plan, pack,

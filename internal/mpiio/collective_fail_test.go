@@ -13,16 +13,19 @@ import (
 
 var errInjected = errors.New("injected list failure")
 
-// failingList wraps a file's list handle: its failWrite-th list write and
-// its failRead-th list read (counting from 1; 0 never) fail at issue
-// without starting, every contiguous read fails while failContig is set,
-// and it counts the list operations it did start and the Waits they got.
+// failingList wraps a file's handle. Its failWrite-th list write, its
+// failRead-th list read and its failStart-th contiguous start (counting
+// from 1; 0 never) fail at issue without starting; the failWait-th Wait on
+// an operation it started waits the real operation out, then fails; every
+// contiguous read fails while failContig is set. It counts the operations
+// it did start and the Waits they got.
 type failingList struct {
 	Handle
-	lh                  ListHandle
 	failWrite, failRead int
+	failStart, failWait int
 	failContig          bool
 	writes, reads       int
+	starts              int
 	started, waited     int
 }
 
@@ -37,14 +40,28 @@ func (h *failingList) StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (A
 	if h.writes++; h.writes == h.failWrite {
 		return nil, errInjected
 	}
-	return h.count(h.lh.StartWriteList(p, segs, buf))
+	return h.count(h.Handle.StartWriteList(p, segs, buf))
 }
 
 func (h *failingList) StartReadList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
 	if h.reads++; h.reads == h.failRead {
 		return nil, errInjected
 	}
-	return h.count(h.lh.StartReadList(p, segs, buf))
+	return h.count(h.Handle.StartReadList(p, segs, buf))
+}
+
+func (h *failingList) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
+	if h.starts++; h.starts == h.failStart {
+		return nil, errInjected
+	}
+	return h.count(h.Handle.StartWrite(p, off, buf))
+}
+
+func (h *failingList) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
+	if h.starts++; h.starts == h.failStart {
+		return nil, errInjected
+	}
+	return h.count(h.Handle.StartRead(p, off, buf))
 }
 
 func (h *failingList) count(op AsyncOp, err error) (AsyncOp, error) {
@@ -62,7 +79,11 @@ type countedOp struct {
 
 func (o countedOp) Wait(p *sim.Proc) (int, error) {
 	o.h.waited++
-	return o.AsyncOp.Wait(p)
+	n, err := o.AsyncOp.Wait(p)
+	if o.h.waited == o.h.failWait {
+		return 0, errInjected
+	}
+	return n, err
 }
 
 // TestWriteBlockCorrupt: a write block from a peer carries no piece count,
@@ -128,7 +149,7 @@ func TestCollectiveListFailureMidExchange(t *testing.T) {
 			return
 		}
 		f.SetView(int64(i)*block, Vector(blocks, block, ranks*block))
-		fl := &failingList{Handle: f.h, lh: f.h.(ListHandle)}
+		fl := &failingList{Handle: f.h}
 		f.h = fl
 		nic := drv.Clients()[0].NIC()
 		before := nic.Regions()
@@ -190,6 +211,82 @@ func TestCollectiveListFailureMidExchange(t *testing.T) {
 		_, err = f.ReadAtAll(p, 0, got)
 		failed("sequential read", err, 3)
 		f.Close(p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoBatchFailureWaitsEveryOp: the NoBatch paths issue contiguous
+// operations in a pipeline — a list access one per segment, a two-phase
+// aggregator one per assembled run. When one fails to start, or fails at
+// its Wait, every operation already started must still be waited (its
+// completion recycles driver state, and a direct write may still be
+// reading the caller's buffer) before the error returns.
+func TestNoBatchFailureWaitsEveryOp(t *testing.T) {
+	const ranks, width, block, blocks = 4, 4, 128, 1024
+	c := cluster.New(cluster.Config{Clients: ranks, Servers: width, DAFS: true, MPI: true})
+	err := c.SpawnClients(func(p *sim.Proc, i int) {
+		pool, err := c.DialDAFSAll(p, i, nil)
+		if err != nil {
+			t.Errorf("rank %d: dial: %v", i, err)
+			return
+		}
+		drv := NewStripedDAFSDriver(pool, layout.Striping{StripeSize: 4 << 10, Width: width})
+		f, err := Open(p, c.World.Rank(i), drv, "nobatch", ModeRdWr|ModeCreate, &Hints{NoBatch: true})
+		if err != nil {
+			t.Errorf("rank %d: open: %v", i, err)
+			return
+		}
+		defer f.Close(p)
+		fl := &failingList{Handle: f.h}
+		f.h = fl
+		f.SetView(int64(i)*block, Vector(blocks, block, ranks*block))
+		data := rankPattern(blocks*block, i, 3)
+		check := func(what string, err error, culprit bool) {
+			t.Helper()
+			switch {
+			case err == nil:
+				t.Errorf("rank %d %s: succeeded past the injected failure", i, what)
+			case culprit && !errors.Is(err, errInjected):
+				t.Errorf("rank %d %s: %v, want the injected failure", i, what, err)
+			}
+			if fl.started != fl.waited {
+				t.Errorf("rank %d %s: %d operations started, %d waited", i, what, fl.started, fl.waited)
+			}
+		}
+
+		// Independent list writes, one rank at a time so each failure is
+		// the writer's own: the third segment fails to start, then the
+		// fifth Wait fails.
+		for w := 0; w < ranks; w++ {
+			if w == i {
+				fl.failStart = fl.starts + 3
+				_, err := f.WriteAt(p, 0, data)
+				check("list write, failed start", err, true)
+				fl.failWait = fl.waited + 5
+				_, err = f.WriteAt(p, 0, data)
+				check("list write, failed wait", err, true)
+			}
+			c.World.Rank(i).Barrier(p)
+		}
+
+		// Two-phase: aggregator 1's third run fails to start, then
+		// aggregator 2's fifth run fails at its Wait.
+		if i == 1 {
+			fl.failStart = fl.starts + 3
+		}
+		_, err = f.WriteAtAll(p, 0, data)
+		check("two-phase write, failed start", err, i == 1)
+		if i == 2 {
+			fl.failWait = fl.waited + 5
+		}
+		_, err = f.WriteAtAll(p, 0, data)
+		check("two-phase write, failed wait", err, i == 2)
+
+		if n, err := f.WriteAtAll(p, 0, data); n != len(data) || err != nil {
+			t.Errorf("rank %d: write after the failures: n=%d err=%v", i, n, err)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -112,7 +112,7 @@ func (s collShape) run(t *testing.T, stack string, collective bool, seed int) []
 	defer c.K.Shutdown() // reclaim the parked procs: a run of shapes makes hundreds of clusters
 	var extent []byte
 	err := c.SpawnClients(func(p *sim.Proc, i int) {
-		var drv Driver = NewMemDriver(c.ClientNodes[i], c.Store, nil)
+		var drv Driver = NewMemDriver(c.ClientNodes[i], c.Store)
 		if stack == "dafs" {
 			pool, err := c.DialDAFSAll(p, i, nil)
 			if err != nil {
@@ -162,18 +162,19 @@ func (s collShape) run(t *testing.T, stack string, collective bool, seed int) []
 	return extent
 }
 
-// TestCollectiveShapes holds two-phase to independent I/O and to the
-// MemDriver oracle over seeded shapes the golden tables never reach: block
-// sizes from 1 B to 8 KB, 2–6 ranks, stripe widths 1–4 (stripe-aligned
-// domains when the world covers the width, the equal split otherwise),
-// stripe sizes unrelated to the block so pieces straddle domain
+// TestCollectiveShapes holds two-phase to the collShape.want oracle, a
+// flat model of the ranks' writes, over seeded shapes the golden tables
+// never reach: block sizes from 1 B to 8 KB, 2–6 ranks, stripe widths 1–4
+// (stripe-aligned domains when the world covers the width, the equal split
+// otherwise), stripe sizes unrelated to the block so pieces straddle domain
 // boundaries, small collective buffers, the non-batch path, and an empty
-// participant. Every shape's collective also runs over striped DAFS at
-// widths 1, 2 and 4, so the pipelined list path and the assembly path
-// (NoBatch) each meet the equal split and the aligned domains. The
-// counting walks that size the exchange buffers and the walks that fill
-// them must agree on every one: each rank reads back what it wrote, and
-// the file is byte for byte the one independent I/O and the oracle leave.
+// participant. Each shape runs collectively over striped DAFS at its own
+// width and at widths 1, 2 and 4, and over the mem stack, whose leaf has no
+// batch I/O; and independently over striped DAFS. So the pipelined list
+// path and the assembly path (NoBatch) each meet the equal split and the
+// aligned domains. The counting walks that size the exchange buffers and
+// the walks that fill them must agree on every one: each rank reads back
+// what it wrote, and the file is byte for byte the oracle's.
 func TestCollectiveShapes(t *testing.T) {
 	iters := 100
 	if testing.Short() {

@@ -8,6 +8,7 @@ import (
 	"dafsio/internal/fabric"
 	"dafsio/internal/nfs"
 	"dafsio/internal/sim"
+	"dafsio/internal/storage"
 )
 
 // Open mode flags (MPI_MODE_*).
@@ -40,7 +41,7 @@ func mapErr(err error) error {
 		return nil
 	case errors.Is(err, dafs.ErrNoEnt), errors.Is(err, nfs.ErrNoEnt):
 		return ErrNoEnt
-	case errors.Is(err, dafs.ErrExist), errors.Is(err, nfs.ErrExist):
+	case errors.Is(err, dafs.ErrExist), errors.Is(err, nfs.ErrExist), errors.Is(err, storage.ErrExists):
 		return ErrExist
 	default:
 		return fmt.Errorf("mpiio: %w", err)
@@ -64,11 +65,15 @@ func checkAccessMode(mode int) error {
 }
 
 // Driver is the ADIO-style transport abstraction: MPI-IO needs only
-// contiguous reads and writes plus a handful of control operations; all
-// noncontiguous and collective cleverness lives above this line, exactly as
-// in ROMIO.
+// contiguous and segment-list reads and writes plus a handful of control
+// operations; all noncontiguous and collective cleverness lives above this
+// line, exactly as in ROMIO. Every Driver is the striped dispatch core over
+// one of its session leaves (DAFS, NFS, the local store): the interface is
+// sealed, and the MPI-IO layer reads the layout, the tracer and whether the
+// leaf has batch I/O from the core.
 type Driver interface {
-	// Name identifies the driver ("dafs", "nfs", "mem").
+	// Name identifies the driver ("dafs", "nfs", "mem", or a striped
+	// layout over one of them).
 	Name() string
 	// Node is the host the driver runs on; the MPI-IO layer charges its
 	// pack/unpack/sieve copies to this CPU.
@@ -77,6 +82,8 @@ type Driver interface {
 	Open(p *sim.Proc, name string, mode int) (Handle, error)
 	// Delete removes a file by name.
 	Delete(p *sim.Proc, name string) error
+
+	core() *striped
 }
 
 // Handle is one open file at the driver level.
@@ -89,6 +96,13 @@ type Handle interface {
 	StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, error)
 	// StartWrite begins a nonblocking contiguous write.
 	StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, error)
+	// StartReadList and StartWriteList begin a batched noncontiguous
+	// transfer (DAFS batch I/O: one segment list and one RDMA per server).
+	// segs map to consecutive bytes of buf, and the handle is done with
+	// segs once the call returns, so a caller may reuse the slice. Over a
+	// leaf without batch I/O they fail; Open sets Hints.NoBatch there.
+	StartReadList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error)
+	StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error)
 	// Size returns the current file size.
 	Size(p *sim.Proc) (int64, error)
 	// Resize truncates or extends the file.
@@ -106,54 +120,6 @@ type AsyncOp interface {
 	Wait(p *sim.Proc) (int, error)
 }
 
-// ListHandle is an optional Handle extension for transports whose protocol
-// supports batched noncontiguous access in a single request (DAFS batch
-// I/O: one segment list, one RDMA). The MPI-IO layer prefers it over
-// per-segment operations unless Hints.NoBatch is set. segs map to
-// consecutive bytes of buf, and a handle is done with segs once the Start
-// call returns, so a caller may reuse the slice for its next list.
-type ListHandle interface {
-	StartReadList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error)
-	StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error)
-}
-
-// openFile is the bookkeeping every driver's handle shares.
-type openFile struct {
-	name   string
-	mode   int
-	closed bool
-}
-
-// check admits a read or write at off under the handle's access mode.
-func (f *openFile) check(off int64, write bool) error {
-	if f.closed {
-		return ErrClosed
-	}
-	if off < 0 {
-		return ErrNegative
-	}
-	if write && f.mode&ModeRdOnly != 0 {
-		return ErrReadOnly
-	}
-	if !write && f.mode&ModeWrOnly != 0 {
-		return ErrWriteOnly
-	}
-	return nil
-}
-
-// close marks the handle closed, deleting the file through drv when it
-// was opened delete-on-close. Closing twice is a no-op.
-func (f *openFile) close(p *sim.Proc, drv Driver) error {
-	if f.closed {
-		return nil
-	}
-	f.closed = true
-	if f.mode&ModeDeleteOnClose != 0 {
-		return drv.Delete(p, f.name)
-	}
-	return nil
-}
-
 // blocking completes the nonblocking start (op, err) in place: every
 // handle's ReadContig/WriteContig is its StartRead/StartWrite plus this.
 func blocking(p *sim.Proc, op AsyncOp, err error) (int, error) {
@@ -163,12 +129,8 @@ func blocking(p *sim.Proc, op AsyncOp, err error) (int, error) {
 	return op.Wait(p)
 }
 
-// doneOp is an AsyncOp that completed immediately (used by drivers whose
-// async path degenerates, e.g. zero-length transfers).
-type doneOp struct {
-	n   int
-	err error
-}
+// doneOp is an AsyncOp that completed immediately: a zero-length transfer.
+type doneOp struct{}
 
 // Wait implements AsyncOp.
-func (d doneOp) Wait(*sim.Proc) (int, error) { return d.n, d.err }
+func (doneOp) Wait(*sim.Proc) (int, error) { return 0, nil }

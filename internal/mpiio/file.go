@@ -21,11 +21,12 @@ type Hints struct {
 	// Sieving enables data sieving for noncontiguous independent access;
 	// off, the layer issues one driver operation per segment (list I/O).
 	Sieving bool
-	// NoBatch disables protocol-level batch I/O (ListHandle) even when
-	// the driver supports it, forcing per-segment list operations. It also
-	// keeps collective aggregators on per-run contiguous operations issued
-	// after the whole exchange, instead of list I/O per source overlapped
-	// with it.
+	// NoBatch disables protocol-level batch I/O (Handle.StartReadList and
+	// StartWriteList), forcing per-segment list operations. It also keeps
+	// collective aggregators on per-run contiguous operations issued after
+	// the whole exchange, instead of list I/O per source overlapped with
+	// it. Open forces it on over a leaf without batch I/O (NFS, the local
+	// store).
 	NoBatch bool
 }
 
@@ -75,11 +76,10 @@ func Open(p *sim.Proc, rank *mpi.Rank, drv Driver, name string, mode int, hints 
 		return nil, err
 	}
 	f := &File{drv: drv, rank: rank, name: name, mode: mode, hints: hints.withDefaults()}
-	if td, ok := drv.(interface{ Tracer() *trace.Tracer }); ok && td.Tracer().Enabled() {
-		f.tr = td.Tracer()
-		if n := drv.Node(); n != nil {
-			f.track = n.Name
-		}
+	c := drv.core()
+	f.hints.NoBatch = f.hints.NoBatch || c.dafsTransfer == nil
+	if c.tr.Enabled() {
+		f.tr, f.track = c.tr, c.node.Name
 	}
 	if rank == nil || rank.Size() == 1 {
 		h, err := drv.Open(p, name, mode)
@@ -229,17 +229,15 @@ func (f *File) transferAt(p *sim.Proc, off int64, buf []byte, write bool) (int, 
 }
 
 // listIO moves a noncontiguous request: through the driver's batch
-// operations when the protocol has them, otherwise one pipelined driver
+// operations unless NoBatch is set, otherwise one pipelined driver
 // operation per segment.
 func (f *File) listIO(p *sim.Proc, segs []Segment, buf []byte, write bool) (int, error) {
-	if lh, ok := f.h.(ListHandle); ok && !f.hints.NoBatch {
-		var op AsyncOp
-		var err error
+	if !f.hints.NoBatch {
+		start := f.h.StartReadList
 		if write {
-			op, err = lh.StartWriteList(p, segs, buf)
-		} else {
-			op, err = lh.StartReadList(p, segs, buf)
+			start = f.h.StartWriteList
 		}
+		op, err := start(p, segs, buf)
 		if err != nil {
 			return 0, err
 		}
@@ -248,37 +246,41 @@ func (f *File) listIO(p *sim.Proc, segs []Segment, buf []byte, write bool) (int,
 	return f.perSegIO(p, segs, buf, write)
 }
 
-// perSegIO issues one pipelined driver operation per segment.
+// perSegIO issues one pipelined driver operation per segment. A failed
+// start stops the issuing, and every operation already started is waited
+// out before the first error returns.
 func (f *File) perSegIO(p *sim.Proc, segs []Segment, buf []byte, write bool) (int, error) {
-	type pending struct {
-		op AsyncOp
+	start := f.h.StartRead
+	if write {
+		start = f.h.StartWrite
 	}
-	ops := make([]pending, 0, len(segs))
+	ops := make([]AsyncOp, 0, len(segs))
+	var err error
 	pos := 0
 	for _, s := range segs {
-		chunk := buf[pos : pos+int(s.Len)]
-		pos += int(s.Len)
 		var op AsyncOp
-		var err error
-		if write {
-			op, err = f.h.StartWrite(p, s.Off, chunk)
-		} else {
-			op, err = f.h.StartRead(p, s.Off, chunk)
+		if op, err = start(p, s.Off, buf[pos:pos+int(s.Len)]); err != nil {
+			break
 		}
-		if err != nil {
-			return 0, err
-		}
-		ops = append(ops, pending{op: op})
+		pos += int(s.Len)
+		ops = append(ops, op)
 	}
+	return waitAll(p, ops, err)
+}
+
+// waitAll waits out every op in order, so that none is abandoned in flight,
+// and returns the bytes moved up to the first failure and that failure.
+// err is a failure that came before the ops were waited (a failed start).
+func waitAll(p *sim.Proc, ops []AsyncOp, err error) (int, error) {
 	total := 0
-	for _, o := range ops {
-		n, err := o.op.Wait(p)
-		total += n
-		if err != nil {
-			return total, err
+	for _, op := range ops {
+		n, werr := op.Wait(p)
+		if err == nil {
+			total += n
+			err = werr
 		}
 	}
-	return total, nil
+	return total, err
 }
 
 // Read and Write use the individual file pointer.

@@ -10,54 +10,88 @@ import (
 	"dafsio/internal/storage"
 )
 
-// driverCase runs a serial (rank-less) scenario against each driver so the
-// MPI-IO layer is exercised over every transport.
+// driverCase is one single-server driver stack: a serial (rank-less)
+// scenario runs against each so the MPI-IO layer is exercised over every
+// transport.
 type driverCase struct {
 	name string
-	run  func(t *testing.T, fn func(p *sim.Proc, drv Driver))
+	cfg  cluster.Config
+	dial func(p *sim.Proc, c *cluster.Cluster) (Driver, error)
 }
 
 func driverCases() []driverCase {
 	return []driverCase{
-		{name: "mem", run: func(t *testing.T, fn func(p *sim.Proc, drv Driver)) {
-			t.Helper()
-			c := cluster.New(cluster.Config{Clients: 1})
-			drv := NewMemDriver(c.ClientNodes[0], c.Store, nil)
-			c.K.Spawn("app", func(p *sim.Proc) { fn(p, drv) })
-			if err := c.Run(); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{name: "dafs", run: func(t *testing.T, fn func(p *sim.Proc, drv Driver)) {
-			t.Helper()
-			c := cluster.New(cluster.Config{Clients: 1, DAFS: true})
-			c.K.Spawn("app", func(p *sim.Proc) {
+		{name: "mem", cfg: cluster.Config{Clients: 1},
+			dial: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
+				return NewMemDriver(c.ClientNodes[0], c.Store), nil
+			}},
+		{name: "dafs", cfg: cluster.Config{Clients: 1, DAFS: true},
+			dial: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
 				cl, err := c.DialDAFS(p, 0, nil)
+				return NewDAFSDriver(cl), err
+			}},
+		{name: "nfs", cfg: cluster.Config{Clients: 1, NFS: true},
+			dial: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
+				m, err := c.MountNFS(p, 0, nil)
+				return NewNFSDriver(m), err
+			}},
+	}
+}
+
+// run builds the case's cluster and runs fn over its driver.
+func (dc driverCase) run(t *testing.T, fn func(p *sim.Proc, drv Driver)) {
+	t.Helper()
+	dc.runOn(t, func(p *sim.Proc, _ *cluster.Cluster, drv Driver) { fn(p, drv) })
+}
+
+// runOn is run, with the cluster: c.Store is the store the file lands in
+// on every stack.
+func (dc driverCase) runOn(t *testing.T, fn func(p *sim.Proc, c *cluster.Cluster, drv Driver)) {
+	t.Helper()
+	c := cluster.New(dc.cfg)
+	c.K.Spawn("app", func(p *sim.Proc) {
+		drv, err := dc.dial(p, c)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fn(p, c, drv)
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestObjectSizeBound: every stack refuses a 1-byte write and a size at
+// 2^62, far past storage.MaxObject, before a page is touched — the store's
+// page index grows with the offset, so an unchecked write would ask it for
+// 2^42 page slots.
+func TestObjectSizeBound(t *testing.T) {
+	const far = int64(1) << 62
+	for _, dc := range driverCases() {
+		t.Run(dc.name, func(t *testing.T) {
+			dc.runOn(t, func(p *sim.Proc, c *cluster.Cluster, drv Driver) {
+				f, err := Open(p, nil, drv, "big", ModeRdWr|ModeCreate, nil)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				fn(p, NewDAFSDriver(cl))
-			})
-			if err := c.Run(); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{name: "nfs", run: func(t *testing.T, fn func(p *sim.Proc, drv Driver)) {
-			t.Helper()
-			c := cluster.New(cluster.Config{Clients: 1, NFS: true})
-			c.K.Spawn("app", func(p *sim.Proc) {
-				cl, err := c.MountNFS(p, 0, nil)
-				if err != nil {
-					t.Error(err)
-					return
+				defer f.Close(p)
+				if n, err := f.WriteAt(p, far, []byte{1}); err == nil {
+					t.Errorf("write at 2^62: n=%d, no error", n)
 				}
-				fn(p, NewNFSDriver(cl))
+				if err := f.SetSize(p, far); err == nil {
+					t.Error("SetSize(2^62): no error")
+				}
+				obj, err := c.Store.Lookup("big")
+				switch {
+				case err != nil:
+					t.Error(err)
+				case obj.Pages() != 0 || obj.Size() != 0:
+					t.Errorf("the file holds %d pages, size %d", obj.Pages(), obj.Size())
+				}
 			})
-			if err := c.Run(); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		})
 	}
 }
 

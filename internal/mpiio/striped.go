@@ -10,6 +10,7 @@ import (
 	"dafsio/internal/metrics"
 	"dafsio/internal/nfs"
 	"dafsio/internal/sim"
+	"dafsio/internal/storage"
 	"dafsio/internal/trace"
 )
 
@@ -34,8 +35,8 @@ import (
 //
 // With Width == 1 the layout is the identity mapping and every request
 // becomes exactly one operation on the one session: that is the
-// single-server driver NewDAFSDriver and NewNFSDriver build. With
-// Replicas <= 1 and no failures every code path issues exactly the
+// single-server driver NewDAFSDriver, NewNFSDriver and NewMemDriver build.
+// With Replicas <= 1 and no failures every code path issues exactly the
 // operations an unreplicated driver would, in the same order.
 type striped struct {
 	// pool is the state of the active layout. A reshape builds a second
@@ -70,8 +71,8 @@ type pool struct {
 	// dafsTransfer supplies the DAFS leaf's transfer-discipline knobs and
 	// the registration cache: all sessions of a pool share the client's one
 	// NIC, so one registration serves every per-server fragment of a
-	// request. nil over a leaf without registered memory (NFS), which
-	// therefore has no list path either.
+	// request. nil over a leaf without registered memory (NFS, the local
+	// store), which therefore has no list path either.
 	*dafsTransfer
 
 	kind string        // leaf transport, for Name
@@ -223,20 +224,22 @@ func (d *StripedDAFSDriver) Clients() []*dafs.Client {
 	return clients
 }
 
-// StripedNFSDriver is the striped core over a pool of NFS mounts, one per
-// server. It exists to split the layout effect from the transport effect:
-// striped NFS gets the aggregate disk and link bandwidth of N servers, but
-// every fragment still pays the kernel-stack and copy costs of the NFS
-// path, while striped DAFS pays the user-level VIA costs. Both run the
-// same striping code, so comparing the two at equal width isolates what
-// striping buys from what the transport buys. Metadata goes one mount at a
-// time (NFS metadata RPCs are synchronous), data fragments all in flight;
-// no replication — rank 0 objects only, like NFS deployments of the era.
-type StripedNFSDriver struct{ core striped }
+// PlainDriver is the striped core over a leaf with nothing to tune: NFS
+// mounts and the node-local store register no memory and never redial, so
+// none of the core's knobs is exported.
+type PlainDriver struct{ s striped }
 
 // NewStripedNFSDriver wraps a mount pool, one mount per server in layout
 // order. The policy must be unreplicated — NFS has no write-all fan-out.
-func NewStripedNFSDriver(clients []*nfs.Client, st layout.Striping) *StripedNFSDriver {
+// It exists to split the layout effect from the transport effect: striped
+// NFS gets the aggregate disk and link bandwidth of N servers, but every
+// fragment still pays the kernel-stack and copy costs of the NFS path,
+// while striped DAFS pays the user-level VIA costs. Both run the same
+// striping code, so comparing the two at equal width isolates what
+// striping buys from what the transport buys. Metadata goes one mount at a
+// time (NFS metadata RPCs are synchronous), data fragments all in flight;
+// no replication — rank 0 objects only, like NFS deployments of the era.
+func NewStripedNFSDriver(clients []*nfs.Client, st layout.Striping) *PlainDriver {
 	if st.R() != 1 {
 		panic("mpiio: striped NFS does not replicate")
 	}
@@ -244,33 +247,41 @@ func NewStripedNFSDriver(clients []*nfs.Client, st layout.Striping) *StripedNFSD
 	for i, c := range clients {
 		sess[i] = nfsSession{c}
 	}
-	return &StripedNFSDriver{striped{pool: newPool(sess, st, 1, "nfs", clients[0].Node(), nil)}}
+	return &PlainDriver{striped{pool: newPool(sess, st, 1, "nfs", clients[0].Node(), nil)}}
 }
 
 // NewNFSDriver binds MPI-IO to one NFS mount, the paper's baseline
 // transport: the striped core at width 1. Transfers are chunked to the
 // mount's rsize/wsize and pipelined by the NFS client; every byte crosses
 // the kernel stack on both ends.
-func NewNFSDriver(m *nfs.Client) *StripedNFSDriver {
+func NewNFSDriver(m *nfs.Client) *PlainDriver {
 	return NewStripedNFSDriver([]*nfs.Client{m}, layout.Striping{Width: 1})
 }
 
+// NewMemDriver binds MPI-IO to store as node's local file system: the
+// striped core at width 1 over a mem session (striped_leaf.go), the
+// lowest-latency — but not network-attached — point of comparison.
+func NewMemDriver(node *fabric.Node, store *storage.Store) *PlainDriver {
+	sess := []session{memSession{node: node, store: store}}
+	return &PlainDriver{striped{pool: newPool(sess, layout.Striping{Width: 1}, 1, "mem", node, nil)}}
+}
+
 // Name implements Driver.
-func (d *StripedNFSDriver) Name() string { return d.core.Name() }
+func (d *PlainDriver) Name() string { return d.s.Name() }
 
 // Node implements Driver.
-func (d *StripedNFSDriver) Node() *fabric.Node { return d.core.Node() }
-
-// Striping returns the placement policy.
-func (d *StripedNFSDriver) Striping() layout.Striping { return d.core.Striping() }
+func (d *PlainDriver) Node() *fabric.Node { return d.s.Node() }
 
 // Open implements Driver.
-func (d *StripedNFSDriver) Open(p *sim.Proc, name string, mode int) (Handle, error) {
-	return d.core.Open(p, name, mode)
+func (d *PlainDriver) Open(p *sim.Proc, name string, mode int) (Handle, error) {
+	return d.s.Open(p, name, mode)
 }
 
 // Delete implements Driver.
-func (d *StripedNFSDriver) Delete(p *sim.Proc, name string) error { return d.core.Delete(p, name) }
+func (d *PlainDriver) Delete(p *sim.Proc, name string) error { return d.s.Delete(p, name) }
+
+// core implements Driver.
+func (d *PlainDriver) core() *striped { return &d.s }
 
 // LayoutEpoch returns the membership epoch of the driver's active layout.
 func (d *striped) LayoutEpoch() uint32 { return d.layoutEpoch }
@@ -281,9 +292,8 @@ func (d *striped) Striping() layout.Striping { return d.striping }
 // Node implements Driver.
 func (d *striped) Node() *fabric.Node { return d.node }
 
-// Tracer returns the tracer the pool's sessions record to (nil when
-// tracing is off). The MPI-IO layer uses it to open per-operation spans.
-func (d *striped) Tracer() *trace.Tracer { return d.tr }
+// core implements Driver.
+func (d *striped) core() *striped { return d }
 
 // Name implements Driver.
 func (d *striped) Name() string {

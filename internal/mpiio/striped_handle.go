@@ -53,7 +53,7 @@ func (d *striped) open(p *sim.Proc, name string, mode int) (*stripedHandle, erro
 		return nil, err
 	}
 	st := d.striping
-	h := &stripedHandle{drv: d, fhs: make([][]uint64, st.Width), openFile: openFile{name: name, mode: mode}}
+	h := &stripedHandle{drv: d, fhs: make([][]uint64, st.Width), name: name, mode: mode}
 	for t := range h.fhs {
 		h.fhs[t] = make([]uint64, st.R())
 	}
@@ -110,18 +110,11 @@ func (d *striped) open(p *sim.Proc, name string, mode int) (*stripedHandle, erro
 	return h, nil
 }
 
-// plainHandle hides a striped handle's list path from the MPI-IO layer
-// when the leaf transport has no batch I/O.
-type plainHandle struct{ Handle }
-
 // Open implements Driver.
 func (d *striped) Open(p *sim.Proc, name string, mode int) (Handle, error) {
 	h, err := d.open(p, name, mode)
-	switch {
-	case err != nil:
+	if err != nil {
 		return nil, err
-	case d.dafsTransfer == nil:
-		return plainHandle{h}, nil
 	}
 	return h, nil
 }
@@ -141,9 +134,11 @@ func (d *striped) Delete(p *sim.Proc, name string) error {
 }
 
 type stripedHandle struct {
-	drv *striped
-	fhs [][]uint64 // per server, per replica rank; 0 = absent
-	openFile
+	drv    *striped
+	fhs    [][]uint64 // per server, per replica rank; 0 = absent
+	name   string
+	mode   int
+	closed bool
 
 	// shadow mirrors writes onto the reshape's new layout while a
 	// membership change is migrating this file; nil outside a reshape.
@@ -153,6 +148,21 @@ type stripedHandle struct {
 // present makes the handle the presence half of every work addressed to
 // its objects.
 func (h *stripedHandle) present(t, r int) bool { return h.fhs[t][r] != 0 }
+
+// check admits a read or write at off under the handle's access mode.
+func (h *stripedHandle) check(off int64, write bool) error {
+	switch {
+	case h.closed:
+		return ErrClosed
+	case off < 0:
+		return ErrNegative
+	case write && h.mode&ModeRdOnly != 0:
+		return ErrReadOnly
+	case !write && h.mode&ModeWrOnly != 0:
+		return ErrWriteOnly
+	}
+	return nil
+}
 
 // pin registers buf when some fragment is too large to go inline. It is
 // nil over a transport that moves no registered memory.
@@ -390,7 +400,8 @@ func (h *stripedHandle) Sync(p *sim.Proc) error {
 	return err
 }
 
-// Close implements Handle.
+// Close implements Handle, deleting the file when it was opened
+// delete-on-close. Closing twice is a no-op.
 func (h *stripedHandle) Close(p *sim.Proc) error {
 	if h.closed {
 		return nil
@@ -406,7 +417,11 @@ func (h *stripedHandle) Close(p *sim.Proc) error {
 		h.shadow.Close(p)
 		h.shadow = nil
 	}
-	return h.close(p, d)
+	h.closed = true
+	if h.mode&ModeDeleteOnClose != 0 {
+		return d.Delete(p, h.name)
+	}
+	return nil
 }
 
 // ---- Batch (segment-list) I/O ----
@@ -559,14 +574,19 @@ func (o *planOp) Wait(p *sim.Proc) (int, error) {
 	return int(o.got), nil
 }
 
+// startList moves segs, consecutive bytes of buf, as batch I/O. A leaf
+// without batch I/O refuses it before any request is built.
 func (h *stripedHandle) startList(p *sim.Proc, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
 	if err := h.check(0, write); err != nil {
 		return nil, err
 	}
-	if len(buf) == 0 {
+	d := h.drv
+	switch {
+	case d.dafsTransfer == nil:
+		return nil, errNoBatch
+	case len(buf) == 0:
 		return doneOp{}, nil
 	}
-	d := h.drv
 	st := d.striping
 
 	// Width 1 (identity layout, R == 1) on a healthy session: the whole
@@ -600,13 +620,13 @@ func (h *stripedHandle) startList(p *sim.Proc, segs []Segment, buf []byte, write
 	return o, nil
 }
 
-// StartReadList implements ListHandle over the stripe.
+// StartReadList implements Handle.
 func (h *stripedHandle) StartReadList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
 	return h.startList(p, segs, buf, false)
 }
 
-// StartWriteList implements ListHandle over the stripe; during a reshape
-// batched writes mirror onto the new layout exactly like contiguous ones.
+// StartWriteList implements Handle; during a reshape batched writes mirror
+// onto the new layout exactly like contiguous ones.
 func (h *stripedHandle) StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
 	op, err := h.startList(p, segs, buf, true)
 	if err != nil || h.shadow == nil {

@@ -5,15 +5,18 @@ import (
 
 	"dafsio/internal/aggregate"
 	"dafsio/internal/dafs"
+	"dafsio/internal/fabric"
 	"dafsio/internal/nfs"
 	"dafsio/internal/sim"
+	"dafsio/internal/storage"
 	"dafsio/internal/via"
 )
 
 // The per-server session seam under the striped dispatch core. The core
 // decides where a unit of work goes and what happens when a server fails;
 // a session only knows how to put one request on the wire to its server.
-// It has two implementations: a DAFS session and an NFS mount.
+// It has three implementations: a DAFS session, an NFS mount and the
+// node-local store. Only the DAFS session has batch I/O or redials.
 
 // opKind names the operations the core sends to a rank object.
 type opKind uint8
@@ -59,6 +62,14 @@ type session interface {
 	// redial re-establishes a failed session and returns its replacement.
 	redial(p *sim.Proc) (session, error)
 }
+
+// The errors of a leaf asked for what it does not have, and the mem
+// leaf's refusal of a write or size past storage.MaxObject.
+var (
+	errNoBatch     = errors.New("mpiio: transport has no batch I/O")
+	errNoRedial    = errors.New("mpiio: only DAFS sessions redial")
+	errObjectBound = errors.New("mpiio: past the object-size bound")
+)
 
 // done is a pending that completed inside start.
 type done int64
@@ -200,12 +211,83 @@ func (s nfsSession) start(p *sim.Proc, rq request) (pending, error) {
 		io, err := c.StartWrite(p, fh, rq.off, rq.buf)
 		return data[*nfs.IO]{io}, err
 	default:
-		panic("mpiio: NFS has no batch I/O")
+		return nil, errNoBatch
 	}
 }
 
 // redial is never reached: an NFS mount is a hard mount with no call
 // deadline, so it reports no session failures to recover from.
-func (s nfsSession) redial(*sim.Proc) (session, error) {
-	return nil, errors.New("mpiio: nfs mounts do not redial")
+func (s nfsSession) redial(*sim.Proc) (session, error) { return nil, errNoRedial }
+
+// ---- Node-local store ----
+
+// memSession is the client's own file system as a session: no server and
+// no wire. Every operation runs inside start against the store, then
+// charges the client a syscall and a memory copy of the bytes it moved — a
+// warm local file system. Its handles are the store's file IDs. Like both
+// servers, it refuses a write or a size past storage.MaxObject before any
+// page is touched.
+type memSession struct {
+	node  *fabric.Node
+	store *storage.Store
 }
+
+func (s memSession) start(p *sim.Proc, rq request) (pending, error) {
+	v, moved, err := s.do(rq)
+	s.node.Compute(p, s.node.Profile().SyscallCost)
+	s.node.CopyMem(p, moved)
+	return done(v), err
+}
+
+// do performs rq on the store and returns its result value and the bytes
+// it copied.
+func (s memSession) do(rq request) (v int64, moved int, err error) {
+	switch rq.kind {
+	case opLookup:
+		f, err := s.store.Lookup(rq.name)
+		if err != nil {
+			return 0, 0, nil // absent
+		}
+		return int64(f.ID()), 0, nil
+	case opCreate:
+		f, err := s.store.Create(rq.name)
+		if err != nil {
+			return 0, 0, err
+		}
+		return int64(f.ID()), 0, nil
+	case opRemove:
+		if s.store.Remove(rq.name) != nil {
+			return 0, 0, nil // absent
+		}
+		return 1, 0, nil
+	}
+	f, err := s.store.Get(storage.FileID(rq.fh))
+	if err != nil {
+		return 0, 0, err
+	}
+	switch rq.kind {
+	case opGetattr:
+		return f.Size(), 0, nil
+	case opSetattr:
+		if !storage.Fits(rq.off, 0) {
+			return 0, 0, errObjectBound
+		}
+		f.Truncate(rq.off)
+	case opSync:
+	case opRead:
+		n := f.ReadAt(rq.buf, rq.off)
+		return int64(n), n, nil
+	case opWrite:
+		if !storage.Fits(rq.off, int64(len(rq.buf))) {
+			return 0, 0, errObjectBound
+		}
+		n := f.WriteAt(rq.buf, rq.off)
+		return int64(n), n, nil
+	default:
+		return 0, 0, errNoBatch
+	}
+	return 0, 0, nil
+}
+
+// redial is never reached: the local store never fails a session.
+func (s memSession) redial(*sim.Proc) (session, error) { return nil, errNoRedial }

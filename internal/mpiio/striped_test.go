@@ -154,12 +154,13 @@ func TestStripedResize(t *testing.T) {
 	})
 }
 
-// One seeded op script over every driver stack, with MemDriver as the
-// oracle: contiguous and list reads/writes whose extents cross stripe
-// boundaries (fragments on both sides of the inline/direct threshold),
-// short reads at EOF, Resize, Size and Sync. Every stack must return the
-// oracle's counts and leave the oracle's bytes. The files stay dense — a
-// striped file with a hole reads short where a local one reads zeros.
+// One seeded op script over every driver stack, judged against a flat
+// byte model of the file: contiguous and list reads/writes whose extents
+// cross stripe boundaries (fragments on both sides of the inline/direct
+// threshold), short reads at EOF, Resize, Size and Sync. Every stack must
+// return the model's counts and leave the model's bytes. The files stay
+// dense — a striped file with a hole reads short where the model reads
+// zeros.
 
 const scriptStripe = 16 << 10
 
@@ -215,17 +216,57 @@ func genScript(seed int64, nops int) []scriptOp {
 	return append(ops, scriptOp{kind: 's'})
 }
 
-// runScript plays ops on h and returns one result per op (byte count, or
-// the size for 's') plus a digest of every byte every read returned, the
-// final contents, and the simulated instant the script ended.
-func runScript(t *testing.T, p *sim.Proc, h Handle, ops []scriptOp) (res []int64, contents []byte, end sim.Time) {
+// scriptFile is what a script plays on: a driver handle, or the model.
+type scriptFile interface {
+	ReadContig(p *sim.Proc, off int64, buf []byte) (int, error)
+	WriteContig(p *sim.Proc, off int64, buf []byte) (int, error)
+	Resize(p *sim.Proc, n int64) error
+	Size(p *sim.Proc) (int64, error)
+	Sync(p *sim.Proc) error
+}
+
+// flatFile is the script's oracle: the file as one flat byte slice. A
+// write extends it, zero-filling any gap; a read is short at EOF; a resize
+// truncates or zero-extends.
+type flatFile struct{ b []byte }
+
+func (m *flatFile) ReadContig(_ *sim.Proc, off int64, buf []byte) (int, error) {
+	if off >= int64(len(m.b)) {
+		return 0, nil
+	}
+	return copy(buf, m.b[off:]), nil
+}
+
+func (m *flatFile) WriteContig(_ *sim.Proc, off int64, buf []byte) (int, error) {
+	if end := off + int64(len(buf)); end > int64(len(m.b)) {
+		m.Resize(nil, end)
+	}
+	return copy(m.b[off:], buf), nil
+}
+
+func (m *flatFile) Resize(_ *sim.Proc, n int64) error {
+	if n <= int64(len(m.b)) {
+		m.b = m.b[:n]
+	} else {
+		m.b = append(m.b, make([]byte, n-int64(len(m.b)))...)
+	}
+	return nil
+}
+
+func (m *flatFile) Size(*sim.Proc) (int64, error) { return int64(len(m.b)), nil }
+func (m *flatFile) Sync(*sim.Proc) error          { return nil }
+
+// runScript plays ops on f and returns one result per op (byte count, or
+// the size for 's') plus a digest of every byte every read returned. A
+// list op goes out as batch I/O over a leaf that has it, else as one
+// contiguous call per segment.
+func runScript(t *testing.T, p *sim.Proc, f scriptFile, ops []scriptOp) (res []int64) {
 	t.Helper()
-	lh, _ := h.(ListHandle)
 	list := func(o scriptOp, buf []byte, write bool) (int, error) {
-		if lh != nil {
-			start := lh.StartReadList
+		if h, ok := f.(*stripedHandle); ok && h.drv.dafsTransfer != nil {
+			start := h.StartReadList
 			if write {
-				start = lh.StartWriteList
+				start = h.StartWriteList
 			}
 			op, err := start(p, o.segs, buf)
 			if err != nil {
@@ -235,9 +276,9 @@ func runScript(t *testing.T, p *sim.Proc, h Handle, ops []scriptOp) (res []int64
 		}
 		total, pos := 0, 0
 		for _, s := range o.segs {
-			io := h.ReadContig
+			io := f.ReadContig
 			if write {
-				io = h.WriteContig
+				io = f.WriteContig
 			}
 			n, err := io(p, s.Off, buf[pos:pos+int(s.Len)])
 			if err != nil {
@@ -260,7 +301,7 @@ func runScript(t *testing.T, p *sim.Proc, h Handle, ops []scriptOp) (res []int64
 			}
 			var n int
 			if o.kind == 'w' {
-				n, err = h.WriteContig(p, o.off, buf)
+				n, err = f.WriteContig(p, o.off, buf)
 			} else {
 				n, err = list(o, buf, true)
 			}
@@ -269,56 +310,62 @@ func runScript(t *testing.T, p *sim.Proc, h Handle, ops []scriptOp) (res []int64
 			buf := make([]byte, o.n)
 			var n int
 			if o.kind == 'r' {
-				n, err = h.ReadContig(p, o.off, buf)
+				n, err = f.ReadContig(p, o.off, buf)
 			} else {
 				n, err = list(o, buf, false)
 			}
 			sum.Write(buf[:n])
 			v = int64(n)
 		case 't':
-			err = h.Resize(p, o.off)
+			err = f.Resize(p, o.off)
 		case 's':
-			v, err = h.Size(p)
+			v, err = f.Size(p)
 		case 'y':
-			err = h.Sync(p)
+			err = f.Sync(p)
 		}
 		if err != nil {
 			t.Errorf("op %d (%c off=%d n=%d): %v", i, o.kind, o.off, o.n, err)
-			return nil, nil, 0
+			return nil
 		}
 		res = append(res, v)
 	}
-	end = p.Now()
-	res = append(res, int64(sum.Sum64()>>1))
-	contents = make([]byte, res[len(ops)-1]+1)
-	n, err := h.ReadContig(p, 0, contents)
+	return append(res, int64(sum.Sum64()>>1))
+}
+
+// readBack returns f's first n bytes and fewer at EOF.
+func readBack(t *testing.T, p *sim.Proc, f scriptFile, n int64) []byte {
+	t.Helper()
+	contents := make([]byte, n)
+	got, err := f.ReadContig(p, 0, contents)
 	if err != nil {
 		t.Errorf("final read-back: %v", err)
 	}
-	return res, contents[:n], end
+	return contents[:got]
 }
 
 // TestScriptEveryStack pins behaviour and simulated time across the
 // driver family. The end instants were recorded before the striped
-// drivers were rebuilt on one dispatch core, and the single-mount nfs one
-// before the single-server drivers became that core at width 1: a
+// drivers were rebuilt on one dispatch core, the single-mount nfs one
+// before the single-server drivers became that core at width 1, and the
+// mem one when the local store became a session leaf of the core: a
 // refactor that reorders, adds or drops a single RPC on any stack moves
 // one of them.
 func TestScriptEveryStack(t *testing.T) {
 	ops := genScript(12, 120)
+	var model flatFile
+	wantRes := runScript(t, nil, &model, ops)
+	wantContents := readBack(t, nil, &model, wantRes[len(ops)-1]+1)
+
 	retry := dafs.RetryPolicy{Base: 200 * sim.Microsecond, Max: sim.Millisecond, Attempts: 3}
 	type stack struct {
-		name string
-		cfg  cluster.Config
-		drv  func(p *sim.Proc, c *cluster.Cluster) (Driver, error)
-		end  sim.Time
+		driverCase
+		end sim.Time
 	}
 	striped := func(w, r int, crash, end sim.Time) stack {
-		s := stack{
-			end:  end,
+		s := stack{end: end, driverCase: driverCase{
 			name: fmt.Sprintf("dafs-striped/%dx%d", w, r),
 			cfg:  cluster.Config{Clients: 1, Servers: w, DAFS: true},
-		}
+		}}
 		var opts *dafs.Options
 		if crash > 0 {
 			s.name += "/crash"
@@ -327,7 +374,7 @@ func TestScriptEveryStack(t *testing.T) {
 			}})
 			opts = &dafs.Options{CallTimeout: 5 * sim.Millisecond}
 		}
-		s.drv = func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
+		s.dial = func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
 			pool, err := c.DialDAFSAll(p, 0, opts)
 			if err != nil {
 				return nil, err
@@ -340,76 +387,53 @@ func TestScriptEveryStack(t *testing.T) {
 		}
 		return s
 	}
+	single := driverCases() // mem, dafs (the core at width 1), nfs
 	stacks := []stack{
-		{name: "mem", end: 9362738, cfg: cluster.Config{Clients: 1},
-			drv: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
-				return NewMemDriver(c.ClientNodes[0], c.Store, nil), nil
-			}},
-		{name: "dafs", end: 47717310, cfg: cluster.Config{Clients: 1, DAFS: true}, // the core at width 1
-			drv: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
-				cl, err := c.DialDAFS(p, 0, nil)
-				return NewDAFSDriver(cl), err
-			}},
+		{single[0], 9364238},
+		{single[1], 47717310},
 		striped(3, 1, 0, 43271168),
 		striped(4, 2, 0, 57568985),
 		striped(4, 2, 20*sim.Millisecond, 58037813),
-		{name: "nfs", end: 93007993, cfg: cluster.Config{Clients: 1, NFS: true},
-			drv: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
-				m, err := c.MountNFS(p, 0, nil)
-				return NewNFSDriver(m), err
-			}},
-		{name: "nfs-striped/3", end: 81857908, cfg: cluster.Config{Clients: 1, Servers: 3, NFS: true},
-			drv: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
+		{single[2], 93007993},
+		{driverCase{name: "nfs-striped/3", cfg: cluster.Config{Clients: 1, Servers: 3, NFS: true},
+			dial: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {
 				mounts, err := c.MountNFSAll(p, 0, nil)
 				if err != nil {
 					return nil, err
 				}
 				return NewStripedNFSDriver(mounts, layout.Striping{StripeSize: scriptStripe, Width: 3}), nil
-			}},
+			}}, 81857908},
 	}
-	var wantRes []int64
-	var wantContents []byte
 	for _, s := range stacks {
 		var res []int64
 		var contents []byte
 		var end sim.Time
-		c := cluster.New(s.cfg)
-		c.K.Spawn("app", func(p *sim.Proc) {
-			drv, err := s.drv(p, c)
-			if err != nil {
-				t.Errorf("%s: %v", s.name, err)
-				return
-			}
+		s.runOn(t, func(p *sim.Proc, _ *cluster.Cluster, drv Driver) {
 			h, err := drv.Open(p, "script", ModeRdWr|ModeCreate)
 			if err != nil {
 				t.Errorf("%s: open: %v", s.name, err)
 				return
 			}
-			res, contents, end = runScript(t, p, h, ops)
+			res = runScript(t, p, h, ops)
+			end = p.Now()
+			contents = readBack(t, p, h, wantRes[len(ops)-1]+1)
 			h.Close(p)
 		})
-		if err := c.Run(); err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
 		if end != s.end {
 			t.Errorf("%s: script ended at %d ns, recorded %d", s.name, int64(end), int64(s.end))
 		}
-		if s.name == "mem" {
-			wantRes, wantContents = res, contents
-			continue
-		}
 		if len(res) != len(wantRes) {
-			t.Errorf("%s: %d results, oracle has %d", s.name, len(res), len(wantRes))
+			t.Errorf("%s: %d results, the model has %d", s.name, len(res), len(wantRes))
 			continue
 		}
 		for i := range res {
 			if res[i] != wantRes[i] {
-				t.Errorf("%s: result %d = %d, oracle %d", s.name, i, res[i], wantRes[i])
+				t.Errorf("%s: result %d = %d, the model's %d", s.name, i, res[i], wantRes[i])
 				break
 			}
 		}
 		if !bytes.Equal(contents, wantContents) {
-			t.Errorf("%s: final contents differ from the oracle's (%d vs %d bytes)", s.name, len(contents), len(wantContents))
+			t.Errorf("%s: final contents differ from the model's (%d vs %d bytes)", s.name, len(contents), len(wantContents))
 		}
 	}
 }
