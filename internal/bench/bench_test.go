@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dafsio/internal/mpiio"
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
 )
@@ -206,13 +207,31 @@ func TestT15Shape(t *testing.T) {
 //
 // The dial case counts allocations per session dialed, both ends, in a
 // storm of 16 clients by 16 servers, and moves no file data, so it has no
-// byte budget. It records 23.2, the top of its figures with and without
-// -race (22.9 to 23.2): the client and server records, two VIs, the
-// completion queue and its channels, the credit resource, the pools'
-// channels and the CONNECT call. It made 56 to 58 while each end
-// allocated its slots, slot tables, ring records and pool array apart
-// from its record, grew its receive queue 1, 2, 4, 8, and parked a
-// dispatch daemon on a goroutine of its own.
+// byte budget. It records 6.97, the top of its figures with and without
+// -race (6.91 to 6.97): the Client and the dispatch binding its completion
+// queue runs, the server's session record, and what grows with the
+// sessions — each NIC's region map and VI list, each server's session
+// list — and the procs the CONNECT exchange wakes. A session's VI,
+// completion queue and its first ring, credit resource, pool channels,
+// pending table and first call with its future and reply room are
+// embedded in the records. It made 23.2 while each of those was an
+// allocation of its own, the queue's and the credit resource's names were
+// built per session and the pending calls sat in a map, and 56 to 58
+// while each end also allocated its slots, slot tables, ring records and
+// pool array apart from its record, grew its receive queue 1, 2, 4, 8,
+// and parked a dispatch daemon on a goroutine of its own.
+//
+// The open case counts allocations per session of an open of an existing
+// file over a 16 × 16 striped pool: each of 16 clients opens it twice, and
+// the count covers the second round, after the first has warmed the
+// kernel's workers. It has no byte budget either. It records 0.63, the top
+// of its figures with and without -race (0.625 to 0.629): each open's
+// File, handle, handle table, work and flight records shared out over its
+// 16 sessions. The Lookup reuses the session's first call, whose room
+// holds the reply, the server looks the name up from the request bytes,
+// and the handle's per-server rows are cut from one slice. It made 1.56
+// to 1.58 while the server copied each name into a string and each row
+// was an allocation of its own.
 func TestHostAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -224,7 +243,8 @@ func TestHostAllocBudget(t *testing.T) {
 		{"dafs-direct", func(t *testing.T) allocRun { return contigAllocRun(t, dafsStack, 64<<10) }, 0.12 * 1.02, 1},
 		{"nfs", func(t *testing.T) allocRun { return contigAllocRun(t, nfsStack, 4<<10) }, 0.01 * 1.02, 1},
 		{"strided", stridedAllocRun, 156.0 * 1.02, 2},
-		{"dial", dialAllocRun, 23.2 * 1.02, 0},
+		{"dial", dialAllocRun, 6.97 * 1.02, 0},
+		{"open", openAllocRun, 0.63 * 1.02, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var m0, m1 runtime.MemStats
@@ -383,6 +403,50 @@ func dialAllocRun(t *testing.T) allocRun {
 	})
 	steady := mallocs() - from
 	end(c, err)
+	return allocRun{calls: clients * servers, steady: steady}
+}
+
+// openAllocRun: 16 clients each dial a session to every one of 16 servers
+// and stripe a driver over them, then each opens the existing file, twice.
+// A call is one session's share of an open; the count runs over the second
+// round of 16 opens alone, so it holds both ends of every session's Lookup
+// and the handles, but not the worker goroutines the first round starts.
+func openAllocRun(t *testing.T) allocRun {
+	const clients, servers = 16, 16
+	pt := point{id: "alloc", clients: clients, servers: servers, stack: dafsStack, name: "f", write: true}
+	c := newCluster(pt, Observation{}) // write: every object exists, empty
+	var steady uint64
+	c.K.Spawn("app", func(p *sim.Proc) {
+		drvs := make([]*mpiio.StripedDAFSDriver, clients)
+		for i := range drvs {
+			pool, err := c.DialDAFSAll(p, i, nil)
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+				return
+			}
+			drvs[i] = mpiio.NewStripedDAFSDriver(pool, pt.placement(c))
+		}
+		files := make([]*mpiio.File, 0, 2*clients)
+		var from uint64
+		for round := 0; round < 2; round++ {
+			if round == 1 {
+				from = mallocs()
+			}
+			for i, d := range drvs {
+				f, err := mpiio.Open(p, nil, d, pt.name, mpiio.ModeRdWr, nil)
+				if err != nil {
+					t.Errorf("client %d open: %v", i, err)
+					return
+				}
+				files = append(files, f)
+			}
+		}
+		steady = mallocs() - from
+		for _, f := range files {
+			f.Close(p)
+		}
+	})
+	end(c, c.Run())
 	return allocRun{calls: clients * servers, steady: steady}
 }
 

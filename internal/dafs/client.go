@@ -1,6 +1,7 @@
 package dafs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -88,13 +89,14 @@ func (s *slot) release(n int) { s.reg.Release(s.i, n) }
 // pooled: VIA consumes posted receives in order.)
 type slotPool[S any] struct {
 	idle  []S
-	ready *sim.Chan[struct{}] // one token per idle slot: where get parks
+	ready sim.Chan[struct{}] // one token per idle slot: where get parks
 }
 
-// newSlotPool makes a pool over room, an empty slice with room for every
-// slot, which the session owns.
-func newSlotPool[S any](k *sim.Kernel, room []S) slotPool[S] {
-	return slotPool[S]{idle: room, ready: sim.NewChan[struct{}](k, 0)}
+// init sets the pool up in place over room, an empty slice with room for
+// every slot, which the session owns.
+func (sp *slotPool[S]) init(k *sim.Kernel, room []S) {
+	sp.idle = room
+	sp.ready.Init(k, 0, nil)
 }
 
 func (sp *slotPool[S]) get(p *sim.Proc) S {
@@ -119,15 +121,18 @@ func (sp *slotPool[S]) put(s S) {
 // reused, so a late response finds no call to land in.
 type Call struct {
 	c      *Client
-	fut    *sim.Future[error] // the session failure or the response's status error
-	op     trace.OpID         // request span: issue -> response decoded (0: untraced)
-	issued sim.Time           // when the request hit the wire (call-latency metric)
+	fut    sim.Future[error] // the session failure or the response's status error
+	xid    uint32            // while pending: the request's XID
+	op     trace.OpID        // request span: issue -> response decoded (0: untraced)
+	issued sim.Time          // when the request hit the wire (call-latency metric)
 	proc   Proc
 
-	// The response body, copied out of the receive slot by dispatch. An
-	// inline read's data goes straight to into, the caller's buffer; n and
-	// readErr are what that copy made of the body.
+	// The response body, copied out of the receive slot by dispatch, into
+	// room while it fits (every metadata and data-operation reply does).
+	// An inline read's data goes straight to into, the caller's buffer; n
+	// and readErr are what that copy made of the body.
 	body    []byte
+	room    [16]byte
 	into    []byte
 	n       int
 	readErr error
@@ -135,6 +140,13 @@ type Call struct {
 
 	next *Call // free-list link
 	idle bool  // on the free list
+}
+
+// init sets up a call in place for session c.
+func (call *Call) init(c *Client) {
+	call.c = c
+	call.fut.Init(c.k)
+	call.body = call.room[:0]
 }
 
 // newCall takes a collected call off the free list, or makes one, and sets
@@ -145,7 +157,8 @@ func (c *Client) newCall(proc Proc, into []byte, op trace.OpID) *Call {
 		c.freeCalls, call.next, call.idle = call.next, nil, false
 		call.fut.Reset()
 	} else {
-		call = &Call{c: c, fut: sim.NewFuture[error](c.k)}
+		call = new(Call)
+		call.init(c)
 	}
 	call.proc, call.into, call.op = proc, into, op
 	call.n, call.readErr = 0, nil
@@ -204,10 +217,14 @@ type Client struct {
 	srv  *Server
 	opts Options
 
-	vi      *via.VI
-	cq      *via.CQ // a notify queue: dispatch runs on its completions
-	credits *sim.Resource
+	// The session's parts live in its record: the VI, its completion
+	// queue (a notify queue: dispatch runs on its completions), the credit
+	// window, the request pool and the first call.
+	vi      via.VI
+	cq      via.CQ
+	credits sim.Resource
 	reqPool slotPool[*slot]
+	first   Call
 
 	// The session's rings, registered into records it owns: one for
 	// requests and one for responses, with their slot tables, the slots
@@ -223,7 +240,11 @@ type Client struct {
 	slots               [2 * credits]slot
 	reqIdle             [credits]*slot
 
-	pending   map[uint32]*Call
+	// pending holds the calls awaiting a response. A call holds a credit
+	// from issue to completion, so at most credits calls are ever
+	// pending; each sits at the entry its XID picks, or the next free one
+	// after it (see track).
+	pending   [credits]*Call
 	nextXID   uint32
 	maxInline int
 	slotSize  int
@@ -292,22 +313,23 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 		k:           prov.K,
 		srv:         srv,
 		opts:        o,
-		pending:     make(map[uint32]*Call),
 		maxInline:   o.MaxInline,
 		slotSize:    HeaderLen + 512 + o.MaxInline,
 		tr:          prov.Tracer,
 		traceServer: -1,
 	}
 	c.m = newClientMetrics(prov.Metrics, nic.Node.Name)
-	c.cq = nic.NewNotifyCQ(nic.Node.Name+".dafs.cq", c.dispatch)
-	c.vi = nic.NewVI(c.cq, c.cq)
-	c.credits = sim.NewResource(c.k, nic.Node.Name+".dafs.credits", credits)
-	c.reqPool = newSlotPool(c.k, c.reqIdle[:0])
+	nic.InitCQ(&c.cq, nic.Label("dafs.cq"), c.dispatch)
+	nic.InitVI(&c.vi, &c.cq, &c.cq)
+	c.credits.Init(c.k, nic.Label("dafs.credits"), credits)
+	c.reqPool.init(c.k, c.reqIdle[:0])
+	c.first.init(c)
+	c.putCall(&c.first)
 
 	// Connection management is out of band in VIA; model it as one round
 	// trip plus the server-side session setup cost.
 	p.Wait(2 * c.prof.WireLatency)
-	if err := srv.accept(p, c.vi, o, c.slotSize); err != nil {
+	if err := srv.accept(p, &c.vi, o, c.slotSize); err != nil {
 		return nil, err
 	}
 	// The server's membership epoch rides the out-of-band connection
@@ -429,7 +451,7 @@ func (c *Client) dispatch(p *sim.Proc, comp via.Completion) {
 			return
 		}
 		var callOp trace.OpID
-		if call := c.pending[hdr.XID]; call != nil {
+		if call := c.lookup(hdr.XID); call != nil {
 			callOp = call.op
 			// The body leaves the slot now, while the call is known to
 			// be pending: once the charges below yield, its deadline
@@ -452,9 +474,7 @@ func (c *Client) dispatch(p *sim.Proc, comp via.Completion) {
 		// of them (or the re-post failed the session), fail() has
 		// already completed the call and released its credit: the
 		// response is late and is dropped.
-		call := c.pending[hdr.XID]
-		delete(c.pending, hdr.XID)
-		if call != nil {
+		if call := c.untrack(hdr.XID); call != nil {
 			// The credit frees when the response arrives, not when
 			// the issuer collects it — a caller pipelining more
 			// requests than credits must not deadlock against
@@ -468,14 +488,60 @@ func (c *Client) dispatch(p *sim.Proc, comp via.Completion) {
 	}
 }
 
+// track enters an issued call in the pending table: at the entry its XID
+// picks, or, while an older call still holds that one, the next free entry
+// after it.
+func (c *Client) track(call *Call) {
+	for i := range uint32(credits) {
+		if e := &c.pending[(call.xid+i)%credits]; *e == nil {
+			*e = call
+			return
+		}
+	}
+	panic("dafs: more calls pending than credits")
+}
+
+// find returns the pending-table entry of the call with this XID, or nil
+// when no such call is pending. It compares the whole XID: a late response
+// whose entry now holds a newer call must not land in it.
+func (c *Client) find(xid uint32) **Call {
+	for i := range uint32(credits) {
+		if e := &c.pending[(xid+i)%credits]; *e != nil && (*e).xid == xid {
+			return e
+		}
+	}
+	return nil
+}
+
+// lookup returns the pending call with this XID, or nil.
+func (c *Client) lookup(xid uint32) *Call {
+	if e := c.find(xid); e != nil {
+		return *e
+	}
+	return nil
+}
+
+// untrack removes the call with this XID from the pending table and
+// returns it (nil when it is not pending).
+func (c *Client) untrack(xid uint32) *Call {
+	e := c.find(xid)
+	if e == nil {
+		return nil
+	}
+	call := *e
+	*e = nil
+	return call
+}
+
 // fail marks the session broken and fails every pending call. The first
 // failure is sticky: a second transport failure must not overwrite failErr,
 // or callers collecting a late completion would see a different error than
 // the one that actually broke the session. The cause is wrapped alongside
 // ErrSession (both `%w`), so a deadline-induced failure matches ErrTimeout
-// too. Pending calls complete in XID (issue) order: delivering in map order
-// would make wakeup order — and therefore simulated time after a failure —
-// differ between runs.
+// too. Pending calls complete in XID (issue) order, not in the order they
+// sit in the pending table: that order depends on which calls completed
+// before, and wakeup order — and therefore simulated time after a failure —
+// must follow issue order alone.
 func (c *Client) fail(err error) {
 	if c.failErr == nil {
 		c.failErr = fmt.Errorf("%w: %w", ErrSession, err)
@@ -487,14 +553,11 @@ func (c *Client) fail(err error) {
 		}
 	}
 	c.closed = true
-	xids := make([]uint32, 0, len(c.pending))
-	for xid := range c.pending {
-		xids = append(xids, xid)
-	}
-	slices.Sort(xids)
-	for _, xid := range xids {
-		call := c.pending[xid]
-		delete(c.pending, xid)
+	pending := c.pending
+	c.pending = [credits]*Call{}
+	calls := slices.DeleteFunc(pending[:], func(call *Call) bool { return call == nil })
+	slices.SortFunc(calls, func(a, b *Call) int { return cmp.Compare(a.xid, b.xid) })
+	for _, call := range calls {
 		c.credits.Release(1)
 		c.m.credits.Add(-1)
 		c.tr.End(call.op)
@@ -552,13 +615,14 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 	c.node.Compute(p, c.prof.MarshalCost+c.prof.CopyTime(n))
 	c.tr.Charge(op, trace.CatClientCPU, p.Now()-t1)
 	call := c.newCall(proc, into, op)
-	c.pending[xid] = call
+	call.xid = xid
+	c.track(call)
 	old := p.SetTraceCtx(uint64(op))
 	s.desc = via.Descriptor{Op: via.OpSend, Region: s.reg, Offset: s.i * c.slotSize, Len: n, Ctx: s}
 	err := c.vi.PostSend(p, &s.desc)
 	p.SetTraceCtx(old)
 	if err != nil {
-		delete(c.pending, xid)
+		c.untrack(xid)
 		c.putCall(call)
 		s.release(n)
 		c.reqPool.put(s)
@@ -611,7 +675,7 @@ func (t *expireTimer) fire() {
 // transport a missing response means the peer (or the path to it) is gone,
 // DAFS's session-level failure semantics.
 func (c *Client) expire(xid uint32) {
-	if _, ok := c.pending[xid]; !ok {
+	if c.lookup(xid) == nil {
 		return
 	}
 	c.m.timeouts.Inc()
@@ -1038,10 +1102,15 @@ func (c *Client) Redial(p *sim.Proc) (*Client, error) {
 		return nil, err
 	}
 	c.unregister(p)
-	// The replacement takes over the calls collected on this session.
+	// The replacement takes over the calls collected on this session, but
+	// for the one in its record: the new session has its own, and holding
+	// this one would keep the whole dead session alive.
 	for c.freeCalls != nil {
 		call := c.freeCalls
 		c.freeCalls = call.next
+		if call == &c.first {
+			continue
+		}
 		call.c, call.next = nc, nc.freeCalls
 		nc.freeCalls = call
 	}

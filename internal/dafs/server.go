@@ -59,7 +59,7 @@ type Server struct {
 type session struct {
 	id        int
 	srv       *Server
-	vi        *via.VI
+	vi        via.VI
 	respPool  slotPool[*respSlot]
 	maxInline int
 	slotSize  int
@@ -226,16 +226,16 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 		return fmt.Errorf("%w: connect epoch %d < fence %d on %s", ErrStaleEpoch, o.Epoch, s.fence, s.node.Name)
 	}
 	s.node.Compute(p, s.prof.DAFSOpCost) // session setup
-	vi := s.nic.NewVI(s.cq, s.cq)
-	via.Connect(clientVI, vi)
 	sess := &session{
 		id:        len(s.sessions),
 		srv:       s,
-		vi:        vi,
 		maxInline: o.MaxInline,
 		slotSize:  slotSize,
 	}
-	sess.respPool = newSlotPool(s.k, sess.respIdle[:0])
+	vi := &sess.vi
+	s.nic.InitVI(vi, s.cq, s.cq)
+	via.Connect(clientVI, vi)
+	sess.respPool.init(s.k, sess.respIdle[:0])
 	s.nic.RegisterRing(p, &sess.reqReg, sess.reqTable[:], slotSize)
 	s.nic.RegisterRing(p, &sess.respReg, sess.respTable[:], slotSize)
 	for i := 0; i < credits; i++ {
@@ -436,11 +436,11 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		return StatusOK, reply{}
 
 	case ProcLookup:
-		name := r.Str()
+		name := r.StrBytes()
 		if r.Err() != nil {
 			return StatusProto, reply{}
 		}
-		f, err := s.store.Lookup(name)
+		f, err := s.store.LookupBytes(name)
 		if err != nil {
 			return storageStatus(err), reply{}
 		}

@@ -180,13 +180,15 @@ func newDAFSPool(clients []*dafs.Client, st layout.Striping, epoch uint32) *pool
 	c0 := clients[0]
 	xfer := newDAFSTransfer(c0.NIC(), c0.MaxInline())
 	sess := make([]session, len(clients))
+	leaves := make([]dafsSession, len(clients))
 	for i, c := range clients {
 		if c.NIC() != c0.NIC() {
 			panic("mpiio: striped session pool spans NICs")
 		}
 		// Inline fragments must fit every session's negotiated limit.
 		xfer.DirectThreshold = min(xfer.DirectThreshold, c.MaxInline())
-		sess[i] = &dafsSession{c: c, xfer: xfer}
+		leaves[i] = dafsSession{c: c, xfer: xfer}
+		sess[i] = &leaves[i]
 	}
 	pl := newPool(sess, st, epoch, "dafs", c0.Node(), c0.NIC().Provider().Metrics)
 	pl.dafsTransfer = xfer

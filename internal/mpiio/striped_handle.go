@@ -54,8 +54,9 @@ func (d *striped) open(p *sim.Proc, name string, mode int) (*stripedHandle, erro
 	}
 	st := d.striping
 	h := &stripedHandle{drv: d, fhs: make([][]uint64, st.Width), name: name, mode: mode}
+	rows, r := make([]uint64, st.Width*st.R()), st.R()
 	for t := range h.fhs {
-		h.fhs[t] = make([]uint64, st.R())
+		h.fhs[t] = rows[t*r : (t+1)*r : (t+1)*r]
 	}
 	fl := d.grid()
 	if err := d.wave(p, &nameWork{d: d, kind: opLookup, name: name, fhs: h.fhs}, fl); err != nil {

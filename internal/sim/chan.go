@@ -26,7 +26,20 @@ type Chan[T any] struct {
 
 // NewChan creates a channel. capacity <= 0 means unbounded.
 func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
-	return &Chan[T]{k: k, cap: capacity}
+	c := new(Chan[T])
+	c.Init(k, capacity, nil)
+	return c
+}
+
+// Init sets up a channel in place, for a channel embedded in its owner's
+// record. room, when not empty, is the first ring: storage the caller owns,
+// used until the channel first holds more than len(room) messages. Its
+// length must be a power of two.
+func (c *Chan[T]) Init(k *Kernel, capacity int, room []T) {
+	if n := len(room); n&(n-1) != 0 {
+		panic("sim: channel room is not a power of two")
+	}
+	*c = Chan[T]{k: k, cap: capacity, buf: room}
 }
 
 // Len returns the number of buffered messages.

@@ -14,8 +14,14 @@ type Future[T any] struct {
 
 // NewFuture creates an unset future.
 func NewFuture[T any](k *Kernel) *Future[T] {
-	return &Future[T]{k: k}
+	f := new(Future[T])
+	f.Init(k)
+	return f
 }
+
+// Init sets up an unset future in place, for a future embedded in its
+// owner's record.
+func (f *Future[T]) Init(k *Kernel) { *f = Future[T]{k: k} }
 
 // Done reports whether the value has been set.
 func (f *Future[T]) Done() bool { return f.set }

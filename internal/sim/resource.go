@@ -31,10 +31,18 @@ type Resource struct {
 
 // NewResource creates a resource with the given capacity (>= 1).
 func NewResource(k *Kernel, name string, capacity int) *Resource {
+	r := new(Resource)
+	r.Init(k, name, capacity)
+	return r
+}
+
+// Init sets up a resource in place, for a resource embedded in its owner's
+// record.
+func (r *Resource) Init(k *Kernel, name string, capacity int) {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{Name: name, k: k, cap: capacity, lastChange: k.now, createdAt: k.now}
+	*r = Resource{Name: name, k: k, cap: capacity, lastChange: k.now, createdAt: k.now}
 }
 
 // Cap returns the resource capacity.

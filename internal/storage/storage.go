@@ -87,6 +87,16 @@ func (s *Store) Lookup(name string) (*File, error) {
 	return f, nil
 }
 
+// LookupBytes finds a file by a name held as bytes (a name in a request
+// message), without copying them into a string.
+func (s *Store) LookupBytes(name []byte) (*File, error) {
+	f, ok := s.files[string(name)]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return f, nil
+}
+
 // Get finds a file by handle.
 func (s *Store) Get(id FileID) (*File, error) {
 	f, ok := s.byID[id]

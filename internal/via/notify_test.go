@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"dafsio/internal/fabric"
+	"dafsio/internal/metrics"
 	"dafsio/internal/model"
 	"dafsio/internal/sim"
 )
@@ -115,4 +117,90 @@ func TestNotifyCQHandlerPanicFailsRun(t *testing.T) {
 		t.Fatalf("Run: %v, want the handler's panic", err)
 	}
 	p2.k.Shutdown()
+}
+
+// TestCQDepthGauge: with metrics on, a NIC's cq_depth gauge is the number
+// of completions queued on its live CQs. It counts up on delivery and down
+// on every take — Poll, Wait and a notify queue's drain — without a list
+// of the CQs the NIC ever made.
+func TestCQDepthGauge(t *testing.T) {
+	prof := model.CLAN1998()
+	k := sim.NewKernel()
+	fab := fabric.New(k, prof)
+	pr := NewProvider(fab)
+	pr.Metrics = metrics.New(k)
+	nicA, nicB := pr.NewNIC(fab.AddNode("a")), pr.NewNIC(fab.AddNode("b"))
+	sendCQ, recvCQ := nicA.NewCQ("a.s"), nicB.NewCQ("b.r")
+	handled := 0
+	notify := nicA.NewNotifyCQ("a.n", func(p *sim.Proc, c Completion) { handled++ })
+	viA, viB := nicA.NewVI(sendCQ, sendCQ), nicB.NewVI(recvCQ, recvCQ)
+	Connect(viA, viB)
+	viA2, viB2 := nicA.NewVI(notify, notify), nicB.NewVI(recvCQ, recvCQ)
+	Connect(viA2, viB2)
+	check := func(when string, n *NIC, want int, cqs ...*CQ) {
+		t.Helper()
+		sum := 0
+		for _, cq := range cqs {
+			sum += cq.Len()
+		}
+		got := pr.Metrics.Value("via.nic." + n.Node.Name + ".cq_depth")
+		if got != int64(sum) || sum != want {
+			t.Errorf("%s: %s cq_depth %d, its CQs hold %d, want %d", when, n.Node.Name, got, sum, want)
+		}
+	}
+	k.Spawn("app", func(p *sim.Proc) {
+		ra, rb := nicA.Register(p, make([]byte, 64)), nicB.Register(p, make([]byte, 6*64))
+		for i := range 6 {
+			vi := viB
+			if i >= 4 {
+				vi = viB2
+			}
+			if err := vi.PostRecv(p, &Descriptor{Region: rb, Offset: i * 64, Len: 64}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for i := range 6 {
+			vi := viA
+			if i >= 4 {
+				vi = viA2
+			}
+			if err := vi.PostSend(p, &Descriptor{Op: OpSend, Region: ra, Len: 64}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		p.Wait(sim.Millisecond)
+		if handled != 2 {
+			t.Errorf("notify queue handled %d completions, want 2", handled)
+		}
+		check("delivered", nicA, 4, sendCQ, notify)
+		check("delivered", nicB, 6, recvCQ)
+		sendCQ.Wait(p)
+		recvCQ.Poll()
+		check("one taken", nicA, 3, sendCQ, notify)
+		check("one taken", nicB, 5, recvCQ)
+		for range 3 {
+			sendCQ.Wait(p)
+		}
+		for range 5 {
+			recvCQ.Poll()
+		}
+		check("all taken", nicA, 0, sendCQ, notify)
+		check("all taken", nicB, 0, recvCQ)
+		// A blocked Wait takes its completion as it wakes.
+		if err := viB.PostRecv(p, &Descriptor{Region: rb, Len: 64}); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := viA.PostSend(p, &Descriptor{Op: OpSend, Region: ra, Len: 64}); err != nil {
+			t.Error(err)
+			return
+		}
+		recvCQ.Wait(p)
+		check("woken", nicB, 0, recvCQ)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -53,25 +53,27 @@ type Completion struct {
 // from NewCQ is waited on: a process blocked in Wait is descheduled and
 // pays the wakeup latency when a completion arrives. A queue from
 // NewNotifyCQ hands every completion to its handler (VipCQNotify) and
-// holds no process between completions.
+// holds no process between completions. InitCQ sets up either kind in
+// place, inside the record that owns it.
 type CQ struct {
 	Name string
 
-	nic *NIC
-	ch  *sim.Chan[Completion]
+	nic  *NIC
+	ch   sim.Chan[Completion]
+	room [8]Completion // ch's first ring
 
-	// Notify queues only: the handler, the drain bound to a func value once
-	// (a method value per Spawn would allocate per burst), and whether a
-	// drain proc is running.
-	handler  func(p *sim.Proc, c Completion)
-	drainFn  func(p *sim.Proc)
-	draining bool
+	// Notify queues only: the handler, whether a drain proc is spawned or
+	// running, and the link of the NIC's queue of spawned drains that have
+	// not started yet (NIC.drain).
+	handler   func(p *sim.Proc, c Completion)
+	draining  bool
+	drainNext *CQ
 }
 
 // NewCQ creates a completion queue on the NIC, for processes that Wait.
 func (n *NIC) NewCQ(name string) *CQ {
-	cq := &CQ{Name: name, nic: n, ch: sim.NewChan[Completion](n.prov.K, 0)}
-	n.cqs = append(n.cqs, cq)
+	cq := new(CQ)
+	n.InitCQ(cq, name, nil)
 	return cq
 }
 
@@ -84,10 +86,17 @@ func (n *NIC) NewCQ(name string) *CQ {
 // So h sees exactly the completions, instants and charges a daemon looping
 // on Wait would, and between bursts the queue parks no process.
 func (n *NIC) NewNotifyCQ(name string, h func(p *sim.Proc, c Completion)) *CQ {
-	cq := n.NewCQ(name)
-	cq.handler = h
-	cq.drainFn = cq.drain
+	cq := new(CQ)
+	n.InitCQ(cq, name, h)
 	return cq
+}
+
+// InitCQ sets up cq in place as a completion queue on the NIC: a notify
+// queue running h (see NewNotifyCQ), or, with h nil, a queue processes
+// Wait on (see NewCQ).
+func (n *NIC) InitCQ(cq *CQ, name string, h func(p *sim.Proc, c Completion)) {
+	*cq = CQ{Name: name, nic: n, handler: h}
+	cq.ch.Init(n.prov.K, 0, cq.room[:])
 }
 
 // Wait blocks until a completion is available. If the process had to sleep,
@@ -97,13 +106,14 @@ func (cq *CQ) Wait(p *sim.Proc) Completion {
 	if cq.handler != nil {
 		panic("via: Wait on a notify CQ")
 	}
-	if c, ok := cq.ch.TryRecv(); ok {
+	if c, ok := cq.Poll(); ok {
 		return c
 	}
 	c, ok := cq.ch.Recv(p)
 	if !ok {
 		panic("via: CQ closed")
 	}
+	cq.nic.queued--
 	cq.nic.Node.Compute(p, cq.nic.prov.Prof.WakeupLatency)
 	return c
 }
@@ -111,16 +121,22 @@ func (cq *CQ) Wait(p *sim.Proc) Completion {
 // drain is a notify queue's proc: the wakeup, then the handler on every
 // queued completion.
 func (cq *CQ) drain(p *sim.Proc) {
-	c, _ := cq.ch.TryRecv()
+	c, _ := cq.Poll()
 	cq.nic.Node.Compute(p, cq.nic.prov.Prof.WakeupLatency)
-	for ok := true; ok; c, ok = cq.ch.TryRecv() {
+	for ok := true; ok; c, ok = cq.Poll() {
 		cq.handler(p, c)
 	}
 	cq.draining = false
 }
 
 // Poll returns a completion without blocking.
-func (cq *CQ) Poll() (Completion, bool) { return cq.ch.TryRecv() }
+func (cq *CQ) Poll() (Completion, bool) {
+	c, ok := cq.ch.TryRecv()
+	if ok {
+		cq.nic.queued--
+	}
+	return c, ok
+}
 
 // Len returns the number of undelivered completions.
 func (cq *CQ) Len() int { return cq.ch.Len() }
@@ -128,18 +144,40 @@ func (cq *CQ) Len() int { return cq.ch.Len() }
 // deliver queues c. On an idle notify queue it spawns the drain, which
 // takes the sequence slot a waiter's wake takes.
 func (cq *CQ) deliver(c Completion) {
-	c.At = cq.nic.prov.K.Now()
+	n := cq.nic
+	c.At = n.prov.K.Now()
 	if c.Desc != nil {
 		// Descriptor spans end when their completion is delivered.
-		cq.nic.prov.Tracer.End(c.Desc.span)
+		n.prov.Tracer.End(c.Desc.span)
 	}
 	if !cq.ch.TrySend(c) {
 		panic("via: CQ closed")
 	}
+	n.queued++
 	if cq.handler != nil && !cq.draining {
 		cq.draining = true
-		cq.nic.prov.K.SpawnDaemon(cq.Name, cq.drainFn)
+		if n.drainT == nil {
+			n.drainH = cq
+		} else {
+			n.drainT.drainNext = cq
+		}
+		n.drainT = cq
+		n.prov.K.SpawnDaemon(cq.Name, n.drainFn)
 	}
+}
+
+// drain starts the drain of the notify queue whose drain was spawned
+// first and has not started. Every drain proc of the NIC runs this one
+// function value, bound once per NIC rather than once per queue: procs
+// spawned at one instant or later start in spawn order, so the proc that
+// starts is the one spawned for the queue at the head.
+func (n *NIC) drain(p *sim.Proc) {
+	cq := n.drainH
+	n.drainH, cq.drainNext = cq.drainNext, nil
+	if n.drainH == nil {
+		n.drainT = nil
+	}
+	cq.drain(p)
 }
 
 // VI is a Virtual Interface: a connected pair of work queues. Send-side
@@ -167,13 +205,20 @@ type VI struct {
 // NewVI creates an unconnected VI using the given completion queues (which
 // may be shared across VIs, as VIA allows).
 func (n *NIC) NewVI(sendCQ, recvCQ *CQ) *VI {
+	vi := new(VI)
+	n.InitVI(vi, sendCQ, recvCQ)
+	return vi
+}
+
+// InitVI sets up vi in place as an unconnected VI on the NIC (see NewVI),
+// for a VI embedded in its owner's record.
+func (n *NIC) InitVI(vi *VI, sendCQ, recvCQ *CQ) {
 	if sendCQ.nic != n || recvCQ.nic != n {
 		panic("via: CQ belongs to a different NIC")
 	}
-	vi := &VI{ID: len(n.vis), NIC: n, SendCQ: sendCQ, RecvCQ: recvCQ}
+	*vi = VI{ID: len(n.vis), NIC: n, SendCQ: sendCQ, RecvCQ: recvCQ}
 	vi.recvQ = vi.recvRoom[:0]
 	n.vis = append(n.vis, vi)
-	return vi
 }
 
 // Connect pairs two VIs (the simulation's out-of-band connection manager).

@@ -139,7 +139,6 @@ type NIC struct {
 	rx  rxEngine
 
 	vis        []*VI
-	cqs        []*CQ
 	regions    map[MemHandle]*Region
 	nextHandle MemHandle
 
@@ -154,6 +153,14 @@ type NIC struct {
 	// the internal descriptors of RDMA read responses already streamed.
 	freeReasms    []*reasmState
 	freeReadResps []*Descriptor
+
+	// Notify queues whose drain proc is spawned but has not started, in
+	// spawn order, and the one function value every drain proc runs.
+	drainH, drainT *CQ
+	drainFn        func(p *sim.Proc)
+
+	queued int               // completions delivered to the NIC's CQs and not yet taken
+	labels map[string]string // Label's names, built once per suffix
 
 	dead bool // fail-stopped: transmits and receives nothing
 
@@ -193,6 +200,7 @@ func (pr *Provider) NewNIC(node *fabric.Node) *NIC {
 		respGot:   make(map[uint64]int),
 		reasm:     make(map[reasmKey]*reasmState),
 	}
+	n.drainFn = n.drain
 	pr.nics[node.ID] = n
 	pr.K.SpawnEngine(node.Name+".nic.send", n.sendStep)
 	pr.K.SpawnEngine(node.Name+".nic.tx", n.txStep)
@@ -206,13 +214,7 @@ func (pr *Provider) NewNIC(node *fabric.Node) *NIC {
 		m.CounterFunc(pre+"cells_out", func() int64 { return n.stats.CellsOut })
 		m.CounterFunc(pre+"doorbells", func() int64 { return n.stats.SendsPosted + n.stats.RecvsPosted })
 		m.GaugeFunc(pre+"pinned_regions", func() int64 { return int64(len(n.regions)) })
-		m.GaugeFunc(pre+"cq_depth", func() int64 {
-			var d int64
-			for _, cq := range n.cqs {
-				d += int64(cq.Len())
-			}
-			return d
-		})
+		m.GaugeFunc(pre+"cq_depth", func() int64 { return int64(n.queued) })
 	}
 	return n
 }
@@ -225,6 +227,22 @@ func (n *NIC) Stats() Stats { return n.stats }
 
 // Provider returns the owning provider.
 func (n *NIC) Provider() *Provider { return n.prov }
+
+// Label returns the node's name, a dot and suffix ("client3.dafs.cq"):
+// the name of a queue or resource that every session on the NIC gives
+// its own copy of. It is built on the first call for each suffix and
+// shared after that, so naming a session's parts allocates nothing.
+func (n *NIC) Label(suffix string) string {
+	if l, ok := n.labels[suffix]; ok {
+		return l
+	}
+	if n.labels == nil {
+		n.labels = make(map[string]string)
+	}
+	l := n.Node.Name + "." + suffix
+	n.labels[suffix] = l
+	return l
+}
 
 // Kill fail-stops the NIC: from now on it silently discards everything it
 // would transmit or receive, so peers see total silence — in-flight

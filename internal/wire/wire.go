@@ -161,12 +161,14 @@ func (r *Reader) U64() uint64 {
 }
 
 // Str reads a length-prefixed string.
-func (r *Reader) Str() string {
+func (r *Reader) Str() string { return string(r.StrBytes()) }
+
+// StrBytes reads a length-prefixed string as its bytes, without copying
+// (like Blob, they alias the underlying buffer): for a name that is only
+// looked up, never kept.
+func (r *Reader) StrBytes() []byte {
 	n := int(r.U16())
-	if b := r.take(n); b != nil {
-		return string(b)
-	}
-	return ""
+	return r.take(n)
 }
 
 // Blob returns the decoded bytes without copying (they alias the underlying
