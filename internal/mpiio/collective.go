@@ -126,7 +126,7 @@ func (f *File) pipelinedWrite(p *sim.Proc, blocks [][]byte) error {
 		}
 		segs = appendSegs(slices.Grow(segs[:0], blk.pieces()), blk.hdrs)
 		var op AsyncOp
-		if op, err = f.h.StartWriteList(p, segs, blk.data); err == nil {
+		if op, err = f.h.StartList(p, segs, blk.data, true); err == nil {
 			ops = append(ops, op)
 		}
 	})
@@ -203,7 +203,7 @@ func (f *File) aggregateWrite(p *sim.Proc, recv [][]byte) error {
 	pos := 0
 	for _, run := range runs {
 		var op AsyncOp
-		if op, err = f.h.StartWrite(p, run.Off, packed[pos:pos+int(run.Len)]); err != nil {
+		if op, err = f.h.Start(p, run.Off, packed[pos:pos+int(run.Len)], true); err != nil {
 			break
 		}
 		pos += int(run.Len)
@@ -408,7 +408,7 @@ func (f *File) pipelinedRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
 			for i, s := range segs {
 				binary.LittleEndian.PutUint32(reply[i*replyHdr:], uint32(s.Len))
 			}
-			op, serr := f.h.StartReadList(p, segs, reply[len(segs)*replyHdr:])
+			op, serr := f.h.StartList(p, segs, reply[len(segs)*replyHdr:], false)
 			if err = serr; err == nil {
 				ops[src], replies[src] = op, reply
 			}
@@ -505,7 +505,7 @@ func (f *File) readSpans(p *sim.Proc, merged []Segment) ([]span, error) {
 		for remaining > 0 {
 			take := min(remaining, int64(f.hints.CollBufSize))
 			chunk := make([]byte, take)
-			got, err := f.h.ReadContig(p, cur, chunk)
+			got, err := transfer(p, f.h, cur, chunk, false)
 			if err != nil {
 				return nil, err
 			}

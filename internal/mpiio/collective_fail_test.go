@@ -29,39 +29,25 @@ type failingList struct {
 	started, waited     int
 }
 
-func (h *failingList) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) {
-	if h.failContig {
-		return 0, errInjected
-	}
-	return h.Handle.ReadContig(p, off, buf)
-}
-
-func (h *failingList) StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
-	if h.writes++; h.writes == h.failWrite {
+func (h *failingList) Start(p *sim.Proc, off int64, buf []byte, write bool) (AsyncOp, error) {
+	if h.failContig && !write {
 		return nil, errInjected
 	}
-	return h.count(h.Handle.StartWriteList(p, segs, buf))
-}
-
-func (h *failingList) StartReadList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
-	if h.reads++; h.reads == h.failRead {
-		return nil, errInjected
-	}
-	return h.count(h.Handle.StartReadList(p, segs, buf))
-}
-
-func (h *failingList) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
 	if h.starts++; h.starts == h.failStart {
 		return nil, errInjected
 	}
-	return h.count(h.Handle.StartWrite(p, off, buf))
+	return h.count(h.Handle.Start(p, off, buf, write))
 }
 
-func (h *failingList) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
-	if h.starts++; h.starts == h.failStart {
+func (h *failingList) StartList(p *sim.Proc, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
+	n, fail := &h.reads, h.failRead
+	if write {
+		n, fail = &h.writes, h.failWrite
+	}
+	if *n++; *n == fail {
 		return nil, errInjected
 	}
-	return h.count(h.Handle.StartRead(p, off, buf))
+	return h.count(h.Handle.StartList(p, segs, buf, write))
 }
 
 func (h *failingList) count(op AsyncOp, err error) (AsyncOp, error) {
@@ -151,7 +137,7 @@ func TestCollectiveListFailureMidExchange(t *testing.T) {
 		f.SetView(int64(i)*block, Vector(blocks, block, ranks*block))
 		fl := &failingList{Handle: f.h}
 		f.h = fl
-		nic := drv.Clients()[0].NIC()
+		nic := pool[0].NIC()
 		before := nic.Regions()
 		settledOK := func(what string) {
 			t.Helper()

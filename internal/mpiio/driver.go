@@ -86,23 +86,18 @@ type Driver interface {
 	core() *striped
 }
 
-// Handle is one open file at the driver level.
+// Handle is one open file at the driver level: one start per access
+// shape, each taking the direction as a flag.
 type Handle interface {
-	// ReadContig reads len(buf) bytes at off (short count at EOF).
-	ReadContig(p *sim.Proc, off int64, buf []byte) (int, error)
-	// WriteContig writes buf at off, extending the file as needed.
-	WriteContig(p *sim.Proc, off int64, buf []byte) (int, error)
-	// StartRead begins a nonblocking contiguous read.
-	StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, error)
-	// StartWrite begins a nonblocking contiguous write.
-	StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, error)
-	// StartReadList and StartWriteList begin a batched noncontiguous
-	// transfer (DAFS batch I/O: one segment list and one RDMA per server).
-	// segs map to consecutive bytes of buf, and the handle is done with
-	// segs once the call returns, so a caller may reuse the slice. Over a
-	// leaf without batch I/O they fail; Open sets Hints.NoBatch there.
-	StartReadList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error)
-	StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error)
+	// Start begins a nonblocking contiguous transfer of buf at off: a
+	// write extends the file as needed, a read counts short at EOF.
+	Start(p *sim.Proc, off int64, buf []byte, write bool) (AsyncOp, error)
+	// StartList begins a batched noncontiguous transfer (DAFS batch I/O:
+	// one segment list and one RDMA per server). segs map to consecutive
+	// bytes of buf, and the handle is done with segs once the call
+	// returns, so a caller may reuse the slice. Over a leaf without batch
+	// I/O it fails; Open sets Hints.NoBatch there.
+	StartList(p *sim.Proc, segs []Segment, buf []byte, write bool) (AsyncOp, error)
 	// Size returns the current file size.
 	Size(p *sim.Proc) (int64, error)
 	// Resize truncates or extends the file.
@@ -120,17 +115,24 @@ type AsyncOp interface {
 	Wait(p *sim.Proc) (int, error)
 }
 
-// blocking completes the nonblocking start (op, err) in place: every
-// handle's ReadContig/WriteContig is its StartRead/StartWrite plus this.
-func blocking(p *sim.Proc, op AsyncOp, err error) (int, error) {
+// starter is what transfer drives: a Handle, or a rank object under the
+// re-silverer.
+type starter interface {
+	Start(p *sim.Proc, off int64, buf []byte, write bool) (AsyncOp, error)
+}
+
+// transfer starts a contiguous transfer and waits for it.
+func transfer(p *sim.Proc, h starter, off int64, buf []byte, write bool) (int, error) {
+	op, err := h.Start(p, off, buf, write)
 	if err != nil {
 		return 0, err
 	}
 	return op.Wait(p)
 }
 
-// doneOp is an AsyncOp that completed immediately: a zero-length transfer.
-type doneOp struct{}
+// doneOp is an AsyncOp that completed inside its start, having moved
+// that many bytes: a zero-length transfer, or a rank object's copy.
+type doneOp int
 
 // Wait implements AsyncOp.
-func (doneOp) Wait(*sim.Proc) (int, error) { return 0, nil }
+func (o doneOp) Wait(*sim.Proc) (int, error) { return int(o), nil }

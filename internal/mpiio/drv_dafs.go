@@ -139,8 +139,8 @@ func (b dafsBatch) wait(p *sim.Proc) (int64, error) {
 // startBatch issues a segment list against one object on session c: each
 // chunk of up to MaxBatch segments moves with a single request plus a
 // single RDMA, and the segments occupy consecutive bytes of reg from
-// offset 0. It is the package's one batch chunker, under the single-server
-// list path and every per-server gather plan. When a chunk fails to start
+// offset 0. It is the package's one batch chunker, under every server
+// plan of a list transfer. When a chunk fails to start
 // the ones already in flight are waited out before the error returns.
 func startBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, specs []dafs.SegSpec, reg *via.Region, write bool) (dafsBatch, error) {
 	var b dafsBatch
@@ -164,37 +164,4 @@ func startBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, specs []dafs.SegSpec, r
 		specs = specs[len(chunk):]
 	}
 	return b, nil
-}
-
-// listOp is a single-server batch transfer straight out of (or into) the
-// user buffer; its registration is released once the last chunk is in.
-type listOp struct {
-	b   dafsBatch
-	drv *dafsTransfer
-	reg *via.Region
-}
-
-// Wait implements AsyncOp.
-func (o *listOp) Wait(p *sim.Proc) (int, error) {
-	n, err := o.b.wait(p)
-	o.drv.release(p, o.reg)
-	return int(n), mapErr(err)
-}
-
-// startList issues segs — consecutive bytes of buf — as batch operations
-// on session c: the whole buffer is registered once (through the cache).
-// The striped driver's width-1 list path is this: no staging, the user
-// buffer itself is the RDMA window.
-func (d *dafsTransfer) startList(p *sim.Proc, c *dafs.Client, fh dafs.FH, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
-	reg := d.region(p, buf)
-	specs := make([]dafs.SegSpec, len(segs))
-	for i, s := range segs {
-		specs[i] = dafs.SegSpec{Off: s.Off, Len: int(s.Len)}
-	}
-	b, err := startBatch(p, c, fh, specs, reg, write)
-	if err != nil {
-		d.release(p, reg)
-		return nil, mapErr(err)
-	}
-	return &listOp{b: b, drv: d, reg: reg}, nil
 }

@@ -170,55 +170,107 @@ func TestUnreplicatedCrashFailsFast(t *testing.T) {
 }
 
 // TestSingleServerCrashFailsFast pins the failure semantics of the
-// single-server driver, which is the striped core at width 1. A write cut
-// off by its server's crash fails once the call deadline passes. The error
-// matches the session sentinels and ErrAllReplicasDown, as a dead server
-// of a wider stripe does. With no retry policy that failure is final: the
-// next calls fail with the same error without a round trip, and no failed
-// call leaves a registration behind.
+// single-server driver, which is the striped core at width 1, for
+// contiguous and list I/O alike. A write cut off by its server's crash
+// fails once the call deadline passes. The error matches the session
+// sentinels and ErrAllReplicasDown, as a dead server of a wider stripe
+// does. With no retry policy that failure is final: the next calls fail
+// with the same error without a round trip, and no failed call leaves a
+// registration behind.
 func TestSingleServerCrashFailsFast(t *testing.T) {
-	c := cluster.New(cluster.Config{Clients: 1, DAFS: true})
-	c.K.Spawn("app", func(p *sim.Proc) {
-		cl, err := c.DialDAFS(p, 0, &dafs.Options{CallTimeout: 5 * sim.Millisecond})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		f, err := Open(p, nil, NewDAFSDriver(cl), "s", ModeRdWr|ModeCreate, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer f.Close(p)
-		data := pattern(64 << 10) // direct: the buffer is registered
-		if _, err := f.WriteAt(p, 0, data); err != nil {
-			t.Errorf("healthy write: %v", err)
-			return
-		}
-		regions := cl.NIC().Regions()
-		p.Kernel().Spawn("crash", func(q *sim.Proc) {
-			q.Wait(100 * sim.Microsecond)
-			crashServer(c, 0)
-		})
-		dead := func(what string, err error) {
-			for _, want := range []error{dafs.ErrSession, dafs.ErrTimeout, dafs.ErrAllReplicasDown} {
-				if !errors.Is(err, want) {
-					t.Errorf("%s: err=%v, want it to match %v", what, err, want)
+	for _, tc := range []struct {
+		name string
+		view *Datatype // nil: contiguous
+	}{
+		{"contiguous", nil},
+		{"list", Vector(64, 1024, 2048)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster.New(cluster.Config{Clients: 1, DAFS: true})
+			c.K.Spawn("app", func(p *sim.Proc) {
+				cl, err := c.DialDAFS(p, 0, &dafs.Options{CallTimeout: 5 * sim.Millisecond})
+				if err != nil {
+					t.Error(err)
+					return
 				}
+				f, err := Open(p, nil, NewDAFSDriver(cl), "s", ModeRdWr|ModeCreate, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer f.Close(p)
+				if tc.view != nil {
+					f.SetView(0, tc.view)
+				}
+				data := pattern(64 << 10) // direct or batch: the buffer is registered
+				if _, err := f.WriteAt(p, 0, data); err != nil {
+					t.Errorf("healthy write: %v", err)
+					return
+				}
+				regions := cl.NIC().Regions()
+				p.Kernel().Spawn("crash", func(q *sim.Proc) {
+					q.Wait(100 * sim.Microsecond)
+					crashServer(c, 0)
+				})
+				dead := func(what string, err error) {
+					for _, want := range []error{dafs.ErrSession, dafs.ErrTimeout, dafs.ErrAllReplicasDown} {
+						if !errors.Is(err, want) {
+							t.Errorf("%s: err=%v, want it to match %v", what, err, want)
+						}
+					}
+				}
+				_, err = f.WriteAt(p, 0, data)
+				dead("write during the crash", err)
+				at := p.Now()
+				_, err = f.WriteAt(p, 0, data)
+				dead("write after the crash", err)
+				_, err = f.ReadAt(p, 0, data)
+				dead("read after the crash", err)
+				if p.Now() != at {
+					t.Errorf("calls on the dead server took %v of simulated time", p.Now()-at)
+				}
+				if n := cl.NIC().Regions(); n != regions {
+					t.Errorf("registrations went from %d to %d across the failed calls", regions, n)
+				}
+			})
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestRedriveGivesUpOnSlowServer: a server that recovers on every redial
+// but never answers within the call deadline — a 1 MB write takes about
+// 10 ms on the wire against a 1 ms deadline — costs the unit at most
+// Retry.Attempts re-drive rounds, after which the write fails with
+// ErrAllReplicasDown wrapping the timeout. Nothing else would end it: the
+// crash scheduled at 1 s (a daemon event, so it does not keep the run
+// alive) only bounds the test if the core re-drives forever.
+func TestRedriveGivesUpOnSlowServer(t *testing.T) {
+	c := cluster.New(cluster.Config{Clients: 1, DAFS: true})
+	c.K.AtEvent(c.K.NewDaemonEvent(func() { crashServer(c, 0) }), sim.Second)
+	c.K.Spawn("app", func(p *sim.Proc) {
+		cl, err := c.DialDAFS(p, 0, &dafs.Options{CallTimeout: sim.Millisecond})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		drv := NewDAFSDriver(cl)
+		drv.Retry = dafs.RetryPolicy{Base: sim.Millisecond, Max: 4 * sim.Millisecond, Attempts: 3}
+		f, err := Open(p, nil, drv, "s", ModeRdWr|ModeCreate, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, err = f.WriteAt(p, 0, pattern(1<<20))
+		for _, want := range []error{dafs.ErrAllReplicasDown, dafs.ErrTimeout} {
+			if !errors.Is(err, want) {
+				t.Errorf("write: err=%v, want it to match %v", err, want)
 			}
 		}
-		_, err = f.WriteAt(p, 0, data)
-		dead("write during the crash", err)
-		at := p.Now()
-		_, err = f.WriteAt(p, 0, data)
-		dead("write after the crash", err)
-		_, err = f.ReadAt(p, 0, data)
-		dead("read after the crash", err)
-		if p.Now() != at {
-			t.Errorf("calls on the dead server took %v of simulated time", p.Now()-at)
-		}
-		if n := cl.NIC().Regions(); n != regions {
-			t.Errorf("registrations went from %d to %d across the failed calls", regions, n)
+		if p.Now() >= sim.Second {
+			t.Errorf("write failed at %v after %d redials, want before the crash at 1s", p.Now(), drv.Retries)
 		}
 	})
 	if err := c.Run(); err != nil {
@@ -231,55 +283,77 @@ func TestSingleServerCrashFailsFast(t *testing.T) {
 // (no other copy of the dead server's stripes), but a scheduled restart
 // re-admits the server — store intact, sessions gone — the driver's
 // background redial lands after the restart instant, and the interrupted
-// write stream completes with every byte verifiable.
+// write stream completes with every byte verifiable. It does so for
+// contiguous writes over three servers and for list writes through a
+// strided view over one, where the batch requests recover through the
+// same core.
 func TestStripedWriteSurvivesServerRestart(t *testing.T) {
 	const (
-		servers = 3
-		stripe  = 4 << 10
-		chunk   = 64 << 10
-		total   = 2 << 20
+		stripe = 4 << 10
+		chunk  = 64 << 10
+		total  = 2 << 20
 	)
-	cfg := cluster.Config{Clients: 1, Servers: servers, DAFS: true}
-	cfg.Faults = fault.Installer(fault.Plan{Events: []fault.Event{
-		{At: 10 * sim.Millisecond, Kind: fault.ServerCrash, Node: "server1"},
-		{At: 20 * sim.Millisecond, Kind: fault.ServerRestart, Node: "server1"},
-	}})
-	c := cluster.New(cfg)
-	var drv *StripedDAFSDriver
-	c.K.Spawn("app", func(p *sim.Proc) {
-		pool, err := c.DialDAFSAll(p, 0, &dafs.Options{CallTimeout: 5 * sim.Millisecond})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		drv = NewStripedDAFSDriver(pool, layout.Striping{StripeSize: stripe, Width: servers})
-		drv.Retry = dafs.RetryPolicy{Base: 2 * sim.Millisecond, Max: 8 * sim.Millisecond, Attempts: 8}
-		f, err := Open(p, nil, drv, "s", ModeRdWr|ModeCreate, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		data := pattern(total)
-		for off := 0; off < total; off += chunk {
-			if n, err := f.WriteAt(p, int64(off), data[off:off+chunk]); err != nil || n != chunk {
-				t.Errorf("write at %d: n=%d err=%v", off, n, err)
-				return
+	for _, tc := range []struct {
+		name    string
+		servers int
+		view    *Datatype // nil: contiguous
+	}{
+		{"striped", 3, nil},
+		{"width-1 list", 1, Vector(64, 1024, 2048)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cluster.Config{Clients: 1, Servers: tc.servers, DAFS: true}
+			victim := "server"
+			if tc.servers > 1 {
+				victim = "server1"
 			}
-		}
-		got := make([]byte, total)
-		if n, err := f.ReadAt(p, 0, got); err != nil || n != total {
-			t.Errorf("read-back = %d, %v", n, err)
-			return
-		}
-		if !bytes.Equal(got, data) {
-			t.Error("read-back mismatch after restart recovery")
-		}
-		f.Close(p)
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if drv.Retries == 0 {
-		t.Error("no redial attempts recorded — the crash window missed the write stream, retune the schedule")
+			cfg.Faults = fault.Installer(fault.Plan{Events: []fault.Event{
+				{At: 10 * sim.Millisecond, Kind: fault.ServerCrash, Node: victim},
+				{At: 20 * sim.Millisecond, Kind: fault.ServerRestart, Node: victim},
+			}})
+			c := cluster.New(cfg)
+			var drv *StripedDAFSDriver
+			c.K.Spawn("app", func(p *sim.Proc) {
+				pool, err := c.DialDAFSAll(p, 0, &dafs.Options{CallTimeout: 5 * sim.Millisecond})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				drv = NewStripedDAFSDriver(pool, layout.Striping{StripeSize: stripe, Width: tc.servers})
+				drv.Retry = dafs.RetryPolicy{Base: 2 * sim.Millisecond, Max: 8 * sim.Millisecond, Attempts: 8}
+				f, err := Open(p, nil, drv, "s", ModeRdWr|ModeCreate, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if tc.view != nil {
+					f.SetView(0, tc.view)
+				}
+				data := pattern(total)
+				for off := 0; off < total; off += chunk {
+					if n, err := f.WriteAt(p, int64(off), data[off:off+chunk]); err != nil || n != chunk {
+						t.Errorf("write at %d: n=%d err=%v", off, n, err)
+						return
+					}
+				}
+				got := make([]byte, total)
+				for off := 0; off < total; off += chunk {
+					if n, err := f.ReadAt(p, int64(off), got[off:off+chunk]); err != nil || n != chunk {
+						t.Errorf("read at %d: n=%d err=%v", off, n, err)
+						return
+					}
+				}
+				if !bytes.Equal(got, data) {
+					t.Error("read-back mismatch after restart recovery")
+				}
+				f.Close(p)
+			})
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if drv.Retries == 0 {
+				t.Error("no redial attempts recorded — the crash window missed the write stream, retune the schedule")
+			}
+		})
 	}
 }

@@ -21,8 +21,8 @@ type Hints struct {
 	// Sieving enables data sieving for noncontiguous independent access;
 	// off, the layer issues one driver operation per segment (list I/O).
 	Sieving bool
-	// NoBatch disables protocol-level batch I/O (Handle.StartReadList and
-	// StartWriteList), forcing per-segment list operations. It also keeps
+	// NoBatch disables protocol-level batch I/O (Handle.StartList), forcing
+	// per-segment list operations. It also keeps
 	// collective aggregators on per-run contiguous operations issued after
 	// the whole exchange, instead of list I/O per source overlapped with
 	// it. Open forces it on over a leaf without batch I/O (NFS, the local
@@ -222,10 +222,7 @@ func (f *File) transferAt(p *sim.Proc, off int64, buf []byte, write bool) (int, 
 			return f.listIO(p, segs, buf, write)
 		}
 	}
-	if write {
-		return f.h.WriteContig(p, pos, buf)
-	}
-	return f.h.ReadContig(p, pos, buf)
+	return transfer(p, f.h, pos, buf, write)
 }
 
 // listIO moves a noncontiguous request: through the driver's batch
@@ -233,11 +230,7 @@ func (f *File) transferAt(p *sim.Proc, off int64, buf []byte, write bool) (int, 
 // operation per segment.
 func (f *File) listIO(p *sim.Proc, segs []Segment, buf []byte, write bool) (int, error) {
 	if !f.hints.NoBatch {
-		start := f.h.StartReadList
-		if write {
-			start = f.h.StartWriteList
-		}
-		op, err := start(p, segs, buf)
+		op, err := f.h.StartList(p, segs, buf, write)
 		if err != nil {
 			return 0, err
 		}
@@ -250,16 +243,12 @@ func (f *File) listIO(p *sim.Proc, segs []Segment, buf []byte, write bool) (int,
 // start stops the issuing, and every operation already started is waited
 // out before the first error returns.
 func (f *File) perSegIO(p *sim.Proc, segs []Segment, buf []byte, write bool) (int, error) {
-	start := f.h.StartRead
-	if write {
-		start = f.h.StartWrite
-	}
 	ops := make([]AsyncOp, 0, len(segs))
 	var err error
 	pos := 0
 	for _, s := range segs {
 		var op AsyncOp
-		if op, err = start(p, s.Off, buf[pos:pos+int(s.Len)]); err != nil {
+		if op, err = f.h.Start(p, s.Off, buf[pos:pos+int(s.Len)], write); err != nil {
 			break
 		}
 		pos += int(s.Len)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dafsio/internal/cluster"
+	"dafsio/internal/layout"
 	"dafsio/internal/sim"
 	"dafsio/internal/storage"
 )
@@ -451,6 +452,43 @@ func TestRegistrationCache(t *testing.T) {
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
+	}
+
+	// List I/O under the identity layout uses the user buffer as its RDMA
+	// window, registered once through the cache, and stages nothing; a
+	// wider layout packs into registered staging instead.
+	for _, width := range []int{1, 2} {
+		c := cluster.New(cluster.Config{Clients: 1, Servers: width, DAFS: true})
+		c.K.Spawn("app", func(p *sim.Proc) {
+			pool, err := c.DialDAFSAll(p, 0, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			drv := NewStripedDAFSDriver(pool, layout.Striping{StripeSize: 4 << 10, Width: width})
+			f, _ := Open(p, nil, drv, "rc", ModeRdWr|ModeCreate, nil)
+			defer f.Close(p)
+			f.SetView(0, Vector(64, 1024, 2048))
+			buf := body(64<<10, 1)
+			for i := 0; i < 3; i++ {
+				if _, err := f.WriteAt(p, 0, buf); err != nil {
+					t.Errorf("width %d: list write: %v", width, err)
+				}
+				if _, err := f.ReadAt(p, 0, buf); err != nil {
+					t.Errorf("width %d: list read: %v", width, err)
+				}
+			}
+			staged := len(drv.stagePool) > 0 || drv.stageHi > 0
+			switch {
+			case width == 1 && (drv.RegMisses != 1 || staged):
+				t.Errorf("width 1: misses=%d, stage pool %d, high water %d; want one miss and no staging", drv.RegMisses, len(drv.stagePool), drv.stageHi)
+			case width > 1 && !staged:
+				t.Errorf("width %d: list I/O staged nothing", width)
+			}
+		})
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

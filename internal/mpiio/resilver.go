@@ -159,9 +159,8 @@ func (d *striped) heal(p *sim.Proc, t int, gen uint32, ep int) bool {
 // copyEnd is one side of a verify-first copy: a whole striped file (its
 // handle) or a single rank object.
 type copyEnd interface {
+	starter
 	Size(p *sim.Proc) (int64, error)
-	ReadContig(p *sim.Proc, off int64, buf []byte) (int, error)
-	WriteContig(p *sim.Proc, off int64, buf []byte) (int, error)
 }
 
 var errCopyAbandoned = errors.New("mpiio: copy overtaken")
@@ -191,12 +190,12 @@ func (d *striped) verifyCopy(p *sim.Proc, tb *tokenBucket, buf []byte, src, dst 
 			}
 			n := int(min(int64(chunk), size-off))
 			tb.take(p, n)
-			sn, err := src.ReadContig(p, off, sbuf[:n])
+			sn, err := transfer(p, src, off, sbuf[:n], false)
 			if err != nil {
 				return 0, fmt.Errorf("read: %w", err)
 			}
 			tb.take(p, sn)
-			dn, err := dst.ReadContig(p, off, dbuf[:sn])
+			dn, err := transfer(p, dst, off, dbuf[:sn], false)
 			if err != nil {
 				return 0, fmt.Errorf("verify read: %w", err)
 			}
@@ -205,7 +204,7 @@ func (d *striped) verifyCopy(p *sim.Proc, tb *tokenBucket, buf []byte, src, dst 
 			}
 			clean = false
 			tb.take(p, sn)
-			if _, err := dst.WriteContig(p, off, sbuf[:sn]); err != nil {
+			if _, err := transfer(p, dst, off, sbuf[:sn], true); err != nil {
 				return 0, fmt.Errorf("write: %w", err)
 			}
 			d.m.resilverB.Add(int64(sn))
@@ -245,19 +244,15 @@ func (o rankObject) truncate(p *sim.Proc, n int64) error {
 	return err
 }
 
-func (o rankObject) transfer(p *sim.Proc, off int64, buf []byte, write bool) (int, error) {
+// Start moves buf to or from the object as one flight and returns it
+// completed.
+func (o rankObject) Start(p *sim.Proc, off int64, buf []byte, write bool) (AsyncOp, error) {
 	d := o.h.drv
 	w := &fragOp{stripedHandle: o.h, write: write, frags: []layout.Fragment{{Off: off, Len: int64(len(buf))}}, buf: buf, counts: []int{len(buf)}}
 	w.reg = d.pin(p, buf, w.frags)
 	defer d.unpin(p, w.reg)
-	err := d.once(p, w, 0, o.t, o.r)
-	return w.counts[0], err
-}
-
-func (o rankObject) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) {
-	return o.transfer(p, off, buf, false)
-}
-
-func (o rankObject) WriteContig(p *sim.Proc, off int64, buf []byte) (int, error) {
-	return o.transfer(p, off, buf, true)
+	if err := d.once(p, w, 0, o.t, o.r); err != nil {
+		return nil, err
+	}
+	return doneOp(w.counts[0]), nil
 }

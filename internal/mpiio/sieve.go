@@ -8,10 +8,13 @@ import "dafsio/internal/sim"
 // memory. Reads over-fetch the holes; writes do read-modify-write on the
 // window. The trade is extra bytes on the wire for far fewer operations.
 //
-// As in ROMIO over connectionless transports, the read-modify-write is not
-// locked against concurrent writers of the same window; MPI's semantics
-// only define concurrent nonoverlapping writes through sieving when the
-// application serializes them (or uses collective I/O instead).
+// The read-modify-write is not locked against other writers of the same
+// window, and that is a known defect, not a permitted race: MPI requires
+// concurrent nonoverlapping writes to all land, but when ranks sieve
+// interleaved blocks each one's window write-back restores the holes it
+// read before a neighbour's write landed there, and that neighbour's data
+// is lost. A byte-range lock held across the window is the open fix
+// (ROADMAP.md, "sieved writes stop losing data").
 
 // window groups consecutive segments whose total span fits the sieve
 // buffer; fn is invoked per window with the segment subrange and the
@@ -51,11 +54,11 @@ func (f *File) sieveRead(p *sim.Proc, segs []Segment, buf []byte) (int, error) {
 		if first == last && segs[first].Len > int64(f.hints.SieveBufSize) {
 			// Oversized single segment: read it directly.
 			s := segs[first]
-			n, err := f.h.ReadContig(p, s.Off, buf[bufPos[first]:bufPos[first]+int(s.Len)])
+			n, err := transfer(p, f.h, s.Off, buf[bufPos[first]:bufPos[first]+int(s.Len)], false)
 			total += n
 			return err
 		}
-		n, err := f.h.ReadContig(p, start, tmp[:end-start])
+		n, err := transfer(p, f.h, start, tmp[:end-start], false)
 		if err != nil {
 			return err
 		}
@@ -90,13 +93,13 @@ func (f *File) sieveWrite(p *sim.Proc, segs []Segment, buf []byte) (int, error) 
 	err := windows(segs, f.hints.SieveBufSize, func(first, last int, start, end int64) error {
 		if first == last && segs[first].Len > int64(f.hints.SieveBufSize) {
 			s := segs[first]
-			n, err := f.h.WriteContig(p, s.Off, buf[bufPos[first]:bufPos[first]+int(s.Len)])
+			n, err := transfer(p, f.h, s.Off, buf[bufPos[first]:bufPos[first]+int(s.Len)], true)
 			total += n
 			return err
 		}
 		w := tmp[:end-start]
 		clear(w)
-		if _, err := f.h.ReadContig(p, start, w); err != nil {
+		if _, err := transfer(p, f.h, start, w, false); err != nil {
 			return err
 		}
 		for i := first; i <= last; i++ {
@@ -105,7 +108,7 @@ func (f *File) sieveWrite(p *sim.Proc, segs []Segment, buf []byte) (int, error) 
 			copy(w[rel:rel+s.Len], buf[bufPos[i]:bufPos[i]+int(s.Len)])
 			node.CopyMem(p, int(s.Len))
 		}
-		n, err := f.h.WriteContig(p, start, w)
+		n, err := transfer(p, f.h, start, w, true)
 		if err != nil {
 			return err
 		}

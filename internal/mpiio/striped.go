@@ -217,15 +217,6 @@ func NewStripedDAFSDriver(clients []*dafs.Client, st layout.Striping) *StripedDA
 	return d
 }
 
-// Clients returns the session pool in server order.
-func (d *StripedDAFSDriver) Clients() []*dafs.Client {
-	clients := make([]*dafs.Client, len(d.sess))
-	for i, s := range d.sess {
-		clients[i] = s.(*dafsSession).c
-	}
-	return clients
-}
-
 // PlainDriver is the striped core over a leaf with nothing to tune: NFS
 // mounts and the node-local store register no memory and never redial, so
 // none of the core's knobs is exported.

@@ -276,14 +276,17 @@ func (d *striped) finish(p *sim.Proc, w work, fl []flight, write bool) error {
 // redrive takes unit u, which no replica answered, through the failover
 // path until one does: wait for a session recovery, issue — a write to
 // every usable replica in turn, a read to the first — and repeat on
-// further session failures. Replicas that miss the write round that
-// finally succeeds are excluded from read-any. The terminal error is
-// ErrAllReplicasDown wrapping the unit's last session failure.
+// further session failures, for at most Retry.Attempts rounds that reach
+// a recovered replica and get no ack (a server that keeps missing the call
+// deadline would otherwise be redialed forever). Replicas that miss the
+// write round that finally succeeds are excluded from read-any. The
+// terminal error is ErrAllReplicasDown wrapping the unit's last session
+// failure.
 func (d *striped) redrive(p *sim.Proc, w work, u int, write bool, lastErr error) error {
 	st := d.striping
 	srv := w.primary(u)
-	for {
-		if !d.waitRecovery(p, w, srv, !write) {
+	for round := 0; ; round++ {
+		if round >= max(d.Retry.Attempts, 1) || !d.waitRecovery(p, w, srv, !write) {
 			return d.allDown(lastErr)
 		}
 		acked := false

@@ -2,7 +2,6 @@ package mpiio
 
 import (
 	"dafsio/internal/aggregate"
-	"dafsio/internal/dafs"
 	"dafsio/internal/layout"
 	"dafsio/internal/sim"
 	"dafsio/internal/trace"
@@ -262,16 +261,18 @@ func (o *fragOp) Wait(p *sim.Proc) (int, error) {
 	return n, nil
 }
 
-// start maps [off, off+len(buf)) to stripe fragments and issues them all:
-// a write to every usable replica of every fragment (write-all), a read to
-// each fragment's read-any replica. Fragments with no usable replica at
-// issue time are left to Wait's failover path.
-func (h *stripedHandle) start(p *sim.Proc, off int64, buf []byte, write bool) (AsyncOp, error) {
+// Start implements Handle: it maps [off, off+len(buf)) to stripe
+// fragments and issues them all, a write to every usable replica of every
+// fragment (write-all), a read to each fragment's read-any replica.
+// Fragments with no usable replica at issue time are left to Wait's
+// failover path. During a reshape a write is mirrored onto the new layout
+// so the migrator never races foreground writes it cannot see.
+func (h *stripedHandle) Start(p *sim.Proc, off int64, buf []byte, write bool) (AsyncOp, error) {
 	if err := h.check(off, write); err != nil {
 		return nil, err
 	}
 	if len(buf) == 0 {
-		return doneOp{}, nil
+		return doneOp(0), nil
 	}
 	d := h.drv
 	o := d.newFragOp(h, off, buf, write)
@@ -281,36 +282,11 @@ func (h *stripedHandle) start(p *sim.Proc, off int64, buf []byte, write bool) (A
 		d.unpin(p, o.reg)
 		return nil, err
 	}
-	return o, nil
-}
-
-// StartRead implements Handle.
-func (h *stripedHandle) StartRead(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
-	return h.start(p, off, buf, false)
-}
-
-// StartWrite implements Handle. During a reshape the write is mirrored
-// onto the new layout so the migrator never races foreground writes it
-// cannot see.
-func (h *stripedHandle) StartWrite(p *sim.Proc, off int64, buf []byte) (AsyncOp, error) {
-	op, err := h.start(p, off, buf, true)
-	if err != nil || h.shadow == nil {
-		return op, err
+	if !write || h.shadow == nil {
+		return o, nil
 	}
-	sop, err := h.shadow.StartWrite(p, off, buf)
-	return mirror(p, op, sop, err)
-}
-
-// ReadContig implements Handle.
-func (h *stripedHandle) ReadContig(p *sim.Proc, off int64, buf []byte) (int, error) {
-	op, err := h.StartRead(p, off, buf)
-	return blocking(p, op, err)
-}
-
-// WriteContig implements Handle.
-func (h *stripedHandle) WriteContig(p *sim.Proc, off int64, buf []byte) (int, error) {
-	op, err := h.StartWrite(p, off, buf)
-	return blocking(p, op, err)
+	sop, err := h.shadow.Start(p, off, buf, true)
+	return mirror(p, o, sop, err)
 }
 
 // objWork is one metadata operation on the rank objects of an open file:
@@ -429,12 +405,14 @@ func (h *stripedHandle) Close(p *sim.Proc) error {
 //
 // A batch request needs its fragments packed contiguously in one
 // registered window on ONE server. The internal/aggregate planner provides
-// exactly that — a per-server gather plan (staging buffer, object segment
-// list, buffer↔staging copy map) — so a list transfer is one unit per
-// server plan: writes pack the user buffer into per-server staging and fan
-// each staging out write-all; reads issue the batch read-any and scatter
-// the staging back on completion. Failover works at batch grain through
-// the same core as the per-fragment path.
+// exactly that — a per-server gather plan (object segment list, and the
+// buffer↔staging copy map) — so a list transfer is one unit per server
+// plan, dispatched by the core like every other operation: writes fan
+// each window out write-all, reads issue the batch read-any. Under the
+// identity layout (width 1) the one plan's window is the user buffer
+// itself, registered through the registration cache; at any other width
+// writes pack the user buffer into per-server staging and reads scatter
+// the staging back on completion.
 
 // stageBuf is a pooled staging buffer for batched gather/scatter, kept
 // registered for its lifetime: steady-state collective I/O reuses the same
@@ -493,24 +471,14 @@ func (d *striped) putStage(p *sim.Proc, sb *stageBuf) {
 	d.m.stagePool.Set(int64(len(d.stagePool)))
 }
 
-// putStageAll returns a batch's staging buffers to the pool. Every exit
-// path of a striped list operation — issue-time failure or Wait — must
-// come through here (or putStage): a skipped return leaks a pinned,
-// registered window (TestStagePoolBoundedAfterBurst and
-// TestListIssueFailureReturnsStaging check both paths).
-func (d *striped) putStageAll(p *sim.Proc, sbs []*stageBuf) {
-	for _, sb := range sbs {
-		d.putStage(p, sb)
-	}
-}
-
 // planOp is a list transfer in flight: one unit per server gather plan.
 type planOp struct {
 	*stripedHandle
 	write bool
 	plans []aggregate.ServerPlan
-	sbs   []*stageBuf
-	buf   []byte // the user buffer the plans' copy maps refer to
+	sbs   []*stageBuf // per plan; nil when the window is the user buffer
+	reg   *via.Region // the user buffer's registration when it is the window
+	buf   []byte      // the user buffer the plans' copy maps refer to
 	fl    []flight
 	got   int64 // bytes moved: what the servers delivered, or the plans' total once written
 }
@@ -518,7 +486,10 @@ type planOp struct {
 func (o *planOp) primary(u int) int { return o.plans[u].Server }
 
 func (o *planOp) request(u, t, r int) request {
-	rq := request{kind: opReadList, fh: o.fhs[t][r], segs: o.plans[u].Segs, reg: o.sbs[u].reg}
+	rq := request{kind: opReadList, fh: o.fhs[t][r], segs: o.plans[u].Segs, reg: o.reg}
+	if o.sbs != nil {
+		rq.reg = o.sbs[u].reg
+	}
 	if o.write {
 		rq.kind = opWriteList
 	}
@@ -554,16 +525,26 @@ func (o *planOp) copyStaging(p *sim.Proc, span string, pack bool) {
 	d.tr.End(id)
 }
 
+// unwindow gives the op's windows back: the staging buffers to the pool,
+// or the user buffer's registration to the cache. Both exits of a list
+// operation — issue-time failure and Wait — come through here: a skipped
+// return leaks a pinned, registered window (TestStagePoolBoundedAfterBurst
+// and TestListIssueFailureReturnsStaging check both paths).
+func (o *planOp) unwindow(p *sim.Proc) {
+	o.drv.unpin(p, o.reg)
+	for _, sb := range o.sbs {
+		o.drv.putStage(p, sb)
+	}
+}
+
 // Wait implements AsyncOp. A read's count is the byte sum the servers
-// delivered (batch reads zero-fill EOF holes inside the staging, same as
-// the single-server batch path).
+// delivered (batch reads zero-fill EOF holes inside the window).
 func (o *planOp) Wait(p *sim.Proc) (int, error) {
-	d := o.drv
-	err := d.finish(p, o, o.fl, o.write)
-	if err == nil && !o.write {
+	err := o.drv.finish(p, o, o.fl, o.write)
+	if err == nil && !o.write && o.sbs != nil {
 		o.copyStaging(p, "scatter", false)
 	}
-	d.putStageAll(p, o.sbs)
+	o.unwindow(p)
 	if err != nil {
 		return 0, err
 	}
@@ -575,9 +556,11 @@ func (o *planOp) Wait(p *sim.Proc) (int, error) {
 	return int(o.got), nil
 }
 
-// startList moves segs, consecutive bytes of buf, as batch I/O. A leaf
-// without batch I/O refuses it before any request is built.
-func (h *stripedHandle) startList(p *sim.Proc, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
+// StartList implements Handle: segs, consecutive bytes of buf, move as
+// batch I/O, one unit per server plan through begin and finish. A leaf
+// without batch I/O refuses it before any request is built. During a
+// reshape batched writes mirror onto the new layout like contiguous ones.
+func (h *stripedHandle) StartList(p *sim.Proc, segs []Segment, buf []byte, write bool) (AsyncOp, error) {
 	if err := h.check(0, write); err != nil {
 		return nil, err
 	}
@@ -586,53 +569,34 @@ func (h *stripedHandle) startList(p *sim.Proc, segs []Segment, buf []byte, write
 	case d.dafsTransfer == nil:
 		return nil, errNoBatch
 	case len(buf) == 0:
-		return doneOp{}, nil
+		return doneOp(0), nil
 	}
-	st := d.striping
+	o := &planOp{stripedHandle: h, write: write, plans: aggregate.Gather(d.striping, segs), buf: buf}
 
-	// Width 1 (identity layout, R == 1) on a healthy session: the whole
-	// list is one object's, so it goes straight out of the user buffer as
-	// batch requests, registered through the cache, with no staging.
-	if st.Width == 1 && !d.down[0] && h.fhs[0][0] != 0 {
-		c := d.sess[0].(*dafsSession).c
-		return d.dafsTransfer.startList(p, c, dafs.FH(h.fhs[0][0]), segs, buf, write)
-	}
-
-	plans := aggregate.Gather(st, segs)
-
-	// Stage per server, through the driver's registered staging pool.
-	// Writes pack the user buffer through the copy maps now; reads leave
-	// the staging to be filled by the servers and scattered back in Wait.
-	// The operation owns the buffers from here: its issue-failure path
-	// below and its Wait are the two places they go back.
-	sbs := make([]*stageBuf, len(plans))
-	for i, pl := range plans {
-		sbs[i] = d.getStage(p, pl.Total)
-	}
-	o := &planOp{stripedHandle: h, write: write, plans: plans, sbs: sbs, buf: buf}
-	if write {
-		o.copyStaging(p, "pack", true)
+	// The operation owns its windows from here: the issue-failure path
+	// below and Wait are the two places they go back. The identity layout
+	// lays the plan out as the user buffer is, so the buffer is the
+	// window; any other width stages per server through the driver's
+	// registered staging pool, and writes pack the user buffer now.
+	if d.striping.Width == 1 {
+		o.reg = d.region(p, buf)
+	} else {
+		o.sbs = make([]*stageBuf, len(o.plans))
+		for i, pl := range o.plans {
+			o.sbs[i] = d.getStage(p, pl.Total)
+		}
+		if write {
+			o.copyStaging(p, "pack", true)
+		}
 	}
 	var err error
-	if o.fl, err = d.begin(p, o, len(plans), write, nil); err != nil {
-		d.putStageAll(p, sbs)
+	if o.fl, err = d.begin(p, o, len(o.plans), write, nil); err != nil {
+		o.unwindow(p)
 		return nil, err
 	}
-	return o, nil
-}
-
-// StartReadList implements Handle.
-func (h *stripedHandle) StartReadList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
-	return h.startList(p, segs, buf, false)
-}
-
-// StartWriteList implements Handle; during a reshape batched writes mirror
-// onto the new layout exactly like contiguous ones.
-func (h *stripedHandle) StartWriteList(p *sim.Proc, segs []Segment, buf []byte) (AsyncOp, error) {
-	op, err := h.startList(p, segs, buf, true)
-	if err != nil || h.shadow == nil {
-		return op, err
+	if !write || h.shadow == nil {
+		return o, nil
 	}
-	sop, err := h.shadow.startList(p, segs, buf, true)
-	return mirror(p, op, sop, err)
+	sop, err := h.shadow.StartList(p, segs, buf, true)
+	return mirror(p, o, sop, err)
 }

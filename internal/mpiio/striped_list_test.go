@@ -230,7 +230,7 @@ func TestStagePoolBoundedAfterBurst(t *testing.T) {
 			return
 		}
 		drv := NewStripedDAFSDriver(pool, layout.Striping{StripeSize: stripe, Width: servers})
-		nic := drv.Clients()[0].NIC()
+		nic := pool[0].NIC()
 		before := nic.Regions()
 		wg := sim.NewWaitGroup(c.K, workers)
 		for w := 0; w < workers; w++ {

@@ -56,16 +56,16 @@ func TestStripedStress(t *testing.T) {
 					large := bytes.Repeat([]byte{byte(w + 101)}, int(stripe)*servers)
 					for it := 0; it < iters; it++ {
 						off := int64(it) * stripe * int64(servers)
-						if _, err := h.WriteContig(p, off+int64(w), small); err != nil {
+						if _, err := transfer(p, h, off+int64(w), small, true); err != nil {
 							t.Errorf("worker %d: inline write: %v", w, err)
 							return
 						}
-						if _, err := h.WriteContig(p, off, large); err != nil {
+						if _, err := transfer(p, h, off, large, true); err != nil {
 							t.Errorf("worker %d: direct write: %v", w, err)
 							return
 						}
 						got := make([]byte, len(large))
-						if _, err := h.ReadContig(p, off, got); err != nil {
+						if _, err := transfer(p, h, off, got, false); err != nil {
 							t.Errorf("worker %d: read: %v", w, err)
 							return
 						}
@@ -88,14 +88,14 @@ func TestStripedStress(t *testing.T) {
 					}
 					// Disjoint extent of the shared file: must survive intact.
 					mine := bytes.Repeat([]byte{byte(w + 1)}, block)
-					if _, err := sh.WriteContig(p, int64(w)*block, mine); err != nil {
+					if _, err := transfer(p, sh, int64(w)*block, mine, true); err != nil {
 						t.Errorf("worker %d: shared write: %v", w, err)
 						return
 					}
 					// Overlapping region past the disjoint extents: the
 					// deterministic schedule decides whose bytes stick.
 					clash := bytes.Repeat([]byte{byte(w + 201)}, block)
-					if _, err := sh.WriteContig(p, int64(workers)*block, clash); err != nil {
+					if _, err := transfer(p, sh, int64(workers)*block, clash, true); err != nil {
 						t.Errorf("worker %d: overlapping write: %v", w, err)
 						return
 					}
@@ -107,7 +107,7 @@ func TestStripedStress(t *testing.T) {
 			wg.Wait(p)
 			total := (workers + 1) * block
 			shared = make([]byte, total)
-			if _, err := sh.ReadContig(p, 0, shared); err != nil {
+			if _, err := transfer(p, sh, 0, shared, false); err != nil {
 				t.Error(err)
 				return
 			}

@@ -218,8 +218,7 @@ func genScript(seed int64, nops int) []scriptOp {
 
 // scriptFile is what a script plays on: a driver handle, or the model.
 type scriptFile interface {
-	ReadContig(p *sim.Proc, off int64, buf []byte) (int, error)
-	WriteContig(p *sim.Proc, off int64, buf []byte) (int, error)
+	starter
 	Resize(p *sim.Proc, n int64) error
 	Size(p *sim.Proc) (int64, error)
 	Sync(p *sim.Proc) error
@@ -230,18 +229,17 @@ type scriptFile interface {
 // truncates or zero-extends.
 type flatFile struct{ b []byte }
 
-func (m *flatFile) ReadContig(_ *sim.Proc, off int64, buf []byte) (int, error) {
-	if off >= int64(len(m.b)) {
-		return 0, nil
+func (m *flatFile) Start(_ *sim.Proc, off int64, buf []byte, write bool) (AsyncOp, error) {
+	switch {
+	case write:
+		if end := off + int64(len(buf)); end > int64(len(m.b)) {
+			m.Resize(nil, end)
+		}
+		return doneOp(copy(m.b[off:], buf)), nil
+	case off >= int64(len(m.b)):
+		return doneOp(0), nil
 	}
-	return copy(buf, m.b[off:]), nil
-}
-
-func (m *flatFile) WriteContig(_ *sim.Proc, off int64, buf []byte) (int, error) {
-	if end := off + int64(len(buf)); end > int64(len(m.b)) {
-		m.Resize(nil, end)
-	}
-	return copy(m.b[off:], buf), nil
+	return doneOp(copy(buf, m.b[off:])), nil
 }
 
 func (m *flatFile) Resize(_ *sim.Proc, n int64) error {
@@ -264,11 +262,7 @@ func runScript(t *testing.T, p *sim.Proc, f scriptFile, ops []scriptOp) (res []i
 	t.Helper()
 	list := func(o scriptOp, buf []byte, write bool) (int, error) {
 		if h, ok := f.(*stripedHandle); ok && h.drv.dafsTransfer != nil {
-			start := h.StartReadList
-			if write {
-				start = h.StartWriteList
-			}
-			op, err := start(p, o.segs, buf)
+			op, err := h.StartList(p, o.segs, buf, write)
 			if err != nil {
 				return 0, err
 			}
@@ -276,11 +270,7 @@ func runScript(t *testing.T, p *sim.Proc, f scriptFile, ops []scriptOp) (res []i
 		}
 		total, pos := 0, 0
 		for _, s := range o.segs {
-			io := f.ReadContig
-			if write {
-				io = f.WriteContig
-			}
-			n, err := io(p, s.Off, buf[pos:pos+int(s.Len)])
+			n, err := transfer(p, f, s.Off, buf[pos:pos+int(s.Len)], write)
 			if err != nil {
 				return total, err
 			}
@@ -301,7 +291,7 @@ func runScript(t *testing.T, p *sim.Proc, f scriptFile, ops []scriptOp) (res []i
 			}
 			var n int
 			if o.kind == 'w' {
-				n, err = f.WriteContig(p, o.off, buf)
+				n, err = transfer(p, f, o.off, buf, true)
 			} else {
 				n, err = list(o, buf, true)
 			}
@@ -310,7 +300,7 @@ func runScript(t *testing.T, p *sim.Proc, f scriptFile, ops []scriptOp) (res []i
 			buf := make([]byte, o.n)
 			var n int
 			if o.kind == 'r' {
-				n, err = f.ReadContig(p, o.off, buf)
+				n, err = transfer(p, f, o.off, buf, false)
 			} else {
 				n, err = list(o, buf, false)
 			}
@@ -336,7 +326,7 @@ func runScript(t *testing.T, p *sim.Proc, f scriptFile, ops []scriptOp) (res []i
 func readBack(t *testing.T, p *sim.Proc, f scriptFile, n int64) []byte {
 	t.Helper()
 	contents := make([]byte, n)
-	got, err := f.ReadContig(p, 0, contents)
+	got, err := transfer(p, f, 0, contents, false)
 	if err != nil {
 		t.Errorf("final read-back: %v", err)
 	}
