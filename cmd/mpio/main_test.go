@@ -66,9 +66,9 @@ func TestOutputs(t *testing.T) {
 		}
 	}
 	for _, d := range []struct{ what, path, want string }{
-		{"trace T6 Chrome export", chrome6, "c9b276231fc1a9a33ae12d06789698628228e3f478ed9e0f3a73924988ead4c9"},
+		{"trace T6 Chrome export", chrome6, "06933a1906789d6d99d812f6bbf83ebfd52ac14370c361296db0f27b4bc9b81c"},
 		{"trace T15 Chrome export", chrome15, "c3efa6baf68efe51c37c13582f130893d36333bac62c2c5833276d6d103e704a"},
-		{"trace T17 Chrome export", chrome17, "fc0276bf9ec9c7277db35083df733470e7adfc76f7bd2baa7f886e3f0cadbe15"},
+		{"trace T17 Chrome export", chrome17, "fa5811239d6602e6a98c4347194f73be25f5577fd38fc71d0b0010b22d718320"},
 	} {
 		raw, err := os.ReadFile(d.path)
 		if err != nil {

@@ -1,79 +1,17 @@
 package mpiio
 
-import (
-	"dafsio/internal/mpi"
-	"dafsio/internal/sim"
-)
+import "dafsio/internal/sim"
 
 // Atomic mode (MPI_File_set_atomicity). With atomicity on, each data
 // operation on the file executes under a file-wide mutual-exclusion lock,
 // so concurrent overlapping accesses from different ranks serialize and
 // each sees either all or none of another's write — the guarantee MPI
-// requires and ROMIO implemented with fcntl locks on NFS.
+// requires and ROMIO implemented with fcntl locks on NFS. Collective I/O
+// takes the same locked independent path: two-phase aggregation would
+// apply the writers' pieces in a different order on each aggregator.
 //
-// The lock is a token service hosted by rank 0, like the shared-pointer
-// service: acquire sends a request and blocks for the grant; release sends
-// a message. Lock traffic costs real MPI messages, so atomic mode's
-// performance penalty is visible in measurements, as it was in practice.
-
-// lock-service message ops.
-const (
-	lkAcquire uint8 = iota
-	lkRelease
-)
-
-type atomicState struct {
-	enabled         bool
-	reqTag, respTag int
-	localHeld       bool // serial fallback
-}
-
-// initAtomic sets up the lock service during collective open.
-func (f *File) initAtomic(p *sim.Proc) {
-	f.atomic = &atomicState{}
-	r := f.rank
-	if r == nil || r.Size() == 1 {
-		return
-	}
-	var base uint64
-	if r.ID() == 0 {
-		base = uint64(r.World().ReserveTags(2))
-	}
-	base = r.BcastU64(p, 0, base)
-	f.atomic.reqTag = int(base)
-	f.atomic.respTag = int(base + 1)
-	if r.ID() == 0 {
-		reqTag, respTag := f.atomic.reqTag, f.atomic.respTag
-		r.World().Kernel().SpawnDaemon(f.name+".lksvc", func(sp *sim.Proc) {
-			held := false
-			var queue []int
-			buf := make([]byte, 1)
-			grant := func(to int) {
-				r.Send(sp, to, respTag, []byte{1})
-			}
-			for {
-				st := r.Recv(sp, mpi.AnySource, reqTag, buf)
-				switch buf[0] {
-				case lkAcquire:
-					if !held {
-						held = true
-						grant(st.Source)
-					} else {
-						queue = append(queue, st.Source)
-					}
-				case lkRelease:
-					if len(queue) > 0 {
-						next := queue[0]
-						queue = queue[1:]
-						grant(next)
-					} else {
-						held = false
-					}
-				}
-			}
-		})
-	}
-}
+// The lock is held by the file service at rank 0 (service.go): acquire
+// sends a request and blocks for the grant; release sends a message.
 
 // SetAtomicity toggles atomic mode (collective: every rank must call it
 // with the same flag).
@@ -81,7 +19,7 @@ func (f *File) SetAtomicity(p *sim.Proc, on bool) error {
 	if f.closed {
 		return ErrClosed
 	}
-	f.atomic.enabled = on
+	f.atomic = on
 	if f.rank != nil && f.rank.Size() > 1 {
 		f.rank.Barrier(p)
 	}
@@ -89,35 +27,4 @@ func (f *File) SetAtomicity(p *sim.Proc, on bool) error {
 }
 
 // Atomicity reports whether atomic mode is on.
-func (f *File) Atomicity() bool { return f.atomic.enabled }
-
-// lock acquires the file-wide lock when atomic mode is on.
-func (f *File) lock(p *sim.Proc) {
-	if !f.atomic.enabled {
-		return
-	}
-	r := f.rank
-	if r == nil || r.Size() == 1 {
-		// Single process: operations already serialize per proc; nothing
-		// to arbitrate (helper procs of one rank share its program order
-		// only when the caller orders them, as in MPI).
-		f.atomic.localHeld = true
-		return
-	}
-	r.Send(p, 0, f.atomic.reqTag, []byte{lkAcquire})
-	var grantBuf [1]byte
-	r.Recv(p, 0, f.atomic.respTag, grantBuf[:])
-}
-
-// unlock releases the file-wide lock.
-func (f *File) unlock(p *sim.Proc) {
-	if !f.atomic.enabled {
-		return
-	}
-	r := f.rank
-	if r == nil || r.Size() == 1 {
-		f.atomic.localHeld = false
-		return
-	}
-	r.Send(p, 0, f.atomic.reqTag, []byte{lkRelease})
-}
+func (f *File) Atomicity() bool { return f.atomic }

@@ -138,3 +138,49 @@ func TestAtomicitySerial(t *testing.T) {
 		}
 	})
 }
+
+// TestAtomicCollectiveIOOneWriter: in atomic mode a collective write of
+// the same region by every rank leaves one rank's bytes, not a mix —
+// two-phase aggregation would apply each aggregator's sources in its own
+// order — and a collective read sees the region whole.
+func TestAtomicCollectiveIOOneWriter(t *testing.T) {
+	const nranks, n = 3, 4096
+	for _, nfs := range []bool{false, true} {
+		name := map[bool]string{false: "dafs", true: "nfs"}[nfs]
+		t.Run(name, func(t *testing.T) {
+			c := runWorld(t, nranks, nfs, func(p *sim.Proc, r *mpi.Rank, drv Driver) {
+				f, err := Open(p, r, drv, "region", ModeRdWr|ModeCreate, nil)
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				defer f.Close(p)
+				f.SetAtomicity(p, true)
+				buf := bytes.Repeat([]byte{byte(r.ID() + 1)}, n)
+				if got, err := f.WriteAtAll(p, 0, buf); err != nil || got != n {
+					t.Errorf("rank %d write: n=%d err=%v", r.ID(), got, err)
+				}
+				r.Barrier(p)
+				back := make([]byte, n)
+				if got, err := f.ReadAtAll(p, 0, back); err != nil || got != n {
+					t.Errorf("rank %d read: n=%d err=%v", r.ID(), got, err)
+				}
+				if !bytes.Equal(back, bytes.Repeat(back[:1], n)) {
+					t.Errorf("rank %d read a torn region", r.ID())
+				}
+			})
+			file, err := c.Store.Lookup("region")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := stored(file, 0, n)
+			counts := map[byte]int{}
+			for _, v := range got {
+				counts[v]++
+			}
+			if len(counts) != 1 || got[0] < 1 || got[0] > nranks {
+				t.Fatalf("region holds bytes of %d writers: %v", len(counts), counts)
+			}
+		})
+	}
+}

@@ -44,7 +44,8 @@ import (
 
 // WriteAtAll is the collective MPI_File_write_at_all. Every rank of the
 // world must call it (with its own offset and buffer; empty buffers are
-// fine).
+// fine). In atomic mode each rank writes independently under the file
+// lock, as a serial file does.
 func (f *File) WriteAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
@@ -53,7 +54,7 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 		return 0, ErrNegative
 	}
 	r := f.rank
-	if r == nil || r.Size() == 1 {
+	if r == nil || r.Size() == 1 || f.atomic {
 		return f.WriteAt(p, off, buf)
 	}
 	if f.tr != nil {
@@ -215,7 +216,8 @@ func (f *File) aggregateWrite(p *sim.Proc, recv [][]byte) error {
 }
 
 // ReadAtAll is the collective MPI_File_read_at_all. The returned count is
-// the total number of bytes delivered into buf (short at EOF holes).
+// the total number of bytes delivered into buf (short at EOF holes). In
+// atomic mode each rank reads independently under the file lock.
 func (f *File) ReadAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
@@ -224,7 +226,7 @@ func (f *File) ReadAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 		return 0, ErrNegative
 	}
 	r := f.rank
-	if r == nil || r.Size() == 1 {
+	if r == nil || r.Size() == 1 || f.atomic {
 		return f.ReadAt(p, off, buf)
 	}
 	if f.tr != nil {

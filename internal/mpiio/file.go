@@ -60,9 +60,10 @@ type File struct {
 	ftype *Datatype // nil: flat (contiguous) view
 	ptr   int64     // individual file pointer, in view data-space bytes
 
-	shared *sharedState // shared file pointer (see shared.go)
-	atomic *atomicState // atomic mode (see atomic.go)
-	closed bool
+	svc       *fileService // rank 0's file service (service.go); nil: serial
+	sharedPtr int64        // a serial file's shared pointer (shared.go)
+	atomic    bool         // atomic mode (atomic.go)
+	closed    bool
 
 	tr    *trace.Tracer // from the driver, when it has one (nil: untraced)
 	track string        // trace track: the host node's name
@@ -87,12 +88,11 @@ func Open(p *sim.Proc, rank *mpi.Rank, drv Driver, name string, mode int, hints 
 			return nil, err
 		}
 		f.h = h
-		f.initShared(p)
-		f.initAtomic(p)
 		return f, nil
 	}
 	// Collective open: rank 0 opens (and creates) first; the others then
-	// open the existing file without CREATE/EXCL semantics racing.
+	// open the existing file without EXCL semantics racing, and without
+	// DELETE_ON_CLOSE: only rank 0's handle deletes the file.
 	var err error
 	if rank.ID() == 0 {
 		f.h, err = drv.Open(p, name, mode)
@@ -109,13 +109,12 @@ func Open(p *sim.Proc, rank *mpi.Rank, drv Driver, name string, mode int, hints 
 		return nil, fmt.Errorf("mpiio: collective open failed on rank 0")
 	}
 	if rank.ID() != 0 {
-		f.h, err = drv.Open(p, name, mode&^(ModeExcl))
+		f.h, err = drv.Open(p, name, mode&^(ModeExcl|ModeDeleteOnClose))
 		if err != nil {
 			return nil, err
 		}
 	}
-	f.initShared(p)
-	f.initAtomic(p)
+	f.startService(p)
 	rank.Barrier(p)
 	return f, nil
 }
@@ -394,7 +393,8 @@ func (f *File) Sync(p *sim.Proc) error {
 	return f.h.Sync(p)
 }
 
-// Close releases the file (collective when rank is set).
+// Close releases the file (collective when rank is set). After the closing
+// barrier rank 0 stops the file service.
 func (f *File) Close(p *sim.Proc) error {
 	if f.closed {
 		return nil
@@ -403,6 +403,7 @@ func (f *File) Close(p *sim.Proc) error {
 		f.rank.Barrier(p)
 	}
 	f.closed = true
+	f.stopService(p)
 	return f.h.Close(p)
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"dafsio/internal/cluster"
 	"dafsio/internal/layout"
+	"dafsio/internal/mpi"
 	"dafsio/internal/sim"
 	"dafsio/internal/storage"
 )
@@ -374,6 +375,30 @@ func TestDeleteAndDeleteOnClose(t *testing.T) {
 					t.Errorf("double delete: %v", err)
 				}
 			})
+		})
+	}
+}
+
+// TestCollectiveDeleteOnClose: a delete-on-close file opened by every rank
+// is deleted once, by rank 0, so every rank's Close succeeds.
+func TestCollectiveDeleteOnClose(t *testing.T) {
+	for _, nfs := range []bool{false, true} {
+		name := map[bool]string{false: "dafs", true: "nfs"}[nfs]
+		t.Run(name, func(t *testing.T) {
+			c := runWorld(t, 3, nfs, func(p *sim.Proc, r *mpi.Rank, drv Driver) {
+				f, err := Open(p, r, drv, "tmp", ModeRdWr|ModeCreate|ModeDeleteOnClose, nil)
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				f.WriteAt(p, int64(r.ID()), []byte("x"))
+				if err := f.Close(p); err != nil {
+					t.Errorf("rank %d close: %v", r.ID(), err)
+				}
+			})
+			if _, err := c.Store.Lookup("tmp"); err == nil {
+				t.Error("file survived its close")
+			}
 		})
 	}
 }

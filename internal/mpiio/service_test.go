@@ -1,0 +1,41 @@
+package mpiio
+
+import (
+	"fmt"
+	"testing"
+
+	"dafsio/internal/mpi"
+	"dafsio/internal/sim"
+)
+
+// TestFileServiceLifetime: each collectively opened file runs one service
+// proc, from Open to Close. Against a run that opens nothing, k open files
+// leave k more live procs, and k closed files none.
+func TestFileServiceLifetime(t *testing.T) {
+	live := func(k int, closeAll bool) int {
+		c := runWorld(t, 3, false, func(p *sim.Proc, r *mpi.Rank, drv Driver) {
+			for i := 0; i < k; i++ {
+				f, err := Open(p, r, drv, fmt.Sprintf("f%d", i), ModeRdWr|ModeCreate, nil)
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				if closeAll {
+					if err := f.Close(p); err != nil {
+						t.Errorf("close: %v", err)
+					}
+				}
+			}
+		})
+		defer c.K.Shutdown()
+		return c.K.Live()
+	}
+	const k = 3
+	base := live(0, false)
+	if got := live(k, false) - base; got != k {
+		t.Errorf("%d files open: %d more live procs, want %d", k, got, k)
+	}
+	if got := live(k, true) - base; got != 0 {
+		t.Errorf("%d files closed: %d more live procs, want 0", k, got)
+	}
+}

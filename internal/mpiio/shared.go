@@ -1,98 +1,14 @@
 package mpiio
 
-import (
-	"encoding/binary"
-
-	"dafsio/internal/mpi"
-	"dafsio/internal/sim"
-)
+import "dafsio/internal/sim"
 
 // Shared file pointer support (MPI_File_read/write_shared and the ordered
 // collectives). One pointer per open file is shared by every rank of the
 // world; it advances in view data-space bytes, like the individual
-// pointer.
-//
-// Implementation: rank 0 hosts a pointer service for each collectively
-// opened file (ROMIO used a hidden file plus fcntl locks for the same
-// job; a message-based service is the natural equivalent on a SAN).
-// Independent shared operations perform an atomic fetch-and-add against
-// the service; ordered collectives compute rank-order offsets with one
-// prefix sum and a single fetch-and-add.
-
-// pointer-service message ops.
-const (
-	spFetchAdd uint8 = iota
-	spSet
-)
-
-// sharedState is the per-File client side of the pointer service.
-type sharedState struct {
-	reqTag, respTag int
-	local           int64 // serial (no-world) fallback pointer
-}
-
-// initShared sets up the pointer service during collective open. All ranks
-// must call it at the same point of the open sequence.
-func (f *File) initShared(p *sim.Proc) {
-	f.shared = &sharedState{}
-	r := f.rank
-	if r == nil || r.Size() == 1 {
-		return
-	}
-	var base uint64
-	if r.ID() == 0 {
-		base = uint64(r.World().ReserveTags(2))
-	}
-	base = r.BcastU64(p, 0, base)
-	f.shared.reqTag = int(base)
-	f.shared.respTag = int(base + 1)
-	if r.ID() == 0 {
-		reqTag, respTag := f.shared.reqTag, f.shared.respTag
-		r.World().Kernel().SpawnDaemon(f.name+".spsvc", func(sp *sim.Proc) {
-			var ptr int64
-			buf := make([]byte, 9)
-			for {
-				st := r.Recv(sp, mpi.AnySource, reqTag, buf)
-				op := buf[0]
-				val := int64(binary.LittleEndian.Uint64(buf[1:]))
-				old := ptr
-				switch op {
-				case spFetchAdd:
-					ptr += val
-				case spSet:
-					ptr = val
-				}
-				var out [8]byte
-				binary.LittleEndian.PutUint64(out[:], uint64(old))
-				r.Send(sp, st.Source, respTag, out[:])
-			}
-		})
-	}
-}
-
-// spCall performs one pointer-service round trip and returns the previous
-// pointer value.
-func (f *File) spCall(p *sim.Proc, op uint8, val int64) int64 {
-	s := f.shared
-	r := f.rank
-	if r == nil || r.Size() == 1 {
-		old := s.local
-		switch op {
-		case spFetchAdd:
-			s.local += val
-		case spSet:
-			s.local = val
-		}
-		return old
-	}
-	var msg [9]byte
-	msg[0] = op
-	binary.LittleEndian.PutUint64(msg[1:], uint64(val))
-	r.Send(p, 0, s.reqTag, msg[:])
-	var resp [8]byte
-	r.Recv(p, 0, s.respTag, resp[:])
-	return int64(binary.LittleEndian.Uint64(resp[:]))
-}
+// pointer. The file service at rank 0 (service.go) holds it: independent
+// shared operations perform an atomic fetch-and-add against it, and
+// ordered collectives compute rank-order offsets with one prefix sum and a
+// single fetch-and-add.
 
 // ReadShared reads at the shared file pointer and atomically advances it
 // (MPI_File_read_shared). Concurrent callers get disjoint regions; the
@@ -101,7 +17,7 @@ func (f *File) ReadShared(p *sim.Proc, buf []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
 	}
-	off := f.spCall(p, spFetchAdd, int64(len(buf)))
+	off := f.spCall(p, svcFetchAdd, int64(len(buf)))
 	return f.ReadAt(p, off, buf)
 }
 
@@ -111,7 +27,7 @@ func (f *File) WriteShared(p *sim.Proc, buf []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
 	}
-	off := f.spCall(p, spFetchAdd, int64(len(buf)))
+	off := f.spCall(p, svcFetchAdd, int64(len(buf)))
 	return f.WriteAt(p, off, buf)
 }
 
@@ -124,15 +40,14 @@ func (f *File) SeekShared(p *sim.Proc, off int64) error {
 	if off < 0 {
 		return ErrNegative
 	}
-	r := f.rank
-	if r == nil || r.Size() == 1 {
-		f.shared.local = off
+	if f.svc == nil {
+		f.sharedPtr = off
 		return nil
 	}
-	if r.ID() == 0 {
-		f.spCall(p, spSet, off)
+	if f.rank.ID() == 0 {
+		f.spCall(p, svcSet, off)
 	}
-	r.Barrier(p)
+	f.rank.Barrier(p)
 	return nil
 }
 
@@ -140,10 +55,10 @@ func (f *File) SeekShared(p *sim.Proc, off int64) error {
 // the ranks' buffers are placed in rank order starting at the shared
 // pointer, which advances by the total.
 func (f *File) orderedOffsets(p *sim.Proc, n int) int64 {
-	r := f.rank
-	if r == nil || r.Size() == 1 {
-		return f.spCall(p, spFetchAdd, int64(n))
+	if f.svc == nil {
+		return f.spCall(p, svcFetchAdd, int64(n))
 	}
+	r := f.rank
 	sizes := r.AllgatherU64(p, uint64(n))
 	var prefix, total int64
 	for i, s := range sizes {
@@ -154,7 +69,7 @@ func (f *File) orderedOffsets(p *sim.Proc, n int) int64 {
 	}
 	var base uint64
 	if r.ID() == 0 {
-		base = uint64(f.spCall(p, spFetchAdd, total))
+		base = uint64(f.spCall(p, svcFetchAdd, total))
 	}
 	base = r.BcastU64(p, 0, base)
 	return int64(base) + prefix

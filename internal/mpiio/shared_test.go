@@ -200,3 +200,47 @@ func TestSharedOpsAfterClose(t *testing.T) {
 		}
 	})
 }
+
+// TestSharedPointerRepliesNeverCrossGrants: a rank's helper proc waiting
+// for a lock grant must not take its main proc's pointer reply. Rank 2
+// holds the lock with a long write; rank 1 starts an IwriteAt, whose
+// helper queues for the lock, then writes at the shared pointer, seeked to
+// 1 MiB. The record must land there.
+func TestSharedPointerRepliesNeverCrossGrants(t *testing.T) {
+	const at = 1 << 20
+	record := []byte("record")
+	c := runWorld(t, 3, false, func(p *sim.Proc, r *mpi.Rank, drv Driver) {
+		f, err := Open(p, r, drv, "cross", ModeRdWr|ModeCreate, nil)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		defer f.Close(p)
+		f.SetAtomicity(p, true)
+		f.SeekShared(p, at)
+		switch r.ID() {
+		case 2:
+			if _, err := f.WriteAt(p, 4<<20, make([]byte, 4<<20)); err != nil {
+				t.Errorf("long write: %v", err)
+			}
+		case 1:
+			p.Wait(50 * sim.Microsecond) // rank 2 holds the lock
+			req := f.IwriteAt(p, 2<<20, []byte("helper"))
+			p.Wait(20 * sim.Microsecond) // the helper waits for its grant
+			if n, err := f.WriteShared(p, record); err != nil || n != len(record) {
+				t.Errorf("write shared: n=%d err=%v", n, err)
+			}
+			if _, err := req.Wait(p); err != nil {
+				t.Errorf("iwrite: %v", err)
+			}
+		}
+		r.Barrier(p)
+	})
+	file, err := c.Store.Lookup("cross")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stored(file, at, len(record)); !bytes.Equal(got, record) {
+		t.Fatalf("at %d: %q, want the record", at, got)
+	}
+}
