@@ -206,25 +206,31 @@ func TestT15Shape(t *testing.T) {
 // buffers by append and allocated one reply piece per request.
 //
 // The dial case counts allocations per session dialed, both ends, in a
-// storm of 16 clients by 16 servers, and moves no file data, so it has no
-// byte budget. It records 6.97, the top of its figures with and without
-// -race (6.91 to 6.97): the Client and the dispatch binding its completion
-// queue runs, the server's session record, and what grows with the
-// sessions — each NIC's region map and VI list, each server's session
-// list — and the procs the CONNECT exchange wakes. A session's VI,
-// completion queue and its first ring, credit resource, pool channels,
-// pending table and first call with its future and reply room are
-// embedded in the records. It made 23.2 while each of those was an
-// allocation of its own, the queue's and the credit resource's names were
-// built per session and the pending calls sat in a map, and 56 to 58
-// while each end also allocated its slots, slot tables, ring records and
-// pool array apart from its record, grew its receive queue 1, 2, 4, 8,
-// and parked a dispatch daemon on a goroutine of its own.
+// storm of 16 clients by 16 servers. It records 6.97, the top of its
+// figures with and without -race (6.91 to 6.97): the Client and the
+// dispatch binding its completion queue runs, the server's session
+// record, and what grows with the sessions — each NIC's region map and VI
+// list, each server's session list — and the procs the CONNECT exchange
+// wakes. A session's VI, completion queue and its first ring, credit
+// resource, pool channels, pending table and first call with its future
+// and reply room are embedded in the records. It made 23.2 while each of
+// those was an allocation of its own, the queue's and the credit
+// resource's names were built per session and the pending calls sat in a
+// map, and 56 to 58 while each end also allocated its slots, slot tables,
+// ring records and pool array apart from its record, grew its receive
+// queue 1, 2, 4, 8, and parked a dispatch daemon on a goroutine of its
+// own. It moves no file data, so its byte budget is per session: 7,950
+// host bytes, the top of its figures with and without -race (7,894 to
+// 7,947) rounded up, + 2%. The Client record is 4,064 bytes and the
+// session 3,088; the rest is what grows with the sessions and the
+// provider pool's first slabs. It allocated 11,707 while each slot
+// carried a codec of its own and a message took a whole slot and a whole
+// cell payload.
 //
 // The open case counts allocations per session of an open of an existing
 // file over a 16 × 16 striped pool: each of 16 clients opens it twice, and
 // the count covers the second round, after the first has warmed the
-// kernel's workers. It has no byte budget either. It records 0.63, the top
+// kernel's workers. It has no byte budget. It records 0.63, the top
 // of its figures with and without -race (0.625 to 0.629): each open's
 // File, handle, handle table, work and flight records shared out over its
 // 16 sessions. The Lookup reuses the session's first call, whose room
@@ -234,17 +240,18 @@ func TestT15Shape(t *testing.T) {
 // was an allocation of its own.
 func TestHostAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		run     func(t *testing.T) allocRun
-		mallocs float64 // per steady-state call
-		bytes   uint64  // host bytes per byte moved
+		name      string
+		run       func(t *testing.T) allocRun
+		mallocs   float64 // per steady-state call
+		bytes     uint64  // host bytes per byte moved
+		callBytes float64 // host bytes per steady-state call (0: unbudgeted)
 	}{
-		{"dafs", func(t *testing.T) allocRun { return contigAllocRun(t, dafsStack, 4<<10) }, 0.01 * 1.02, 1},
-		{"dafs-direct", func(t *testing.T) allocRun { return contigAllocRun(t, dafsStack, 64<<10) }, 0.12 * 1.02, 1},
-		{"nfs", func(t *testing.T) allocRun { return contigAllocRun(t, nfsStack, 4<<10) }, 0.01 * 1.02, 1},
-		{"strided", stridedAllocRun, 156.0 * 1.02, 2},
-		{"dial", dialAllocRun, 6.97 * 1.02, 0},
-		{"open", openAllocRun, 0.63 * 1.02, 0},
+		{"dafs", func(t *testing.T) allocRun { return contigAllocRun(t, dafsStack, 4<<10) }, 0.01 * 1.02, 1, 0},
+		{"dafs-direct", func(t *testing.T) allocRun { return contigAllocRun(t, dafsStack, 64<<10) }, 0.12 * 1.02, 1, 0},
+		{"nfs", func(t *testing.T) allocRun { return contigAllocRun(t, nfsStack, 4<<10) }, 0.01 * 1.02, 1, 0},
+		{"strided", stridedAllocRun, 156.0 * 1.02, 2, 0},
+		{"dial", dialAllocRun, 6.97 * 1.02, 0, 7950 * 1.02},
+		{"open", openAllocRun, 0.63 * 1.02, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var m0, m1 runtime.MemStats
@@ -257,8 +264,15 @@ func TestHostAllocBudget(t *testing.T) {
 			} else {
 				t.Logf("a steady-state call makes %.4f heap allocations (%d in %d calls; budget %.4f)", perCall, r.steady, r.calls, tc.mallocs)
 			}
+			if tc.callBytes > 0 {
+				if perCall := float64(r.steadyBytes) / float64(r.calls); perCall > tc.callBytes {
+					t.Errorf("a steady-state call allocates %.0f host bytes (%d in %d calls), budget %.0f", perCall, r.steadyBytes, r.calls, tc.callBytes)
+				} else {
+					t.Logf("a steady-state call allocates %.0f host bytes (%d in %d calls; budget %.0f)", perCall, r.steadyBytes, r.calls, tc.callBytes)
+				}
+			}
 			if r.moved == 0 {
-				return // a dial moves no file data: only its allocations are budgeted
+				return // a dial or an open moves no file data
 			}
 			if got := m1.TotalAlloc - m0.TotalAlloc; got > tc.bytes*r.moved {
 				t.Errorf("moving %d MB allocated %d MB on the host, budget %d MB", r.moved>>20, got>>20, tc.bytes*r.moved>>20)
@@ -270,10 +284,13 @@ func TestHostAllocBudget(t *testing.T) {
 }
 
 // allocRun is what one budget run counted: the heap allocations of its
-// steady-state calls, how many calls that was, and the bytes it moved.
+// steady-state calls, how many calls that was, and the bytes it moved;
+// a run whose calls have a byte budget also counts the heap bytes they
+// allocated.
 type allocRun struct {
 	calls         int
 	steady, moved uint64
+	steadyBytes   uint64
 }
 
 // mallocs reads the process's heap allocation count.
@@ -281,6 +298,13 @@ func mallocs() uint64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return m.Mallocs
+}
+
+// heapBytes reads the bytes the process has allocated on the heap.
+func heapBytes() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc
 }
 
 // contigAllocRun: one client appends 8 MB to a new file in size-byte calls
@@ -392,18 +416,18 @@ func stridedAllocRun(t *testing.T) allocRun {
 func dialAllocRun(t *testing.T) allocRun {
 	const clients, servers = 16, 16
 	c := newCluster(point{id: "alloc", clients: clients, servers: servers, stack: dafsStack, name: "f", write: true}, Observation{})
-	var from uint64
+	var from, fromBytes uint64
 	err := c.SpawnClients(func(p *sim.Proc, i int) {
 		if i == 0 {
-			from = mallocs()
+			from, fromBytes = mallocs(), heapBytes()
 		}
 		if _, err := c.DialDAFSAll(p, i, nil); err != nil {
 			t.Errorf("client %d: %v", i, err)
 		}
 	})
-	steady := mallocs() - from
+	steady, steadyBytes := mallocs()-from, heapBytes()-fromBytes
 	end(c, err)
-	return allocRun{calls: clients * servers, steady: steady}
+	return allocRun{calls: clients * servers, steady: steady, steadyBytes: steadyBytes}
 }
 
 // openAllocRun: 16 clients each dial a session to every one of 16 servers

@@ -2,6 +2,7 @@ package dafs
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"dafsio/internal/sim"
@@ -150,6 +151,64 @@ func TestBatchFewerRequestsThanPerOp(t *testing.T) {
 		}
 		if got := c.Stats().Ops - before; got != 1 {
 			t.Errorf("batch used %d requests", got)
+		}
+	})
+}
+
+// TestTransferBoundRefusedBeforeStaging: a direct or batch request that
+// would move more than MaxTransfer gets StatusInval, and the server stages
+// nothing for it. The largest is a READ_BATCH of 512 segments of 4 GiB − 1
+// bytes, 2 TiB in all; the client's own checks would refuse each request
+// first, so the test encodes them itself.
+func TestTransferBoundRefusedBeforeStaging(t *testing.T) {
+	r := newRig(1)
+	staged := func() (n int) {
+		for _, b := range r.srv.staging {
+			n += cap(b)
+		}
+		return n
+	}
+	r.run(t, func(p *sim.Proc, c *Client) {
+		fh, _, _ := c.Create(p, "b")
+		reg := c.NIC().Register(p, make([]byte, 4096))
+		if _, err := c.WriteDirect(p, fh, 0, reg, 0, 4096); err != nil {
+			t.Errorf("write direct: %v", err)
+			return
+		}
+		before := staged()
+		huge := make([]SegSpec, MaxBatchSegs)
+		for i := range huge {
+			huge[i] = SegSpec{Off: int64(i) << 32, Len: 1<<32 - 1}
+		}
+		direct := func(n int) func(w *wr) {
+			return func(w *wr) {
+				w.U64(uint64(fh))
+				w.U64(0)
+				w.U32(uint32(n))
+				w.U32(uint32(reg.Handle))
+				w.U32(0)
+			}
+		}
+		for _, tc := range []struct {
+			proc Proc
+			enc  func(w *wr)
+		}{
+			{ProcReadBatch, func(w *wr) { encodeBatch(w, fh, huge, reg, 0) }},
+			{ProcWriteBatch, func(w *wr) { encodeBatch(w, fh, huge, reg, 0) }},
+			{ProcReadBatch, func(w *wr) { encodeBatch(w, fh, []SegSpec{{Len: MaxTransfer / 2}, {Len: MaxTransfer/2 + 1}}, reg, 0) }},
+			{ProcReadDirect, direct(MaxTransfer + 1)},
+			{ProcWriteDirect, direct(MaxTransfer + 1)},
+		} {
+			call, err := c.start(p, tc.proc, nil, tc.enc)
+			if err == nil {
+				err = call.wait(p, nil)
+			}
+			if !errors.Is(err, ErrInval) {
+				t.Errorf("%v over MaxTransfer: %v, want ErrInval", tc.proc, err)
+			}
+			if got := staged(); got != before {
+				t.Errorf("%v over MaxTransfer: staging pool holds %d B, had %d", tc.proc, got, before)
+			}
 		}
 	})
 }

@@ -66,18 +66,22 @@ type ClientStats struct {
 }
 
 // slot is one message slot of a registered ring, with the descriptor it is
-// posted with and the writer that encodes what is sent from it. Both are
-// reused every time the slot is: a message allocates nothing. The slot's
-// bytes exist only while a message does: bytes takes them from the
-// provider, and release hands them back once the message is dead.
+// posted with, reused every time the slot is: a message allocates nothing.
+// The slot's bytes exist only while a message does, and only as many as
+// it needs: the NIC sizes a received message's slot, Grow sizes a message
+// encoded into it, and release hands the bytes back once the message is
+// dead.
 type slot struct {
 	reg  *via.Region
 	i    int
 	desc via.Descriptor
-	w    wr
 }
 
 func (s *slot) bytes() []byte { return s.reg.Slot(s.i) }
+
+// Grow is the room a message body is encoded into (wire.Grower): the slot
+// past the header, at least n bytes of it while the slot has them.
+func (s *slot) Grow(n int) []byte { return s.reg.Grow(s.i, HeaderLen+n)[HeaderLen:] }
 
 // release clears the first n bytes, the most the slot's message wrote, and
 // gives the slot's bytes back.
@@ -219,12 +223,14 @@ type Client struct {
 
 	// The session's parts live in its record: the VI, its completion
 	// queue (a notify queue: dispatch runs on its completions), the credit
-	// window, the request pool and the first call.
+	// window, the request pool, the first call and the writer that
+	// encodes every request (an encode never parks, so one is enough).
 	vi      via.VI
 	cq      via.CQ
 	credits sim.Resource
 	reqPool slotPool[*slot]
 	first   Call
+	w       wr
 
 	// The session's rings, registered into records it owns: one for
 	// requests and one for responses, with their slot tables, the slots
@@ -592,9 +598,8 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 		c.m.flight.Note(p.Now(), "credit_wait", proc.String(), int64(wait), 0)
 	}
 	c.tr.Charge(op, trace.CatQueue, p.Now()-t0)
-	buf := s.bytes()
-	w := &s.w
-	w.Reset(buf[HeaderLen:])
+	w := &c.w
+	w.ResetGrow(s)
 	enc(w)
 	if w.Err() != nil {
 		s.release(HeaderLen + w.Len())
@@ -608,7 +613,7 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 	xid := c.nextXID
 	c.tr.SetXID(op, uint64(xid))
 	n := HeaderLen + w.Len()
-	encodeHeader(buf, Header{Proc: proc, XID: xid, BodyLen: uint32(w.Len())})
+	encodeHeader(s.reg.Grow(s.i, n), Header{Proc: proc, XID: xid, BodyLen: uint32(w.Len())})
 	// Building the request: marshal plus the copy into registered memory
 	// (for inline writes this is the send-side data copy).
 	t1 := p.Now()

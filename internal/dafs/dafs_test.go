@@ -686,25 +686,27 @@ func TestUncachedServerIsDiskBound(t *testing.T) {
 }
 
 // TestIdleSessionHoldsNoSlotMemory: a slot's bytes exist only while a
-// message does, so a session with nothing in flight holds none in any of
-// its four rings (client requests and responses, server requests and
-// responses) — after Dial and between sequential writes. The free list
-// they come from never holds more than the one slab its first refill
-// allocated: 8 slots of the session's size, 69,760 bytes.
+// message does, and a message holds only its class of the provider's pool,
+// so a session with nothing in flight holds nothing in any of its four
+// rings (client requests and responses, server requests and responses) nor
+// in a wire cell — after Dial and between sequential 512-byte writes. The
+// pool never holds more than one slab (8 buffers) per class those messages
+// used: the 256-byte class of the CONNECT exchange, 2,048 bytes, and then
+// the 1 KiB class of a 548-byte WRITE request and its cells, 10,240 bytes
+// in all (a slab of whole 8,720-byte slots was 69,760).
 func TestIdleSessionHoldsNoSlotMemory(t *testing.T) {
 	r := newRig(1)
 	r.store.Create("f")
 	r.run(t, func(p *sim.Proc, c *Client) {
-		slab := 8 * c.slotSize
-		idle := func(when string) {
+		idle := func(when string, slabs int) {
 			// Let the last ack land: the server releases its response slot
 			// on the send completion, after the client has the reply.
 			p.Wait(100 * sim.Microsecond)
-			if m := r.prov.RingMem(); m.Live != 0 || m.Idle != slab || m.IdleHigh != slab {
-				t.Errorf("%s: ring memory %+v, want none live and one slab (%d B) idle at most", when, m, slab)
+			if m := r.prov.RingMem(); m.Live != 0 || m.Cells != 0 || m.Idle != slabs || m.IdleHigh != slabs {
+				t.Errorf("%s: pool %+v, want nothing live and one slab per class used (%d B) idle at most", when, m, slabs)
 			}
 		}
-		idle("after dial")
+		idle("after dial", 8*256)
 		fh, _, err := c.Lookup(p, "f")
 		if err != nil {
 			t.Errorf("lookup: %v", err)
@@ -715,7 +717,7 @@ func TestIdleSessionHoldsNoSlotMemory(t *testing.T) {
 				t.Errorf("write %d: %v", i, err)
 				return
 			}
-			idle(fmt.Sprintf("after write %d", i))
+			idle(fmt.Sprintf("after write %d", i), 8*(256+1024))
 		}
 	})
 }

@@ -49,6 +49,13 @@ const (
 // session message.
 const MaxBatchSegs = 512
 
+// MaxTransfer bounds the bytes one direct or batch request moves. The
+// server stages a request's data whole, so a request over it gets
+// StatusInval before any staging is allocated: 512 segments of 4 GiB
+// would otherwise ask for 2 TiB. It is four times the largest single
+// transfer anything in the repository issues (a 4 MiB WRITE_DIRECT).
+const MaxTransfer = 16 << 20
+
 // procNames is indexed by Proc; the gaps (0, anything past the last
 // operation) are unnamed.
 var procNames = [...]string{

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dafsio/internal/sim"
+	"dafsio/internal/via"
 )
 
 // TestFailedDialUnregisters is the regression test for the dial-path
@@ -131,4 +132,51 @@ func TestRedialDropsOldSessionRegistrations(t *testing.T) {
 			t.Errorf("write on redialed session: %v", err)
 		}
 	})
+}
+
+// TestBadConnectReplyUnregisters: a CONNECT reply whose body does not
+// decode fails Dial, and the failed dial gives back both rings it
+// registered and leaves no message bytes live in the provider's pool. The
+// peer here answers CONNECT itself, on the server session's VI, with a
+// 3-byte body where the credits and inline limit take 6.
+func TestBadConnectReplyUnregisters(t *testing.T) {
+	r := newRig(1)
+	sNIC := r.srv.NIC()
+	r.srv.cq = sNIC.NewNotifyCQ("peer.cq", func(p *sim.Proc, comp via.Completion) {
+		switch ctx := comp.Desc.Ctx.(type) {
+		case *reqSlot:
+			sess := ctx.sess
+			hdr, err := decodeHeader(ctx.bytes()[:comp.Len])
+			ctx.release(comp.Len)
+			if err != nil || hdr.Proc != ProcConnect {
+				t.Errorf("peer got %v (%v), want a CONNECT", hdr.Proc, err)
+				return
+			}
+			rs := &sess.resps[0]
+			encodeHeader(rs.reg.Grow(rs.i, HeaderLen+3), Header{Proc: hdr.Proc, XID: hdr.XID, Status: StatusOK, BodyLen: 3})
+			rs.desc = via.Descriptor{Op: via.OpSend, Region: rs.reg, Offset: rs.i * sess.slotSize, Len: HeaderLen + 3, Ctx: rs}
+			if err := sess.vi.PostSend(p, &rs.desc); err != nil {
+				t.Errorf("peer reply: %v", err)
+			}
+		case *respSlot:
+			ctx.release(comp.Desc.Len)
+		}
+	})
+	r.k.Spawn("app", func(p *sim.Proc) {
+		nic := r.cNICs[0]
+		before := nic.Regions()
+		if c, err := Dial(p, nic, r.srv, nil); !errors.Is(err, ErrWire) {
+			t.Errorf("dial against a short CONNECT reply: %v, %v; want ErrWire", c, err)
+		}
+		if got := nic.Regions(); got != before {
+			t.Errorf("failed dial left %d region(s) pinned (had %d, now %d)", got-before, before, got)
+		}
+		p.Wait(100 * sim.Microsecond) // the reply's ack reaches the peer
+		if m := r.prov.RingMem(); m.Live != 0 || m.Cells != 0 {
+			t.Errorf("pool after the failed dial: %+v, want nothing live", m)
+		}
+	})
+	if err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -87,7 +87,6 @@ type reqSlot struct {
 	length int
 	parent trace.OpID // client-side descriptor span the request rode in on
 	at     sim.Time   // arrival time (request delivery, before queueing)
-	r      rd         // decodes the request body
 }
 
 // respSlot is a session's response slot and its completion context.
@@ -98,10 +97,13 @@ type respSlot struct {
 }
 
 // workerState is what a worker reuses from one request to the next: the
-// registration record, descriptor and future of the RDMA it drives (one at
-// a time, so one of each) and the segment list of the batch request it
-// serves.
+// reader that decodes the request and the writer that encodes its reply,
+// the registration record, descriptor and future of the RDMA it drives
+// (one at a time, so one of each) and the segment list of the batch
+// request it serves.
 type workerState struct {
+	r    rd
+	w    wr
 	reg  via.Region
 	d    via.Descriptor
 	done *sim.Future[via.Completion]
@@ -331,23 +333,22 @@ func (s *Server) handle(p *sim.Proc, ws *workerState, req *reqSlot) {
 	body := msg[HeaderLen : HeaderLen+int(hdr.BodyLen)]
 	s.node.Compute(p, s.prof.DAFSOpCost)
 	s.tr.Charge(op, trace.CatServerCPU, p.Now()-t0)
-	req.r.Reset(body)
-	st, rp := s.exec(p, ws, sess, hdr.Proc, &req.r)
+	ws.r.Reset(body)
+	st, rp := s.exec(p, ws, sess, hdr.Proc, &ws.r)
 
 	rs := sess.respPool.get(p)
-	out := rs.bytes()
-	w := &rs.w
-	w.Reset(out[HeaderLen:])
+	w := &ws.w
+	w.ResetGrow(&rs.slot)
 	if st == StatusOK {
 		rp.encode(w, hdr.Proc)
 	}
 	if w.Err() != nil {
 		st = StatusProto
 		clear(w.Bytes()) // the slot starts the reply again from zeros
-		w.Reset(out[HeaderLen:])
+		w.ResetGrow(&rs.slot)
 	}
 	n := HeaderLen + w.Len()
-	encodeHeader(out, Header{Proc: hdr.Proc, XID: hdr.XID, Status: st, BodyLen: uint32(w.Len())})
+	encodeHeader(rs.reg.Grow(rs.i, n), Header{Proc: hdr.Proc, XID: hdr.XID, Status: st, BodyLen: uint32(w.Len())})
 	t1 := p.Now()
 	s.node.Compute(p, s.prof.MarshalCost)
 	s.tr.Charge(op, trace.CatServerCPU, p.Now()-t1)
@@ -559,7 +560,7 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if st != StatusOK || r.Err() != nil {
 			return firstBad(st, r), reply{}
 		}
-		if count < 0 {
+		if count < 0 || count > MaxTransfer {
 			return StatusInval, reply{}
 		}
 		n := clampCount(f.Size(), off, count)
@@ -578,7 +579,7 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if st != StatusOK || r.Err() != nil {
 			return firstBad(st, r), reply{}
 		}
-		if !storage.Fits(off, int64(count)) {
+		if count > MaxTransfer || !storage.Fits(off, int64(count)) {
 			return StatusInval, reply{}
 		}
 		if count > 0 {
@@ -632,6 +633,9 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		}
 		if r.Err() != nil {
 			return StatusProto, reply{}
+		}
+		if total > MaxTransfer {
+			return StatusInval, reply{}
 		}
 		for _, sg := range segs {
 			s.touchDisk(p, sg.Off, sg.Len)

@@ -114,13 +114,15 @@ func (w *World) ReserveTags(n int) int {
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
 // slot is one bounce buffer: a slot of a registered ring, whose bytes exist
-// only while a message does.
+// only while a message does, and only as many as it needs.
 type slot struct {
 	reg *via.Region
 	i   int
 }
 
-func (s *slot) bytes() []byte { return s.reg.Slot(s.i) }
+// bytes returns the slot's bytes, at least n of them: a message's
+// envelope and payload.
+func (s *slot) bytes(n int) []byte { return s.reg.Grow(s.i, n) }
 
 // release clears the first n bytes, the most the slot's message wrote, and
 // gives the slot's bytes back.

@@ -75,7 +75,7 @@ func (r *Rank) sendEager(p *sim.Proc, dst, tag int, data []byte) {
 	//mpiolint:ignore blockhold credit returned by the receiving rank in arrival once the envelope is consumed
 	pr.credits.Acquire(p, 1)
 	s, _ := pr.sendPool.Recv(p)
-	buf := s.bytes()
+	buf := s.bytes(envLen + len(data))
 	encodeEnv(buf, kEager, r.id, tag, len(data), 0, 0, 0)
 	copy(buf[envLen:], data)
 	r.nic.Node.CopyMem(p, len(data)) // user buffer -> bounce buffer
@@ -96,7 +96,7 @@ func (r *Rank) sendCtl(p *sim.Proc, dst int, kind uint8, tag, size int, token ui
 	//mpiolint:ignore blockhold credit returned by the receiving rank in arrival once the envelope is consumed
 	pr.credits.Acquire(p, 1)
 	s, _ := pr.sendPool.Recv(p)
-	encodeEnv(s.bytes(), kind, r.id, tag, size, token, handle, 0)
+	encodeEnv(s.bytes(envLen), kind, r.id, tag, size, token, handle, 0)
 	err := pr.vi.PostSend(p, &via.Descriptor{
 		Op: via.OpSend, Region: s.reg, Offset: s.i * r.world.slotSize(), Len: envLen,
 		Ctx: &sendCtx{pr: pr, s: s},
@@ -230,7 +230,7 @@ func (r *Rank) progress(p *sim.Proc, comp via.Completion) {
 
 // arrival handles one incoming message in the progress engine.
 func (r *Rank) arrival(p *sim.Proc, comp via.Completion, s *slot) {
-	raw := s.bytes()[:comp.Len]
+	raw := s.bytes(comp.Len)[:comp.Len]
 	env := decodeEnv(raw)
 	payload := raw[envLen:]
 

@@ -15,10 +15,11 @@ type MemHandle uint32
 //
 // A region is flat or a ring. A flat region is one buffer the host owns
 // (Bytes). A ring is a row of equal message slots, registered and charged
-// as one window, whose host bytes exist only while a message does: Slot
-// materialises a slot from the provider's free list on first touch, by the
-// host or by the NIC landing a message in it, and Release hands it back
-// once the message is dead. No descriptor or RDMA may cross a slot
+// as one window, whose host bytes exist only while a message does, and
+// only as many as it needs: a slot holds a buffer of the provider pool's
+// class for its message (see bufPool), taken on first touch, by the host
+// (Slot, Grow) or by the NIC landing a message in it, and Release hands it
+// back once the message is dead. No descriptor or RDMA may cross a slot
 // boundary.
 type Region struct {
 	Handle MemHandle
@@ -26,8 +27,8 @@ type Region struct {
 	nic *NIC
 	buf []byte // flat regions
 
-	slots [][]byte  // ring regions: slot i's bytes, nil until materialised
-	free  *slotFree // ring regions: where slots come from and go back to
+	slots [][]byte // ring regions: slot i's pool buffer, nil while it holds no message
+	size  int      // ring regions: the slot size (0: a flat region)
 }
 
 // Register pins buf and installs its translation on the NIC. The
@@ -94,7 +95,7 @@ func (n *NIC) RegisterCachedRing(r *Region, slots [][]byte, size int) *Region {
 		panic("via: RegisterCachedRing of a registered region")
 	}
 	clear(slots)
-	*r = Region{slots: slots, free: n.prov.slotFree(size)}
+	*r = Region{slots: slots, size: size}
 	return n.install(r)
 }
 
@@ -123,8 +124,8 @@ func (n *NIC) Regions() int { return len(n.regions) }
 
 // Len returns the region's size in bytes.
 func (r *Region) Len() int {
-	if r.free != nil {
-		return len(r.slots) * r.free.size
+	if r.size > 0 {
+		return len(r.slots) * r.size
 	}
 	return len(r.buf)
 }
@@ -133,37 +134,52 @@ func (r *Region) Len() int {
 // it, the way a user buffer is used around VIA operations. A ring has no
 // flat view; use Slot.
 func (r *Region) Bytes() []byte {
-	if r.free != nil {
+	if r.size > 0 {
 		panic("via: Bytes of a ring region")
 	}
 	return r.buf
 }
 
-// Slot returns the bytes of a ring's slot i, taking them from the
-// provider's free list if the slot holds none. A slot that was never
-// touched or was last released reads as zeros.
-func (r *Region) Slot(i int) []byte {
+// Slot returns the bytes ring slot i holds, taking the pool's smallest
+// class for the slot if it holds none. A slot that was never touched or
+// was last released reads as zeros.
+func (r *Region) Slot(i int) []byte { return r.Grow(i, 0) }
+
+// Grow returns the bytes of ring slot i, at least n of them, or the whole
+// slot when n exceeds it. A slot that holds fewer moves to the pool's
+// class for n, keeping its bytes; the bytes past them read as zeros.
+func (r *Region) Grow(i, n int) []byte {
 	s := r.slots[i]
-	if s == nil {
-		s = r.nic.prov.takeSlot(r.free)
-		r.slots[i] = s
+	if s != nil && len(s) >= min(n, r.size) {
+		return s
 	}
-	return s
+	pool := &r.nic.prov.pool
+	t := pool.take(n, r.size)
+	if s != nil {
+		copy(t, s)
+		if r.Valid() {
+			// A deregistered ring's buffers never go back (see Release).
+			clear(s)
+			pool.put(s)
+		}
+	}
+	r.slots[i] = t
+	return t
 }
 
 // Release declares the message in a ring's slot i dead: it clears the
 // first n bytes, the most any use of the slot wrote, and gives the slot's
-// bytes back to the free list. The caller must hold no slice of them and
-// have no descriptor posted over the slot. Releasing a slot that holds no
-// bytes, or a slot of a deregistered ring, does nothing.
+// buffer back to the pool. The caller must hold no slice of it and have
+// no descriptor posted over the slot. Releasing a slot that holds no
+// buffer, or a slot of a deregistered ring, does nothing.
 func (r *Region) Release(i, n int) {
 	s := r.slots[i]
 	if s == nil || !r.Valid() {
 		return
 	}
-	clear(s[:n])
+	clear(s[:min(n, len(s))])
 	r.slots[i] = nil
-	r.nic.prov.putSlot(r.free, s)
+	r.nic.prov.pool.put(s)
 }
 
 // Valid reports whether this exact region is in its NIC's registration
@@ -176,20 +192,26 @@ func (r *Region) covers(off, n int) bool {
 	if off < 0 || n < 0 || off+n > r.Len() {
 		return false
 	}
-	if r.free == nil {
+	if r.size == 0 {
 		return true
 	}
-	return off/r.free.size < len(r.slots) && off%r.free.size+n <= r.free.size
+	return off/r.size < len(r.slots) && off%r.size+n <= r.size
 }
 
-// at returns the n bytes at off, which covers has vouched for.
+// at returns the n bytes at off, which covers has vouched for. In a ring
+// the slot grows to hold them.
 func (r *Region) at(off, n int) []byte {
-	if r.free == nil {
+	if r.size == 0 {
 		return r.buf[off : off+n]
 	}
-	o := off % r.free.size
-	return r.Slot(off / r.free.size)[o : o+n]
+	o := off % r.size
+	return r.Grow(off/r.size, o+n)[o : o+n]
 }
+
+// land copies a data cell of a message that lands at off (a send, an RDMA
+// write or an RDMA read's response) into the region. A ring slot takes the
+// class of the whole message on its first cell.
+func (r *Region) land(off int, c *cell) { copy(r.at(off+c.off, c.total-c.off), c.data) }
 
 // lookup validates a remote handle and byte range; it returns the region
 // only if the whole range is addressable in it.
@@ -201,28 +223,60 @@ func (n *NIC) lookup(h MemHandle, off, length int) *Region {
 	return r
 }
 
-// slabSlots is how many slot buffers one refill of a free list allocates
-// together: one allocation per slab, not per slot.
+// The ladder of the pool's classes below a consumer's maximum: 256 B,
+// 1 KiB, 4 KiB.
+const (
+	firstClass = 256
+	lastRung   = 4 << 10
+)
+
+// slabSlots is how many buffers one refill of a class allocates together:
+// one allocation per slab, not per buffer.
 const slabSlots = 8
 
-// slotFree is the provider's free list of ring slot buffers of one size.
-// Every buffer on it reads as zeros, as long as each Release names all the
-// bytes its message wrote.
-type slotFree struct {
-	size int
-	bufs [][]byte
+// classOf is the size of the class for n bytes under a maximum of max.
+func classOf(n, max int) int {
+	for c := firstClass; c <= lastRung && c < max; c *= 4 {
+		if n <= c {
+			return c
+		}
+	}
+	return max
 }
 
-// RingMem is the provider's ledger of ring slot memory, in bytes.
+// bufClass is one class of the pool: its idle buffers, all size bytes.
+type bufClass struct {
+	size int
+	idle [][]byte
+}
+
+// bufPool is the provider's buffer pool, which holds the host bytes of
+// every message in flight — ring slots and the payloads of wire cells —
+// and its ledger. A buffer's class is the first rung of the ladder that
+// fits it, below the consumer's own maximum, or that maximum: a ring's
+// slot size, a cell's CellSize − CellHeader. So a 60-byte message holds
+// 256 bytes, not a whole slot. Buffers of one size are one class, whoever
+// takes them. Every idle buffer reads as zeros: whoever gives one back
+// has cleared what it wrote.
+type bufPool struct {
+	classes  []*bufClass
+	cells    int // bytes the payloads of cells in flight hold
+	idle     int // bytes of the idle buffers
+	idleHigh int
+}
+
+// RingMem is the ledger of the provider's buffer pool, in bytes.
 type RingMem struct {
-	Live     int // materialised slots of registered rings
-	Idle     int // slot buffers on the free lists
+	Live     int // ring slots of registered rings holding a message
+	Cells    int // payloads of wire cells in flight
+	Idle     int // pool buffers nothing holds
 	IdleHigh int // the most Idle has been
 }
 
-// RingMem reports how much host memory ring slots hold.
+// RingMem reports how much host memory the provider's message buffers
+// hold.
 func (pr *Provider) RingMem() RingMem {
-	m := RingMem{Idle: pr.ringIdle, IdleHigh: pr.ringIdleHigh}
+	m := RingMem{Cells: pr.pool.cells, Idle: pr.pool.idle, IdleHigh: pr.pool.idleHigh}
 	for _, n := range pr.nics {
 		for _, r := range n.regions {
 			for _, s := range r.slots {
@@ -233,41 +287,44 @@ func (pr *Provider) RingMem() RingMem {
 	return m
 }
 
-// slotFree returns the free list of size-byte slots.
-func (pr *Provider) slotFree(size int) *slotFree {
-	for _, f := range pr.slotFrees {
-		if f.size == size {
-			return f
+// class returns the class of size-byte buffers.
+func (bp *bufPool) class(size int) *bufClass {
+	for _, c := range bp.classes {
+		if c.size == size {
+			return c
 		}
 	}
-	f := &slotFree{size: size}
-	pr.slotFrees = append(pr.slotFrees, f)
-	return f
+	c := &bufClass{size: size}
+	bp.classes = append(bp.classes, c)
+	return c
 }
 
-// takeSlot removes a buffer from f, refilling it with a slab first if it
-// is empty.
-func (pr *Provider) takeSlot(f *slotFree) []byte {
-	if len(f.bufs) == 0 {
-		slab := make([]byte, slabSlots*f.size)
+// take removes a buffer of the class for n bytes under max, refilling the
+// class with a slab first if it has none idle.
+func (bp *bufPool) take(n, max int) []byte {
+	c := bp.class(classOf(n, max))
+	if len(c.idle) == 0 {
+		slab := make([]byte, slabSlots*c.size)
 		for i := range slabSlots {
-			f.bufs = append(f.bufs, slab[i*f.size:(i+1)*f.size:(i+1)*f.size])
+			c.idle = append(c.idle, slab[i*c.size:(i+1)*c.size:(i+1)*c.size])
 		}
-		pr.addIdle(slabSlots * f.size)
+		bp.addIdle(slabSlots * c.size)
 	}
-	s := f.bufs[len(f.bufs)-1]
-	f.bufs = f.bufs[:len(f.bufs)-1]
-	pr.ringIdle -= f.size
-	return s
+	b := c.idle[len(c.idle)-1]
+	c.idle = c.idle[:len(c.idle)-1]
+	bp.idle -= c.size
+	return b
 }
 
-// putSlot gives a cleared buffer back to f.
-func (pr *Provider) putSlot(f *slotFree, s []byte) {
-	f.bufs = append(f.bufs, s)
-	pr.addIdle(f.size)
+// put gives a cleared buffer back to its class.
+func (bp *bufPool) put(b []byte) {
+	b = b[:cap(b)]
+	c := bp.class(len(b))
+	c.idle = append(c.idle, b)
+	bp.addIdle(len(b))
 }
 
-func (pr *Provider) addIdle(n int) {
-	pr.ringIdle += n
-	pr.ringIdleHigh = max(pr.ringIdleHigh, pr.ringIdle)
+func (bp *bufPool) addIdle(n int) {
+	bp.idle += n
+	bp.idleHigh = max(bp.idleHigh, bp.idle)
 }

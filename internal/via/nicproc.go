@@ -62,12 +62,14 @@ func (k cellKind) String() string {
 // at most Profile.CellSize (including CellHeader) so DMA and link stages
 // pipeline within a message.
 //
-// Cells are recycled through the provider (newCell / freeCell) together
-// with their payload buffer. A cell has one owner at a time: the sending
-// NIC until the frame is on the link, then the receiving NIC, which copies
-// the payload out and frees the cell when its handler returns. Whoever
-// discards a cell instead (dead NIC, injected drop) frees it; a cell lost
-// any other way is simply garbage.
+// Cells are recycled through the provider (newCell / freeCell). A data
+// cell's payload is a pool buffer of its class, taken when the cell is
+// built and cleared and given back when it is freed; acks, read requests
+// and injected duplicates carry none. A cell has one owner at a time: the
+// sending NIC until the frame is on the link, then the receiving NIC,
+// which copies the payload out and frees the cell when its handler
+// returns. Whoever discards a cell instead (dead NIC, injected drop) frees
+// it; a cell lost any other way is simply garbage.
 type cell struct {
 	kind  cellKind
 	src   fabric.NodeID
@@ -98,9 +100,8 @@ type cell struct {
 	wire trace.OpID // this message's wire span (ended by the receiver)
 }
 
-// newCell returns a cell set to c. Its data is an empty slice over the
-// payload buffer the cell was last freed with (nil for a new cell), for
-// streamOut to fill.
+// newCell returns a cell set to c, without payload: streamCell gives a
+// data cell its own.
 func (pr *Provider) newCell(c cell) *cell {
 	var p *cell
 	if n := len(pr.freeCells); n > 0 {
@@ -109,13 +110,22 @@ func (pr *Provider) newCell(c cell) *cell {
 	} else {
 		p = new(cell)
 	}
-	c.data = p.data[:0]
+	c.data = nil
 	*p = c
 	return p
 }
 
-// freeCell hands a cell nobody references any more back for reuse.
-func (pr *Provider) freeCell(c *cell) { pr.freeCells = append(pr.freeCells, c) }
+// freeCell hands a cell nobody references any more back for reuse, and
+// its payload, cleared, back to the pool.
+func (pr *Provider) freeCell(c *cell) {
+	if c.data != nil {
+		clear(c.data)
+		pr.pool.cells -= cap(c.data)
+		pr.pool.put(c.data)
+		c.data = nil
+	}
+	pr.freeCells = append(pr.freeCells, c)
+}
 
 // Wire error codes carried in acks and read responses.
 const (
@@ -358,11 +368,12 @@ func (n *NIC) streamCell(now sim.Time) {
 	})
 	// The payload is snapshotted now, at DMA time: later writes to the
 	// region do not reach a cell already on its way.
-	if cap(c.data) < nb {
-		c.data = make([]byte, n.prov.Prof.CellSize-n.prov.Prof.CellHeader)
+	if nb > 0 {
+		pool := &n.prov.pool
+		c.data = pool.take(nb, n.prov.Prof.CellSize-n.prov.Prof.CellHeader)[:nb]
+		pool.cells += cap(c.data)
+		copy(c.data, d.Region.at(d.Offset+e.off, nb))
 	}
-	c.data = c.data[:nb]
-	copy(c.data, d.Region.at(d.Offset+e.off, nb))
 	switch e.kind {
 	case ckRDMAWrite:
 		c.rhandle, c.raddr = d.RemoteHandle, d.RemoteOffset
@@ -661,7 +672,7 @@ func (n *NIC) rxFinish() {
 	case ckSend:
 		st := e.st
 		if e.dma {
-			copy(st.desc.buf()[c.off:], c.data)
+			st.desc.Region.land(st.desc.Offset, c)
 			n.countIn(c)
 		}
 		st.got += c.n
@@ -684,7 +695,7 @@ func (n *NIC) rxFinish() {
 	case ckRDMAWrite:
 		st := e.st
 		if e.dma {
-			copy(st.region.at(c.raddr+c.off, c.n), c.data)
+			st.region.land(c.raddr, c)
 			n.countIn(c)
 		}
 		st.got += c.n
@@ -703,7 +714,7 @@ func (n *NIC) rxFinish() {
 			break
 		}
 		if e.dma {
-			copy(d.buf()[c.off:], c.data)
+			d.Region.land(d.Offset, c)
 			n.countIn(c)
 		}
 		n.respGot[c.token] += c.n

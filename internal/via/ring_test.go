@@ -185,3 +185,75 @@ func TestRingRegistrationCost(t *testing.T) {
 		t.Fatalf("ring registration cost %v, flat %v, want both %v", ring, flat, model.CLAN1998().RegCost(slots*size))
 	}
 }
+
+// A message holds only its class of the provider's pool: n bytes take
+// class(n) in the sender's slot, where the host grows it, and in the
+// receiver's, where the NIC sizes it from the message's total, and each
+// cell's payload takes the class of the bytes it carries. A cell is
+// sampled in flight through the ledger; a whole slot is the last class.
+func TestMessageTakesItsClass(t *testing.T) {
+	const size = 8720 // a DAFS session's slot
+	prof := model.CLAN1998()
+	cellMax := prof.CellSize - prof.CellHeader
+	for _, n := range []int{1, 60, 256, 257, 548, 3000, 4097, 6000, size} {
+		p2 := newPair(prof)
+		prov := p2.nicA.Provider()
+		want := make([]byte, n)
+		fill(want, byte(n))
+		cells := make(map[int]bool)
+		done := false
+		p2.k.Spawn("recv", func(p *sim.Proc) {
+			r := p2.nicB.RegisterRing(p, new(Region), make([][]byte, 2), size)
+			if err := p2.viB.PostRecv(p, &Descriptor{Region: r, Offset: size, Len: size}); err != nil {
+				t.Error(err)
+				return
+			}
+			c := p2.viB.RecvCQ.Wait(p)
+			if s := r.Slot(1); c.Err != nil || len(s) != classOf(n, size) || !bytes.Equal(s[:n], want) {
+				t.Errorf("%d B: received into %d B (err %v), want class %d holding the message", n, len(s), c.Err, classOf(n, size))
+			}
+		})
+		p2.k.Spawn("send", func(p *sim.Proc) {
+			r := p2.nicA.RegisterRing(p, new(Region), make([][]byte, 2), size)
+			copy(r.Grow(0, n), want)
+			if s := r.Slot(0); len(s) != classOf(n, size) {
+				t.Errorf("%d B: sender's slot holds %d B, want %d", n, len(s), classOf(n, size))
+			}
+			if err := p2.viA.PostSend(p, &Descriptor{Op: OpSend, Region: r, Len: n}); err != nil {
+				t.Error(err)
+				return
+			}
+			p2.viA.SendCQ.Wait(p)
+			done = true
+		})
+		p2.k.Spawn("probe", func(p *sim.Proc) {
+			for !done {
+				if m := prov.RingMem(); m.Cells > 0 {
+					cells[m.Cells] = true
+				}
+				p.Wait(10 * sim.Nanosecond)
+			}
+		})
+		if err := p2.k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		inFlight := map[int]bool{classOf(n, cellMax): true}
+		if n > cellMax {
+			// Two cells: the full one and the rest, each its own class,
+			// one or both in flight at a time.
+			rest := classOf(n-cellMax, cellMax)
+			inFlight = map[int]bool{cellMax: true, rest: true, cellMax + rest: true}
+		}
+		for c := range cells {
+			if !inFlight[c] {
+				t.Errorf("%d B: cell payloads in flight held %d B, want one of %v", n, c, inFlight)
+			}
+		}
+		if len(cells) == 0 {
+			t.Errorf("%d B: no cell payload seen in flight", n)
+		}
+		if m := prov.RingMem(); m.Cells != 0 {
+			t.Errorf("%d B: %d B of cell payload left after the message", n, m.Cells)
+		}
+	}
+}

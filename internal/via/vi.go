@@ -32,8 +32,6 @@ type Descriptor struct {
 	span    trace.OpID    // descriptor span: post -> completion (0: untraced)
 }
 
-func (d *Descriptor) buf() []byte { return d.Region.at(d.Offset, d.Len) }
-
 // Completion reports the outcome of a descriptor.
 type Completion struct {
 	VI   *VI

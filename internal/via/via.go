@@ -93,13 +93,9 @@ type Provider struct {
 	Metrics *metrics.Registry
 
 	nics      map[fabric.NodeID]*NIC
-	freeCells []*cell // recycled wire cells, each with its payload buffer
+	freeCells []*cell // recycled wire cells, without payload
 
-	// Ring slot buffers no message holds, one free list per slot size, and
-	// the ledger RingMem reports.
-	slotFrees    []*slotFree
-	ringIdle     int
-	ringIdleHigh int
+	pool bufPool // every message's bytes: ring slots and cell payloads
 }
 
 // NewProvider creates a VIA provider for the fabric.

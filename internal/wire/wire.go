@@ -12,13 +12,23 @@ import (
 // ErrWire reports a malformed message.
 var ErrWire = errors.New("wire: malformed message")
 
-// Writer encodes a message into a fixed buffer (e.g. a registered send
-// slot). All integers are little-endian. Strings and byte blobs carry
-// explicit length prefixes. Overflow latches an error that Err reports.
+// Writer encodes a message into a buffer: a fixed one, or one a Grower
+// enlarges as the message needs (e.g. a registered send slot). All
+// integers are little-endian. Strings and byte blobs carry explicit length
+// prefixes. Overflow latches an error that Err reports.
 type Writer struct {
 	buf []byte
 	n   int
 	err error
+	g   Grower
+}
+
+// Grower is the room a Writer encodes into when the message sets its
+// size. Grow returns a buffer of at least n bytes whose first bytes are
+// the ones written so far, or, when it has no more room, the largest it
+// has.
+type Grower interface {
+	Grow(n int) []byte
 }
 
 // NewWriter wraps buf.
@@ -28,11 +38,19 @@ func NewWriter(buf []byte) *Writer { return &Writer{buf: buf} }
 // buffer encodes every message sent from it without allocating.
 func (w *Writer) Reset(buf []byte) { *w = Writer{buf: buf} }
 
+// ResetGrow makes w a fresh writer over the room g gives it: each Need
+// that outruns the buffer in hand asks g for one that fits, so a message
+// encodes once and holds only the room it needs.
+func (w *Writer) ResetGrow(g Grower) { *w = Writer{g: g} }
+
 // Need reserves n bytes and returns them for in-place filling (nil after an
 // error or on overflow).
 func (w *Writer) Need(n int) []byte {
 	if w.err != nil {
 		return nil
+	}
+	if w.n+n > len(w.buf) && w.g != nil {
+		w.buf = w.g.Grow(w.n + n)
 	}
 	if w.n+n > len(w.buf) {
 		w.err = fmt.Errorf("%w: encode overflow at %d+%d/%d", ErrWire, w.n, n, len(w.buf))

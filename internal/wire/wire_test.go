@@ -148,3 +148,54 @@ func TestResetStartsOver(t *testing.T) {
 		t.Fatalf("after Reset: read %d err %v", v, r.Err())
 	}
 }
+
+// ladder is a Grower over fixed rooms of 4, 16 and 64 bytes: each Grow
+// moves the bytes so far into the smallest room that fits.
+type ladder struct {
+	rooms [3][]byte
+	cur   []byte
+	grows int
+}
+
+func (l *ladder) Grow(n int) []byte {
+	for _, r := range l.rooms {
+		if len(r) >= n || len(r) == 64 {
+			if len(r) > len(l.cur) {
+				copy(r, l.cur)
+				l.cur = r
+				l.grows++
+			}
+			return l.cur
+		}
+	}
+	return l.cur
+}
+
+// A Writer reset over a Grower asks for room only when a Need outruns the
+// buffer in hand, keeps what it wrote across each move, encodes without
+// allocating, and reports an overflow once the Grower has no more room.
+func TestWriterGrowsOnDemand(t *testing.T) {
+	l := &ladder{rooms: [3][]byte{make([]byte, 4), make([]byte, 16), make([]byte, 64)}}
+	var w Writer
+	encode := func() {
+		l.cur, l.grows = nil, 0
+		w.ResetGrow(l)
+		w.U16(0xBEEF)
+		w.U64(0x0123456789ABCDEF)
+		w.Str("twenty-two bytes long!")
+	}
+	if a := testing.AllocsPerRun(100, encode); a != 0 {
+		t.Errorf("encoding through a Grower allocates %.1f times", a)
+	}
+	if w.Err() != nil || w.Len() != 34 || l.grows != 3 || len(l.cur) != 64 {
+		t.Fatalf("len %d, %d grows into %d B, err %v; want 34 B in three grows into 64 B", w.Len(), l.grows, len(l.cur), w.Err())
+	}
+	r := NewReader(w.Bytes())
+	if r.U16() != 0xBEEF || r.U64() != 0x0123456789ABCDEF || r.Str() != "twenty-two bytes long!" || r.Err() != nil {
+		t.Fatal("bytes lost across a grow")
+	}
+	w.Blob(make([]byte, 31))
+	if w.Err() == nil || w.Len() != 38 {
+		t.Fatalf("a blob past the last room: len %d, err %v; want an overflow after its length prefix", w.Len(), w.Err())
+	}
+}
