@@ -11,7 +11,8 @@ import (
 )
 
 // BenchmarkExperiments runs every experiment but T18, whose 512x64 grid
-// needs more than 16 GB (run it alone with `mpio run T18`).
+// alone takes about 26 s and peaks at 1.1-1.3 GB on a 2-core machine, too
+// long for one benchmark iteration (run it alone with `mpio run T18`).
 func BenchmarkExperiments(b *testing.B) {
 	for _, e := range bench.All {
 		if e.ID == "T18" {

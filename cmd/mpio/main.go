@@ -18,7 +18,8 @@
 // recorder's postmortems (-json writes every series). -clients and
 // -servers size T15's striped point, and -servers is T17's stripe width;
 // the other experiments have a fixed shape. The bare `mpio run` includes
-// T18 (32,768 sessions); the whole run peaks near 2 GB of memory.
+// T18 (32,768 sessions); the whole run takes about 37 s and peaks near
+// 1.1 GB of memory on a 2-core machine.
 package main
 
 import (

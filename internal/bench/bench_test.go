@@ -238,6 +238,16 @@ func TestT15Shape(t *testing.T) {
 // and the handle's per-server rows are cut from one slice. It made 1.56
 // to 1.58 while the server copied each name into a string and each row
 // was an allocation of its own.
+//
+// The meta case counts allocations per session of a metadata fan-out on
+// an open file over a 16 × 16 striped pool: GetSize, SetSize and Sync,
+// the Getattr, Setattr and Fsync on every server, with the second of two
+// rounds counted. It has no byte budget. It records 0.23, its figure with
+// and without -race (176 allocations in 768 calls, 0.2292), rounded up:
+// each operation's work and flight tables shared out over its 16
+// sessions. Each request's in-flight op is the client's own recycled
+// call, so an adapter that boxed two words per request would add one
+// allocation per call.
 func TestHostAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -252,6 +262,7 @@ func TestHostAllocBudget(t *testing.T) {
 		{"strided", stridedAllocRun, 156.0 * 1.02, 2, 0},
 		{"dial", dialAllocRun, 6.97 * 1.02, 0, 7950 * 1.02},
 		{"open", openAllocRun, 0.63 * 1.02, 0, 0},
+		{"meta", metaAllocRun, 0.23 * 1.02, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var m0, m1 runtime.MemStats
@@ -472,6 +483,60 @@ func openAllocRun(t *testing.T) allocRun {
 	})
 	end(c, c.Run())
 	return allocRun{calls: clients * servers, steady: steady}
+}
+
+// metaAllocRun: 16 clients each dial a session to every one of 16 servers,
+// stripe a driver over them and open the existing file; then each file,
+// twice over, reads its size, sets it and syncs — the Getattr, Setattr and
+// Fsync fan-outs, each one request per session. A call is one session's
+// share of one fan-out; the count runs over the second round alone, as in
+// the open case.
+func metaAllocRun(t *testing.T) allocRun {
+	const clients, servers, size = 16, 16, 64 << 10
+	pt := point{id: "alloc", clients: clients, servers: servers, stack: dafsStack, name: "f", write: true}
+	c := newCluster(pt, Observation{}) // write: every object exists, empty
+	var steady uint64
+	c.K.Spawn("app", func(p *sim.Proc) {
+		files := make([]*mpiio.File, clients)
+		for i := range files {
+			pool, err := c.DialDAFSAll(p, i, nil)
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+				return
+			}
+			d := mpiio.NewStripedDAFSDriver(pool, pt.placement(c))
+			if files[i], err = mpiio.Open(p, nil, d, pt.name, mpiio.ModeRdWr, nil); err != nil {
+				t.Errorf("client %d open: %v", i, err)
+				return
+			}
+		}
+		var from uint64
+		for round := 0; round < 2; round++ {
+			if round == 1 {
+				from = mallocs()
+			}
+			for i, f := range files {
+				if n, err := f.GetSize(p); err != nil || n != int64(min(round+i, 1)*size) {
+					t.Errorf("client %d round %d size: %d, %v", i, round, n, err)
+					return
+				}
+				if err := f.SetSize(p, size); err != nil {
+					t.Errorf("client %d round %d set size: %v", i, round, err)
+					return
+				}
+				if err := f.Sync(p); err != nil {
+					t.Errorf("client %d round %d sync: %v", i, round, err)
+					return
+				}
+			}
+		}
+		steady = mallocs() - from
+		for _, f := range files {
+			f.Close(p)
+		}
+	})
+	end(c, c.Run())
+	return allocRun{calls: 3 * clients * servers, steady: steady}
 }
 
 // TestShortCallFails pins the runner's checked I/O: a call that moves less

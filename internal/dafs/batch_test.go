@@ -16,7 +16,8 @@ func TestWriteBatchGathersSegments(t *testing.T) {
 		data := append(append(pattern(100, 1), pattern(200, 2)...), pattern(50, 3)...)
 		reg := c.NIC().Register(p, data)
 		segs := []SegSpec{{Off: 1000, Len: 100}, {Off: 5000, Len: 200}, {Off: 0, Len: 50}}
-		n, err := c.WriteBatch(p, fh, segs, reg, 0)
+		io, err := c.StartWriteBatch(p, fh, segs, reg, 0)
+		n, err := await(p, io, err)
 		if err != nil || n != 350 {
 			t.Errorf("write batch: n=%d err=%v", n, err)
 		}
@@ -43,7 +44,8 @@ func TestReadBatchScattersIntoSlots(t *testing.T) {
 		c.Write(p, fh, 0, pattern(8000, 7))
 		reg := c.NIC().Register(p, make([]byte, 300))
 		segs := []SegSpec{{Off: 100, Len: 100}, {Off: 4000, Len: 200}}
-		n, err := c.ReadBatch(p, fh, segs, reg, 0)
+		io, err := c.StartReadBatch(p, fh, segs, reg, 0)
+		n, err := await(p, io, err)
 		if err != nil || n != 300 {
 			t.Errorf("read batch: n=%d err=%v", n, err)
 		}
@@ -64,7 +66,8 @@ func TestReadBatchShortAndBeyondEOF(t *testing.T) {
 		// this request leaves in them must not reach the short read below.
 		stain := c.NIC().Register(p, bytes.Repeat([]byte{0xEE}, 300))
 		other, _, _ := c.Create(p, "stain")
-		if _, err := c.WriteBatch(p, other, []SegSpec{{Off: 0, Len: 300}}, stain, 0); err != nil {
+		io, err := c.StartWriteBatch(p, other, []SegSpec{{Off: 0, Len: 300}}, stain, 0)
+		if _, err := await(p, io, err); err != nil {
 			t.Error(err)
 		}
 		fh, _, _ := c.Create(p, "b")
@@ -74,7 +77,8 @@ func TestReadBatchShortAndBeyondEOF(t *testing.T) {
 			{Off: 100, Len: 100}, // 50 available
 			{Off: 500, Len: 200}, // fully beyond EOF
 		}
-		n, err := c.ReadBatch(p, fh, segs, reg, 0)
+		io, err = c.StartReadBatch(p, fh, segs, reg, 0)
+		n, err := await(p, io, err)
 		if err != nil || n != 50 {
 			t.Errorf("short batch: n=%d err=%v", n, err)
 		}
@@ -93,21 +97,21 @@ func TestBatchValidation(t *testing.T) {
 		fh, _, _ := c.Create(p, "b")
 		reg := c.NIC().Register(p, make([]byte, 100))
 		// Empty list.
-		if _, err := c.WriteBatch(p, fh, nil, reg, 0); err != ErrInval {
+		if _, err := c.StartWriteBatch(p, fh, nil, reg, 0); err != ErrInval {
 			t.Errorf("empty list: %v", err)
 		}
 		// Buffer too small for the segments.
 		segs := []SegSpec{{Off: 0, Len: 200}}
-		if _, err := c.WriteBatch(p, fh, segs, reg, 0); err != ErrInval {
+		if _, err := c.StartWriteBatch(p, fh, segs, reg, 0); err != ErrInval {
 			t.Errorf("overflow: %v", err)
 		}
 		// Negative offset.
-		if _, err := c.WriteBatch(p, fh, []SegSpec{{Off: -1, Len: 10}}, reg, 0); err != ErrInval {
+		if _, err := c.StartWriteBatch(p, fh, []SegSpec{{Off: -1, Len: 10}}, reg, 0); err != ErrInval {
 			t.Errorf("negative: %v", err)
 		}
 		// Too many segments.
 		many := make([]SegSpec, MaxBatchSegs+1)
-		if _, err := c.WriteBatch(p, fh, many, reg, 0); err != ErrInval {
+		if _, err := c.StartWriteBatch(p, fh, many, reg, 0); err != ErrInval {
 			t.Errorf("too many: %v", err)
 		}
 	})
@@ -117,9 +121,11 @@ func TestBatchStaleHandle(t *testing.T) {
 	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "b")
-		c.Remove(p, "b")
+		io, err := c.StartRemove(p, "b")
+		await(p, io, err)
 		reg := c.NIC().Register(p, make([]byte, 10))
-		if _, err := c.ReadBatch(p, fh, []SegSpec{{Off: 0, Len: 10}}, reg, 0); err != ErrStale {
+		io, err = c.StartReadBatch(p, fh, []SegSpec{{Off: 0, Len: 10}}, reg, 0)
+		if _, err := await(p, io, err); err != ErrStale {
 			t.Errorf("stale batch: %v", err)
 		}
 	})
@@ -146,7 +152,8 @@ func TestBatchFewerRequestsThanPerOp(t *testing.T) {
 			segs[i] = SegSpec{Off: int64(i * 1000), Len: 100}
 		}
 		before := c.Stats().Ops
-		if _, err := c.WriteBatch(p, fh, segs, reg, 0); err != nil {
+		io, err := c.StartWriteBatch(p, fh, segs, reg, 0)
+		if _, err := await(p, io, err); err != nil {
 			t.Error(err)
 		}
 		if got := c.Stats().Ops - before; got != 1 {

@@ -118,11 +118,11 @@ func (sp *slotPool[S]) put(s S) {
 // Call is an in-flight request (the unit of the client's asynchronous API).
 // It carries everything the request needs until it is collected: the
 // future dispatch completes, the response body, and — as the same memory
-// under another type — the IO, NameOp, AttrOp or Ack its Start method
-// returned. A session recycles its calls: the client owns one from start
-// until wait returns, wait is its one consumer (an operation is waited
-// once) and gives it back to the session's free list. XIDs are never
-// reused, so a late response finds no call to land in.
+// under another type — the IO its Start method returned. A session
+// recycles its calls: the client owns one from start until wait returns,
+// wait is its one consumer (an operation is waited once) and gives it back
+// to the session's free list. XIDs are never reused, so a late response
+// finds no call to land in.
 type Call struct {
 	c      *Client
 	fut    sim.Future[error] // the session failure or the response's status error
@@ -698,156 +698,131 @@ func (c *Client) roundtrip(p *sim.Proc, proc Proc, enc func(w *wr), dec func(r *
 	return call.wait(p, dec)
 }
 
-// ---- Namespace and attribute operations ----
+// ---- Operations ----
 //
-// Every metadata operation has an asynchronous Start form alongside the
-// blocking one, mirroring the data path's StartRead/StartWrite. A striped
-// driver talks to Width independent servers; issuing the per-server
-// Lookup/Setattr/Fsync concurrently and then collecting turns a
-// Width-proportional metadata latency into roughly one round trip.
+// Every operation but Append has a Start method, which issues it and
+// returns its IO, the one in-flight type. A striped driver talks to Width
+// independent servers; issuing the per-server requests concurrently and
+// then collecting turns a Width-proportional latency into roughly one
+// round trip. The blocking forms are a Start and its Wait, except Lookup
+// and Create, which decode the file's attributes too, and Append.
 
-// NameOp is an in-flight Lookup or Create: its Call, collected by Wait.
-type NameOp Call
+// IO is an in-flight operation: its Call, collected by Wait.
+type IO Call
 
-// Wait blocks until the operation completes and returns the file handle
-// and attributes.
-func (o *NameOp) Wait(p *sim.Proc) (FH, Attr, error) {
+// Wait blocks until the operation completes and returns the reply's one
+// value: the handle of a Lookup or Create, the size of a Getattr, the
+// bytes a data operation moved (short at EOF), and 0 otherwise. The
+// session's byte counters count only what the server acknowledged.
+func (io *IO) Wait(p *sim.Proc) (int, error) {
+	call := (*Call)(io)
+	c := call.c
+	var n int
+	err := call.wait(p, func(r *rd) error {
+		switch call.proc {
+		case ProcRead:
+			// dispatch has already copied the data into the caller's buffer.
+			if call.readErr != nil {
+				return call.readErr
+			}
+			n = call.n
+			c.stats.InlineReadBytes += int64(n)
+			return nil
+		case ProcLookup, ProcCreate, ProcGetattr:
+			n = int(r.U64())
+		case ProcWrite:
+			n = int(r.U32())
+			c.stats.InlineWriteBytes += int64(n)
+		case ProcReadDirect, ProcReadBatch:
+			n = int(r.U32())
+			c.stats.DirectReadBytes += int64(n)
+		case ProcWriteDirect, ProcWriteBatch:
+			n = int(r.U32())
+			c.stats.DirectWriteBytes += int64(n)
+		}
+		return r.Err()
+	})
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// startIO issues a request (see start) as an IO.
+func (c *Client) startIO(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*IO, error) {
+	call, err := c.start(p, proc, into, enc)
+	return (*IO)(call), err
+}
+
+// await waits for io unless its start failed: a Start's blocking form.
+func await(p *sim.Proc, io *IO, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return io.Wait(p)
+}
+
+// ---- Namespace and attribute operations ----
+
+// StartLookup issues a Lookup of a name; Wait yields its file handle.
+func (c *Client) StartLookup(p *sim.Proc, name string) (*IO, error) {
+	return c.startIO(p, ProcLookup, nil, func(w *wr) { w.Str(name) })
+}
+
+// StartCreate issues a Create of a new file; Wait yields its handle.
+func (c *Client) StartCreate(p *sim.Proc, name string) (*IO, error) {
+	return c.startIO(p, ProcCreate, nil, func(w *wr) { w.Str(name) })
+}
+
+// Lookup resolves a name to a file handle and attributes.
+func (c *Client) Lookup(p *sim.Proc, name string) (FH, Attr, error) {
+	return c.resolve(p, ProcLookup, name)
+}
+
+// Create makes a new file and returns its handle.
+func (c *Client) Create(p *sim.Proc, name string) (FH, Attr, error) {
+	return c.resolve(p, ProcCreate, name)
+}
+
+// resolve runs a Lookup or Create and decodes its whole reply: the handle
+// and the file's attributes.
+func (c *Client) resolve(p *sim.Proc, proc Proc, name string) (FH, Attr, error) {
 	var fh FH
 	var a Attr
-	err := (*Call)(o).wait(p, func(r *rd) error {
+	err := c.roundtrip(p, proc, func(w *wr) { w.Str(name) }, func(r *rd) error {
 		fh, a.Size = FH(r.U64()), int64(r.U64())
 		return r.Err()
 	})
 	return fh, a, err
 }
 
-// AttrOp is an in-flight Getattr.
-type AttrOp Call
-
-// Wait blocks until the attributes arrive.
-func (o *AttrOp) Wait(p *sim.Proc) (Attr, error) {
-	var a Attr
-	err := (*Call)(o).wait(p, func(r *rd) error {
-		a.Size = int64(r.U64())
-		return r.Err()
-	})
-	return a, err
+// StartRemove issues the deletion of a file by name.
+func (c *Client) StartRemove(p *sim.Proc, name string) (*IO, error) {
+	return c.startIO(p, ProcRemove, nil, func(w *wr) { w.Str(name) })
 }
 
-// Ack is an in-flight operation whose response carries no payload
-// (Setattr, Fsync, Remove).
-type Ack Call
-
-// Wait blocks until the server acknowledges the operation.
-func (o *Ack) Wait(p *sim.Proc) error { return (*Call)(o).wait(p, nil) }
-
-func (c *Client) startNameOp(p *sim.Proc, proc Proc, name string) (*NameOp, error) {
-	call, err := c.start(p, proc, nil, func(w *wr) { w.Str(name) })
-	if err != nil {
-		return nil, err
-	}
-	return (*NameOp)(call), nil
+// StartGetattr issues a Getattr; Wait yields the file's size.
+func (c *Client) StartGetattr(p *sim.Proc, fh FH) (*IO, error) {
+	return c.startIO(p, ProcGetattr, nil, func(w *wr) { w.U64(uint64(fh)) })
 }
 
-// StartLookup issues a Lookup without waiting.
-func (c *Client) StartLookup(p *sim.Proc, name string) (*NameOp, error) {
-	return c.startNameOp(p, ProcLookup, name)
-}
-
-// StartCreate issues a Create without waiting.
-func (c *Client) StartCreate(p *sim.Proc, name string) (*NameOp, error) {
-	return c.startNameOp(p, ProcCreate, name)
-}
-
-// Lookup resolves a name to a file handle and attributes.
-func (c *Client) Lookup(p *sim.Proc, name string) (FH, Attr, error) {
-	op, err := c.StartLookup(p, name)
-	if err != nil {
-		return 0, Attr{}, err
-	}
-	return op.Wait(p)
-}
-
-// Create makes a new file and returns its handle.
-func (c *Client) Create(p *sim.Proc, name string) (FH, Attr, error) {
-	op, err := c.StartCreate(p, name)
-	if err != nil {
-		return 0, Attr{}, err
-	}
-	return op.Wait(p)
-}
-
-// StartRemove issues a Remove without waiting.
-func (c *Client) StartRemove(p *sim.Proc, name string) (*Ack, error) {
-	call, err := c.start(p, ProcRemove, nil, func(w *wr) { w.Str(name) })
-	if err != nil {
-		return nil, err
-	}
-	return (*Ack)(call), nil
-}
-
-// Remove deletes a file by name.
-func (c *Client) Remove(p *sim.Proc, name string) error {
-	op, err := c.StartRemove(p, name)
-	if err != nil {
-		return err
-	}
-	return op.Wait(p)
-}
-
-// StartGetattr issues a Getattr without waiting.
-func (c *Client) StartGetattr(p *sim.Proc, fh FH) (*AttrOp, error) {
-	call, err := c.start(p, ProcGetattr, nil, func(w *wr) { w.U64(uint64(fh)) })
-	if err != nil {
-		return nil, err
-	}
-	return (*AttrOp)(call), nil
-}
-
-// Getattr fetches attributes.
-func (c *Client) Getattr(p *sim.Proc, fh FH) (Attr, error) {
-	op, err := c.StartGetattr(p, fh)
-	if err != nil {
-		return Attr{}, err
-	}
-	return op.Wait(p)
-}
-
-// StartSetattr issues a Setattr without waiting.
-func (c *Client) StartSetattr(p *sim.Proc, fh FH, size int64) (*Ack, error) {
-	call, err := c.start(p, ProcSetattr, nil, func(w *wr) { w.U64(uint64(fh)); w.U64(uint64(size)) })
-	if err != nil {
-		return nil, err
-	}
-	return (*Ack)(call), nil
+// StartSetattr issues a Setattr, which truncates (or extends) the file to
+// size.
+func (c *Client) StartSetattr(p *sim.Proc, fh FH, size int64) (*IO, error) {
+	return c.startIO(p, ProcSetattr, nil, func(w *wr) { w.U64(uint64(fh)); w.U64(uint64(size)) })
 }
 
 // Setattr truncates (or extends) the file to size.
 func (c *Client) Setattr(p *sim.Proc, fh FH, size int64) error {
-	op, err := c.StartSetattr(p, fh, size)
-	if err != nil {
-		return err
-	}
-	return op.Wait(p)
+	io, err := c.StartSetattr(p, fh, size)
+	_, err = await(p, io, err)
+	return err
 }
 
-// StartFsync issues an Fsync without waiting.
-func (c *Client) StartFsync(p *sim.Proc, fh FH) (*Ack, error) {
-	call, err := c.start(p, ProcFsync, nil, func(w *wr) { w.U64(uint64(fh)) })
-	if err != nil {
-		return nil, err
-	}
-	return (*Ack)(call), nil
-}
-
-// Fsync commits the file's data (a no-op timing-wise on the cached store,
-// a disk access on an uncached one).
-func (c *Client) Fsync(p *sim.Proc, fh FH) error {
-	op, err := c.StartFsync(p, fh)
-	if err != nil {
-		return err
-	}
-	return op.Wait(p)
+// StartFsync issues an Fsync, which commits the file's data (a no-op
+// timing-wise on the cached store, a disk access on an uncached one).
+func (c *Client) StartFsync(p *sim.Proc, fh FH) (*IO, error) {
+	return c.startIO(p, ProcFsync, nil, func(w *wr) { w.U64(uint64(fh)) })
 }
 
 // ---- Inline data operations ----
@@ -856,11 +831,8 @@ func (c *Client) Fsync(p *sim.Proc, fh FH) error {
 // message and is copied out by the client CPU. len(buf) must not exceed
 // MaxInline. Returns the byte count (short at EOF).
 func (c *Client) Read(p *sim.Proc, fh FH, off int64, buf []byte) (int, error) {
-	call, err := c.StartRead(p, fh, off, buf)
-	if err != nil {
-		return 0, err
-	}
-	return call.Wait(p)
+	io, err := c.StartRead(p, fh, off, buf)
+	return await(p, io, err)
 }
 
 // StartRead issues an inline read without waiting.
@@ -868,25 +840,18 @@ func (c *Client) StartRead(p *sim.Proc, fh FH, off int64, buf []byte) (*IO, erro
 	if len(buf) > c.maxInline {
 		return nil, ErrTooBig
 	}
-	call, err := c.start(p, ProcRead, buf, func(w *wr) {
+	return c.startIO(p, ProcRead, buf, func(w *wr) {
 		w.U64(uint64(fh))
 		w.U64(uint64(off))
 		w.U32(uint32(len(buf)))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return (*IO)(call), nil
 }
 
 // Write performs an inline write; data travels in the request message.
 // len(data) must not exceed MaxInline.
 func (c *Client) Write(p *sim.Proc, fh FH, off int64, data []byte) (int, error) {
-	call, err := c.StartWrite(p, fh, off, data)
-	if err != nil {
-		return 0, err
-	}
-	return call.Wait(p)
+	io, err := c.StartWrite(p, fh, off, data)
+	return await(p, io, err)
 }
 
 // StartWrite issues an inline write without waiting.
@@ -894,16 +859,11 @@ func (c *Client) StartWrite(p *sim.Proc, fh FH, off int64, data []byte) (*IO, er
 	if len(data) > c.maxInline {
 		return nil, ErrTooBig
 	}
-	call, err := c.start(p, ProcWrite, nil, func(w *wr) {
+	return c.startIO(p, ProcWrite, nil, func(w *wr) {
 		w.U64(uint64(fh))
 		w.U64(uint64(off))
 		w.Blob(data)
 	})
-	if err != nil {
-		return nil, err
-	}
-	c.stats.InlineWriteBytes += int64(len(data))
-	return (*IO)(call), nil
 }
 
 // Append atomically appends data at the server-chosen end of file and
@@ -930,57 +890,38 @@ func (c *Client) Append(p *sim.Proc, fh FH, data []byte) (int64, error) {
 // (reg[regOff:regOff+n]); the server RDMA-writes the data, so the client
 // CPU never touches it. Returns the byte count (short at EOF).
 func (c *Client) ReadDirect(p *sim.Proc, fh FH, off int64, reg *via.Region, regOff, n int) (int, error) {
-	call, err := c.StartReadDirect(p, fh, off, reg, regOff, n)
-	if err != nil {
-		return 0, err
-	}
-	return call.Wait(p)
+	io, err := c.StartReadDirect(p, fh, off, reg, regOff, n)
+	return await(p, io, err)
 }
 
 // StartReadDirect issues a direct read without waiting.
 func (c *Client) StartReadDirect(p *sim.Proc, fh FH, off int64, reg *via.Region, regOff, n int) (*IO, error) {
-	if regOff < 0 || n < 0 || regOff+n > reg.Len() {
-		return nil, ErrInval
-	}
-	call, err := c.start(p, ProcReadDirect, nil, func(w *wr) {
-		w.U64(uint64(fh))
-		w.U64(uint64(off))
-		w.U32(uint32(n))
-		w.U32(uint32(reg.Handle))
-		w.U32(uint32(regOff))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return (*IO)(call), nil
+	return c.startDirect(p, ProcReadDirect, fh, off, reg, regOff, n)
 }
 
 // WriteDirect writes n bytes from registered client memory at off; the
 // server RDMA-reads the data out of the client.
 func (c *Client) WriteDirect(p *sim.Proc, fh FH, off int64, reg *via.Region, regOff, n int) (int, error) {
-	call, err := c.StartWriteDirect(p, fh, off, reg, regOff, n)
-	if err != nil {
-		return 0, err
-	}
-	return call.Wait(p)
+	io, err := c.StartWriteDirect(p, fh, off, reg, regOff, n)
+	return await(p, io, err)
 }
 
 // StartWriteDirect issues a direct write without waiting.
 func (c *Client) StartWriteDirect(p *sim.Proc, fh FH, off int64, reg *via.Region, regOff, n int) (*IO, error) {
+	return c.startDirect(p, ProcWriteDirect, fh, off, reg, regOff, n)
+}
+
+func (c *Client) startDirect(p *sim.Proc, proc Proc, fh FH, off int64, reg *via.Region, regOff, n int) (*IO, error) {
 	if regOff < 0 || n < 0 || regOff+n > reg.Len() {
 		return nil, ErrInval
 	}
-	call, err := c.start(p, ProcWriteDirect, nil, func(w *wr) {
+	return c.startIO(p, proc, nil, func(w *wr) {
 		w.U64(uint64(fh))
 		w.U64(uint64(off))
 		w.U32(uint32(n))
 		w.U32(uint32(reg.Handle))
 		w.U32(uint32(regOff))
 	})
-	if err != nil {
-		return nil, err
-	}
-	return (*IO)(call), nil
 }
 
 // SegSpec names one file segment of a batch operation.
@@ -989,23 +930,40 @@ type SegSpec struct {
 	Len int
 }
 
-// batchCheck validates a segment list against the registered buffer: the
-// segments occupy consecutive slots of reg starting at regOff.
-func batchCheck(segs []SegSpec, reg *via.Region, regOff int) (int, error) {
+// StartReadBatch issues one scatter-read request: the server gathers every
+// (off, len) segment of the file and delivers all of them with a single
+// RDMA write into reg[regOff:...], where segment i lands after segments
+// 0..i-1 (fixed slots; EOF holes read as zero). This is DAFS's batch I/O —
+// the protocol-level answer to noncontiguous access. Wait yields the total
+// bytes that existed (segments past EOF contribute short counts).
+func (c *Client) StartReadBatch(p *sim.Proc, fh FH, segs []SegSpec, reg *via.Region, regOff int) (*IO, error) {
+	return c.startBatch(p, ProcReadBatch, fh, segs, reg, regOff)
+}
+
+// StartWriteBatch issues one gather-write: the server RDMA-reads the
+// packed segment data from reg[regOff:...] in a single transfer and places
+// each segment at its file offset.
+func (c *Client) StartWriteBatch(p *sim.Proc, fh FH, segs []SegSpec, reg *via.Region, regOff int) (*IO, error) {
+	return c.startBatch(p, ProcWriteBatch, fh, segs, reg, regOff)
+}
+
+// startBatch validates a segment list against the registered buffer (the
+// segments occupy consecutive bytes of reg from regOff) and issues it.
+func (c *Client) startBatch(p *sim.Proc, proc Proc, fh FH, segs []SegSpec, reg *via.Region, regOff int) (*IO, error) {
 	if len(segs) == 0 || len(segs) > MaxBatchSegs {
-		return 0, ErrInval
+		return nil, ErrInval
 	}
 	total := 0
 	for _, s := range segs {
 		if s.Off < 0 || s.Len < 0 {
-			return 0, ErrInval
+			return nil, ErrInval
 		}
 		total += s.Len
 	}
 	if regOff < 0 || regOff+total > reg.Len() {
-		return 0, ErrInval
+		return nil, ErrInval
 	}
-	return total, nil
+	return c.startIO(p, proc, nil, func(w *wr) { encodeBatch(w, fh, segs, reg, regOff) })
 }
 
 func encodeBatch(w *wr, fh FH, segs []SegSpec, reg *via.Region, regOff int) {
@@ -1019,63 +977,15 @@ func encodeBatch(w *wr, fh FH, segs []SegSpec, reg *via.Region, regOff int) {
 	}
 }
 
-// StartReadBatch issues one scatter-read request: the server gathers every
-// (off, len) segment of the file and delivers all of them with a single
-// RDMA write into reg[regOff:...], where segment i lands after segments
-// 0..i-1 (fixed slots; EOF holes read as zero). This is DAFS's batch I/O —
-// the protocol-level answer to noncontiguous access.
-func (c *Client) StartReadBatch(p *sim.Proc, fh FH, segs []SegSpec, reg *via.Region, regOff int) (*IO, error) {
-	if _, err := batchCheck(segs, reg, regOff); err != nil {
-		return nil, err
-	}
-	call, err := c.start(p, ProcReadBatch, nil, func(w *wr) { encodeBatch(w, fh, segs, reg, regOff) })
-	if err != nil {
-		return nil, err
-	}
-	return (*IO)(call), nil
-}
-
-// ReadBatch is the blocking form of StartReadBatch. It returns the total
-// bytes that existed (segments past EOF contribute short counts).
-func (c *Client) ReadBatch(p *sim.Proc, fh FH, segs []SegSpec, reg *via.Region, regOff int) (int, error) {
-	io, err := c.StartReadBatch(p, fh, segs, reg, regOff)
-	if err != nil {
-		return 0, err
-	}
-	return io.Wait(p)
-}
-
-// StartWriteBatch issues one gather-write: the server RDMA-reads the
-// packed segment data from reg[regOff:...] in a single transfer and places
-// each segment at its file offset.
-func (c *Client) StartWriteBatch(p *sim.Proc, fh FH, segs []SegSpec, reg *via.Region, regOff int) (*IO, error) {
-	if _, err := batchCheck(segs, reg, regOff); err != nil {
-		return nil, err
-	}
-	call, err := c.start(p, ProcWriteBatch, nil, func(w *wr) { encodeBatch(w, fh, segs, reg, regOff) })
-	if err != nil {
-		return nil, err
-	}
-	return (*IO)(call), nil
-}
-
-// WriteBatch is the blocking form of StartWriteBatch.
-func (c *Client) WriteBatch(p *sim.Proc, fh FH, segs []SegSpec, reg *via.Region, regOff int) (int, error) {
-	io, err := c.StartWriteBatch(p, fh, segs, reg, regOff)
-	if err != nil {
-		return 0, err
-	}
-	return io.Wait(p)
-}
-
 // Close disconnects the session and, once the DISCONNECT reply is in (or
 // the session failed waiting for it), deregisters its message buffers.
-// Closing a session that already failed is a no-op that reports the
-// original wrapped ErrSession — not a secondary error: the caller tearing
-// down after a failure needs the root cause, and there is no peer left to
-// disconnect from.
+// Closing a session that already failed only deregisters its buffers and
+// reports the original wrapped ErrSession — not a secondary error: the
+// caller tearing down after a failure needs the root cause, and there is
+// no peer left to disconnect from.
 func (c *Client) Close(p *sim.Proc) error {
 	if c.failErr != nil {
+		c.unregister(p)
 		return c.failErr
 	}
 	if c.closed {
@@ -1123,39 +1033,4 @@ func (c *Client) Redial(p *sim.Proc) (*Client, error) {
 	nc.m.redials.Inc()
 	nc.m.flight.Note(p.Now(), "redial", "", int64(c.traceServer), 0)
 	return nc, nil
-}
-
-// IO is an in-flight data operation started by one of the Start methods:
-// its Call, collected by Wait.
-type IO Call
-
-// Wait blocks until the operation completes and returns the transferred
-// byte count.
-func (io *IO) Wait(p *sim.Proc) (int, error) {
-	call := (*Call)(io)
-	c := call.c
-	var n int
-	err := call.wait(p, func(r *rd) error {
-		if call.proc == ProcRead {
-			// dispatch has already copied the data into the caller's buffer.
-			if call.readErr != nil {
-				return call.readErr
-			}
-			n = call.n
-			c.stats.InlineReadBytes += int64(n)
-			return nil
-		}
-		n = int(r.U32())
-		switch call.proc {
-		case ProcReadDirect, ProcReadBatch:
-			c.stats.DirectReadBytes += int64(n)
-		case ProcWriteDirect, ProcWriteBatch:
-			c.stats.DirectWriteBytes += int64(n)
-		}
-		return r.Err()
-	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
 }

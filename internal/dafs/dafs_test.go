@@ -182,13 +182,15 @@ func TestNamespaceOps(t *testing.T) {
 		if err != nil || fh2 != fh {
 			t.Errorf("lookup: %v %v", fh2, err)
 		}
-		if err := c.Remove(p, "data.bin"); err != nil {
+		io, err := c.StartRemove(p, "data.bin")
+		if _, err := await(p, io, err); err != nil {
 			t.Errorf("remove: %v", err)
 		}
 		if _, _, err := c.Lookup(p, "data.bin"); err != ErrNoEnt {
 			t.Errorf("removed name resolves: %v", err)
 		}
-		if _, err := c.Getattr(p, fh); err != ErrStale {
+		io, err = c.StartGetattr(p, fh)
+		if _, err := await(p, io, err); err != ErrStale {
 			t.Errorf("stale getattr: %v", err)
 		}
 		if err := c.Close(p); err != nil {
@@ -210,9 +212,10 @@ func TestInlineReadWrite(t *testing.T) {
 		if err != nil || n != len(want) {
 			t.Errorf("write: n=%d err=%v", n, err)
 		}
-		attr, err := c.Getattr(p, fh)
-		if err != nil || attr.Size != int64(100+len(want)) {
-			t.Errorf("size after write: %v %v", attr, err)
+		io, err := c.StartGetattr(p, fh)
+		size, err := await(p, io, err)
+		if err != nil || size != 100+len(want) {
+			t.Errorf("size after write: %v %v", size, err)
 		}
 		got := make([]byte, len(want))
 		n, err = c.Read(p, fh, 100, got)
@@ -223,11 +226,11 @@ func TestInlineReadWrite(t *testing.T) {
 			t.Error("inline data mismatch")
 		}
 		// Read past EOF is short.
-		n, err = c.Read(p, fh, attr.Size-10, got[:100])
+		n, err = c.Read(p, fh, int64(size)-10, got[:100])
 		if err != nil || n != 10 {
 			t.Errorf("tail read: n=%d err=%v", n, err)
 		}
-		n, err = c.Read(p, fh, attr.Size+5, got[:100])
+		n, err = c.Read(p, fh, int64(size)+5, got[:100])
 		if err != nil || n != 0 {
 			t.Errorf("past-EOF read: n=%d err=%v", n, err)
 		}
@@ -344,9 +347,10 @@ func TestDirectWriteExtendsFile(t *testing.T) {
 		if _, err := c.WriteDirect(p, fh, 1<<16, reg, 0, 100); err != nil {
 			t.Error(err)
 		}
-		attr, _ := c.Getattr(p, fh)
-		if attr.Size != 1<<16+100 {
-			t.Errorf("size %d", attr.Size)
+		io, err := c.StartGetattr(p, fh)
+		size, _ := await(p, io, err)
+		if size != 1<<16+100 {
+			t.Errorf("size %d", size)
 		}
 		f, _ := r.store.Lookup("f")
 		if !bytes.Equal(stored(f, 1<<16, 100), fill) {
@@ -383,9 +387,10 @@ func TestSetattrTruncate(t *testing.T) {
 		if err := c.Setattr(p, fh, 40); err != nil {
 			t.Error(err)
 		}
-		attr, _ := c.Getattr(p, fh)
-		if attr.Size != 40 {
-			t.Errorf("size %d", attr.Size)
+		io, err := c.StartGetattr(p, fh)
+		size, _ := await(p, io, err)
+		if size != 40 {
+			t.Errorf("size %d", size)
 		}
 	})
 }
@@ -407,7 +412,8 @@ func TestObjectSizeBound(t *testing.T) {
 		if _, err := c.WriteDirect(p, fh, storage.MaxObject-50, reg, 0, 100); err != ErrInval {
 			t.Errorf("direct write past the bound: %v", err)
 		}
-		if _, err := c.WriteBatch(p, fh, []SegSpec{{Off: 0, Len: 10}, {Off: 1 << 62, Len: 10}}, reg, 0); err != ErrInval {
+		io, err := c.StartWriteBatch(p, fh, []SegSpec{{Off: 0, Len: 10}, {Off: 1 << 62, Len: 10}}, reg, 0)
+		if _, err := await(p, io, err); err != ErrInval {
 			t.Errorf("batch write past the bound: %v", err)
 		}
 		if err := c.Setattr(p, fh, storage.MaxObject+1); err != ErrInval {
@@ -436,7 +442,8 @@ func TestFsync(t *testing.T) {
 	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
-		if err := c.Fsync(p, fh); err != nil {
+		io, err := c.StartFsync(p, fh)
+		if _, err := await(p, io, err); err != nil {
 			t.Error(err)
 		}
 	})
@@ -448,6 +455,45 @@ func TestClosedSessionRejectsOps(t *testing.T) {
 		c.Close(p)
 		if _, _, err := c.Lookup(p, "x"); err != ErrClosed {
 			t.Errorf("op after close: %v", err)
+		}
+	})
+}
+
+// TestByteCountersCountAcknowledgedBytes: a session's byte counters count
+// only what the server acknowledged. Reads and writes to a stale handle
+// move nothing and count nothing; an inline write used to count its bytes
+// when the request went out.
+func TestByteCountersCountAcknowledgedBytes(t *testing.T) {
+	r := newRig(1)
+	r.run(t, func(p *sim.Proc, c *Client) {
+		stale := FH(12345)
+		buf := make([]byte, 512)
+		reg := c.NIC().Register(p, buf)
+		if _, err := c.Write(p, stale, 0, buf); err != ErrStale {
+			t.Errorf("inline write to a stale handle: %v", err)
+		}
+		if _, err := c.Read(p, stale, 0, buf); err != ErrStale {
+			t.Errorf("inline read from a stale handle: %v", err)
+		}
+		if _, err := c.WriteDirect(p, stale, 0, reg, 0, len(buf)); err != ErrStale {
+			t.Errorf("direct write to a stale handle: %v", err)
+		}
+		if _, err := c.ReadDirect(p, stale, 0, reg, 0, len(buf)); err != ErrStale {
+			t.Errorf("direct read from a stale handle: %v", err)
+		}
+		if s := c.Stats(); s != (ClientStats{Ops: s.Ops}) {
+			t.Errorf("after four failed transfers: %+v, want no bytes counted", s)
+		}
+		fh, _, err := c.Create(p, "f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if n, err := c.Write(p, fh, 0, buf); err != nil || n != len(buf) {
+			t.Errorf("write: n=%d err=%v", n, err)
+		}
+		if got := c.Stats().InlineWriteBytes; got != int64(len(buf)) {
+			t.Errorf("InlineWriteBytes = %d after a %d B write", got, len(buf))
 		}
 	})
 }
@@ -471,9 +517,10 @@ func TestPipelinedAsyncIO(t *testing.T) {
 				t.Errorf("async write: n=%d err=%v", n, err)
 			}
 		}
-		attr, _ := c.Getattr(p, fh)
-		if attr.Size != 6*chunk {
-			t.Errorf("size %d", attr.Size)
+		io, err := c.StartGetattr(p, fh)
+		size, _ := await(p, io, err)
+		if size != 6*chunk {
+			t.Errorf("size %d", size)
 		}
 	})
 }

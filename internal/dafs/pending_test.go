@@ -36,7 +36,8 @@ func TestLateResponseSkipsNewerCall(t *testing.T) {
 		}
 		done := c.nextXID // the Create's XID, answered and collected
 		for c.nextXID+1 != done+credits {
-			if _, err := c.Getattr(p, fh); err != nil {
+			io, err := c.StartGetattr(p, fh)
+			if _, err := await(p, io, err); err != nil {
 				t.Error(err)
 				return
 			}
@@ -77,7 +78,8 @@ func TestFailCompletesInXIDOrder(t *testing.T) {
 			return
 		}
 		for range 3 {
-			if _, err := c.Getattr(p, fh); err != nil {
+			io, err := c.StartGetattr(p, fh)
+			if _, err := await(p, io, err); err != nil {
 				t.Error(err)
 				return
 			}

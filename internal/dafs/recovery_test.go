@@ -288,7 +288,8 @@ func TestDeadlineDuringResponseUnmarshal(t *testing.T) {
 			// eight more calls, a failed one reports its cause.
 			if timeouts == 0 {
 				for i := 0; i < flights; i++ {
-					if _, err := c.Getattr(p, fh); err != nil {
+					io, err := c.StartGetattr(p, fh)
+					if _, err := await(p, io, err); err != nil {
 						t.Errorf("deadline %v: getattr after the reads: %v", deadline, err)
 					}
 				}

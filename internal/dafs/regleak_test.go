@@ -65,6 +65,32 @@ func TestCloseUnregisters(t *testing.T) {
 	}
 }
 
+// TestCloseAfterFailureUnregisters: closing a failed session gives back
+// its two message-buffer regions, as a clean Close does; it used to leave
+// them pinned unless the session was redialed.
+func TestCloseAfterFailureUnregisters(t *testing.T) {
+	r := newRig(1)
+	nic := r.cNICs[0]
+	before := nic.Regions()
+	r.k.Spawn("app", func(p *sim.Proc) {
+		c, err := Dial(p, nic, r.srv, nil)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		c.fail(errors.New("injected transport failure"))
+		if err := c.Close(p); !errors.Is(err, ErrSession) {
+			t.Errorf("close of a failed session: %v, want the session failure", err)
+		}
+		if got := nic.Regions(); got != before {
+			t.Errorf("failed session left %d region(s) pinned after Close (had %d, now %d)", got-before, before, got)
+		}
+	})
+	if err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRestartReleasesDroppedSessions: Restart drops every pre-crash
 // session, and the power cycle must unpin the two message-buffer regions
 // each one held on the server NIC. They used to stay pinned for the rest of

@@ -12,7 +12,7 @@ import (
 )
 
 func TestLargeSelfSend(t *testing.T) {
-	const n = 500000 // far beyond EagerMax; self path copies locally
+	const n = 500000 // far beyond eagerMax; self path copies locally
 	world(t, 1, func(p *sim.Proc, r *Rank) {
 		want := mkdata(n, 4)
 		r.Send(p, 0, 2, want)

@@ -47,6 +47,10 @@ const (
 	envLen       = 32
 )
 
+// eagerMax is the largest payload sent through bounce buffers; larger
+// messages use rendezvous. connectPair sizes every bounce slot for it.
+const eagerMax = 16 * 1024
+
 // message kinds on the wire.
 const (
 	kEager uint8 = iota
@@ -59,9 +63,6 @@ type World struct {
 	k     *sim.Kernel
 	prof  *model.Profile
 	ranks []*Rank
-	// EagerMax is the largest payload sent through bounce buffers;
-	// larger messages use rendezvous. Exposed for ablation experiments.
-	EagerMax int
 
 	reservedTags int
 }
@@ -74,7 +75,7 @@ func NewWorld(nics []*via.NIC) *World {
 		panic("mpi: empty world")
 	}
 	prov := nics[0].Provider()
-	w := &World{k: prov.K, prof: prov.Prof, EagerMax: 16 * 1024}
+	w := &World{k: prov.K, prof: prov.Prof}
 	for i, nic := range nics {
 		r := &Rank{
 			world: w, id: i, nic: nic,
@@ -202,7 +203,7 @@ func (r *Rank) World() *World { return r.world }
 func (w *World) Kernel() *sim.Kernel { return w.k }
 
 // slotSize is the bounce buffer size (envelope + eager payload).
-func (w *World) slotSize() int { return envLen + w.EagerMax }
+func (w *World) slotSize() int { return envLen + eagerMax }
 
 // connectPair wires VIs and bounce pools between two ranks.
 func connectPair(a, b *Rank) {

@@ -62,7 +62,7 @@ func TestEagerSendRecv(t *testing.T) {
 }
 
 func TestRendezvousSendRecv(t *testing.T) {
-	const n = 200000 // far beyond EagerMax
+	const n = 200000 // far beyond eagerMax
 	want := mkdata(n, 2)
 	world(t, 2, func(p *sim.Proc, r *Rank) {
 		switch r.ID() {
@@ -305,7 +305,7 @@ func TestAlltoallv(t *testing.T) {
 }
 
 func TestAlltoallvLargeBlocks(t *testing.T) {
-	// Rendezvous-path alltoallv (blocks above EagerMax).
+	// Rendezvous-path alltoallv (blocks above eagerMax).
 	world(t, 3, func(p *sim.Proc, r *Rank) {
 		send := make([][]byte, 3)
 		for i := range send {
@@ -341,7 +341,7 @@ func TestMpiDeterminism(t *testing.T) {
 
 func TestEagerMaxBoundary(t *testing.T) {
 	world(t, 2, func(p *sim.Proc, r *Rank) {
-		em := r.world.EagerMax
+		em := eagerMax
 		switch r.ID() {
 		case 0:
 			r.Send(p, 1, 1, mkdata(em, 1))   // largest eager

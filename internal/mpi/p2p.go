@@ -59,7 +59,7 @@ func (r *Rank) Send(p *sim.Proc, dst, tag int, data []byte) {
 		r.selfSend(p, tag, data)
 		return
 	}
-	if len(data) <= r.world.EagerMax {
+	if len(data) <= eagerMax {
 		r.sendEager(p, dst, tag, data)
 		return
 	}

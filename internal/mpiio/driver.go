@@ -130,8 +130,9 @@ func transfer(p *sim.Proc, h starter, off int64, buf []byte, write bool) (int, e
 	return op.Wait(p)
 }
 
-// doneOp is an AsyncOp that completed inside its start, having moved
-// that many bytes: a zero-length transfer, or a rank object's copy.
+// doneOp is an AsyncOp that completed inside its start, with its value:
+// the bytes a zero-length transfer or a rank object's copy moved, or what
+// a synchronous session leaf returned.
 type doneOp int
 
 // Wait implements AsyncOp.

@@ -117,33 +117,16 @@ func (d *dafsTransfer) startIO(p *sim.Proc, c *dafs.Client, fh dafs.FH, off int6
 	}
 }
 
-// dafsBatch is an in-flight segment list: one DAFS batch request per chunk
-// of the session's batch capacity.
-type dafsBatch []*dafs.IO
-
-// wait drains every chunk (each completion recycles a session credit) and
-// returns the bytes moved up to the first failure.
-func (b dafsBatch) wait(p *sim.Proc) (int64, error) {
-	total := 0
-	var firstErr error
-	for _, io := range b {
-		n, err := io.Wait(p)
-		if firstErr == nil {
-			total += n
-			firstErr = err
-		}
-	}
-	return int64(total), firstErr
-}
-
 // startBatch issues a segment list against one object on session c: each
 // chunk of up to MaxBatch segments moves with a single request plus a
 // single RDMA, and the segments occupy consecutive bytes of reg from
 // offset 0. It is the package's one batch chunker, under every server
-// plan of a list transfer. When a chunk fails to start
-// the ones already in flight are waited out before the error returns.
-func startBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, specs []dafs.SegSpec, reg *via.Region, write bool) (dafsBatch, error) {
-	var b dafsBatch
+// plan of a list transfer. The chunks are in flight as one op, whose Wait
+// drains every chunk (each completion recycles a session credit). When a
+// chunk fails to start the ones already in flight are waited out before
+// the error returns.
+func startBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, specs []dafs.SegSpec, reg *via.Region, write bool) (AsyncOp, error) {
+	var ops allOps
 	for regOff := 0; len(specs) > 0; {
 		chunk := specs[:min(len(specs), c.MaxBatch())]
 		var io *dafs.IO
@@ -154,14 +137,14 @@ func startBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, specs []dafs.SegSpec, r
 			io, err = c.StartReadBatch(p, fh, chunk, reg, regOff)
 		}
 		if err != nil {
-			b.wait(p)
+			ops.Wait(p)
 			return nil, err
 		}
-		b = append(b, io)
+		ops = append(ops, io)
 		for _, s := range chunk {
 			regOff += s.Len
 		}
 		specs = specs[len(chunk):]
 	}
-	return b, nil
+	return ops, nil
 }

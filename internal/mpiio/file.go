@@ -271,6 +271,12 @@ func waitAll(p *sim.Proc, ops []AsyncOp, err error) (int, error) {
 	return total, err
 }
 
+// allOps is ops in flight waited as one, by waitAll.
+type allOps []AsyncOp
+
+// Wait implements AsyncOp.
+func (o allOps) Wait(p *sim.Proc) (int, error) { return waitAll(p, o, nil) }
+
 // Read and Write use the individual file pointer.
 
 // Read transfers from the current file pointer and advances it.

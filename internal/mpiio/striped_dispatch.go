@@ -45,14 +45,14 @@ type work interface {
 	// request builds unit u's operation on the rank-r object of server t.
 	request(u, t, r int) request
 	// absorb takes the value that object returned.
-	absorb(u, t, r int, v int64)
+	absorb(u, t, r, v int)
 }
 
 // flight is one rank object's share of a dispatch: unit u on the rank-r
 // object of server t.
 type flight struct {
 	u, t, r int
-	op      pending // in flight; nil when not issued, or settled without an ack
+	op      AsyncOp // in flight; nil when not issued, or settled without an ack
 	c       session // session op was issued on (stale-guard for noteFailure)
 	err     error   // the session failure that cost this flight its ack, if any
 }
@@ -106,7 +106,7 @@ func (d *striped) issue(p *sim.Proc, w work, f *flight, forRead bool) error {
 // settle waits an issued flight out and hands its value to the work. On
 // any error f.op is cleared; a session failure is noted and kept in f.err.
 func (d *striped) settle(p *sim.Proc, w work, f *flight) error {
-	v, err := f.op.wait(p)
+	v, err := f.op.Wait(p)
 	if err != nil {
 		err = mapErr(err)
 		f.op = nil

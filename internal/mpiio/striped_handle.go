@@ -29,7 +29,7 @@ func (w *nameWork) request(u, t, r int) request {
 	return request{kind: w.kind, name: w.d.objName(w.name, r)}
 }
 
-func (w *nameWork) absorb(u, t, r int, v int64) {
+func (w *nameWork) absorb(u, t, r, v int) {
 	if w.kind != opRemove {
 		w.fhs[t][r] = uint64(v)
 		return
@@ -235,9 +235,9 @@ func (o *fragOp) request(u, t, r int) request {
 	return rq
 }
 
-func (o *fragOp) absorb(u, t, r int, v int64) {
+func (o *fragOp) absorb(u, t, r, v int) {
 	if !o.write {
-		o.counts[u] = int(v)
+		o.counts[u] = v
 	}
 }
 
@@ -308,9 +308,9 @@ func (w *objWork) request(u, t, r int) request {
 	return rq
 }
 
-func (w *objWork) absorb(u, t, r int, v int64) {
+func (w *objWork) absorb(u, t, r, v int) {
 	if w.kind == opGetattr {
-		w.sizes[u] = v
+		w.sizes[u] = int64(v)
 	}
 }
 
@@ -496,9 +496,9 @@ func (o *planOp) request(u, t, r int) request {
 	return rq
 }
 
-func (o *planOp) absorb(u, t, r int, v int64) {
+func (o *planOp) absorb(u, t, r, v int) {
 	if !o.write {
-		o.got += v
+		o.got += int64(v)
 	}
 }
 

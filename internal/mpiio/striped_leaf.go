@@ -46,19 +46,14 @@ type request struct {
 	segs   []aggregate.Seg // list operations: object ranges, consecutive in reg
 }
 
-// pending is a request in flight; wait yields its single result value (a
-// handle, a size, a byte count — see opKind).
-type pending interface {
-	wait(p *sim.Proc) (int64, error)
-}
-
 // session is the seam: one server's transport endpoint.
 type session interface {
-	// start puts rq on the wire without waiting for the response. A
-	// transport whose operation is synchronous performs it here and
-	// returns a completed pending. Errors are the transport's own; a
-	// session failure wraps dafs.ErrSession.
-	start(p *sim.Proc, rq request) (pending, error)
+	// start puts rq on the wire without waiting for the response. The
+	// op's Wait yields the request's single result value: a handle, a
+	// size, a byte count (see opKind). A transport whose operation is
+	// synchronous performs it here and returns a doneOp. Errors are the
+	// transport's own; a session failure wraps dafs.ErrSession.
+	start(p *sim.Proc, rq request) (AsyncOp, error)
 	// redial re-establishes a failed session and returns its replacement.
 	redial(p *sim.Proc) (session, error)
 }
@@ -71,21 +66,6 @@ var (
 	errObjectBound = errors.New("mpiio: past the object-size bound")
 )
 
-// done is a pending that completed inside start.
-type done int64
-
-func (v done) wait(*sim.Proc) (int64, error) { return int64(v), nil }
-
-// data is a transport's in-flight transfer as a pending. It wraps one
-// pointer, so boxing it into the interface allocates nothing — and there
-// is one per stripe fragment.
-type data[T AsyncOp] struct{ io T }
-
-func (o data[T]) wait(p *sim.Proc) (int64, error) {
-	n, err := o.io.Wait(p)
-	return int64(n), err
-}
-
 // ---- DAFS session ----
 
 // dafsSession is one DAFS session of a pool. xfer is the pool's shared
@@ -96,30 +76,29 @@ type dafsSession struct {
 	xfer *dafsTransfer
 }
 
-func (s *dafsSession) start(p *sim.Proc, rq request) (pending, error) {
+// start boxes each operation's *dafs.IO (or a conversion of it) into the
+// AsyncOp: one pointer, so boxing allocates nothing, and there is one per
+// stripe fragment.
+func (s *dafsSession) start(p *sim.Proc, rq request) (AsyncOp, error) {
 	c, fh := s.c, dafs.FH(rq.fh)
 	switch rq.kind {
 	case opLookup:
-		op, err := c.StartLookup(p, rq.name)
-		return dafsName{op}, err
+		io, err := c.StartLookup(p, rq.name)
+		return (*dafsName)(io), err
 	case opCreate:
-		op, err := c.StartCreate(p, rq.name)
-		return dafsName{op}, err
+		io, err := c.StartCreate(p, rq.name)
+		return (*dafsName)(io), err
 	case opRemove:
-		op, err := c.StartRemove(p, rq.name)
-		return dafsRemove{op}, err
+		io, err := c.StartRemove(p, rq.name)
+		return (*dafsRemove)(io), err
 	case opGetattr:
-		op, err := c.StartGetattr(p, fh)
-		return dafsAttr{op}, err
+		return c.StartGetattr(p, fh)
 	case opSetattr:
-		op, err := c.StartSetattr(p, fh, rq.off)
-		return dafsAck{op}, err
+		return c.StartSetattr(p, fh, rq.off)
 	case opSync:
-		op, err := c.StartFsync(p, fh)
-		return dafsAck{op}, err
+		return c.StartFsync(p, fh)
 	case opRead, opWrite:
-		io, err := s.xfer.startIO(p, c, fh, rq.off, rq.buf, rq.reg, rq.regOff, rq.kind == opWrite)
-		return data[*dafs.IO]{io}, err
+		return s.xfer.startIO(p, c, fh, rq.off, rq.buf, rq.reg, rq.regOff, rq.kind == opWrite)
 	default: // opReadList, opWriteList
 		specs := make([]dafs.SegSpec, len(rq.segs))
 		for i, sg := range rq.segs {
@@ -137,39 +116,29 @@ func (s *dafsSession) redial(p *sim.Proc) (session, error) {
 	return &dafsSession{c: nc, xfer: s.xfer}, nil
 }
 
-// The DAFS metadata pendings adapt the client's typed in-flight operations
-// to the seam's single result value.
+// dafsName and dafsRemove are a Lookup or Create and a Remove in flight,
+// under the seam's values for an absent name: handle 0, and 0 objects
+// removed (1 when the name existed).
+type (
+	dafsName   dafs.IO
+	dafsRemove dafs.IO
+)
 
-type dafsName struct{ op *dafs.NameOp }
-
-func (o dafsName) wait(p *sim.Proc) (int64, error) {
-	fh, _, err := o.op.Wait(p)
+func (o *dafsName) Wait(p *sim.Proc) (int, error) {
+	fh, err := (*dafs.IO)(o).Wait(p)
 	if errors.Is(err, dafs.ErrNoEnt) {
 		return 0, nil
 	}
-	return int64(fh), err
+	return fh, err
 }
 
-type dafsRemove struct{ op *dafs.Ack }
-
-func (o dafsRemove) wait(p *sim.Proc) (int64, error) {
-	err := o.op.Wait(p)
+func (o *dafsRemove) Wait(p *sim.Proc) (int, error) {
+	_, err := (*dafs.IO)(o).Wait(p)
 	if errors.Is(err, dafs.ErrNoEnt) {
 		return 0, nil
 	}
 	return 1, err
 }
-
-type dafsAttr struct{ op *dafs.AttrOp }
-
-func (o dafsAttr) wait(p *sim.Proc) (int64, error) {
-	attr, err := o.op.Wait(p)
-	return attr.Size, err
-}
-
-type dafsAck struct{ op *dafs.Ack }
-
-func (o dafsAck) wait(p *sim.Proc) (int64, error) { return 0, o.op.Wait(p) }
 
 // ---- NFS mount ----
 
@@ -178,7 +147,7 @@ func (o dafsAck) wait(p *sim.Proc) (int64, error) { return 0, o.op.Wait(p) }
 // rsize/wsize and pipelined by the mount and stay in flight.
 type nfsSession struct{ c *nfs.Client }
 
-func (s nfsSession) start(p *sim.Proc, rq request) (pending, error) {
+func (s nfsSession) start(p *sim.Proc, rq request) (AsyncOp, error) {
 	c, fh := s.c, nfs.FH(rq.fh)
 	switch rq.kind {
 	case opLookup, opCreate:
@@ -188,28 +157,26 @@ func (s nfsSession) start(p *sim.Proc, rq request) (pending, error) {
 		}
 		fh, _, err := call(p, rq.name)
 		if errors.Is(err, nfs.ErrNoEnt) {
-			return done(0), nil
+			return doneOp(0), nil
 		}
-		return done(fh), err
+		return doneOp(fh), err
 	case opRemove:
 		err := c.Remove(p, rq.name)
 		if errors.Is(err, nfs.ErrNoEnt) {
-			return done(0), nil
+			return doneOp(0), nil
 		}
-		return done(1), err
+		return doneOp(1), err
 	case opGetattr:
 		attr, err := c.Getattr(p, fh)
-		return done(attr.Size), err
+		return doneOp(attr.Size), err
 	case opSetattr:
-		return done(0), c.Setattr(p, fh, rq.off)
+		return doneOp(0), c.Setattr(p, fh, rq.off)
 	case opSync:
-		return done(0), c.Commit(p, fh)
+		return doneOp(0), c.Commit(p, fh)
 	case opRead:
-		io, err := c.StartRead(p, fh, rq.off, rq.buf)
-		return data[*nfs.IO]{io}, err
+		return c.StartRead(p, fh, rq.off, rq.buf)
 	case opWrite:
-		io, err := c.StartWrite(p, fh, rq.off, rq.buf)
-		return data[*nfs.IO]{io}, err
+		return c.StartWrite(p, fh, rq.off, rq.buf)
 	default:
 		return nil, errNoBatch
 	}
@@ -232,29 +199,29 @@ type memSession struct {
 	store *storage.Store
 }
 
-func (s memSession) start(p *sim.Proc, rq request) (pending, error) {
+func (s memSession) start(p *sim.Proc, rq request) (AsyncOp, error) {
 	v, moved, err := s.do(rq)
 	s.node.Compute(p, s.node.Profile().SyscallCost)
 	s.node.CopyMem(p, moved)
-	return done(v), err
+	return doneOp(v), err
 }
 
 // do performs rq on the store and returns its result value and the bytes
 // it copied.
-func (s memSession) do(rq request) (v int64, moved int, err error) {
+func (s memSession) do(rq request) (v, moved int, err error) {
 	switch rq.kind {
 	case opLookup:
 		f, err := s.store.Lookup(rq.name)
 		if err != nil {
 			return 0, 0, nil // absent
 		}
-		return int64(f.ID()), 0, nil
+		return int(f.ID()), 0, nil
 	case opCreate:
 		f, err := s.store.Create(rq.name)
 		if err != nil {
 			return 0, 0, err
 		}
-		return int64(f.ID()), 0, nil
+		return int(f.ID()), 0, nil
 	case opRemove:
 		if s.store.Remove(rq.name) != nil {
 			return 0, 0, nil // absent
@@ -267,7 +234,7 @@ func (s memSession) do(rq request) (v int64, moved int, err error) {
 	}
 	switch rq.kind {
 	case opGetattr:
-		return f.Size(), 0, nil
+		return int(f.Size()), 0, nil
 	case opSetattr:
 		if !storage.Fits(rq.off, 0) {
 			return 0, 0, errObjectBound
@@ -276,13 +243,13 @@ func (s memSession) do(rq request) (v int64, moved int, err error) {
 	case opSync:
 	case opRead:
 		n := f.ReadAt(rq.buf, rq.off)
-		return int64(n), n, nil
+		return n, n, nil
 	case opWrite:
 		if !storage.Fits(rq.off, int64(len(rq.buf))) {
 			return 0, 0, errObjectBound
 		}
 		n := f.WriteAt(rq.buf, rq.off)
-		return int64(n), n, nil
+		return n, n, nil
 	default:
 		return 0, 0, errNoBatch
 	}
