@@ -40,9 +40,10 @@ bench-e2e:
 	$(GO) run ./benchmark -trace 0 -out benchmark/out
 	$(GO) run ./benchmark -compare $(BENCH_BASE) benchmark/out/results.json
 
-# evaluation regenerates every table, T18 included (~40 s, 1.5-2.0 GB
-# peak), and diffs the output against the committed results.txt. CI's
-# evaluation job runs the same diff and also fails above 3 GB maximum RSS.
+# evaluation regenerates every table, T18 included (about 37 s and a peak
+# near 1.1 GB on 2 cores), and diffs the output against the committed
+# results.txt. CI's evaluation job runs the same diff and also fails above
+# 3 GB maximum RSS.
 evaluation:
 	$(GO) run ./cmd/mpio run -q | diff results.txt -
 

@@ -66,7 +66,7 @@ func TestOutputs(t *testing.T) {
 		}
 	}
 	for _, d := range []struct{ what, path, want string }{
-		{"trace T6 Chrome export", chrome6, "06933a1906789d6d99d812f6bbf83ebfd52ac14370c361296db0f27b4bc9b81c"},
+		{"trace T6 Chrome export", chrome6, "e688cac09efb3e91801899068520089c753d5a0269bab1a66ad87943c7e9c716"},
 		{"trace T15 Chrome export", chrome15, "c3efa6baf68efe51c37c13582f130893d36333bac62c2c5833276d6d103e704a"},
 		{"trace T17 Chrome export", chrome17, "fa5811239d6602e6a98c4347194f73be25f5577fd38fc71d0b0010b22d718320"},
 	} {

@@ -2,6 +2,7 @@ package dafs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -355,6 +356,33 @@ func TestDirectWriteExtendsFile(t *testing.T) {
 		f, _ := r.store.Lookup("f")
 		if !bytes.Equal(stored(f, 1<<16, 100), fill) {
 			t.Error("extended write content mismatch")
+		}
+	})
+}
+
+// TestDirectWriteFailedPullLeavesFile: a WRITE_DIRECT is a one-segment
+// batch write, so a pull from client memory that fails places nothing:
+// the file keeps its bytes and its size.
+func TestDirectWriteFailedPullLeavesFile(t *testing.T) {
+	r := newRig(1)
+	r.run(t, func(p *sim.Proc, c *Client) {
+		fh, _, _ := c.Create(p, "f")
+		old := pattern(100, 3)
+		if _, err := c.Write(p, fh, 0, old); err != nil {
+			t.Fatal(err)
+		}
+		reg := c.NIC().Register(p, pattern(8192, 9))
+		io, err := c.StartWriteDirect(p, fh, 0, reg, 0, 8192)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.NIC().Deregister(p, reg) // before the server pulls
+		if _, err := io.Wait(p); !errors.Is(err, ErrAccess) {
+			t.Errorf("write from a deregistered region: %v, want %v", err, ErrAccess)
+		}
+		f, _ := r.store.Lookup("f")
+		if f.Size() != 100 || !bytes.Equal(stored(f, 0, 100), old) {
+			t.Errorf("failed pull changed the file: size %d", f.Size())
 		}
 	})
 }

@@ -582,27 +582,11 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if count > MaxTransfer || !storage.Fits(off, int64(count)) {
 			return StatusInval, reply{}
 		}
-		if count > 0 {
-			// The NIC pulls data from client memory directly into
-			// buffer-cache pages. The RDMA lands in a staging page set
-			// which is committed to the file atomically (zero time
-			// charged: it models in-place page placement, not a CPU
-			// copy), so a concurrent reader never sees a half-placed
-			// write and a failed pull leaves the file untouched.
-			staging := s.getStaging(count)
-			pulled := s.rdma(p, ws, sess, via.OpRDMARead, staging, rhandle, roff)
-			if pulled == StatusOK {
-				f.WriteAt(staging, off) // atomic: no yields during placement
-			}
-			s.putStaging(staging)
-			if pulled != StatusOK {
-				return pulled, reply{}
-			}
-		}
 		s.touchDisk(p, off, count)
-		s.stats.DirectWrites++
-		s.stats.DirectWriteBytes += int64(count)
-		return StatusOK, reply{n: uint32(count)}
+		// A one-segment batch write: the NIC pulls the data from client
+		// memory straight into buffer-cache pages.
+		seg := [1]SegSpec{{Off: off, Len: count}}
+		return s.execWriteBatch(p, ws, sess, f, seg[:], count, rhandle, roff)
 
 	case ProcReadBatch, ProcWriteBatch:
 		f, st := s.file(r)
@@ -729,9 +713,11 @@ func (s *Server) execReadBatch(p *sim.Proc, ws *workerState, sess *session, f *s
 	return StatusOK, reply{n: uint32(got)}
 }
 
-// execWriteBatch pulls the packed segment data with one RDMA read and
-// places each segment at its file offset (page placement: zero CPU
-// charge, as in WriteDirect).
+// execWriteBatch pulls the packed segment data with one RDMA read into
+// staging pages and places each segment at its file offset. Placement is
+// atomic and charged no time (it models in-place page placement, not a
+// CPU copy), so a concurrent reader never sees a half-placed write and a
+// failed pull leaves the file untouched.
 func (s *Server) execWriteBatch(p *sim.Proc, ws *workerState, sess *session, f *storage.File, segs []SegSpec, total int, rhandle via.MemHandle, roff int) (Status, reply) {
 	staging := s.getStaging(total)
 	defer s.putStaging(staging)

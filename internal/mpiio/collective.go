@@ -29,14 +29,19 @@ import (
 //     Reads: ranks ship their (offset, length) requests to the owners,
 //     which read the pieces and ship them back.
 //
-// Unless NoBatch is set (and Open sets it over a leaf without batch I/O)
-// the exchange and the I/O overlap source by source, the pipelined
-// two-phase of Thakur, Gropp and Lusk: an aggregator starts a list write
-// on each source's block the moment it arrives, and starts one list read
-// per source straight into that source's reply, waiting on it only at the
-// exchange step that ships it — so the servers work while the exchange is
-// still in flight. With NoBatch the phases run one after the other: the
-// whole exchange, then sorted and assembled contiguous runs.
+// Both directions stream the exchange one source at a time
+// (mpi.AlltoallvStream), the pipelined two-phase of Thakur, Gropp and
+// Lusk, and NoBatch (which Open sets over a leaf without batch I/O)
+// changes only the I/O an aggregator starts. With batch I/O an aggregator
+// starts a list write on each source's block the moment it arrives, and
+// starts one list read per source straight into that source's reply,
+// waiting on it only at the exchange step that ships it — so the servers
+// work while the exchange is still in flight. With NoBatch it keeps the
+// blocks and, after the stream, writes them as sorted contiguous runs; and
+// it reads its merged ranges in contiguous chunks, all started at once,
+// before the reply exchange, each step of which cuts its source's reply
+// from them. Only the read requests, which carry no data, go through
+// mpi.AlltoallvBytes.
 //
 // The payoff is turning many small, hole-separated accesses — which pay
 // per-operation latency and server cost — into link-speed bulk transfers,
@@ -82,15 +87,7 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 	endPack()
 
 	// Phase 2: exchange and aggregate.
-	var aggErr error
-	if !f.hints.NoBatch {
-		aggErr = f.pipelinedWrite(p, blocks)
-	} else {
-		endEx := f.aggSpan(p, "exchange")
-		recv := r.AlltoallvBytes(p, blocks)
-		endEx()
-		aggErr = f.aggregateWrite(p, recv)
-	}
+	aggErr := f.exchangeWrite(p, blocks)
 
 	// Completion + error propagation (also orders the data for any
 	// subsequent collective).
@@ -107,22 +104,31 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 	return len(buf), nil
 }
 
-// pipelinedWrite exchanges the write blocks and starts a list write on each
-// source's block the moment it arrives — this rank's own block first, as
-// packed — then waits for every write it started. After a failure it
-// starts no more writes, but it stays in the exchange, which every rank
-// must finish.
-func (f *File) pipelinedWrite(p *sim.Proc, blocks [][]byte) error {
+// exchangeWrite streams the write blocks to their owners. With batch I/O
+// a list write starts on each block the moment it arrives, this rank's own
+// first, as packed; with NoBatch the blocks are kept and, after the
+// stream, written as contiguous runs (startRuns). Then it waits for every
+// write it started. After a failure it starts no
+// more writes, but it stays in the exchange, which every rank must finish.
+func (f *File) exchangeWrite(p *sim.Proc, blocks [][]byte) error {
 	ops := make([]AsyncOp, 0, len(blocks))
+	var kept []writeBlock // NoBatch: the blocks by source, for startRuns
+	if f.hints.NoBatch {
+		kept = make([]writeBlock, len(blocks))
+	}
 	var segs []Segment
 	var err error
 	endEx := f.aggSpan(p, "exchange")
-	f.rank.AlltoallvStream(p, func(dst int) []byte { return blocks[dst] }, func(_ int, b []byte) {
+	f.rank.AlltoallvStream(p, func(dst int) []byte { return blocks[dst] }, func(src int, b []byte) {
 		if err != nil {
 			return
 		}
 		var blk writeBlock
 		if blk, err = splitBlock(b); err != nil || blk.pieces() == 0 {
+			return
+		}
+		if kept != nil {
+			kept[src] = blk
 			return
 		}
 		segs = appendSegs(slices.Grow(segs[:0], blk.pieces()), blk.hdrs)
@@ -132,33 +138,30 @@ func (f *File) pipelinedWrite(p *sim.Proc, blocks [][]byte) error {
 		}
 	})
 	endEx()
+	if kept != nil && err == nil {
+		ops, err = f.startRuns(p, ops, kept)
+	}
 	_, err = waitAll(p, ops, err)
 	return err
 }
 
-// aggregateWrite sorts this rank's incoming pieces, assembles contiguous
-// runs (each capped at CollBufSize) into one packed collective buffer, and
-// issues them as pipelined contiguous writes. A failed start stops the
-// issuing; every write already started is waited out.
-func (f *File) aggregateWrite(p *sim.Proc, recv [][]byte) error {
-	node := f.drv.Node()
+// startRuns sorts the pieces of the kept blocks (in source order, so among
+// overlapping pieces the higher source wins), assembles contiguous runs
+// (each capped at CollBufSize) into one packed collective buffer, and
+// starts them all as contiguous writes, appended to ops. A failed start
+// stops the issuing; the writes already started are returned to be waited
+// out.
+func (f *File) startRuns(p *sim.Proc, ops []AsyncOp, kept []writeBlock) ([]AsyncOp, error) {
 	type tuple struct {
 		off  int64
 		data []byte
 	}
-	// Check every block first, so the tuple list and the collective buffer
-	// are sized once.
 	nt, nb := 0, 0
-	for _, b := range recv {
-		blk, err := splitBlock(b)
-		if err != nil {
-			return err
-		}
+	for _, blk := range kept {
 		nt, nb = nt+blk.pieces(), nb+len(blk.data)
 	}
 	tuples := make([]tuple, 0, nt)
-	for _, b := range recv {
-		blk, _ := splitBlock(b)
+	for _, blk := range kept {
 		data := blk.data
 		for h := blk.hdrs; len(h) > 0; h = h[tupleHdr:] {
 			off, l := readReq(h)
@@ -176,21 +179,14 @@ func (f *File) aggregateWrite(p *sim.Proc, recv [][]byte) error {
 	runPos := 0 // start of the open run within packed
 	assembled := 0
 	for _, t := range tuples {
-		end := int64(-1)
-		if len(runs) > 0 {
-			end = runs[len(runs)-1].Off + runs[len(runs)-1].Len
-		}
+		last := len(runs) - 1
 		switch {
-		case len(runs) == 0:
-			runPos = len(packed)
-			runs = append(runs, Segment{Off: t.off, Len: int64(len(t.data))})
+		case last >= 0 && t.off == runs[last].Off+runs[last].Len && int(runs[last].Len)+len(t.data) <= f.hints.CollBufSize:
+			runs[last].Len += int64(len(t.data))
 			packed = append(packed, t.data...)
-		case t.off == end && int(runs[len(runs)-1].Len)+len(t.data) <= f.hints.CollBufSize:
-			runs[len(runs)-1].Len += int64(len(t.data))
-			packed = append(packed, t.data...)
-		case t.off >= runs[len(runs)-1].Off && t.off+int64(len(t.data)) <= end:
+		case last >= 0 && t.off >= runs[last].Off && t.off+int64(len(t.data)) <= runs[last].Off+runs[last].Len:
 			// Overlap fully inside the run: later tuple wins.
-			copy(packed[runPos+int(t.off-runs[len(runs)-1].Off):], t.data)
+			copy(packed[runPos+int(t.off-runs[last].Off):], t.data)
 		default:
 			runPos = len(packed)
 			runs = append(runs, Segment{Off: t.off, Len: int64(len(t.data))})
@@ -199,7 +195,7 @@ func (f *File) aggregateWrite(p *sim.Proc, recv [][]byte) error {
 		assembled += len(t.data)
 	}
 
-	ops := make([]AsyncOp, 0, len(runs))
+	ops = slices.Grow(ops, len(runs))
 	var err error
 	pos := 0
 	for _, run := range runs {
@@ -210,9 +206,8 @@ func (f *File) aggregateWrite(p *sim.Proc, recv [][]byte) error {
 		pos += int(run.Len)
 		ops = append(ops, op)
 	}
-	node.CopyMem(p, assembled) // collective-buffer assembly copy
-	_, err = waitAll(p, ops, err)
-	return err
+	f.drv.Node().CopyMem(p, assembled) // collective-buffer assembly copy
+	return ops, err
 }
 
 // ReadAtAll is the collective MPI_File_read_at_all. The returned count is
@@ -276,19 +271,7 @@ func (f *File) ReadAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 	endEx()
 
 	// Phase 2: serve my domain and exchange the data back.
-	var datas [][]byte
-	var aggErr error
-	if !f.hints.NoBatch {
-		datas, aggErr = f.pipelinedRead(p, reqs)
-	} else {
-		replies, err := f.aggregateRead(p, reqs)
-		if aggErr = err; replies == nil {
-			replies = make([][]byte, n)
-		}
-		endEx2 := f.aggSpan(p, "exchange")
-		datas = r.AlltoallvBytes(p, replies)
-		endEx2()
-	}
+	datas, aggErr := f.exchangeRead(p, reqs)
 
 	// Scatter the replies into buf. An empty reply to a nonempty request
 	// list means its owner failed, which the Allreduce below reports.
@@ -371,18 +354,21 @@ func (f *File) ReadAtAllBegin(p *sim.Proc, off int64, buf []byte) *Request {
 	return f.async(p, func(hp *sim.Proc) (int, error) { return f.ReadAtAll(hp, off, buf) })
 }
 
-// pipelinedRead starts one list read per source, straight into the data
-// area of that source's reply, in the order the exchange ships the replies
-// (this rank's own first), then exchanges them, waiting on each source's
-// read only at the step that sends it. A read that comes back short — an
-// EOF hole, which batch reads zero-fill and report only as a total — is
-// redone for that source alone with contiguous reads. After a failure the
-// remaining sources get empty replies, but every started read is waited
-// and the exchange runs to the end, as every rank must.
-func (f *File) pipelinedRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
+// exchangeRead serves this rank's domain and streams each source its
+// reply. With batch I/O it starts one list read per source, straight into
+// the data area of that source's reply, in the order the exchange ships
+// the replies (this rank's own first), and waits on each source's read
+// only at the step that sends it; a read that comes back short — an EOF
+// hole, which batch reads zero-fill and report only as a total — is redone
+// for that source alone by the contiguous reader. With NoBatch the
+// contiguous reader reads the merged requests of every source before the
+// exchange, and each step cuts its source's reply from that buffer. After
+// a failure the remaining sources get empty replies, but every started
+// read is waited and the exchange runs to the end, as every rank must.
+func (f *File) exchangeRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
 	n, me := len(reqs), f.rank.ID()
 	var err error
-	sizes, most := make([]int, n), 0
+	sizes, nreq, most := make([]int, n), 0, 0
 	for src, pl := range reqs {
 		if len(pl)%tupleHdr != 0 {
 			err = errCorruptRequest
@@ -392,12 +378,21 @@ func (f *File) pipelinedRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
 			_, l := readReq(h)
 			sizes[src] += replyHdr + l
 		}
+		nreq += len(pl) / tupleHdr
 		most = max(most, len(pl)/tupleHdr)
 	}
-	replies := make([][]byte, n)
+	replies := carve[byte](sizes)
 	ops := make([]AsyncOp, n)
-	if err == nil {
-		all := carve[byte](sizes)
+	var held collBuf
+	switch {
+	case err != nil:
+	case f.hints.NoBatch:
+		ranges := make([]Segment, 0, nreq)
+		for _, pl := range reqs {
+			ranges = appendSegs(ranges, pl)
+		}
+		held, err = f.readContig(p, ranges)
+	default:
 		segs := make([]Segment, 0, most)
 		for step := 0; step < n && err == nil; step++ {
 			src := (me + step) % n
@@ -405,13 +400,13 @@ func (f *File) pipelinedRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
 			if len(pl) == 0 {
 				continue
 			}
-			reply := all[src][:sizes[src]]
+			reply := replies[src][:sizes[src]]
 			segs = appendSegs(segs[:0], pl)
 			for i, s := range segs {
 				binary.LittleEndian.PutUint32(reply[i*replyHdr:], uint32(s.Len))
 			}
-			op, serr := f.h.StartList(p, segs, reply[len(segs)*replyHdr:], false)
-			if err = serr; err == nil {
+			var op AsyncOp
+			if op, err = f.h.StartList(p, segs, reply[len(segs)*replyHdr:], false); err == nil {
 				ops[src], replies[src] = op, reply
 			}
 		}
@@ -420,6 +415,12 @@ func (f *File) pipelinedRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
 	datas := make([][]byte, n)
 	endEx := f.aggSpan(p, "exchange")
 	f.rank.AlltoallvStream(p, func(dst int) []byte {
+		if f.hints.NoBatch {
+			if err != nil || len(reqs[dst]) == 0 {
+				return nil
+			}
+			return f.cutReply(p, held, replies[dst], reqs[dst])
+		}
 		op := ops[dst]
 		if op == nil {
 			return nil
@@ -427,7 +428,10 @@ func (f *File) pipelinedRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
 		reply, k := replies[dst], len(reqs[dst])/tupleHdr
 		got, werr := op.Wait(p)
 		if werr == nil && got < len(reply)-k*replyHdr {
-			reply, werr = f.rereadSource(p, reply, reqs[dst])
+			var again collBuf
+			if again, werr = f.readContig(p, appendSegs(make([]Segment, 0, k), reqs[dst])); werr == nil {
+				reply = f.cutReply(p, again, reply, reqs[dst])
+			}
 		}
 		if werr != nil {
 			if err == nil {
@@ -441,124 +445,82 @@ func (f *File) pipelinedRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
 	return datas, err
 }
 
-// rereadSource rebuilds one source's reply in place from contiguous reads
-// of its merged requests: the short-count reply the non-list path builds.
-func (f *File) rereadSource(p *sim.Proc, reply, reqs []byte) ([]byte, error) {
-	ranges := appendSegs(make([]Segment, 0, len(reqs)/tupleHdr), reqs)
-	spans, err := f.readSpans(p, mergeRanges(ranges))
-	if err != nil {
-		return nil, err
-	}
-	reply, served := buildReply(reply[:0], reqs, spans)
-	f.drv.Node().CopyMem(p, served) // reply assembly copy
-	return reply, nil
+// collBuf is what the contiguous reader read: the merged, sorted ranges it
+// covered and, for each, the bytes read from its start, short only at EOF.
+type collBuf struct {
+	ranges []Segment
+	data   [][]byte
 }
 
-// aggregateRead parses request tuples from every source, reads the merged
-// ranges of this rank's domain with few large contiguous driver reads, and
-// builds the per-source replies.
-func (f *File) aggregateRead(p *sim.Proc, reqs [][]byte) ([][]byte, error) {
-	nreq := 0
-	for _, pl := range reqs {
-		if len(pl)%tupleHdr != 0 {
-			return nil, errCorruptRequest
-		}
-		nreq += len(pl) / tupleHdr
-	}
-	// Each reply is sized for every byte asked for, so it is short only at
-	// an EOF hole.
-	ranges := make([]Segment, 0, nreq)
-	sizes := make([]int, len(reqs))
-	for src, pl := range reqs {
-		for ; len(pl) > 0; pl = pl[tupleHdr:] {
-			o, l := readReq(pl)
-			ranges = append(ranges, Segment{Off: o, Len: int64(l)})
-			sizes[src] += replyHdr + l
-		}
-	}
-	spans, err := f.readSpans(p, mergeRanges(ranges))
-	if err != nil {
-		return nil, err
-	}
-	replies := carve[byte](sizes)
-	served := 0
-	for src, pl := range reqs {
-		var got int
-		replies[src], got = buildReply(replies[src], pl, spans)
-		served += got
-	}
-	f.drv.Node().CopyMem(p, served) // reply assembly copy
-	return replies, nil
-}
-
-// span is a run of file bytes an aggregator has read.
-type span struct {
-	off  int64
-	data []byte
-}
-
-// readSpans reads merged ranges in CollBufSize chunks of contiguous driver
-// reads; a range stops at its first short chunk (EOF).
-func (f *File) readSpans(p *sim.Proc, merged []Segment) ([]span, error) {
-	var spans []span
+// readContig merges ranges (reordering them) and reads them into one
+// buffer, starting every CollBufSize chunk at once as a contiguous read. A
+// range's bytes end at its first short chunk (EOF). After a failed start
+// or read it waits out the reads already started and returns the error.
+func (f *File) readContig(p *sim.Proc, ranges []Segment) (collBuf, error) {
+	merged := mergeRanges(ranges)
+	total := int64(0)
 	for _, m := range merged {
-		cur := m.Off
-		remaining := m.Len
-		for remaining > 0 {
-			take := min(remaining, int64(f.hints.CollBufSize))
-			chunk := make([]byte, take)
-			got, err := transfer(p, f.h, cur, chunk, false)
-			if err != nil {
-				return nil, err
-			}
-			if got > 0 {
-				spans = append(spans, span{off: cur, data: chunk[:got]})
-			}
-			cur += take
-			remaining -= take
-			if got < int(take) {
-				break // EOF inside this range
+		total += m.Len
+	}
+	buf := make([]byte, total)
+	held := collBuf{ranges: merged, data: make([][]byte, len(merged))}
+	type chunk struct {
+		op       AsyncOp
+		rng      int
+		at, take int
+	}
+	var chunks []chunk
+	var err error
+	pos, step := 0, f.hints.CollBufSize
+	for i, m := range merged {
+		d := buf[pos : pos+int(m.Len)]
+		held.data[i] = d
+		for at := 0; at < len(d) && err == nil; at += step {
+			take := min(len(d)-at, step)
+			var op AsyncOp
+			if op, err = f.h.Start(p, m.Off+int64(at), d[at:at+take], false); err == nil {
+				chunks = append(chunks, chunk{op: op, rng: i, at: at, take: take})
 			}
 		}
+		pos += len(d)
 	}
-	return spans, nil
+	for _, c := range chunks {
+		got, werr := c.op.Wait(p)
+		if err == nil {
+			err = werr
+		}
+		// Chunks are waited in file order, so the first short one cuts.
+		if end := c.at + got; got < c.take && end < len(held.data[c.rng]) {
+			held.data[c.rng] = held.data[c.rng][:end]
+		}
+	}
+	return held, err
 }
 
-// buildReply appends to reply (empty, with room for every byte asked for)
-// the answer to one source's requests out of spans, and returns it with
-// the bytes it served.
-func buildReply(reply, reqs []byte, spans []span) ([]byte, int) {
+// cutReply answers one source's requests out of held in reply's backing
+// array — a count per request, then the bytes held for it, short only at
+// EOF — charges the copy, and returns the reply.
+func (f *File) cutReply(p *sim.Proc, held collBuf, reply, reqs []byte) []byte {
 	k := len(reqs) / tupleHdr
 	reply = reply[:k*replyHdr]
 	served := 0
-	for i := 0; i < k; i++ {
-		o, l := readReq(reqs[i*tupleHdr:])
-		before := len(reply)
-		reply = appendAvail(reply, spans, o, l)
-		binary.LittleEndian.PutUint32(reply[i*replyHdr:], uint32(len(reply)-before))
-		served += len(reply) - before
-	}
-	return reply, served
-}
-
-// appendAvail appends the prefix of [off, off+n) that spans hold to out.
-func appendAvail(out []byte, spans []span, off int64, n int) []byte {
-	cur := off
-	for n > 0 {
-		i := sort.Search(len(spans), func(i int) bool {
-			return spans[i].off+int64(len(spans[i].data)) > cur
+	for i := range k {
+		off, l := readReq(reqs[i*tupleHdr:])
+		j := sort.Search(len(held.ranges), func(j int) bool {
+			return held.ranges[j].Off+held.ranges[j].Len > off
 		})
-		if i == len(spans) || spans[i].off > cur {
-			break // hole (EOF region)
+		var d []byte
+		if j < len(held.ranges) && held.ranges[j].Off <= off {
+			d = held.data[j]
+			d = d[min(int(off-held.ranges[j].Off), len(d)):]
 		}
-		s := spans[i]
-		rel := cur - s.off
-		take := min(int64(n), int64(len(s.data))-rel)
-		out = append(out, s.data[rel:rel+take]...)
-		cur += take
-		n -= int(take)
+		d = d[:min(l, len(d))]
+		reply = append(reply, d...)
+		binary.LittleEndian.PutUint32(reply[i*replyHdr:], uint32(len(d)))
+		served += len(d)
 	}
-	return out
+	f.drv.Node().CopyMem(p, served) // reply assembly copy
+	return reply
 }
 
 // exchangeExtents allgathers each rank's [lo, hi) access range and returns

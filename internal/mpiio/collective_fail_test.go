@@ -205,7 +205,7 @@ func TestCollectiveListFailureMidExchange(t *testing.T) {
 
 // TestNoBatchFailureWaitsEveryOp: the NoBatch paths issue contiguous
 // operations in a pipeline — a list access one per segment, a two-phase
-// aggregator one per assembled run. When one fails to start, or fails at
+// aggregator one per assembled run or read chunk. When one fails to start, or fails at
 // its Wait, every operation already started must still be waited (its
 // completion recycles driver state, and a direct write may still be
 // reading the caller's buffer) before the error returns.
@@ -272,6 +272,25 @@ func TestNoBatchFailureWaitsEveryOp(t *testing.T) {
 
 		if n, err := f.WriteAtAll(p, 0, data); n != len(data) || err != nil {
 			t.Errorf("rank %d: write after the failures: n=%d err=%v", i, n, err)
+		}
+
+		// Two-phase reads start every chunk before the reply exchange:
+		// aggregator 1's third chunk fails to start, then aggregator 2's
+		// fifth chunk fails at its Wait.
+		got := make([]byte, len(data))
+		if i == 1 {
+			fl.failStart = fl.starts + 3
+		}
+		_, err = f.ReadAtAll(p, 0, got)
+		check("two-phase read, failed start", err, i == 1)
+		if i == 2 {
+			fl.failWait = fl.waited + 5
+		}
+		_, err = f.ReadAtAll(p, 0, got)
+		check("two-phase read, failed wait", err, i == 2)
+
+		if n, err := f.ReadAtAll(p, 0, got); n != len(data) || err != nil || !bytes.Equal(got, data) {
+			t.Errorf("rank %d: read after the failures: n=%d err=%v", i, n, err)
 		}
 	})
 	if err != nil {

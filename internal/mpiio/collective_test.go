@@ -185,32 +185,51 @@ func TestCollectiveAllEmpty(t *testing.T) {
 	})
 }
 
+// TestCollectiveReadShortAtEOF reads across EOF collectively over each
+// aggregator read: DAFS batch reads (short, so redone contiguously),
+// contiguous DAFS reads whose last chunks start wholly past EOF, and NFS.
 func TestCollectiveReadShortAtEOF(t *testing.T) {
 	const nranks = 2
-	runWorld(t, nranks, false, func(p *sim.Proc, r *mpi.Rank, drv Driver) {
-		f, _ := Open(p, r, drv, "short", ModeRdWr|ModeCreate, nil)
-		// Only 6KB of file exists.
-		if r.ID() == 0 {
-			f.WriteAt(p, 0, rankPattern(6144, 9, 9))
-		}
-		r.Barrier(p)
-		// Each rank collectively reads 4KB at rank*4KB: rank 1 gets a
-		// short count (2KB).
-		got := make([]byte, 4096)
-		n, err := f.ReadAtAll(p, int64(r.ID())*4096, got)
-		if err != nil {
-			t.Errorf("rank %d: %v", r.ID(), err)
-		}
-		want := map[int]int{0: 4096, 1: 2048}[r.ID()]
-		if n != want {
-			t.Errorf("rank %d: n=%d want %d", r.ID(), n, want)
-		}
-		full := rankPattern(6144, 9, 9)
-		if !bytes.Equal(got[:n], full[r.ID()*4096:r.ID()*4096+n]) {
-			t.Errorf("rank %d data mismatch", r.ID())
-		}
-		f.Close(p)
-	})
+	for _, tc := range []struct {
+		name  string
+		nfs   bool
+		hints *Hints
+	}{
+		{"dafs-batch", false, nil},
+		{"dafs-nobatch", false, &Hints{NoBatch: true, CollBufSize: 1024}},
+		{"nfs", true, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runWorld(t, nranks, tc.nfs, func(p *sim.Proc, r *mpi.Rank, drv Driver) {
+				f, err := Open(p, r, drv, "short", ModeRdWr|ModeCreate, tc.hints)
+				if err != nil {
+					t.Errorf("rank %d open: %v", r.ID(), err)
+					return
+				}
+				// Only 6KB of file exists.
+				if r.ID() == 0 {
+					f.WriteAt(p, 0, rankPattern(6144, 9, 9))
+				}
+				r.Barrier(p)
+				// Each rank collectively reads 4KB at rank*4KB: rank 1 gets a
+				// short count (2KB).
+				got := make([]byte, 4096)
+				n, err := f.ReadAtAll(p, int64(r.ID())*4096, got)
+				if err != nil {
+					t.Errorf("rank %d: %v", r.ID(), err)
+				}
+				want := map[int]int{0: 4096, 1: 2048}[r.ID()]
+				if n != want {
+					t.Errorf("rank %d: n=%d want %d", r.ID(), n, want)
+				}
+				full := rankPattern(6144, 9, 9)
+				if !bytes.Equal(got[:n], full[r.ID()*4096:r.ID()*4096+n]) {
+					t.Errorf("rank %d data mismatch", r.ID())
+				}
+				f.Close(p)
+			})
+		})
+	}
 }
 
 func TestCollectiveOpenCreateRace(t *testing.T) {

@@ -22,11 +22,11 @@ type Hints struct {
 	// off, the layer issues one driver operation per segment (list I/O).
 	Sieving bool
 	// NoBatch disables protocol-level batch I/O (Handle.StartList), forcing
-	// per-segment list operations. It also keeps
-	// collective aggregators on per-run contiguous operations issued after
-	// the whole exchange, instead of list I/O per source overlapped with
-	// it. Open forces it on over a leaf without batch I/O (NFS, the local
-	// store).
+	// per-segment list operations. Collective aggregators then issue
+	// contiguous operations of up to CollBufSize instead of list I/O per
+	// source: writes once the exchange has delivered every block, reads
+	// before the reply exchange. Open forces it on over a leaf without
+	// batch I/O (NFS, the local store).
 	NoBatch bool
 }
 
