@@ -1,29 +1,30 @@
-// Command mpio runs the evaluation. Every experiment in bench.All
-// rebuilds its simulated cluster, runs its workload and prints its table;
-// the observable ones re-run their representative point with the
-// cross-layer tracer or the metrics plane attached. Everything runs on
-// simulated time and both planes are observational, so the same
-// invocation prints the same bytes and writes the same files on every run.
+// Command mpio runs the evaluation. Every experiment in bench.All is a
+// list of points, each run on a cluster built from scratch, and a render
+// that prints its table from their results; trace and stat re-run one
+// point with the cross-layer tracer or the metrics plane attached. Both
+// planes are observational and everything runs on simulated time, so an
+// invocation prints the same bytes and writes the same files every run.
 //
 // Usage:
 //
-//	mpio list                       # experiment IDs and titles
+//	mpio list [id]                  # experiment IDs and titles, or id's numbered points
 //	mpio run [-q] [-fig] [id]       # one table, or all of them in order
-//	mpio trace id [-clients n] [-servers s] [-hist] [-trace out.json]
-//	mpio stat id [-clients n] [-servers s] [-interval d] [-json out.json]
+//	mpio trace id [-point i] [-hist] [-trace out.json]
+//	mpio stat id [-point i] [-interval d] [-json out.json]
 //
 // trace prints a per-category time breakdown (-hist adds per-(layer, op)
 // latency histograms; -trace writes Chrome trace-event JSON for Perfetto).
 // stat prints per-interval bandwidth and failover state and the flight
-// recorder's postmortems (-json writes every series). -clients and
-// -servers size T15's striped point, and -servers is T17's stripe width;
-// the other experiments have a fixed shape. The bare `mpio run` includes
+// recorder's postmortems (-json writes every series). -point picks a point
+// as `mpio list id` numbers them, by default the experiment's
+// representative one. Every experiment can be traced, and every one but
+// T1 (a bare VIA pair) sampled. The bare `mpio run` includes
 // T18 (32,768 sessions); the whole run takes about 37 s and peaks near
 // 1.1 GB of memory on a 2-core machine.
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -47,6 +48,8 @@ func main() {
 	}
 }
 
+const pointUsage = "the point to run, as mpio list <id> numbers them; -1 is the experiment's representative point"
+
 // mpio runs one subcommand, writing its report to w. Files go where the
 // flags say; status lines go to stderr, so stdout carries only
 // deterministic data.
@@ -57,8 +60,23 @@ func mpio(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("mpio "+args[0], flag.ContinueOnError)
 	switch args[0] {
 	case "list":
-		for _, e := range bench.All {
-			fmt.Fprintf(w, "%-4s %s\n", e.ID, e.Title)
+		id, err := parse(fs, args[1:])
+		if err != nil {
+			return err
+		}
+		if id == "" {
+			for _, e := range bench.All {
+				fmt.Fprintf(w, "%-4s %s\n", e.ID, e.Title)
+			}
+			return nil
+		}
+		e, err := bench.ByID(id)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%s %s (trace and stat run point %d unless -point names another)\n", e.ID, e.Title, e.Observe)
+		for i, pt := range e.Points {
+			fmt.Fprintf(w, "%3d  %v\n", i, pt)
 		}
 		return nil
 	case "run":
@@ -70,20 +88,20 @@ func mpio(args []string, w io.Writer) error {
 		}
 		return runTables(w, id, *quiet, *fig)
 	case "trace":
-		clients, servers := shape(fs)
+		point := fs.Int("point", -1, pointUsage)
 		hist := fs.Bool("hist", false, "also print per-(layer, op) latency histograms")
 		out := fs.String("trace", "", "write the Chrome trace-event JSON here")
 		id, err := parse(fs, args[1:])
 		if err != nil {
 			return err
 		}
-		r, err := bench.Observe(id, *clients, *servers, bench.Observation{Trace: true})
+		r, err := observe(id, *point, bench.Observation{Trace: true})
 		if err != nil {
 			return err
 		}
 		return traceReport(w, r, *hist, *out)
 	case "stat":
-		clients, servers := shape(fs)
+		point := fs.Int("point", -1, pointUsage)
 		interval := fs.Duration("interval", time.Millisecond, "sampling tick (simulated time)")
 		out := fs.String("json", "", "write every sampled series and dump as JSON here")
 		id, err := parse(fs, args[1:])
@@ -93,18 +111,13 @@ func mpio(args []string, w io.Writer) error {
 		if *interval <= 0 {
 			return errors.New("-interval must be positive")
 		}
-		r, err := bench.Observe(id, *clients, *servers, bench.Observation{Tick: sim.Time(interval.Nanoseconds())})
+		r, err := observe(id, *point, bench.Observation{Tick: sim.Time(interval.Nanoseconds())})
 		if err != nil {
 			return err
 		}
 		return statReport(w, r, *out)
 	}
 	return fmt.Errorf("unknown command %q (list, run, trace or stat)", args[0])
-}
-
-// shape defines the flags that size an observed point.
-func shape(fs *flag.FlagSet) (clients, servers *int) {
-	return fs.Int("clients", 4, "client count (T15)"), fs.Int("servers", 4, "server count (T15); stripe width (T17)")
 }
 
 // parse reads flags on either side of the one optional experiment ID.
@@ -129,9 +142,9 @@ func parse(fs *flag.FlagSet, args []string) (string, error) {
 func runTables(w io.Writer, id string, quiet, fig bool) error {
 	selected := bench.All
 	if id != "" {
-		e := bench.ByID(id)
-		if e == nil {
-			return fmt.Errorf("unknown experiment %q (try mpio list)", id)
+		e, err := bench.ByID(id)
+		if err != nil {
+			return err
 		}
 		selected = []bench.Experiment{*e}
 	}
@@ -152,25 +165,31 @@ func runTables(w io.Writer, id string, quiet, fig bool) error {
 	return nil
 }
 
+// observe runs experiment id's point i, or its representative point when
+// i is -1, under o.
+func observe(id string, i int, o bench.Observation) (bench.Result, error) {
+	e, err := bench.ByID(id)
+	if err != nil {
+		return bench.Result{}, err
+	}
+	if i == -1 {
+		i = e.Observe
+	}
+	return e.RunPoint(i, o)
+}
+
 // traceReport prints a traced run's breakdown (and histograms) and writes
 // its Chrome trace to out.
 func traceReport(w io.Writer, r bench.Result, hist bool, out string) error {
 	fmt.Fprintf(w, "%s: %.1f MB/s over %.3f ms simulated (%d spans)\n\n",
 		r.ID, r.MBps, float64(r.Elapsed())/1e6, len(r.Tracer.Spans()))
-	r.BreakdownTable().Fprint(w)
+	r.Tracer.BreakdownTable(r.Elapsed()).Fprint(w)
 	fmt.Fprintln(w)
 	if hist {
 		r.Tracer.HistTable().Fprint(w)
 		fmt.Fprintln(w)
 	}
-	if out == "" {
-		return nil
-	}
-	if err := create(out, r.Tracer.WriteChrome); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (open in https://ui.perfetto.dev or chrome://tracing)\n", out)
-	return nil
+	return create(out, r.Tracer.WriteChrome, " (open in https://ui.perfetto.dev or chrome://tracing)")
 }
 
 // statReport prints a sampled run's series table and flight-recorder
@@ -184,33 +203,23 @@ func statReport(w io.Writer, r bench.Result, out string) error {
 	fmt.Fprintln(w)
 	r.SeriesTable().Fprint(w)
 	printDumps(w, r.Reg)
-	if out == "" {
-		return nil
-	}
-	if err := create(out, r.Reg.WriteJSON); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "mpio: wrote %s\n", out)
-	return nil
+	return create(out, r.Reg.WriteJSON, "")
 }
 
-// create writes a file through write, reporting the first error of the
-// write, the flush and the close.
-func create(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
+// create writes the file at path, if one is named, through write, and says
+// so on stderr with hint.
+func create(path string, write func(io.Writer) error, hint string) error {
+	if path == "" {
+		return nil
+	}
+	var b bytes.Buffer
+	if err := write(&b); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(f)
-	if err = write(bw); err == nil {
-		err = bw.Flush()
+	if err := os.WriteFile(path, b.Bytes(), 0o666); err != nil {
+		return err
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
+	fmt.Fprintf(os.Stderr, "mpio: wrote %s%s\n", path, hint)
 	return nil
 }
 

@@ -20,9 +20,10 @@ import (
 // and everything else, the model's series and dumps. A change to how the
 // kernel runs the model moves only the first. T4 is the paper's single-client DAFS read,
 // pinned by its stdout. T6 is the traced run over a single DAFS server,
-// T15 the striped contiguous path and T17 the strided collective over
-// four servers; each of these runs' Chrome export is pinned beside its
-// stdout.
+// T15's point 5 the striped contiguous path (2 clients, 2 servers) and
+// T17's point 8 the strided collective over four servers; each of these
+// runs' Chrome export is pinned beside its stdout. list T18 pins how a
+// table's points are numbered.
 // T19 is the elastic-membership run: a live join, re-silver and commit.
 func TestOutputs(t *testing.T) {
 	dir := t.TempDir()
@@ -33,11 +34,12 @@ func TestOutputs(t *testing.T) {
 		args   []string
 	}{
 		{"list.txt", []string{"list"}},
+		{"list-T18.txt", []string{"list", "T18"}},
 		{"run-T9.txt", []string{"run", "-q", "T9"}},
-		{"trace-T15.txt", []string{"trace", "T15", "-clients", "2", "-servers", "2", "-hist", "-trace", chrome15}},
+		{"trace-T15.txt", []string{"trace", "T15", "-point", "5", "-hist", "-trace", chrome15}},
 		{"trace-T4.txt", []string{"trace", "T4", "-hist"}},
 		{"trace-T6.txt", []string{"trace", "T6", "-hist", "-trace", chrome6}},
-		{"trace-T17.txt", []string{"trace", "T17", "-servers", "4", "-hist", "-trace", chrome17}},
+		{"trace-T17.txt", []string{"trace", "T17", "-point", "8", "-hist", "-trace", chrome17}},
 		{"stat-T16.txt", []string{"stat", "T16", "-json", json}},
 		{"stat-T19.txt", []string{"stat", "T19", "-interval", "25ms", "-json", json19}},
 	} {
@@ -123,9 +125,11 @@ func TestUsageErrors(t *testing.T) {
 		nil,
 		{"bogus"},
 		{"run", "T99"},
-		{"trace", "T2"},
+		{"trace", "T2", "-point", "28"},
+		{"trace", "T15", "-point", "-2"},
+		{"stat", "T99", "-point", "0"},
 		{"stat", "T1"},
-		{"trace", "T15", "-clients", "0"},
+		{"list", "T99"},
 		{"stat", "T16", "-interval", "0s"},
 		{"run", "T9", "extra"},
 	} {

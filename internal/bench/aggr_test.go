@@ -33,7 +33,7 @@ func t17WriteSpans(r Result) map[string][]trace.Span {
 // writes at all.
 func TestT17AggregatorTouchesOneServer(t *testing.T) {
 	for _, width := range []int{2, 4} {
-		r := observed(t, "T17", 4, width, traced)
+		r := run(t17Point(width, methodTwoPhase), traced)
 		byTrack := t17WriteSpans(r)
 		if len(byTrack) != width {
 			t.Fatalf("width %d: %d tracks issued DAFS writes, want %d aggregators", width, len(byTrack), width)
@@ -89,7 +89,7 @@ func t17BatchBound(t *testing.T, width int) int {
 func TestT17BatchRequestBound(t *testing.T) {
 	const width = 4
 	bound := t17BatchBound(t, width)
-	r := observed(t, "T17", 4, width, traced)
+	r := run(t17Point(width, methodTwoPhase), traced)
 	for track, spans := range t17WriteSpans(r) {
 		for _, s := range spans {
 			if s.Op != "WRITE_BATCH" {
@@ -164,30 +164,10 @@ func TestT17ReadBatchRequestBound(t *testing.T) {
 // restore the batch win over per-fragment independent I/O at width > 1.
 func TestT17BatchWinAtWidth(t *testing.T) {
 	for _, width := range []int{2, 4} {
-		batch := measure(t17Point(width, methodBatch)).MBps
-		per := measure(t17Point(width, methodNaive)).MBps
+		batch := run(t17Point(width, methodBatch), Observation{}).MBps
+		per := run(t17Point(width, methodNaive), Observation{}).MBps
 		if batch <= per {
 			t.Errorf("width %d: batch %.1f MB/s does not beat per-fragment %.1f MB/s", width, batch, per)
 		}
-	}
-}
-
-// TestT17TracedMatchesUntraced pins that tracing T17 is observational and
-// that the traced run is deterministic (byte-identical Chrome exports).
-func TestT17TracedMatchesUntraced(t *testing.T) {
-	r1 := observed(t, "T17", 4, 2, traced)
-	if plain := measure(t17Point(2, methodTwoPhase)).MBps; r1.MBps != plain {
-		t.Errorf("T17 bandwidth: traced %v != untraced %v", r1.MBps, plain)
-	}
-	r2 := observed(t, "T17", 4, 2, traced)
-	var b1, b2 bytes.Buffer
-	if err := r1.Tracer.WriteChrome(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.Tracer.WriteChrome(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Error("two T17 runs produced different Chrome traces")
 	}
 }

@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: one entry per table/figure of
-// the (reconstructed) evaluation, each rebuilding its cluster from scratch
-// and reporting a stats.Table. The same entries back cmd/mpio and the
-// root-level testing.B benchmarks, so the paper's numbers regenerate from
-// either.
+// the (reconstructed) evaluation. An experiment is data: the points it
+// runs, each on a cluster rebuilt from scratch, and a render that turns
+// their results into a stats.Table. One runner runs them for cmd/mpio's
+// run, trace and stat, for the golden test and for the root-level
+// testing.B benchmarks, so the paper's numbers regenerate from any of them.
 //
 // All results are *simulated* time under the model.CLAN1998 cost model; see
 // DESIGN.md §2 for the substitution argument and EXPERIMENTS.md for the
@@ -11,93 +12,108 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"dafsio/internal/cluster"
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
 )
 
-// Experiment is one reproducible table/figure.
+// Experiment is one reproducible table/figure: its points, run in order,
+// and the render that draws the table from their results.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func() *stats.Table
-
-	// observe re-runs the experiment's representative point under an
-	// Observation; nil when the experiment has none.
-	observe func(clients, servers int, o Observation) Result
+	ID      string
+	Title   string
+	Points  []point
+	Render  func([]Result) *stats.Table
+	Observe int // the point mpio trace and stat run unless told another
 }
 
 // All lists every experiment in presentation order.
 var All = []Experiment{
-	{"T1", "Raw VIA latency and bandwidth", T1RawVIA,
-		func(_, _ int, o Observation) Result { return stream(65536, 16, o) }},
-	{"T2", "MPI-IO bandwidth vs request size: DAFS vs NFS (1 client)", T2RequestSize, nil},
-	{"T3", "DAFS inline vs direct transfer discipline", T3InlineDirect, nil},
-	{"T4", "Client CPU overhead per megabyte", T4CPUOverhead,
-		func(_, _ int, o Observation) Result { return run(t4Point(dafsStack, false), o) }},
-	{"T5", "Aggregate bandwidth vs number of clients", T5Scaling, nil},
-	{"T6", "Collective vs independent noncontiguous I/O", T6Collective,
-		func(_, _ int, o Observation) Result { return run(collPoint(2048, methodTwoPhase), o) }},
-	{"T7", "DAFS operation latency breakdown", T7Breakdown, nil},
-	{"T8", "Memory registration cost and the registration cache", T8RegCache, nil},
-	{"T9", "Nonblocking I/O compute/transfer overlap", T9Overlap, nil},
-	{"T10", "Per-operation latency: DAFS vs NFS", T10OpLatency, nil},
-	{"T11", "Model sensitivity of the headline ratios", T11Sensitivity, nil},
-	{"T12", "Faster networks widen the gap (future-work projection)", T12FasterNetworks, nil},
-	{"T13", "Commodity gigabit-Ethernet profile", T13GbEProfile, nil},
-	{"T14", "Disk-bound server: NFS leads on bandwidth (negative result)", T14DiskBound, nil},
-	// A traced T15 point reads (per-stripe fan-out is the story); a sampled
-	// one writes (the servers' byte counters are).
-	{"T15", "Striped aggregate bandwidth: clients x servers", T15StripedScaling,
-		func(n, s int, o Observation) Result {
-			return run(stripePoint("T15", dafsStack, n, s, stripePer, o.Tick > 0), o)
-		}},
-	{"T16", "Failover under a server crash: replication 1 vs 2", T16Failover,
-		func(_, _ int, o Observation) Result { return run(t16Point(2, true), o) }},
-	{"T17", "Strided collective over striping: aligned domains + batch gather", T17StripedCollective,
-		func(_, s int, o Observation) Result { return run(t17Point(s, methodTwoPhase), o) }},
-	{"T18", "Wide striped scaling: clients x servers at 10k-proc populations", T18WideStriping, nil},
-	{"T19", "Elastic membership: live join, background re-silver, versioned layouts", T19Elastic,
-		func(_, _ int, o Observation) Result { return t19Run(o).Result }},
-	{"T15N", "Striped NFS baseline: multi-mount striping without DAFS", T15NStripedNFS, nil},
+	t1RawVIA(),
+	t2RequestSize(),
+	t3InlineDirect(),
+	t4CPUOverhead(),
+	t5Scaling(),
+	t6Collective(),
+	t7Breakdown(),
+	t8RegCache(),
+	t9Overlap(),
+	t10OpLatency(),
+	t11Sensitivity(),
+	t12FasterNetworks(),
+	t13GbEProfile(),
+	t14DiskBound(),
+	t15StripedScaling(),
+	t16Failover(),
+	t17StripedCollective(),
+	t18WideStriping(),
+	t19Elastic(),
+	t15NStripedNFS(),
 }
 
 // ByID finds an experiment.
-func ByID(id string) *Experiment {
+func ByID(id string) (*Experiment, error) {
 	for i := range All {
 		if All[i].ID == id {
-			return &All[i]
+			return &All[i], nil
 		}
 	}
-	return nil
+	return nil, fmt.Errorf("unknown experiment %q (try mpio list)", id)
 }
 
-// Observe re-runs experiment id's representative point under o: clients
-// and servers size T15's striped point, and servers is T17's stripe width;
-// the other experiments have a fixed shape. T1 runs on a bare VIA pair,
-// which can be traced but not sampled.
-func Observe(id string, clients, servers int, o Observation) (Result, error) {
-	e := ByID(id)
-	if e == nil || e.observe == nil {
-		var ids []string
-		for _, e := range All {
-			if e.observe != nil {
-				ids = append(ids, e.ID)
-			}
-		}
-		return Result{}, fmt.Errorf("experiment %q cannot be observed (try %s)", id, strings.Join(ids, ", "))
+// Run runs e's points in order, unobserved, and renders its table.
+func (e Experiment) Run() *stats.Table {
+	rs := make([]Result, len(e.Points))
+	for i := range rs {
+		rs[i], _ = e.RunPoint(i, Observation{}) // in range and unsampled: no error
 	}
-	if clients < 1 || servers < 1 {
-		return Result{}, fmt.Errorf("clients and servers must be >= 1")
+	t := e.Render(rs)
+	t.ID = e.ID
+	return t
+}
+
+// RunPoint runs e's point i under o, stamped with e's ID. T1's points run
+// on a bare VIA pair, which can be traced but not sampled.
+func (e Experiment) RunPoint(i int, o Observation) (Result, error) {
+	if i < 0 || i >= len(e.Points) {
+		return Result{}, fmt.Errorf("%s has points 0 to %d (mpio list %s), not %d", e.ID, len(e.Points)-1, e.ID, i)
 	}
-	r := e.observe(clients, servers, o)
+	pt := e.Points[i]
+	pt.id = e.ID
+	r := run(pt, o)
 	if o.Tick > 0 && r.Reg == nil {
-		return Result{}, fmt.Errorf("experiment %s cannot be sampled", id)
+		return Result{}, fmt.Errorf("experiment %s cannot be sampled", e.ID)
 	}
 	return r, nil
 }
+
+// rows renders t with a row per label, each from an equal share of the
+// results in order: the label, then the cells its share makes.
+func rows(t stats.Table, labels []string, cells func(share []Result) []string) func([]Result) *stats.Table {
+	return func(rs []Result) *stats.Table {
+		out, k := t, len(rs)/len(labels)
+		for i, l := range labels {
+			out.AddRow(append([]string{l}, cells(rs[i*k:(i+1)*k])...)...)
+		}
+		return &out
+	}
+}
+
+// format formats each of xs.
+func format[T any](xs []T, f func(T) string) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = f(x)
+	}
+	return out
+}
+
+// bws is a cell per result: its bandwidth.
+func bws(rs []Result) []string { return format(rs, func(r Result) string { return stats.BW(r.MBps) }) }
+
+// sizeOf formats a byte count.
+func sizeOf[T int | int64](n T) string { return stats.Size(int64(n)) }
 
 // end finishes a run of c that returned err: an error is a bug in the
 // model, not a result, and panics. Otherwise the series close at the

@@ -15,11 +15,13 @@ const (
 	methodTwoPhase                   // collective two-phase
 )
 
+func (m collMethod) String() string { return [...]string{"naive", "batch", "sieve", "two-phase"}[m] }
+
 // interleaved is the 4-rank pattern of T6 and T17: every rank writes 1MB
 // (4MB in all) through a view that gives it every 4th block of the file.
-func interleaved(id string, st stack, servers int, block int64, method collMethod, hints mpiio.Hints) point {
+func interleaved(st stack, servers int, block int64, method collMethod, hints mpiio.Hints) point {
 	return point{
-		id: id, clients: 4, servers: servers, stack: st, name: "coll", req: 1 << 20, per: 1 << 20, write: true,
+		label: method.String(), clients: 4, servers: servers, stack: st, name: "coll", req: 1 << 20, per: 1 << 20, write: true,
 		view: &view{block: block, collective: method == methodTwoPhase, hints: hints},
 	}
 }
@@ -28,27 +30,26 @@ func interleaved(id string, st stack, servers int, block int64, method collMetho
 // given block granularity and method. There is no warm-up call: the
 // measured call is each rank's first.
 func collPoint(block int64, method collMethod) point {
-	return interleaved("T6", dafsStack, 0, block, method,
+	return interleaved(dafsStack, 0, block, method,
 		mpiio.Hints{Sieving: method == methodSieve, NoBatch: method != methodBatch})
 }
 
-// T6Collective reproduces the collective-I/O figure: two-phase collective
+// t6Collective reproduces the collective-I/O figure: two-phase collective
 // writes vs independent approaches as the interleave granularity varies.
-func T6Collective() *stats.Table {
-	t := &stats.Table{
-		ID:    "T6",
-		Title: "Interleaved writes, 4 ranks, 4MB total: independent vs collective (DAFS)",
-		Note: "rank r owns every 4th block of the file; naive = one operation per block;\n" +
-			"batch = DAFS batch I/O (segment list + one RDMA per request);\n" +
-			"sieve = read-modify-write windows; two-phase = ROMIO-style collective buffering",
-		Columns: []string{"block", "naive MB/s", "batch MB/s", "sieve MB/s", "two-phase MB/s", "2ph/naive"},
+func t6Collective() Experiment {
+	blocks := []int64{128, 512, 2048, 8192}
+	var pts []point
+	for _, bs := range blocks {
+		for _, m := range []collMethod{methodNaive, methodBatch, methodSieve, methodTwoPhase} {
+			pts = append(pts, collPoint(bs, m))
+		}
 	}
-	for _, bs := range []int64{128, 512, 2048, 8192} {
-		naive := measure(collPoint(bs, methodNaive)).MBps
-		batch := measure(collPoint(bs, methodBatch)).MBps
-		sieve := measure(collPoint(bs, methodSieve)).MBps
-		two := measure(collPoint(bs, methodTwoPhase)).MBps
-		t.AddRow(stats.Size(bs), stats.BW(naive), stats.BW(batch), stats.BW(sieve), stats.BW(two), stats.Ratio(two/naive))
-	}
-	return t
+	return Experiment{ID: "T6", Title: "Collective vs independent noncontiguous I/O", Points: pts, Observe: 2*4 + 3, // two-phase in 2KB blocks
+		Render: rows(stats.Table{
+			Title: "Interleaved writes, 4 ranks, 4MB total: independent vs collective (DAFS)",
+			Note: "rank r owns every 4th block of the file; naive = one operation per block;\n" +
+				"batch = DAFS batch I/O (segment list + one RDMA per request);\n" +
+				"sieve = read-modify-write windows; two-phase = ROMIO-style collective buffering",
+			Columns: []string{"block", "naive MB/s", "batch MB/s", "sieve MB/s", "two-phase MB/s", "2ph/naive"},
+		}, format(blocks, sizeOf), func(r []Result) []string { return append(bws(r), stats.Ratio(r[3].MBps/r[0].MBps)) })}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 
 	"dafsio/internal/layout"
@@ -34,29 +33,6 @@ const (
 	t19Rate = 256 << 20
 )
 
-// t19Expect writes prefill's pattern for absolute file offset abs: the
-// logical byte at offset x is byte(x) on any layout width.
-func t19Expect(buf []byte, abs int64) {
-	for j := range buf {
-		buf[j] = byte(abs + int64(j))
-	}
-}
-
-// t19Result is one T19 run: aggregate read bandwidth before the join,
-// during the re-silver, and after commit, with the window lengths. The
-// embedded Result spans the whole run, at the post-commit bandwidth, and
-// carries the read-back verdict.
-type t19Result struct {
-	Result
-	SteadyMBps float64 // width-3 steady state, before the join
-	DuringMBps float64 // foreground reads while the migrator copies
-	PostMBps   float64 // width-4 steady state, after every client committed
-	SteadyDur  sim.Time
-	MigDur     sim.Time
-	PostDur    sim.Time
-	Epoch      uint32 // layout epoch after commit
-}
-
 // t19Run is the elastic-membership workload. Three phases, fenced by
 // barriers so each bandwidth window is clean:
 //
@@ -72,11 +48,12 @@ type t19Result struct {
 //     read passes repeat at width 4.
 //
 // Read-back verification (outside every window) checks the migrated
-// bytes against the prefill pattern.
-func t19Run(o Observation) t19Result {
+// bytes against the prefill pattern. The result's phases are the three
+// windows; its own window spans the whole run, at the post-commit
+// bandwidth.
+func t19Run(pt point, o Observation) Result {
 	const n = t19Clients
 	st4 := layout.Striping{StripeSize: stripeSize, Width: t19Servers + 1}
-	pt := point{id: "T19", clients: n, servers: t19Servers, stack: dafsStack, name: "t19", per: t19Per}
 	c := newCluster(pt, o)
 
 	ready := sim.NewWaitGroup(c.K, n)
@@ -89,9 +66,8 @@ func t19Run(o Observation) t19Result {
 	firstPrep := sim.NewFuture[struct{}](c.K)
 	migDone := sim.NewFuture[error](c.K)
 
-	res := t19Result{Result: Result{ID: pt.id, Tracer: c.Tracer, Reg: c.Metrics}}
-	var aStart, aEnd, mStart, mEnd, bStart, bEnd sim.Time
-	var during int64 // foreground bytes read while the migrator ran
+	res := Result{Tracer: c.Tracer, Reg: c.Metrics, phases: make([]phase, 3)}
+	steady, during, post := &res.phases[0], &res.phases[1], &res.phases[2]
 
 	err := c.SpawnClients(func(p *sim.Proc, i int) {
 		f, d := open(p, c, pt, i)
@@ -99,6 +75,9 @@ func t19Run(o Observation) t19Result {
 		drv.ResilverRate = t19Rate
 		buf := make([]byte, stripeChunk)
 		base := int64(i) * t19Per
+		// Every client leaves a fence at the same instant, which opens the
+		// phase that follows it.
+		fence := func(wg *sim.WaitGroup) { wg.Done(); wg.Wait(p) }
 		readPass := func() {
 			for off := int64(0); off < t19Per; off += stripeChunk {
 				if _, err := f.ReadAt(p, base+off, buf); err != nil {
@@ -110,19 +89,13 @@ func t19Run(o Observation) t19Result {
 		if _, err := f.ReadAt(p, base, buf); err != nil {
 			panic(err)
 		}
-		ready.Done()
-		ready.Wait(p)
-		if aStart == 0 {
-			aStart = p.Now()
-		}
+		fence(ready)
+		steady.start = p.Now()
 		for pass := 0; pass < t19Passes; pass++ {
 			readPass()
 		}
-		if now := p.Now(); now > aEnd {
-			aEnd = now
-		}
-		aDone.Done()
-		aDone.Wait(p)
+		steady.close(p.Now(), t19Passes*t19Per)
+		fence(aDone)
 
 		// The fourth server joins and fences at the new epoch; everyone
 		// dials the grown pool. Client 0 prepares first — its shadow
@@ -146,11 +119,8 @@ func t19Run(o Observation) t19Result {
 		if i == 0 {
 			firstPrep.Set(struct{}{})
 		}
-		prepared.Done()
-		prepared.Wait(p)
-		if mStart == 0 {
-			mStart = p.Now()
-		}
+		fence(prepared)
+		during.start = p.Now()
 		if i == 0 {
 			c.K.Spawn("t19.migrator", func(mp *sim.Proc) { migDone.Set(rs.Migrate(mp)) })
 		}
@@ -162,86 +132,68 @@ func t19Run(o Observation) t19Result {
 			}
 			mine += int64(nr)
 		}
-		during += mine
-		if now := p.Now(); now > mEnd {
-			mEnd = now
-		}
-		copied.Done()
-		copied.Wait(p)
+		during.close(p.Now(), mine)
+		fence(copied)
 		if err := migDone.Get(p); err != nil {
 			panic(err)
 		}
 		rs.Commit(p)
-		res.Epoch = drv.LayoutEpoch()
-		committed.Done()
-		committed.Wait(p)
+		res.epoch = drv.LayoutEpoch()
+		fence(committed)
 		if i == 0 {
 			rs.Cleanup(p) // every participant committed; old objects go
 		}
-		cleaned.Done()
-		cleaned.Wait(p)
-		if bStart == 0 {
-			bStart = p.Now()
-		}
+		fence(cleaned)
+		post.start = p.Now()
 		for pass := 0; pass < t19Passes; pass++ {
 			readPass()
 		}
-		if now := p.Now(); now > bEnd {
-			bEnd = now
-		}
+		post.close(p.Now(), t19Passes*t19Per)
 		// Read-back verification outside the measured windows: the
-		// migrated width-4 copy must be byte-identical to the pattern.
-		want := make([]byte, stripeChunk)
-		for off := int64(0); off < t19Per; off += stripeChunk {
+		// migrated width-4 copy must hold prefill's pattern, byte(x) at
+		// logical offset x on any layout width.
+		for off := int64(0); off < t19Per && !res.corrupt; off += stripeChunk {
 			nr, err := f.ReadAt(p, base+off, buf)
 			if err != nil {
 				panic(err)
 			}
-			t19Expect(want, base+off)
-			if nr != len(buf) || !bytes.Equal(buf, want) {
-				res.corrupt = true
-				break
+			for j := range buf {
+				res.corrupt = res.corrupt || nr != len(buf) || buf[j] != byte(base+off+int64(j))
 			}
 		}
 		f.Close(p)
 	})
 	end(c, err)
-	res.SteadyMBps = stats.MBps(int64(n)*t19Per*t19Passes, aEnd-aStart)
-	res.SteadyDur = aEnd - aStart
-	res.DuringMBps = stats.MBps(during, mEnd-mStart)
-	res.MigDur = mEnd - mStart
-	res.PostMBps = stats.MBps(int64(n)*t19Per*t19Passes, bEnd-bStart)
-	res.PostDur = bEnd - bStart
-	res.Start, res.End, res.MBps = aStart, bEnd, res.PostMBps
-	res.Outcome = fmt.Sprintf("joined at epoch %d, re-silvered, verified", res.Epoch)
-	if res.corrupt {
-		res.Outcome = "CORRUPT read-back"
+	res.Start, res.End, res.MBps = steady.start, post.end, post.mbps()
+	if !res.corrupt {
+		res.Outcome = fmt.Sprintf("joined at epoch %d, re-silvered, verified", res.epoch)
 	}
 	return res
 }
 
-// T19Elastic is the elastic-membership experiment: a live join, a
+// t19Elastic is the elastic-membership experiment: a live join, a
 // background re-silver bounded by the token bucket, and the bandwidth
 // ramp once the wider layout commits. The three rows are the three
-// phases of one run.
-func T19Elastic() *stats.Table {
-	r := t19Run(Observation{})
-	t := &stats.Table{
-		ID:    "T19",
-		Title: "Elastic membership: live server join with background re-silver (8 clients, 3 -> 4 servers, 256KB reads)",
-		Note: "a fourth server joins mid-run and fences at epoch 2; one client re-silvers the file onto the width-4\n" +
-			"layout through a 256MB/s token bucket while every client keeps reading the old layout (dual-writes\n" +
-			"would cover mutations); commit is a local pointer flip per client, then the old epoch's objects are removed",
-		Columns: []string{"phase", "width", "rd MB/s", "window", "outcome"},
-	}
-	floor := fmt.Sprintf("foreground %d%% of steady", int(100*r.DuringMBps/r.SteadyMBps+0.5))
-	ramp := fmt.Sprintf("%+d%% vs steady", int(100*(r.PostMBps-r.SteadyMBps)/r.SteadyMBps+0.5))
-	verdict := "verified byte-identical"
-	if r.corrupt {
-		verdict = "CORRUPT read-back"
-	}
-	t.AddRow("steady pre-join", "3", stats.BW(r.SteadyMBps), r.SteadyDur.String(), "epoch 1")
-	t.AddRow("re-silver window", "3+1", stats.BW(r.DuringMBps), r.MigDur.String(), floor)
-	t.AddRow(fmt.Sprintf("post-commit (epoch %d)", r.Epoch), "4", stats.BW(r.PostMBps), r.PostDur.String(), ramp+", "+verdict)
-	return t
+// phases of its one point.
+func t19Elastic() Experiment {
+	return Experiment{ID: "T19", Title: "Elastic membership: live join, background re-silver, versioned layouts",
+		Points: []point{{label: "8 clients read over 3 servers while a fourth joins and the file re-silvers onto it",
+			clients: t19Clients, servers: t19Servers, stack: dafsStack, name: "t19", per: t19Per, body: t19Run}},
+		Render: func(rs []Result) *stats.Table {
+			r := rs[0]
+			steady, during, post := r.phases[0], r.phases[1], r.phases[2]
+			t := &stats.Table{
+				Title: "Elastic membership: live server join with background re-silver (8 clients, 3 -> 4 servers, 256KB reads)",
+				Note: "a fourth server joins mid-run and fences at epoch 2; one client re-silvers the file onto the width-4\n" +
+					"layout through a 256MB/s token bucket while every client keeps reading the old layout (dual-writes\n" +
+					"would cover mutations); commit is a local pointer flip per client, then the old epoch's objects are removed",
+				Columns: []string{"phase", "width", "rd MB/s", "window", "outcome"},
+			}
+			floor := fmt.Sprintf("foreground %d%% of steady", int(100*during.mbps()/steady.mbps()+0.5))
+			ramp := fmt.Sprintf("%+d%% vs steady", int(100*(post.mbps()-steady.mbps())/steady.mbps()+0.5))
+			t.AddRow("steady pre-join", "3", stats.BW(steady.mbps()), steady.dur().String(), "epoch 1")
+			t.AddRow("re-silver window", "3+1", stats.BW(during.mbps()), during.dur().String(), floor)
+			t.AddRow(fmt.Sprintf("post-commit (epoch %d)", r.epoch), "4", stats.BW(post.mbps()), post.dur().String(), ramp+", verified byte-identical")
+			return t
+		}}
 }

@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestT19Outcomes pins the experiment's headline claims: the reshape
 // commits at epoch 2, the post-join layout is strictly faster than the
@@ -12,22 +15,20 @@ func TestT19Outcomes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("T19 run in short mode")
 	}
-	r := t19Run(Observation{})
-	if r.corrupt {
-		t.Fatal("post-reshape read-back not byte-identical")
+	r := observed(t, "T19", Observation{}) // a corrupt read-back panics
+	steady, during, post := r.phases[0], r.phases[1], r.phases[2]
+	if r.epoch != 2 {
+		t.Errorf("layout epoch after commit = %d, want 2", r.epoch)
 	}
-	if r.Epoch != 2 {
-		t.Errorf("layout epoch after commit = %d, want 2", r.Epoch)
+	if during.dur() <= 0 {
+		t.Errorf("re-silver window %v, want positive", during.dur())
 	}
-	if r.MigDur <= 0 {
-		t.Errorf("re-silver window %v, want positive", r.MigDur)
+	if post.mbps() <= steady.mbps() {
+		t.Errorf("join did not raise bandwidth: post %.1f <= steady %.1f MB/s", post.mbps(), steady.mbps())
 	}
-	if r.PostMBps <= r.SteadyMBps {
-		t.Errorf("join did not raise bandwidth: post %.1f <= steady %.1f MB/s", r.PostMBps, r.SteadyMBps)
-	}
-	if r.DuringMBps < t19Floor*r.SteadyMBps {
+	if during.mbps() < t19Floor*steady.mbps() {
 		t.Errorf("foreground %.1f MB/s under re-silver below the %.0f%% floor of steady %.1f MB/s",
-			r.DuringMBps, 100*t19Floor, r.SteadyMBps)
+			during.mbps(), 100*t19Floor, steady.mbps())
 	}
 }
 
@@ -38,16 +39,11 @@ func TestT19Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("T19 runs in short mode")
 	}
-	r1, r2 := t19Run(Observation{}), t19Run(Observation{})
-	if r1.Start != r2.Start || r1.End != r2.End || r1.MigDur != r2.MigDur {
-		t.Errorf("windows differ: [%v,%v] mig %v vs [%v,%v] mig %v",
-			r1.Start, r1.End, r1.MigDur, r2.Start, r2.End, r2.MigDur)
+	r1, r2 := observed(t, "T19", Observation{}), observed(t, "T19", Observation{})
+	if r1.Start != r2.Start || r1.End != r2.End || !slices.Equal(r1.phases, r2.phases) {
+		t.Errorf("runs differ: [%v,%v] %v vs [%v,%v] %v", r1.Start, r1.End, r1.phases, r2.Start, r2.End, r2.phases)
 	}
-	if r1.SteadyMBps != r2.SteadyMBps || r1.DuringMBps != r2.DuringMBps || r1.PostMBps != r2.PostMBps {
-		t.Errorf("bandwidths differ: %.3f/%.3f/%.3f vs %.3f/%.3f/%.3f",
-			r1.SteadyMBps, r1.DuringMBps, r1.PostMBps, r2.SteadyMBps, r2.DuringMBps, r2.PostMBps)
-	}
-	if a, b := T19Elastic().String(), T19Elastic().String(); a != b {
+	if a, b := experiment("T19").Run().String(), experiment("T19").Run().String(); a != b {
 		t.Errorf("two T19 renders differ:\n%s\nvs\n%s", a, b)
 	}
 }
@@ -60,7 +56,7 @@ func TestT15NStripedNFS(t *testing.T) {
 		t.Skip("striped NFS grid points in short mode")
 	}
 	bw := func(st stack, s int) float64 {
-		return measure(stripePoint("T15N", st, 2, s, stripePer, false)).MBps
+		return run(stripePoint(st, 2, s, stripePer, false), Observation{}).MBps
 	}
 	nfs1 := bw(nfsStack, 1)
 	nfs2 := bw(nfsStack, 2)

@@ -34,7 +34,7 @@ const (
 // then read their regions back and verify every byte. The retry policy is
 // 100us base doubling to an 800us cap, three attempts.
 func t16Point(replicas int, kill bool) point {
-	pt := stripePoint("T16", dafsStack, 4, 4, stripePer, true)
+	pt := stripePoint(dafsStack, 4, 4, stripePer, true)
 	pt.name, pt.replicas, pt.verify = "t16", replicas, true
 	pt.opts = &dafs.Options{CallTimeout: t16CallTimeout}
 	pt.retry = dafs.RetryPolicy{Base: 100 * sim.Microsecond, Max: 800 * sim.Microsecond, Attempts: 3}
@@ -44,41 +44,32 @@ func t16Point(replicas int, kill bool) point {
 	return pt
 }
 
-// T16Failover is the fault-tolerance experiment: the T15 4x4 write point
+// t16Failover is the fault-tolerance experiment: the T15 4x4 write point
 // run healthy and with server1 crashing at 10ms, at replication 1 and 2.
 // Healthy rows price the replication tax (every stripe written twice
 // through one client NIC); the kill rows show replication converting a
 // fatal failure into a degraded-but-complete run, with the recovery
 // latency dominated by the 20ms call deadline on the in-flight calls the
 // crash orphaned.
-func T16Failover() *stats.Table {
-	t := &stats.Table{
-		ID:    "T16",
-		Title: "Failover under a server crash at 10ms: replication 1 vs 2 (4 clients x 4 servers, 256KB writes)",
-		Note: "write-all/read-any replication, rank r of a stripe on server (s+r) mod width; 20ms call deadline, redial backoff 100us..800us x3.\n" +
-			"recovery = latest first post-kill completion across clients; at r=1 the crash is fatal (ErrAllReplicasDown), at r=2 the run\n" +
-			"degrades to the surviving servers and every byte reads back from a replica",
-		Columns: []string{"config", "wr MB/s", "recovery", "redials", "outcome"},
-	}
-	for _, row := range []struct {
-		label    string
-		replicas int
-		kill     bool
-	}{
-		{"r=1 healthy", 1, false},
-		{"r=2 healthy", 2, false},
-		{"r=1 kill@10ms", 1, true},
-		{"r=2 kill@10ms", 2, true},
-	} {
-		r := run(t16Point(row.replicas, row.kill), Observation{})
-		bw, rec := "-", "-"
-		if r.Err == nil {
-			bw = stats.BW(r.MBps)
-			if row.kill {
-				rec = r.Recovery.String()
+func t16Failover() Experiment {
+	labels := []string{"r=1 healthy", "r=2 healthy", "r=1 kill@10ms", "r=2 kill@10ms"}
+	return Experiment{ID: "T16", Title: "Failover under a server crash: replication 1 vs 2", Observe: 3, // r=2 kill
+		Points: []point{labeled(labels[0], t16Point(1, false)), labeled(labels[1], t16Point(2, false)),
+			labeled(labels[2], t16Point(1, true)), labeled(labels[3], t16Point(2, true))},
+		Render: rows(stats.Table{
+			Title: "Failover under a server crash at 10ms: replication 1 vs 2 (4 clients x 4 servers, 256KB writes)",
+			Note: "write-all/read-any replication, rank r of a stripe on server (s+r) mod width; 20ms call deadline, redial backoff 100us..800us x3.\n" +
+				"recovery = latest first post-kill completion across clients; at r=1 the crash is fatal (ErrAllReplicasDown), at r=2 the run\n" +
+				"degrades to the surviving servers and every byte reads back from a replica",
+			Columns: []string{"config", "wr MB/s", "recovery", "redials", "outcome"},
+		}, labels, func(r []Result) []string {
+			bw, rec := "-", "-"
+			if r[0].Err == nil {
+				bw = stats.BW(r[0].MBps)
 			}
-		}
-		t.AddRow(row.label, bw, rec, fmt.Sprintf("%d", r.Retries), r.Outcome)
-	}
-	return t
+			if r[0].Recovery > 0 {
+				rec = r[0].Recovery.String()
+			}
+			return []string{bw, rec, fmt.Sprintf("%d", r[0].Retries), r[0].Outcome}
+		})}
 }

@@ -19,13 +19,11 @@ import (
 	"dafsio/internal/trace"
 )
 
-// The measured runs. Every experiment that moves file data through MPI-IO
-// and times it is a point handed to run: one client or many, one server or
-// a stripe, observed or not. run builds the cluster and fills the file
-// with newCluster and connects with open, which the experiments with
-// bodies of their own share: T9 (compute overlap), T10 (metadata probes)
-// and T19 (elastic phases). T1 runs on a bare VIA pair (micro.go), and
-// T7's model rows are arithmetic over the cost profile.
+// The measured runs. Every cell of every table comes from a point handed
+// to run. A point that times file data through MPI-IO is its fields alone
+// and runs through transfer; the rest carry a body of their own: T1's runs
+// on a bare VIA pair (micro.go), and T9's, T10's and T19's, which build
+// their cluster with newCluster and connect with open as transfer does.
 
 // stack is the client side of a point: the transport every client opens
 // the file through, one session or mount per server under the striped
@@ -37,13 +35,16 @@ const (
 	nfsStack               // NFS mounts
 )
 
+func (st stack) String() string { return [...]string{"dafs", "nfs"}[st] }
+
 // point is one measured run. Every client opens name over stack and moves
 // per bytes in req-byte calls: from its own region [i*per, (i+1)*per) of
 // the file, or through its share of an interleaved view. The clients start
 // together after a barrier; the measured window closes with the last
 // client's last call.
 type point struct {
-	id       string // experiment, named in failures
+	id       string // experiment, stamped by the runner and named in failures
+	label    string // what the fields do not say, for mpio list
 	clients  int
 	servers  int // stripe width; 0 or 1 is the paper's single server
 	replicas int // copies of each stripe (DAFS)
@@ -63,6 +64,9 @@ type point struct {
 
 	// tune adjusts the DAFS driver before the file opens.
 	tune func(*mpiio.StripedDAFSDriver)
+
+	// body runs the point in place of transfer.
+	body func(point, Observation) Result
 }
 
 // view interleaves the clients: rank i owns every clients-th block of the
@@ -98,7 +102,25 @@ type Result struct {
 	disk    float64  // server 0's disk busy share over the window (0 without a disk)
 	cpuMB   sim.Time // client CPU busy time over the window, summed across clients, per MB moved
 	corrupt bool     // a read-back differed from what was written
+	phases  []phase  // the windows a body times beside the main one: T10's probes, T19's phases
+	epoch   uint32   // the layout epoch the run ends at (T19)
 }
+
+// phase is one window a body times: from the first client's start to the
+// last client's end, and the bytes the clients moved in it.
+type phase struct {
+	start, end sim.Time
+	bytes      int64
+}
+
+// close stretches ph over one client's part of the window, which moved
+// bytes.
+func (ph *phase) close(now sim.Time, bytes int64) {
+	ph.end, ph.bytes = max(ph.end, now), ph.bytes+bytes
+}
+
+func (ph phase) dur() sim.Time { return ph.end - ph.start }
+func (ph phase) mbps() float64 { return stats.MBps(ph.bytes, ph.dur()) }
 
 // Elapsed returns the measured window's length.
 func (r Result) Elapsed() sim.Time { return r.End - r.Start }
@@ -106,11 +128,6 @@ func (r Result) Elapsed() sim.Time { return r.End - r.Start }
 // cpuUtil is the client CPU's utilization while streaming: CPU time per
 // byte times bytes per second.
 func (r Result) cpuUtil() float64 { return float64(r.cpuMB) / 1e9 * r.MBps }
-
-// BreakdownTable renders a traced run's per-category time breakdown.
-func (r Result) BreakdownTable() *stats.Table {
-	return r.Tracer.BreakdownTable(r.Elapsed())
-}
 
 // placement is the striping pt's file has on c: 64KB stripes over every
 // server, pt's replicas of each (one server holds the whole file).
@@ -255,24 +272,41 @@ func (pt point) call(p *sim.Proc, f *mpiio.File, i int, write bool) func(off int
 	}
 }
 
-// run measures pt under o. A failed call ends its client's run and the
-// first one is the Result's Err; the other clients carry on, so a fault
-// that is fatal to one client (T16's unreplicated kill) is a result, not
-// a crash.
+// run is the one runner: it runs pt under o, through pt's body or
+// transfer. A failed call or a corrupt read-back is a result only for a
+// point with a fault plan (T16's unreplicated kill); anywhere else it is a
+// bug in the model, and run panics.
 func run(pt point, o Observation) Result {
+	body := pt.body
+	if body == nil {
+		body = transfer
+	}
+	r := body(pt, o)
+	r.ID = pt.id
+	if r.Outcome == "" {
+		r.Outcome = pt.outcome(r)
+	}
+	if pt.faults == nil && (r.Err != nil || r.corrupt) {
+		panic(fmt.Sprintf("bench: %s: %s", pt.id, r.Outcome))
+	}
+	return r
+}
+
+// transfer moves pt's file data. A failed call ends its client's run and
+// the first to fail is the Result's Err; the other clients carry on.
+func transfer(pt point, o Observation) Result {
 	c := newCluster(pt, o)
 	var at sim.Time // the fault's instant: recovery is measured from it
 	if pt.faults != nil {
 		at = pt.faults.Events[0].At
 	}
-	r := Result{ID: pt.id, Tracer: c.Tracer, Reg: c.Metrics}
+	r := Result{Tracer: c.Tracer, Reg: c.Metrics}
 	srvCPU := c.ServerNode.CPU
 	var cpu0, disk0 sim.Time
 	cli0 := make([]sim.Time, pt.clients) // each client's CPU busy time at the window's start
 	var cliCPU sim.Time
 	ready := sim.NewWaitGroup(c.K, pt.clients)
 	first := make([]sim.Time, pt.clients) // first completion after at
-	errs := make([]error, pt.clients)
 	err := c.SpawnClients(func(p *sim.Proc, i int) {
 		f, drv := open(p, c, pt, i)
 		move := pt.call(p, f, i, pt.write)
@@ -323,16 +357,12 @@ func run(pt point, o Observation) Result {
 		if d, ok := drv.(*mpiio.StripedDAFSDriver); ok {
 			r.Retries += d.Retries
 		}
-		errs[i] = err
+		if r.Err == nil {
+			r.Err = err
+		}
 		f.Close(p)
 	})
 	end(c, err)
-	for _, e := range errs {
-		if e != nil {
-			r.Err = e
-			break
-		}
-	}
 	if r.Err == nil {
 		r.MBps = stats.MBps(int64(pt.clients)*pt.per, r.Elapsed())
 		r.srvCPU = float64(srvCPU.BusyTime()-cpu0) / float64(r.Elapsed())
@@ -346,7 +376,6 @@ func run(pt point, o Observation) Result {
 			}
 		}
 	}
-	r.Outcome = pt.outcome(r)
 	return r
 }
 
@@ -368,20 +397,37 @@ func (pt point) outcome(r Result) string {
 	}
 }
 
-// measure runs pt unobserved. A failed call here is a bug in the model,
-// not a result.
-func measure(pt point) Result {
-	r := run(pt, Observation{})
-	if r.Err != nil || r.corrupt {
-		panic(fmt.Sprintf("bench: %s: %s", pt.id, r.Outcome))
-	}
-	return r
-}
-
 // seq is the single-client sequential point: size-byte calls over total
 // bytes of file "f", after one untimed call that warms registrations.
-func seq(id string, st stack, size int, total int64, write bool) point {
-	return point{id: id, clients: 1, stack: st, name: "f", req: size, per: total, write: write, warm: true}
+func seq(st stack, size int, total int64, write bool) point {
+	return point{clients: 1, stack: st, name: "f", req: size, per: total, write: write, warm: true}
+}
+
+// String describes pt as mpio list prints it: its label, then, unless it
+// has a body, the transfer its fields make.
+func (pt point) String() string {
+	if pt.body != nil {
+		return pt.label
+	}
+	verb := "read"
+	if pt.write {
+		verb = "write"
+	}
+	s := fmt.Sprintf("%v, %d-client, %d-server, %s %s each in %s calls",
+		pt.stack, pt.clients, max(pt.servers, 1), verb, stats.Size(pt.per), stats.Size(int64(pt.req)))
+	if pt.view != nil {
+		s += ", interleaved in " + stats.Size(pt.view.block) + " blocks"
+	}
+	if pt.label != "" {
+		s = pt.label + ": " + s
+	}
+	return s
+}
+
+// labeled returns pt with a label.
+func labeled(label string, pt point) point {
+	pt.label = label
+	return pt
 }
 
 // under returns pt on another cost model.

@@ -5,18 +5,11 @@ import (
 	"dafsio/internal/stats"
 )
 
-// T11Sensitivity is the threats-to-validity ablation: it perturbs the cost
+// t11Sensitivity is the threats-to-validity ablation: it perturbs the cost
 // model's most influential constants and shows that the paper's headline
 // ratios (DAFS-over-NFS bandwidth, and the client-CPU-per-byte gap) are
 // structural, not artifacts of the chosen numbers.
-func T11Sensitivity() *stats.Table {
-	t := &stats.Table{
-		ID:    "T11",
-		Title: "Model sensitivity: DAFS:NFS ratios under perturbed constants (1MB requests)",
-		Note: "bw-ratio = DAFS/NFS bandwidth; cpu-ratio = NFS/DAFS client CPU per byte.\n" +
-			"the winner and the order of magnitude survive every perturbation",
-		Columns: []string{"variant", "dafs MB/s", "nfs MB/s", "bw-ratio", "cpu-ratio"},
-	}
+func t11Sensitivity() Experiment {
 	variants := []struct {
 		name string
 		mod  func(p *model.Profile)
@@ -30,21 +23,22 @@ func T11Sensitivity() *stats.Table {
 		{"pktcost x2", func(p *model.Profile) { p.PktCost *= 2 }},
 		{"dma/2", func(p *model.Profile) { p.DMABandwidth /= 2 }},
 	}
-	const (
-		size  = 1 << 20
-		total = 8 << 20
-	)
+	var pts []point
+	var names []string
 	for _, v := range variants {
-		dp := model.CLAN1998()
-		v.mod(dp)
-		np := model.CLAN1998()
-		v.mod(np)
-		d := measure(seq("T11", dafsStack, size, total, false).under(dp))
-		n := measure(seq("T11", nfsStack, size, total, false).under(np))
-		t.AddRow(v.name,
-			stats.BW(d.MBps), stats.BW(n.MBps),
-			stats.Ratio(d.MBps/n.MBps),
-			stats.Ratio(float64(n.cpuMB)/float64(d.cpuMB)))
+		names = append(names, v.name)
+		p := model.CLAN1998()
+		v.mod(p)
+		pts = append(pts, labeled(v.name, seq(dafsStack, 1<<20, 8<<20, false).under(p)),
+			labeled(v.name, seq(nfsStack, 1<<20, 8<<20, false).under(p)))
 	}
-	return t
+	return Experiment{ID: "T11", Title: "Model sensitivity of the headline ratios", Points: pts,
+		Render: rows(stats.Table{
+			Title: "Model sensitivity: DAFS:NFS ratios under perturbed constants (1MB requests)",
+			Note: "bw-ratio = DAFS/NFS bandwidth; cpu-ratio = NFS/DAFS client CPU per byte.\n" +
+				"the winner and the order of magnitude survive every perturbation",
+			Columns: []string{"variant", "dafs MB/s", "nfs MB/s", "bw-ratio", "cpu-ratio"},
+		}, names, func(r []Result) []string {
+			return append(bws(r), stats.Ratio(r[0].MBps/r[1].MBps), stats.Ratio(float64(r[1].cpuMB)/float64(r[0].cpuMB)))
+		})}
 }

@@ -29,21 +29,11 @@ func TestT16MetricsOnMatchesOff(t *testing.T) {
 	}
 }
 
-// The T15 and T17 points likewise.
-func TestStatMatchesPlain(t *testing.T) {
-	if plain := measure(stripePoint("T15", dafsStack, 2, 2, stripePer, true)).MBps; observed(t, "T15", 2, 2, sampled).MBps != plain {
-		t.Fatal("metrics perturbed the T15 write point")
-	}
-	if plain := measure(t17Point(2, methodTwoPhase)).MBps; observed(t, "T17", 4, 2, sampled).MBps != plain {
-		t.Fatal("metrics perturbed the T17 collective point")
-	}
-}
-
 // Two identical sampled T16 runs render byte-identical series tables and
 // marshal byte-identical JSON exports — the `mpio stat` determinism contract.
 func TestStatT16Deterministic(t *testing.T) {
 	dump := func() (string, string) {
-		r := observed(t, "T16", 4, 4, sampled)
+		r := observed(t, "T16", sampled)
 		var buf bytes.Buffer
 		if err := r.Reg.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -65,7 +55,7 @@ func TestStatT16Deterministic(t *testing.T) {
 // dump the client rings, the redial counters spike, and a replica is
 // excluded on every client.
 func TestStatT16FlightRecorder(t *testing.T) {
-	r := observed(t, "T16", 4, 4, sampled)
+	r := observed(t, "T16", sampled)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}

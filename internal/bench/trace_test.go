@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,51 +14,85 @@ import (
 
 var traced = Observation{Trace: true}
 
-// observed runs bench.Observe and fails the test on an error.
-func observed(t *testing.T, id string, clients, servers int, o Observation) Result {
+// observed runs experiment id's observed point under o and fails the test
+// on an error.
+func observed(t *testing.T, id string, o Observation) Result {
 	t.Helper()
-	r, err := Observe(id, clients, servers, o)
+	e := experiment(id)
+	r, err := e.RunPoint(e.Observe, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
 }
 
-// TestTracedDeterminism pins the headline observability guarantee: running
-// the same traced experiment twice produces byte-identical Chrome exports
-// and identical report tables.
-func TestTracedDeterminism(t *testing.T) {
-	r1 := observed(t, "T15", 2, 2, traced)
-	r2 := observed(t, "T15", 2, 2, traced)
-	var b1, b2 bytes.Buffer
-	if err := r1.Tracer.WriteChrome(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.Tracer.WriteChrome(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Error("two T15 runs produced different Chrome traces")
-	}
-	if a, b := r1.BreakdownTable().String(), r2.BreakdownTable().String(); a != b {
-		t.Errorf("breakdown tables differ:\n%s\n---\n%s", a, b)
-	}
-	if a, b := r1.Tracer.HistTable().String(), r2.Tracer.HistTable().String(); a != b {
-		t.Error("histogram tables differ")
-	}
-	if r1.MBps != r2.MBps || r1.Elapsed() != r2.Elapsed() {
-		t.Errorf("run metrics differ: %v/%v vs %v/%v", r1.MBps, r1.Elapsed(), r2.MBps, r2.Elapsed())
+// TestObservedMatchesPlain pins that both observation planes are purely
+// observational on every table: each experiment's observed point, run
+// plain, traced and sampled, has the same bandwidth, window, phases and
+// outcome, and carries its experiment's ID. T1's bare VIA pair has no
+// metrics registry, so sampling it is an error. T18 is skipped where
+// TestResultsGolden skips it.
+func TestObservedMatchesPlain(t *testing.T) {
+	for _, e := range All {
+		t.Run(e.ID, func(t *testing.T) {
+			if e.ID == "T18" && (testing.Short() || raceEnabled) {
+				t.Skip("the wide grid in -short mode or under the race detector")
+			}
+			t.Parallel()
+			plain := observed(t, e.ID, Observation{})
+			if plain.ID != e.ID {
+				t.Errorf("the runner stamped %s's point with %q", e.ID, plain.ID)
+			}
+			for _, o := range []Observation{traced, sampled} {
+				r, err := e.RunPoint(e.Observe, o)
+				if e.ID == "T1" && o.Tick > 0 {
+					if err == nil {
+						t.Error("T1 was sampled")
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if o.Trace && r.Tracer == nil {
+					t.Error("a traced run has no tracer")
+				}
+				if r.MBps != plain.MBps || r.Start != plain.Start || r.End != plain.End || r.Outcome != plain.Outcome ||
+					!slices.Equal(r.phases, plain.phases) {
+					t.Errorf("%+v: %v MB/s [%v, %v] %v %q, plain %v MB/s [%v, %v] %v %q", o,
+						r.MBps, r.Start, r.End, r.phases, r.Outcome, plain.MBps, plain.Start, plain.End, plain.phases, plain.Outcome)
+				}
+			}
+		})
 	}
 }
 
-// TestTracedMatchesUntraced pins that tracing is purely observational: the
-// measured bandwidth is bit-identical with the tracer on or off.
-func TestTracedMatchesUntraced(t *testing.T) {
-	if tr, plain := observed(t, "T15", 2, 2, traced).MBps, measure(stripePoint("T15", dafsStack, 2, 2, stripePer, false)).MBps; tr != plain {
-		t.Errorf("T15 bandwidth: traced %v != untraced %v", tr, plain)
-	}
-	if tr, plain := observed(t, "T6", 4, 4, traced).MBps, measure(collPoint(2048, methodTwoPhase)).MBps; tr != plain {
-		t.Errorf("T6 bandwidth: traced %v != untraced %v", tr, plain)
+// TestTracedDeterminism pins the headline observability guarantee: running
+// the same traced point twice produces byte-identical Chrome exports and
+// identical report tables, for T15's striped reads and T17's strided
+// collective.
+func TestTracedDeterminism(t *testing.T) {
+	for _, id := range []string{"T15", "T17"} {
+		r1, r2 := observed(t, id, traced), observed(t, id, traced)
+		var b1, b2 bytes.Buffer
+		if err := r1.Tracer.WriteChrome(&b1); err != nil {
+			t.Fatal(err)
+		}
+		if err := r2.Tracer.WriteChrome(&b2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+			t.Errorf("two %s runs produced different Chrome traces", id)
+		}
+		if a, b := r1.Tracer.BreakdownTable(r1.Elapsed()).String(), r2.Tracer.BreakdownTable(r2.Elapsed()).String(); a != b {
+			t.Errorf("%s breakdown tables differ:\n%s\n---\n%s", id, a, b)
+		}
+		if a, b := r1.Tracer.HistTable().String(), r2.Tracer.HistTable().String(); a != b {
+			t.Errorf("%s histogram tables differ", id)
+		}
+		if r1.MBps != r2.MBps || r1.Elapsed() != r2.Elapsed() {
+			t.Errorf("%s run metrics differ: %v/%v vs %v/%v", id, r1.MBps, r1.Elapsed(), r2.MBps, r2.Elapsed())
+		}
 	}
 }
 
@@ -68,7 +103,7 @@ func TestTracedMatchesUntraced(t *testing.T) {
 // must equal the measured end. Any double-counted or lost span time breaks
 // the equality.
 func TestMPIIOSpansTileMeasuredWindow(t *testing.T) {
-	for _, r := range []Result{observed(t, "T15", 1, 2, traced), observed(t, "T15", 2, 2, traced)} {
+	for _, r := range []Result{run(stripePoint(dafsStack, 1, 2, stripePer, false), traced), observed(t, "T15", traced)} {
 		byTrack := make(map[string][]trace.Span)
 		for _, s := range r.Tracer.Spans() {
 			if s.Layer != trace.LayerMPIIO || s.Start < r.Start {
@@ -110,9 +145,10 @@ func TestMPIIOSpansTileMeasuredWindow(t *testing.T) {
 }
 
 // TestTracedT15ChromeTracks checks the export is valid trace-event JSON with
-// one track per participating node (2 clients, 2 servers).
+// one track per participating node (T15's observed point: 2 clients, 2
+// servers).
 func TestTracedT15ChromeTracks(t *testing.T) {
-	r := observed(t, "T15", 2, 2, traced)
+	r := observed(t, "T15", traced)
 	var buf bytes.Buffer
 	if err := r.Tracer.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -147,10 +183,10 @@ func TestTracedT15ChromeTracks(t *testing.T) {
 	}
 }
 
-// TestTracedT1T6Smoke: the other two wired experiments produce non-empty
-// breakdowns whose tables render.
+// TestTracedT1T6Smoke: a bare VIA pair and a collective over one server
+// produce non-empty breakdowns whose tables render.
 func TestTracedT1T6Smoke(t *testing.T) {
-	for _, r := range []Result{observed(t, "T1", 4, 4, traced), observed(t, "T6", 4, 4, traced)} {
+	for _, r := range []Result{observed(t, "T1", traced), observed(t, "T6", traced)} {
 		if r.Elapsed() <= 0 {
 			t.Fatalf("%s: empty measured window", r.ID)
 		}
@@ -158,7 +194,7 @@ func TestTracedT1T6Smoke(t *testing.T) {
 		if b.Roots == 0 || b.RootTime <= 0 {
 			t.Errorf("%s: no closed root spans (%+v)", r.ID, b)
 		}
-		out := r.BreakdownTable().String()
+		out := r.Tracer.BreakdownTable(r.Elapsed()).String()
 		if !strings.Contains(out, "wire") || !strings.Contains(out, "root op time") {
 			t.Errorf("%s: breakdown table incomplete:\n%s", r.ID, out)
 		}
