@@ -171,3 +171,23 @@ func TestT17BatchWinAtWidth(t *testing.T) {
 		}
 	}
 }
+
+// TestT17TracedMatchesUntraced pins that tracing T17 is observational and
+// that the traced run is deterministic (byte-identical Chrome exports).
+func TestT17TracedMatchesUntraced(t *testing.T) {
+	r1 := observed(t, "T17", traced)
+	if plain := run(t17Point(2, methodTwoPhase), Observation{}).MBps; r1.MBps != plain {
+		t.Errorf("T17 bandwidth: traced %v != untraced %v", r1.MBps, plain)
+	}
+	r2 := observed(t, "T17", traced)
+	var b1, b2 bytes.Buffer
+	if err := r1.Tracer.WriteChrome(&b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.Tracer.WriteChrome(&b2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+		t.Error("two T17 runs produced different Chrome traces")
+	}
+}

@@ -39,6 +39,14 @@ func TestT16FaultedDeterminism(t *testing.T) {
 	}
 }
 
+// TestT16TracedMatchesUntraced: fault injection composes with tracing the
+// same way everything else does — observationally.
+func TestT16TracedMatchesUntraced(t *testing.T) {
+	if tr, plain := observed(t, "T16", traced).MBps, run(t16Point(2, true), Observation{}).MBps; tr != plain {
+		t.Errorf("T16 bandwidth: traced %v != untraced %v", tr, plain)
+	}
+}
+
 // TestT16Outcomes pins the experiment's two headline claims: unreplicated,
 // the crash is fatal and surfaces as ErrAllReplicasDown; replicated, the
 // run completes with verified data and a positive recovery latency.

@@ -29,6 +29,17 @@ func TestT16MetricsOnMatchesOff(t *testing.T) {
 	}
 }
 
+// The T15 and T17 points likewise.
+func TestStatMatchesPlain(t *testing.T) {
+	write := stripePoint(dafsStack, 2, 2, stripePer, true)
+	if plain := run(write, Observation{}).MBps; run(write, sampled).MBps != plain {
+		t.Fatal("metrics perturbed the T15 write point")
+	}
+	if plain := run(t17Point(2, methodTwoPhase), Observation{}).MBps; observed(t, "T17", sampled).MBps != plain {
+		t.Fatal("metrics perturbed the T17 collective point")
+	}
+}
+
 // Two identical sampled T16 runs render byte-identical series tables and
 // marshal byte-identical JSON exports — the `mpio stat` determinism contract.
 func TestStatT16Deterministic(t *testing.T) {

@@ -67,6 +67,18 @@ func TestObservedMatchesPlain(t *testing.T) {
 	}
 }
 
+// TestTracedMatchesUntraced pins that tracing is purely observational: the
+// measured bandwidth is bit-identical with the tracer on or off, for T15's
+// 2 x 2 striped read and T6's 2KB two-phase write.
+func TestTracedMatchesUntraced(t *testing.T) {
+	if tr, plain := observed(t, "T15", traced).MBps, run(stripePoint(dafsStack, 2, 2, stripePer, false), Observation{}).MBps; tr != plain {
+		t.Errorf("T15 bandwidth: traced %v != untraced %v", tr, plain)
+	}
+	if tr, plain := observed(t, "T6", traced).MBps, run(collPoint(2048, methodTwoPhase), Observation{}).MBps; tr != plain {
+		t.Errorf("T6 bandwidth: traced %v != untraced %v", tr, plain)
+	}
+}
+
 // TestTracedDeterminism pins the headline observability guarantee: running
 // the same traced point twice produces byte-identical Chrome exports and
 // identical report tables, for T15's striped reads and T17's strided
