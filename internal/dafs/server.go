@@ -478,10 +478,9 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if st != StatusOK || r.Err() != nil {
 			return firstBad(st, r), reply{}
 		}
-		if !storage.Fits(size, 0) {
+		if size < 0 || f.Truncate(size) != nil {
 			return StatusInval, reply{}
 		}
-		f.Truncate(size)
 		return StatusOK, reply{}
 
 	case ProcRead:
@@ -515,14 +514,14 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if len(data) > sess.maxInline {
 			return StatusTooBig, reply{}
 		}
-		if !storage.Fits(off, int64(len(data))) {
-			return StatusInval, reply{}
-		}
 		s.touchDisk(p, off, len(data))
 		t0 := p.Now()
 		s.node.Compute(p, sim.TransferTime(int64(len(data)), s.prof.ServerMemBW))
 		s.chargeCPU(p, p.Now()-t0)
-		n := f.WriteAt(data, off)
+		n, err := f.WriteAt(data, off)
+		if err != nil {
+			return StatusInval, reply{}
+		}
 		s.stats.InlineWrites++
 		s.stats.InlineWriteBytes += int64(n)
 		return StatusOK, reply{n: uint32(n)}
@@ -536,9 +535,6 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if len(data) > sess.maxInline {
 			return StatusTooBig, reply{}
 		}
-		if !storage.Fits(f.Size(), int64(len(data))) {
-			return StatusInval, reply{}
-		}
 		s.touchDisk(p, f.Size(), len(data))
 		t0 := p.Now()
 		s.node.Compute(p, sim.TransferTime(int64(len(data)), s.prof.ServerMemBW))
@@ -546,7 +542,9 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		// Size read and write are adjacent with no intervening yield, so
 		// concurrent appends never interleave destructively.
 		off := f.Size()
-		f.WriteAt(data, off)
+		if _, err := f.WriteAt(data, off); err != nil {
+			return StatusInval, reply{}
+		}
 		s.stats.InlineWrites++
 		s.stats.InlineWriteBytes += int64(len(data))
 		return StatusOK, reply{off: off}
@@ -579,7 +577,7 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if st != StatusOK || r.Err() != nil {
 			return firstBad(st, r), reply{}
 		}
-		if count > MaxTransfer || !storage.Fits(off, int64(count)) {
+		if count > MaxTransfer {
 			return StatusInval, reply{}
 		}
 		s.touchDisk(p, off, count)
@@ -610,6 +608,7 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 			if segs[i].Off < 0 || segs[i].Len < 0 {
 				return StatusInval, reply{}
 			}
+			// Checked whole here, so placement never stops half way.
 			if proc == ProcWriteBatch && !storage.Fits(segs[i].Off, int64(segs[i].Len)) {
 				return StatusInval, reply{}
 			}
@@ -717,7 +716,10 @@ func (s *Server) execReadBatch(p *sim.Proc, ws *workerState, sess *session, f *s
 // staging pages and places each segment at its file offset. Placement is
 // atomic and charged no time (it models in-place page placement, not a
 // CPU copy), so a concurrent reader never sees a half-placed write and a
-// failed pull leaves the file untouched.
+// failed pull leaves the file untouched. The store's refusal of a segment
+// past storage.MaxObject is StatusInval; a batch of more than one segment
+// is checked whole against the bound when it is decoded, so that no
+// refusal can come after part of it has landed.
 func (s *Server) execWriteBatch(p *sim.Proc, ws *workerState, sess *session, f *storage.File, segs []SegSpec, total int, rhandle via.MemHandle, roff int) (Status, reply) {
 	staging := s.getStaging(total)
 	defer s.putStaging(staging)
@@ -728,7 +730,9 @@ func (s *Server) execWriteBatch(p *sim.Proc, ws *workerState, sess *session, f *
 	}
 	pos := 0
 	for _, sg := range segs {
-		f.WriteAt(staging[pos:pos+sg.Len], sg.Off) // atomic placement, no yields
+		if _, err := f.WriteAt(staging[pos:pos+sg.Len], sg.Off); err != nil { // atomic placement, no yields
+			return StatusInval, reply{}
+		}
 		pos += sg.Len
 	}
 	s.stats.DirectWrites++

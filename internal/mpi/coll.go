@@ -162,15 +162,16 @@ func (r *Rank) AllreduceI64(p *sim.Proc, v int64, op ReduceOp) int64 {
 }
 
 // AlltoallvBytes sends send[i] to rank i and returns what each rank sent to
-// this one (recv[j] came from rank j). It is AlltoallvStream with the own
-// payload copied (and the copy charged) before the first exchange.
+// this one (recv[j] came from rank j). It is AlltoallvStream receiving into
+// fresh buffers, with the own payload copied (and the copy charged) before
+// the first exchange.
 func (r *Rank) AlltoallvBytes(p *sim.Proc, send [][]byte) [][]byte {
 	n := r.Size()
 	if len(send) != n {
 		panic("mpi: AlltoallvBytes needs one buffer per rank")
 	}
 	recv := make([][]byte, n)
-	r.AlltoallvStream(p, func(dst int) []byte { return send[dst] }, func(src int, data []byte) {
+	r.AlltoallvStream(p, func(dst int) []byte { return send[dst] }, func(_, n int) []byte { return make([]byte, n) }, func(src int, data []byte) {
 		if src == r.id {
 			data = append([]byte(nil), data...)
 			if len(data) > 0 {
@@ -187,11 +188,12 @@ func (r *Rank) AlltoallvBytes(p *sim.Proc, send [][]byte) [][]byte {
 // while the later steps are still in flight. Step 0 is this rank's own
 // payload; step k (1 ≤ k < n) is a pairwise exchange that sends to rank
 // id+k and receives from rank id-k (mod n), the size ahead of the payload.
-// send(dst) produces the payload for dst just before its step, and
-// recv(src, data) is called as the step completes. The own payload is
-// handed to recv as send returned it, uncopied; every other payload
-// arrives in a fresh buffer the callee owns.
-func (r *Rank) AlltoallvStream(p *sim.Proc, send func(dst int) []byte, recv func(src int, data []byte)) {
+// send(dst) produces the payload for dst just before its step, into(src, n)
+// returns the buffer, at least n bytes long, that src's n-byte payload is
+// received into, and recv(src, data) is called as the step completes with
+// that buffer cut to n. The own payload is handed to recv as send returned
+// it, uncopied, and into is not asked for it.
+func (r *Rank) AlltoallvStream(p *sim.Proc, send func(dst int) []byte, into func(src, n int) []byte, recv func(src int, data []byte)) {
 	n := r.Size()
 	sizeTag := r.nextCollTag()
 	dataTag := r.nextCollTag()
@@ -203,7 +205,8 @@ func (r *Rank) AlltoallvStream(p *sim.Proc, send func(dst int) []byte, recv func
 		var szb, rszb [8]byte
 		binary.LittleEndian.PutUint64(szb[:], uint64(len(out)))
 		r.Sendrecv(p, dst, sizeTag, szb[:], src, sizeTag, rszb[:])
-		buf := make([]byte, binary.LittleEndian.Uint64(rszb[:]))
+		size := int(binary.LittleEndian.Uint64(rszb[:]))
+		buf := into(src, size)[:size]
 		r.Sendrecv(p, dst, dataTag, out, src, dataTag, buf)
 		recv(src, buf)
 	}

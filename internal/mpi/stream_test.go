@@ -20,24 +20,34 @@ func streamPayload(from, to, n int) []byte {
 
 // TestAlltoallvStream pins the streaming all-to-all's hand-over order:
 // this rank's own payload first, as send returned it (the same bytes, not
-// a copy), then one step per peer — send(id+k) just before step k and
-// recv(id-k) as it completes — with empty payloads handed over empty and
-// n = 1 reduced to the own step.
+// a copy), then one step per peer — send(id+k) just before step k, then
+// into(id-k) for the receive buffer, and recv(id-k) as the step completes
+// with the payload in that buffer — with empty payloads handed over empty
+// and n = 1 reduced to the own step.
 func TestAlltoallvStream(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		world(t, n, func(p *sim.Proc, r *Rank) {
 			me := r.ID()
 			var events, want []string
 			for k := 0; k < n; k++ {
-				want = append(want, fmt.Sprintf("send %d", (me+k)%n), fmt.Sprintf("recv %d", (me-k+n)%n))
+				want = append(want, fmt.Sprintf("send %d", (me+k)%n))
+				if k > 0 {
+					want = append(want, fmt.Sprintf("into %d", (me-k+n)%n))
+				}
+				want = append(want, fmt.Sprintf("recv %d", (me-k+n)%n))
 			}
 			own := streamPayload(me, me, n)
+			bufs := make([][]byte, n)
 			r.AlltoallvStream(p, func(dst int) []byte {
 				events = append(events, fmt.Sprintf("send %d", dst))
 				if dst == me {
 					return own
 				}
 				return streamPayload(me, dst, n)
+			}, func(src, size int) []byte {
+				events = append(events, fmt.Sprintf("into %d", src))
+				bufs[src] = make([]byte, size+8) // room to spare: recv gets it cut to size
+				return bufs[src]
 			}, func(src int, data []byte) {
 				events = append(events, fmt.Sprintf("recv %d", src))
 				if !bytes.Equal(data, streamPayload(src, me, n)) {
@@ -45,6 +55,9 @@ func TestAlltoallvStream(t *testing.T) {
 				}
 				if src == me && &data[0] != &own[0] {
 					t.Errorf("n=%d rank %d: own payload handed over as a copy", n, me)
+				}
+				if src != me && len(data) > 0 && &data[0] != &bufs[src][0] {
+					t.Errorf("n=%d rank %d: payload from %d not in the buffer into returned", n, me, src)
 				}
 			})
 			if fmt.Sprint(events) != fmt.Sprint(want) {

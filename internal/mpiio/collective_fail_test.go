@@ -79,7 +79,7 @@ func (o countedOp) Wait(p *sim.Proc) (int, error) {
 func TestWriteBlockCorrupt(t *testing.T) {
 	pt := aggregate.Domains(layout.Striping{Width: 1}, 0, 1000, 2, true) // owners split at 500
 	buf := pattern(500)
-	blocks := packBlocks(pt, 2, []Segment{{Off: 0, Len: 300}, {Off: 600, Len: 200}}, buf)
+	blocks := packBlocks(new(scratch), pt, 2, []Segment{{Off: 0, Len: 300}, {Off: 600, Len: 200}}, buf)
 	for a, want := range []struct {
 		seg  Segment
 		data []byte

@@ -37,6 +37,8 @@ type dafsTransfer struct {
 	order    []*byte
 	cacheCap int
 
+	freeBatch []*batchOp // waited batch ops, for reuse
+
 	// Stats.
 	RegHits, RegMisses int64
 }
@@ -125,8 +127,8 @@ func (d *dafsTransfer) startIO(p *sim.Proc, c *dafs.Client, fh dafs.FH, off int6
 // drains every chunk (each completion recycles a session credit). When a
 // chunk fails to start the ones already in flight are waited out before
 // the error returns.
-func startBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, specs []dafs.SegSpec, reg *via.Region, write bool) (AsyncOp, error) {
-	var ops allOps
+func (d *dafsTransfer) startBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, specs []dafs.SegSpec, reg *via.Region, write bool) (AsyncOp, error) {
+	o := d.newBatchOp()
 	for regOff := 0; len(specs) > 0; {
 		chunk := specs[:min(len(specs), c.MaxBatch())]
 		var io *dafs.IO
@@ -137,14 +139,42 @@ func startBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, specs []dafs.SegSpec, r
 			io, err = c.StartReadBatch(p, fh, chunk, reg, regOff)
 		}
 		if err != nil {
-			ops.Wait(p)
+			o.Wait(p)
 			return nil, err
 		}
-		ops = append(ops, io)
+		o.ios = append(o.ios, io)
 		for _, s := range chunk {
 			regOff += s.Len
 		}
 		specs = specs[len(chunk):]
 	}
-	return ops, nil
+	return o, nil
+}
+
+// batchOp is one segment list's chunks in flight, waited as one. Wait
+// hands it back to the transfer's free list with its chunk table, so a
+// list transfer of a steady shape issues its chunks without allocating.
+type batchOp struct {
+	d   *dafsTransfer
+	ios []AsyncOp
+}
+
+// newBatchOp takes an op from the free list, or makes one.
+func (d *dafsTransfer) newBatchOp() *batchOp {
+	if n := len(d.freeBatch); n > 0 {
+		o := d.freeBatch[n-1]
+		d.freeBatch = d.freeBatch[:n-1]
+		return o
+	}
+	return &batchOp{d: d}
+}
+
+// Wait implements AsyncOp: the bytes every chunk moved up to the first
+// failure, and that failure.
+func (o *batchOp) Wait(p *sim.Proc) (int, error) {
+	n, err := waitAll(p, o.ios, nil)
+	clear(o.ios)
+	o.ios = o.ios[:0]
+	o.d.freeBatch = append(o.d.freeBatch, o)
+	return n, err
 }

@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"fmt"
+	"slices"
 
 	"dafsio/internal/mpi"
 	"dafsio/internal/sim"
@@ -155,15 +156,16 @@ func (f *File) SetView(disp int64, ftype *Datatype) error {
 func (f *File) View() (int64, *Datatype) { return f.disp, f.ftype }
 
 // physSegs translates a view-relative byte range into physical file
-// segments (ascending, coalesced).
-func (f *File) physSegs(off int64, n int) []Segment {
+// segments (ascending, coalesced), in segs's storage.
+func (f *File) physSegs(segs []Segment, off int64, n int) []Segment {
+	segs = segs[:0]
 	if n <= 0 {
-		return nil
+		return segs
 	}
 	if f.ftype == nil {
-		return []Segment{{Off: f.disp + off, Len: int64(n)}}
+		return append(segs, Segment{Off: f.disp + off, Len: int64(n)})
 	}
-	segs := f.ftype.mapRange(off, int64(n), make([]Segment, 0, f.ftype.segBound(off, int64(n))))
+	segs = f.ftype.mapRange(off, int64(n), slices.Grow(segs, f.ftype.segBound(off, int64(n))))
 	for i := range segs {
 		segs[i].Off += f.disp
 	}
@@ -209,7 +211,11 @@ func (f *File) transferAt(p *sim.Proc, off int64, buf []byte, write bool) (int, 
 	defer f.unlock(p)
 	pos := f.disp + off // a flat view is one extent: no segment list to build
 	if f.ftype != nil {
-		segs := f.physSegs(off, len(buf))
+		d := f.drv.core()
+		sc := d.getScratch()
+		defer d.putScratch(sc)
+		sc.segs = f.physSegs(sc.segs, off, len(buf))
+		segs := sc.segs
 		switch {
 		case len(segs) == 1:
 			pos = segs[0].Off
@@ -218,7 +224,7 @@ func (f *File) transferAt(p *sim.Proc, off int64, buf []byte, write bool) (int, 
 		case f.hints.Sieving:
 			return f.sieveRead(p, segs, buf)
 		default:
-			return f.listIO(p, segs, buf, write)
+			return f.listIO(p, sc, segs, buf, write)
 		}
 	}
 	return transfer(p, f.h, pos, buf, write)
@@ -226,8 +232,8 @@ func (f *File) transferAt(p *sim.Proc, off int64, buf []byte, write bool) (int, 
 
 // listIO moves a noncontiguous request: through the driver's batch
 // operations unless NoBatch is set, otherwise one pipelined driver
-// operation per segment.
-func (f *File) listIO(p *sim.Proc, segs []Segment, buf []byte, write bool) (int, error) {
+// operation per segment, its ops kept in the call's set.
+func (f *File) listIO(p *sim.Proc, sc *scratch, segs []Segment, buf []byte, write bool) (int, error) {
 	if !f.hints.NoBatch {
 		op, err := f.h.StartList(p, segs, buf, write)
 		if err != nil {
@@ -235,14 +241,14 @@ func (f *File) listIO(p *sim.Proc, segs []Segment, buf []byte, write bool) (int,
 		}
 		return op.Wait(p)
 	}
-	return f.perSegIO(p, segs, buf, write)
+	return f.perSegIO(p, sc, segs, buf, write)
 }
 
 // perSegIO issues one pipelined driver operation per segment. A failed
 // start stops the issuing, and every operation already started is waited
 // out before the first error returns.
-func (f *File) perSegIO(p *sim.Proc, segs []Segment, buf []byte, write bool) (int, error) {
-	ops := make([]AsyncOp, 0, len(segs))
+func (f *File) perSegIO(p *sim.Proc, sc *scratch, segs []Segment, buf []byte, write bool) (int, error) {
+	sc.ops = slices.Grow(sc.ops[:0], len(segs))
 	var err error
 	pos := 0
 	for _, s := range segs {
@@ -251,9 +257,9 @@ func (f *File) perSegIO(p *sim.Proc, segs []Segment, buf []byte, write bool) (in
 			break
 		}
 		pos += int(s.Len)
-		ops = append(ops, op)
+		sc.ops = append(sc.ops, op)
 	}
-	return waitAll(p, ops, err)
+	return waitAll(p, sc.ops, err)
 }
 
 // waitAll waits out every op in order, so that none is abandoned in flight,
@@ -270,12 +276,6 @@ func waitAll(p *sim.Proc, ops []AsyncOp, err error) (int, error) {
 	}
 	return total, err
 }
-
-// allOps is ops in flight waited as one, by waitAll.
-type allOps []AsyncOp
-
-// Wait implements AsyncOp.
-func (o allOps) Wait(p *sim.Proc) (int, error) { return waitAll(p, o, nil) }
 
 // Read and Write use the individual file pointer.
 

@@ -86,7 +86,7 @@ func TestPhysSegsProperty(t *testing.T) {
 		cnt := int64(count%6) + 1
 		f := &File{disp: int64(disp), ftype: Vector(cnt, blocklen, stride)}
 		want := int(n%2048) + 1
-		segs := f.physSegs(int64(off), want)
+		segs := f.physSegs(nil, int64(off), want)
 		total := int64(0)
 		prevEnd := int64(-1)
 		for _, s := range segs {

@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"dafsio/internal/aggregate"
+	"dafsio/internal/dafs"
 	"dafsio/internal/layout"
 	"dafsio/internal/sim"
 	"dafsio/internal/trace"
@@ -472,22 +473,57 @@ func (d *striped) putStage(p *sim.Proc, sb *stageBuf) {
 }
 
 // planOp is a list transfer in flight: one unit per server gather plan.
+// The op owns its plans, their DAFS segment lists and its flights until it
+// is waited — a batch request is encoded only when a session credit frees,
+// which can be after the issuer has moved on — and Wait then hands it back
+// to its driver's free list with that storage, so the next list transfer
+// of the same shape plans and issues without allocating.
 type planOp struct {
 	*stripedHandle
 	write bool
 	plans []aggregate.ServerPlan
-	sbs   []*stageBuf // per plan; nil when the window is the user buffer
-	reg   *via.Region // the user buffer's registration when it is the window
-	buf   []byte      // the user buffer the plans' copy maps refer to
+	specs slab[dafs.SegSpec] // per plan: its Segs as the DAFS leaf sends them
+	sbs   []*stageBuf        // per plan; empty when the window is the user buffer
+	reg   *via.Region        // the user buffer's registration when it is the window
+	buf   []byte             // the user buffer the plans' copy maps refer to
 	fl    []flight
 	got   int64 // bytes moved: what the servers delivered, or the plans' total once written
+}
+
+// newPlanOp takes an op from the free list (or makes one) and plans segs
+// on it, the plans and their segment lists in the op's own storage.
+func (d *striped) newPlanOp(h *stripedHandle, segs []Segment, buf []byte, write bool) *planOp {
+	var o *planOp
+	if n := len(d.freePlans); n > 0 {
+		o, d.freePlans = d.freePlans[n-1], d.freePlans[:n-1]
+	} else {
+		o = new(planOp)
+	}
+	o.stripedHandle, o.write, o.buf = h, write, buf
+	o.plans = aggregate.AppendGather(o.plans[:0], d.striping, segs)
+	n := 0
+	for _, pl := range o.plans {
+		n += len(pl.Segs)
+	}
+	o.specs.all = grown(o.specs.all, n)
+	o.specs.parts = grown(o.specs.parts, len(o.plans))
+	pos := 0
+	for i, pl := range o.plans {
+		part := o.specs.all[pos : pos+len(pl.Segs)]
+		for j, sg := range pl.Segs {
+			part[j] = dafs.SegSpec{Off: sg.Off, Len: int(sg.Len)}
+		}
+		o.specs.parts[i] = part
+		pos += len(part)
+	}
+	return o
 }
 
 func (o *planOp) primary(u int) int { return o.plans[u].Server }
 
 func (o *planOp) request(u, t, r int) request {
-	rq := request{kind: opReadList, fh: o.fhs[t][r], segs: o.plans[u].Segs, reg: o.reg}
-	if o.sbs != nil {
+	rq := request{kind: opReadList, fh: o.fhs[t][r], specs: o.specs.parts[u], reg: o.reg}
+	if len(o.sbs) > 0 {
 		rq.reg = o.sbs[u].reg
 	}
 	if o.write {
@@ -529,31 +565,39 @@ func (o *planOp) copyStaging(p *sim.Proc, span string, pack bool) {
 // or the user buffer's registration to the cache. Both exits of a list
 // operation — issue-time failure and Wait — come through here: a skipped
 // return leaks a pinned, registered window (TestStagePoolBoundedAfterBurst
-// and TestListIssueFailureReturnsStaging check both paths).
+// and TestListIssueFailureReturnsStaging check both paths). The op then
+// goes back to the free list, keeping its plan, segment-list and flight
+// storage but pinning no buffer, handle or session.
 func (o *planOp) unwindow(p *sim.Proc) {
-	o.drv.unpin(p, o.reg)
+	d := o.drv
+	d.unpin(p, o.reg)
 	for _, sb := range o.sbs {
-		o.drv.putStage(p, sb)
+		d.putStage(p, sb)
 	}
+	clear(o.sbs)
+	clear(o.fl)
+	*o = planOp{plans: o.plans, specs: o.specs, sbs: o.sbs[:0], fl: o.fl[:0]}
+	d.freePlans = append(d.freePlans, o)
 }
 
 // Wait implements AsyncOp. A read's count is the byte sum the servers
 // delivered (batch reads zero-fill EOF holes inside the window).
 func (o *planOp) Wait(p *sim.Proc) (int, error) {
 	err := o.drv.finish(p, o, o.fl, o.write)
-	if err == nil && !o.write && o.sbs != nil {
+	if err == nil && !o.write && len(o.sbs) > 0 {
 		o.copyStaging(p, "scatter", false)
+	}
+	got := o.got
+	if err == nil && o.write {
+		for _, pl := range o.plans {
+			got += pl.Total
+		}
 	}
 	o.unwindow(p)
 	if err != nil {
 		return 0, err
 	}
-	if o.write {
-		for _, pl := range o.plans {
-			o.got += pl.Total
-		}
-	}
-	return int(o.got), nil
+	return int(got), nil
 }
 
 // StartList implements Handle: segs, consecutive bytes of buf, move as
@@ -571,7 +615,7 @@ func (h *stripedHandle) StartList(p *sim.Proc, segs []Segment, buf []byte, write
 	case len(buf) == 0:
 		return doneOp(0), nil
 	}
-	o := &planOp{stripedHandle: h, write: write, plans: aggregate.Gather(d.striping, segs), buf: buf}
+	o := d.newPlanOp(h, segs, buf, write)
 
 	// The operation owns its windows from here: the issue-failure path
 	// below and Wait are the two places they go back. The identity layout
@@ -581,16 +625,15 @@ func (h *stripedHandle) StartList(p *sim.Proc, segs []Segment, buf []byte, write
 	if d.striping.Width == 1 {
 		o.reg = d.region(p, buf)
 	} else {
-		o.sbs = make([]*stageBuf, len(o.plans))
-		for i, pl := range o.plans {
-			o.sbs[i] = d.getStage(p, pl.Total)
+		for _, pl := range o.plans {
+			o.sbs = append(o.sbs, d.getStage(p, pl.Total))
 		}
 		if write {
 			o.copyStaging(p, "pack", true)
 		}
 	}
 	var err error
-	if o.fl, err = d.begin(p, o, len(o.plans), write, nil); err != nil {
+	if o.fl, err = d.begin(p, o, len(o.plans), write, o.fl); err != nil {
 		o.unwindow(p)
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package mpiio
 import (
 	"errors"
 
-	"dafsio/internal/aggregate"
 	"dafsio/internal/dafs"
 	"dafsio/internal/fabric"
 	"dafsio/internal/nfs"
@@ -30,20 +29,20 @@ const (
 	opSync                  // handle
 	opRead                  // contiguous: handle, off, buf (reg/regOff when registered)
 	opWrite
-	opReadList // batch: handle, segs packed consecutively in reg
+	opReadList // batch: handle, specs packed consecutively in reg
 	opWriteList
 )
 
 // request is one unit of work addressed to one rank object.
 type request struct {
 	kind   opKind
-	name   string          // name-addressed operations
-	fh     uint64          // handle-addressed operations
-	off    int64           // object offset; the new size for opSetattr
-	buf    []byte          // contiguous payload window
-	reg    *via.Region     // registration covering buf (at regOff) or the staging buffer; nil when the transport needs none
-	regOff int             // where buf sits in reg
-	segs   []aggregate.Seg // list operations: object ranges, consecutive in reg
+	name   string         // name-addressed operations
+	fh     uint64         // handle-addressed operations
+	off    int64          // object offset; the new size for opSetattr
+	buf    []byte         // contiguous payload window
+	reg    *via.Region    // registration covering buf (at regOff) or the staging buffer; nil when the transport needs none
+	regOff int            // where buf sits in reg
+	specs  []dafs.SegSpec // list operations: object ranges, consecutive in reg
 }
 
 // session is the seam: one server's transport endpoint.
@@ -58,12 +57,10 @@ type session interface {
 	redial(p *sim.Proc) (session, error)
 }
 
-// The errors of a leaf asked for what it does not have, and the mem
-// leaf's refusal of a write or size past storage.MaxObject.
+// The errors of a leaf asked for what it does not have.
 var (
-	errNoBatch     = errors.New("mpiio: transport has no batch I/O")
-	errNoRedial    = errors.New("mpiio: only DAFS sessions redial")
-	errObjectBound = errors.New("mpiio: past the object-size bound")
+	errNoBatch  = errors.New("mpiio: transport has no batch I/O")
+	errNoRedial = errors.New("mpiio: only DAFS sessions redial")
 )
 
 // ---- DAFS session ----
@@ -100,11 +97,7 @@ func (s *dafsSession) start(p *sim.Proc, rq request) (AsyncOp, error) {
 	case opRead, opWrite:
 		return s.xfer.startIO(p, c, fh, rq.off, rq.buf, rq.reg, rq.regOff, rq.kind == opWrite)
 	default: // opReadList, opWriteList
-		specs := make([]dafs.SegSpec, len(rq.segs))
-		for i, sg := range rq.segs {
-			specs[i] = dafs.SegSpec{Off: sg.Off, Len: int(sg.Len)}
-		}
-		return startBatch(p, c, fh, specs, rq.reg, rq.kind == opWriteList)
+		return s.xfer.startBatch(p, c, fh, rq.specs, rq.reg, rq.kind == opWriteList)
 	}
 }
 
@@ -192,8 +185,8 @@ func (s nfsSession) redial(*sim.Proc) (session, error) { return nil, errNoRedial
 // no wire. Every operation runs inside start against the store, then
 // charges the client a syscall and a memory copy of the bytes it moved — a
 // warm local file system. Its handles are the store's file IDs. Like both
-// servers, it refuses a write or a size past storage.MaxObject before any
-// page is touched.
+// servers, it passes on the store's refusal of a write or a size past
+// storage.MaxObject, which comes before any page is touched.
 type memSession struct {
 	node  *fabric.Node
 	store *storage.Store
@@ -236,20 +229,16 @@ func (s memSession) do(rq request) (v, moved int, err error) {
 	case opGetattr:
 		return int(f.Size()), 0, nil
 	case opSetattr:
-		if !storage.Fits(rq.off, 0) {
-			return 0, 0, errObjectBound
+		if err := f.Truncate(rq.off); err != nil {
+			return 0, 0, err
 		}
-		f.Truncate(rq.off)
 	case opSync:
 	case opRead:
 		n := f.ReadAt(rq.buf, rq.off)
 		return n, n, nil
 	case opWrite:
-		if !storage.Fits(rq.off, int64(len(rq.buf))) {
-			return 0, 0, errObjectBound
-		}
-		n := f.WriteAt(rq.buf, rq.off)
-		return n, n, nil
+		n, err := f.WriteAt(rq.buf, rq.off)
+		return n, n, err
 	default:
 		return 0, 0, errNoBatch
 	}

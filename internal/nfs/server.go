@@ -188,10 +188,9 @@ func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader, w *wire.Writer) St
 		if st != OK || r.Err() != nil {
 			return bad(st, r)
 		}
-		if size > storage.MaxObject {
+		if int64(size) < 0 || f.Truncate(int64(size)) != nil {
 			return ErrsInval
 		}
-		f.Truncate(int64(size))
 		return OK
 
 	case ProcRead:
@@ -222,13 +221,13 @@ func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader, w *wire.Writer) St
 		if st != OK || r.Err() != nil {
 			return bad(st, r)
 		}
-		if !storage.Fits(off, int64(len(data))) {
-			return ErrsInval
-		}
 		if s.disk != nil && len(data) > 0 {
 			s.disk.AccessAt(p, off, len(data))
 		}
-		n := f.WriteAt(data, off)
+		n, err := f.WriteAt(data, off)
+		if err != nil {
+			return ErrsInval
+		}
 		s.stats.WriteBytes += int64(n)
 		w.U32(uint32(n))
 		return OK

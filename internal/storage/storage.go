@@ -19,6 +19,9 @@ var (
 	ErrNotFound  = errors.New("storage: file not found")
 	ErrExists    = errors.New("storage: file exists")
 	ErrBadHandle = errors.New("storage: stale file handle")
+	// ErrObjectBound is a write or a size the store refuses because it
+	// would reach past MaxObject (or, for a write, start before 0).
+	ErrObjectBound = errors.New("storage: past the object-size bound")
 )
 
 // FileID is a persistent file handle.
@@ -40,9 +43,10 @@ func NewStore() *Store {
 const pageSize = 1 << 20
 
 // MaxObject bounds a file's size: 1 TiB, far above any table's file (T18
-// prefills 512 MB). The page index grows with the offset written, so the
-// protocol servers refuse a write or truncate that would reach past it,
-// before any page is touched.
+// prefills 512 MB). The page index grows with the offset written, so
+// WriteAt and Truncate refuse to reach past it, with ErrObjectBound,
+// before any page is touched; the protocol servers answer that refusal
+// with their invalid-argument status.
 const MaxObject = 1 << 40
 
 // Fits reports whether n bytes at off lie within [0, MaxObject].
@@ -161,23 +165,29 @@ func (f *File) ReadAt(b []byte, off int64) int {
 }
 
 // WriteAt stores b at off, growing the file as needed; the bytes between
-// the old end and off read as zeros.
-func (f *File) WriteAt(b []byte, off int64) int {
-	if off < 0 {
-		return 0
+// the old end and off read as zeros. A write that does not lie within
+// [0, MaxObject] is refused whole with ErrObjectBound.
+func (f *File) WriteAt(b []byte, off int64) (int, error) {
+	if !Fits(off, int64(len(b))) {
+		return 0, ErrObjectBound
 	}
 	for done := 0; done < len(b); {
 		i, o := locate(off + int64(done))
 		done += copy(f.page(i)[o:], b[done:])
 	}
 	f.size = max(f.size, off+int64(len(b)))
-	return len(b)
+	return len(b), nil
 }
 
-// Truncate sets the file length. Growing only moves the end: the new
-// range is a hole. Shrinking drops every page past the new end and clears
-// the tail of the last page kept, so a later grow reads zeros there.
-func (f *File) Truncate(n int64) {
+// Truncate sets the file length; a negative length is 0. Growing only
+// moves the end: the new range is a hole. Shrinking drops every page past
+// the new end and clears the tail of the last page kept, so a later grow
+// reads zeros there. A length past MaxObject is refused with
+// ErrObjectBound, the file untouched.
+func (f *File) Truncate(n int64) error {
+	if n > MaxObject {
+		return ErrObjectBound
+	}
 	n = max(n, 0)
 	if n < f.size {
 		keep := int((n + pageSize - 1) / pageSize)
@@ -190,6 +200,7 @@ func (f *File) Truncate(n int64) {
 		}
 	}
 	f.size = n
+	return nil
 }
 
 // locate splits a file offset into a page number and an offset in it.
