@@ -35,6 +35,7 @@ import (
 	"dafsio/internal/analysis/blockhold"
 	"dafsio/internal/analysis/detrand"
 	"dafsio/internal/analysis/errwrap"
+	"dafsio/internal/analysis/reach"
 	"dafsio/internal/analysis/simtime"
 )
 
@@ -43,6 +44,7 @@ var suite = []*analysis.Analyzer{
 	detrand.Analyzer,
 	errwrap.Analyzer,
 	blockhold.Analyzer,
+	reach.Analyzer,
 }
 
 func main() {

@@ -68,9 +68,6 @@ func Domains(st layout.Striping, gmin, gmax int64, world int, align bool) Partit
 // NAgg returns the number of aggregators (ranks ≥ NAgg own no domain).
 func (pt Partition) NAgg() int { return pt.nAgg }
 
-// Aligned reports whether domain boundaries snap to the stripe.
-func (pt Partition) Aligned() bool { return pt.stripe > 0 }
-
 // Owner returns the aggregator owning byte off and the end (exclusive) of
 // the maximal contiguous run starting at off that the same aggregator
 // owns, clamped to the hull. Callers walk an extent by repeatedly jumping

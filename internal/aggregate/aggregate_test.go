@@ -60,9 +60,9 @@ func TestDomainsFallbackMatrix(t *testing.T) {
 	}
 	for _, c := range cases {
 		pt := Domains(c.st, 0, 1<<20, c.world, c.align)
-		if pt.Aligned() != c.aligned || pt.NAgg() != c.nAgg {
+		if aligned := pt.stripe > 0; aligned != c.aligned || pt.NAgg() != c.nAgg {
 			t.Errorf("%s: aligned=%v nAgg=%d, want aligned=%v nAgg=%d",
-				c.name, pt.Aligned(), pt.NAgg(), c.aligned, c.nAgg)
+				c.name, aligned, pt.NAgg(), c.aligned, c.nAgg)
 		}
 	}
 }
@@ -93,7 +93,7 @@ func TestPartitionTilesHull(t *testing.T) {
 			if a2, hi2 := pt.Owner(hi - 1); a2 != a || hi2 != hi {
 				t.Fatalf("piece [%d,%d): owner(%d)=(%d,%d), want (%d,%d)", cur, hi, hi-1, a2, hi2, a, hi)
 			}
-			if pt.Aligned() {
+			if pt.stripe > 0 {
 				for _, fr := range st.Map(cur, hi-cur) {
 					if fr.Server != a {
 						t.Fatalf("aligned piece [%d,%d) owned by %d maps to server %d", cur, hi, a, fr.Server)

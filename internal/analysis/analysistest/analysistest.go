@@ -38,6 +38,8 @@ var wantRe = regexp.MustCompile("//\\s*want\\s+(?:\"((?:[^\"\\\\]|\\\\.)*)\"|`([
 
 // Run analyzes the fixture package in dir with a and reports mismatches
 // between the diagnostics and the fixture's want annotations through t.
+//
+//mpiolint:ignore reach test harness: every pass test runs its fixtures through it
 func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
 	pkg, err := load(dir)

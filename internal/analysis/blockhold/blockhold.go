@@ -15,7 +15,7 @@
 // grows at Resource.Acquire, shrinks at a matching Resource.Release, and
 // every call whose callee is in the interprocedural may-park set
 // (internal/analysis/callgraph, anchored at sim's Proc.park) is reported
-// when the set can be non-empty. Timer waits (Proc.Wait / WaitUntil) only
+// when the set can be non-empty. Timer waits (Proc.Wait) only
 // self-wake through the event queue and are deliberately not in the park
 // set — holding a resource across a modeled service time is exactly what
 // Resource.Use does.

@@ -12,6 +12,10 @@
 //     Selections, package-level calls via Uses), plus a conservative
 //     interface closure: a call through an interface method adds edges to
 //     every module type implementing that interface.
+//   - A second edge set, Refs, holds every function the body names at all:
+//     calls, function and method values (SpawnDaemon(name, s.worker)),
+//     and the bodies of asynchronous literals. It is the reach pass's
+//     edge set; Calls, which the blocking sets use, ignores values.
 //   - Function literals are merged into their enclosing declaration —
 //     calling a locally-built closure runs its body on the caller's
 //     stack — except literals handed to the kernel's asynchronous
@@ -38,6 +42,7 @@ package callgraph
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -48,7 +53,10 @@ import (
 
 // SimPkgPath is the simulator package whose funnels anchor every derived
 // set.
-const SimPkgPath = "dafsio/internal/sim"
+const SimPkgPath = modulePath + "/internal/sim"
+
+// modulePath is the module's import path prefix.
+const modulePath = "dafsio"
 
 // The funnels (see internal/sim/kernel.go and proc.go): every event-queue
 // insertion flows through Kernel.schedule, every wait-list registration
@@ -120,11 +128,17 @@ type Node struct {
 	Decl     *ast.FuncDecl
 	Exported bool // exported name, and exported receiver type if a method
 	Calls    map[string]bool
+	Refs     map[string]bool // every function named in the body, Calls included
 }
 
 // Graph is a call graph over one or more loaded packages.
 type Graph struct {
 	Nodes map[string]*Node
+	// Roots holds the functions reached from outside any declaration:
+	// those named in a package-level var initializer (tables of funcs
+	// such as bench.All, Analyzer values), and the methods code outside
+	// the module calls through its own interfaces (bindExternal).
+	Roots map[string]bool
 }
 
 // Build constructs the graph of every function declared in pkgs. Edges
@@ -132,10 +146,13 @@ type Graph struct {
 // other packages resolve to their keys even when their bodies are not in
 // the graph — reachability simply stops there).
 func Build(pkgs []*analysis.Package) *Graph {
-	g := &Graph{Nodes: map[string]*Node{}}
+	g := &Graph{Nodes: map[string]*Node{}, Roots: map[string]bool{}}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					collectRefs(pkg.Info, gd, g.Roots)
+				}
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
@@ -150,14 +167,37 @@ func Build(pkgs []*analysis.Package) *Graph {
 					Decl:     fd,
 					Exported: declExported(fd),
 					Calls:    map[string]bool{},
+					Refs:     map[string]bool{},
 				}
 				collectCalls(pkg.Info, fd.Body, n.Calls)
+				collectRefs(pkg.Info, fd.Body, n.Refs)
 				g.Nodes[n.Key] = n
 			}
 		}
 	}
-	g.bindInterfaces(pkgs)
+	named := namedTypes(pkgs)
+	g.bindInterfaces(pkgs, named)
+	g.bindExternal(pkgs, named)
 	return g
+}
+
+// namedTypes lists every non-alias named type declared at package level
+// in pkgs.
+func namedTypes(pkgs []*analysis.Package) []*types.Named {
+	var named []*types.Named
+	for _, pkg := range pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if nt, ok := tn.Type().(*types.Named); ok {
+				named = append(named, nt)
+			}
+		}
+	}
+	return named
 }
 
 // declExported mirrors detrand's historical rule: a sink must be exported,
@@ -206,6 +246,19 @@ func collectCalls(info *types.Info, body ast.Node, out map[string]bool) {
 		return true
 	}
 	ast.Inspect(body, walk)
+}
+
+// collectRefs records the key of every function or method that an
+// identifier under root resolves to, whether called or used as a value.
+func collectRefs(info *types.Info, root ast.Node, out map[string]bool) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if fn, ok := info.Uses[id].(*types.Func); ok {
+				out[FuncKey(fn)] = true
+			}
+		}
+		return true
+	})
 }
 
 // asyncLiterals finds function literals passed directly to asynchronous
@@ -260,7 +313,7 @@ func ResolveCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 // bindInterfaces adds the conservative dynamic-dispatch closure: for every
 // interface method that appears as a callee, edge it to the corresponding
 // concrete method of every module type implementing the interface.
-func (g *Graph) bindInterfaces(pkgs []*analysis.Package) {
+func (g *Graph) bindInterfaces(pkgs []*analysis.Package, named []*types.Named) {
 	// Interface methods that are called somewhere: gather them from each
 	// package's Selections (node call sets only keep keys).
 	called := map[string]*types.Func{}
@@ -278,23 +331,6 @@ func (g *Graph) bindInterfaces(pkgs []*analysis.Package) {
 			}
 		}
 	}
-	if len(called) == 0 {
-		return
-	}
-	// Every named type declared in pkgs.
-	var named []*types.Named
-	for _, pkg := range pkgs {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if nt, ok := tn.Type().(*types.Named); ok {
-				named = append(named, nt)
-			}
-		}
-	}
 	keys := make([]string, 0, len(called))
 	for k := range called {
 		keys = append(keys, k)
@@ -308,7 +344,7 @@ func (g *Graph) bindInterfaces(pkgs []*analysis.Package) {
 		}
 		inode := g.Nodes[ikey]
 		if inode == nil {
-			inode = &Node{Key: ikey, Fn: m, Calls: map[string]bool{}}
+			inode = &Node{Key: ikey, Fn: m, Calls: map[string]bool{}, Refs: map[string]bool{}}
 			g.Nodes[ikey] = inode
 		}
 		for _, nt := range named {
@@ -322,6 +358,56 @@ func (g *Graph) bindInterfaces(pkgs []*analysis.Package) {
 			obj, _, _ := types.LookupFieldOrMethod(ptr, true, m.Pkg(), m.Name())
 			if impl, ok := obj.(*types.Func); ok {
 				inode.Calls[FuncKey(impl)] = true
+				inode.Refs[FuncKey(impl)] = true
+			}
+		}
+	}
+}
+
+// bindExternal adds to Roots the methods that code outside the module
+// calls through its own interfaces (types.Importer, sort.Interface...):
+// for every such interface that a field, variable or parameter used in
+// pkgs is typed with, each type in pkgs that implements it keeps the
+// methods the interface names.
+func (g *Graph) bindExternal(pkgs []*analysis.Package, named []*types.Named) {
+	local := map[*types.Package]bool{}
+	for _, pkg := range pkgs {
+		local[pkg.Types] = true
+	}
+	ifaces := map[*types.Interface]bool{}
+	note := func(t types.Type) {
+		if iface, ok := t.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+			ifaces[iface] = true
+		}
+	}
+	for _, pkg := range pkgs {
+		for _, obj := range pkg.Info.Uses {
+			if obj.Pkg() == nil || local[obj.Pkg()] || analysis.PathHasPrefix(obj.Pkg().Path(), modulePath) {
+				continue
+			}
+			switch o := obj.(type) {
+			case *types.Var:
+				note(o.Type())
+			case *types.Func:
+				params := o.Type().(*types.Signature).Params()
+				for i := 0; i < params.Len(); i++ {
+					note(params.At(i).Type())
+				}
+			}
+		}
+	}
+	for iface := range ifaces {
+		for _, nt := range named {
+			ptr := types.NewPointer(nt)
+			if types.IsInterface(nt) || !types.Implements(ptr, iface) {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i)
+				obj, _, _ := types.LookupFieldOrMethod(ptr, true, m.Pkg(), m.Name())
+				if impl, ok := obj.(*types.Func); ok {
+					g.Roots[FuncKey(impl)] = true
+				}
 			}
 		}
 	}

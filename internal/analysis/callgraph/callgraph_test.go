@@ -18,7 +18,7 @@ func TestSimSinksGolden(t *testing.T) {
 	mustHave := []string{
 		"Kernel.At", "Kernel.After", "Kernel.AtEvent", "Kernel.AfterEvent",
 		"Kernel.Spawn", "Kernel.SpawnDaemon", "Kernel.SpawnEngine",
-		"Proc.Spawn", "Proc.Wait", "Proc.WaitUntil", "Proc.Sleep",
+		"Proc.Spawn", "Proc.Wait", "Proc.Sleep",
 		"Chan.Send", "Chan.TrySend", "Chan.Recv", "Chan.TryRecv", "Chan.Close",
 		"Chan.Poll", "Chan.Offer",
 		"Resource.Acquire", "Resource.Release", "Resource.Use", "Resource.Claim",
@@ -34,8 +34,7 @@ func TestSimSinksGolden(t *testing.T) {
 	mustNotHave := []string{
 		"Kernel.NewEvent", "Kernel.Reserve", "NewKernel", "NewChan", "NewResource",
 		"Kernel.Now", "Kernel.Events", "Proc.Now", "Future.Done",
-		"Chan.Len", "Chan.Closed", "Resource.Cap", "Resource.InUse",
-		"Resource.Utilization",
+		"Chan.Len", "Resource.InUse",
 		"Kernel.Run", "Kernel.Shutdown",
 		"Kernel.schedule", "Kernel.wake", "pushWaiter",
 	}
@@ -66,7 +65,7 @@ func TestMayParkSemantics(t *testing.T) {
 		}
 	}
 	for _, k := range []string{
-		"Proc.Wait", "Proc.WaitUntil", "Proc.Sleep", // timer waits: the kernel wakes them
+		"Proc.Wait", "Proc.Sleep", // timer waits: the kernel wakes them
 		"Chan.Poll", "Chan.Offer", "Resource.Claim", // enlist an engine, never park
 		"Resource.Release", "Chan.TrySend", "Chan.TryRecv",
 		"Future.Set", "WaitGroup.Done",

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
-	"strings"
 )
 
 // Block is one basic block. Nodes holds, in execution order, the
@@ -374,33 +372,4 @@ func isPanic(e ast.Expr) bool {
 	}
 	id, ok := call.Fun.(*ast.Ident)
 	return ok && id.Name == "panic"
-}
-
-// Dump renders the graph structure for tests and debugging: one line per
-// reachable block, "index/kind -> succ indices".
-func (g *Graph) Dump() string {
-	seen := map[*Block]bool{}
-	var order []*Block
-	var walk func(*Block)
-	walk = func(blk *Block) {
-		if seen[blk] {
-			return
-		}
-		seen[blk] = true
-		order = append(order, blk)
-		for _, s := range blk.Succs {
-			walk(s)
-		}
-	}
-	walk(g.Entry)
-	sort.Slice(order, func(i, j int) bool { return order[i].Index < order[j].Index })
-	var sb strings.Builder
-	for _, blk := range order {
-		fmt.Fprintf(&sb, "%d/%s ->", blk.Index, blk.Kind)
-		for _, s := range blk.Succs {
-			fmt.Fprintf(&sb, " %d", s.Index)
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }

@@ -1,9 +1,11 @@
 package cfg
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -301,4 +303,33 @@ func TestDumpStable(t *testing.T) {
 	if d != g.Dump() {
 		t.Error("dump not deterministic")
 	}
+}
+
+// Dump renders the graph structure for the tests: one line per
+// reachable block, "index/kind -> succ indices".
+func (g *Graph) Dump() string {
+	seen := map[*Block]bool{}
+	var order []*Block
+	var walk func(*Block)
+	walk = func(blk *Block) {
+		if seen[blk] {
+			return
+		}
+		seen[blk] = true
+		order = append(order, blk)
+		for _, s := range blk.Succs {
+			walk(s)
+		}
+	}
+	walk(g.Entry)
+	sort.Slice(order, func(i, j int) bool { return order[i].Index < order[j].Index })
+	var sb strings.Builder
+	for _, blk := range order {
+		fmt.Fprintf(&sb, "%d/%s ->", blk.Index, blk.Kind)
+		for _, s := range blk.Succs {
+			fmt.Fprintf(&sb, " %d", s.Index)
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String()
 }

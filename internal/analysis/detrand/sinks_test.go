@@ -16,7 +16,7 @@ func TestDerivedSinks(t *testing.T) {
 		// Event-queue mutators.
 		"Kernel.At", "Kernel.After", "Kernel.AtEvent", "Kernel.AfterEvent",
 		"Kernel.Spawn", "Kernel.SpawnDaemon", "Kernel.SpawnEngine",
-		"Proc.Spawn", "Proc.Wait", "Proc.WaitUntil", "Proc.Sleep",
+		"Proc.Spawn", "Proc.Wait", "Proc.Sleep",
 		// Wake sources.
 		"Chan.Send", "Chan.TrySend", "Chan.Recv", "Chan.TryRecv", "Chan.Close",
 		"Resource.Acquire", "Resource.Release", "Resource.Use",
@@ -35,8 +35,7 @@ func TestDerivedSinks(t *testing.T) {
 		"Kernel.NewEvent", "Kernel.Reserve", "NewKernel", "NewChan", "NewResource",
 		// Pure readers.
 		"Kernel.Now", "Kernel.Events", "Kernel.Goroutines", "Proc.Now", "Future.Done",
-		"Chan.Len", "Chan.Closed", "Resource.Cap", "Resource.InUse",
-		"Resource.Utilization",
+		"Chan.Len", "Resource.InUse",
 		// The run loop consumes events; it does not schedule them.
 		"Kernel.Run", "Kernel.Shutdown",
 		// Unexported funnels must not leak into the exported set.

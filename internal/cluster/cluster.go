@@ -102,7 +102,7 @@ type Cluster struct {
 	Metrics *metrics.Registry // non-nil when the config installed metrics
 
 	cfg   Config // build recipe, reused when servers join mid-run
-	epoch uint32 // membership epoch: 1 at build, +1 per add/drain
+	epoch uint32 // membership epoch: 1 at build, +1 per AddServer
 }
 
 // New builds a cluster.
@@ -205,23 +205,7 @@ func (c *Cluster) buildServer(i int) {
 	}
 	c.Disks = append(c.Disks, disk)
 	if c.cfg.DAFS {
-		srv := dafs.NewServer(c.Prov.NewNIC(node), store, disk)
-		srv.SetEpoch(c.epoch)
-		c.DAFSSrvs = append(c.DAFSSrvs, srv)
-	}
-}
-
-// Epoch returns the current membership epoch (1 at build time, bumped by
-// every AddServer / DrainServer).
-func (c *Cluster) Epoch() uint32 { return c.epoch }
-
-// setEpoch bumps the membership epoch and propagates it to every DAFS
-// server, so subsequently dialing clients observe the change through the
-// connection phase (dafs.Client.ServerEpoch).
-func (c *Cluster) setEpoch(e uint32) {
-	c.epoch = e
-	for _, s := range c.DAFSSrvs {
-		s.SetEpoch(e)
+		c.DAFSSrvs = append(c.DAFSSrvs, dafs.NewServer(c.Prov.NewNIC(node), store, disk))
 	}
 }
 
@@ -236,38 +220,11 @@ func (c *Cluster) setEpoch(e uint32) {
 func (c *Cluster) AddServer() (s int, epoch uint32) {
 	s = len(c.ServerNodes)
 	c.buildServer(s)
-	c.setEpoch(c.epoch + 1)
+	c.epoch++
 	if c.cfg.DAFS {
 		c.DAFSSrvs[s].SetFence(c.epoch)
 	}
 	return s, c.epoch
-}
-
-// DrainServer begins a graceful removal: the membership epoch bumps (so
-// refreshing clients learn the change) and the server refuses new
-// sessions while established ones keep servicing — the window in which a
-// migration reads the leaver's stripes out. Finish with RemoveServer once
-// no layout places data on it.
-func (c *Cluster) DrainServer(s int) (epoch uint32) {
-	c.setEpoch(c.epoch + 1)
-	if s >= 0 && s < len(c.DAFSSrvs) {
-		c.DAFSSrvs[s].Drain()
-	}
-	return c.epoch
-}
-
-// RemoveServer withdraws a drained server for good: its NIC goes dark and
-// the server fail-stops, exactly like a crash but intentional. The
-// server's slot in the per-server slices is retired, never reused, so
-// surviving indexes stay stable.
-func (c *Cluster) RemoveServer(s int) {
-	node := c.ServerNodes[s]
-	if nic := c.Prov.NIC(node.ID); nic != nil {
-		nic.Kill()
-	}
-	if s < len(c.DAFSSrvs) {
-		c.DAFSSrvs[s].Crash()
-	}
 }
 
 // scheduleFaults turns the installed plan's component-level events into

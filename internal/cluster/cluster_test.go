@@ -44,7 +44,7 @@ func TestNFSOnlyCluster(t *testing.T) {
 
 func TestCombinedClusterWithMPI(t *testing.T) {
 	c := New(Config{Clients: 3, DAFS: true, NFS: true, MPI: true})
-	if c.World == nil || c.World.Size() != 3 {
+	if c.World == nil || c.World.Rank(0).Size() != 3 {
 		t.Fatal("MPI world missing")
 	}
 	err := c.SpawnClients(func(p *sim.Proc, i int) {

@@ -42,7 +42,8 @@ func TestReadBatchScattersIntoSlots(t *testing.T) {
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "b")
 		c.Write(p, fh, 0, pattern(8000, 7))
-		reg := c.NIC().Register(p, make([]byte, 300))
+		mem := make([]byte, 300)
+		reg := c.NIC().Register(p, mem)
 		segs := []SegSpec{{Off: 100, Len: 100}, {Off: 4000, Len: 200}}
 		io, err := c.StartReadBatch(p, fh, segs, reg, 0)
 		n, err := await(p, io, err)
@@ -50,10 +51,10 @@ func TestReadBatchScattersIntoSlots(t *testing.T) {
 			t.Errorf("read batch: n=%d err=%v", n, err)
 		}
 		want := pattern(8000, 7)
-		if !bytes.Equal(reg.Bytes()[:100], want[100:200]) {
+		if !bytes.Equal(mem[:100], want[100:200]) {
 			t.Error("slot 1 mismatch")
 		}
-		if !bytes.Equal(reg.Bytes()[100:300], want[4000:4200]) {
+		if !bytes.Equal(mem[100:300], want[4000:4200]) {
 			t.Error("slot 2 mismatch")
 		}
 	})
@@ -72,7 +73,8 @@ func TestReadBatchShortAndBeyondEOF(t *testing.T) {
 		}
 		fh, _, _ := c.Create(p, "b")
 		c.Write(p, fh, 0, pattern(150, 1))
-		reg := c.NIC().Register(p, bytes.Repeat([]byte{0xEE}, 300))
+		mem := bytes.Repeat([]byte{0xEE}, 300)
+		reg := c.NIC().Register(p, mem)
 		segs := []SegSpec{
 			{Off: 100, Len: 100}, // 50 available
 			{Off: 500, Len: 200}, // fully beyond EOF
@@ -82,10 +84,10 @@ func TestReadBatchShortAndBeyondEOF(t *testing.T) {
 		if err != nil || n != 50 {
 			t.Errorf("short batch: n=%d err=%v", n, err)
 		}
-		if !bytes.Equal(reg.Bytes()[:50], pattern(150, 1)[100:]) {
+		if !bytes.Equal(mem[:50], pattern(150, 1)[100:]) {
 			t.Error("available bytes mismatch")
 		}
-		if !bytes.Equal(reg.Bytes()[50:], make([]byte, 250)) {
+		if !bytes.Equal(mem[50:], make([]byte, 250)) {
 			t.Error("slots past EOF are not zero-filled")
 		}
 	})

@@ -254,7 +254,6 @@ type Client struct {
 	nextXID   uint32
 	maxInline int
 	slotSize  int
-	srvEpoch  uint32 // server's membership epoch at connect time
 
 	freeCalls *Call // collected calls, for the next requests (newCall)
 
@@ -338,11 +337,6 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	if err := srv.accept(p, &c.vi, o, c.slotSize); err != nil {
 		return nil, err
 	}
-	// The server's membership epoch rides the out-of-band connection
-	// phase back to the client (like the VIA connect itself, it carries
-	// no modeled wire cost).
-	c.srvEpoch = srv.epoch
-
 	// Registered message rings: one for requests, one for responses
 	// (pre-posted receives). The session owns both regions; every error path
 	// below must unregister them or the pinned windows leak for the rest of
@@ -405,13 +399,6 @@ func (c *Client) Node() *fabric.Node { return c.node }
 
 // MaxInline returns the negotiated inline data limit.
 func (c *Client) MaxInline() int { return c.maxInline }
-
-// Epoch returns the membership epoch the session dialed with.
-func (c *Client) Epoch() uint32 { return c.opts.Epoch }
-
-// ServerEpoch returns the server's membership epoch observed at connect
-// time — how a client learns the cluster changed since it last looked.
-func (c *Client) ServerEpoch() uint32 { return c.srvEpoch }
 
 // Tracer returns the provider tracer the session records to (nil when
 // tracing is off).
@@ -996,12 +983,6 @@ func (c *Client) Close(p *sim.Proc) error {
 	c.unregister(p)
 	return err
 }
-
-// Broken reports whether the session has suffered a transport failure.
-func (c *Client) Broken() bool { return c.failErr != nil }
-
-// FailErr returns the sticky session failure (nil while healthy).
-func (c *Client) FailErr() error { return c.failErr }
 
 // Redial establishes a fresh session to the same server with the same
 // options, preserving the trace tag. The old session (typically already

@@ -154,14 +154,13 @@ func TestProcString(t *testing.T) {
 }
 
 func TestStatusErrRoundTrip(t *testing.T) {
-	for _, st := range []Status{StatusOK, StatusNoEnt, StatusExist, StatusStale,
-		StatusInval, StatusTooBig, StatusIO, StatusAccess, StatusProto} {
-		err := st.Err()
-		if (st == StatusOK) != (err == nil) {
-			t.Fatalf("status %d error mismatch", st)
-		}
-		if err != nil && statusOf(err) != st {
-			t.Fatalf("statusOf(%v) = %d, want %d", err, statusOf(err), st)
+	for st, want := range map[Status]error{
+		StatusOK: nil, StatusNoEnt: ErrNoEnt, StatusExist: ErrExist,
+		StatusStale: ErrStale, StatusInval: ErrInval, StatusTooBig: ErrTooBig,
+		StatusIO: ErrIO, StatusAccess: ErrAccess, StatusProto: ErrProto,
+	} {
+		if err := st.Err(); err != want {
+			t.Errorf("Status(%d).Err() = %v, want %v", st, err, want)
 		}
 	}
 }
@@ -262,8 +261,9 @@ func TestDirectReadWrite(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		reg := c.NIC().Register(p, make([]byte, n))
-		copy(reg.Bytes(), want)
+		regMem := make([]byte, n)
+		reg := c.NIC().Register(p, regMem)
+		copy(regMem, want)
 		wn, err := c.WriteDirect(p, fh, 0, reg, 0, n)
 		if err != nil || wn != n {
 			t.Errorf("write direct: n=%d err=%v", wn, err)
@@ -274,12 +274,13 @@ func TestDirectReadWrite(t *testing.T) {
 			t.Error("server file content mismatch after direct write")
 		}
 		// Clear and read back.
-		dst := c.NIC().Register(p, make([]byte, n))
+		dstMem := make([]byte, n)
+		dst := c.NIC().Register(p, dstMem)
 		rn, err := c.ReadDirect(p, fh, 0, dst, 0, n)
 		if err != nil || rn != n {
 			t.Errorf("read direct: n=%d err=%v", rn, err)
 		}
-		if !bytes.Equal(dst.Bytes(), want) {
+		if !bytes.Equal(dstMem, want) {
 			t.Error("direct read data mismatch")
 		}
 	})
@@ -296,14 +297,15 @@ func TestDirectReadReturnsFileAsOfRequest(t *testing.T) {
 		fh, _, _ := c.Create(p, "f")
 		f, _ := r.store.Lookup("f")
 		f.WriteAt(before, 0)
-		dst := c.NIC().Register(p, make([]byte, n))
+		dstMem := make([]byte, n)
+		dst := c.NIC().Register(p, dstMem)
 		t0 := p.Now()
 		if _, err := c.ReadDirect(p, fh, 0, dst, 0, n); err != nil {
 			t.Error(err)
 			return
 		}
 		half := (p.Now() - t0) / 2
-		clear(dst.Bytes())
+		clear(dstMem)
 		r.k.Spawn("writer", func(q *sim.Proc) {
 			q.Wait(half)
 			f.WriteAt(after, 0)
@@ -315,7 +317,7 @@ func TestDirectReadReturnsFileAsOfRequest(t *testing.T) {
 		if !bytes.Equal(stored(f, 0, n), after) {
 			t.Error("the concurrent write did not land")
 		}
-		if !bytes.Equal(dst.Bytes(), before) {
+		if !bytes.Equal(dstMem, before) {
 			t.Error("a direct read saw a write that landed after the request ran")
 		}
 	})
@@ -342,9 +344,10 @@ func TestDirectWriteExtendsFile(t *testing.T) {
 	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
 		fh, _, _ := c.Create(p, "f")
-		reg := c.NIC().Register(p, make([]byte, 100))
+		regMem := make([]byte, 100)
+		reg := c.NIC().Register(p, regMem)
 		fill := pattern(100, 9)
-		copy(reg.Bytes(), fill)
+		copy(regMem, fill)
 		if _, err := c.WriteDirect(p, fh, 1<<16, reg, 0, 100); err != nil {
 			t.Error(err)
 		}
@@ -802,7 +805,7 @@ func TestIdleSessionHoldsNoSlotMemory(t *testing.T) {
 func stored(f *storage.File, off int64, n int) []byte {
 	b := make([]byte, n)
 	if got := f.ReadAt(b, off); got != n {
-		panic(fmt.Sprintf("stored: %d of %d bytes at %d in %s", got, n, off, f.Name()))
+		panic(fmt.Sprintf("stored: %d of %d bytes at %d in file %d", got, n, off, f.ID()))
 	}
 	return b
 }

@@ -137,7 +137,7 @@ func FuzzClientReply(f *testing.F) {
 					io, err = c.StartWriteBatch(p, fh, segs, reg, 0)
 				}
 				if err != nil {
-					if !c.Broken() && !errors.Is(err, ErrClosed) {
+					if c.failErr == nil && !errors.Is(err, ErrClosed) {
 						t.Errorf("%v: start failed on a healthy session: %v", proc, err)
 					}
 					continue
@@ -150,7 +150,7 @@ func FuzzClientReply(f *testing.F) {
 					t.Errorf("%v: a valid reply failed: %v", proc, err)
 				}
 			}
-			if err := c.Close(p); err != nil && !c.Broken() {
+			if err := c.Close(p); err != nil && c.failErr == nil {
 				t.Errorf("close: %v", err)
 			}
 			nic.Deregister(p, reg)

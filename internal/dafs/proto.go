@@ -121,9 +121,6 @@ var (
 	// connection phase (Server.accept), never mid-session — established
 	// sessions drain naturally.
 	ErrStaleEpoch = errors.New("dafs: stale membership epoch")
-	// ErrDraining rejects a connect to a server being removed from the
-	// cluster: existing sessions keep servicing, new ones are refused.
-	ErrDraining = errors.New("dafs: server draining")
 )
 
 // Err maps a status to its error (nil for StatusOK).
@@ -147,30 +144,6 @@ func (s Status) Err() error {
 		return ErrAccess
 	default:
 		return ErrProto
-	}
-}
-
-// statusOf maps an error back to a wire status.
-func statusOf(err error) Status {
-	switch {
-	case err == nil:
-		return StatusOK
-	case errors.Is(err, ErrNoEnt):
-		return StatusNoEnt
-	case errors.Is(err, ErrExist):
-		return StatusExist
-	case errors.Is(err, ErrStale):
-		return StatusStale
-	case errors.Is(err, ErrInval):
-		return StatusInval
-	case errors.Is(err, ErrTooBig):
-		return StatusTooBig
-	case errors.Is(err, ErrAccess):
-		return StatusAccess
-	case errors.Is(err, ErrIO):
-		return StatusIO
-	default:
-		return StatusProto
 	}
 }
 

@@ -31,8 +31,8 @@ func TestCloseAfterFailureReturnsFailErr(t *testing.T) {
 		if err := c.Close(p); !errors.Is(err, first) {
 			t.Errorf("Close after second fail: err=%v, want first cause kept", err)
 		}
-		if !c.Broken() || !errors.Is(c.FailErr(), first) {
-			t.Errorf("Broken=%v FailErr=%v, want broken with first cause", c.Broken(), c.FailErr())
+		if !errors.Is(c.failErr, first) {
+			t.Errorf("failErr=%v, want broken with first cause", c.failErr)
 		}
 	})
 }

@@ -44,8 +44,6 @@ type Server struct {
 	workQ    *sim.Chan[*reqSlot]
 	sessions []*session
 	crashed  bool
-	draining bool
-	epoch    uint32 // current membership epoch (informational, see SetEpoch)
 	fence    uint32 // minimum client epoch admitted (see SetFence)
 
 	staging [][]byte // staging page sets no request is using (getStaging)
@@ -144,12 +142,6 @@ func NewServer(nic *via.NIC, store *storage.Store, disk *storage.Disk) *Server {
 	return s
 }
 
-// Store returns the server's file store.
-func (s *Server) Store() *storage.Store { return s.store }
-
-// Node returns the server's host.
-func (s *Server) Node() *fabric.Node { return s.node }
-
 // NIC returns the server's VIA NIC.
 func (s *Server) NIC() *via.NIC { return s.nic }
 
@@ -161,9 +153,6 @@ func (s *Server) Stats() ServerStats { return s.stats }
 // (fault.ServerRestart); until then recovery is the clients' job (redial
 // another replica). Pair with NIC.Kill so in-flight wire traffic dies too.
 func (s *Server) Crash() { s.crashed = true }
-
-// Crashed reports whether the server has fail-stopped.
-func (s *Server) Crashed() bool { return s.crashed }
 
 // Restart re-admits a crashed server with an empty session table: every
 // pre-crash session is gone (clients must redial; their stale handles get
@@ -181,15 +170,6 @@ func (s *Server) Restart() {
 	s.sessions = nil
 }
 
-// SetEpoch records the current cluster membership epoch. It is
-// informational — returned to dialing clients through the out-of-band
-// connection phase (Client.ServerEpoch) — and never rejects anyone; use
-// SetFence for admission control.
-func (s *Server) SetEpoch(e uint32) { s.epoch = e }
-
-// Epoch returns the membership epoch last set.
-func (s *Server) Epoch() uint32 { return s.epoch }
-
 // SetFence sets the minimum membership epoch a connect must present
 // (Options.Epoch). A newly joined server fences at its join epoch:
 // clients whose membership view predates the join cannot validly address
@@ -198,31 +178,15 @@ func (s *Server) Epoch() uint32 { return s.epoch }
 // under an older fence drain naturally.
 func (s *Server) SetFence(e uint32) { s.fence = e }
 
-// Fence returns the admission fence.
-func (s *Server) Fence() uint32 { return s.fence }
-
-// Drain marks the server as leaving the cluster: new sessions are
-// refused with ErrDraining while established sessions keep servicing, so
-// in-flight work (including the migration reading the server's stripes
-// out) completes before the node is withdrawn. Drain is one-way; a
-// drained server's slot is retired, never reused.
-func (s *Server) Drain() { s.draining = true }
-
-// Draining reports whether the server is being withdrawn.
-func (s *Server) Draining() bool { return s.draining }
-
 // accept performs the server side of session establishment: it creates and
 // connects the VI, registers the session's message buffers, and pre-posts
 // one receive per credit. It runs in the dialing process but charges the
-// server's CPU. Admission control — crash, drain, and the membership
+// server's CPU. Admission control — crash and the membership
 // fence — happens here, in the out-of-band connection phase, so none of
 // it alters on-wire message sizes or timing for admitted sessions.
 func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) error {
 	if s.crashed {
 		return fmt.Errorf("%w: server %s is down", ErrSession, s.node.Name)
-	}
-	if s.draining {
-		return fmt.Errorf("%w: server %s", ErrDraining, s.node.Name)
 	}
 	if o.Epoch < s.fence {
 		return fmt.Errorf("%w: connect epoch %d < fence %d on %s", ErrStaleEpoch, o.Epoch, s.fence, s.node.Name)

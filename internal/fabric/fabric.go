@@ -125,15 +125,6 @@ func (f *Fabric) AddNode(name string) *Node {
 	return n
 }
 
-// Node returns the node with the given id.
-func (f *Fabric) Node(id NodeID) *Node { return f.nodes[int(id)] }
-
-// Nodes returns all nodes in creation order.
-func (f *Fabric) Nodes() []*Node { return f.nodes }
-
-// FramesSent reports the cumulative frame count on the wire.
-func (f *Fabric) FramesSent() int64 { return f.framesSent }
-
 // BytesSent reports the cumulative bytes on the wire.
 func (f *Fabric) BytesSent() int64 { return f.bytesSent }
 

@@ -46,8 +46,8 @@ func TestPointToPointTiming(t *testing.T) {
 	if arrived != want {
 		t.Fatalf("arrived at %v, want %v", arrived, want)
 	}
-	if f.FramesSent() != 1 || f.BytesSent() != 100000 {
-		t.Fatalf("stats frames=%d bytes=%d", f.FramesSent(), f.BytesSent())
+	if f.framesSent != 1 || f.BytesSent() != 100000 {
+		t.Fatalf("stats frames=%d bytes=%d", f.framesSent, f.BytesSent())
 	}
 }
 

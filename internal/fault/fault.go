@@ -15,7 +15,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"dafsio/internal/sim"
@@ -133,38 +132,6 @@ func (pl Plan) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Merge concatenates plans.
-func Merge(plans ...Plan) Plan {
-	var out Plan
-	for _, pl := range plans {
-		out.Events = append(out.Events, pl.Events...)
-	}
-	return out
-}
-
-// Scatter builds a plan of n events of one kind against one node,
-// deterministically scattered over [start, start+spread) by the seed — the
-// seeded-random schedule generator. The same seed always yields the same
-// schedule.
-func Scatter(seed int64, kind Kind, node string, n int, start, spread sim.Time) Plan {
-	if n < 0 || start <= 0 || spread <= 0 {
-		panic(fmt.Sprintf("fault: bad scatter (%d events over [%v, +%v))", n, start, spread))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	pl := Plan{Events: make([]Event, n)}
-	for i := range pl.Events {
-		pl.Events[i] = Event{
-			At:     start + sim.Time(rng.Int63n(int64(spread))),
-			Kind:   kind,
-			Node:   node,
-			Dur:    sim.Millisecond,
-			Count:  1,
-			Factor: 1,
-		}
-	}
-	return pl
 }
 
 // window is a closed-open stall interval.

@@ -56,46 +56,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestScatterDeterminism: same seed, same schedule — the property that
-// lets seeded-random fault campaigns replay byte-identically.
-func TestScatterDeterminism(t *testing.T) {
-	a := Scatter(7, DropCell, "server", 16, sim.Millisecond, 10*sim.Millisecond)
-	b := Scatter(7, DropCell, "server", 16, sim.Millisecond, 10*sim.Millisecond)
-	if len(a.Events) != 16 || len(b.Events) != 16 {
-		t.Fatalf("scatter sizes %d/%d", len(a.Events), len(b.Events))
-	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a.Events[i], b.Events[i])
-		}
-		if at := a.Events[i].At; at < sim.Millisecond || at >= 11*sim.Millisecond {
-			t.Fatalf("event %d at %v outside [1ms, 11ms)", i, at)
-		}
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatalf("scattered plan invalid: %v", err)
-	}
-	c := Scatter(8, DropCell, "server", 16, sim.Millisecond, 10*sim.Millisecond)
-	same := true
-	for i := range a.Events {
-		if a.Events[i] != c.Events[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical schedules")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := Plan{Events: []Event{{At: 1, Kind: ServerCrash, Node: "a"}}}
-	b := Plan{Events: []Event{{At: 2, Kind: ServerCrash, Node: "b"}}}
-	m := Merge(a, b)
-	if len(m.Events) != 2 || m.Events[0].Node != "a" || m.Events[1].Node != "b" {
-		t.Fatalf("merge: %+v", m.Events)
-	}
-}
-
 // TestInjectorEventsSorted: Events() returns the schedule in time order
 // regardless of plan order (the cluster wires component faults from it).
 func TestInjectorEventsSorted(t *testing.T) {

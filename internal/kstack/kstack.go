@@ -170,9 +170,6 @@ type Socket struct {
 	closed bool
 }
 
-// Port returns the bound port.
-func (sock *Socket) Port() uint16 { return sock.port }
-
 // Close unbinds the socket; queued datagrams are dropped.
 func (sock *Socket) Close() {
 	if sock.closed {

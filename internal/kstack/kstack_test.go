@@ -110,7 +110,7 @@ func TestPortManagement(t *testing.T) {
 	}
 	e1, _ := d.sa.Socket(0)
 	e2, _ := d.sa.Socket(0)
-	if e1.Port() == e2.Port() {
+	if e1.port == e2.port {
 		t.Fatal("ephemeral ports collide")
 	}
 	s1.Close()

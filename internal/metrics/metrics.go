@@ -171,11 +171,6 @@ func (r *Registry) Counter(name string) Counter {
 	return Counter{r.register(name, KindCounter, nil)}
 }
 
-// Gauge registers a push gauge. Panics on a duplicate name.
-func (r *Registry) Gauge(name string) Gauge {
-	return Gauge{r.register(name, KindGauge, nil)}
-}
-
 // Hist registers a log2 histogram. Panics on a duplicate name.
 func (r *Registry) Hist(name string) Hist {
 	return Hist{r.register(name, KindHist, nil)}

@@ -23,7 +23,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Fatalf("panic %v does not name the conflicting metric", v)
 		}
 	}()
-	r.Gauge("dafs.server.s0.requests")
+	r.Hist("dafs.server.s0.requests")
 }
 
 func TestSharedGetOrCreate(t *testing.T) {
@@ -174,7 +174,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		k := sim.NewKernel()
 		r := New(k)
 		c := r.Counter("a.ops")
-		g := r.Gauge("b.depth")
+		g := r.SharedGauge("b.depth")
 		h := r.Hist("a.ns")
 		f := r.Flight("a")
 		r.StartSampler(7)

@@ -93,9 +93,6 @@ func NewWorld(nics []*via.NIC) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.ranks) }
-
 // ReserveTags returns the base of a block of n previously unused service
 // tags. The caller must ensure a single rank allocates and distributes the
 // value (the usual pattern: rank 0 reserves, then broadcasts).

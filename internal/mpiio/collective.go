@@ -344,6 +344,8 @@ func (f *File) ReadAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 
 // ReadAll is the collective read at the individual file pointer
 // (MPI_File_read_all).
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_read_all
 func (f *File) ReadAll(p *sim.Proc, buf []byte) (int, error) {
 	n, err := f.ReadAtAll(p, f.ptr, buf)
 	f.ptr += int64(n)
@@ -352,6 +354,8 @@ func (f *File) ReadAll(p *sim.Proc, buf []byte) (int, error) {
 
 // WriteAll is the collective write at the individual file pointer
 // (MPI_File_write_all).
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_write_all
 func (f *File) WriteAll(p *sim.Proc, buf []byte) (int, error) {
 	n, err := f.WriteAtAll(p, f.ptr, buf)
 	f.ptr += int64(n)
@@ -364,11 +368,15 @@ func (f *File) WriteAll(p *sim.Proc, buf []byte) (int, error) {
 // most one split collective may be outstanding per file.
 
 // WriteAtAllBegin starts a split collective write.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_write_at_all_begin
 func (f *File) WriteAtAllBegin(p *sim.Proc, off int64, buf []byte) *Request {
 	return f.async(p, func(hp *sim.Proc) (int, error) { return f.WriteAtAll(hp, off, buf) })
 }
 
 // ReadAtAllBegin starts a split collective read.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_read_at_all_begin
 func (f *File) ReadAtAllBegin(p *sim.Proc, off int64, buf []byte) *Request {
 	return f.async(p, func(hp *sim.Proc) (int, error) { return f.ReadAtAll(hp, off, buf) })
 }

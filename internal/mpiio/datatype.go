@@ -33,6 +33,8 @@ type Datatype struct {
 }
 
 // Contiguous returns a datatype of n contiguous bytes.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_Type_contiguous
 func Contiguous(n int64) *Datatype {
 	if n < 0 {
 		panic("mpiio: negative datatype length")
@@ -132,15 +134,9 @@ func (d *Datatype) Resized(extent int64) *Datatype {
 func (d *Datatype) Size() int64 { return d.size }
 
 // Extent returns the tiling stride.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_Type_get_extent
 func (d *Datatype) Extent() int64 { return d.extent }
-
-// Segments returns the normalized type map.
-func (d *Datatype) Segments() []Segment { return d.segs }
-
-// Contig reports whether the type is a single dense block with no holes.
-func (d *Datatype) Contig() bool {
-	return len(d.segs) == 0 || (len(d.segs) == 1 && d.segs[0].Off == 0 && d.segs[0].Len == d.extent)
-}
 
 // String summarizes the datatype.
 func (d *Datatype) String() string {

@@ -22,7 +22,7 @@ func segsEqual(a, b []Segment) bool {
 
 func TestContiguous(t *testing.T) {
 	d := Contiguous(100)
-	if d.Size() != 100 || d.Extent() != 100 || !d.Contig() {
+	if d.Size() != 100 || d.Extent() != 100 || !contig(d) {
 		t.Fatalf("contiguous: %v", d)
 	}
 	z := Contiguous(0)
@@ -38,31 +38,31 @@ func TestVector(t *testing.T) {
 		t.Fatalf("vector: %v", d)
 	}
 	want := []Segment{{Off: 0, Len: 4}, {Off: 10, Len: 4}, {Off: 20, Len: 4}}
-	if !segsEqual(d.Segments(), want) {
-		t.Fatalf("segments %v", d.Segments())
+	if !segsEqual(d.segs, want) {
+		t.Fatalf("segments %v", d.segs)
 	}
-	if d.Contig() {
+	if contig(d) {
 		t.Fatal("holey vector reported contiguous")
 	}
 	// Degenerate: stride == blocklen coalesces into one block.
 	c := Vector(5, 8, 8)
-	if !c.Contig() || c.Size() != 40 {
-		t.Fatalf("dense vector: %v (segs %v)", c, c.Segments())
+	if !contig(c) || c.Size() != 40 {
+		t.Fatalf("dense vector: %v (segs %v)", c, c.segs)
 	}
 }
 
 func TestIndexedNormalization(t *testing.T) {
 	d := Indexed([]Segment{{Off: 20, Len: 5}, {Off: 0, Len: 10}, {Off: 10, Len: 10}}) // out of order, adjacent
-	if !segsEqual(d.Segments(), []Segment{{Off: 0, Len: 25}}) {
-		t.Fatalf("segments %v", d.Segments())
+	if !segsEqual(d.segs, []Segment{{Off: 0, Len: 25}}) {
+		t.Fatalf("segments %v", d.segs)
 	}
 	if d.Size() != 25 || d.Extent() != 25 {
 		t.Fatalf("%v", d)
 	}
 	// Zero-length blocks vanish.
 	e := Indexed([]Segment{{Off: 5, Len: 0}, {Off: 10, Len: 3}})
-	if !segsEqual(e.Segments(), []Segment{{Off: 10, Len: 3}}) {
-		t.Fatalf("segments %v", e.Segments())
+	if !segsEqual(e.segs, []Segment{{Off: 10, Len: 3}}) {
+		t.Fatalf("segments %v", e.segs)
 	}
 }
 
@@ -79,8 +79,8 @@ func TestSubarray2D(t *testing.T) {
 	// 4x6 array of 2-byte elements; 2x3 tile at (1,2).
 	d := Subarray2D(4, 6, 1, 2, 2, 3, 2)
 	want := []Segment{{Off: (1*6 + 2) * 2, Len: 6}, {Off: (2*6 + 2) * 2, Len: 6}}
-	if !segsEqual(d.Segments(), want) {
-		t.Fatalf("segments %v, want %v", d.Segments(), want)
+	if !segsEqual(d.segs, want) {
+		t.Fatalf("segments %v, want %v", d.segs, want)
 	}
 	if d.Size() != 12 || d.Extent() != 48 {
 		t.Fatalf("%v", d)
@@ -184,7 +184,7 @@ func TestMapRangeFullTiles(t *testing.T) {
 	segs := d.mapRange(0, k*d.Size(), nil)
 	var manual []Segment
 	for tile := int64(0); tile < k; tile++ {
-		for _, s := range d.Segments() {
+		for _, s := range d.segs {
 			manual = appendSeg(manual, Segment{Off: tile*d.Extent() + s.Off, Len: s.Len})
 		}
 	}
@@ -211,7 +211,7 @@ func TestMapRangeBruteForce(t *testing.T) {
 		// Brute-force payload->physical table for 3 tiles.
 		var table []int64
 		for tile := int64(0); tile < 3; tile++ {
-			for _, s := range d.Segments() {
+			for _, s := range d.segs {
 				for i := int64(0); i < s.Len; i++ {
 					table = append(table, tile*d.Extent()+s.Off+i)
 				}
@@ -221,14 +221,14 @@ func TestMapRangeBruteForce(t *testing.T) {
 		n := int64(rng.Intn(int(d.Size()))) + 1
 		segs := d.mapRange(off, n, nil)
 		if bound := d.segBound(off, n); len(segs) > bound {
-			t.Fatalf("trial %d: %d segments, segBound %d (type %v)", trial, len(segs), bound, d.Segments())
+			t.Fatalf("trial %d: %d segments, segBound %d (type %v)", trial, len(segs), bound, d.segs)
 		}
 		idx := off
 		for _, s := range segs {
 			for i := int64(0); i < s.Len; i++ {
 				if table[idx] != s.Off+i {
 					t.Fatalf("trial %d: payload byte %d maps to %d, want %d (type %v)",
-						trial, idx, s.Off+i, table[idx], d.Segments())
+						trial, idx, s.Off+i, table[idx], d.segs)
 				}
 				idx++
 			}
@@ -269,4 +269,9 @@ func TestDomainPartition(t *testing.T) {
 			t.Fatalf("offset %d assigned to domain %d [%d,%d)", off, a, lo, hi)
 		}
 	}
+}
+
+// contig reports whether d is a single dense block with no holes.
+func contig(d *Datatype) bool {
+	return len(d.segs) == 0 || (len(d.segs) == 1 && d.segs[0].Off == 0 && d.segs[0].Len == d.extent)
 }

@@ -72,9 +72,6 @@ func checkAccessMode(mode int) error {
 // sealed, and the MPI-IO layer reads the layout, the tracer and whether the
 // leaf has batch I/O from the core.
 type Driver interface {
-	// Name identifies the driver ("dafs", "nfs", "mem", or a striped
-	// layout over one of them).
-	Name() string
 	// Node is the host the driver runs on; the MPI-IO layer charges its
 	// pack/unpack/sieve copies to this CPU.
 	Node() *fabric.Node

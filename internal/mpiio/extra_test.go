@@ -173,7 +173,7 @@ func TestSplitCollective(t *testing.T) {
 		mine := rankPattern(1024*8, r.ID(), 7)
 		req := f.WriteAtAllBegin(p, 0, mine)
 		// Compute while the collective proceeds.
-		f.Driver().Node().Compute(p, sim.Millisecond)
+		f.drv.Node().Compute(p, sim.Millisecond)
 		if n, err := req.Wait(p); err != nil || n != len(mine) {
 			t.Errorf("rank %d split write: n=%d err=%v", r.ID(), n, err)
 		}

@@ -121,15 +121,11 @@ func Open(p *sim.Proc, rank *mpi.Rank, drv Driver, name string, mode int, hints 
 }
 
 // Delete removes a file by name (MPI_File_delete).
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_delete
 func Delete(p *sim.Proc, drv Driver, name string) error {
 	return drv.Delete(p, name)
 }
-
-// Name returns the file name.
-func (f *File) Name() string { return f.name }
-
-// Driver returns the underlying driver.
-func (f *File) Driver() Driver { return f.drv }
 
 // SetView installs a file view: a displacement plus a filetype whose data
 // space addresses subsequent offsets (MPI_File_set_view with etype =
@@ -153,6 +149,8 @@ func (f *File) SetView(disp int64, ftype *Datatype) error {
 }
 
 // View returns the current displacement and filetype (nil = flat).
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_get_view
 func (f *File) View() (int64, *Datatype) { return f.disp, f.ftype }
 
 // physSegs translates a view-relative byte range into physical file
@@ -280,6 +278,8 @@ func waitAll(p *sim.Proc, ops []AsyncOp, err error) (int, error) {
 // Read and Write use the individual file pointer.
 
 // Read transfers from the current file pointer and advances it.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_read
 func (f *File) Read(p *sim.Proc, buf []byte) (int, error) {
 	n, err := f.ReadAt(p, f.ptr, buf)
 	f.ptr += int64(n)
@@ -287,6 +287,8 @@ func (f *File) Read(p *sim.Proc, buf []byte) (int, error) {
 }
 
 // Write transfers at the current file pointer and advances it.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_write
 func (f *File) Write(p *sim.Proc, buf []byte) (int, error) {
 	n, err := f.WriteAt(p, f.ptr, buf)
 	f.ptr += int64(n)
@@ -303,6 +305,8 @@ const (
 // Seek repositions the individual file pointer (view-relative bytes).
 // SeekEnd is relative to the file size mapped into the view's data space
 // for flat views, and to the physical end otherwise.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_seek
 func (f *File) Seek(p *sim.Proc, off int64, whence int) (int64, error) {
 	if f.closed {
 		return 0, ErrClosed
@@ -334,6 +338,8 @@ func (f *File) Seek(p *sim.Proc, off int64, whence int) (int64, error) {
 }
 
 // Tell returns the individual file pointer.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_get_position
 func (f *File) Tell() int64 { return f.ptr }
 
 // GetSize returns the physical file size.
@@ -363,6 +369,8 @@ func (f *File) SetSize(p *sim.Proc, n int64) error {
 // Preallocate ensures the file is at least n bytes long (MPI_File_
 // preallocate; collective when rank is set). Unlike SetSize it never
 // shrinks.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_preallocate
 func (f *File) Preallocate(p *sim.Proc, n int64) error {
 	if f.closed {
 		return ErrClosed
@@ -439,6 +447,8 @@ func (f *File) async(p *sim.Proc, fn func(hp *sim.Proc) (int, error)) *Request {
 }
 
 // IreadAt starts a nonblocking ReadAt.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_iread_at
 func (f *File) IreadAt(p *sim.Proc, off int64, buf []byte) *Request {
 	return f.async(p, func(hp *sim.Proc) (int, error) { return f.ReadAt(hp, off, buf) })
 }

@@ -640,7 +640,7 @@ func TestManyFilesOneSession(t *testing.T) {
 func stored(f *storage.File, off int64, n int) []byte {
 	b := make([]byte, n)
 	if got := f.ReadAt(b, off); got != n {
-		panic(fmt.Sprintf("stored: %d of %d bytes at %d in %s", got, n, off, f.Name()))
+		panic(fmt.Sprintf("stored: %d of %d bytes at %d in file %d", got, n, off, f.ID()))
 	}
 	return b
 }

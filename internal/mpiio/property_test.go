@@ -127,7 +127,7 @@ func TestIndexedNormalizationProperty(t *testing.T) {
 		if d1.Size() != total || d2.Size() != total {
 			return false
 		}
-		s1, s2 := d1.Segments(), d2.Segments()
+		s1, s2 := d1.segs, d2.segs
 		if len(s1) != len(s2) {
 			return false
 		}

@@ -324,15 +324,13 @@ func TestReshapeGrow(t *testing.T) {
 	})
 }
 
-// Shrinking off a draining server: after migrate+commit+cleanup the
-// drained server holds none of the file's bytes and can be removed
-// without the file noticing.
-func TestReshapeShrinkDrain(t *testing.T) {
+// Shrinking onto two of three servers: after migrate+commit+cleanup the
+// dropped server holds none of the file's bytes, and the file reads back
+// whole from the survivors.
+func TestReshapeShrink(t *testing.T) {
 	data := pattern(768 << 10)
 	reshapeRig(t, 3, data, func(p *sim.Proc, f *File, drv *StripedDAFSDriver, c *cluster.Cluster) {
-		epoch := c.DrainServer(2)
-		// New sessions to the draining server are refused, but the pool for
-		// the shrunken layout only needs the survivors.
+		// The pool for the shrunken layout needs only the survivors.
 		pool := make([]*dafs.Client, 2)
 		for s := 0; s < 2; s++ {
 			cl, err := c.DialDAFSServer(p, 0, s, &dafs.Options{CallTimeout: 5 * sim.Millisecond})
@@ -342,7 +340,7 @@ func TestReshapeShrinkDrain(t *testing.T) {
 			}
 			pool[s] = cl
 		}
-		rs, err := drv.PrepareReshape(p, pool, layout.Striping{StripeSize: 4 << 10, Width: 2}, epoch)
+		rs, err := drv.PrepareReshape(p, pool, layout.Striping{StripeSize: 4 << 10, Width: 2}, 2)
 		if err != nil {
 			t.Errorf("prepare: %v", err)
 			return
@@ -353,10 +351,9 @@ func TestReshapeShrinkDrain(t *testing.T) {
 		}
 		rs.Commit(p)
 		rs.Cleanup(p)
-		c.RemoveServer(2)
 
 		if _, err := c.Stores[2].Lookup("s"); err == nil {
-			t.Error("drained server still holds the file after cleanup")
+			t.Error("dropped server still holds the file after cleanup")
 		}
 		got := make([]byte, len(data))
 		if n, err := f.ReadAt(p, 0, got); err != nil || n != len(data) || !bytes.Equal(got, data) {

@@ -103,9 +103,9 @@ func TestScratchOwnedPerCall(t *testing.T) {
 						f.f.SetView(0, nil)
 						got := make([]byte, len(f.want))
 						if n, err := f.f.ReadAt(p, 0, got); n != len(got) || err != nil {
-							t.Errorf("read back %s: n=%d err=%v", f.f.Name(), n, err)
+							t.Errorf("read back %s: n=%d err=%v", f.f.name, n, err)
 						} else if !bytes.Equal(got, f.want) {
-							t.Errorf("file %s differs from the model at byte %d", f.f.Name(), firstDiff(got, f.want))
+							t.Errorf("file %s differs from the model at byte %d", f.f.name, firstDiff(got, f.want))
 						}
 					}
 				}

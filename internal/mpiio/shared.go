@@ -13,6 +13,8 @@ import "dafsio/internal/sim"
 // ReadShared reads at the shared file pointer and atomically advances it
 // (MPI_File_read_shared). Concurrent callers get disjoint regions; the
 // ordering among them is unspecified, as in MPI.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_read_shared
 func (f *File) ReadShared(p *sim.Proc, buf []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
@@ -33,6 +35,8 @@ func (f *File) WriteShared(p *sim.Proc, buf []byte) (int, error) {
 
 // SeekShared repositions the shared pointer (collective; every rank must
 // call it with the same offset, per the MPI standard).
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_seek_shared
 func (f *File) SeekShared(p *sim.Proc, off int64) error {
 	if f.closed {
 		return ErrClosed
@@ -86,6 +90,8 @@ func (f *File) WriteOrdered(p *sim.Proc, buf []byte) (int, error) {
 }
 
 // ReadOrdered is the collective MPI_File_read_ordered.
+//
+//mpiolint:ignore reach MPI-2 API: MPI_File_read_ordered
 func (f *File) ReadOrdered(p *sim.Proc, buf []byte) (int, error) {
 	if f.closed {
 		return 0, ErrClosed

@@ -77,7 +77,6 @@ type pool struct {
 	// store), which therefore has no list path either.
 	*dafsTransfer
 
-	kind string        // leaf transport, for Name
 	node *fabric.Node  // client host
 	tr   *trace.Tracer // nil when tracing is off
 
@@ -152,7 +151,7 @@ func newStripedMetrics(reg *metrics.Registry, node string, width int) stripedMet
 
 // newPool builds the state of one layout over sess, one session per server
 // in layout order. reg may be nil (no instruments).
-func newPool(sess []session, st layout.Striping, epoch uint32, kind string, node *fabric.Node, reg *metrics.Registry) *pool {
+func newPool(sess []session, st layout.Striping, epoch uint32, node *fabric.Node, reg *metrics.Registry) *pool {
 	if err := st.Validate(); err != nil {
 		panic(err)
 	}
@@ -160,7 +159,6 @@ func newPool(sess []session, st layout.Striping, epoch uint32, kind string, node
 		panic(fmt.Sprintf("mpiio: %d sessions for stripe width %d", len(sess), st.Width))
 	}
 	return &pool{
-		kind:         kind,
 		node:         node,
 		sess:         sess,
 		striping:     st,
@@ -192,7 +190,7 @@ func newDAFSPool(clients []*dafs.Client, st layout.Striping, epoch uint32) *pool
 		leaves[i] = dafsSession{c: c, xfer: xfer}
 		sess[i] = &leaves[i]
 	}
-	pl := newPool(sess, st, epoch, "dafs", c0.Node(), c0.NIC().Provider().Metrics)
+	pl := newPool(sess, st, epoch, c0.Node(), c0.NIC().Provider().Metrics)
 	pl.dafsTransfer = xfer
 	pl.tr = c0.Tracer()
 	return pl
@@ -242,7 +240,7 @@ func NewStripedNFSDriver(clients []*nfs.Client, st layout.Striping) *PlainDriver
 	for i, c := range clients {
 		sess[i] = nfsSession{c}
 	}
-	return &PlainDriver{striped{pool: newPool(sess, st, 1, "nfs", clients[0].Node(), nil)}}
+	return &PlainDriver{striped{pool: newPool(sess, st, 1, clients[0].Node(), nil)}}
 }
 
 // NewNFSDriver binds MPI-IO to one NFS mount, the paper's baseline
@@ -256,13 +254,12 @@ func NewNFSDriver(m *nfs.Client) *PlainDriver {
 // NewMemDriver binds MPI-IO to store as node's local file system: the
 // striped core at width 1 over a mem session (striped_leaf.go), the
 // lowest-latency — but not network-attached — point of comparison.
+//
+//mpiolint:ignore reach test oracle: the node-local store stack that TestScriptEveryStack and the delete tests run beside DAFS and NFS
 func NewMemDriver(node *fabric.Node, store *storage.Store) *PlainDriver {
 	sess := []session{memSession{node: node, store: store}}
-	return &PlainDriver{striped{pool: newPool(sess, layout.Striping{Width: 1}, 1, "mem", node, nil)}}
+	return &PlainDriver{striped{pool: newPool(sess, layout.Striping{Width: 1}, 1, node, nil)}}
 }
-
-// Name implements Driver.
-func (d *PlainDriver) Name() string { return d.s.Name() }
 
 // Node implements Driver.
 func (d *PlainDriver) Node() *fabric.Node { return d.s.Node() }
@@ -289,18 +286,6 @@ func (d *striped) Node() *fabric.Node { return d.node }
 
 // core implements Driver.
 func (d *striped) core() *striped { return d }
-
-// Name implements Driver.
-func (d *striped) Name() string {
-	switch st := d.striping; {
-	case st.Width == 1:
-		return d.kind
-	case st.R() > 1:
-		return fmt.Sprintf("%s-striped/%dx%d", d.kind, st.Width, st.R())
-	default:
-		return fmt.Sprintf("%s-striped/%d", d.kind, st.Width)
-	}
-}
 
 // objName is the on-store name of rank r's stripe object under the pool's
 // layout epoch. Epoch 1 keeps the plain replica name, so static clusters

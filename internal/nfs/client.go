@@ -146,12 +146,6 @@ func Mount(p *sim.Proc, stack *kstack.Stack, srv *Server, opts *MountOptions) (*
 // Node returns the client's host.
 func (c *Client) Node() *fabric.Node { return c.stack.Node }
 
-// RSize returns the mount's per-RPC read bound.
-func (c *Client) RSize() int { return c.opts.RSize }
-
-// WSize returns the mount's per-RPC write bound.
-func (c *Client) WSize() int { return c.opts.WSize }
-
 // Stats returns a copy of the mount counters.
 func (c *Client) Stats() ClientStats { return c.stats }
 
@@ -424,6 +418,8 @@ func (c *Client) Write(p *sim.Proc, fh FH, off int64, data []byte) (int, error) 
 }
 
 // Close unmounts.
+//
+//mpiolint:ignore reach test probe: the lifetime test TestClientCloseRejectsFurtherCalls unmounts; keeps kstack.Socket.Close and sim.Chan.Close with it
 func (c *Client) Close(p *sim.Proc) error {
 	if c.closed {
 		return nil

@@ -66,8 +66,8 @@ func TestOversizedReadCountRejected(t *testing.T) {
 		_ = fh
 		// The public API cannot construct the illegal request (the
 		// client clamps), which is itself the property worth asserting:
-		if c.RSize() > kstack.MaxDatagram-1024 {
-			t.Errorf("client rsize %d exceeds datagram budget", c.RSize())
+		if c.opts.RSize > kstack.MaxDatagram-1024 {
+			t.Errorf("client rsize %d exceeds datagram budget", c.opts.RSize)
 		}
 	})
 }
@@ -80,8 +80,8 @@ func TestMountOptionsClamped(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if c.RSize() > kstack.MaxDatagram || c.WSize() > kstack.MaxDatagram {
-			t.Errorf("rsize/wsize not clamped: %d/%d", c.RSize(), c.WSize())
+		if c.opts.RSize > kstack.MaxDatagram || c.opts.WSize > kstack.MaxDatagram {
+			t.Errorf("rsize/wsize not clamped: %d/%d", c.opts.RSize, c.opts.WSize)
 		}
 		// Oversized transfers still work through chunking.
 		fh, _, _ := c.Create(p, "big")
@@ -113,7 +113,7 @@ func TestClientCloseRejectsFurtherCalls(t *testing.T) {
 func TestFailedReadCollectsEveryChunk(t *testing.T) {
 	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
-		buf := make([]byte, 3*c.RSize())
+		buf := make([]byte, 3*c.opts.RSize)
 		good, _, _ := c.Create(p, "good")
 		if _, err := c.Write(p, good, 0, pat(len(buf), 1)); err != nil {
 			t.Error(err)

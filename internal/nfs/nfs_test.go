@@ -61,8 +61,8 @@ func pat(n int, seed byte) []byte {
 func TestMountAndNull(t *testing.T) {
 	r := newRig(1)
 	r.run(t, func(p *sim.Proc, c *Client) {
-		if c.RSize() != 32768 || c.WSize() != 32768 {
-			t.Errorf("defaults rsize=%d wsize=%d", c.RSize(), c.WSize())
+		if c.opts.RSize != 32768 || c.opts.WSize != 32768 {
+			t.Errorf("defaults rsize=%d wsize=%d", c.opts.RSize, c.opts.WSize)
 		}
 	})
 }
@@ -285,7 +285,7 @@ func TestUncachedServerSlower(t *testing.T) {
 func stored(f *storage.File, off int64, n int) []byte {
 	b := make([]byte, n)
 	if got := f.ReadAt(b, off); got != n {
-		panic(fmt.Sprintf("stored: %d of %d bytes at %d in %s", got, n, off, f.Name()))
+		panic(fmt.Sprintf("stored: %d of %d bytes at %d in file %d", got, n, off, f.ID()))
 	}
 	return b
 }

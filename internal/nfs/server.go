@@ -54,12 +54,6 @@ func NewServer(stack *kstack.Stack, prof *model.Profile, k *sim.Kernel, store *s
 	return s
 }
 
-// Store returns the exported store.
-func (s *Server) Store() *storage.Store { return s.store }
-
-// Stats returns a copy of the server counters.
-func (s *Server) Stats() ServerStats { return s.stats }
-
 // listen receives each request into a message buffer of its own and queues
 // it for the workers; the worker that handles it gives the buffer back.
 func (s *Server) listen(p *sim.Proc) {

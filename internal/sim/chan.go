@@ -45,9 +45,6 @@ func (c *Chan[T]) Init(k *Kernel, capacity int, room []T) {
 // Len returns the number of buffered messages.
 func (c *Chan[T]) Len() int { return c.count }
 
-// Closed reports whether the channel has been closed.
-func (c *Chan[T]) Closed() bool { return c.closed }
-
 // put appends v to the ring, growing it when full.
 func (c *Chan[T]) put(v T) {
 	if c.count == len(c.buf) {

@@ -97,34 +97,6 @@ func TestResourcePanicsOnBadCounts(t *testing.T) {
 	}
 }
 
-func TestResourceResetStats(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "r", 1)
-	k.Spawn("p", func(p *Proc) {
-		r.Use(p, 1, 100)
-		r.ResetStats()
-		p.Wait(50) // idle
-		r.Use(p, 1, 50)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.BusyTime(); got != 50 {
-		t.Fatalf("busy after reset = %v, want 50ns", got)
-	}
-	if u := r.Utilization(); u != 0.5 {
-		t.Fatalf("utilization after reset = %v, want 0.5", u)
-	}
-}
-
-func TestUtilizationBeforeTimePasses(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "r", 1)
-	if u := r.Utilization(); u != 0 {
-		t.Fatalf("utilization with no elapsed time = %v", u)
-	}
-}
-
 func TestWaitGroupNegativePanics(t *testing.T) {
 	k := NewKernel()
 	wg := NewWaitGroup(k, 0)
@@ -139,18 +111,19 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 func TestChanLenAndClosed(t *testing.T) {
 	k := NewKernel()
 	ch := NewChan[int](k, 0)
-	if ch.Len() != 0 || ch.Closed() {
+	if ch.Len() != 0 {
 		t.Fatal("fresh channel state wrong")
 	}
-	ch.TrySend(1)
-	ch.TrySend(2)
+	if !ch.TrySend(1) || !ch.TrySend(2) {
+		t.Fatal("open channel refused a send")
+	}
 	if ch.Len() != 2 {
 		t.Fatalf("len %d", ch.Len())
 	}
 	ch.Close()
 	ch.Close() // idempotent
-	if !ch.Closed() {
-		t.Fatal("not closed")
+	if ch.TrySend(3) {
+		t.Fatal("not closed: TrySend succeeded")
 	}
 	// Drain after close.
 	if v, ok := ch.TryRecv(); !ok || v != 1 {

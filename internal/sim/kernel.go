@@ -61,6 +61,8 @@ func (k *Kernel) Live() int { return len(k.live) }
 
 // Goroutines returns the number of worker goroutines this kernel holds,
 // bound to a proc or pooled. Engines hold none. Shutdown reclaims them all.
+//
+//mpiolint:ignore reach test probe: TestNICsHoldNoGoroutines and TestShutdownSkipsEngines count a kernel's goroutines
 func (k *Kernel) Goroutines() int { return k.workers }
 
 // PendingEvents returns the number of events currently queued — the

@@ -49,7 +49,6 @@ type Proc struct {
 	// at a time, so one set of fields suffices.
 	wnext    *Proc
 	wn       int
-	wsince   Time
 	wgranted bool
 
 	// traceCtx is an opaque correlation id carried by the process for
@@ -325,15 +324,6 @@ func (p *Proc) Sleep(d Time) {
 	k := p.k
 	k.schedule(&p.stepEv, k.now+d)
 	p.armed = true
-}
-
-// WaitUntil suspends the process until virtual time t (no-op if t has
-// passed).
-func (p *Proc) WaitUntil(t Time) {
-	if t <= p.k.now {
-		return
-	}
-	p.Wait(t - p.k.now)
 }
 
 // Spawn starts a child process from within this process.

@@ -287,8 +287,8 @@ func TestResourceFIFOAndUtilization(t *testing.T) {
 	if got := r.BusyTime(); got != 300 {
 		t.Fatalf("busy %v, want 300ns", got)
 	}
-	if u := r.Utilization(); u != 1.0 {
-		t.Fatalf("utilization %v, want 1", u)
+	if busy := r.BusyTime(); busy != k.Now() {
+		t.Fatalf("busy %v over %v, want fully utilized", busy, k.Now())
 	}
 }
 
@@ -458,13 +458,13 @@ func TestDeterminism(t *testing.T) {
 func TestWaitUntil(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("p", func(p *Proc) {
-		p.WaitUntil(100)
+		p.Wait(100 - p.Now())
 		if p.Now() != 100 {
 			t.Errorf("now %v", p.Now())
 		}
-		p.WaitUntil(50) // in the past: no-op
+		p.Wait(50 - p.Now()) // in the past: no time passes
 		if p.Now() != 100 {
-			t.Errorf("now %v after past WaitUntil", p.Now())
+			t.Errorf("now %v after waiting until a past instant", p.Now())
 		}
 	})
 	if err := k.Run(); err != nil {

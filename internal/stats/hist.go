@@ -53,24 +53,6 @@ func (h *Histogram) Add(v int64) {
 	h.Counts[HistBucket(v)]++
 }
 
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.N == 0 {
-		return
-	}
-	if h.N == 0 || other.Min < h.Min {
-		h.Min = other.Min
-	}
-	if other.Max > h.Max {
-		h.Max = other.Max
-	}
-	h.N += other.N
-	h.Sum += other.Sum
-	for i, c := range other.Counts {
-		h.Counts[i] += c
-	}
-}
-
 // Quantile returns an upper bound on the q-quantile (0 <= q <= 1): the
 // inclusive upper edge of the bucket containing the ceil(q*N)-th smallest
 // sample, clamped to the observed maximum so p100 (and any quantile landing

@@ -98,24 +98,6 @@ func TestHistogramMaxOverflow(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for v := int64(1); v <= 50; v++ {
-		a.Add(v)
-	}
-	for v := int64(51); v <= 100; v++ {
-		b.Add(v)
-	}
-	a.Merge(&b)
-	var want Histogram
-	for v := int64(1); v <= 100; v++ {
-		want.Add(v)
-	}
-	if a != want {
-		t.Errorf("merged histogram differs from direct accumulation")
-	}
-}
-
 func TestChartFprintEmpty(t *testing.T) {
 	var sb strings.Builder
 	(&Chart{Title: "empty"}).Fprint(&sb)

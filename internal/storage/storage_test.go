@@ -55,8 +55,8 @@ func TestListSorted(t *testing.T) {
 	for _, n := range []string{"zeta", "alpha", "mid"} {
 		s.Create(n)
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len() = %d", s.Len())
+	if len(s.files) != 3 {
+		t.Fatalf("%d files", len(s.files))
 	}
 }
 

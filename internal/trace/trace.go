@@ -226,14 +226,6 @@ func (t *Tracer) Charge(id OpID, cat Category, d sim.Time) {
 	c[cat] += d
 }
 
-// Now returns the kernel's current virtual time.
-func (t *Tracer) Now() sim.Time {
-	if t == nil {
-		return 0
-	}
-	return t.k.Now()
-}
-
 // Spans returns the recorded spans in creation order. The slice is the
 // tracer's own storage: read, don't mutate.
 func (t *Tracer) Spans() []Span {

@@ -23,7 +23,7 @@ func TestNilTracer(t *testing.T) {
 	tr.End(id)
 	tr.SetXID(id, 7)
 	tr.Charge(id, CatWire, 10)
-	if tr.Now() != 0 || tr.Spans() != nil {
+	if tr.Spans() != nil {
 		t.Error("nil accessors not zero")
 	}
 	if tr.ComputeBreakdown().Roots != 0 {

@@ -29,7 +29,7 @@ func TestVIErrorStateBlocksPostSend(t *testing.T) {
 	if err := p2.k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if p2.viB.Err() == nil {
+	if p2.viB.errState == nil {
 		t.Fatal("peer VI not in error state")
 	}
 }
@@ -47,12 +47,12 @@ func TestErrorVIFailsPostedRecvs(t *testing.T) {
 		}
 		// After the error, newly posted receives complete with errors
 		// when the VI is already failed... post and observe state.
-		if p2.viB.Err() == nil {
+		if p2.viB.errState == nil {
 			// The error may arrive after this check; wait for the
 			// second message's effect by idling.
 			p.Wait(sim.Millisecond)
 		}
-		if p2.viB.Err() == nil {
+		if p2.viB.errState == nil {
 			t.Error("VI not failed after underrun")
 		}
 	})
@@ -82,7 +82,7 @@ func TestCQPoll(t *testing.T) {
 		if c, ok := p2.viA.SendCQ.Poll(); !ok || c.Err != nil {
 			t.Errorf("poll after completion: ok=%v err=%v", ok, c.Err)
 		}
-		if p2.viA.SendCQ.Len() != 0 {
+		if p2.viA.SendCQ.ch.Len() != 0 {
 			t.Error("CQ not drained")
 		}
 	})
@@ -242,7 +242,7 @@ func TestFaultedCellsAreFreedOnce(t *testing.T) {
 		target := p2.nicB.RegisterCached(dst)
 		src := p2.nicA.Register(p, make([]byte, msgs*n))
 		for i := 0; i < msgs; i++ {
-			fill(src.Bytes()[i*n:(i+1)*n], byte(i+1))
+			fill(src.buf[i*n:(i+1)*n], byte(i+1))
 			err := p2.viA.PostSend(p, &Descriptor{
 				Op: OpRDMAWrite, Region: src, Offset: i * n, Len: n,
 				RemoteHandle: target.Handle, RemoteOffset: i * n, Ctx: i,
@@ -312,7 +312,7 @@ func TestNICStateIsRecycled(t *testing.T) {
 			c := p2.viB.RecvCQ.Wait(p)
 			want := make([]byte, n)
 			fill(want, byte(i))
-			if c.Err != nil || c.Desc != d || !bytes.Equal(recv.Bytes(), want) {
+			if c.Err != nil || c.Desc != d || !bytes.Equal(recv.buf, want) {
 				t.Errorf("message %d: err=%v or its bytes differ", i, c.Err)
 			}
 		}
@@ -322,7 +322,7 @@ func TestNICStateIsRecycled(t *testing.T) {
 		src := p2.nicA.Register(p, make([]byte, n))
 		dst := p2.nicA.Register(p, make([]byte, n))
 		for i := 0; i < msgs; i++ {
-			fill(src.Bytes(), byte(i))
+			fill(src.buf, byte(i))
 			if err := p2.viA.PostSend(p, &Descriptor{Op: OpSend, Region: src, Len: n}); err != nil {
 				t.Error(err)
 				return
@@ -332,7 +332,7 @@ func TestNICStateIsRecycled(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if c := p2.viA.SendCQ.Wait(p); c.Err != nil || !bytes.Equal(dst.Bytes(), remote[i*n:(i+1)*n]) {
+			if c := p2.viA.SendCQ.Wait(p); c.Err != nil || !bytes.Equal(dst.buf, remote[i*n:(i+1)*n]) {
 				t.Errorf("read %d: err=%v or its bytes differ", i, c.Err)
 			}
 		}

@@ -58,10 +58,10 @@ func runNotifyScript(t *testing.T, waiter bool) notifyRun {
 		n := 0
 		for b, burst := range notifyBursts {
 			start := sim.Time(b+1) * 100 * sim.Microsecond
-			p.WaitUntil(start)
+			p.Wait(start - p.Now())
 			r.live = append(r.live, p2.k.Live())
 			for _, off := range burst {
-				p.WaitUntil(start + off)
+				p.Wait(start + off - p.Now())
 				n++
 				cq.deliver(Completion{Len: n})
 			}
@@ -141,7 +141,7 @@ func TestCQDepthGauge(t *testing.T) {
 		t.Helper()
 		sum := 0
 		for _, cq := range cqs {
-			sum += cq.Len()
+			sum += cq.ch.Len()
 		}
 		got := pr.Metrics.Value("via.nic." + n.Node.Name + ".cq_depth")
 		if got != int64(sum) || sum != want {

@@ -72,7 +72,7 @@ func TestRingRDMAStaysInOneSlot(t *testing.T) {
 	p2.k.Spawn("initiator", func(p *sim.Proc) {
 		h := ready.Get(p)
 		r := p2.nicA.Register(p, make([]byte, 32))
-		fill(r.Bytes(), 2)
+		fill(r.buf, 2)
 		for _, tc := range []struct {
 			op      Op
 			off     int
@@ -91,7 +91,7 @@ func TestRingRDMAStaysInOneSlot(t *testing.T) {
 				t.Errorf("%v of 32 B at %d: %v, want %v", tc.op, tc.off, c.Err, tc.wantErr)
 			}
 		}
-		if !bytes.Equal(r.Bytes(), target.Slot(3)[:32]) {
+		if !bytes.Equal(r.buf, target.Slot(3)[:32]) {
 			t.Error("rdma read did not fetch slot 3")
 		}
 	})
@@ -177,7 +177,7 @@ func TestRingRegistrationCost(t *testing.T) {
 		if err := p2.k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return p2.fab.Node(0).CPU.BusyTime()
+		return p2.nicA.Node.CPU.BusyTime()
 	}
 	ring := busy(func(p *sim.Proc, n *NIC) { n.RegisterRing(p, new(Region), make([][]byte, slots), size) })
 	flat := busy(func(p *sim.Proc, n *NIC) { n.Register(p, make([]byte, slots*size)) })

@@ -136,9 +136,6 @@ func (cq *CQ) Poll() (Completion, bool) {
 	return c, ok
 }
 
-// Len returns the number of undelivered completions.
-func (cq *CQ) Len() int { return cq.ch.Len() }
-
 // deliver queues c. On an idle notify queue it spawns the drain, which
 // takes the sequence slot a waiter's wake takes.
 func (cq *CQ) deliver(c Completion) {
@@ -232,9 +229,6 @@ func Connect(a, b *VI) {
 	b.peerNode, b.peerVI = a.NIC.Node.ID, a.ID
 	a.connected, b.connected = true, true
 }
-
-// Err returns the VI's sticky error state (receive underrun etc.).
-func (vi *VI) Err() error { return vi.errState }
 
 // PostRecv posts a receive descriptor. Receives match incoming sends in
 // FIFO order; per VIA, descriptors must be posted before the matching

@@ -57,11 +57,11 @@ func TestSendRecvDataIntegrity(t *testing.T) {
 			t.Errorf("recv completion err: %v", c.Err)
 		}
 		recvLen = c.Len
-		got = append([]byte(nil), r.Bytes()[50:50+n]...)
+		got = append([]byte(nil), r.buf[50:50+n]...)
 	})
 	p2.k.Spawn("send", func(p *sim.Proc) {
 		r := p2.nicA.Register(p, make([]byte, n))
-		fill(r.Bytes(), 7)
+		fill(r.buf, 7)
 		if err := p2.viA.PostSend(p, &Descriptor{Op: OpSend, Region: r, Len: n}); err != nil {
 			t.Error(err)
 			return
@@ -202,8 +202,8 @@ func TestRecvUnderrunIsError(t *testing.T) {
 	if err := p2.k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if p2.viB.Err() != ErrRecvUnderrun {
-		t.Fatalf("receiver VI err = %v", p2.viB.Err())
+	if p2.viB.errState != ErrRecvUnderrun {
+		t.Fatalf("receiver VI err = %v", p2.viB.errState)
 	}
 }
 
@@ -242,7 +242,7 @@ func TestRDMAWrite(t *testing.T) {
 	p2.k.Spawn("writer", func(p *sim.Proc) {
 		h := ready.Get(p)
 		r := p2.nicA.Register(p, make([]byte, n))
-		fill(r.Bytes(), 3)
+		fill(r.buf, 3)
 		err := p2.viA.PostSend(p, &Descriptor{
 			Op: OpRDMAWrite, Region: r, Len: n,
 			RemoteHandle: h, RemoteOffset: 64,
@@ -261,11 +261,11 @@ func TestRDMAWrite(t *testing.T) {
 	}
 	want := make([]byte, n)
 	fill(want, 3)
-	if !bytes.Equal(target.Bytes()[64:64+n], want) {
+	if !bytes.Equal(target.buf[64:64+n], want) {
 		t.Fatal("rdma write data mismatch")
 	}
 	// One-sided: the target must have no completions and an intact VI.
-	if p2.viB.RecvCQ.Len() != 0 || p2.viB.Err() != nil {
+	if p2.viB.RecvCQ.ch.Len() != 0 || p2.viB.errState != nil {
 		t.Fatal("rdma write disturbed the target VI")
 	}
 }
@@ -319,7 +319,7 @@ func TestRDMARead(t *testing.T) {
 	ready := sim.NewFuture[MemHandle](p2.k)
 	p2.k.Spawn("target", func(p *sim.Proc) {
 		r := p2.nicB.Register(p, make([]byte, n))
-		fill(r.Bytes(), 9)
+		fill(r.buf, 9)
 		ready.Set(r.Handle)
 	})
 	p2.k.Spawn("reader", func(p *sim.Proc) {
@@ -340,7 +340,7 @@ func TestRDMARead(t *testing.T) {
 		}
 		want := make([]byte, n)
 		fill(want, 9)
-		if !bytes.Equal(r.Bytes(), want) {
+		if !bytes.Equal(r.buf, want) {
 			t.Error("rdma read data mismatch")
 		}
 	})
@@ -349,7 +349,7 @@ func TestRDMARead(t *testing.T) {
 	}
 	// Target CPU must be untouched beyond registration (one-sided).
 	reg := p2.prof.RegCost(n)
-	if busy := p2.fab.Node(1).CPU.BusyTime(); busy > reg+sim.Microsecond {
+	if busy := p2.nicB.Node.CPU.BusyTime(); busy > reg+sim.Microsecond {
 		t.Fatalf("target CPU busy %v; RDMA read should not involve it (reg cost %v)", busy, reg)
 	}
 }
@@ -414,7 +414,7 @@ func TestRegistrationCostCharged(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := prof.RegCost(1 << 20)
-	if busy := p2.fab.Node(0).CPU.BusyTime(); busy != want {
+	if busy := p2.nicA.Node.CPU.BusyTime(); busy != want {
 		t.Fatalf("cpu busy %v, want %v", busy, want)
 	}
 }
@@ -437,7 +437,7 @@ func TestRegisterCachedInReusesRecord(t *testing.T) {
 	}
 	p2.k.Spawn("writer", func(p *sim.Proc) {
 		r := p2.nicA.Register(p, make([]byte, 64))
-		fill(r.Bytes(), 5)
+		fill(r.buf, 5)
 		for _, tc := range []struct {
 			h    MemHandle
 			want error
@@ -478,9 +478,9 @@ func TestSenderCPUFreeDuringTransfer(t *testing.T) {
 	var cpuAfterPost sim.Time
 	p2.k.Spawn("send", func(p *sim.Proc) {
 		r := p2.nicA.Register(p, make([]byte, n))
-		regBusy := p2.fab.Node(0).CPU.BusyTime()
+		regBusy := p2.nicA.Node.CPU.BusyTime()
 		p2.viA.PostSend(p, &Descriptor{Op: OpSend, Region: r, Len: n})
-		cpuAfterPost = p2.fab.Node(0).CPU.BusyTime() - regBusy
+		cpuAfterPost = p2.nicA.Node.CPU.BusyTime() - regBusy
 		p2.viA.SendCQ.Wait(p)
 	})
 	if err := p2.k.Run(); err != nil {
@@ -489,7 +489,7 @@ func TestSenderCPUFreeDuringTransfer(t *testing.T) {
 	if cpuAfterPost != prof.DoorbellCost {
 		t.Fatalf("posting 1MB cost %v CPU, want just the doorbell (%v)", cpuAfterPost, prof.DoorbellCost)
 	}
-	total := p2.fab.Node(0).CPU.BusyTime()
+	total := p2.nicA.Node.CPU.BusyTime()
 	// Whole-transfer sender CPU: registration + doorbell + wakeup. No
 	// per-byte term.
 	want := prof.RegCost(n) + prof.DoorbellCost + prof.WakeupLatency
@@ -595,7 +595,7 @@ func TestNICsHoldNoGoroutines(t *testing.T) {
 	p2.k.Spawn("app", func(p *sim.Proc) {
 		src := p2.nicA.Register(p, make([]byte, n))
 		dst := p2.nicB.Register(p, make([]byte, n))
-		fill(src.Bytes(), 3)
+		fill(src.buf, 3)
 		if err := p2.viB.PrepostRecv(&Descriptor{Region: dst, Len: n}); err != nil {
 			t.Error(err)
 			return
