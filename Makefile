@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt bench bench-e2e evaluation stat all
+.PHONY: build test race lint fmt bench bench-e2e evaluation stat loc all
 
 all: build test race lint
 
@@ -17,8 +17,8 @@ race:
 	$(GO) test -race ./...
 
 # lint runs the stock vet suite plus mpiolint, the repo's own invariant
-# checkers (simtime, detrand, errwrap, blockhold — see DESIGN.md §7 and
-# §12).
+# checkers (simtime, detrand, errwrap, blockhold, reach — see DESIGN.md
+# §7 and §12).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mpiolint ./...
@@ -53,6 +53,11 @@ evaluation:
 # recorder's postmortem dumps.
 stat:
 	$(GO) run ./cmd/mpio stat T16
+
+# loc prints the size measure ROADMAP.md tracks: lines of non-test Go
+# under internal/, cmd/ and examples/, testdata excluded.
+loc:
+	@find internal cmd examples -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l
 
 fmt:
 	gofmt -s -w .

@@ -12,6 +12,8 @@
 //	errwrap   protocol-layer errors wrap package sentinels (%w)
 //	blockhold no may-park call while holding a sim.Resource
 //	          (flow-sensitive: CFG + interprocedural may-park set)
+//	reach     every non-test function is reached from a main, init,
+//	          package var or kept declaration (module call graph)
 //
 // Each pass is kept because it is the only gate that catches some seeded
 // bug (DESIGN.md §7). Memory registration is not linted: the VIA NIC
@@ -20,7 +22,9 @@
 // A finding that is correct by design — typically a resource handed to a
 // peer proc that releases it — is suppressed at the site with
 // `//mpiolint:ignore <pass> <justification>`; the justification is
-// mandatory and recorded in the source.
+// mandatory and recorded in the source. For reach, the directive is the
+// keep-list: written as the last line of a function's doc comment, it
+// keeps the function and everything it calls.
 //
 // Exit status is 1 when any diagnostic is reported, 2 on usage or load
 // errors, matching `go vet`.

@@ -4,8 +4,9 @@
 // The roots are every main and init, every function named in a
 // package-level var initializer (experiment tables, Analyzer values),
 // every String() string and Error() string method (fmt and errors call
-// them through interfaces declared outside the module), and every
-// declaration marked as kept. From the roots the pass follows the module
+// them through interfaces declared outside the module), the methods
+// other code outside the module calls through its own interfaces
+// (types.Importer, sort.Interface), and every declaration marked as kept. From the roots the pass follows the module
 // call graph's Refs edges (internal/analysis/callgraph): calls, function
 // and method values, the bodies of asynchronous literals, and the
 // conservative interface closure. A non-test function that no root
@@ -53,8 +54,11 @@ func run(pass *analysis.Pass) error {
 		Types: pass.Pkg,
 		Info:  pass.TypesInfo,
 	}})
-	reached := moduleReached(module)
-	localReached := Reached(local)
+	if moduleSet == nil {
+		moduleSet = reachable(module)
+	}
+	// The package's own graph adds what only it declares (fixtures).
+	localSet := reachable(local)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -66,26 +70,21 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			key := callgraph.FuncKey(fn)
-			if reached[key] || localReached[key] {
+			if moduleSet[key] || localSet[key] {
 				continue
 			}
-			pass.Reportf(fd.Name.Pos(), "%s is reached from no main, init, package var or kept declaration: delete it, or keep it with //mpiolint:ignore reach <reason>", displayName(fd))
+			name := strings.TrimPrefix(key, pass.PkgPath()+".")
+			pass.Reportf(fd.Name.Pos(), "%s is reached from no main, init, package var or kept declaration: delete it, or keep it with //mpiolint:ignore reach <reason>", name)
 		}
 	}
 	return nil
 }
 
+// moduleSet is the module's reachable set, computed once per lint run.
 var moduleSet map[string]bool
 
-func moduleReached(g *callgraph.Graph) map[string]bool {
-	if moduleSet == nil {
-		moduleSet = Reached(g)
-	}
-	return moduleSet
-}
-
-// Reached returns every node key reachable from g's roots along Refs.
-func Reached(g *callgraph.Graph) map[string]bool {
+// reachable returns every node key reachable from g's roots along Refs.
+func reachable(g *callgraph.Graph) map[string]bool {
 	seen := map[string]bool{}
 	var stack []string
 	push := func(k string) {
@@ -149,26 +148,4 @@ func marked(fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-// displayName renders Recv.Name for methods and Name for functions.
-func displayName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name + "." + fd.Name.Name
-		default:
-			return fd.Name.Name
-		}
-	}
 }

@@ -90,7 +90,7 @@ type Node struct {
 	Name string
 
 	// CPU is the host processor; all software costs on this host are
-	// charged here, so Utilization() reports host CPU load.
+	// charged here, so its BusyTime is the host CPU load.
 	CPU *sim.Resource
 
 	fab    *Fabric

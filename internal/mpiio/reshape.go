@@ -13,8 +13,8 @@ import (
 var ErrReshape = errors.New("mpiio: reshape failed")
 
 // Reshape moves a striped driver onto a new session pool and striping —
-// the client side of a membership change (a server joined, or one is
-// draining toward removal). The protocol has four steps:
+// the client side of a membership change (a server joined, or the file
+// leaves one). The protocol has four steps:
 //
 //	rs, _ := d.PrepareReshape(p, newPool, newStriping, epoch)
 //	err := rs.Migrate(p)   // one participant only: the migrator
@@ -132,8 +132,8 @@ func (rs *Reshape) Migrate(p *sim.Proc) error {
 // shadow's in one assignment, every open handle's objects become its
 // shadow handle's, and dual-writes stop. Idempotent; purely local (no
 // I/O), so every participant of a shared file can commit the moment the
-// migrator reports success. Old sessions stay connected — draining servers
-// keep servicing other clients until Cleanup and removal.
+// migrator reports success. Old sessions stay connected — servers the new
+// layout drops keep servicing other clients until Cleanup.
 func (rs *Reshape) Commit(p *sim.Proc) {
 	if rs.committed {
 		return
@@ -160,7 +160,7 @@ func (rs *Reshape) Commit(p *sim.Proc) {
 // Delete on a degraded pool). Only the migrator cleans up, and only after
 // EVERY participant has committed — other clients read through the old
 // layout until their Commit. The removals go one object at a time: the
-// draining servers are still serving those clients' foreground reads.
+// dropped servers are still serving those clients' foreground reads.
 func (rs *Reshape) Cleanup(p *sim.Proc) {
 	if !rs.committed {
 		return

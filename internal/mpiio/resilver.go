@@ -17,8 +17,8 @@ import (
 // live mirror replicas, verifies them byte for byte, and only then
 // re-admits the server into read fan-out — re-admission is gated on
 // re-silver completion, never on dial success. The *reshape* flow moves a
-// driver onto a new session pool and striping (a server joined or is
-// draining): a shadow driver over the new layout receives mirrored
+// driver onto a new session pool and striping (a server joined, or the
+// file leaves one): a shadow driver over the new layout receives mirrored
 // foreground writes while one migrator copies and verifies the whole
 // file under epoch-tagged object names, and every participant then flips
 // atomically to the new pool.

@@ -255,7 +255,7 @@ func NewNFSDriver(m *nfs.Client) *PlainDriver {
 // striped core at width 1 over a mem session (striped_leaf.go), the
 // lowest-latency — but not network-attached — point of comparison.
 //
-//mpiolint:ignore reach test oracle: the node-local store stack that TestScriptEveryStack and the delete tests run beside DAFS and NFS
+//mpiolint:ignore reach test oracle: the node-local store stack TestScriptEveryStack and TestDeleteAndDeleteOnClose run beside DAFS and NFS
 func NewMemDriver(node *fabric.Node, store *storage.Store) *PlainDriver {
 	sess := []session{memSession{node: node, store: store}}
 	return &PlainDriver{striped{pool: newPool(sess, layout.Striping{Width: 1}, 1, node, nil)}}
