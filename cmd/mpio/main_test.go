@@ -57,7 +57,7 @@ func TestOutputs(t *testing.T) {
 	}
 	for _, d := range []struct{ what, path, kernel, model string }{
 		{"stat T16 JSON export", json, "e7023dd5cd744c6cf8f4669236d2e31484b4fb23024737359d9ccd44f2479560", "6e4e4a8f4b31ffca3c1aebaf978788ccebfa99d7095c1f70d5b108e9db8a2fdf"},
-		{"stat T19 JSON export", json19, "607896a3d8646f493736f351f049020c55b40925a328183c0304cf6ab28c1702", "a5266a312b1c801202169de5c1f152590bbf4bf22e7abc780c6abd708cbffeee"},
+		{"stat T19 JSON export", json19, "9c28fe246832e9a6faed80fe7dd5f7c8bdcee19d9c646682d8e6766bec9cb2ac", "371c41048fdeea867f8fbfb4627d9d9280ed710bb1cc329d7f680bce2d999492"},
 	} {
 		kernel, model := statDigests(t, d.path)
 		if kernel != d.kernel {

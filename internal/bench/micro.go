@@ -155,7 +155,7 @@ func t1RawVIA() Experiment {
 func t7Breakdown() Experiment {
 	read := func(label string, size, threshold int) point {
 		pt := labeled(label, seq(dafsStack, size, int64(size), false))
-		pt.tune = func(d *mpiio.StripedDAFSDriver) { d.DirectThreshold = threshold }
+		pt.tune = func(d *mpiio.StripedDAFSDriver, _ *via.NIC) { d.DirectThreshold = threshold }
 		return pt
 	}
 	return Experiment{ID: "T7", Title: "DAFS operation latency breakdown",

@@ -7,6 +7,7 @@ import (
 	"dafsio/internal/mpiio"
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
+	"dafsio/internal/via"
 )
 
 // t2RequestSize reproduces the headline single-client curve: MPI-IO read
@@ -34,7 +35,7 @@ func t3InlineDirect() Experiment {
 	forced := func(label string, size, threshold int) point {
 		pt := labeled(label, seq(dafsStack, size, totalFor(size), false))
 		pt.opts = &dafs.Options{MaxInline: 256 << 10}
-		pt.tune = func(d *mpiio.StripedDAFSDriver) { d.DirectThreshold = threshold }
+		pt.tune = func(d *mpiio.StripedDAFSDriver, _ *via.NIC) { d.DirectThreshold = threshold }
 		return pt
 	}
 	sizes := []int{512, 2048, 8192, 32768, 131072, 262144}
@@ -65,15 +66,15 @@ func t4CPUOverhead() Experiment {
 		})}
 }
 
-// t8RegCache quantifies memory-registration cost and the driver's
+// t8RegCache quantifies memory-registration cost and the client NIC's
 // registration cache (the per-buffer pinning amortization): one buffer
 // written 16 times, always direct, with no warm-up, so the uncached point
 // pays a registration on every call.
 func t8RegCache() Experiment {
 	timed := func(label string, size int, cache bool) point {
 		return point{label: label, clients: 1, stack: dafsStack, name: "f", req: size, per: 16 * int64(size), write: true,
-			tune: func(d *mpiio.StripedDAFSDriver) {
-				d.RegCache = cache
+			tune: func(d *mpiio.StripedDAFSDriver, nic *via.NIC) {
+				nic.RegCache = cache
 				d.DirectThreshold = 0
 			}}
 	}

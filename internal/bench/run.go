@@ -17,6 +17,7 @@ import (
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
 	"dafsio/internal/trace"
+	"dafsio/internal/via"
 )
 
 // The measured runs. Every cell of every table comes from a point handed
@@ -62,8 +63,9 @@ type point struct {
 	retry    dafs.RetryPolicy // DAFS session recovery
 	verify   bool             // read the region back after the window and check every byte
 
-	// tune adjusts the DAFS driver before the file opens.
-	tune func(*mpiio.StripedDAFSDriver)
+	// tune adjusts the DAFS driver and the client's NIC before the file
+	// opens.
+	tune func(*mpiio.StripedDAFSDriver, *via.NIC)
 
 	// body runs the point in place of transfer.
 	body func(point, Observation) Result
@@ -204,7 +206,7 @@ func open(p *sim.Proc, c *cluster.Cluster, pt point, i int) (*mpiio.File, mpiio.
 			d := mpiio.NewStripedDAFSDriver(pool, pt.placement(c))
 			d.Retry = pt.retry
 			if pt.tune != nil {
-				pt.tune(d)
+				pt.tune(d, pool[0].NIC())
 			}
 			drv = d
 		}

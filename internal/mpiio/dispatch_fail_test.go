@@ -51,7 +51,7 @@ func settled(t *testing.T, c *cluster.Cluster, regions int) {
 // released only once the servers' RDMA from it is done.
 func TestLaunchHardErrorDrainsFlights(t *testing.T) {
 	settledRig(t, 4, func(p *sim.Proc, c *cluster.Cluster, drv *StripedDAFSDriver, pool []*dafs.Client) {
-		drv.RegCache, drv.DirectThreshold = false, 0 // every fragment direct, the buffer pinned per call
+		c.NICs[0].RegCache, drv.DirectThreshold = false, 0 // every fragment direct, the buffer pinned per call
 		f, err := Open(p, nil, drv, "f", ModeRdWr|ModeCreate, nil)
 		if err != nil {
 			t.Error(err)

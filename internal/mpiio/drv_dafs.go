@@ -1,103 +1,26 @@
 package mpiio
 
 import (
-	"unsafe"
-
 	"dafsio/internal/dafs"
 	"dafsio/internal/sim"
 	"dafsio/internal/via"
 )
 
 // dafsTransfer is how the DAFS leaf of the striped driver moves bytes, on
-// one server or many. Its two policies are the ones the paper's
-// implementation section is about:
+// one server or many: the paper's transfer discipline. Requests up to
+// DirectThreshold bytes go inline (data inside the message, one copy per
+// end); larger requests use direct I/O (server-driven RDMA into client
+// memory the NIC's pin-down cache has registered, via.NIC.Pin).
 //
-//   - Transfer discipline: requests up to DirectThreshold bytes go inline
-//     (data inside the message, one copy per end); larger requests use
-//     direct I/O (server-driven RDMA into registered client memory).
-//   - Registration cache: direct I/O needs the user buffer registered with
-//     the NIC, which costs real CPU time; the cache keys registrations by
-//     buffer address so repeated I/O from the same buffers (the common MPI
-//     pattern) pays the pinning cost once.
-//
-// One value serves a whole session pool: every session shares the
-// client's NIC, so one registration covers every per-server fragment of a
-// request. Its exported fields are promoted to StripedDAFSDriver.
+// One value serves a whole session pool. Its exported field is promoted
+// to StripedDAFSDriver.
 type dafsTransfer struct {
-	nic *via.NIC
-
 	// DirectThreshold is the largest request served inline. It defaults
 	// to the smallest MaxInline of the pool's sessions and may be lowered
 	// for ablations.
 	DirectThreshold int
-	// RegCache enables the registration cache (default on).
-	RegCache bool
-
-	cache    map[*byte]*regEntry // keyed by the buffer's address
-	order    []*byte
-	cacheCap int
 
 	freeBatch []*batchOp // waited batch ops, for reuse
-
-	// Stats.
-	RegHits, RegMisses int64
-}
-
-type regEntry struct {
-	reg *via.Region
-	n   int
-}
-
-func newDAFSTransfer(nic *via.NIC, threshold int) *dafsTransfer {
-	return &dafsTransfer{
-		nic:             nic,
-		DirectThreshold: threshold,
-		RegCache:        true,
-		cache:           make(map[*byte]*regEntry),
-		cacheCap:        64,
-	}
-}
-
-// region returns a registration covering buf, from the cache when enabled.
-func (d *dafsTransfer) region(p *sim.Proc, buf []byte) *via.Region {
-	if !d.RegCache {
-		return d.nic.Register(p, buf)
-	}
-	key := unsafe.SliceData(buf)
-	if e, ok := d.cache[key]; ok && e.n >= len(buf) && e.reg.Valid() {
-		d.RegHits++
-		return e.reg
-	} else if ok {
-		d.nic.Deregister(p, e.reg)
-		delete(d.cache, key)
-		for i, k := range d.order {
-			if k == key {
-				d.order = append(d.order[:i], d.order[i+1:]...)
-				break
-			}
-		}
-	}
-	d.RegMisses++
-	if len(d.order) >= d.cacheCap {
-		victim := d.order[0]
-		d.order = d.order[1:]
-		if e := d.cache[victim]; e != nil {
-			d.nic.Deregister(p, e.reg)
-		}
-		delete(d.cache, victim)
-	}
-	reg := d.nic.Register(p, buf)
-	d.cache[key] = &regEntry{reg: reg, n: len(buf)}
-	d.order = append(d.order, key)
-	return reg
-}
-
-// release returns a registration obtained from region; with the cache on it
-// stays pinned for reuse.
-func (d *dafsTransfer) release(p *sim.Proc, reg *via.Region) {
-	if !d.RegCache {
-		d.nic.Deregister(p, reg)
-	}
 }
 
 // startIO issues one contiguous transfer on session c under the transfer

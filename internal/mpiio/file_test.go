@@ -462,17 +462,19 @@ func TestRegistrationCache(t *testing.T) {
 		drv := NewDAFSDriver(cl)
 		f, _ := Open(p, nil, drv, "rc", ModeRdWr|ModeCreate, nil)
 		defer f.Close(p)
+		nic := c.NICs[0]
+		before := nic.Regions()
 		buf := body(100000, 1)
 		for i := 0; i < 5; i++ {
 			f.WriteAt(p, 0, buf)
 		}
-		if drv.RegMisses != 1 || drv.RegHits != 4 {
-			t.Errorf("cache: hits=%d misses=%d", drv.RegHits, drv.RegMisses)
+		if got := nic.Regions() - before; got != 1 {
+			t.Errorf("five writes of one buffer added %d regions, want 1", got)
 		}
 		// A different buffer misses.
 		f.WriteAt(p, 0, body(100000, 2))
-		if drv.RegMisses != 2 {
-			t.Errorf("second buffer: misses=%d", drv.RegMisses)
+		if got := nic.Regions() - before; got != 2 {
+			t.Errorf("second buffer: %d regions added, want 2", got)
 		}
 	})
 	if err := c.Run(); err != nil {
@@ -493,6 +495,7 @@ func TestRegistrationCache(t *testing.T) {
 			drv := NewStripedDAFSDriver(pool, layout.Striping{StripeSize: 4 << 10, Width: width})
 			f, _ := Open(p, nil, drv, "rc", ModeRdWr|ModeCreate, nil)
 			defer f.Close(p)
+			before := c.NICs[0].Regions()
 			f.SetView(0, Vector(64, 1024, 2048))
 			buf := body(64<<10, 1)
 			for i := 0; i < 3; i++ {
@@ -505,8 +508,8 @@ func TestRegistrationCache(t *testing.T) {
 			}
 			staged := len(drv.stagePool) > 0 || drv.stageHi > 0
 			switch {
-			case width == 1 && (drv.RegMisses != 1 || staged):
-				t.Errorf("width 1: misses=%d, stage pool %d, high water %d; want one miss and no staging", drv.RegMisses, len(drv.stagePool), drv.stageHi)
+			case width == 1 && (c.NICs[0].Regions()-before != 1 || staged):
+				t.Errorf("width 1: %d regions added, stage pool %d, high water %d; want one region and no staging", c.NICs[0].Regions()-before, len(drv.stagePool), drv.stageHi)
 			case width > 1 && !staged:
 				t.Errorf("width %d: list I/O staged nothing", width)
 			}
@@ -528,7 +531,7 @@ func TestRegCacheSavesTime(t *testing.T) {
 				return
 			}
 			drv := NewDAFSDriver(cl)
-			drv.RegCache = cache
+			c.NICs[0].RegCache = cache
 			f, _ := Open(p, nil, drv, "rc", ModeRdWr|ModeCreate, nil)
 			buf := body(1<<20, 1)
 			start := p.Now()

@@ -324,6 +324,82 @@ func TestReshapeGrow(t *testing.T) {
 	})
 }
 
+// A reshape's pools share the client NIC's one registration cache: after
+// commit, a read through the new layout into a buffer the old layout
+// pinned registers nothing, and after cleanup the NIC holds no more than
+// the sessions' rings and one cache's worth of pins, though each layout
+// read through more distinct buffers than the cache holds.
+func TestReshapeSharesRegistrations(t *testing.T) {
+	const stripe, bufs = 64 << 10, 70
+	c := cluster.New(cluster.Config{Clients: 1, Servers: 3, DAFS: true})
+	nic := c.NICs[0]
+	c.K.Spawn("app", func(p *sim.Proc) {
+		pool, err := c.DialDAFSAll(p, 0, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		rings := nic.Regions()
+		drv := NewStripedDAFSDriver(pool, layout.Striping{StripeSize: stripe, Width: 3})
+		f, err := Open(p, nil, drv, "s", ModeRdWr|ModeCreate, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := f.WriteAt(p, 0, pattern(bufs*stripe)); err != nil {
+			t.Errorf("seed write: %v", err)
+			return
+		}
+		// Every read is one direct stripe fragment into a buffer of its own.
+		readAll := func(which string) []byte {
+			var last []byte
+			for i := range bufs {
+				last = make([]byte, stripe)
+				if _, err := f.ReadAt(p, int64(i)*stripe, last); err != nil {
+					t.Errorf("%s read %d: %v", which, i, err)
+				}
+			}
+			return last
+		}
+		pinned := readAll("old-layout")
+
+		c.AddServer()
+		before := nic.Regions()
+		grown, err := c.DialDAFSAll(p, 0, nil)
+		if err != nil {
+			t.Errorf("dial grown pool: %v", err)
+			return
+		}
+		rings += nic.Regions() - before
+		rs, err := drv.PrepareReshape(p, grown, layout.Striping{StripeSize: stripe, Width: 4}, 2)
+		if err != nil {
+			t.Errorf("prepare: %v", err)
+			return
+		}
+		if err := rs.Migrate(p); err != nil {
+			t.Errorf("migrate: %v", err)
+			return
+		}
+		rs.Commit(p)
+		before = nic.Regions()
+		if _, err := f.ReadAt(p, (bufs-1)*stripe, pinned); err != nil {
+			t.Errorf("post-commit read: %v", err)
+		}
+		if got := nic.Regions() - before; got != 0 {
+			t.Errorf("the new layout registered %d regions for a buffer the old one pinned", got)
+		}
+		readAll("new-layout")
+		rs.Cleanup(p)
+		if got := nic.Regions(); got > rings+64 {
+			t.Errorf("after cleanup the NIC holds %d regions, want at most %d rings + 64 pins", got, rings)
+		}
+		f.Close(p)
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Shrinking onto two of three servers: after migrate+commit+cleanup the
 // dropped server holds none of the file's bytes, and the file reads back
 // whole from the survivors.

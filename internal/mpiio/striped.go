@@ -12,6 +12,7 @@ import (
 	"dafsio/internal/sim"
 	"dafsio/internal/storage"
 	"dafsio/internal/trace"
+	"dafsio/internal/via"
 )
 
 // striped is the replicated-stripe driver core. It binds MPI-IO to a pool
@@ -70,12 +71,14 @@ type striped struct {
 // a reshape can prepare the next layout in full and commit it by assigning
 // a single pointer.
 type pool struct {
-	// dafsTransfer supplies the DAFS leaf's transfer-discipline knobs and
-	// the registration cache: all sessions of a pool share the client's one
-	// NIC, so one registration serves every per-server fragment of a
-	// request. nil over a leaf without registered memory (NFS, the local
-	// store), which therefore has no list path either.
+	// dafsTransfer supplies the DAFS leaf's transfer-discipline knobs, and
+	// nic is the client's NIC: its pin-down cache registers user buffers,
+	// and all sessions of a pool share it, so one registration serves
+	// every per-server fragment of a request. Both are nil over a leaf
+	// without registered memory (NFS, the local store), which therefore
+	// has no list path either.
 	*dafsTransfer
+	nic *via.NIC
 
 	node *fabric.Node  // client host
 	tr   *trace.Tracer // nil when tracing is off
@@ -178,7 +181,7 @@ func newPool(sess []session, st layout.Striping, epoch uint32, node *fabric.Node
 // newDAFSPool builds a pool over DAFS sessions, which must share one NIC.
 func newDAFSPool(clients []*dafs.Client, st layout.Striping, epoch uint32) *pool {
 	c0 := clients[0]
-	xfer := newDAFSTransfer(c0.NIC(), c0.MaxInline())
+	xfer := &dafsTransfer{DirectThreshold: c0.MaxInline()}
 	sess := make([]session, len(clients))
 	leaves := make([]dafsSession, len(clients))
 	for i, c := range clients {
@@ -191,15 +194,15 @@ func newDAFSPool(clients []*dafs.Client, st layout.Striping, epoch uint32) *pool
 		sess[i] = &leaves[i]
 	}
 	pl := newPool(sess, st, epoch, c0.Node(), c0.NIC().Provider().Metrics)
-	pl.dafsTransfer = xfer
+	pl.dafsTransfer, pl.nic = xfer, c0.NIC()
 	pl.tr = c0.Tracer()
 	return pl
 }
 
 // StripedDAFSDriver is the striped core over a pool of DAFS sessions, one
 // per server. Its exported knobs are the core's Retry, Retries and
-// ResilverRate plus the transfer discipline's DirectThreshold and RegCache;
-// RegHits and RegMisses count the registration cache's lookups.
+// ResilverRate plus the transfer discipline's DirectThreshold; the
+// registration cache is the client NIC's (via.NIC.Pin).
 type StripedDAFSDriver struct{ striped }
 
 // NewDAFSDriver binds MPI-IO to one DAFS session: the striped core at

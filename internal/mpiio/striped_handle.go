@@ -173,16 +173,10 @@ func (d *striped) pin(p *sim.Proc, buf []byte, frags []layout.Fragment) *via.Reg
 	}
 	for _, f := range frags {
 		if int(f.Len) > d.DirectThreshold {
-			return d.region(p, buf)
+			return d.nic.Pin(p, buf)
 		}
 	}
 	return nil
-}
-
-func (d *striped) unpin(p *sim.Proc, reg *via.Region) {
-	if reg != nil {
-		d.release(p, reg)
-	}
 }
 
 // fragOp is a contiguous transfer in flight: one unit per stripe fragment.
@@ -249,7 +243,7 @@ func (o *fragOp) absorb(u, t, r, v int) {
 func (o *fragOp) Wait(p *sim.Proc) (int, error) {
 	d := o.drv
 	err := d.finish(p, o, o.fl, o.write)
-	d.unpin(p, o.reg)
+	d.nic.Unpin(p, o.reg)
 	n := len(o.buf)
 	if !o.write {
 		n = layout.ContiguousCount(o.frags, o.counts)
@@ -280,7 +274,7 @@ func (h *stripedHandle) Start(p *sim.Proc, off int64, buf []byte, write bool) (A
 	o.reg = d.pin(p, buf, o.frags)
 	var err error
 	if o.fl, err = d.begin(p, o, len(o.frags), write, o.inline.fl[:0]); err != nil {
-		d.unpin(p, o.reg)
+		d.nic.Unpin(p, o.reg)
 		return nil, err
 	}
 	if !write || h.shadow == nil {
@@ -570,7 +564,7 @@ func (o *planOp) copyStaging(p *sim.Proc, span string, pack bool) {
 // storage but pinning no buffer, handle or session.
 func (o *planOp) unwindow(p *sim.Proc) {
 	d := o.drv
-	d.unpin(p, o.reg)
+	d.nic.Unpin(p, o.reg)
 	for _, sb := range o.sbs {
 		d.putStage(p, sb)
 	}
@@ -623,7 +617,7 @@ func (h *stripedHandle) StartList(p *sim.Proc, segs []Segment, buf []byte, write
 	// window; any other width stages per server through the driver's
 	// registered staging pool, and writes pack the user buffer now.
 	if d.striping.Width == 1 {
-		o.reg = d.region(p, buf)
+		o.reg = d.nic.Pin(p, buf)
 	} else {
 		for _, pl := range o.plans {
 			o.sbs = append(o.sbs, d.getStage(p, pl.Total))

@@ -1,6 +1,11 @@
 package via
 
-import "dafsio/internal/sim"
+import (
+	"slices"
+	"unsafe"
+
+	"dafsio/internal/sim"
+)
 
 // MemHandle is the protection tag a NIC hands out for a registered region.
 // Remote peers must present a valid handle (and stay within its bounds) for
@@ -61,6 +66,50 @@ func (n *NIC) Deregister(p *sim.Proc, r *Region) {
 	}
 	n.Node.Compute(p, n.prov.Prof.MemDeregCost)
 	delete(n.regions, r.Handle)
+}
+
+// pinCap is how many registrations a NIC's pin-down cache keeps.
+const pinCap = 64
+
+// Pin returns a registration covering buf, for user buffers that direct
+// I/O reuses. With RegCache on it goes through the NIC's one pin-down
+// cache, keyed by buf's data pointer: an entry at that pointer at least
+// as long as buf and still valid is a hit and costs nothing; any other
+// entry there is deregistered and dropped, and the miss registers buf,
+// first deregistering the oldest entry if the cache holds pinCap. With
+// RegCache off Pin is Register. Give the region back with Unpin.
+func (n *NIC) Pin(p *sim.Proc, buf []byte) *Region {
+	if !n.RegCache {
+		return n.Register(p, buf)
+	}
+	key := unsafe.SliceData(buf)
+	for i, r := range n.pins {
+		if unsafe.SliceData(r.buf) != key {
+			continue
+		}
+		if len(r.buf) >= len(buf) && r.Valid() {
+			return r
+		}
+		n.Deregister(p, r)
+		n.pins = slices.Delete(n.pins, i, i+1)
+		break
+	}
+	if len(n.pins) >= pinCap {
+		n.Deregister(p, n.pins[0])
+		n.pins = slices.Delete(n.pins, 0, 1)
+	}
+	r := n.Register(p, buf)
+	n.pins = append(n.pins, r)
+	return r
+}
+
+// Unpin gives back a region Pin returned: with RegCache on it stays
+// pinned for the next Pin of its buffer, off it is deregistered. A nil
+// region is a no-op, on a nil NIC too.
+func (n *NIC) Unpin(p *sim.Proc, r *Region) {
+	if r != nil && !n.RegCache {
+		n.Deregister(p, r)
+	}
 }
 
 // RegisterCached installs a registration with no CPU cost, modeling memory

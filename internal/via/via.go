@@ -121,6 +121,10 @@ type Stats struct {
 type NIC struct {
 	Node *fabric.Node
 
+	// RegCache turns on Pin's pin-down cache (default on). Off, Pin and
+	// Unpin register and deregister around every use.
+	RegCache bool
+
 	prov  *Provider
 	iface *fabric.Iface
 	txDMA *sim.Resource
@@ -137,6 +141,7 @@ type NIC struct {
 	vis        []*VI
 	regions    map[MemHandle]*Region
 	nextHandle MemHandle
+	pins       []*Region // Pin's cache, oldest first, at most pinCap
 
 	msgSeq    uint64
 	readSeq   uint64
@@ -184,6 +189,7 @@ func (pr *Provider) NewNIC(node *fabric.Node) *NIC {
 	})
 	n := &NIC{
 		Node:      node,
+		RegCache:  true,
 		iface:     iface,
 		prov:      pr,
 		txDMA:     sim.NewResource(pr.K, node.Name+".nic.txdma", 1),
