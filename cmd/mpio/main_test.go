@@ -56,8 +56,8 @@ func TestOutputs(t *testing.T) {
 		}
 	}
 	for _, d := range []struct{ what, path, kernel, model string }{
-		{"stat T16 JSON export", json, "e7023dd5cd744c6cf8f4669236d2e31484b4fb23024737359d9ccd44f2479560", "6e4e4a8f4b31ffca3c1aebaf978788ccebfa99d7095c1f70d5b108e9db8a2fdf"},
-		{"stat T19 JSON export", json19, "9c28fe246832e9a6faed80fe7dd5f7c8bdcee19d9c646682d8e6766bec9cb2ac", "371c41048fdeea867f8fbfb4627d9d9280ed710bb1cc329d7f680bce2d999492"},
+		{"stat T16 JSON export", json, "e7023dd5cd744c6cf8f4669236d2e31484b4fb23024737359d9ccd44f2479560", "bd75b7ef8356b5327b2c1207e64ca670b2807c85d3d705e3794102a2421bbe72"},
+		{"stat T19 JSON export", json19, "9c28fe246832e9a6faed80fe7dd5f7c8bdcee19d9c646682d8e6766bec9cb2ac", "936676004f5d839db2cf9dd68098293a18235ee7bdfabce962fa6f40c024ee0c"},
 	} {
 		kernel, model := statDigests(t, d.path)
 		if kernel != d.kernel {

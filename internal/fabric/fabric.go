@@ -41,9 +41,7 @@ type Fabric struct {
 	// wire-latency timer allocates nothing in steady state.
 	freeDeliv *delivery
 
-	// Wire statistics.
-	framesSent int64
-	bytesSent  int64
+	bytesSent int64 // cumulative bytes on the wire
 }
 
 // delivery is one frame crossing the switch; it is recycled when the frame
@@ -176,7 +174,6 @@ func (n *Node) Transmit(fr Frame) {
 	fr.Src = n.ID
 	f := n.fab
 	n.txLink.Release(1)
-	f.framesSent++
 	f.bytesSent += int64(fr.Bytes)
 	d := f.freeDeliv
 	if d != nil {

@@ -114,8 +114,8 @@ func TestWriteBlockCorrupt(t *testing.T) {
 // second source fails at issue — its own block's write already in flight,
 // two exchange steps still to run. Every rank must get an error (rank 1
 // its own, the others the peer failure), every list operation that
-// started must be waited, and each rank's staging pool must be back
-// within its bound with nothing else left pinned. The next collective
+// started must be waited and back on its driver's free list, and each
+// rank's NIC must pin those ops' staging buffers and nothing else. The next collective
 // write then succeeds, and the read twin fails aggregator 2's second list
 // read the same way. Last, under NoBatch, aggregator 3's contiguous reads
 // fail: it must still ship its (empty) replies, not abandon the exchange.
@@ -144,11 +144,8 @@ func TestCollectiveListFailureMidExchange(t *testing.T) {
 			if fl.waited != fl.started {
 				t.Errorf("rank %d %s: %d list operations started, %d waited", i, what, fl.started, fl.waited)
 			}
-			if got := len(drv.stagePool); got > drv.stagePoolMax {
-				t.Errorf("rank %d %s: stage pool holds %d buffers, bound %d", i, what, got, drv.stagePoolMax)
-			}
-			if got, want := nic.Regions()-before, len(drv.stagePool); got != want {
-				t.Errorf("rank %d %s: %d regions pinned, want %d (one per pooled buffer)", i, what, got, want)
+			if got, want := nic.Regions()-before, stagingBuffers(drv); got != want {
+				t.Errorf("rank %d %s: %d regions pinned, want %d (one per idle op's staging buffer)", i, what, got, want)
 			}
 		}
 		failed := func(what string, err error, culprit int) {

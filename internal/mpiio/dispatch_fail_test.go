@@ -1,6 +1,7 @@
 package mpiio
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -68,9 +69,9 @@ func TestLaunchHardErrorDrainsFlights(t *testing.T) {
 }
 
 // A batched write over a striped file that fails while its per-server
-// plans are being issued hands every staging buffer it took back to the
-// pool, registration intact: the pool is as full as before, and a repeat
-// of the failed call reuses those buffers instead of registering new ones.
+// plans are being issued hands its op back with every staging buffer it
+// pinned: the NIC holds what it held before, and a repeat of the failed
+// call reuses those buffers instead of registering new ones.
 func TestListIssueFailureReturnsStaging(t *testing.T) {
 	settledRig(t, 4, func(p *sim.Proc, c *cluster.Cluster, drv *StripedDAFSDriver, pool []*dafs.Client) {
 		f, err := Open(p, nil, drv, "f", ModeRdWr|ModeCreate, nil)
@@ -87,14 +88,11 @@ func TestListIssueFailureReturnsStaging(t *testing.T) {
 		}
 		// Server 2's plan fails at issue; servers 0 and 1 are in flight.
 		pool[2].Close(p)
-		regions, pooled := c.NICs[0].Regions(), len(drv.stagePool)
+		regions := c.NICs[0].Regions()
 		if _, err := f.WriteAt(p, 0, data); !errors.Is(err, dafs.ErrClosed) {
 			t.Errorf("batched write over a closed session: %v, want ErrClosed", err)
 		}
 		settled(t, c, regions)
-		if got := len(drv.stagePool); got != pooled {
-			t.Errorf("staging pool holds %d buffers after the failed write, %d before", got, pooled)
-		}
 		if _, err := f.WriteAt(p, 0, data); !errors.Is(err, dafs.ErrClosed) {
 			t.Errorf("repeated write: %v, want ErrClosed", err)
 		}
@@ -102,6 +100,40 @@ func TestListIssueFailureReturnsStaging(t *testing.T) {
 			t.Errorf("the repeated failed write registered %d new regions", got-regions)
 		}
 	})
+}
+
+// With the registration cache off every window is registered for its op
+// and deregistered when the op is given back, so a list op that skips
+// unwindow, on Wait or on an issue-time failure, leaves a region behind.
+// Width 1 pins the user buffer, width 4 its staging buffers.
+func TestListUnpinsWithoutCache(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		settledRig(t, width, func(p *sim.Proc, c *cluster.Cluster, drv *StripedDAFSDriver, pool []*dafs.Client) {
+			c.NICs[0].RegCache = false
+			f, err := Open(p, nil, drv, "f", ModeRdWr|ModeCreate, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			f.SetView(0, Vector(32, 512, 2048))
+			data := pattern(32 * 512)
+			regions := c.NICs[0].Regions()
+			if _, err := f.WriteAt(p, 0, data); err != nil {
+				t.Errorf("width %d: write: %v", width, err)
+			}
+			got := make([]byte, len(data))
+			if _, err := f.ReadAt(p, 0, got); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("width %d: read: %v, bytes match %v", width, err, bytes.Equal(got, data))
+			}
+			settled(t, c, regions)
+			pool[width-1].Close(p)
+			regions = c.NICs[0].Regions()
+			if _, err := f.WriteAt(p, 0, data); !errors.Is(err, dafs.ErrClosed) {
+				t.Errorf("width %d: write over a closed session: %v, want ErrClosed", width, err)
+			}
+			settled(t, c, regions)
+		})
+	}
 }
 
 // PrepareReshape attaches a shadow handle per open file. When a later

@@ -218,9 +218,9 @@ func (f *File) transferAt(p *sim.Proc, off int64, buf []byte, write bool) (int, 
 		case len(segs) == 1:
 			pos = segs[0].Off
 		case f.hints.Sieving && write:
-			return f.sieveWrite(p, segs, buf)
+			return f.sieveWrite(p, sc, segs, buf)
 		case f.hints.Sieving:
-			return f.sieveRead(p, segs, buf)
+			return f.sieveRead(p, sc, segs, buf)
 		default:
 			return f.listIO(p, sc, segs, buf, write)
 		}

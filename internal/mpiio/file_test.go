@@ -483,7 +483,7 @@ func TestRegistrationCache(t *testing.T) {
 
 	// List I/O under the identity layout uses the user buffer as its RDMA
 	// window, registered once through the cache, and stages nothing; a
-	// wider layout packs into registered staging instead.
+	// wider layout packs into its ops' staging buffers instead.
 	for _, width := range []int{1, 2} {
 		c := cluster.New(cluster.Config{Clients: 1, Servers: width, DAFS: true})
 		c.K.Spawn("app", func(p *sim.Proc) {
@@ -506,11 +506,11 @@ func TestRegistrationCache(t *testing.T) {
 					t.Errorf("width %d: list read: %v", width, err)
 				}
 			}
-			staged := len(drv.stagePool) > 0 || drv.stageHi > 0
+			staged := stagingBuffers(drv)
 			switch {
-			case width == 1 && (c.NICs[0].Regions()-before != 1 || staged):
-				t.Errorf("width 1: %d regions added, stage pool %d, high water %d; want one region and no staging", c.NICs[0].Regions()-before, len(drv.stagePool), drv.stageHi)
-			case width > 1 && !staged:
+			case width == 1 && (c.NICs[0].Regions()-before != 1 || staged > 0):
+				t.Errorf("width 1: %d regions added, %d staging buffers; want one region and no staging", c.NICs[0].Regions()-before, staged)
+			case width > 1 && staged == 0:
 				t.Errorf("width %d: list I/O staged nothing", width)
 			}
 		})

@@ -400,6 +400,72 @@ func TestReshapeSharesRegistrations(t *testing.T) {
 	}
 }
 
+// A reshape leaves no staging window of the retired layout pinned: list
+// I/O stages through its ops' own buffers, pinned in the NIC's one cache,
+// so once the new layout has pinned more fresh buffers than the cache
+// holds, the NIC holds the two pools' rings and the cache's 64 pins and
+// nothing else. (The retired pool's rings stay: a reshape does not close
+// the old sessions.)
+func TestReshapeLeavesNoStaging(t *testing.T) {
+	const stripe, reads = 64 << 10, 65
+	c := cluster.New(cluster.Config{Clients: 1, Servers: 3, DAFS: true})
+	nic := c.NICs[0]
+	c.K.Spawn("app", func(p *sim.Proc) {
+		pool, err := c.DialDAFSAll(p, 0, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		rings := nic.Regions()
+		drv := NewStripedDAFSDriver(pool, layout.Striping{StripeSize: stripe, Width: 3})
+		f, err := Open(p, nil, drv, "s", ModeRdWr|ModeCreate, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		// 512 B every 2 KB over three stripes: one staged plan per server.
+		f.SetView(0, Vector(96, 512, 2048))
+		if _, err := f.WriteAt(p, 0, pattern(96*512)); err != nil {
+			t.Errorf("strided write: %v", err)
+			return
+		}
+		f.SetView(0, nil)
+
+		c.AddServer()
+		before := nic.Regions()
+		grown, err := c.DialDAFSAll(p, 0, nil)
+		if err != nil {
+			t.Errorf("dial grown pool: %v", err)
+			return
+		}
+		rings += nic.Regions() - before
+		rs, err := drv.PrepareReshape(p, grown, layout.Striping{StripeSize: stripe, Width: 4}, 2)
+		if err != nil {
+			t.Errorf("prepare: %v", err)
+			return
+		}
+		if err := rs.Migrate(p); err != nil {
+			t.Errorf("migrate: %v", err)
+			return
+		}
+		rs.Commit(p)
+		rs.Cleanup(p)
+		// Each read is one direct fragment into a buffer of its own.
+		for i := range reads {
+			if _, err := f.ReadAt(p, 0, make([]byte, 16<<10)); err != nil {
+				t.Errorf("read %d: %v", i, err)
+			}
+		}
+		f.Close(p)
+		if got := nic.Regions(); got != rings+64 {
+			t.Errorf("after cleanup, %d fresh reads and close the NIC holds %d regions, want %d rings + 64 pins", reads, got, rings)
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Shrinking onto two of three servers: after migrate+commit+cleanup the
 // dropped server holds none of the file's bytes, and the file reads back
 // whole from the survivors.

@@ -43,6 +43,9 @@ type scratch struct {
 	coll   []byte       // NoBatch: the collective buffer
 	held   collBuf      // NoBatch: what the contiguous reader read
 	chunks []chunk      // the contiguous reader's reads in flight
+
+	sieve  []byte // data sieving's window (sieve.go)
+	bufPos []int  // its per-segment positions in the user buffer
 }
 
 // getScratch takes a working set from the driver's pool, or makes one

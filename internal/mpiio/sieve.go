@@ -37,18 +37,26 @@ func windows(segs []Segment, bufSize int, fn func(first, last int, start, end in
 	return nil
 }
 
-// sieveRead reads windows and scatters them into buf. segs are ascending,
-// mapping to consecutive bytes of buf.
-func (f *File) sieveRead(p *sim.Proc, segs []Segment, buf []byte) (int, error) {
-	node := f.drv.Node()
-	tmp := make([]byte, f.hints.SieveBufSize)
-	// bufPos[i] = start of segment i's bytes in buf.
-	bufPos := make([]int, len(segs))
+// sieveWindow returns the call's sieve window of size bytes and its
+// position table, bufPos[i] the start of segment i's bytes in the user
+// buffer, both from the working set: a window reused across calls is one
+// buffer, so at width 1 its registration hits the NIC's cache.
+func (sc *scratch) sieveWindow(segs []Segment, size int) (window []byte, bufPos []int) {
+	sc.sieve = grown(sc.sieve, size)
+	sc.bufPos = grown(sc.bufPos, len(segs))
 	pos := 0
 	for i, s := range segs {
-		bufPos[i] = pos
+		sc.bufPos[i] = pos
 		pos += int(s.Len)
 	}
+	return sc.sieve, sc.bufPos
+}
+
+// sieveRead reads windows and scatters them into buf. segs are ascending,
+// mapping to consecutive bytes of buf.
+func (f *File) sieveRead(p *sim.Proc, sc *scratch, segs []Segment, buf []byte) (int, error) {
+	node := f.drv.Node()
+	tmp, bufPos := sc.sieveWindow(segs, f.hints.SieveBufSize)
 	total := 0
 	err := windows(segs, f.hints.SieveBufSize, func(first, last int, start, end int64) error {
 		if first == last && segs[first].Len > int64(f.hints.SieveBufSize) {
@@ -80,15 +88,9 @@ func (f *File) sieveRead(p *sim.Proc, segs []Segment, buf []byte) (int, error) {
 
 // sieveWrite performs read-modify-write per window so the holes between
 // segments keep their previous contents.
-func (f *File) sieveWrite(p *sim.Proc, segs []Segment, buf []byte) (int, error) {
+func (f *File) sieveWrite(p *sim.Proc, sc *scratch, segs []Segment, buf []byte) (int, error) {
 	node := f.drv.Node()
-	tmp := make([]byte, f.hints.SieveBufSize)
-	bufPos := make([]int, len(segs))
-	pos := 0
-	for i, s := range segs {
-		bufPos[i] = pos
-		pos += int(s.Len)
-	}
+	tmp, bufPos := sc.sieveWindow(segs, f.hints.SieveBufSize)
 	total := 0
 	err := windows(segs, f.hints.SieveBufSize, func(first, last int, start, end int64) error {
 		if first == last && segs[first].Len > int64(f.hints.SieveBufSize) {

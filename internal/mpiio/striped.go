@@ -66,10 +66,9 @@ type striped struct {
 }
 
 // pool is everything a striped driver knows about one layout: the sessions
-// and the placement they serve, which of them are failed or stale, the
-// registered staging buffers and the instruments. It is one value so that
-// a reshape can prepare the next layout in full and commit it by assigning
-// a single pointer.
+// and the placement they serve, which of them are failed or stale, and the
+// instruments. It is one value so that a reshape can prepare the next
+// layout in full and commit it by assigning a single pointer.
 type pool struct {
 	// dafsTransfer supplies the DAFS leaf's transfer-discipline knobs, and
 	// nic is the client's NIC: its pin-down cache registers user buffers,
@@ -95,14 +94,6 @@ type pool struct {
 	epoch    []int                   // per server: recovery episode counter
 	healing  []*sim.Future[struct{}] // per server: in-progress re-silver, nil when none
 
-	// stagePool holds the registered staging buffers of batched gather
-	// I/O. putStage trims it back to stagePoolMax — two full collective
-	// fan-outs' worth of windows stay pinned between operations; anything
-	// beyond that is a burst and goes back to the host.
-	stagePool    []*stageBuf
-	stageHi      int
-	stagePoolMax int
-
 	m stripedMetrics
 }
 
@@ -115,8 +106,6 @@ type stripedMetrics struct {
 	failovers metrics.Counter   // sessions newly marked down
 	down      metrics.Gauge     // servers currently down
 	excluded  metrics.Gauge     // servers excluded from read-any
-	stagePool metrics.Gauge     // staging buffers currently pooled
-	stageHi   metrics.Gauge     // staging-pool high water
 	resilver  metrics.Gauge     // re-silver processes currently running
 	resilverB metrics.Counter   // bytes copied by re-silvering
 	readmits  metrics.Counter   // servers re-admitted to read-any after a heal
@@ -137,8 +126,6 @@ func newStripedMetrics(reg *metrics.Registry, node string, width int) stripedMet
 		failovers: reg.SharedCounter(pre + "failovers"),
 		down:      reg.SharedGauge(pre + "down"),
 		excluded:  reg.SharedGauge(pre + "excluded"),
-		stagePool: reg.SharedGauge(pre + "stage_pool"),
-		stageHi:   reg.SharedGauge(pre + "stage_hiwater"),
 		resilver:  reg.SharedGauge(pre + "resilver_active"),
 		resilverB: reg.SharedCounter(pre + "resilver_bytes"),
 		readmits:  reg.SharedCounter(pre + "readmits"),
@@ -162,19 +149,18 @@ func newPool(sess []session, st layout.Striping, epoch uint32, node *fabric.Node
 		panic(fmt.Sprintf("mpiio: %d sessions for stripe width %d", len(sess), st.Width))
 	}
 	return &pool{
-		node:         node,
-		sess:         sess,
-		striping:     st,
-		layoutEpoch:  epoch,
-		down:         make([]bool, st.Width),
-		excluded:     make([]bool, st.Width),
-		gaveUp:       make([]bool, st.Width),
-		cause:        make([]error, st.Width),
-		episode:      make([]*sim.Future[struct{}], st.Width),
-		epoch:        make([]int, st.Width),
-		healing:      make([]*sim.Future[struct{}], st.Width),
-		stagePoolMax: 2 * st.Width,
-		m:            newStripedMetrics(reg, node.Name, st.Width),
+		node:        node,
+		sess:        sess,
+		striping:    st,
+		layoutEpoch: epoch,
+		down:        make([]bool, st.Width),
+		excluded:    make([]bool, st.Width),
+		gaveUp:      make([]bool, st.Width),
+		cause:       make([]error, st.Width),
+		episode:     make([]*sim.Future[struct{}], st.Width),
+		epoch:       make([]int, st.Width),
+		healing:     make([]*sim.Future[struct{}], st.Width),
+		m:           newStripedMetrics(reg, node.Name, st.Width),
 	}
 }
 

@@ -409,63 +409,6 @@ func (h *stripedHandle) Close(p *sim.Proc) error {
 // writes pack the user buffer into per-server staging and reads scatter
 // the staging back on completion.
 
-// stageBuf is a pooled staging buffer for batched gather/scatter, kept
-// registered for its lifetime: steady-state collective I/O reuses the same
-// windows and pays the pinning cost once, the same amortization the
-// registration cache gives long-lived user buffers.
-type stageBuf struct {
-	buf []byte
-	reg *via.Region
-}
-
-// getStage returns a registered staging buffer of at least n bytes: the
-// smallest pooled buffer that fits, or a fresh power-of-two allocation
-// registered on the spot.
-func (d *striped) getStage(p *sim.Proc, n int64) *stageBuf {
-	best := -1
-	for i, sb := range d.stagePool {
-		if int64(len(sb.buf)) >= n && (best < 0 || len(sb.buf) < len(d.stagePool[best].buf)) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		sb := d.stagePool[best]
-		d.stagePool = append(d.stagePool[:best], d.stagePool[best+1:]...)
-		d.m.stagePool.Set(int64(len(d.stagePool)))
-		return sb
-	}
-	size := int64(4 << 10)
-	for size < n {
-		size <<= 1
-	}
-	buf := make([]byte, size)
-	return &stageBuf{buf: buf, reg: d.nic.Register(p, buf)}
-}
-
-// putStage returns a staging buffer to the pool, registration intact —
-// then trims the pool back to stagePoolMax by deregistering and dropping
-// the smallest buffer, so a collective burst (one buffer per server plan
-// in flight) does not leave its whole fan-out pinned forever.
-func (d *striped) putStage(p *sim.Proc, sb *stageBuf) {
-	d.stagePool = append(d.stagePool, sb)
-	if len(d.stagePool) > d.stageHi {
-		d.stageHi = len(d.stagePool)
-		d.m.stageHi.Set(int64(d.stageHi))
-	}
-	for len(d.stagePool) > d.stagePoolMax {
-		smallest := 0
-		for i, s := range d.stagePool {
-			if len(s.buf) < len(d.stagePool[smallest].buf) {
-				smallest = i
-			}
-		}
-		victim := d.stagePool[smallest]
-		d.stagePool = append(d.stagePool[:smallest], d.stagePool[smallest+1:]...)
-		d.nic.Deregister(p, victim.reg)
-	}
-	d.m.stagePool.Set(int64(len(d.stagePool)))
-}
-
 // planOp is a list transfer in flight: one unit per server gather plan.
 // The op owns its plans, their DAFS segment lists and its flights until it
 // is waited — a batch request is encoded only when a session credit frees,
@@ -474,14 +417,15 @@ func (d *striped) putStage(p *sim.Proc, sb *stageBuf) {
 // of the same shape plans and issues without allocating.
 type planOp struct {
 	*stripedHandle
-	write bool
-	plans []aggregate.ServerPlan
-	specs slab[dafs.SegSpec] // per plan: its Segs as the DAFS leaf sends them
-	sbs   []*stageBuf        // per plan; empty when the window is the user buffer
-	reg   *via.Region        // the user buffer's registration when it is the window
-	buf   []byte             // the user buffer the plans' copy maps refer to
-	fl    []flight
-	got   int64 // bytes moved: what the servers delivered, or the plans' total once written
+	write  bool
+	staged bool // the windows are the staging buffers, not the user buffer
+	plans  []aggregate.ServerPlan
+	specs  slab[dafs.SegSpec] // per plan: its Segs as the DAFS leaf sends them
+	stage  [][]byte           // per plan: its staging buffer, kept across reuse
+	wins   []*via.Region      // per plan: the pinned window its request names
+	buf    []byte             // the user buffer the plans' copy maps refer to
+	fl     []flight
+	got    int64 // bytes moved: what the servers delivered, or the plans' total once written
 }
 
 // newPlanOp takes an op from the free list (or makes one) and plans segs
@@ -516,10 +460,7 @@ func (d *striped) newPlanOp(h *stripedHandle, segs []Segment, buf []byte, write 
 func (o *planOp) primary(u int) int { return o.plans[u].Server }
 
 func (o *planOp) request(u, t, r int) request {
-	rq := request{kind: opReadList, fh: o.fhs[t][r], specs: o.specs.parts[u], reg: o.reg}
-	if len(o.sbs) > 0 {
-		rq.reg = o.sbs[u].reg
-	}
+	rq := request{kind: opReadList, fh: o.fhs[t][r], specs: o.specs.parts[u], reg: o.wins[u]}
 	if o.write {
 		rq.kind = opWriteList
 	}
@@ -540,7 +481,7 @@ func (o *planOp) copyStaging(p *sim.Proc, span string, pack bool) {
 	id := d.tr.Begin(d.node.Name, trace.LayerAggregate, span, trace.OpID(p.TraceCtx()))
 	var moved int64
 	for i, pl := range o.plans {
-		stage := o.sbs[i].buf
+		stage := o.stage[i]
 		for _, cp := range pl.Copies {
 			user, staged := o.buf[cp.BufOff:cp.BufOff+cp.Len], stage[cp.StageOff:cp.StageOff+cp.Len]
 			if pack {
@@ -555,22 +496,39 @@ func (o *planOp) copyStaging(p *sim.Proc, span string, pack bool) {
 	d.tr.End(id)
 }
 
-// unwindow gives the op's windows back: the staging buffers to the pool,
-// or the user buffer's registration to the cache. Both exits of a list
-// operation — issue-time failure and Wait — come through here: a skipped
-// return leaks a pinned, registered window (TestStagePoolBoundedAfterBurst
-// and TestListIssueFailureReturnsStaging check both paths). The op then
-// goes back to the free list, keeping its plan, segment-list and flight
-// storage but pinning no buffer, handle or session.
+// window returns plan u's staging buffer, grown to a power of two of at
+// least n bytes and 4 KiB, and never shrunk, pinned through the NIC's
+// registration cache: an op reused at the same shape names the same
+// buffers, so steady-state list I/O pays the pinning once.
+func (o *planOp) window(p *sim.Proc, u int, n int64) *via.Region {
+	if u == len(o.stage) {
+		o.stage = append(o.stage, nil)
+	}
+	if int64(len(o.stage[u])) < n {
+		size := int64(4 << 10)
+		for size < n {
+			size <<= 1
+		}
+		o.stage[u] = make([]byte, size)
+	}
+	return o.drv.nic.Pin(p, o.stage[u])
+}
+
+// unwindow unpins the op's windows, staging buffers or user buffer. Both
+// exits of a list operation — issue-time failure and Wait — come through
+// here: a skipped return leaks a pinned window when the cache is off
+// (TestListIssueFailureReturnsStaging and TestListUnpinsWithoutCache check
+// both paths). The op then goes back to the free list, keeping its plan,
+// segment-list, staging and flight storage but pinning no handle or
+// session.
 func (o *planOp) unwindow(p *sim.Proc) {
 	d := o.drv
-	d.nic.Unpin(p, o.reg)
-	for _, sb := range o.sbs {
-		d.putStage(p, sb)
+	for _, w := range o.wins {
+		d.nic.Unpin(p, w)
 	}
-	clear(o.sbs)
+	clear(o.wins)
 	clear(o.fl)
-	*o = planOp{plans: o.plans, specs: o.specs, sbs: o.sbs[:0], fl: o.fl[:0]}
+	*o = planOp{plans: o.plans, specs: o.specs, stage: o.stage, wins: o.wins[:0], fl: o.fl[:0]}
 	d.freePlans = append(d.freePlans, o)
 }
 
@@ -578,7 +536,7 @@ func (o *planOp) unwindow(p *sim.Proc) {
 // delivered (batch reads zero-fill EOF holes inside the window).
 func (o *planOp) Wait(p *sim.Proc) (int, error) {
 	err := o.drv.finish(p, o, o.fl, o.write)
-	if err == nil && !o.write && len(o.sbs) > 0 {
+	if err == nil && !o.write && o.staged {
 		o.copyStaging(p, "scatter", false)
 	}
 	got := o.got
@@ -614,13 +572,14 @@ func (h *stripedHandle) StartList(p *sim.Proc, segs []Segment, buf []byte, write
 	// The operation owns its windows from here: the issue-failure path
 	// below and Wait are the two places they go back. The identity layout
 	// lays the plan out as the user buffer is, so the buffer is the
-	// window; any other width stages per server through the driver's
-	// registered staging pool, and writes pack the user buffer now.
+	// window; any other width stages per server through the op's own
+	// staging buffers, and writes pack the user buffer now.
 	if d.striping.Width == 1 {
-		o.reg = d.nic.Pin(p, buf)
+		o.wins = append(o.wins, d.nic.Pin(p, buf))
 	} else {
-		for _, pl := range o.plans {
-			o.sbs = append(o.sbs, d.getStage(p, pl.Total))
+		o.staged = true
+		for u, pl := range o.plans {
+			o.wins = append(o.wins, o.window(p, u, pl.Total))
 		}
 		if write {
 			o.copyStaging(p, "pack", true)

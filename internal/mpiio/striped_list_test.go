@@ -10,6 +10,7 @@ import (
 	"dafsio/internal/dafs"
 	"dafsio/internal/layout"
 	"dafsio/internal/sim"
+	"dafsio/internal/via"
 )
 
 // stripedListRig builds an N-server cluster and opens a (possibly
@@ -212,13 +213,23 @@ func TestStripedBatchUnreplicatedCrashFails(t *testing.T) {
 		})
 }
 
+// stagingBuffers counts the staging buffers the driver's idle list ops
+// hold.
+func stagingBuffers(drv *StripedDAFSDriver) int {
+	n := 0
+	for _, o := range drv.freePlans {
+		n += len(o.stage)
+	}
+	return n
+}
+
 // TestStagePoolBoundedAfterBurst: a burst of concurrent batched list
-// writes allocates one staging buffer per server plan in flight — well
-// past the pool's high-water mark — and every buffer must come back
-// through putStage, which trims the pool to stagePoolMax by
-// deregistering the excess. The pinned-region count on the NIC must match
-// the pool exactly: nothing above the mark stays registered, and nothing
-// in the pool lost its registration.
+// writes and reads stages one buffer per server plan in flight, each op's
+// own, pinned through the NIC's registration cache. Every op must come
+// back through unwindow to its driver's free list: the burst leaves the
+// NIC within the sessions' rings and the cache's 64 pins, and a second
+// burst of the same shape reuses those ops and their pinned buffers and
+// registers nothing.
 func TestStagePoolBoundedAfterBurst(t *testing.T) {
 	const servers, workers = 3, 8
 	const stripe = 4 << 10
@@ -231,45 +242,46 @@ func TestStagePoolBoundedAfterBurst(t *testing.T) {
 		}
 		drv := NewStripedDAFSDriver(pool, layout.Striping{StripeSize: stripe, Width: servers})
 		nic := pool[0].NIC()
-		before := nic.Regions()
-		wg := sim.NewWaitGroup(c.K, workers)
-		for w := 0; w < workers; w++ {
-			w := w
-			c.K.Spawn(fmt.Sprintf("burst%d", w), func(p *sim.Proc) {
-				defer wg.Done()
-				f, err := Open(p, nil, drv, fmt.Sprintf("b%d", w), ModeRdWr|ModeCreate, nil)
-				if err != nil {
-					t.Errorf("worker %d: open: %v", w, err)
-					return
-				}
-				f.SetView(0, Vector(32, 512, 2048))
-				data := pattern(32 * 512)
-				if _, err := f.WriteAt(p, 0, data); err != nil {
-					t.Errorf("worker %d: write: %v", w, err)
-				}
-				got := make([]byte, len(data))
-				if _, err := f.ReadAt(p, 0, got); err != nil {
-					t.Errorf("worker %d: read: %v", w, err)
-				}
-				if !bytes.Equal(got, data) {
-					t.Errorf("worker %d: read-back mismatch", w)
-				}
-				f.Close(p)
-			})
-		}
-		wg.Wait(p)
-		if got := len(drv.stagePool); got > drv.stagePoolMax {
-			t.Errorf("stage pool holds %d buffers after burst, high-water mark is %d", got, drv.stagePoolMax)
-		} else if got < drv.stagePoolMax {
-			t.Errorf("stage pool holds %d buffers after burst, want the full %d mark (burst should overfill it)", got, drv.stagePoolMax)
-		}
-		if got, want := nic.Regions()-before, len(drv.stagePool); got != want {
-			t.Errorf("%d staging regions pinned after burst, want %d (one per pooled buffer)", got, want)
-		}
-		for i, sb := range drv.stagePool {
-			if !sb.reg.Valid() {
-				t.Errorf("pooled buffer %d lost its registration", i)
+		rings := nic.Regions()
+		burst := func() {
+			wg := sim.NewWaitGroup(c.K, workers)
+			for w := 0; w < workers; w++ {
+				w := w
+				c.K.Spawn(fmt.Sprintf("burst%d", w), func(p *sim.Proc) {
+					defer wg.Done()
+					f, err := Open(p, nil, drv, fmt.Sprintf("b%d", w), ModeRdWr|ModeCreate, nil)
+					if err != nil {
+						t.Errorf("worker %d: open: %v", w, err)
+						return
+					}
+					f.SetView(0, Vector(32, 512, 2048))
+					data := pattern(32 * 512)
+					if _, err := f.WriteAt(p, 0, data); err != nil {
+						t.Errorf("worker %d: write: %v", w, err)
+					}
+					got := make([]byte, len(data))
+					if _, err := f.ReadAt(p, 0, got); err != nil {
+						t.Errorf("worker %d: read: %v", w, err)
+					}
+					if !bytes.Equal(got, data) {
+						t.Errorf("worker %d: read-back mismatch", w)
+					}
+					f.Close(p)
+				})
 			}
+			wg.Wait(p)
+		}
+		burst()
+		staged := nic.Regions()
+		if got := staged - rings; got > 64 || got < servers*2 {
+			t.Errorf("%d regions pinned after the burst beside the rings, want at least %d windows and at most the cache's 64", got, servers*2)
+		}
+		// A fresh buffer's pin names the next handle the NIC issues.
+		next := func() via.MemHandle { return nic.Pin(p, make([]byte, 1)).Handle }
+		h := next()
+		burst()
+		if got := next() - h; got != 1 || nic.Regions() != staged+2 {
+			t.Errorf("a second burst registered %d regions (%d pinned, want %d)", got-1, nic.Regions()-rings, staged+2-rings)
 		}
 	})
 	if err := c.Run(); err != nil {

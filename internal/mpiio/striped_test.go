@@ -381,9 +381,9 @@ func TestScriptEveryStack(t *testing.T) {
 	stacks := []stack{
 		{single[0], 9364238},
 		{single[1], 47717310},
-		striped(3, 1, 0, 43271168),
-		striped(4, 2, 0, 57568985),
-		striped(4, 2, 20*sim.Millisecond, 58037813),
+		striped(3, 1, 0, 43281168),
+		striped(4, 2, 0, 57651485),
+		striped(4, 2, 20*sim.Millisecond, 58120313),
 		{single[2], 93007993},
 		{driverCase{name: "nfs-striped/3", cfg: cluster.Config{Clients: 1, Servers: 3, NFS: true},
 			dial: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {

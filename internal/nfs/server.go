@@ -13,13 +13,6 @@ import (
 // serverWorkers is the number of nfsd service threads.
 const serverWorkers = 4
 
-// ServerStats counts server activity.
-type ServerStats struct {
-	RPCs       int64
-	ReadBytes  int64
-	WriteBytes int64
-}
-
 // Server is an NFS server on one node.
 type Server struct {
 	stack *kstack.Stack
@@ -31,7 +24,6 @@ type Server struct {
 	sock  *kstack.Socket
 	workQ *sim.Chan[kstack.Datagram]
 	bufs  msgBufs // idle request and reply buffers
-	stats ServerStats
 }
 
 // NewServer starts an NFS server on the stack's node, listening on the
@@ -105,7 +97,6 @@ func (s *Server) handle(p *sim.Proc, dg kstack.Datagram, r *wire.Reader, w *wire
 	encodeRPC(out, rpcHeader{Proc: hdr.Proc, XID: hdr.XID, Status: st})
 	s.stack.Node.Compute(p, s.prof.RPCCost) // XDR encode
 	s.sock.SendTo(p, dg.Src, dg.SrcPort, out[:rpcHeaderLen+w.Len()])
-	s.stats.RPCs++
 }
 
 func stStatus(err error) Status {
@@ -201,7 +192,6 @@ func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader, w *wire.Writer) St
 		if s.disk != nil && n > 0 {
 			s.disk.AccessAt(p, off, n)
 		}
-		s.stats.ReadBytes += int64(n)
 		w.U32(uint32(n))
 		if b := w.Need(n); b != nil {
 			f.ReadAt(b, off)
@@ -222,7 +212,6 @@ func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader, w *wire.Writer) St
 		if err != nil {
 			return ErrsInval
 		}
-		s.stats.WriteBytes += int64(n)
 		w.U32(uint32(n))
 		return OK
 
