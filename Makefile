@@ -47,10 +47,9 @@ bench-e2e:
 evaluation:
 	$(GO) run ./cmd/mpio run -q | diff results.txt -
 
-# stat re-runs the T16 failover experiment through the always-on metrics
-# plane: per-interval bandwidth and failover-state series (the kill, the
-# retry spike, the replica exclusion, the recovery) plus the flight
-# recorder's postmortem dumps.
+# stat re-runs the T16 failover experiment with the metrics plane
+# installed: per-interval bandwidth and failover-state series (the kill,
+# the retry spike, the replica exclusion, the recovery).
 stat:
 	$(GO) run ./cmd/mpio stat T16
 

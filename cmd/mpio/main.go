@@ -14,13 +14,12 @@
 //
 // trace prints a per-category time breakdown (-hist adds per-(layer, op)
 // latency histograms; -trace writes Chrome trace-event JSON for Perfetto).
-// stat prints per-interval bandwidth and failover state and the flight
-// recorder's postmortems (-json writes every series). -point picks a point
-// as `mpio list id` numbers them, by default the experiment's
-// representative one. Every experiment can be traced, and every one but
-// T1 (a bare VIA pair) sampled. The bare `mpio run` includes
-// T18 (32,768 sessions); the whole run takes about 37 s and peaks near
-// 1.1 GB of memory on a 2-core machine.
+// stat prints per-interval bandwidth and failover state (-json writes
+// every series). -point picks a point as `mpio list id` numbers them, by
+// default the experiment's representative one. Every experiment can be
+// traced, and every one but T1 (a bare VIA pair) sampled. The bare `mpio
+// run` includes T18 (32,768 sessions); the whole run takes about 37 s and
+// peaks near 1.1 GB of memory on a 2-core machine.
 package main
 
 import (
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"dafsio/internal/bench"
-	"dafsio/internal/metrics"
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
 )
@@ -192,8 +190,8 @@ func traceReport(w io.Writer, r bench.Result, hist bool, out string) error {
 	return create(out, r.Tracer.WriteChrome, " (open in https://ui.perfetto.dev or chrome://tracing)")
 }
 
-// statReport prints a sampled run's series table and flight-recorder
-// postmortems, and writes the registry's JSON export to out.
+// statReport prints a sampled run's series table and writes the
+// registry's JSON export to out.
 func statReport(w io.Writer, r bench.Result, out string) error {
 	fmt.Fprintf(w, "%s: %.1f MB/s over %.3f ms simulated, %d samples at %v — %s\n",
 		r.ID, r.MBps, float64(r.Elapsed())/1e6, r.Reg.Samples(), r.Reg.Tick(), r.Outcome)
@@ -202,7 +200,6 @@ func statReport(w io.Writer, r bench.Result, out string) error {
 	}
 	fmt.Fprintln(w)
 	r.SeriesTable().Fprint(w)
-	printDumps(w, r.Reg)
 	return create(out, r.Reg.WriteJSON, "")
 }
 
@@ -221,30 +218,4 @@ func create(path string, write func(io.Writer) error, hint string) error {
 	}
 	fmt.Fprintf(os.Stderr, "mpio: wrote %s%s\n", path, hint)
 	return nil
-}
-
-// printDumps renders the registry's flight-recorder postmortems: per
-// dumped ring, the reason, the instant, and the ring's surviving events
-// in chronological order.
-func printDumps(w io.Writer, reg *metrics.Registry) {
-	ds := reg.Dumps()
-	if len(ds) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\nflight recorder: %d dump(s)", len(ds))
-	if n := reg.DroppedDumps(); n > 0 {
-		fmt.Fprintf(w, " (+%d dropped)", n)
-	}
-	fmt.Fprintln(w)
-	for _, d := range ds {
-		fmt.Fprintf(w, "\n  ring %s at %v — %s (%d events noted, last %d shown)\n",
-			d.Ring, d.At, d.Reason, d.Total, len(d.Events))
-		for _, e := range d.Events {
-			if e.Op != "" {
-				fmt.Fprintf(w, "    %12v  %-12s %-10s arg=%d aux=%d\n", e.At, e.Kind, e.Op, e.Arg, e.Aux)
-			} else {
-				fmt.Fprintf(w, "    %12v  %-12s arg=%d aux=%d\n", e.At, e.Kind, e.Arg, e.Aux)
-			}
-		}
-	}
 }

@@ -14,12 +14,12 @@ import (
 // TestOutputs runs each subcommand in-process and compares its stdout byte
 // for byte with testdata, and the JSON exports with the digests of the
 // recorded ones (stat's is 2.2 MB, too large to keep). The simulation is
-// deterministic, so any change to a table, a breakdown, a series, a span
-// or a postmortem shows here. A stat export is pinned as two digests: its
+// deterministic, so any change to a table, a breakdown, a series or a
+// span shows here. A stat export is pinned as two digests: its
 // sim.kernel.* series, which count the simulator's own events and procs,
-// and everything else, the model's series and dumps. A change to how the
-// kernel runs the model moves only the first. T4 is the paper's single-client DAFS read,
-// pinned by its stdout. T6 is the traced run over a single DAFS server,
+// and everything else, the model's series. A change to how the kernel
+// runs the model moves only the first. T4 is the paper's single-client
+// DAFS read, pinned by its stdout. T6 is the traced run over a single DAFS server,
 // T15's point 5 the striped contiguous path (2 clients, 2 servers) and
 // T17's point 8 the strided collective over four servers; each of these
 // runs' Chrome export is pinned beside its stdout. list T18 pins how a
@@ -56,7 +56,7 @@ func TestOutputs(t *testing.T) {
 		}
 	}
 	for _, d := range []struct{ what, path, kernel, model string }{
-		{"stat T16 JSON export", json, "e7023dd5cd744c6cf8f4669236d2e31484b4fb23024737359d9ccd44f2479560", "bd75b7ef8356b5327b2c1207e64ca670b2807c85d3d705e3794102a2421bbe72"},
+		{"stat T16 JSON export", json, "e7023dd5cd744c6cf8f4669236d2e31484b4fb23024737359d9ccd44f2479560", "cf96c17842f3fb1288652cfb988b9d79f16afed3f707ffc6e644c2119ba7285e"},
 		{"stat T19 JSON export", json19, "9c28fe246832e9a6faed80fe7dd5f7c8bdcee19d9c646682d8e6766bec9cb2ac", "936676004f5d839db2cf9dd68098293a18235ee7bdfabce962fa6f40c024ee0c"},
 	} {
 		kernel, model := statDigests(t, d.path)

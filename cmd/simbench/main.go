@@ -16,7 +16,8 @@
 //	simbench -o BENCH_simkernel.json
 //	simbench -check BENCH_simkernel.json -tolerance 0.20
 //
-// With -metrics the run carries the always-on metrics plane: the kernel's
+// With -metrics the run installs the metrics plane (otherwise only `mpio
+// stat` and the end-to-end benchmark's traced run do): the kernel's
 // own gauges (events dispatched, live procs, pending events) are sampled
 // on a simulated-time tick and their peaks reported. Sampling never
 // changes the schedule — the checksum is identical with it on or off —

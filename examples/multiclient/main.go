@@ -19,35 +19,29 @@
 // (R > 1) or fail with "all replicas down" (R == 1). The NFS baseline is
 // never killed.
 //
-// With -stats I (a simulated-time interval, e.g. -stats 1ms) the 4-client
-// DAFS point is re-run with the always-on metrics plane sampling every I
-// and the sampled series are printed: per-interval aggregate and
-// per-server bandwidth plus the failover counters, the same table
-// `mpio stat` renders for the benchmark experiments.
+// The evaluation's T16 runs the same shape — 4 clients, 4 servers, 2
+// replicas, server1 killed at 10ms — as an experiment: `mpio stat T16`
+// samples its per-interval bandwidth and failover state, and `mpio trace
+// T16` breaks its time down by layer.
 //
-// Run with: go run ./examples/multiclient [-servers 4] [-replicas 2] [-kill server1@10ms] [-stats 1ms]
+// Run with: go run ./examples/multiclient [-servers 4] [-replicas 2] [-kill server1@10ms]
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 	"time"
 
-	"dafsio/internal/bench"
 	"dafsio/internal/cluster"
 	"dafsio/internal/dafs"
 	"dafsio/internal/fault"
 	"dafsio/internal/layout"
-	"dafsio/internal/metrics"
 	"dafsio/internal/mpiio"
 	"dafsio/internal/sim"
 	"dafsio/internal/stats"
-	"dafsio/internal/trace"
 )
 
 const (
@@ -89,20 +83,7 @@ func parseKill(s string) (*killSpec, error) {
 // the transfer. A non-nil error means the run failed (e.g. the killed
 // server's stripes had no surviving replica).
 func point(n, servers, replicas int, kill *killSpec, nfsStack bool) (float64, float64, error) {
-	bw, cpu, err, _, _, _ := pointRun(n, servers, replicas, kill, nfsStack, false, 0)
-	return bw, cpu, err
-}
-
-// pointRun is point with optional cross-layer tracing and metrics
-// sampling on an interval of simulated time (both DAFS runs only).
-func pointRun(n, servers, replicas int, kill *killSpec, nfsStack, traced bool, mtick sim.Time) (float64, float64, error, *trace.Tracer, sim.Time, *metrics.Registry) {
 	cfg := cluster.Config{Clients: n, Servers: servers, DAFS: !nfsStack, NFS: nfsStack}
-	if traced {
-		cfg.Tracer = trace.New
-	}
-	if mtick > 0 && !nfsStack {
-		cfg.Metrics = metrics.Installer(mtick)
-	}
 	if kill != nil && !nfsStack {
 		cfg.Faults = fault.Installer(fault.Plan{Events: []fault.Event{
 			{At: kill.at, Kind: fault.ServerCrash, Node: kill.node},
@@ -197,10 +178,9 @@ func pointRun(n, servers, replicas int, kill *killSpec, nfsStack, traced bool, m
 	if err != nil {
 		log.Fatalf("simulation: %v", err)
 	}
-	c.Metrics.SampleNow() // close the series at the run's final instant
 	for _, e := range errs {
 		if e != nil {
-			return 0, 0, e, c.Tracer, 0, c.Metrics
+			return 0, 0, e
 		}
 	}
 	// Verify the data landed: each client's file must hold its pattern,
@@ -225,15 +205,13 @@ func pointRun(n, servers, replicas int, kill *killSpec, nfsStack, traced bool, m
 	elapsed := end - start
 	return stats.MBps(int64(n)*perClient, elapsed),
 		float64(c.ServerNode.CPU.BusyTime()-cpu0) / float64(elapsed),
-		nil, c.Tracer, elapsed, c.Metrics
+		nil
 }
 
 func main() {
 	servers := flag.Int("servers", 1, "number of DAFS servers (files striped across them when > 1)")
 	replicas := flag.Int("replicas", 1, "copies of each stripe, write-all/read-any (requires -servers >= replicas)")
 	killFlag := flag.String("kill", "", "fail-stop a node mid-run, as node@time (e.g. server1@10ms); DAFS runs only")
-	traceOut := flag.String("trace", "", "re-run the 4-client DAFS point traced and write a Chrome trace JSON here")
-	statsIv := flag.Duration("stats", 0, "re-run the 4-client DAFS point sampling metrics on this simulated-time interval and print the series")
 	flag.Parse()
 	if *servers < 1 {
 		log.Fatalf("-servers %d: need at least one", *servers)
@@ -273,39 +251,5 @@ func main() {
 		fmt.Printf("\nStriping across %d servers lifts the DAFS ceiling past the single NIC; NFS stays pinned to one server.\n", *servers)
 	default:
 		fmt.Println("\nDAFS fills the server link at a few percent CPU; NFS saturates the server CPU.")
-	}
-	if *statsIv > 0 {
-		_, _, serr, _, _, reg := pointRun(4, *servers, *replicas, kill, false, false, sim.Time(statsIv.Nanoseconds()))
-		if serr != nil && reg == nil {
-			log.Fatalf("stats: sampled run failed: %v", serr)
-		}
-		fmt.Println()
-		bench.Result{ID: "multiclient", Reg: reg}.SeriesTable().Fprint(os.Stdout)
-		if n := len(reg.Dumps()); n > 0 {
-			fmt.Printf("\nflight recorder: %d postmortem dump(s) captured (see mpio stat for full rendering)\n", n)
-		}
-	}
-	if *traceOut != "" {
-		_, _, terr, tr, elapsed, _ := pointRun(4, *servers, *replicas, kill, false, true, 0)
-		if terr != nil {
-			log.Fatalf("trace: traced run failed: %v", terr)
-		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		w := bufio.NewWriter(f)
-		if err := tr.WriteChrome(w); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		if err := w.Flush(); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		fmt.Println()
-		tr.BreakdownTable(elapsed).Fprint(os.Stdout)
-		fmt.Printf("\nwrote %s (open in https://ui.perfetto.dev)\n", *traceOut)
 	}
 }

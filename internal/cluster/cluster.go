@@ -51,9 +51,10 @@ type Config struct {
 	// cached, the paper-era configuration).
 	ServerDisk bool
 	// Tracer, when non-nil, records cross-layer spans for every DAFS/VIA
-	// operation in the cluster. It must be built on the cluster's kernel —
-	// use NewTraced, which handles the ordering. Tracing is observational:
-	// simulated timing is identical with it on or off.
+	// operation in the cluster. It must be built on the cluster's kernel,
+	// before any NIC or server: use trace.New, which New calls at that
+	// point. Tracing is observational: simulated timing is identical with
+	// it on or off.
 	Tracer func(k *sim.Kernel) *trace.Tracer
 	// Faults, when non-nil, installs a fault-injection plan on the cluster,
 	// wired exactly like Tracer: use fault.Installer(plan). Component
@@ -62,12 +63,13 @@ type Config struct {
 	// every NIC's transmit path. Nil means a fault-free cluster with
 	// bit-identical behaviour to builds without the hook.
 	Faults func(k *sim.Kernel) *fault.Injector
-	// Metrics, when non-nil, installs the always-on metrics plane, wired
-	// exactly like Tracer: use metrics.Installer(tick). Every layer built
-	// afterwards registers its instruments with the registry; injected
-	// component faults additionally bump fault counters and dump every
-	// flight ring. Observational only — simulated results are
-	// byte-identical with it on or off.
+	// Metrics, when non-nil, installs the metrics plane, wired exactly
+	// like Tracer: use metrics.Installer(tick). Only `mpio stat`, the
+	// benchmark's traced run and `simbench -metrics` install it; every
+	// other run has no registry. Every layer built afterwards registers
+	// its instruments with the registry, and each injected component fault
+	// bumps the fault.injected counter. Observational only — simulated
+	// results are byte-identical with it on or off.
 	Metrics func(k *sim.Kernel) *metrics.Registry
 }
 
@@ -230,17 +232,11 @@ func (c *Cluster) AddServer() (s int, epoch uint32) {
 // scheduleFaults turns the installed plan's component-level events into
 // kernel events against the named nodes. Wire-level events (stall, drop,
 // dup) need no scheduling: the NICs consult the injector directly. With
-// metrics installed, each injected event bumps the fault counter and
-// dumps every flight ring — the injection instant is exactly when recent
-// per-component context is worth keeping.
+// metrics installed, each injected event bumps the fault.injected counter.
 func (c *Cluster) scheduleFaults() {
 	var injected metrics.Counter
 	if c.Metrics != nil && len(c.Faults.Events()) > 0 {
 		injected = c.Metrics.Counter("fault.injected")
-	}
-	note := func(ev fault.Event) {
-		injected.Inc()
-		c.Metrics.DumpAll("fault: " + ev.Kind.String() + " " + ev.Node)
 	}
 	for _, ev := range c.Faults.Events() {
 		ev := ev
@@ -255,7 +251,7 @@ func (c *Cluster) scheduleFaults() {
 				if srv != nil {
 					srv.Crash()
 				}
-				note(ev)
+				injected.Inc()
 			})
 		case fault.ServerRestart:
 			node := c.nodeByName(ev.Node)
@@ -267,7 +263,7 @@ func (c *Cluster) scheduleFaults() {
 				if srv != nil {
 					srv.Restart()
 				}
-				note(ev)
+				injected.Inc()
 			})
 		case fault.SlowDisk:
 			disk := c.diskOn(c.nodeByName(ev.Node))
@@ -276,7 +272,7 @@ func (c *Cluster) scheduleFaults() {
 			}
 			c.K.At(ev.At, func() {
 				disk.SetSlowdown(ev.Factor)
-				note(ev)
+				injected.Inc()
 			})
 			c.K.At(ev.At+ev.Dur, func() { disk.SetSlowdown(1) })
 		}

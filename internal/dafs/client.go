@@ -2,7 +2,6 @@ package dafs
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -283,7 +282,6 @@ type clientMetrics struct {
 	timeouts   metrics.Counter
 	failures   metrics.Counter // session failures (fail() invocations)
 	redials    metrics.Counter
-	flight     *metrics.Flight
 }
 
 // newClientMetrics registers (or re-attaches) the per-node instruments.
@@ -301,7 +299,6 @@ func newClientMetrics(reg *metrics.Registry, node string) clientMetrics {
 		timeouts:   reg.SharedCounter(pre + "timeouts"),
 		failures:   reg.SharedCounter(pre + "failures"),
 		redials:    reg.SharedCounter(pre + "redials"),
-		flight:     reg.Flight("dafs.client." + node),
 	}
 }
 
@@ -539,11 +536,6 @@ func (c *Client) fail(err error) {
 	if c.failErr == nil {
 		c.failErr = fmt.Errorf("%w: %w", ErrSession, err)
 		c.m.failures.Inc()
-		if errors.Is(err, ErrTimeout) {
-			// The postmortem moment: the last N calls, waits, and retries
-			// leading up to the deadline are exactly what explains it.
-			c.m.flight.Dump("dafs: session failed: " + ErrTimeout.Error())
-		}
 	}
 	c.closed = true
 	pending := c.pending
@@ -582,7 +574,6 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 	c.m.credits.Add(1)
 	if wait := p.Now() - t0; wait > 0 {
 		c.m.creditWait.Observe(int64(wait))
-		c.m.flight.Note(p.Now(), "credit_wait", proc.String(), int64(wait), 0)
 	}
 	c.tr.Charge(op, trace.CatQueue, p.Now()-t0)
 	w := &c.w
@@ -625,7 +616,6 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 	}
 	call.issued = p.Now()
 	c.m.ops.Inc()
-	c.m.flight.Note(call.issued, "call", proc.String(), int64(xid), int64(n))
 	if c.opts.CallTimeout > 0 {
 		// Arm the per-call deadline. The timer fires in kernel context at
 		// the deadline; if the response has arrived by then the call is no
@@ -671,7 +661,6 @@ func (c *Client) expire(xid uint32) {
 		return
 	}
 	c.m.timeouts.Inc()
-	c.m.flight.Note(c.k.Now(), "timeout", "", int64(xid), int64(c.opts.CallTimeout))
 	c.fail(fmt.Errorf("%w: call %d got no response within %v", ErrTimeout, xid, c.opts.CallTimeout))
 }
 
@@ -1012,6 +1001,5 @@ func (c *Client) Redial(p *sim.Proc) (*Client, error) {
 	}
 	nc.traceServer = c.traceServer
 	nc.m.redials.Inc()
-	nc.m.flight.Note(p.Now(), "redial", "", int64(c.traceServer), 0)
 	return nc, nil
 }

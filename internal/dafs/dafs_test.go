@@ -136,8 +136,8 @@ func TestWireOverflowUnderflow(t *testing.T) {
 	}
 }
 
-// Proc.String labels every span and flight-recorder note, tracing on or
-// off, so naming a known operation must not allocate.
+// Proc.String labels every client and server span, tracing on or off,
+// so naming a known operation must not allocate.
 func TestProcString(t *testing.T) {
 	for pr, want := range map[Proc]string{
 		ProcConnect: "CONNECT", ProcWriteDirect: "WRITE_DIRECT", ProcWriteBatch: "WRITE_BATCH",

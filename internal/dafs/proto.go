@@ -68,9 +68,9 @@ var procNames = [...]string{
 	ProcReadBatch: "READ_BATCH", ProcWriteBatch: "WRITE_BATCH",
 }
 
-// String names the operation. It runs several times per call with tracing
-// off (span and flight-recorder labels), so it allocates nothing for a
-// known operation.
+// String names the operation. It runs on every call and every served
+// request with tracing off (the client's and the server's span labels),
+// so it allocates nothing for a known operation.
 func (pr Proc) String() string {
 	if int(pr) < len(procNames) && procNames[pr] != "" {
 		return procNames[pr]

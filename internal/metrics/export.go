@@ -3,13 +3,12 @@ package metrics
 import (
 	"encoding/json"
 	"io"
-	"sort"
 )
 
 // JSON export. The schema is deterministic end to end: series are keyed
 // by instrument name in a map (encoding/json sorts map keys), points are
-// in sampling order, flight dumps in dump order, and every timestamp is
-// virtual nanoseconds — identical runs marshal to identical bytes.
+// in sampling order, and every timestamp is virtual nanoseconds —
+// identical runs marshal to identical bytes.
 
 type jsonPoint struct {
 	T int64 `json:"t_ns"`
@@ -31,31 +30,13 @@ type jsonSeries struct {
 	Hist   []jsonHistPoint `json:"hist,omitempty"`
 }
 
-type jsonFlightEvent struct {
-	T    int64  `json:"t_ns"`
-	Kind string `json:"kind"`
-	Op   string `json:"op,omitempty"`
-	Arg  int64  `json:"arg"`
-	Aux  int64  `json:"aux,omitempty"`
-}
-
-type jsonDump struct {
-	Ring   string            `json:"ring"`
-	Reason string            `json:"reason"`
-	T      int64             `json:"t_ns"`
-	Total  uint64            `json:"total_events"`
-	Events []jsonFlightEvent `json:"events"`
-}
-
 type jsonExport struct {
 	TickNs  int64                 `json:"tick_ns,omitempty"`
 	Samples int                   `json:"samples"`
 	Series  map[string]jsonSeries `json:"series"`
-	Dumps   []jsonDump            `json:"flight_dumps,omitempty"`
-	Dropped int                   `json:"dropped_dumps,omitempty"`
 }
 
-// WriteJSON marshals the registry's sampled series and flight dumps.
+// WriteJSON marshals the registry's sampled series.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	if r == nil {
 		_, err := io.WriteString(w, "{}\n")
@@ -65,7 +46,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		TickNs:  int64(r.tick),
 		Samples: r.samples,
 		Series:  make(map[string]jsonSeries, len(r.order)),
-		Dropped: r.dropped,
 	}
 	for _, in := range r.order {
 		s := jsonSeries{Kind: in.kind.String()}
@@ -82,14 +62,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		}
 		exp.Series[in.name] = s
 	}
-	for _, d := range r.dumps {
-		jd := jsonDump{Ring: d.Ring, Reason: d.Reason, T: int64(d.At), Total: d.Total}
-		jd.Events = make([]jsonFlightEvent, len(d.Events))
-		for i, e := range d.Events {
-			jd.Events[i] = jsonFlightEvent{T: int64(e.At), Kind: e.Kind, Op: e.Op, Arg: e.Arg, Aux: e.Aux}
-		}
-		exp.Dumps = append(exp.Dumps, jd)
-	}
 	buf, err := json.MarshalIndent(&exp, "", "  ")
 	if err != nil {
 		return err
@@ -97,14 +69,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	buf = append(buf, '\n')
 	_, err = w.Write(buf)
 	return err
-}
-
-// sortedFlightNames returns the registry's ring names in sorted order.
-func sortedFlightNames(r *Registry) []string {
-	names := make([]string, 0, len(r.flights))
-	for n := range r.flights {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,11 +1,12 @@
-// Package metrics is the simulator's always-on observability plane: a
+// Package metrics is the simulator's opt-in observability plane: a
 // registry of typed instruments (monotonic counters, gauges, log2 latency
 // histograms) registered once per component under stable hierarchical
 // names ("dafs.server.server1.queue_depth", "via.nic.client0.tx_bytes",
-// "mpiio.striped.client0.retries"), a simulated-time sampler that
+// "mpiio.striped.client0.retries") and a simulated-time sampler that
 // snapshots every instrument on a configurable tick into in-memory time
-// series, and a flight recorder (flight.go) that keeps a bounded ring of
-// recent annotated events per component and dumps it on faults.
+// series. A run has a registry only when cluster.Config.Metrics installs
+// one, which `mpio stat`, the benchmark's traced run and `simbench
+// -metrics` do; every other run carries none.
 //
 // Everything here is observational, like internal/trace: instruments
 // never wake procs, never advance virtual time, and never touch the
@@ -82,7 +83,7 @@ type instrument struct {
 	hseries []HistPoint
 }
 
-// Registry owns a simulation's instruments, flight rings, and sampler.
+// Registry owns a simulation's instruments and sampler.
 // Create one per kernel with New; wire it to layers before they construct
 // their components (registration happens in constructors).
 type Registry struct {
@@ -94,11 +95,6 @@ type Registry struct {
 	ev      *sim.Event
 	lastAt  sim.Time
 	samples int
-
-	flights  map[string]*Flight
-	dumps    []FlightDump
-	maxDumps int
-	dropped  int
 }
 
 // New returns an empty registry bound to the kernel and registers the
@@ -106,11 +102,9 @@ type Registry struct {
 // wheel occupancy — so every registry observes the substrate it runs on.
 func New(k *sim.Kernel) *Registry {
 	r := &Registry{
-		k:        k,
-		byName:   make(map[string]*instrument),
-		flights:  make(map[string]*Flight),
-		lastAt:   -1,
-		maxDumps: 16,
+		k:      k,
+		byName: make(map[string]*instrument),
+		lastAt: -1,
 	}
 	r.CounterFunc("sim.kernel.events_dispatched", func() int64 { return int64(k.Events()) })
 	r.GaugeFunc("sim.kernel.procs_live", func() int64 { return int64(k.Live()) })

@@ -55,17 +55,13 @@ func TestNilRegistryIsInert(t *testing.T) {
 	c := r.Counter("a")
 	g := r.SharedGauge("b")
 	h := r.Hist("c")
-	f := r.Flight("ring")
 	c.Inc()
 	g.Set(5)
 	h.Observe(100)
-	f.Note(0, "call", "write", 1, 2)
-	f.Dump("boom")
 	r.CounterFunc("d", func() int64 { return 1 })
 	r.StartSampler(10)
 	r.SampleNow()
-	r.DumpAll("boom")
-	if r.Names() != nil || r.Samples() != 0 || r.Value("a") != 0 || r.Dumps() != nil {
+	if r.Names() != nil || r.Samples() != 0 || r.Value("a") != 0 {
 		t.Fatal("nil registry leaked state")
 	}
 	var buf bytes.Buffer
@@ -131,43 +127,6 @@ func TestStartSamplerTwicePanics(t *testing.T) {
 	r.StartSampler(10)
 }
 
-func TestFlightRingWrapAndDumpBounds(t *testing.T) {
-	k := sim.NewKernel()
-	r := New(k)
-	f := r.Flight("dafs.client.c0")
-	const total = flightDepth + 6
-	for i := 0; i < total; i++ {
-		f.Note(sim.Time(i), "call", "write", int64(i), 0)
-	}
-	f.Dump("timeout")
-	d := r.Dumps()
-	if len(d) != 1 {
-		t.Fatalf("dumps = %d, want 1", len(d))
-	}
-	if d[0].Total != total || len(d[0].Events) != flightDepth {
-		t.Fatalf("dump total=%d events=%d, want %d/%d", d[0].Total, len(d[0].Events), total, flightDepth)
-	}
-	for i, e := range d[0].Events {
-		if e.Arg != int64(6+i) {
-			t.Fatalf("event %d arg = %d, want %d (chronological tail)", i, e.Arg, 6+i)
-		}
-	}
-	// Empty rings dump nothing; full postmortem lists drop with a count.
-	r.Flight("empty").Dump("timeout")
-	if len(r.Dumps()) != 1 {
-		t.Fatal("empty ring produced a dump")
-	}
-	for i := 0; i < 30; i++ {
-		f.Dump("storm")
-	}
-	if len(r.Dumps()) > 16 {
-		t.Fatalf("dumps grew to %d, want <= 16", len(r.Dumps()))
-	}
-	if r.DroppedDumps() == 0 {
-		t.Fatal("dropped counter not incremented")
-	}
-}
-
 // Two identically seeded registries marshal to identical bytes.
 func TestWriteJSONDeterministic(t *testing.T) {
 	run := func() string {
@@ -176,7 +135,6 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		c := r.Counter("a.ops")
 		g := r.SharedGauge("b.depth")
 		h := r.Hist("a.ns")
-		f := r.Flight("a")
 		r.StartSampler(7)
 		k.Spawn("w", func(p *sim.Proc) {
 			for i := 0; i < 5; i++ {
@@ -184,14 +142,12 @@ func TestWriteJSONDeterministic(t *testing.T) {
 				c.Inc()
 				g.Set(int64(i))
 				h.Observe(int64(50 * i))
-				f.Note(p.Now(), "op", "w", int64(i), 0)
 			}
 		})
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
 		r.SampleNow()
-		f.Dump("end")
 		var buf bytes.Buffer
 		if err := r.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -202,8 +158,8 @@ func TestWriteJSONDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("WriteJSON not deterministic:\n%s\nvs\n%s", a, b)
 	}
-	if !strings.Contains(a, `"a.ops"`) || !strings.Contains(a, `"flight_dumps"`) {
-		t.Fatalf("export missing series or dumps:\n%s", a)
+	if !strings.Contains(a, `"a.ops"`) {
+		t.Fatalf("export missing series:\n%s", a)
 	}
 }
 

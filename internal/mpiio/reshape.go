@@ -75,7 +75,6 @@ func (d *StripedDAFSDriver) PrepareReshape(p *sim.Proc, clients []*dafs.Client, 
 		}
 	}
 	d.next = rs
-	d.m.flight.Note(p.Now(), "reshape", "", int64(epoch), 0)
 	return rs, nil
 }
 
@@ -152,7 +151,6 @@ func (rs *Reshape) Commit(p *sim.Proc) {
 	}
 	d.next = nil
 	rs.shadow = nil
-	d.m.flight.Note(p.Now(), "commit", "", int64(rs.epoch), 0)
 }
 
 // Cleanup removes the old epoch's objects, best effort: absent objects

@@ -89,7 +89,6 @@ func (d *striped) startHeal(p *sim.Proc, t int) {
 	fut := sim.NewFuture[struct{}](k)
 	d.healing[t] = fut
 	d.m.resilver.Add(1)
-	d.m.flight.Note(p.Now(), "resilver", "", int64(t), 0)
 	gen := d.layoutEpoch
 	ep := d.epoch[t]
 	name := fmt.Sprintf("%s.resilver.s%d.e%d", d.node.Name, t, ep)
@@ -101,7 +100,6 @@ func (d *striped) startHeal(p *sim.Proc, t int) {
 			d.excluded[t] = false
 			d.m.excluded.Add(-1)
 			d.m.readmits.Inc()
-			d.m.flight.Note(hp.Now(), "readmit", "", int64(t), 0)
 		}
 		fut.Set(struct{}{})
 	})

@@ -111,7 +111,6 @@ type stripedMetrics struct {
 	readmits  metrics.Counter   // servers re-admitted to read-any after a heal
 	epochG    metrics.Gauge     // membership epoch of the active layout
 	dispatch  []metrics.Counter // fragments issued, per server index
-	flight    *metrics.Flight
 }
 
 func newStripedMetrics(reg *metrics.Registry, node string, width int) stripedMetrics {
@@ -131,7 +130,6 @@ func newStripedMetrics(reg *metrics.Registry, node string, width int) stripedMet
 		readmits:  reg.SharedCounter(pre + "readmits"),
 		epochG:    reg.SharedGauge(pre + "epoch"),
 		dispatch:  dispatch,
-		flight:    reg.Flight("mpiio.striped." + node),
 	}
 	for t := range dispatch {
 		dispatch[t] = reg.SharedCounter(fmt.Sprintf("%sdispatch.%d", pre, t))
@@ -293,10 +291,8 @@ func isSessionErr(err error) bool {
 
 // allDown builds the operation-level error for a unit with no usable
 // replica left, wrapping both dafs.ErrAllReplicasDown and (when known) the
-// last session failure so either sentinel matches. This is a terminal
-// condition, so the driver's flight ring is dumped for the postmortem.
+// last session failure so either sentinel matches.
 func (d *striped) allDown(last error) error {
-	d.m.flight.Dump("mpiio: " + dafs.ErrAllReplicasDown.Error())
 	if last == nil {
 		return fmt.Errorf("mpiio: %w", dafs.ErrAllReplicasDown)
 	}
@@ -305,13 +301,12 @@ func (d *striped) allDown(last error) error {
 
 // exclude marks server t stale for read-any: it missed an acked write, so
 // only replicas that saw every write may serve reads.
-func (d *striped) exclude(p *sim.Proc, t int) {
+func (d *striped) exclude(t int) {
 	if d.excluded[t] {
 		return
 	}
 	d.excluded[t] = true
 	d.m.excluded.Add(1)
-	d.m.flight.Note(p.Now(), "exclude", "", int64(t), 0)
 }
 
 // noteFailure records session failure err on server s. The first failure
@@ -328,7 +323,6 @@ func (d *striped) noteFailure(p *sim.Proc, s int, failed session, err error) {
 	d.down[s], d.cause[s] = true, err
 	d.m.failovers.Inc()
 	d.m.down.Add(1)
-	d.m.flight.Note(p.Now(), "failover", "", int64(s), 0)
 	if d.gaveUp[s] {
 		return
 	}
@@ -350,13 +344,11 @@ func (d *striped) noteFailure(p *sim.Proc, s int, failed session, err error) {
 			rp.Wait(d.Retry.Backoff(a))
 			d.Retries++
 			d.m.retries.Inc()
-			d.m.flight.Note(rp.Now(), "retry", "", int64(s), int64(a))
 			ns, err := failed.redial(rp)
 			if err == nil {
 				d.sess[s] = ns
 				d.down[s] = false
 				d.m.down.Add(-1)
-				d.m.flight.Note(rp.Now(), "recovered", "", int64(s), int64(a))
 				// A replica that missed writes while down is stale: the
 				// redial restores the session, not the data. Re-admission
 				// to read-any waits for the background re-silver, never on
@@ -368,7 +360,6 @@ func (d *striped) noteFailure(p *sim.Proc, s int, failed session, err error) {
 			}
 		}
 		d.gaveUp[s] = true
-		d.m.flight.Note(rp.Now(), "gave_up", "", int64(s), 0)
 	})
 }
 

@@ -265,7 +265,7 @@ func (d *striped) finish(p *sim.Proc, w work, fl []flight, write bool) error {
 		case u.missed:
 			for j := range fl {
 				if fl[j].u == f.u && fl[j].op == nil {
-					d.exclude(p, fl[j].t)
+					d.exclude(fl[j].t)
 				}
 			}
 		}
@@ -314,7 +314,7 @@ func (d *striped) redrive(p *sim.Proc, w work, u int, write bool, lastErr error)
 		}
 		for _, t := range missed {
 			if write {
-				d.exclude(p, t)
+				d.exclude(t)
 			}
 		}
 		return nil
