@@ -68,9 +68,9 @@ func TestOutputs(t *testing.T) {
 		}
 	}
 	for _, d := range []struct{ what, path, want string }{
-		{"trace T6 Chrome export", chrome6, "e688cac09efb3e91801899068520089c753d5a0269bab1a66ad87943c7e9c716"},
+		{"trace T6 Chrome export", chrome6, "4e3c3e60b6c6cb4a61bb6b18b6a67bbe8b7790b3c67aced3d479730eae6f5dcc"},
 		{"trace T15 Chrome export", chrome15, "c3efa6baf68efe51c37c13582f130893d36333bac62c2c5833276d6d103e704a"},
-		{"trace T17 Chrome export", chrome17, "fa5811239d6602e6a98c4347194f73be25f5577fd38fc71d0b0010b22d718320"},
+		{"trace T17 Chrome export", chrome17, "c6b44b1fc4ffebfec56b44778ff40f5c3924a1dd6d679db0220fde4f6574ff63"},
 	} {
 		raw, err := os.ReadFile(d.path)
 		if err != nil {

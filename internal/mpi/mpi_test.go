@@ -81,6 +81,55 @@ func TestRendezvousSendRecv(t *testing.T) {
 	})
 }
 
+// Repeated rendezvous sends of one buffer between two ranks pin it
+// through each NIC's registration cache: the first exchange adds one
+// region at each end, the later ones register nothing (the next handle
+// either NIC issues is the one it would have issued after the first), and
+// each later round charges the same CPU, a registration or more below the
+// first.
+func TestRendezvousPinsOnce(t *testing.T) {
+	const n, rounds = 64 << 10, 4
+	prof := model.CLAN1998()
+	world(t, 2, func(p *sim.Proc, r *Rank) {
+		nic := r.NIC()
+		buf := mkdata(n, byte(3+r.ID()))
+		base := nic.Regions()
+		// A costless probe registration names the next handle the NIC issues.
+		next := func() via.MemHandle {
+			reg := nic.RegisterCached(make([]byte, 1))
+			nic.DropCached(reg)
+			return reg.Handle
+		}
+		var busy [rounds]sim.Time
+		var h via.MemHandle
+		for i := range rounds {
+			t0 := nic.Node.CPU.BusyTime()
+			if r.ID() == 0 {
+				r.Send(p, 1, 5, buf)
+			} else if st := r.Recv(p, 0, 5, buf); st.Count != n {
+				t.Errorf("round %d: received %d bytes", i, st.Count)
+			}
+			busy[i] = nic.Node.CPU.BusyTime() - t0
+			if got := nic.Regions() - base; got != 1 || nic.PinsInUse() != 0 {
+				t.Errorf("rank %d round %d: %d regions added (want 1), %d pins in use (want 0)", r.ID(), i, got, nic.PinsInUse())
+			}
+			if i == 0 {
+				h = next()
+			}
+			r.Barrier(p)
+		}
+		if got := next() - h; got != 1 {
+			t.Errorf("rank %d: rounds 1 to %d registered %d regions", r.ID(), rounds-1, got-1)
+		}
+		for i := 2; i < rounds; i++ {
+			if busy[i] != busy[1] || busy[0]-busy[i] < prof.RegCost(n) {
+				t.Errorf("rank %d round %d: %v of CPU, round 1 %v and round 0 %v (want round 1's, and %v or more below round 0's)",
+					r.ID(), i, busy[i], busy[1], busy[0], prof.RegCost(n))
+			}
+		}
+	})
+}
+
 func TestRecvBeforeSendAndAfter(t *testing.T) {
 	// Both orderings: pre-posted receive and unexpected message.
 	world(t, 2, func(p *sim.Proc, r *Rank) {

@@ -107,14 +107,14 @@ func (r *Rank) sendCtl(p *sim.Proc, dst int, kind uint8, tag, size int, token ui
 }
 
 func (r *Rank) sendRndv(p *sim.Proc, dst, tag int, data []byte) {
-	reg := r.nic.Register(p, data) // pin the user buffer for the pull
+	reg := r.nic.Pin(p, data) // pin the user buffer for the pull
 	r.rndvSeq++
 	token := r.rndvSeq
 	fin := sim.NewFuture[struct{}](r.world.k)
 	r.fins[token] = fin
 	r.sendCtl(p, dst, kRTS, tag, len(data), token, reg.Handle)
 	fin.Get(p)
-	r.nic.Deregister(p, reg)
+	r.nic.Unpin(p, reg)
 }
 
 // selfSend delivers locally with one memory copy.
@@ -183,12 +183,12 @@ func (r *Rank) deliver(p *sim.Proc, env *envelope, buf []byte) RecvStatus {
 	}
 }
 
-// pull executes the rendezvous data movement: register the destination,
+// pull executes the rendezvous data movement: pin the destination,
 // RDMA-read from the sender's pinned buffer, FIN.
 func (r *Rank) pull(p *sim.Proc, env *envelope, buf []byte) int {
 	n := min(env.size, len(buf))
 	if n > 0 {
-		reg := r.nic.Register(p, buf[:n])
+		reg := r.nic.Pin(p, buf[:n])
 		fut := sim.NewFuture[via.Completion](r.world.k)
 		err := r.pairs[env.src].vi.PostSend(p, &via.Descriptor{
 			Op: via.OpRDMARead, Region: reg, Len: n,
@@ -198,7 +198,7 @@ func (r *Rank) pull(p *sim.Proc, env *envelope, buf []byte) int {
 			panic(fmt.Sprintf("mpi: rendezvous pull failed: %v", err))
 		}
 		comp := fut.Get(p)
-		r.nic.Deregister(p, reg)
+		r.nic.Unpin(p, reg)
 		if comp.Err != nil {
 			panic(fmt.Sprintf("mpi: rendezvous RDMA error: %v", comp.Err))
 		}

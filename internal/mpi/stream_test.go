@@ -68,8 +68,12 @@ func TestAlltoallvStream(t *testing.T) {
 }
 
 // TestAlltoallvBytesEndInstant pins AlltoallvBytes's simulated timing, the
-// own copy and every pairwise step, to the instant it ended at before it
-// became a wrapper over AlltoallvStream.
+// own copy and every pairwise step. Its buffers are fresh, so every
+// rendezvous pin misses; since rendezvous pins through the registration
+// cache no Unpin deregisters, and the run ends 20 µs (two MemDeregCost)
+// before the 1,056,852 ns it ended at when each message registered and
+// deregistered its buffers: exactly where per-message registration ends
+// with MemDeregCost set to 0.
 func TestAlltoallvBytesEndInstant(t *testing.T) {
 	const n = 4
 	var end sim.Time
@@ -86,7 +90,7 @@ func TestAlltoallvBytesEndInstant(t *testing.T) {
 		}
 		end = max(end, p.Now())
 	})
-	if want := sim.Time(1056852); end != want {
+	if want := sim.Time(1036852); end != want {
 		t.Errorf("AlltoallvBytes ended at %v (%d), want %d", end, int64(end), int64(want))
 	}
 }

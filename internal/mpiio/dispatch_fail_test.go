@@ -71,9 +71,12 @@ func TestLaunchHardErrorDrainsFlights(t *testing.T) {
 // A batched write over a striped file that fails while its per-server
 // plans are being issued hands its op back with every staging buffer it
 // pinned: the NIC holds what it held before, and a repeat of the failed
-// call reuses those buffers instead of registering new ones.
+// call reuses those buffers instead of registering new ones. No pin is in
+// use afterwards, and the NIC holds at most the cache's 64 beside the
+// sessions' rings.
 func TestListIssueFailureReturnsStaging(t *testing.T) {
 	settledRig(t, 4, func(p *sim.Proc, c *cluster.Cluster, drv *StripedDAFSDriver, pool []*dafs.Client) {
+		rings := c.NICs[0].Regions()
 		f, err := Open(p, nil, drv, "f", ModeRdWr|ModeCreate, nil)
 		if err != nil {
 			t.Error(err)
@@ -98,6 +101,9 @@ func TestListIssueFailureReturnsStaging(t *testing.T) {
 		}
 		if got := c.NICs[0].Regions(); got != regions {
 			t.Errorf("the repeated failed write registered %d new regions", got-regions)
+		}
+		if got := c.NICs[0].Regions() - rings; got > 64 || c.NICs[0].PinsInUse() != 0 {
+			t.Errorf("%d regions beside the rings (want at most the cache's 64), %d pins in use (want 0)", got, c.NICs[0].PinsInUse())
 		}
 	})
 }

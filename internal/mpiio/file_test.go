@@ -520,6 +520,50 @@ func TestRegistrationCache(t *testing.T) {
 	}
 }
 
+// TestConcurrentPinsKeepTheBound: 80 nonblocking direct writes of
+// distinct 64 KB buffers start at once, so 80 procs miss the NIC's
+// pin-down cache together. The cache still holds at most its 64 entries,
+// none of them evicted while the server's RDMA read of it is in flight;
+// the 16 writes that find every entry in use pin outside the cache, and
+// after the waits nothing is in use and the NIC holds the sessions'
+// rings and the cache's 64 pins.
+func TestConcurrentPinsKeepTheBound(t *testing.T) {
+	const writes, size = 80, 64 << 10
+	c := cluster.New(cluster.Config{Clients: 1, DAFS: true})
+	c.K.Spawn("app", func(p *sim.Proc) {
+		cl, err := c.DialDAFS(p, 0, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f, err := Open(p, nil, NewDAFSDriver(cl), "burst", ModeRdWr|ModeCreate, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.Close(p)
+		nic := c.NICs[0]
+		rings := nic.Regions()
+		reqs := make([]*Request, writes)
+		for i := range reqs {
+			reqs[i] = f.IwriteAt(p, int64(i)*size, body(size, byte(i)))
+		}
+		failed := 0
+		for i, req := range reqs {
+			if n, err := req.Wait(p); n != size || err != nil {
+				t.Errorf("write %d: n=%d err=%v", i, n, err)
+				failed++
+			}
+		}
+		if got := nic.Regions() - rings; failed != 0 || got != 64 || nic.PinsInUse() != 0 {
+			t.Errorf("%d writes failed, %d regions beside the rings (want 64), %d pins in use (want 0)", failed, got, nic.PinsInUse())
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRegCacheSavesTime(t *testing.T) {
 	measure := func(cache bool) sim.Time {
 		c := cluster.New(cluster.Config{Clients: 1, DAFS: true})

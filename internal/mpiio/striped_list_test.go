@@ -226,10 +226,10 @@ func stagingBuffers(drv *StripedDAFSDriver) int {
 // TestStagePoolBoundedAfterBurst: a burst of concurrent batched list
 // writes and reads stages one buffer per server plan in flight, each op's
 // own, pinned through the NIC's registration cache. Every op must come
-// back through unwindow to its driver's free list: the burst leaves the
-// NIC within the sessions' rings and the cache's 64 pins, and a second
-// burst of the same shape reuses those ops and their pinned buffers and
-// registers nothing.
+// back through unwindow to its driver's free list: the burst leaves no
+// pin in use and the NIC within the sessions' rings and the cache's 64
+// pins, and a second burst of the same shape reuses those ops and their
+// pinned buffers and registers nothing.
 func TestStagePoolBoundedAfterBurst(t *testing.T) {
 	const servers, workers = 3, 8
 	const stripe = 4 << 10
@@ -273,15 +273,19 @@ func TestStagePoolBoundedAfterBurst(t *testing.T) {
 		}
 		burst()
 		staged := nic.Regions()
-		if got := staged - rings; got > 64 || got < servers*2 {
-			t.Errorf("%d regions pinned after the burst beside the rings, want at least %d windows and at most the cache's 64", got, servers*2)
+		if got := staged - rings; got > 64 || got < servers*2 || nic.PinsInUse() != 0 {
+			t.Errorf("%d regions pinned after the burst beside the rings, want at least %d windows and at most the cache's 64; %d pins in use, want 0", got, servers*2, nic.PinsInUse())
 		}
 		// A fresh buffer's pin names the next handle the NIC issues.
-		next := func() via.MemHandle { return nic.Pin(p, make([]byte, 1)).Handle }
+		next := func() via.MemHandle {
+			r := nic.Pin(p, make([]byte, 1))
+			nic.Unpin(p, r)
+			return r.Handle
+		}
 		h := next()
 		burst()
-		if got := next() - h; got != 1 || nic.Regions() != staged+2 {
-			t.Errorf("a second burst registered %d regions (%d pinned, want %d)", got-1, nic.Regions()-rings, staged+2-rings)
+		if got := next() - h; got != 1 || nic.Regions() != staged+2 || nic.PinsInUse() != 0 {
+			t.Errorf("a second burst registered %d regions (%d pinned, want %d); %d pins in use, want 0", got-1, nic.Regions()-rings, staged+2-rings, nic.PinsInUse())
 		}
 	})
 	if err := c.Run(); err != nil {

@@ -34,6 +34,8 @@ type Region struct {
 
 	slots [][]byte // ring regions: slot i's pool buffer, nil while it holds no message
 	size  int      // ring regions: the slot size (0: a flat region)
+
+	users int // Pin's callers that have not Unpinned it
 }
 
 // Register pins buf and installs its translation on the NIC. The
@@ -72,44 +74,95 @@ func (n *NIC) Deregister(p *sim.Proc, r *Region) {
 const pinCap = 64
 
 // Pin returns a registration covering buf, for user buffers that direct
-// I/O reuses. With RegCache on it goes through the NIC's one pin-down
-// cache, keyed by buf's data pointer: an entry at that pointer at least
-// as long as buf and still valid is a hit and costs nothing; any other
-// entry there is deregistered and dropped, and the miss registers buf,
-// first deregistering the oldest entry if the cache holds pinCap. With
-// RegCache off Pin is Register. Give the region back with Unpin.
+// I/O and MPI's rendezvous reuse, and counts the caller as one of its
+// users. With RegCache on it goes through the NIC's one pin-down cache,
+// keyed by buf's data pointer: an entry at that pointer at least as long
+// as buf and still valid is a hit and costs nothing. Any other entry there
+// leaves the cache, deregistered unless it is in use. A miss registers buf
+// into the cache, first evicting and deregistering the oldest entry no
+// one uses if the cache holds pinCap; when every entry is in use the
+// registration stays outside the cache. With RegCache off Pin is
+// Register. Give the region back with Unpin.
+//
+// Pin changes the cache before it charges any CPU, so procs that miss at
+// once never hold more than pinCap entries between them. An entry is
+// valid once its registration is charged; until then it is in use, and a
+// Pin of its buffer meanwhile takes it out of the cache like any invalid
+// entry and registers its own.
 func (n *NIC) Pin(p *sim.Proc, buf []byte) *Region {
 	if !n.RegCache {
-		return n.Register(p, buf)
+		r := n.Register(p, buf)
+		r.users = 1
+		return r
 	}
 	key := unsafe.SliceData(buf)
+	var stale *Region
 	for i, r := range n.pins {
 		if unsafe.SliceData(r.buf) != key {
 			continue
 		}
 		if len(r.buf) >= len(buf) && r.Valid() {
+			r.users++
 			return r
 		}
-		n.Deregister(p, r)
 		n.pins = slices.Delete(n.pins, i, i+1)
+		if r.users == 0 {
+			stale = r
+		}
 		break
 	}
+	var victim *Region
 	if len(n.pins) >= pinCap {
-		n.Deregister(p, n.pins[0])
-		n.pins = slices.Delete(n.pins, 0, 1)
+		i := slices.IndexFunc(n.pins, func(r *Region) bool { return r.users == 0 })
+		if i < 0 {
+			n.drop(p, stale)
+			r := n.Register(p, buf)
+			r.users = 1
+			return r
+		}
+		victim = n.pins[i]
+		n.pins = slices.Delete(n.pins, i, i+1)
 	}
-	r := n.Register(p, buf)
+	r := &Region{buf: buf, users: 1}
 	n.pins = append(n.pins, r)
-	return r
+	n.drop(p, stale)
+	n.drop(p, victim)
+	n.Node.Compute(p, n.prov.Prof.RegCost(len(buf)))
+	return n.install(r)
 }
 
-// Unpin gives back a region Pin returned: with RegCache on it stays
-// pinned for the next Pin of its buffer, off it is deregistered. A nil
-// region is a no-op, on a nil NIC too.
-func (n *NIC) Unpin(p *sim.Proc, r *Region) {
-	if r != nil && !n.RegCache {
+// drop deregisters a region that has left the cache, if there is one.
+func (n *NIC) drop(p *sim.Proc, r *Region) {
+	if r != nil {
 		n.Deregister(p, r)
 	}
+}
+
+// Unpin gives back a region Pin returned: one user fewer. A cache entry
+// stays pinned for the next Pin of its buffer; a region outside the cache
+// is deregistered once its last user is gone. A nil region is a no-op,
+// on a nil NIC too.
+func (n *NIC) Unpin(p *sim.Proc, r *Region) {
+	if r == nil {
+		return
+	}
+	r.users--
+	if r.users == 0 && !slices.Contains(n.pins, r) {
+		n.Deregister(p, r)
+	}
+}
+
+// PinsInUse returns how many users hold regions Pin returned and Unpin
+// has not taken back, in the cache or outside it: 0 once every pinner has
+// let go.
+//
+//mpiolint:ignore reach test probe: TestConcurrentPinsKeepTheBound, TestCollectiveListFailureMidExchange, TestStagePoolBoundedAfterBurst, TestListIssueFailureReturnsStaging, TestRendezvousPinsOnce and TestPinCache check that every Pin was unpinned
+func (n *NIC) PinsInUse() int {
+	users := 0
+	for _, r := range n.regions {
+		users += r.users
+	}
+	return users
 }
 
 // RegisterCached installs a registration with no CPU cost, modeling memory

@@ -7,10 +7,14 @@ import (
 	"dafsio/internal/sim"
 )
 
-// The NIC's pin-down cache: a hit is the same region and costs no CPU; a
-// longer buffer at a cached address replaces its entry; a region
-// deregistered elsewhere is never handed out; the 65th distinct buffer
-// evicts the first; and with RegCache off every Pin and Unpin pays.
+// The NIC's pin-down cache, every Pin given back by Unpin: a hit is the
+// same region and costs no CPU; a longer buffer at a cached address
+// replaces its entry; a region deregistered elsewhere is never handed
+// out; the 65th distinct buffer evicts the oldest entry no one uses and
+// never one in use; with every entry in use a miss stays outside the
+// cache and its Unpin deregisters it; a longer buffer at the address of
+// an entry in use leaves that entry valid until its last Unpin; and with
+// RegCache off every Pin and Unpin pays.
 func TestPinCache(t *testing.T) {
 	prof := model.CLAN1998()
 	p2 := newPair(prof)
@@ -34,9 +38,9 @@ func TestPinCache(t *testing.T) {
 
 		long := buf[:cap(buf)]
 		var r2 *Region
-		c := cost(func() { r2 = n.Pin(p, long) })
-		if want := prof.MemDeregCost + prof.RegCost(len(long)); r2 == r || r.Valid() || c != want {
-			t.Errorf("longer buffer: same region %v, old still valid %v, %v of CPU (want %v)", r2 == r, r.Valid(), c, want)
+		c := cost(func() { r2 = n.Pin(p, long); n.Unpin(p, r2) })
+		if want := prof.MemDeregCost + prof.RegCost(len(long)); r2 == r || r.Valid() || !r2.Valid() || c != want {
+			t.Errorf("longer buffer: same region %v, old still valid %v, new valid %v, %v of CPU (want %v)", r2 == r, r.Valid(), r2.Valid(), c, want)
 		}
 		if got := n.Regions() - base; got != 1 {
 			t.Errorf("after the longer buffer: %d regions pinned, want 1", got)
@@ -44,20 +48,77 @@ func TestPinCache(t *testing.T) {
 
 		n.Deregister(p, r2)
 		first := n.Pin(p, long)
+		n.Unpin(p, first)
 		if first == r2 || !first.Valid() {
 			t.Errorf("a region deregistered elsewhere was handed out again")
 		}
+		bufs := [][]byte{long}
 		for i := 1; i < pinCap; i++ {
-			n.Pin(p, make([]byte, 8192))
+			b := make([]byte, 8192, 16384)
+			n.Unpin(p, n.Pin(p, b))
+			bufs = append(bufs, b)
 		}
 		if got := n.Regions() - base; got != pinCap {
 			t.Errorf("%d distinct buffers pinned %d regions", pinCap, got)
 			return
 		}
-		c = cost(func() { n.Pin(p, make([]byte, 8192)) })
+		var extra *Region
+		c = cost(func() { extra = n.Pin(p, make([]byte, 8192)); n.Unpin(p, extra) })
 		if got := n.Regions() - base; got != pinCap || first.Valid() || c != prof.MemDeregCost+prof.RegCost(8192) {
 			t.Errorf("buffer %d: %d regions pinned (want %d), first still valid %v, %v of CPU (want %v)",
 				pinCap+1, got, pinCap, first.Valid(), c, prof.MemDeregCost+prof.RegCost(8192))
+		}
+		// The cache now holds bufs[1:] oldest first, then extra's buffer.
+		bufs = bufs[1:]
+
+		// In use, the oldest entry survives the next miss; the one after
+		// it goes instead.
+		held := n.Pin(p, bufs[0])
+		next := n.Pin(p, bufs[1])
+		n.Unpin(p, next)
+		n.Unpin(p, n.Pin(p, make([]byte, 8192)))
+		if !held.Valid() || next.Valid() {
+			t.Errorf("a miss with the oldest entry in use: oldest valid %v (want true), next-oldest valid %v (want false)", held.Valid(), next.Valid())
+		}
+		n.Unpin(p, held)
+
+		// Every entry in use: a miss registers outside the cache, and its
+		// Unpin deregisters it.
+		var inUse []*Region
+		for _, e := range n.pins {
+			inUse = append(inUse, n.Pin(p, e.buf))
+		}
+		var out *Region
+		if c := cost(func() { out = n.Pin(p, make([]byte, 8192)) }); c != prof.RegCost(8192) || len(n.pins) != pinCap || n.Regions()-base != pinCap+1 {
+			t.Errorf("a miss with every entry in use: %v of CPU (want %v), %d entries (want %d), %d regions (want %d)",
+				c, prof.RegCost(8192), len(n.pins), pinCap, n.Regions()-base, pinCap+1)
+		}
+		if c := cost(func() { n.Unpin(p, out) }); c != prof.MemDeregCost || out.Valid() || n.Regions()-base != pinCap {
+			t.Errorf("its Unpin: %v of CPU (want %v), still valid %v, %d regions (want %d)", c, prof.MemDeregCost, out.Valid(), n.Regions()-base, pinCap)
+		}
+		for _, e := range inUse {
+			if !e.Valid() {
+				t.Errorf("an entry in use was deregistered")
+			}
+			n.Unpin(p, e)
+		}
+
+		// A longer buffer at an entry in use: the entry leaves the cache
+		// but stays valid for its user, and its last Unpin deregisters it.
+		short := n.Pin(p, bufs[2])
+		var longer *Region
+		grown := bufs[2][:cap(bufs[2])]
+		if c := cost(func() { longer = n.Pin(p, grown) }); c != prof.RegCost(len(grown)) || !short.Valid() || longer == short {
+			t.Errorf("longer buffer at an entry in use: %v of CPU (want %v), entry valid %v, same region %v", c, prof.RegCost(len(grown)), short.Valid(), longer == short)
+		}
+		if c := cost(func() { n.Unpin(p, short) }); c != prof.MemDeregCost || short.Valid() {
+			t.Errorf("the replaced entry's last Unpin: %v of CPU (want %v), still valid %v", c, prof.MemDeregCost, short.Valid())
+		}
+		if c := cost(func() { n.Unpin(p, longer) }); c != 0 || !longer.Valid() {
+			t.Errorf("the new entry's Unpin: %v of CPU (want 0), still valid %v", c, longer.Valid())
+		}
+		if got := n.PinsInUse(); got != 0 {
+			t.Errorf("%d pins in use after every Unpin", got)
 		}
 
 		n.RegCache = false
