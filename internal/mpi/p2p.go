@@ -88,15 +88,16 @@ func (r *Rank) sendEager(p *sim.Proc, dst, tag int, data []byte) {
 	}
 }
 
-// sendCtl sends a payload-free control message (RTS or FIN) to dst.
-func (r *Rank) sendCtl(p *sim.Proc, dst int, kind uint8, tag, size int, token uint64, handle via.MemHandle) {
+// sendCtl sends a payload-free control message (RTS or FIN) to dst; an
+// RTS names the sender's data at off in the region of handle.
+func (r *Rank) sendCtl(p *sim.Proc, dst int, kind uint8, tag, size int, token uint64, handle via.MemHandle, off int) {
 	pr := r.pairs[dst]
 	// Same credit discipline as sendEager: the receiving rank returns the
 	// credit in arrival().
 	//mpiolint:ignore blockhold credit returned by the receiving rank in arrival once the envelope is consumed
 	pr.credits.Acquire(p, 1)
 	s, _ := pr.sendPool.Recv(p)
-	encodeEnv(s.bytes(envLen), kind, r.id, tag, size, token, handle, 0)
+	encodeEnv(s.bytes(envLen), kind, r.id, tag, size, token, handle, off)
 	err := pr.vi.PostSend(p, &via.Descriptor{
 		Op: via.OpSend, Region: s.reg, Offset: s.i * r.world.slotSize(), Len: envLen,
 		Ctx: &sendCtx{pr: pr, s: s},
@@ -107,12 +108,12 @@ func (r *Rank) sendCtl(p *sim.Proc, dst int, kind uint8, tag, size int, token ui
 }
 
 func (r *Rank) sendRndv(p *sim.Proc, dst, tag int, data []byte) {
-	reg := r.nic.Pin(p, data) // pin the user buffer for the pull
+	reg, off := r.nic.Pin(p, data) // pin the user buffer for the pull
 	r.rndvSeq++
 	token := r.rndvSeq
 	fin := sim.NewFuture[struct{}](r.world.k)
 	r.fins[token] = fin
-	r.sendCtl(p, dst, kRTS, tag, len(data), token, reg.Handle)
+	r.sendCtl(p, dst, kRTS, tag, len(data), token, reg.Handle, off)
 	fin.Get(p)
 	r.nic.Unpin(p, reg)
 }
@@ -188,10 +189,10 @@ func (r *Rank) deliver(p *sim.Proc, env *envelope, buf []byte) RecvStatus {
 func (r *Rank) pull(p *sim.Proc, env *envelope, buf []byte) int {
 	n := min(env.size, len(buf))
 	if n > 0 {
-		reg := r.nic.Pin(p, buf[:n])
+		reg, off := r.nic.Pin(p, buf[:n])
 		fut := sim.NewFuture[via.Completion](r.world.k)
 		err := r.pairs[env.src].vi.PostSend(p, &via.Descriptor{
-			Op: via.OpRDMARead, Region: reg, Len: n,
+			Op: via.OpRDMARead, Region: reg, Offset: off, Len: n,
 			RemoteHandle: env.handle, RemoteOffset: env.offset, Ctx: fut,
 		})
 		if err != nil {
@@ -203,7 +204,7 @@ func (r *Rank) pull(p *sim.Proc, env *envelope, buf []byte) int {
 			panic(fmt.Sprintf("mpi: rendezvous RDMA error: %v", comp.Err))
 		}
 	}
-	r.sendCtl(p, env.src, kFIN, env.tag, 0, env.token, 0)
+	r.sendCtl(p, env.src, kFIN, env.tag, 0, env.token, 0, 0)
 	return n
 }
 

@@ -45,14 +45,14 @@ func (d *dafsTransfer) startIO(p *sim.Proc, c *dafs.Client, fh dafs.FH, off int6
 // startBatch issues a segment list against one object on session c: each
 // chunk of up to MaxBatch segments moves with a single request plus a
 // single RDMA, and the segments occupy consecutive bytes of reg from
-// offset 0. It is the package's one batch chunker, under every server
+// regOff. It is the package's one batch chunker, under every server
 // plan of a list transfer. The chunks are in flight as one op, whose Wait
 // drains every chunk (each completion recycles a session credit). When a
 // chunk fails to start the ones already in flight are waited out before
 // the error returns.
-func (d *dafsTransfer) startBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, specs []dafs.SegSpec, reg *via.Region, write bool) (AsyncOp, error) {
+func (d *dafsTransfer) startBatch(p *sim.Proc, c *dafs.Client, fh dafs.FH, specs []dafs.SegSpec, reg *via.Region, regOff int, write bool) (AsyncOp, error) {
 	o := d.newBatchOp()
-	for regOff := 0; len(specs) > 0; {
+	for len(specs) > 0 {
 		chunk := specs[:min(len(specs), c.MaxBatch())]
 		var io *dafs.IO
 		var err error

@@ -247,7 +247,7 @@ func (o rankObject) truncate(p *sim.Proc, n int64) error {
 func (o rankObject) Start(p *sim.Proc, off int64, buf []byte, write bool) (AsyncOp, error) {
 	d := o.h.drv
 	w := &fragOp{stripedHandle: o.h, write: write, frags: []layout.Fragment{{Off: off, Len: int64(len(buf))}}, buf: buf, counts: []int{len(buf)}}
-	w.reg = d.pin(p, buf, w.frags)
+	w.reg, w.regOff = d.pin(p, buf, w.frags)
 	defer d.nic.Unpin(p, w.reg)
 	if err := d.once(p, w, 0, o.t, o.r); err != nil {
 		return nil, err

@@ -73,43 +73,44 @@ func (n *NIC) Deregister(p *sim.Proc, r *Region) {
 // pinCap is how many registrations a NIC's pin-down cache keeps.
 const pinCap = 64
 
-// Pin returns a registration covering buf, for user buffers that direct
-// I/O and MPI's rendezvous reuse, and counts the caller as one of its
-// users. With RegCache on it goes through the NIC's one pin-down cache,
-// keyed by buf's data pointer: an entry at that pointer at least as long
-// as buf and still valid is a hit and costs nothing. Any other entry there
-// leaves the cache, deregistered unless it is in use. A miss registers buf
-// into the cache, first evicting and deregistering the oldest entry no
-// one uses if the cache holds pinCap; when every entry is in use the
-// registration stays outside the cache. With RegCache off Pin is
-// Register. Give the region back with Unpin.
+// Pin returns a registration covering buf and the offset at which buf
+// starts in it, for user buffers that direct I/O, list I/O and MPI's
+// rendezvous reuse, and counts the caller as one of its users. With
+// RegCache on it goes through the NIC's one pin-down cache: the oldest
+// valid entry whose buffer holds all of buf is a hit and costs nothing,
+// whether buf starts where the entry does or inside it. On a miss an
+// entry at buf's data pointer (too short, or invalid) leaves the cache,
+// deregistered unless it is in use, and buf is registered into the
+// cache, first evicting and deregistering the oldest entry no one uses if
+// the cache holds pinCap; when every entry is in use the registration
+// stays outside the cache. A registration of buf itself starts it at
+// offset 0. With RegCache off Pin is Register. Give the region back with
+// Unpin.
 //
 // Pin changes the cache before it charges any CPU, so procs that miss at
 // once never hold more than pinCap entries between them. An entry is
 // valid once its registration is charged; until then it is in use, and a
 // Pin of its buffer meanwhile takes it out of the cache like any invalid
 // entry and registers its own.
-func (n *NIC) Pin(p *sim.Proc, buf []byte) *Region {
+func (n *NIC) Pin(p *sim.Proc, buf []byte) (*Region, int) {
 	if !n.RegCache {
 		r := n.Register(p, buf)
 		r.users = 1
-		return r
+		return r, 0
+	}
+	for _, r := range n.pins {
+		if off := r.offsetOf(buf); off >= 0 && r.Valid() {
+			r.users++
+			return r, off
+		}
 	}
 	key := unsafe.SliceData(buf)
 	var stale *Region
-	for i, r := range n.pins {
-		if unsafe.SliceData(r.buf) != key {
-			continue
-		}
-		if len(r.buf) >= len(buf) && r.Valid() {
-			r.users++
-			return r
-		}
-		n.pins = slices.Delete(n.pins, i, i+1)
-		if r.users == 0 {
+	if i := slices.IndexFunc(n.pins, func(r *Region) bool { return unsafe.SliceData(r.buf) == key }); i >= 0 {
+		if r := n.pins[i]; r.users == 0 {
 			stale = r
 		}
-		break
+		n.pins = slices.Delete(n.pins, i, i+1)
 	}
 	var victim *Region
 	if len(n.pins) >= pinCap {
@@ -118,7 +119,7 @@ func (n *NIC) Pin(p *sim.Proc, buf []byte) *Region {
 			n.drop(p, stale)
 			r := n.Register(p, buf)
 			r.users = 1
-			return r
+			return r, 0
 		}
 		victim = n.pins[i]
 		n.pins = slices.Delete(n.pins, i, i+1)
@@ -128,7 +129,21 @@ func (n *NIC) Pin(p *sim.Proc, buf []byte) *Region {
 	n.drop(p, stale)
 	n.drop(p, victim)
 	n.Node.Compute(p, n.prov.Prof.RegCost(len(buf)))
-	return n.install(r)
+	return n.install(r), 0
+}
+
+// offsetOf returns where buf starts in the region's flat buffer, or -1
+// when that buffer does not hold all of buf.
+func (r *Region) offsetOf(buf []byte) int {
+	if r.buf == nil || len(buf) > len(r.buf) {
+		return -1
+	}
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(r.buf)))
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	if at < base || at-base > uintptr(len(r.buf)-len(buf)) {
+		return -1
+	}
+	return int(at - base)
 }
 
 // drop deregisters a region that has left the cache, if there is one.
