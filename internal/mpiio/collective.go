@@ -46,11 +46,16 @@ import (
 // the blocks and requests a rank sends, what it receives from each
 // source, an aggregator's replies and its NoBatch collective buffer all
 // come from the working set the call takes from its driver's pool
-// (scratch.go) and gives back once its last op is waited. At width 1 an
-// aggregator's list and contiguous I/O use those buffers as RDMA windows,
-// registered through the address-keyed registration cache, so from the
-// driver's second collective call on they hit it instead of being pinned
-// again.
+// (scratch.go) and gives back once its last op is waited. An aggregator's
+// I/O uses those buffers as RDMA windows. Its contiguous I/O always did;
+// its list I/O does whenever the aggregator's domain lies on one server,
+// which every domain does at width 1 and every stripe-aligned domain does
+// at any width: a source's block is then one gather plan of one run, and
+// the driver moves it from the buffer in place (StartList), with no copy
+// into staging. The windows are pinned through the registration cache,
+// which hits any entry covering the buffer, so from the driver's second
+// collective call on they hit their own entries or the one the rendezvous
+// pull made for the whole received block, instead of being pinned again.
 //
 // The payoff is turning many small, hole-separated accesses — which pay
 // per-operation latency and server cost — into link-speed bulk transfers,

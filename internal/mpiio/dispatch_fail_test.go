@@ -111,31 +111,42 @@ func TestListIssueFailureReturnsStaging(t *testing.T) {
 // With the registration cache off every window is registered for its op
 // and deregistered when the op is given back, so a list op that skips
 // unwindow, on Wait or on an issue-time failure, leaves a region behind.
-// Width 1 pins the user buffer, width 4 its staging buffers.
+// Width 1 pins the user buffer; width 4 pins its staging buffers for a
+// view whose plans are several runs each, and the user buffer for a view
+// inside one stripe, whose one plan is a single run. The failing write
+// closes the session of the last plan it issues.
 func TestListUnpinsWithoutCache(t *testing.T) {
-	for _, width := range []int{1, 4} {
-		settledRig(t, width, func(p *sim.Proc, c *cluster.Cluster, drv *StripedDAFSDriver, pool []*dafs.Client) {
+	for _, tc := range []struct {
+		name          string
+		width, closed int
+		view          *Datatype
+	}{
+		{"width 1", 1, 0, Vector(32, 512, 2048)},
+		{"width 4, staged", 4, 3, Vector(32, 512, 2048)},
+		{"width 4, single run", 4, 0, Vector(4, 512, 1024)},
+	} {
+		settledRig(t, tc.width, func(p *sim.Proc, c *cluster.Cluster, drv *StripedDAFSDriver, pool []*dafs.Client) {
 			c.NICs[0].RegCache = false
 			f, err := Open(p, nil, drv, "f", ModeRdWr|ModeCreate, nil)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			f.SetView(0, Vector(32, 512, 2048))
-			data := pattern(32 * 512)
+			f.SetView(0, tc.view)
+			data := pattern(int(tc.view.Size()))
 			regions := c.NICs[0].Regions()
 			if _, err := f.WriteAt(p, 0, data); err != nil {
-				t.Errorf("width %d: write: %v", width, err)
+				t.Errorf("%s: write: %v", tc.name, err)
 			}
 			got := make([]byte, len(data))
 			if _, err := f.ReadAt(p, 0, got); err != nil || !bytes.Equal(got, data) {
-				t.Errorf("width %d: read: %v, bytes match %v", width, err, bytes.Equal(got, data))
+				t.Errorf("%s: read: %v, bytes match %v", tc.name, err, bytes.Equal(got, data))
 			}
 			settled(t, c, regions)
-			pool[width-1].Close(p)
+			pool[tc.closed].Close(p)
 			regions = c.NICs[0].Regions()
 			if _, err := f.WriteAt(p, 0, data); !errors.Is(err, dafs.ErrClosed) {
-				t.Errorf("width %d: write over a closed session: %v, want ErrClosed", width, err)
+				t.Errorf("%s: write over a closed session: %v, want ErrClosed", tc.name, err)
 			}
 			settled(t, c, regions)
 		})
