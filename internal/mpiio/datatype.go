@@ -12,6 +12,7 @@ package mpiio
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dafsio/internal/aggregate"
@@ -52,6 +53,9 @@ func Vector(count, blocklen, stride int64) *Datatype {
 	if count < 0 || blocklen < 0 || stride < blocklen {
 		panic("mpiio: invalid vector datatype")
 	}
+	if count > 0 && (!mulFits(count-1, stride) || (count-1)*stride > math.MaxInt64-blocklen) {
+		panic("mpiio: vector datatype extent overflows int64")
+	}
 	segs := make([]Segment, 0, count)
 	for i := int64(0); i < count; i++ {
 		segs = append(segs, Segment{Off: i * stride, Len: blocklen})
@@ -67,6 +71,9 @@ func Indexed(blocks []Segment) *Datatype {
 	for _, b := range blocks {
 		if b.Off < 0 || b.Len < 0 {
 			panic("mpiio: negative block in indexed datatype")
+		}
+		if b.Len > math.MaxInt64-b.Off {
+			panic("mpiio: indexed datatype block overflows int64")
 		}
 		if b.Len > 0 {
 			segs = append(segs, b)
@@ -103,9 +110,13 @@ func Indexed(blocks []Segment) *Datatype {
 // elements — the standard datatype for block-decomposed matrices
 // (MPI_Type_create_subarray).
 func Subarray2D(rows, cols, startRow, startCol, subRows, subCols, elemSize int64) *Datatype {
-	if startRow < 0 || startCol < 0 || subRows < 0 || subCols < 0 ||
-		startRow+subRows > rows || startCol+subCols > cols || elemSize <= 0 {
+	if rows < 0 || cols < 0 || startRow < 0 || startCol < 0 || subRows < 0 || subCols < 0 ||
+		subRows > rows-startRow || subCols > cols-startCol || elemSize <= 0 {
 		panic("mpiio: invalid subarray bounds")
+	}
+	// Every row's offset and length lie inside the full array's extent.
+	if !mulFits(rows, cols) || !mulFits(rows*cols, elemSize) {
+		panic("mpiio: subarray datatype extent overflows int64")
 	}
 	blocks := make([]Segment, 0, subRows)
 	for r := int64(0); r < subRows; r++ {
@@ -118,6 +129,9 @@ func Subarray2D(rows, cols, startRow, startCol, subRows, subCols, elemSize int64
 	d.extent = rows * cols * elemSize // full array extent so tiles don't interleave
 	return d
 }
+
+// mulFits reports whether a*b, for non-negative a and b, fits in an int64.
+func mulFits(a, b int64) bool { return a == 0 || b <= math.MaxInt64/a }
 
 // Resized returns a copy of d with a new extent (MPI_Type_create_resized).
 // The extent must cover the type map.

@@ -1,6 +1,7 @@
 package mpiio
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -75,6 +76,15 @@ func TestIndexedOverlapPanics(t *testing.T) {
 	Indexed([]Segment{{Off: 0, Len: 10}, {Off: 5, Len: 10}})
 }
 
+func TestIndexedOverflowPanics(t *testing.T) {
+	defer func() {
+		if got := recover(); got != "mpiio: indexed datatype block overflows int64" {
+			t.Fatalf("panic %v", got)
+		}
+	}()
+	Indexed([]Segment{{Off: math.MaxInt64, Len: 1}})
+}
+
 func TestSubarray2D(t *testing.T) {
 	// 4x6 array of 2-byte elements; 2x3 tile at (1,2).
 	d := Subarray2D(4, 6, 1, 2, 2, 3, 2)
@@ -84,6 +94,34 @@ func TestSubarray2D(t *testing.T) {
 	}
 	if d.Size() != 12 || d.Extent() != 48 {
 		t.Fatalf("%v", d)
+	}
+}
+
+// A constructor whose extent would overflow int64 panics with its own
+// message before it allocates the type map.
+func TestDatatypeOverflowPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		make func()
+		want string
+	}{
+		{"subarray extent", func() { Subarray2D(1<<32, 1<<32, 0, 0, 1, 1, 1<<10) }, "mpiio: subarray datatype extent overflows int64"},
+		{"vector stride", func() { Vector(3, 1, 1<<62) }, "mpiio: vector datatype extent overflows int64"},
+		{"vector count", func() { Vector(1<<62, 1, 4) }, "mpiio: vector datatype extent overflows int64"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got any
+			allocs := testing.AllocsPerRun(1, func() {
+				defer func() { got = recover() }()
+				tc.make()
+			})
+			if got != tc.want {
+				t.Fatalf("panic %v, want %q", got, tc.want)
+			}
+			if allocs != 0 {
+				t.Fatalf("%v allocations before the panic, want 0", allocs)
+			}
+		})
 	}
 }
 
