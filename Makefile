@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt bench bench-e2e evaluation stat loc all
+.PHONY: build test race lint fmt bench-e2e evaluation stat loc all
 
 all: build test race lint
 
@@ -22,12 +22,6 @@ race:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mpiolint ./...
-
-# bench measures the simulator kernel on the 10k-proc synthetic load and
-# verifies the run against the committed BENCH_simkernel.json (exact
-# determinism, events/sec within 20%).
-bench:
-	$(GO) run ./cmd/simbench -check BENCH_simkernel.json -tolerance 0.20
 
 # bench-e2e runs the repository's end-to-end benchmark (benchmark/README.md:
 # six workloads, reps in fresh child processes, tracing off) into

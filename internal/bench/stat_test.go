@@ -119,22 +119,3 @@ func TestStatT16Recovery(t *testing.T) {
 		t.Fatal("surviving server did not out-write the killed one")
 	}
 }
-
-// The synthetic kernel load's schedule is byte-identical with the metrics
-// plane on: same checksum, same virtual clock; only the sampler's own
-// tick events grow the dispatched count.
-func TestKernelLoadMetricsChecksum(t *testing.T) {
-	cfg := KernelLoadConfig{Clients: 200, Servers: 10, Rounds: 4}
-	off := RunKernelLoad(cfg)
-	cfg.MetricsTick = 100 * sim.Microsecond
-	on := RunKernelLoad(cfg)
-	if off.Checksum != on.Checksum || off.SimTime != on.SimTime || off.Replies != on.Replies {
-		t.Fatalf("metrics perturbed the kernel load: off=%+v on=%+v", off, on)
-	}
-	if on.Events <= off.Events {
-		t.Fatalf("sampler ticks missing from event count: off=%d on=%d", off.Events, on.Events)
-	}
-	if on.Reg == nil || on.Reg.Samples() == 0 {
-		t.Fatal("metrics registry missing from the -metrics load")
-	}
-}

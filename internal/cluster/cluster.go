@@ -64,11 +64,11 @@ type Config struct {
 	// bit-identical behaviour to builds without the hook.
 	Faults func(k *sim.Kernel) *fault.Injector
 	// Metrics, when non-nil, installs the metrics plane, wired exactly
-	// like Tracer: use metrics.Installer(tick). Only `mpio stat`, the
-	// benchmark's traced run and `simbench -metrics` install it; every
-	// other run has no registry. Every layer built afterwards registers
-	// its instruments with the registry, and each injected component fault
-	// bumps the fault.injected counter. Observational only — simulated
+	// like Tracer: use metrics.Installer(tick). Only `mpio stat` and the
+	// benchmark's traced run install it; every other run has no
+	// registry. Every layer built afterwards registers its instruments
+	// with the registry, and each injected component fault bumps the
+	// fault.injected counter. Observational only — simulated
 	// results are byte-identical with it on or off.
 	Metrics func(k *sim.Kernel) *metrics.Registry
 }

@@ -5,8 +5,8 @@
 // "mpiio.striped.client0.retries") and a simulated-time sampler that
 // snapshots every instrument on a configurable tick into in-memory time
 // series. A run has a registry only when cluster.Config.Metrics installs
-// one, which `mpio stat`, the benchmark's traced run and `simbench
-// -metrics` do; every other run carries none.
+// one, which `mpio stat` and the benchmark's traced run do; every other
+// run carries none.
 //
 // Everything here is observational, like internal/trace: instruments
 // never wake procs, never advance virtual time, and never touch the

@@ -54,10 +54,11 @@ type wheelLevel struct {
 //
 // The wheel stays because it is faster, not because a heap would be
 // wrong. A 4-ary intrusive min-heap with the same (at, seq) order passes
-// every test and keeps simbench's event count and checksum, but runs the
-// full simbench load at a median 1.74M events/s against the wheel's 2.69M
-// (five alternating runs each on a 2-core Xeon, go1.24; ranges 1.65-1.83M
-// and 2.24-2.83M).
+// every test and keeps the synthetic kernel load's event count and
+// checksum (bench.RunKernelLoad, pinned by
+// TestKernelLoadMatchesCommittedReport), but runs the full 10k-proc load
+// at a median 1.74M events/s against the wheel's 2.69M (five alternating
+// runs each on a 2-core Xeon, go1.24; ranges 1.65-1.83M and 2.24-2.83M).
 //
 // cur is the wheel cursor: placement of an event compares its timestamp
 // against cur's bit groups, and cur only ever advances to instants that

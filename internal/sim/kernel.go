@@ -52,7 +52,8 @@ func NewKernel() *Kernel { return &Kernel{gate: make(chan struct{})} }
 func (k *Kernel) Now() Time { return k.now }
 
 // Events returns the number of events the kernel has dispatched since
-// creation — the primary throughput unit reported by cmd/simbench.
+// creation — the unit of the benchmark's sim.events_per_host_s and
+// sim.synthetic_events_per_s.
 func (k *Kernel) Events() uint64 { return k.dispatched }
 
 // Live returns the number of live procs: spawned and not yet finished,
