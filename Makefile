@@ -16,10 +16,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint runs the stock vet suite plus mpiolint, the repo's own invariant
-# checkers (simtime, detrand, errwrap, blockhold, reach — see DESIGN.md
-# §7 and §12).
+# lint checks formatting (gofmt -s), then runs the stock vet suite plus
+# mpiolint, the repo's own invariant checkers (simtime, detrand, errwrap,
+# reach — see DESIGN.md §7 and §12).
 lint:
+	@out="$$(gofmt -s -l .)"; if [ -n "$$out" ]; then echo "gofmt -s needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/mpiolint ./...
 

@@ -10,17 +10,16 @@
 //	detrand   no unseeded/global randomness or order-sensitive map
 //	          iteration in result-producing code
 //	errwrap   protocol-layer errors wrap package sentinels (%w)
-//	blockhold no may-park call while holding a sim.Resource
-//	          (flow-sensitive: CFG + interprocedural may-park set)
 //	reach     every non-test function is reached from a main, init,
 //	          package var or kept declaration (module call graph)
 //
 // Each pass is kept because it is the only gate that catches some seeded
-// bug (DESIGN.md §7). Memory registration is not linted: the VIA NIC
-// rejects a descriptor whose region is not the one it registered.
+// bug (DESIGN.md §7). Two invariants are not linted but checked at run
+// time: the VIA NIC rejects a descriptor whose region is not the one it
+// registered, and the simulator fails a run in which a proc parks while
+// it holds a sim.Resource.
 //
-// A finding that is correct by design — typically a resource handed to a
-// peer proc that releases it — is suppressed at the site with
+// A finding that is correct by design is suppressed at the site with
 // `//mpiolint:ignore <pass> <justification>`; the justification is
 // mandatory and recorded in the source. For reach, the directive is the
 // keep-list: written as the last line of a function's doc comment, it
@@ -36,7 +35,6 @@ import (
 	"os"
 
 	"dafsio/internal/analysis"
-	"dafsio/internal/analysis/blockhold"
 	"dafsio/internal/analysis/detrand"
 	"dafsio/internal/analysis/errwrap"
 	"dafsio/internal/analysis/reach"
@@ -47,7 +45,6 @@ var suite = []*analysis.Analyzer{
 	simtime.Analyzer,
 	detrand.Analyzer,
 	errwrap.Analyzer,
-	blockhold.Analyzer,
 	reach.Analyzer,
 }
 

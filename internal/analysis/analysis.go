@@ -7,8 +7,8 @@
 // go/types, and `go list` for package discovery), so the linter needs no
 // dependencies beyond the Go toolchain itself. The passes encode invariants
 // the compiler cannot see: simulated-time discipline, deterministic
-// randomness, sentinel-error wrapping at the protocol layers, and no
-// parking while a simulated resource is held.
+// randomness, sentinel-error wrapping at the protocol layers, and that
+// every function is reached from an entry point or kept on purpose.
 package analysis
 
 import (
@@ -42,8 +42,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	diags   *[]Diagnostic
-	ignored map[ignoreSite]bool
+	diags *[]Diagnostic
 }
 
 // Diagnostic is one reported violation.
@@ -117,8 +116,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // cover the statement under the block). The justification is mandatory —
 // a suppression with no recorded reason is reported as a violation of
 // its own. Ignores are for invariants deliberately traded away (e.g. a
-// resource acquired here and released by a peer proc under a documented
-// ownership transfer), not for quieting the linter.
+// function kept for its tests, which reach would otherwise delete), not
+// for quieting the linter.
 const ignorePrefix = "//mpiolint:ignore"
 
 // ignoreSite is one suppressed (file, line, analyzer) coordinate.
@@ -129,8 +128,7 @@ type ignoreSite struct {
 }
 
 // ignoreSites collects the coordinates suppressed by well-formed
-// directives in one package, reporting malformed ones through onBad (when
-// non-nil).
+// directives in one package, reporting malformed ones through onBad.
 func ignoreSites(pkg *Package, out map[ignoreSite]bool, onBad func(token.Pos)) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -141,9 +139,7 @@ func ignoreSites(pkg *Package, out map[ignoreSite]bool, onBad func(token.Pos)) {
 				}
 				fields := strings.Fields(rest)
 				if len(fields) < 2 {
-					if onBad != nil {
-						onBad(c.Pos())
-					}
+					onBad(c.Pos())
 					continue
 				}
 				from := pkg.Fset.Position(c.Pos())
@@ -181,20 +177,6 @@ func applyIgnores(pkgs []*Package, diags []Diagnostic) []Diagnostic {
 		kept = append(kept, d)
 	}
 	return kept
-}
-
-// IgnoredAt reports whether a diagnostic from the named analyzer at pos
-// would be suppressed by an ignore directive. Flow-sensitive passes use
-// this to neutralize a hazard at its source — an acquire annotated with
-// `//mpiolint:ignore blockhold <why>` opens no window at all, so one
-// directive on the acquire covers every downstream call in the window.
-func (p *Pass) IgnoredAt(pos token.Pos) bool {
-	if p.ignored == nil {
-		p.ignored = map[ignoreSite]bool{}
-		ignoreSites(&Package{Fset: p.Fset, Files: p.Files}, p.ignored, nil)
-	}
-	at := p.Fset.Position(pos)
-	return p.ignored[ignoreSite{at.Filename, at.Line, p.Analyzer.Name}]
 }
 
 // Format renders a diagnostic the way `go vet` does:

@@ -1,9 +1,9 @@
 // Package callgraph builds a typed, module-wide call graph and derives the
-// simulator's blocking and scheduling sets from it.
+// simulator's scheduling set from it.
 //
 // It generalizes the sink derivation that used to live inside the detrand
 // pass (a syntactic, bare-name, sim-package-only fixpoint) into a reusable
-// layer the flow-sensitive passes share:
+// layer the passes share:
 //
 //   - Nodes are function declarations, keyed by a loader-independent
 //     string ("pkgpath.Recv.Method" / "pkgpath.Func"), so sets derived
@@ -15,7 +15,7 @@
 //   - A second edge set, Refs, holds every function the body names at all:
 //     calls, function and method values (SpawnDaemon(name, s.worker)),
 //     and the bodies of asynchronous literals. It is the reach pass's
-//     edge set; Calls, which the blocking sets use, ignores values.
+//     edge set; Calls, which the scheduling set uses, ignores values.
 //   - Function literals are merged into their enclosing declaration —
 //     calling a locally-built closure runs its body on the caller's
 //     stack — except literals handed to the kernel's asynchronous
@@ -23,20 +23,10 @@
 //     bodies run on some other proc or in kernel context later: a caller
 //     does not block just because the proc it spawned eventually does.
 //
-// Two anchor sets matter:
-//
-//   - may-block (the detrand sinks): everything reaching Kernel.schedule
-//     or pushWaiter — mutating event order or wait-list order, the set
-//     whose call order is semantically order-sensitive.
-//   - may-park: everything reaching Proc.park — operations that can leave
-//     the calling proc parked on a FIFO whose wake requires *another
-//     proc* to act (Resource.Acquire, Chan.Recv, Future.Get...). The
-//     non-blocking forms an engine steps with (Chan.Poll, Chan.Offer,
-//     Resource.Claim) enlist on the same FIFOs through pushWaiter but
-//     return at once, and timer waits (Proc.Wait) suspend without
-//     parking: they always wake by themselves and cannot deadlock. None
-//     of them is in this set. blockhold flags may-park calls made while
-//     holding a sim.Resource.
+// One anchor set is derived, may-block (the detrand sinks): everything
+// reaching Kernel.schedule or pushWaiter — mutating event order or
+// wait-list order, the set whose call order is semantically
+// order-sensitive.
 package callgraph
 
 import (
@@ -59,13 +49,11 @@ const SimPkgPath = modulePath + "/internal/sim"
 const modulePath = "dafsio"
 
 // The funnels (see internal/sim/kernel.go and proc.go): every event-queue
-// insertion flows through Kernel.schedule, every wait-list registration
-// through pushWaiter, and every suspension that waits for a peer's wake
-// through Proc.park.
+// insertion flows through Kernel.schedule, and every wait-list
+// registration through pushWaiter.
 const (
 	anchorSchedule = SimPkgPath + ".Kernel.schedule"
 	anchorEnlist   = SimPkgPath + ".pushWaiter"
-	anchorPark     = SimPkgPath + ".Proc.park"
 )
 
 // asyncSpawners are sim entry points whose function-literal arguments run
@@ -457,14 +445,13 @@ func (g *Graph) ReachersOf(isAnchor func(key string) bool) map[string]bool {
 	return reach
 }
 
-// moduleCache memoizes the whole-module graph and its derived sets; the
+// moduleCache memoizes the whole-module graph and its derived set; the
 // source is fixed for the lifetime of a lint run.
 var moduleCache struct {
-	once    sync.Once
-	graph   *Graph
-	mayPark map[string]bool
-	sinks   map[string]bool
-	err     error
+	once  sync.Once
+	graph *Graph
+	sinks map[string]bool
+	err   error
 }
 
 // Module returns the call graph of every package in the dafsio module
@@ -479,27 +466,12 @@ func Module() (*Graph, error) {
 		}
 		g := Build(pkgs)
 		moduleCache.graph = g
-		moduleCache.mayPark = g.ReachersOf(func(k string) bool { return k == anchorPark })
 		moduleCache.sinks = g.ReachersOf(func(k string) bool {
 			return k == anchorEnlist || k == anchorSchedule
 		})
 	})
 	return moduleCache.graph, moduleCache.err
 }
-
-// MayPark returns the module-wide set of function keys that can leave the
-// calling proc parked on a peer-woken wait list (transitively reaching
-// sim's Proc.park). This is blockhold's interprocedural oracle.
-func MayPark() (map[string]bool, error) {
-	if _, err := Module(); err != nil {
-		return nil, err
-	}
-	return moduleCache.mayPark, nil
-}
-
-// IsParkAnchor reports whether key is the park funnel itself — exposed so
-// a pass can extend the module set with fixture-local reachability.
-func IsParkAnchor(key string) bool { return key == anchorPark }
 
 // SimSinks returns detrand's scheduling-sink set: every exported sim
 // function or method (on an exported receiver) that transitively reaches

@@ -1,9 +1,6 @@
 package callgraph
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestSimSinksGolden pins the may-block derivation over the live sim
 // package against the sink list detrand derived before this package
@@ -21,7 +18,8 @@ func TestSimSinksGolden(t *testing.T) {
 		"Proc.Spawn", "Proc.Wait", "Proc.Sleep",
 		"Chan.Send", "Chan.TrySend", "Chan.Recv", "Chan.TryRecv", "Chan.Close",
 		"Chan.Poll", "Chan.Offer",
-		"Resource.Acquire", "Resource.Release", "Resource.Use", "Resource.Claim",
+		"Resource.Release", "Resource.Use", "Resource.UseFunc", "Resource.Claim",
+		"Credits.Acquire", "Credits.Release",
 		"Future.Set",
 		"WaitGroup.Add", "WaitGroup.Done",
 		"Future.Get", "WaitGroup.Wait",
@@ -33,75 +31,15 @@ func TestSimSinksGolden(t *testing.T) {
 	}
 	mustNotHave := []string{
 		"Kernel.NewEvent", "Kernel.Reserve", "NewKernel", "NewChan", "NewResource",
+		"Credits.Init",
 		"Kernel.Now", "Kernel.Events", "Proc.Now", "Future.Done",
-		"Chan.Len", "Resource.InUse",
+		"Chan.Len", "Credits.InUse", "Resource.BusyTime",
 		"Kernel.Run", "Kernel.Shutdown",
 		"Kernel.schedule", "Kernel.wake", "pushWaiter",
 	}
 	for _, k := range mustNotHave {
 		if sinks[k] {
 			t.Errorf("sim sinks wrongly contains %s", k)
-		}
-	}
-}
-
-// TestMayParkSemantics pins the narrower park set blockhold consumes:
-// operations whose wake requires another proc are in; self-waking timer
-// waits and pure wake sources are out. Holding a Resource across a
-// Proc.Wait is the modeled cost of Resource.Use — it must stay legal.
-func TestMayParkSemantics(t *testing.T) {
-	park, err := MayPark()
-	if err != nil {
-		t.Fatalf("deriving may-park set: %v", err)
-	}
-	sim := SimPkgPath + "."
-	for _, k := range []string{
-		"Resource.Acquire", "Resource.Use",
-		"Chan.Send", "Chan.Recv",
-		"Future.Get", "WaitGroup.Wait",
-	} {
-		if !park[sim+k] {
-			t.Errorf("may-park missing %s%s", sim, k)
-		}
-	}
-	for _, k := range []string{
-		"Proc.Wait", "Proc.Sleep", // timer waits: the kernel wakes them
-		"Chan.Poll", "Chan.Offer", "Resource.Claim", // enlist an engine, never park
-		"Resource.Release", "Chan.TrySend", "Chan.TryRecv",
-		"Future.Set", "WaitGroup.Done",
-		"Kernel.At", "Kernel.After", "Kernel.Spawn", "Kernel.SpawnEngine",
-	} {
-		if park[sim+k] {
-			t.Errorf("may-park wrongly contains %s%s", sim, k)
-		}
-	}
-}
-
-// TestMayParkCrossesPackages checks the set is module-wide, not
-// sim-only: driver entry points that transitively Recv on reply channels
-// or Acquire resources must be in it.
-func TestMayParkCrossesPackages(t *testing.T) {
-	park, err := MayPark()
-	if err != nil {
-		t.Fatalf("deriving may-park set: %v", err)
-	}
-	found := false
-	for k := range park {
-		if !strings.HasPrefix(k, SimPkgPath+".") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("may-park set contains no functions outside internal/sim")
-	}
-	for _, k := range []string{
-		"dafsio/internal/dafs.Client.start",
-		"dafsio/internal/mpi.Rank.Send",
-		"dafsio/internal/mpi.Rank.Recv",
-	} {
-		if !park[k] {
-			t.Errorf("may-park missing cross-package blocker %s", k)
 		}
 	}
 }
@@ -113,15 +51,15 @@ func TestModuleGraphShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module graph: %v", err)
 	}
-	n := g.Nodes[SimPkgPath+".Resource.Acquire"]
+	n := g.Nodes[SimPkgPath+".fifo.acquire"]
 	if n == nil {
-		t.Fatal("no node for Resource.Acquire")
+		t.Fatal("no node for fifo.acquire")
 	}
-	if !n.Calls[SimPkgPath+".Proc.park"] || !n.Calls[SimPkgPath+".Resource.Claim"] {
-		t.Errorf("Resource.Acquire edges = %v, want Proc.park and Resource.Claim", n.Calls)
+	if !n.Calls[SimPkgPath+".Proc.park"] || !n.Calls[SimPkgPath+".fifo.claim"] {
+		t.Errorf("fifo.acquire edges = %v, want Proc.park and fifo.claim", n.Calls)
 	}
-	if n := g.Nodes[SimPkgPath+".Resource.Claim"]; n == nil || !n.Calls[SimPkgPath+".pushWaiter"] {
-		t.Error("Resource.Claim has no edge to pushWaiter")
+	if n := g.Nodes[SimPkgPath+".fifo.claim"]; n == nil || !n.Calls[SimPkgPath+".pushWaiter"] {
+		t.Error("fifo.claim has no edge to pushWaiter")
 	}
 	// Generic methods key by their origin receiver name.
 	if g.Nodes[SimPkgPath+".Chan.Recv"] == nil {

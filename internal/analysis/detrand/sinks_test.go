@@ -19,7 +19,8 @@ func TestDerivedSinks(t *testing.T) {
 		"Proc.Spawn", "Proc.Wait", "Proc.Sleep",
 		// Wake sources.
 		"Chan.Send", "Chan.TrySend", "Chan.Recv", "Chan.TryRecv", "Chan.Close",
-		"Resource.Acquire", "Resource.Release", "Resource.Use",
+		"Resource.Release", "Resource.Use", "Resource.UseFunc",
+		"Credits.Acquire", "Credits.Release",
 		"Future.Set",
 		"WaitGroup.Add", "WaitGroup.Done",
 		// Wait-list registration (park-FIFO position is order-sensitive).
@@ -33,9 +34,10 @@ func TestDerivedSinks(t *testing.T) {
 	mustNotHave := []string{
 		// Constructors and pool management.
 		"Kernel.NewEvent", "Kernel.Reserve", "NewKernel", "NewChan", "NewResource",
+		"Credits.Init",
 		// Pure readers.
 		"Kernel.Now", "Kernel.Events", "Kernel.Goroutines", "Proc.Now", "Future.Done",
-		"Chan.Len", "Resource.InUse",
+		"Chan.Len", "Credits.InUse", "Resource.BusyTime",
 		// The run loop consumes events; it does not schedule them.
 		"Kernel.Run", "Kernel.Shutdown",
 		// Unexported funnels must not leak into the exported set.

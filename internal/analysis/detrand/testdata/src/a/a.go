@@ -52,9 +52,9 @@ func badMapRecv(p *sim.Proc, m map[int]*sim.Chan[int]) {
 	}
 }
 
-func badMapAcquire(p *sim.Proc, m map[string]*sim.Resource) {
-	for _, r := range m { // want `map iteration calls sim\.Resource\.Acquire`
-		r.Acquire(p, 1)
+func badMapAcquire(p *sim.Proc, m map[string]*sim.Credits) {
+	for _, c := range m { // want `map iteration calls sim\.Credits\.Acquire`
+		c.Acquire(p, 1)
 	}
 }
 

@@ -26,16 +26,16 @@ func TestSimtimeTracer(t *testing.T) {
 // around a run) are not.
 func TestMatch(t *testing.T) {
 	for path, want := range map[string]bool{
-		"dafsio/internal/sim":          true,
-		"dafsio/internal/via":          true,
-		"dafsio/internal/mpiio":        true,
-		"dafsio/internal/bench":        true,
-		"dafsio/internal/trace":        true,
-		"dafsio/internal/metrics":      true,
-		"dafsio/internal/aggregate":    true,
-		"dafsio/cmd/mpio":              false,
-		"dafsio/internal/analysis":     false,
-		"dafsio/internal/analysis/cfg": false,
+		"dafsio/internal/sim":                true,
+		"dafsio/internal/via":                true,
+		"dafsio/internal/mpiio":              true,
+		"dafsio/internal/bench":              true,
+		"dafsio/internal/trace":              true,
+		"dafsio/internal/metrics":            true,
+		"dafsio/internal/aggregate":          true,
+		"dafsio/cmd/mpio":                    false,
+		"dafsio/internal/analysis":           false,
+		"dafsio/internal/analysis/callgraph": false,
 	} {
 		if got := simtime.Analyzer.Match(path); got != want {
 			t.Errorf("Match(%q) = %v, want %v", path, got, want)

@@ -226,7 +226,7 @@ type Client struct {
 	// encodes every request (an encode never parks, so one is enough).
 	vi      via.VI
 	cq      via.CQ
-	credits sim.Resource
+	credits sim.Credits
 	reqPool slotPool[*slot]
 	first   Call
 	w       wr
@@ -323,7 +323,7 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	c.m = newClientMetrics(prov.Metrics, nic.Node.Name)
 	nic.InitCQ(&c.cq, nic.Label("dafs.cq"), c.dispatch)
 	nic.InitVI(&c.vi, &c.cq, &c.cq)
-	c.credits.Init(c.k, nic.Label("dafs.credits"), credits)
+	c.credits.Init(c.k, credits)
 	c.reqPool.init(c.k, c.reqIdle[:0])
 	c.first.init(c)
 	c.putCall(&c.first)
@@ -568,7 +568,6 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 	// response arrives (or by fail() on session death), never by this
 	// proc — so parking on the slot pool or send queue below cannot
 	// deadlock against the release.
-	//mpiolint:ignore blockhold credit released by the completion handler on response arrival or session failure
 	c.credits.Acquire(p, 1)
 	s := c.reqPool.get(p)
 	c.m.credits.Add(1)

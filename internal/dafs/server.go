@@ -457,7 +457,7 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if count < 0 || count > sess.maxInline {
 			return StatusTooBig, reply{}
 		}
-		n := clampCount(f.Size(), off, count)
+		n := f.ReadLen(off, count)
 		s.touchDisk(p, off, n)
 		// Server CPU copies out of the buffer cache into the response
 		// message: the inline path's server-side copy.
@@ -525,7 +525,7 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if count < 0 || count > MaxTransfer {
 			return StatusInval, reply{}
 		}
-		n := clampCount(f.Size(), off, count)
+		n := f.ReadLen(off, count)
 		s.touchDisk(p, off, n)
 		// Zero server CPU data path: a one-segment batch read, gathered
 		// from the buffer cache and DMAed into client memory.
@@ -723,17 +723,6 @@ func firstBad(st Status, r *rd) Status {
 		return StatusProto
 	}
 	return st
-}
-
-// clampCount limits a read to the bytes that exist.
-func clampCount(size, off int64, count int) int {
-	if off < 0 || off >= size {
-		return 0
-	}
-	if rem := size - off; int64(count) > rem {
-		return int(rem)
-	}
-	return count
 }
 
 // touchDisk charges a disk access on uncached servers; sequential

@@ -146,9 +146,8 @@ func (n *Node) Claim(owner string, match func(payload any) bool) *Iface {
 // order sent. An engine takes the same steps without blocking: ClaimTx,
 // LinkTime of serialization, Transmit.
 func (n *Node) Send(p *sim.Proc, fr Frame) {
-	n.txLink.Acquire(p, 1)
-	p.Wait(n.LinkTime(fr.Bytes))
-	n.Transmit(fr)
+	n.txLink.Use(p, 1, n.LinkTime(fr.Bytes))
+	n.put(fr)
 }
 
 // ClaimTx is Send's first step for an engine: it queues p for the transmit
@@ -163,8 +162,15 @@ func (n *Node) LinkTime(bytes int) sim.Time {
 
 // Transmit is Send's last step: the caller has held the transmit link for
 // the frame's LinkTime. It releases the link and puts the frame on the
-// wire, to land in the destination's receive queue after the wire latency.
+// wire.
 func (n *Node) Transmit(fr Frame) {
+	n.txLink.Release(1)
+	n.put(fr)
+}
+
+// put puts a frame on the wire, to land in the destination's receive
+// queue after the wire latency.
+func (n *Node) put(fr Frame) {
 	if fr.Bytes <= 0 {
 		panic("fabric: frame with non-positive size")
 	}
@@ -173,7 +179,6 @@ func (n *Node) Transmit(fr Frame) {
 	}
 	fr.Src = n.ID
 	f := n.fab
-	n.txLink.Release(1)
 	f.bytesSent += int64(fr.Bytes)
 	d := f.freeDeliv
 	if d != nil {
@@ -199,9 +204,7 @@ func (i *Iface) Recv(p *sim.Proc) (Frame, bool) {
 		return Frame{}, false
 	}
 	n := i.node
-	n.rxLink.Acquire(p, 1)
-	p.Wait(n.LinkTime(fr.Bytes))
-	i.Received()
+	n.rxLink.Use(p, 1, n.LinkTime(fr.Bytes))
 	return fr, true
 }
 

@@ -130,7 +130,7 @@ func (s *slot) release(n int) { s.reg.Release(s.i, n) }
 type pair struct {
 	peer     int
 	vi       *via.VI
-	credits  *sim.Resource    // sender-side credits toward this peer
+	credits  sim.Credits      // sender-side credits toward this peer
 	sendPool *sim.Chan[*slot] // free send bounce slots
 
 	// The bounce rings, registered into records the pair owns, with their
@@ -212,9 +212,9 @@ func connectPair(a, b *Rank) {
 		pr := &pair{
 			peer:     peer,
 			vi:       vi,
-			credits:  sim.NewResource(w.k, fmt.Sprintf("mpi.%d->%d.credits", r.id, peer), eagerCredits),
 			sendPool: sim.NewChan[*slot](w.k, 0),
 		}
+		pr.credits.Init(w.k, eagerCredits)
 		ss := w.slotSize()
 		r.nic.RegisterCachedRing(&pr.sendReg, pr.sendTable[:], ss)
 		r.nic.RegisterCachedRing(&pr.recvReg, pr.recvTable[:], ss)

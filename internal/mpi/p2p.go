@@ -72,7 +72,6 @@ func (r *Rank) sendEager(p *sim.Proc, dst, tag int, data []byte) {
 	// in arrival() once the envelope is consumed (credit-based flow
 	// control), so this proc never releases it and may park on the send
 	// pool meanwhile.
-	//mpiolint:ignore blockhold credit returned by the receiving rank in arrival once the envelope is consumed
 	pr.credits.Acquire(p, 1)
 	s, _ := pr.sendPool.Recv(p)
 	buf := s.bytes(envLen + len(data))
@@ -94,7 +93,6 @@ func (r *Rank) sendCtl(p *sim.Proc, dst int, kind uint8, tag, size int, token ui
 	pr := r.pairs[dst]
 	// Same credit discipline as sendEager: the receiving rank returns the
 	// credit in arrival().
-	//mpiolint:ignore blockhold credit returned by the receiving rank in arrival once the envelope is consumed
 	pr.credits.Acquire(p, 1)
 	s, _ := pr.sendPool.Recv(p)
 	encodeEnv(s.bytes(envLen), kind, r.id, tag, size, token, handle, off)

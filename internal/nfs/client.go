@@ -59,7 +59,7 @@ type Client struct {
 	srvNode fabric.NodeID
 	opts    MountOptions
 
-	inflight *sim.Resource
+	inflight sim.Credits
 	pending  map[uint32]*Call
 	nextXID  uint32
 	bufs     msgBufs // idle request and reply buffers
@@ -127,15 +127,15 @@ func Mount(p *sim.Proc, stack *kstack.Stack, srv *Server, opts *MountOptions) (*
 		return nil, err
 	}
 	c := &Client{
-		stack:    stack,
-		sock:     sock,
-		prof:     srv.prof,
-		k:        srv.k,
-		srvNode:  srv.stack.Node.ID,
-		opts:     o,
-		inflight: sim.NewResource(srv.k, stack.Node.Name+".nfs.biod", o.MaxInFlight),
-		pending:  make(map[uint32]*Call),
+		stack:   stack,
+		sock:    sock,
+		prof:    srv.prof,
+		k:       srv.k,
+		srvNode: srv.stack.Node.ID,
+		opts:    o,
+		pending: make(map[uint32]*Call),
 	}
+	c.inflight.Init(srv.k, o.MaxInFlight)
 	c.k.SpawnDaemon(stack.Node.Name+".nfs.dispatch", c.dispatch)
 	if err := c.roundtrip(p, ProcNull, func(w *wire.Writer) {}, nil); err != nil {
 		return nil, err
@@ -185,7 +185,6 @@ func (c *Client) start(p *sim.Proc, proc Proc, enc func(w *wire.Writer)) (*Call,
 	// The in-flight slot is held for the whole RPC and released by the
 	// reply daemon when the response arrives (dispatch), never by this
 	// proc — the client's flow-control window.
-	//mpiolint:ignore blockhold slot released by the reply daemon on response arrival, never by this proc
 	c.inflight.Acquire(p, 1)
 	c.nextXID++
 	xid := c.nextXID

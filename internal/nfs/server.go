@@ -188,7 +188,7 @@ func (s *Server) exec(p *sim.Proc, proc Proc, r *wire.Reader, w *wire.Writer) St
 		if count < 0 || count > kstack.MaxDatagram-1024 {
 			return ErrsInval
 		}
-		n := clampCount(f.Size(), off, count)
+		n := f.ReadLen(off, count)
 		if s.disk != nil && n > 0 {
 			s.disk.AccessAt(p, off, n)
 		}
@@ -235,14 +235,4 @@ func bad(st Status, r *wire.Reader) Status {
 		return ErrsProto
 	}
 	return st
-}
-
-func clampCount(size, off int64, count int) int {
-	if off < 0 || off >= size {
-		return 0
-	}
-	if rem := size - off; int64(count) > rem {
-		return int(rem)
-	}
-	return count
 }

@@ -80,11 +80,17 @@ func TestCloseWakesBlockedSender(t *testing.T) {
 func TestResourcePanicsOnBadCounts(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "r", 2)
+	var c Credits
+	c.Init(k, 2)
 	for _, fn := range []func(){
 		func() { r.Release(1) },              // release without acquire
 		func() { NewResource(k, "bad", 0) },  // zero capacity
-		func() { r.Acquire(&Proc{k: k}, 3) }, // over capacity
-		func() { r.Acquire(&Proc{k: k}, 0) }, // zero count
+		func() { r.Use(&Proc{k: k}, 3, 0) },  // over capacity
+		func() { r.Use(&Proc{k: k}, 0, 0) },  // zero count
+		func() { c.Release(1) },              // credits: release without acquire
+		func() { new(Credits).Init(k, 0) },   // credits: zero capacity
+		func() { c.Acquire(&Proc{k: k}, 3) }, // credits: over capacity
+		func() { c.Acquire(&Proc{k: k}, 0) }, // credits: zero count
 	} {
 		func() {
 			defer func() {

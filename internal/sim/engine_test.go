@@ -24,9 +24,7 @@ func engineScenario(t *testing.T, asEngine bool) ([]string, uint64) {
 		log = append(log, fmt.Sprintf("%v #%d ", k.Now(), k.Events())+fmt.Sprintf(format, a...))
 	}
 	k.Spawn("holder", func(p *Proc) {
-		res.Acquire(p, 1)
-		p.Wait(10)
-		res.Release(1)
+		res.Use(p, 1, 10)
 		logf("holder released")
 	})
 	k.Spawn("producer", func(p *Proc) {
@@ -49,10 +47,10 @@ func engineScenario(t *testing.T, asEngine bool) ([]string, uint64) {
 			p.Wait(3)
 			v, _ := in.Recv(p) // empty until t=5
 			logf("subject got %d", v)
-			res.Acquire(p, 1) // held by holder until t=10
-			logf("subject granted")
-			p.Wait(4)
-			res.Release(1)
+			res.UseFunc(p, 1, func() Time { // held by holder until t=10
+				logf("subject granted")
+				return 4
+			})
 			out.Send(p, 10)
 			out.Send(p, 11) // full until the consumer takes 10 at t=30
 			logf("subject sent")

@@ -35,8 +35,9 @@ type Proc struct {
 	step    func(p *Proc) // engines only: runs once per step event, never parks
 	done    bool
 	daemon  bool
-	armed   bool // a step event or a wake is arranged (engines end when not)
-	liveIdx int  // index in k.live; -1 when finished
+	armed   bool  // a step event or a wake is arranged (engines end when not)
+	holds   uint8 // Resource holds whose duration p is working out (UseFunc); park panics while non-zero
+	liveIdx int   // index in k.live; -1 when finished
 
 	// stepEv is the proc's intrusive kernel event: Spawn, Wait, and every
 	// wake schedule it, so stepping a proc never allocates. The park/wake
@@ -45,8 +46,8 @@ type Proc struct {
 	stepEv Event
 
 	// Intrusive wait-list link and per-wait state, used by Chan, Resource,
-	// Future, and WaitGroup. A parked proc sits on at most one wait list
-	// at a time, so one set of fields suffices.
+	// Credits, Future, and WaitGroup. A parked proc sits on at most one
+	// wait list at a time, so one set of fields suffices.
 	wnext    *Proc
 	wn       int
 	wgranted bool
@@ -113,6 +114,7 @@ func (k *Kernel) spawn(name string, fn, step func(p *Proc)) *Proc {
 		p.done = false
 		p.daemon = false
 		p.traceCtx = 0
+		p.holds = 0
 	} else {
 		p = &Proc{k: k}
 		p.stepEv.proc = p
@@ -167,7 +169,7 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 // step: Sleep for a timer, Chan.Poll or Chan.Offer to wait on a channel,
 // Resource.Claim to queue for units (the grant steps it, holding them).
 // A step that arranges nothing ends the engine. A step must not block: one
-// that calls Wait, Recv, Send, Acquire or any other parking primitive, or
+// that calls Wait, Recv, Send, Use or any other parking primitive, or
 // that panics, ends Run with an error naming the engine.
 //
 // An engine that makes the same primitive calls in the same order as a
@@ -262,9 +264,16 @@ func (w *worker) exec(k *Kernel) {
 
 // park blocks the process until another component wakes it via k.wake. The
 // caller must have enlisted the process on a wait list (pushWaiter), so the
-// wake takes another proc's action; the lint's may-park set is anchored
-// here. A timer wait suspends without parking: it wakes by itself.
-func (p *Proc) park() { p.suspend() }
+// wake takes another proc's action. A proc that holds a Resource must not
+// park: its holders and waiters could wait on each other for good, so a
+// park inside a hold panics and ends the run naming the proc. A timer wait
+// suspends without parking: it wakes by itself.
+func (p *Proc) park() {
+	if p.holds > 0 {
+		panic("sim: proc parked while holding a resource")
+	}
+	p.suspend()
+}
 
 // suspend gives up the baton until p's step event fires. The suspending
 // proc holds the baton, so it keeps dispatching: if its own step is the

@@ -266,10 +266,10 @@ func TestResourceFIFOAndUtilization(t *testing.T) {
 	work := func(name string, start, dur Time) {
 		k.Spawn(name, func(p *Proc) {
 			p.Wait(start)
-			r.Acquire(p, 1)
-			order = append(order, name)
-			p.Wait(dur)
-			r.Release(1)
+			r.UseFunc(p, 1, func() Time {
+				order = append(order, name)
+				return dur
+			})
 		})
 	}
 	work("a", 0, 100)
@@ -320,28 +320,148 @@ func TestResourceLargeRequestBlocksQueue(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "r", 2)
 	var order []string
-	k.Spawn("hold1", func(p *Proc) {
-		r.Acquire(p, 1)
-		p.Wait(100)
-		r.Release(1)
-	})
+	k.Spawn("hold1", func(p *Proc) { r.Use(p, 1, 100) })
 	k.Spawn("big", func(p *Proc) {
 		p.Wait(1)
-		r.Acquire(p, 2) // needs both units; waits for hold1
-		order = append(order, "big")
-		r.Release(2)
+		r.UseFunc(p, 2, func() Time { // needs both units; waits for hold1
+			order = append(order, "big")
+			return 0
+		})
 	})
 	k.Spawn("small", func(p *Proc) {
 		p.Wait(2)
-		r.Acquire(p, 1) // fits now, but FIFO queues it behind big
-		order = append(order, "small")
-		r.Release(1)
+		r.UseFunc(p, 1, func() Time { // fits now, but FIFO queues it behind big
+			order = append(order, "small")
+			return 0
+		})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(order) != "[big small]" {
 		t.Fatalf("order %v, want big before small (FIFO)", order)
+	}
+}
+
+// A hold lasts its service time and nothing else: a duration function
+// that parks fails the run with an error naming the proc.
+func TestHoldThatParksFailsTheRun(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(k, "arm", 1)
+	ch := NewChan[int](k, 0)
+	k.Spawn("holder", func(p *Proc) {
+		r.UseFunc(p, 1, func() Time {
+			ch.Recv(p) // nobody sends: parks holding the arm
+			return 1
+		})
+	})
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), `process "holder"`) || !strings.Contains(err.Error(), "parked while holding") {
+		t.Fatalf("Run = %v, want a hold-park failure naming the holder", err)
+	}
+}
+
+// A recycled proc record starts with no holds: a proc that unwound out of
+// a duration function does not make the next user of its record fail
+// when it parks.
+func TestRecycledProcHoldsNothing(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(k, "arm", 1)
+	ch := NewChan[int](k, 0)
+	a := k.Spawn("a", func(p *Proc) {
+		defer func() { _ = recover() }()
+		r.UseFunc(p, 1, func() Time { panic("unwind") })
+	})
+	var c *Proc
+	k.Spawn("b", func(p *Proc) {
+		p.Wait(1)
+		c = p.Spawn("c", func(p *Proc) { ch.Recv(p) })
+		p.Wait(1)
+		ch.Send(p, 1)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c != a {
+		t.Fatal("c did not reuse a's record")
+	}
+}
+
+// Claim is an engine's step; a goroutine proc holds units only through Use.
+func TestClaimFromGoroutineProcPanics(t *testing.T) {
+	k := NewKernel()
+	r := NewResource(k, "dma", 1)
+	k.Spawn("claimer", func(p *Proc) { r.Claim(p, 1) })
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), `process "claimer"`) || !strings.Contains(err.Error(), "Claim") {
+		t.Fatalf("Run = %v, want a Claim failure naming the proc", err)
+	}
+}
+
+// Credits admit strictly FIFO, and a holder may park on anything while it
+// holds them: here each sender waits for its reply with its credit held.
+func TestCreditsFIFO(t *testing.T) {
+	k := NewKernel()
+	var c Credits
+	c.Init(k, 1)
+	reply := NewChan[int](k, 0)
+	var order []string
+	for i, name := range []string{"a", "b", "c"} {
+		k.Spawn(name, func(p *Proc) {
+			p.Wait(Time(i * 10))
+			c.Acquire(p, 1)
+			order = append(order, name)
+			reply.Recv(p)
+		})
+	}
+	k.Spawn("peer", func(p *Proc) {
+		for range 3 {
+			p.Wait(100)
+			c.Release(1) // the peer returns the credit, not its holder
+			reply.Send(p, 0)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(order) != "[a b c]" || k.Now() != 300 {
+		t.Fatalf("order %v, end %v; want [a b c] at 300ns", order, k.Now())
+	}
+}
+
+// Credits grant multi-unit requests, and a large request at the head of
+// the queue blocks a smaller one that would fit.
+func TestCreditsMultiUnitAndLargeRequestBlocksQueue(t *testing.T) {
+	k := NewKernel()
+	var c Credits
+	c.Init(k, 2)
+	var order []string
+	k.Spawn("hold1", func(p *Proc) {
+		c.Acquire(p, 1)
+		p.Wait(100)
+		c.Release(1)
+	})
+	k.Spawn("big", func(p *Proc) {
+		p.Wait(1)
+		c.Acquire(p, 2) // needs both units; waits for hold1
+		order = append(order, fmt.Sprint("big@", p.Now()))
+		p.Wait(10)
+		c.Release(2)
+	})
+	k.Spawn("small", func(p *Proc) {
+		p.Wait(2)
+		c.Acquire(p, 1) // fits now, but FIFO queues it behind big
+		order = append(order, fmt.Sprint("small@", p.Now()))
+		if c.InUse() != 1 {
+			t.Errorf("%d credits in use beside small's, want 1", c.InUse())
+		}
+		c.Release(1)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(order) != "[big@100ns small@110ns]" {
+		t.Fatalf("order %v, want big at 100ns then small at 110ns", order)
 	}
 }
 

@@ -140,13 +140,19 @@ func (f *File) Pages() int {
 // Size returns the file length in bytes.
 func (f *File) Size() int64 { return f.size }
 
-// ReadAt copies file content at off into b and returns the byte count; a
-// read past EOF returns a short (possibly zero) count.
-func (f *File) ReadAt(b []byte, off int64) int {
+// ReadLen returns how many bytes a count-byte read at off finds: none at
+// a negative offset or at or past EOF, else count cut at EOF.
+func (f *File) ReadLen(off int64, count int) int {
 	if off < 0 || off >= f.size {
 		return 0
 	}
-	b = b[:min(int64(len(b)), f.size-off)]
+	return int(min(int64(count), f.size-off))
+}
+
+// ReadAt copies file content at off into b and returns the byte count; a
+// read past EOF returns a short (possibly zero) count.
+func (f *File) ReadAt(b []byte, off int64) int {
+	b = b[:f.ReadLen(off, len(b))]
 	for done := 0; done < len(b); {
 		i, o := locate(off + int64(done))
 		rest := b[done:min(len(b), done+pageSize-o)]
@@ -257,24 +263,24 @@ func (d *Disk) scaled(t sim.Time) sim.Time {
 // Access occupies the disk for one positioning plus an n-byte transfer
 // (always seeks: position unknown).
 func (d *Disk) Access(p *sim.Proc, n int) {
-	d.arm.Acquire(p, 1)
-	d.nextOff = -1
-	p.Wait(d.scaled(d.seek + sim.TransferTime(int64(n), d.bw)))
-	d.arm.Release(1)
+	d.arm.UseFunc(p, 1, func() sim.Time {
+		d.nextOff = -1
+		return d.scaled(d.seek + sim.TransferTime(int64(n), d.bw))
+	})
 }
 
 // AccessAt occupies the disk for an n-byte transfer at off, charging the
 // positioning time only when the access is not sequential with the
 // previous one.
 func (d *Disk) AccessAt(p *sim.Proc, off int64, n int) {
-	d.arm.Acquire(p, 1)
-	t := sim.TransferTime(int64(n), d.bw)
-	if off != d.nextOff {
-		t += d.seek
-	}
-	d.nextOff = off + int64(n)
-	p.Wait(d.scaled(t))
-	d.arm.Release(1)
+	d.arm.UseFunc(p, 1, func() sim.Time {
+		t := sim.TransferTime(int64(n), d.bw)
+		if off != d.nextOff {
+			t += d.seek
+		}
+		d.nextOff = off + int64(n)
+		return d.scaled(t)
+	})
 }
 
 // BusyTime reports cumulative disk busy time.

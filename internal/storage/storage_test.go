@@ -93,6 +93,32 @@ func TestReadWriteAt(t *testing.T) {
 	}
 }
 
+// ReadLen is the one clamp every server's read uses: what a read finds of
+// the bytes it asks for.
+func TestReadLen(t *testing.T) {
+	f, _ := NewStore().Create("f")
+	if _, err := f.WriteAt(make([]byte, 100), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		off   int64
+		count int
+		want  int
+	}{
+		{"negative offset", -1, 10, 0},
+		{"offset at EOF", 100, 10, 0},
+		{"offset past EOF", 150, 10, 0},
+		{"partial count", 95, 10, 5},
+		{"full count", 10, 10, 10},
+		{"count to EOF", 90, 10, 10},
+	} {
+		if got := f.ReadLen(c.off, c.count); got != c.want {
+			t.Errorf("%s: ReadLen(%d, %d) = %d, want %d", c.name, c.off, c.count, got, c.want)
+		}
+	}
+}
+
 func TestTruncate(t *testing.T) {
 	s := NewStore()
 	f, _ := s.Create("f")

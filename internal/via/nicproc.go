@@ -26,7 +26,7 @@ import (
 //     response, if any, to txQ.
 //
 // Each engine makes the same primitive calls in the same order that a
-// proc looping over the blocking forms (Recv, Acquire, Wait, Send) made, so
+// proc looping over the blocking forms (Recv, Use, Send) would make, so
 // every event keeps its (Time, seq).
 
 // cellKind discriminates the frame types a VIA NIC puts on the wire.
