@@ -203,7 +203,7 @@ func (c *Cluster) buildServer(i int) {
 	c.Stores = append(c.Stores, store)
 	var disk *storage.Disk
 	if c.cfg.ServerDisk {
-		disk = storage.NewDisk(c.K, name+".disk", c.Prof.DiskSeek, c.Prof.DiskBW)
+		disk = storage.NewDisk(c.K, c.Prof.DiskSeek, c.Prof.DiskBW)
 	}
 	c.Disks = append(c.Disks, disk)
 	if c.cfg.DAFS {

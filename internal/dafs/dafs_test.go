@@ -738,7 +738,7 @@ func TestUncachedServerIsDiskBound(t *testing.T) {
 		store := storage.NewStore()
 		var disk *storage.Disk
 		if withDisk {
-			disk = storage.NewDisk(k, "disk", prof.DiskSeek, prof.DiskBW)
+			disk = storage.NewDisk(k, prof.DiskSeek, prof.DiskBW)
 		}
 		srv := NewServer(prov.NewNIC(srvNode), store, disk)
 		r := &rig{k: k, prof: prof, fab: fab, prov: prov, store: store, srv: srv}

@@ -115,9 +115,9 @@ func (f *Fabric) AddNode(name string) *Node {
 		ID:     NodeID(len(f.nodes)),
 		Name:   name,
 		fab:    f,
-		CPU:    sim.NewResource(f.K, name+".cpu", f.Prof.CPUCores),
-		txLink: sim.NewResource(f.K, name+".tx", 1),
-		rxLink: sim.NewResource(f.K, name+".rx", 1),
+		CPU:    sim.NewResource(f.K, f.Prof.CPUCores),
+		txLink: sim.NewResource(f.K, 1),
+		rxLink: sim.NewResource(f.K, 1),
 	}
 	f.nodes = append(f.nodes, n)
 	return n

@@ -254,7 +254,7 @@ func TestUncachedServerSlower(t *testing.T) {
 		store := storage.NewStore()
 		var disk *storage.Disk
 		if withDisk {
-			disk = storage.NewDisk(k, "d", prof.DiskSeek, prof.DiskBW)
+			disk = storage.NewDisk(k, prof.DiskSeek, prof.DiskBW)
 		}
 		srv := NewServer(srvStack, prof, k, store, disk)
 		cst := kstack.New(fab.AddNode("client"), prof, k)

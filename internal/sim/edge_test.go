@@ -79,12 +79,12 @@ func TestCloseWakesBlockedSender(t *testing.T) {
 
 func TestResourcePanicsOnBadCounts(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "r", 2)
+	r := NewResource(k, 2)
 	var c Credits
 	c.Init(k, 2)
 	for _, fn := range []func(){
 		func() { r.Release(1) },              // release without acquire
-		func() { NewResource(k, "bad", 0) },  // zero capacity
+		func() { NewResource(k, 0) },         // zero capacity
 		func() { r.Use(&Proc{k: k}, 3, 0) },  // over capacity
 		func() { r.Use(&Proc{k: k}, 0, 0) },  // zero count
 		func() { c.Release(1) },              // credits: release without acquire

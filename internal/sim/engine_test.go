@@ -16,7 +16,7 @@ import (
 func engineScenario(t *testing.T, asEngine bool) ([]string, uint64) {
 	t.Helper()
 	k := NewKernel()
-	res := NewResource(k, "res", 1)
+	res := NewResource(k, 1)
 	in := NewChan[int](k, 0)
 	out := NewChan[int](k, 1)
 	var log []string

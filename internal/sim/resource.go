@@ -75,16 +75,14 @@ func (f *fifo) release(n int) {
 // engine takes the same steps without blocking: Claim, Sleep for the
 // service time, Release.
 type Resource struct {
-	Name string
-
 	q          fifo
 	busyInt    float64 // integral of inUse over time, unit-ns
 	lastChange Time
 }
 
 // NewResource creates a resource with the given capacity (>= 1).
-func NewResource(k *Kernel, name string, capacity int) *Resource {
-	r := &Resource{Name: name, lastChange: k.now}
+func NewResource(k *Kernel, capacity int) *Resource {
+	r := &Resource{lastChange: k.now}
 	r.q.init(k, capacity)
 	return r
 }

@@ -261,7 +261,7 @@ func TestChanTryOps(t *testing.T) {
 
 func TestResourceFIFOAndUtilization(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "cpu", 1)
+	r := NewResource(k, 1)
 	var order []string
 	work := func(name string, start, dur Time) {
 		k.Spawn(name, func(p *Proc) {
@@ -294,7 +294,7 @@ func TestResourceFIFOAndUtilization(t *testing.T) {
 
 func TestResourceMultiUnit(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "dma", 2)
+	r := NewResource(k, 2)
 	var done []Time
 	for i := 0; i < 4; i++ {
 		k.Spawn(fmt.Sprint("w", i), func(p *Proc) {
@@ -318,7 +318,7 @@ func TestResourceMultiUnit(t *testing.T) {
 
 func TestResourceLargeRequestBlocksQueue(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "r", 2)
+	r := NewResource(k, 2)
 	var order []string
 	k.Spawn("hold1", func(p *Proc) { r.Use(p, 1, 100) })
 	k.Spawn("big", func(p *Proc) {
@@ -347,7 +347,7 @@ func TestResourceLargeRequestBlocksQueue(t *testing.T) {
 // that parks fails the run with an error naming the proc.
 func TestHoldThatParksFailsTheRun(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "arm", 1)
+	r := NewResource(k, 1)
 	ch := NewChan[int](k, 0)
 	k.Spawn("holder", func(p *Proc) {
 		r.UseFunc(p, 1, func() Time {
@@ -366,7 +366,7 @@ func TestHoldThatParksFailsTheRun(t *testing.T) {
 // when it parks.
 func TestRecycledProcHoldsNothing(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "arm", 1)
+	r := NewResource(k, 1)
 	ch := NewChan[int](k, 0)
 	a := k.Spawn("a", func(p *Proc) {
 		defer func() { _ = recover() }()
@@ -390,7 +390,7 @@ func TestRecycledProcHoldsNothing(t *testing.T) {
 // Claim is an engine's step; a goroutine proc holds units only through Use.
 func TestClaimFromGoroutineProcPanics(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "dma", 1)
+	r := NewResource(k, 1)
 	k.Spawn("claimer", func(p *Proc) { r.Claim(p, 1) })
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), `process "claimer"`) || !strings.Contains(err.Error(), "Claim") {
@@ -545,7 +545,7 @@ func TestDeterminism(t *testing.T) {
 		var sb strings.Builder
 		k := NewKernel()
 		ch := NewChan[int](k, 3)
-		r := NewResource(k, "cpu", 2)
+		r := NewResource(k, 2)
 		wg := NewWaitGroup(k, 5)
 		for i := 0; i < 5; i++ {
 			i := i

@@ -238,8 +238,8 @@ type Disk struct {
 }
 
 // NewDisk creates a disk.
-func NewDisk(k *sim.Kernel, name string, seek sim.Time, bytesPerSec float64) *Disk {
-	return &Disk{arm: sim.NewResource(k, name, 1), seek: seek, bw: bytesPerSec, nextOff: -1}
+func NewDisk(k *sim.Kernel, seek sim.Time, bytesPerSec float64) *Disk {
+	return &Disk{arm: sim.NewResource(k, 1), seek: seek, bw: bytesPerSec, nextOff: -1}
 }
 
 // SetSlowdown multiplies subsequent service times by f (>= 1); f <= 1

@@ -395,7 +395,7 @@ func FuzzFile(f *testing.F) {
 
 func TestDiskTiming(t *testing.T) {
 	k := sim.NewKernel()
-	d := NewDisk(k, "d", 5*sim.Millisecond, 1e6) // 1 MB/s for round numbers
+	d := NewDisk(k, 5*sim.Millisecond, 1e6) // 1 MB/s for round numbers
 	var done sim.Time
 	k.Spawn("io", func(p *sim.Proc) {
 		d.Access(p, 1e6) // 5ms seek + 1s transfer
@@ -415,7 +415,7 @@ func TestDiskTiming(t *testing.T) {
 
 func TestDiskSerializesRequests(t *testing.T) {
 	k := sim.NewKernel()
-	d := NewDisk(k, "d", sim.Millisecond, 1e9)
+	d := NewDisk(k, sim.Millisecond, 1e9)
 	var last sim.Time
 	for i := 0; i < 3; i++ {
 		k.Spawn("io", func(p *sim.Proc) {
@@ -435,7 +435,7 @@ func TestDiskSerializesRequests(t *testing.T) {
 
 func TestDiskSequentialSkipsSeek(t *testing.T) {
 	k := sim.NewKernel()
-	d := NewDisk(k, "d", 5*sim.Millisecond, 1e6)
+	d := NewDisk(k, 5*sim.Millisecond, 1e6)
 	var done sim.Time
 	k.Spawn("io", func(p *sim.Proc) {
 		d.AccessAt(p, 0, 1000)    // seek + 1ms
@@ -454,7 +454,7 @@ func TestDiskSequentialSkipsSeek(t *testing.T) {
 
 func TestDiskAccessResetsPosition(t *testing.T) {
 	k := sim.NewKernel()
-	d := NewDisk(k, "d", sim.Millisecond, 1e9)
+	d := NewDisk(k, sim.Millisecond, 1e9)
 	var done sim.Time
 	k.Spawn("io", func(p *sim.Proc) {
 		d.AccessAt(p, 0, 1000)

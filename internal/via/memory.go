@@ -370,6 +370,7 @@ type bufClass struct {
 type bufPool struct {
 	classes  []*bufClass
 	cells    int // bytes the payloads of cells in flight hold
+	held     int // bytes of the buffers TakeBuf handed out
 	idle     int // bytes of the idle buffers
 	idleHigh int
 }
@@ -378,6 +379,7 @@ type bufPool struct {
 type RingMem struct {
 	Live     int // ring slots of registered rings holding a message
 	Cells    int // payloads of wire cells in flight
+	Held     int // host copies of messages (TakeBuf)
 	Idle     int // pool buffers nothing holds
 	IdleHigh int // the most Idle has been
 }
@@ -385,9 +387,9 @@ type RingMem struct {
 // RingMem reports how much host memory the provider's message buffers
 // hold.
 //
-//mpiolint:ignore reach test probe: TestIdleSessionHoldsNoSlotMemory reads the provider's live and idle slot bytes
+//mpiolint:ignore reach test probe: TestIdleSessionHoldsNoSlotMemory reads the provider's live and idle slot bytes, TestConcurrentRequestsOnOneRank the eager copies MPI holds
 func (pr *Provider) RingMem() RingMem {
-	m := RingMem{Cells: pr.pool.cells, Idle: pr.pool.idle, IdleHigh: pr.pool.idleHigh}
+	m := RingMem{Cells: pr.pool.cells, Held: pr.pool.held, Idle: pr.pool.idle, IdleHigh: pr.pool.idleHigh}
 	for _, n := range pr.nics {
 		for _, r := range n.regions {
 			for _, s := range r.slots {
@@ -396,6 +398,24 @@ func (pr *Provider) RingMem() RingMem {
 		}
 	}
 	return m
+}
+
+// TakeBuf returns n zeroed bytes of a buffer from the provider's pool, of
+// the class for n under a maximum of max (n <= max), for a host copy of a
+// message that outlives its slot (MPI's unexpected eager payloads). Give
+// it back with PutBuf.
+func (pr *Provider) TakeBuf(n, max int) []byte {
+	b := pr.pool.take(n, max)
+	pr.pool.held += len(b)
+	return b[:n]
+}
+
+// PutBuf clears b, a buffer TakeBuf returned, and gives it back to the
+// pool. The caller must hold no other slice of it.
+func (pr *Provider) PutBuf(b []byte) {
+	clear(b)
+	pr.pool.held -= cap(b)
+	pr.pool.put(b)
 }
 
 // class returns the class of size-byte buffers.

@@ -192,8 +192,8 @@ func (pr *Provider) NewNIC(node *fabric.Node) *NIC {
 		RegCache:  true,
 		iface:     iface,
 		prov:      pr,
-		txDMA:     sim.NewResource(pr.K, node.Name+".nic.txdma", 1),
-		rxDMA:     sim.NewResource(pr.K, node.Name+".nic.rxdma", 1),
+		txDMA:     sim.NewResource(pr.K, 1),
+		rxDMA:     sim.NewResource(pr.K, 1),
 		sendWork:  sim.NewChan[*Descriptor](pr.K, 0),
 		txQ:       sim.NewChan[*cell](pr.K, 2),
 		regions:   make(map[MemHandle]*Region),
