@@ -23,7 +23,7 @@ func (f *File) SetAtomicity(p *sim.Proc, on bool) error {
 	}
 	f.atomic = on
 	if f.rank != nil && f.rank.Size() > 1 {
-		f.rank.Barrier(p)
+		f.comm.Barrier(p)
 	}
 	return nil
 }

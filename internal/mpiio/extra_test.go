@@ -188,3 +188,60 @@ func TestSplitCollective(t *testing.T) {
 		f.Close(p)
 	})
 }
+
+// TestOverlappedSplitCollectives has every rank begin split collective
+// writes on two files before it ends either, then split collective reads
+// of both the same way, and checks each rank's bytes read back. The two
+// collectives run at once on each rank, in helper procs of their own, and
+// the files' blocks differ in size, so the exchanges' size words and
+// gathered ranges differ: a collective that reads or sends another's
+// shows as a wrong count, a mismatch or a deadlock.
+func TestOverlappedSplitCollectives(t *testing.T) {
+	const nranks = 4
+	for _, transport := range []string{"dafs", "nfs"} {
+		t.Run(transport, func(t *testing.T) {
+			c := runWorld(t, nranks, transport == "nfs", func(p *sim.Proc, r *mpi.Rank, drv Driver) {
+				var files [2]*File
+				var mine, got [2][]byte
+				for k, shape := range []struct {
+					name          string
+					block, blocks int64
+				}{{"split-a", 1024, 8}, {"split-b", 328, 24}} {
+					f, err := Open(p, r, drv, shape.name, ModeRdWr|ModeCreate, nil)
+					if err != nil {
+						t.Errorf("open %s: %v", shape.name, err)
+						return
+					}
+					files[k] = f
+					f.SetView(interleavedView(r.ID(), nranks, shape.block, shape.blocks))
+					mine[k] = rankPattern(int(shape.block*shape.blocks), r.ID(), byte(7+k*50))
+					got[k] = make([]byte, len(mine[k]))
+				}
+				var reqs [2]*Request
+				for k, f := range files {
+					reqs[k] = f.WriteAtAllBegin(p, 0, mine[k])
+				}
+				for k, req := range reqs {
+					if n, err := req.Wait(p); err != nil || n != len(mine[k]) {
+						t.Errorf("rank %d split write %d: n=%d err=%v", r.ID(), k, n, err)
+					}
+				}
+				for k, f := range files {
+					reqs[k] = f.ReadAtAllBegin(p, 0, got[k])
+				}
+				for k, req := range reqs {
+					if n, err := req.Wait(p); err != nil || n != len(got[k]) {
+						t.Errorf("rank %d split read %d: n=%d err=%v", r.ID(), k, n, err)
+					}
+					if !bytes.Equal(got[k], mine[k]) {
+						t.Errorf("rank %d file %d differs at byte %d", r.ID(), k, firstDiff(got[k], mine[k]))
+					}
+				}
+				for _, f := range files {
+					f.Close(p)
+				}
+			})
+			c.K.Shutdown()
+		})
+	}
+}

@@ -51,7 +51,7 @@ func (f *File) SeekShared(p *sim.Proc, off int64) error {
 	if f.rank.ID() == 0 {
 		f.spCall(p, svcSet, off)
 	}
-	f.rank.Barrier(p)
+	f.comm.Barrier(p)
 	return nil
 }
 
@@ -63,7 +63,7 @@ func (f *File) orderedOffsets(p *sim.Proc, n int) int64 {
 		return f.spCall(p, svcFetchAdd, int64(n))
 	}
 	r := f.rank
-	sizes := r.AllgatherU64(p, uint64(n))
+	sizes := f.comm.AllgatherU64(p, uint64(n))
 	var prefix, total int64
 	for i, s := range sizes {
 		if i < r.ID() {
@@ -75,7 +75,7 @@ func (f *File) orderedOffsets(p *sim.Proc, n int) int64 {
 	if r.ID() == 0 {
 		base = uint64(f.spCall(p, svcFetchAdd, total))
 	}
-	base = r.BcastU64(p, 0, base)
+	base = f.comm.BcastU64(p, 0, base)
 	return int64(base) + prefix
 }
 
