@@ -68,9 +68,9 @@ func TestOutputs(t *testing.T) {
 		}
 	}
 	for _, d := range []struct{ what, path, want string }{
-		{"trace T6 Chrome export", chrome6, "4e3c3e60b6c6cb4a61bb6b18b6a67bbe8b7790b3c67aced3d479730eae6f5dcc"},
+		{"trace T6 Chrome export", chrome6, "b354b514ae72c12c86354f029c09bcee154cef869cbe8dee504a480346a9ef0d"},
 		{"trace T15 Chrome export", chrome15, "c3efa6baf68efe51c37c13582f130893d36333bac62c2c5833276d6d103e704a"},
-		{"trace T17 Chrome export", chrome17, "1ea54ed7b66d175e9e44aa3a2274b5a03fe9fbd5b462c2c933cbbe0c5609ad6f"},
+		{"trace T17 Chrome export", chrome17, "74a7e443445679a6a325b5ef201306dd8f1eeaf894b2a923b7ca497c789333d4"},
 	} {
 		raw, err := os.ReadFile(d.path)
 		if err != nil {

@@ -6,7 +6,7 @@ func Example() {
 	main()
 	// Output:
 	// checkpointed 512 x 512 matrix (2MB) across 4 ranks
-	// collective write: 23.621ms (88.8 MB/s aggregate)
-	// collective read:  22.567ms (92.9 MB/s aggregate)
-	// file verified row-major on the server; simulated time 47.166ms
+	// collective write: 23.613ms (88.8 MB/s aggregate)
+	// collective read:  22.056ms (95.1 MB/s aggregate)
+	// file verified row-major on the server; simulated time 46.646ms
 }

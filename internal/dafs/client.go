@@ -152,20 +152,35 @@ func (call *Call) init(c *Client) {
 	call.body = call.room[:0]
 }
 
-// newCall takes a collected call off the free list, or makes one, and sets
-// it up for a proc request; into is the caller's buffer of an inline read.
+// newCall takes a collected call off the free list, or makes a chunk of
+// them, and sets it up for a proc request; into is the caller's buffer of
+// an inline read.
 func (c *Client) newCall(proc Proc, into []byte, op trace.OpID) *Call {
 	call := c.freeCalls
 	if call != nil {
 		c.freeCalls, call.next, call.idle = call.next, nil, false
 		call.fut.Reset()
 	} else {
-		call = new(Call)
-		call.init(c)
+		call = c.makeCalls()
 	}
 	call.proc, call.into, call.op = proc, into, op
 	call.n, call.readErr = 0, nil
 	return call
+}
+
+// makeCalls makes a chunk of as many calls as the session has made so far
+// (one, the first time), so a high-water of h calls in flight costs
+// O(log h) allocations. It returns the first and frees the rest.
+func (c *Client) makeCalls() *Call {
+	chunk := make([]Call, max(1, c.madeCalls))
+	c.madeCalls += len(chunk)
+	for i := range chunk {
+		chunk[i].init(c)
+	}
+	for i := len(chunk) - 1; i > 0; i-- {
+		c.putCall(&chunk[i])
+	}
+	return &chunk[0]
 }
 
 // putCall gives a collected call back to its session.
@@ -255,6 +270,7 @@ type Client struct {
 	slotSize  int
 
 	freeCalls *Call // collected calls, for the next requests (newCall)
+	madeCalls int   // calls made in chunks (makeCalls)
 
 	// freeExpire pools per-call deadline timers: each carries a reusable
 	// kernel event bound once to its own fire action, so arming a call

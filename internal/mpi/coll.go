@@ -175,16 +175,16 @@ func (c *Comm) AllreduceI64(p *sim.Proc, v int64, op ReduceOp) int64 {
 }
 
 // AlltoallvBytes sends send[i] to rank i and returns what each rank sent to
-// this one (recv[j] came from rank j). It is AlltoallvStream receiving into
-// fresh buffers, with the own payload copied (and the copy charged) before
-// the first exchange.
+// this one (recv[j] came from rank j). It is Alltoallv receiving into
+// fresh buffers, with the own payload copied (and the copy charged) once
+// every send is started.
 func (c *Comm) AlltoallvBytes(p *sim.Proc, send [][]byte) [][]byte {
 	r, n := c.r, c.r.Size()
 	if len(send) != n {
 		panic("mpi: AlltoallvBytes needs one buffer per rank")
 	}
 	recv := make([][]byte, n)
-	c.AlltoallvStream(p, func(dst int) []byte { return send[dst] }, func(_, n int) []byte { return make([]byte, n) }, func(src int, data []byte) {
+	c.Alltoallv(p, func(dst int) []byte { return send[dst] }, func(_, n int) []byte { return make([]byte, n) }, func(src int, data []byte) {
 		if src == r.id {
 			data = append([]byte(nil), data...)
 			if len(data) > 0 {
@@ -196,30 +196,65 @@ func (c *Comm) AlltoallvBytes(p *sim.Proc, send [][]byte) [][]byte {
 	return recv
 }
 
-// AlltoallvStream is the personalized all-to-all with both sides handed
-// over one step at a time, so a caller can act on each source's payload
-// while the later steps are still in flight. Step 0 is this rank's own
-// payload; step k (1 ≤ k < n) is a pairwise exchange that sends to rank
-// id+k and receives from rank id-k (mod n), the size ahead of the payload.
-// send(dst) produces the payload for dst just before its step, into(src, n)
-// returns the buffer, at least n bytes long, that src's n-byte payload is
-// received into, and recv(src, data) is called as the step completes with
-// that buffer cut to n. The own payload is handed to recv as send returned
-// it, uncopied, and into is not asked for it.
+// The two personalized all-to-alls share their steps and callbacks. Step 0
+// is this rank's own payload; step k (1 ≤ k < n) sends to rank id+k and
+// receives from rank id-k (mod n). send(dst) produces the payload for dst;
+// into(src, n) returns the buffer, at least n bytes long, that src's
+// n-byte payload is received into, called when the payload's envelope
+// matches its receive (the eager message and the RTS carry the size, so
+// no size message precedes a payload); and recv(src, data) is handed that
+// buffer cut to n. The own payload is handed to recv as send returned it,
+// uncopied, and into is not asked for it. into may be called from the
+// rank's progress engine, so it must not park, and it is held until the
+// exchange ends: a func value bound once, not a closure made per call,
+// keeps the exchange from allocating.
+
+// AlltoallvStream is the personalized all-to-all handed over one step at a
+// time, so a caller can act on each source's payload while the later steps
+// are still in flight: step k calls send(id+k), exchanges, and calls
+// recv(id-k) as it completes, before step k+1 starts.
 func (c *Comm) AlltoallvStream(p *sim.Proc, send func(dst int) []byte, into func(src, n int) []byte, recv func(src int, data []byte)) {
 	r, n := c.r, c.r.Size()
-	sizeTag := c.nextCollTag()
-	dataTag := c.nextCollTag()
+	tag := c.nextCollTag()
 	recv(r.id, send(r.id))
 	for step := 1; step < n; step++ {
 		dst := (r.id + step) % n
 		src := (r.id - step + n) % n
-		out := send(dst)
-		binary.LittleEndian.PutUint64(c.sizeOut[:], uint64(len(out)))
-		c.Sendrecv(p, dst, sizeTag, c.sizeOut[:], src, sizeTag, c.sizeIn[:])
-		size := int(binary.LittleEndian.Uint64(c.sizeIn[:]))
-		buf := into(src, size)[:size]
-		c.Sendrecv(p, dst, dataTag, out, src, dataTag, buf)
-		recv(src, buf)
+		sreq := c.Isend(p, dst, tag, send(dst))
+		_, data := c.irecv(p, src, tag, nil, into).wait(p)
+		sreq.Wait(p)
+		recv(src, data)
 	}
+}
+
+// Alltoallv is the personalized all-to-all posted whole, as MPICH's and
+// ROMIO's exchange is: it posts every step's receive, then starts each
+// step's send in step order as send(dst) produces it, then hands each
+// payload to recv in step order, and returns once every send is done.
+// Every peer's message that arrives once its receive is posted is matched
+// at once, each rendezvous pull in a proc of its own, so the pulls from
+// all peers overlap, and a send(dst) that parks delays only the sends
+// after it, never a receive.
+func (c *Comm) Alltoallv(p *sim.Proc, send func(dst int) []byte, into func(src, n int) []byte, recv func(src int, data []byte)) {
+	r, n := c.r, c.r.Size()
+	tag := c.nextCollTag()
+	for step := 1; step < n; step++ {
+		c.posts = append(c.posts, c.irecv(p, (r.id-step+n)%n, tag, nil, into))
+	}
+	own := send(r.id)
+	for step := 1; step < n; step++ {
+		dst := (r.id + step) % n
+		c.sends = append(c.sends, c.Isend(p, dst, tag, send(dst)))
+	}
+	recv(r.id, own)
+	for i, q := range c.posts {
+		_, data := q.wait(p)
+		recv((r.id-i-1+n)%n, data)
+	}
+	for _, req := range c.sends {
+		req.Wait(p)
+	}
+	clear(c.posts)
+	clear(c.sends)
+	c.posts, c.sends = c.posts[:0], c.sends[:0]
 }

@@ -29,6 +29,13 @@
 // copied into a buffer of the provider's size-classed pool
 // (via.Provider.TakeBuf) and given back when a receive takes it.
 //
+// A receive can take its buffer from the message: the eager envelope and
+// the RTS carry the payload's size, and the all-to-alls' receives ask
+// their caller for a buffer of that size when the message matches, so no
+// size message goes ahead of a payload. AlltoallvStream runs one pairwise
+// step at a time; Alltoallv posts every receive before any send, as
+// MPICH's exchange does, so a rank pulls from all its peers at once.
+//
 // Messages and collectives run on a communicator (Comm): every rank of the
 // world in a context of its own, carried in each envelope. A message
 // matches only receives of its context, and each communicator numbers its
@@ -220,6 +227,10 @@ type Comm struct {
 	views                [][]byte
 	u64s                 []uint64
 	sizeOut, sizeIn, val [8]byte
+
+	// Alltoallv's posted receives and its sends, in step order.
+	posts []*recv
+	sends []*Req
 }
 
 // Dup makes c a new communicator over r's world, with a context of its own
@@ -232,7 +243,9 @@ func (r *Rank) Dup(c *Comm) {
 
 // recv is the record behind a wait on the message path. As a receive it
 // is posted for progress to match (ctx, src, tag, buf) and resolved through
-// done; its rendezvous pull reads into buf with the RDMA descriptor read,
+// done, or holds in env the eager message or RTS that arrived before it;
+// when into is set, buf is what into returns for the matched message's
+// size. Its rendezvous pull reads into buf with the RDMA descriptor read,
 // whose completion lands in readDone, in the receiving proc for an RTS
 // that arrived first or in a proc of its own, run, for an RTS that found
 // the receive posted (rts keeps that RTS). As a rendezvous send it waits
@@ -242,6 +255,8 @@ type recv struct {
 	ctx      uint32
 	src, tag int
 	buf      []byte
+	into     func(src, n int) []byte
+	env      *envelope
 	done     sim.Future[RecvStatus]
 	rts      envelope
 	read     via.Descriptor

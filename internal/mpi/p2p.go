@@ -116,6 +116,7 @@ func (r *Rank) sendRndv(p *sim.Proc, ctx uint32, dst, tag int, data []byte) {
 // selfSend delivers locally with one memory copy.
 func (r *Rank) selfSend(p *sim.Proc, ctx uint32, tag int, data []byte) {
 	if q := r.matchPosted(ctx, r.id, tag); q != nil {
+		q.sized(r.id, len(data))
 		n := copy(q.buf, data)
 		r.nic.Node.CopyMem(p, n)
 		q.done.Set(RecvStatus{Source: r.id, Tag: tag, Count: n})
@@ -133,19 +134,47 @@ func (r *Rank) selfSend(p *sim.Proc, ctx uint32, tag int, data []byte) {
 // is short, like an MPI receive into a smaller type map would error — here
 // we deliver the prefix).
 func (c *Comm) Recv(p *sim.Proc, src, tag int, buf []byte) RecvStatus {
-	r, ctx := c.r, c.ctx
+	st, _ := c.irecv(p, src, tag, buf, nil).wait(p)
+	return st
+}
+
+// irecv makes the receive of (src, tag) on c and matches it to a message
+// that arrived first, or posts it for progress to match. Its buffer is buf
+// or, when into is set, the one into returns for the matched message's
+// size (sized). A message that arrived first is delivered by wait, in the
+// waiting proc.
+func (c *Comm) irecv(p *sim.Proc, src, tag int, buf []byte, into func(src, n int) []byte) *recv {
+	r := c.r
 	r.nic.Node.Compute(p, r.world.prof.MarshalCost)
-	q := r.newRecv(ctx, src, tag, buf)
-	var st RecvStatus
-	if env := r.takeUnexpected(ctx, src, tag); env != nil {
-		st = q.deliver(p, env)
-		r.putEnv(env)
-	} else {
+	q := r.newRecv(c.ctx, src, tag, buf)
+	q.into = into
+	if q.env = r.takeUnexpected(c.ctx, src, tag); q.env == nil {
 		r.posted = append(r.posted, q)
+	}
+	return q
+}
+
+// wait blocks until the receive irecv made completes, gives its record
+// back and returns its status and payload, in the receive's buffer.
+func (q *recv) wait(p *sim.Proc) (RecvStatus, []byte) {
+	var st RecvStatus
+	if env := q.env; env != nil {
+		st = q.deliver(p, env)
+		q.r.putEnv(env)
+	} else {
 		st = q.done.Get(p)
 	}
-	r.putRecv(q)
-	return st
+	data := q.buf[:st.Count]
+	q.r.putRecv(q)
+	return st, data
+}
+
+// sized gives a receive made with into its buffer once its message of n
+// bytes from src has matched: into's, cut to n.
+func (q *recv) sized(src, n int) {
+	if q.into != nil {
+		q.buf = q.into(src, n)[:n]
+	}
 }
 
 // newRecv takes a recv record off the free list, or makes one, and sets it
@@ -167,7 +196,7 @@ func (r *Rank) newRecv(ctx uint32, src, tag int, buf []byte) *recv {
 
 // putRecv gives a finished recv record back to its rank.
 func (r *Rank) putRecv(q *recv) {
-	q.buf, q.next = nil, r.freeRecvs
+	q.buf, q.into, q.env, q.next = nil, nil, nil, r.freeRecvs
 	r.freeRecvs = q
 }
 
@@ -231,6 +260,7 @@ func (r *Rank) matchPosted(ctx uint32, src, tag int) *recv {
 // deliver completes a receive from an already-arrived envelope in the
 // receiving process's own context (may block for the rendezvous pull).
 func (q *recv) deliver(p *sim.Proc, env *envelope) RecvStatus {
+	q.sized(env.src, env.size)
 	switch env.kind {
 	case kEager:
 		n := copy(q.buf, env.data)
@@ -319,6 +349,7 @@ func (r *Rank) arrival(p *sim.Proc, n int, s *slot) {
 	switch env.kind {
 	case kEager:
 		if q := r.matchPosted(env.ctx, env.src, env.tag); q != nil {
+			q.sized(env.src, env.size)
 			c := copy(q.buf, payload)
 			r.nic.Node.CopyMem(p, c) // bounce -> user buffer
 			s.finish(p, n)
@@ -337,6 +368,7 @@ func (r *Rank) arrival(p *sim.Proc, n int, s *slot) {
 	case kRTS:
 		if q := r.matchPosted(env.ctx, env.src, env.tag); q != nil {
 			q.rts = env
+			q.sized(env.src, env.size)
 			s.finish(p, n)
 			r.world.k.Spawn(r.pullName, q.run)
 			return

@@ -58,16 +58,18 @@ func countRounds(t *testing.T, n, warm, extra int, round func(p *sim.Proc, r *Ra
 }
 
 // TestMessageAllocs counts the heap allocations of a message once the
-// rank's records exist: after one warm round (which fills the free lists,
-// the pools and the kernel's worker goroutines), the allocations of the
+// rank's records exist: after two warm rounds (which fill the free lists,
+// the pools and the kernel's worker goroutines; the posted exchange holds
+// the most records at once only from its second round on, and after one
+// warm round it counted 14 allocations in 16 rounds), the allocations of the
 // next rounds divided by the messages they send. Each path is a round of
 // its own: eager Send and Recv, one arrival finding its receive posted and
 // one arriving unexpected; a rendezvous Sendrecv each way, whose pulls run
 // in a spawned proc on one side and in the receiving proc on the other,
-// each answered by a FIN; AlltoallvStream over four ranks, eager and
-// rendezvous payloads, the size of each step ahead of it; and an
-// AllreduceI64 followed by a Barrier. A message counts as one Send,
-// the collectives' own included.
+// each answered by a FIN; AlltoallvStream and Alltoallv over four ranks,
+// eager and rendezvous payloads, each receive buffer sized from its
+// envelope by an into bound once; and an AllreduceI64 followed by a
+// Barrier. A message counts as one Send, the collectives' own included.
 //
 // Every path records 0 allocations per message, the top of three runs
 // whole test and alone, so the budget is 0 (+ 2%). Before requests,
@@ -101,7 +103,11 @@ func TestMessageAllocs(t *testing.T) {
 		r.Barrier(p)
 	}
 	a2a := func(p *sim.Proc, r *Rank) {
-		a2aRound(p, r)
+		a2aRound(p, r, (*Comm).AlltoallvStream)
+		r.Barrier(p)
+	}
+	a2aPosted := func(p *sim.Proc, r *Rank) {
+		a2aRound(p, r, (*Comm).Alltoallv)
 		r.Barrier(p)
 	}
 	reduce := func(p *sim.Proc, r *Rank) {
@@ -118,12 +124,13 @@ func TestMessageAllocs(t *testing.T) {
 	}{
 		{"eager", 2, 2 + 2, eager},
 		{"rendezvous", 2, 2 + 2, rndv},
-		{"alltoallv", 4, 4*3*2 + 8, a2a},
+		{"alltoallv", 4, 4*3 + 8, a2a},
+		{"alltoallv-posted", 4, 4*3 + 8, a2aPosted},
 		{"allreduce", 4, 4*3 + 8, reduce},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const extra = 16
-			m := countRounds(t, tc.ranks, 1, extra, tc.round)
+			m := countRounds(t, tc.ranks, 2, extra, tc.round)
 			perMsg := float64(m) / float64(extra*tc.msgs)
 			if budget := 0 * 1.02; perMsg > budget {
 				t.Errorf("a message makes %.4f heap allocations (%d in %d messages), budget %.4f", perMsg, m, extra*tc.msgs, budget)
@@ -149,18 +156,26 @@ var (
 		return out
 	}()
 	a2aIn [4][4][]byte
+	// a2aInto is each rank's receive-buffer source, bound once: a closure
+	// made per round would be an allocation the exchange holds.
+	a2aInto = func() (into [4]func(src, n int) []byte) {
+		for me := range into {
+			into[me] = func(src, n int) []byte {
+				if cap(a2aIn[me][src]) < n {
+					a2aIn[me][src] = make([]byte, n)
+				}
+				return a2aIn[me][src]
+			}
+		}
+		return into
+	}()
 )
 
-// a2aRound is one AlltoallvStream over four ranks, receiving into buffers
-// the rank keeps from round to round.
-func a2aRound(p *sim.Proc, r *Rank) {
+// a2aRound is one all-to-all of a2aOut over four ranks, streamed or
+// posted, receiving into buffers the rank keeps from round to round.
+func a2aRound(p *sim.Proc, r *Rank, exchange func(c *Comm, p *sim.Proc, send func(int) []byte, into func(int, int) []byte, recv func(int, []byte))) {
 	me := r.ID()
-	r.AlltoallvStream(p, func(dst int) []byte { return a2aOut[me][dst] }, func(src, n int) []byte {
-		if cap(a2aIn[me][src]) < n {
-			a2aIn[me][src] = make([]byte, n)
-		}
-		return a2aIn[me][src]
-	}, func(int, []byte) {})
+	exchange(&r.Comm, p, func(dst int) []byte { return a2aOut[me][dst] }, a2aInto[me], func(int, []byte) {})
 }
 
 // TestConcurrentRequestsOnOneRank runs two helper procs on rank 0 at once,

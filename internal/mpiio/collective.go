@@ -29,18 +29,25 @@ import (
 //     Reads: ranks ship their (offset, length) requests to the owners,
 //     which read the pieces and ship them back.
 //
-// Both directions stream the exchange one source at a time
+// Writes stream their exchange one source at a time
 // (mpi.AlltoallvStream), the pipelined two-phase of Thakur, Gropp and
-// Lusk, and NoBatch (which Open sets over a leaf without batch I/O)
-// changes only the I/O an aggregator starts. With batch I/O an aggregator
-// starts a list write on each source's block the moment it arrives, and
-// starts one list read per source straight into that source's reply,
-// waiting on it only at the exchange step that ships it — so the servers
-// work while the exchange is still in flight. With NoBatch it keeps the
-// blocks and, after the stream, writes them as sorted contiguous runs; and
-// it reads its merged ranges in contiguous chunks, all started at once,
-// before the reply exchange, each step of which cuts its source's reply
-// from them. The read requests, which carry no data, stream the same way.
+// Lusk: with batch I/O an aggregator starts a list write on each source's
+// block the moment its step completes, so the servers work while the
+// later steps are in flight. Reads post their whole exchange, as ROMIO
+// does (mpi.Alltoallv): every receive is posted before any send starts,
+// so every peer's reply or request arrives, and its rendezvous pull runs,
+// while this rank still waits on its own reads; with batch I/O an
+// aggregator starts one list read per source straight into that source's
+// reply and waits on it only when the exchange sends it. The read
+// requests, which carry no data, go through the same posted exchange.
+// (Posting the write exchange too would deliver every block at its end,
+// after which the list writes would start all at once.) Every receive
+// buffer is sized from the message's envelope, so no size message
+// precedes a payload. NoBatch (which Open sets over a leaf without batch
+// I/O) changes only the I/O an aggregator starts: it keeps the blocks and,
+// after the stream, writes them as sorted contiguous runs; and it reads
+// its merged ranges in contiguous chunks, all started at once, before the
+// reply exchange, which cuts each source's reply from them.
 //
 // Every exchange buffer is persistent, as ROMIO's collective buffer is:
 // the blocks and requests a rank sends, what it receives from each
@@ -137,10 +144,9 @@ func (f *File) exchangeWrite(p *sim.Proc, sc *scratch, blocks [][]byte) error {
 		sc.kept = zeroed(sc.kept, n)
 		kept = sc.kept
 	}
-	sc.in = grown(sc.in, n)
 	var err error
 	endEx := f.aggSpan(p, "exchange")
-	f.comm.AlltoallvStream(p, func(dst int) []byte { return blocks[dst] }, sc.in.into, func(src int, b []byte) {
+	f.comm.AlltoallvStream(p, func(dst int) []byte { return blocks[dst] }, sc.in.reset(n), func(src int, b []byte) {
 		if err != nil {
 			return
 		}
@@ -394,37 +400,36 @@ type reqRef struct {
 	n      int
 }
 
-// exchangeRequests ships each owner this rank's read requests and returns
-// what every source asked of this rank, each in that source's request
-// buffer of the set — the own requests copied there, and the copy charged,
-// as mpi.AlltoallvBytes does.
+// exchangeRequests ships each owner this rank's read requests over the
+// posted exchange and returns what every source asked of this rank, each
+// in that source's request buffer of the set — the own requests copied
+// there, and the copy charged, as mpi.AlltoallvBytes does.
 func (f *File) exchangeRequests(p *sim.Proc, sc *scratch, send [][]byte) [][]byte {
-	r := f.rank
-	sc.reqs = grown(sc.reqs, len(send))
-	f.comm.AlltoallvStream(p, func(dst int) []byte { return send[dst] }, sc.reqs.into, func(src int, data []byte) {
+	r, reqs := f.rank, &sc.reqs
+	f.comm.Alltoallv(p, func(dst int) []byte { return send[dst] }, reqs.reset(len(send)), func(src int, data []byte) {
 		if src == r.ID() {
-			sc.reqs[src] = append(sc.reqs[src][:0], data...)
+			reqs.bufs[src] = append(reqs.bufs[src][:0], data...)
 			if len(data) > 0 {
 				r.NIC().Node.CopyMem(p, len(data))
 			}
 		}
 	})
-	return sc.reqs
+	return reqs.bufs
 }
 
-// exchangeRead serves this rank's domain and streams each source its
-// reply, cut from the set's replies; each owner's reply to this rank is
-// received into that owner's buffer of the set. With batch I/O it starts
-// one list read per source, straight into the data area of that source's
-// reply, in the order the exchange ships the replies (this rank's own
-// first), and waits on each source's read only at the step that sends it;
-// a read that comes back short — an EOF hole, which batch reads zero-fill
-// and report only as a total — is redone for that source alone by the
-// contiguous reader. With NoBatch the contiguous reader reads the merged
-// requests of every source before the exchange, and each step cuts its
-// source's reply from that buffer. After a failure the remaining sources
-// get empty replies, but every started read is waited and the exchange
-// runs to the end, as every rank must.
+// exchangeRead serves this rank's domain and sends each source its reply,
+// cut from the set's replies, over the posted exchange; each owner's reply
+// to this rank is received into that owner's buffer of the set. With batch
+// I/O it starts one list read per source, straight into the data area of
+// that source's reply, in the order the exchange ships the replies (this
+// rank's own first), and waits on each source's read only when the
+// exchange sends it; a read that comes back short — an EOF hole, which
+// batch reads zero-fill and report only as a total — is redone for that
+// source alone by the contiguous reader. With NoBatch the contiguous
+// reader reads the merged requests of every source before the exchange,
+// and each send cuts its source's reply from that buffer. After a failure
+// the remaining sources get empty replies, but every started read is
+// waited and the exchange runs to the end, as every rank must.
 func (f *File) exchangeRead(p *sim.Proc, sc *scratch, reqs [][]byte) ([][]byte, error) {
 	n, me := len(reqs), f.rank.ID()
 	var err error
@@ -473,10 +478,9 @@ func (f *File) exchangeRead(p *sim.Proc, sc *scratch, reqs [][]byte) ([][]byte, 
 	}
 
 	sc.got = zeroed(sc.got, n)
-	sc.in = grown(sc.in, n)
 	datas := sc.got
 	endEx := f.aggSpan(p, "exchange")
-	f.comm.AlltoallvStream(p, func(dst int) []byte {
+	f.comm.Alltoallv(p, func(dst int) []byte {
 		if f.hints.NoBatch {
 			if err != nil || len(reqs[dst]) == 0 {
 				return nil
@@ -503,7 +507,7 @@ func (f *File) exchangeRead(p *sim.Proc, sc *scratch, reqs [][]byte) ([][]byte, 
 			return nil
 		}
 		return reply
-	}, sc.in.into, func(src int, data []byte) { datas[src] = data })
+	}, sc.in.reset(n), func(src int, data []byte) { datas[src] = data })
 	endEx()
 	return datas, err
 }

@@ -102,12 +102,25 @@ func grown[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-// recvBufs is an exchange's receive buffer per source.
-type recvBufs [][]byte
+// recvBufs is an exchange's receive buffer per source, with the exchange's
+// into bound to them once, so that handing it over allocates nothing.
+type recvBufs struct {
+	bufs [][]byte
+	into func(src, n int) []byte // grow, bound once
+}
 
-// into is mpi.AlltoallvStream's receive-buffer source: src's buffer, grown
-// to n bytes.
-func (b recvBufs) into(src, n int) []byte {
-	b[src] = grown(b[src], n)
-	return b[src]
+// reset sizes the buffers for n sources and returns the exchange's into.
+func (b *recvBufs) reset(n int) func(src, n int) []byte {
+	b.bufs = grown(b.bufs, n)
+	if b.into == nil {
+		b.into = b.grow
+	}
+	return b.into
+}
+
+// grow is the exchange's receive-buffer source: src's buffer, grown to n
+// bytes.
+func (b *recvBufs) grow(src, n int) []byte {
+	b.bufs[src] = grown(b.bufs[src], n)
+	return b.bufs[src]
 }

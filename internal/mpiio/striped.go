@@ -58,11 +58,12 @@ type striped struct {
 	// simulated time. The DAFS constructors set defaultResilverRate.
 	ResilverRate float64
 
-	handles   []*stripedHandle // open handles (heal / reshape coverage)
-	next      *Reshape         // in-progress reshape, nil when none
-	free      []*fragOp        // waited contiguous ops, for reuse
-	freePlans []*planOp        // waited list ops, for reuse
-	scratch   []*scratch       // working sets of noncontiguous calls, for reuse (scratch.go)
+	handles     []*stripedHandle // open handles (heal / reshape coverage)
+	next        *Reshape         // in-progress reshape, nil when none
+	free        []*fragOp        // waited contiguous ops, for reuse
+	madeFragOps int              // ops made in chunks (makeFragOps)
+	freePlans   []*planOp        // waited list ops, for reuse
+	scratch     []*scratch       // working sets of noncontiguous calls, for reuse (scratch.go)
 }
 
 // pool is everything a striped driver knows about one layout: the sessions

@@ -204,14 +204,14 @@ type fragOp struct {
 
 const inlineFrags = 4
 
-// newFragOp takes an op from the free list (or makes one) and maps
-// [off, off+len(buf)) onto it.
+// newFragOp takes an op from the free list (or makes a chunk of them) and
+// maps [off, off+len(buf)) onto it.
 func (d *striped) newFragOp(h *stripedHandle, off int64, buf []byte, write bool) *fragOp {
 	var o *fragOp
 	if n := len(d.free); n > 0 {
 		o, d.free = d.free[n-1], d.free[:n-1]
 	} else {
-		o = new(fragOp)
+		o = d.makeFragOps()
 	}
 	o.stripedHandle, o.write, o.buf = h, write, buf
 	o.frags = d.striping.AppendMap(o.inline.frags[:0], off, int64(len(buf)))
@@ -219,6 +219,19 @@ func (d *striped) newFragOp(h *stripedHandle, off int64, buf []byte, write bool)
 		o.counts = zeroed(o.inline.counts[:0], len(o.frags))
 	}
 	return o
+}
+
+// makeFragOps makes a chunk of as many ops as the driver has made so far
+// (one, the first time), so a high-water of h ops in flight — a
+// per-segment call starts all of its ops before it waits any — costs
+// O(log h) allocations. It returns the first and frees the rest.
+func (d *striped) makeFragOps() *fragOp {
+	chunk := make([]fragOp, max(1, d.madeFragOps))
+	d.madeFragOps += len(chunk)
+	for i := len(chunk) - 1; i > 0; i-- {
+		d.free = append(d.free, &chunk[i])
+	}
+	return &chunk[0]
 }
 
 func (o *fragOp) primary(u int) int { return o.frags[u].Server }
