@@ -68,9 +68,9 @@ func TestOutputs(t *testing.T) {
 		}
 	}
 	for _, d := range []struct{ what, path, want string }{
-		{"trace T6 Chrome export", chrome6, "b354b514ae72c12c86354f029c09bcee154cef869cbe8dee504a480346a9ef0d"},
+		{"trace T6 Chrome export", chrome6, "c20f4d1cd65d0fbb83ad7924c18b2b1244ee0c2a72e13dce5893728481e2cf42"},
 		{"trace T15 Chrome export", chrome15, "c3efa6baf68efe51c37c13582f130893d36333bac62c2c5833276d6d103e704a"},
-		{"trace T17 Chrome export", chrome17, "74a7e443445679a6a325b5ef201306dd8f1eeaf894b2a923b7ca497c789333d4"},
+		{"trace T17 Chrome export", chrome17, "02fcdb5afcdc875eeab32a2bfb078d1b8ad21ee63067522baf1839e9eafbbff6"},
 	} {
 		raw, err := os.ReadFile(d.path)
 		if err != nil {

@@ -7,9 +7,9 @@ func Example() {
 	// Output:
 	// 4 ranks x 8 rounds of variable-length records into one log
 	//
-	//   shared  : all 32 records intact, no overlaps  (637.23us)
-	//   ordered : all 32 records intact, no overlaps  (795.39us)
-	//   append  : all 32 records intact, no overlaps  (506.14us)
+	//   shared  : all 32 records intact, no overlaps  (637.08us)
+	//   ordered : all 32 records intact, no overlaps  (759.67us)
+	//   append  : all 32 records intact, no overlaps  (508.97us)
 	//
 	// shared = MPI_File_write_shared (pointer service arbitration)
 	// ordered = MPI_File_write_ordered (rank-order collective)

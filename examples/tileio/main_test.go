@@ -9,6 +9,6 @@ func Example() {
 	//   independent list I/O  :   152.9 MB/s
 	//   independent batch I/O :   152.5 MB/s
 	//   independent + sieving :    72.1 MB/s
-	//   collective two-phase  :    86.1 MB/s
+	//   collective two-phase  :    86.2 MB/s
 	// all pixels verified on every rank
 }

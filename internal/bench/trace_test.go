@@ -212,3 +212,45 @@ func TestTracedT1T6Smoke(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectiveVIASpansNestUnderWriteAll: MPI's procs carry their
+// caller's trace context (an Isend's proc its caller's, a posted
+// receive's rendezvous pull the receiving proc's), so in a traced
+// two-phase write (T6's and T17's observed points) every VIA operation a
+// rank issues during its write-all descends from that write-all.
+func TestCollectiveVIASpansNestUnderWriteAll(t *testing.T) {
+	for _, id := range []string{"T6", "T17"} {
+		spans := observed(t, id, traced).Tracer.Spans()
+		parent := make(map[trace.OpID]trace.OpID, len(spans))
+		for _, s := range spans {
+			parent[s.ID] = s.Parent
+		}
+		descends := func(s, from trace.OpID) bool {
+			for ; s != 0; s = parent[s] {
+				if s == from {
+					return true
+				}
+			}
+			return false
+		}
+		var calls, checked int
+		for _, w := range spans {
+			if w.Layer != trace.LayerMPIIO || w.Op != "write-all" {
+				continue
+			}
+			calls++
+			for _, s := range spans {
+				if s.Layer != trace.LayerVIA || s.Track != w.Track || s.Start < w.Start || s.Start >= w.End {
+					continue
+				}
+				checked++
+				if !descends(s.ID, w.ID) {
+					t.Errorf("%s: %s's VIA %s at %v, inside write-all [%v, %v], does not descend from it", id, s.Track, s.Op, s.Start, w.Start, w.End)
+				}
+			}
+		}
+		if calls == 0 || checked == 0 {
+			t.Errorf("%s: %d write-alls, %d VIA spans inside them", id, calls, checked)
+		}
+	}
+}

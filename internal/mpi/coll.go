@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"dafsio/internal/sim"
 )
@@ -63,92 +64,36 @@ func (c *Comm) Bcast(p *sim.Proc, root int, buf []byte) {
 
 // BcastU64 broadcasts one integer from root.
 func (c *Comm) BcastU64(p *sim.Proc, root int, v uint64) uint64 {
-	binary.LittleEndian.PutUint64(c.sizeOut[:], v)
-	c.Bcast(p, root, c.sizeOut[:])
-	return binary.LittleEndian.Uint64(c.sizeOut[:])
+	binary.LittleEndian.PutUint64(c.val[:], v)
+	c.Bcast(p, root, c.val[:])
+	return binary.LittleEndian.Uint64(c.val[:])
 }
 
-// sized returns b cut to n bytes, or a new buffer when b cannot hold them.
-func sized(b []byte, n int) []byte {
-	if cap(b) < n {
-		return make([]byte, n)
+// Allgather collects every rank's data on every rank (MPI_Allgather): every
+// rank passes as many bytes, and rank i's land at i*len(data) of a buffer
+// of the communicator's own, valid until its next collective. Each peer's
+// receive is posted straight into its slot before the sends start.
+func (c *Comm) Allgather(p *sim.Proc, data []byte) []byte {
+	r, n, m := c.r, c.r.Size(), len(data)
+	tag := c.nextCollTag()
+	c.gather = slices.Grow(c.gather[:0], n*m)[:n*m]
+	c.postAll(p, tag, c.gather, m, nil)
+	copy(c.gather[r.id*m:], data)
+	for step := 1; step < n; step++ {
+		c.sends = append(c.sends, c.Isend(p, (r.id+step)%n, tag, data))
 	}
-	return b[:n]
-}
-
-// GatherBytes collects each rank's (variable-size) blob at root. Root gets
-// a slice indexed by rank; other ranks get nil. Root's parts are buffers
-// of the communicator's own, valid until its next collective.
-func (c *Comm) GatherBytes(p *sim.Proc, root int, data []byte) [][]byte {
-	sizeTag := c.nextCollTag()
-	dataTag := c.nextCollTag()
-	r, n := c.r, c.r.Size()
-	if r.id != root {
-		binary.LittleEndian.PutUint64(c.sizeOut[:], uint64(len(data)))
-		c.Send(p, root, sizeTag, c.sizeOut[:])
-		c.Send(p, root, dataTag, data)
-		return nil
-	}
-	if len(c.parts) != n {
-		c.parts = make([][]byte, n)
-	}
-	c.parts[root] = append(c.parts[root][:0], data...)
-	for i := 0; i < n; i++ {
-		if i == root {
-			continue
-		}
-		c.Recv(p, i, sizeTag, c.sizeIn[:])
-		buf := sized(c.parts[i], int(binary.LittleEndian.Uint64(c.sizeIn[:])))
-		c.Recv(p, i, dataTag, buf)
-		c.parts[i] = buf
-	}
-	return c.parts
-}
-
-// AllgatherBytes collects every rank's blob on every rank (gather at rank 0
-// followed by a broadcast of the flattened result). The parts are views
-// into a buffer of the communicator's own, valid until its next
-// collective.
-func (c *Comm) AllgatherBytes(p *sim.Proc, data []byte) [][]byte {
-	r, n := c.r, c.r.Size()
-	parts := c.GatherBytes(p, 0, data)
-	// Flatten at root, broadcast length then content.
-	flat := c.flat[:0]
-	if r.id == 0 {
-		for _, part := range parts {
-			flat = binary.LittleEndian.AppendUint64(flat, uint64(len(part)))
-			flat = append(flat, part...)
-		}
-	}
-	total := c.BcastU64(p, 0, uint64(len(flat)))
-	if r.id != 0 {
-		flat = sized(flat, int(total))
-	}
-	c.flat = flat
-	c.Bcast(p, 0, flat)
-	if len(c.views) != n {
-		c.views = make([][]byte, n)
-	}
-	off := 0
-	for i := 0; i < n; i++ {
-		sz := int(binary.LittleEndian.Uint64(flat[off : off+8]))
-		off += 8
-		c.views[i] = flat[off : off+sz : off+sz]
-		off += sz
-	}
-	return c.views
+	c.waitAll(p, nil)
+	return c.gather
 }
 
 // AllgatherU64 collects one integer per rank on every rank, into a slice
 // of the communicator's own, valid until its next collective.
 func (c *Comm) AllgatherU64(p *sim.Proc, v uint64) []uint64 {
 	binary.LittleEndian.PutUint64(c.val[:], v)
-	parts := c.AllgatherBytes(p, c.val[:])
-	if len(c.u64s) != len(parts) {
-		c.u64s = make([]uint64, len(parts))
-	}
-	for i, part := range parts {
-		c.u64s[i] = binary.LittleEndian.Uint64(part)
+	all := c.Allgather(p, c.val[:])
+	c.u64s = slices.Grow(c.u64s[:0], len(all)/8)
+	for i := 0; i < len(all); i += 8 {
+		c.u64s = append(c.u64s, binary.LittleEndian.Uint64(all[i:]))
 	}
 	return c.u64s
 }
@@ -238,18 +183,38 @@ func (c *Comm) AlltoallvStream(p *sim.Proc, send func(dst int) []byte, into func
 func (c *Comm) Alltoallv(p *sim.Proc, send func(dst int) []byte, into func(src, n int) []byte, recv func(src int, data []byte)) {
 	r, n := c.r, c.r.Size()
 	tag := c.nextCollTag()
-	for step := 1; step < n; step++ {
-		c.posts = append(c.posts, c.irecv(p, (r.id-step+n)%n, tag, nil, into))
-	}
+	c.postAll(p, tag, nil, 0, into)
 	own := send(r.id)
 	for step := 1; step < n; step++ {
 		dst := (r.id + step) % n
 		c.sends = append(c.sends, c.Isend(p, dst, tag, send(dst)))
 	}
 	recv(r.id, own)
+	c.waitAll(p, recv)
+}
+
+// postAll posts the receive from every peer of a posted exchange, in step
+// order (step k receives from rank id-k): into src's m-byte slot of buf
+// or, when into is set (buf nil, m 0), into the buffer into gives src's
+// message. The caller then appends its sends to c.sends and ends with
+// waitAll.
+func (c *Comm) postAll(p *sim.Proc, tag int, buf []byte, m int, into func(src, n int) []byte) {
+	r, n := c.r, c.r.Size()
+	for step := 1; step < n; step++ {
+		src := (r.id - step + n) % n
+		c.posts = append(c.posts, c.irecv(p, src, tag, buf[src*m:(src+1)*m], into))
+	}
+}
+
+// waitAll waits for postAll's receives in step order, handing each
+// payload to recv when it is set, then for every send.
+func (c *Comm) waitAll(p *sim.Proc, recv func(src int, data []byte)) {
+	r, n := c.r, c.r.Size()
 	for i, q := range c.posts {
 		_, data := q.wait(p)
-		recv((r.id-i-1+n)%n, data)
+		if recv != nil {
+			recv((r.id-i-1+n)%n, data)
+		}
 	}
 	for _, req := range c.sends {
 		req.Wait(p)

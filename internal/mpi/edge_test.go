@@ -79,8 +79,8 @@ func TestCollectivesSizeOne(t *testing.T) {
 		if got := r.AllreduceI64(p, 42, OpSum); got != 42 {
 			t.Errorf("allreduce solo = %d", got)
 		}
-		all := r.AllgatherBytes(p, []byte("x"))
-		if len(all) != 1 || string(all[0]) != "x" {
+		all := r.Allgather(p, []byte("x"))
+		if string(all) != "x" {
 			t.Errorf("allgather solo = %q", all)
 		}
 		recv := r.AlltoallvBytes(p, [][]byte{[]byte("y")})
@@ -88,24 +88,6 @@ func TestCollectivesSizeOne(t *testing.T) {
 			t.Errorf("alltoallv solo = %q", recv)
 		}
 	})
-}
-
-func TestReserveTags(t *testing.T) {
-	w := NewWorld(worldNICs(t, 2))
-	a := w.ReserveTags(2)
-	b := w.ReserveTags(3)
-	if a == b || b != a+2 {
-		t.Fatalf("tag blocks overlap: %d %d", a, b)
-	}
-	if a < 1<<19 || b+3 > 1<<20 {
-		t.Fatalf("tags outside service range: %d %d", a, b)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero reservation did not panic")
-		}
-	}()
-	w.ReserveTags(0)
 }
 
 func TestNegativeUserTagPanics(t *testing.T) {
@@ -121,11 +103,8 @@ func TestNegativeUserTagPanics(t *testing.T) {
 
 func TestZeroByteCollectives(t *testing.T) {
 	world(t, 3, func(p *sim.Proc, r *Rank) {
-		all := r.AllgatherBytes(p, nil)
-		for i, part := range all {
-			if len(part) != 0 {
-				t.Errorf("empty allgather part %d has %d bytes", i, len(part))
-			}
+		if all := r.Allgather(p, nil); len(all) != 0 {
+			t.Errorf("empty allgather has %d bytes", len(all))
 		}
 		send := make([][]byte, 3)
 		recv := r.AlltoallvBytes(p, send)
@@ -159,4 +138,31 @@ func worldNICs(t *testing.T, n int) []*via.NIC {
 		nics = append(nics, prov.NewNIC(fab.AddNode(fmt.Sprintf("w%d", i))))
 	}
 	return nics
+}
+
+// TestWildcardSkipsCollectives: collectives run in a hidden context, so a
+// receive of (AnySource, AnyTag) posted beside a Barrier and an
+// AllreduceI64 takes neither's messages and gets rank 1's tag-7 message.
+func TestWildcardSkipsCollectives(t *testing.T) {
+	world(t, 3, func(p *sim.Proc, r *Rank) {
+		var got RecvStatus
+		buf := make([]byte, 5)
+		done := sim.NewWaitGroup(p.Kernel(), 1)
+		if r.ID() == 0 {
+			p.Spawn("wildcard", func(hp *sim.Proc) { got = r.Recv(hp, AnySource, AnyTag, buf); done.Done() })
+		} else {
+			done.Done()
+		}
+		r.Barrier(p)
+		if sum := r.AllreduceI64(p, int64(r.ID()), OpSum); sum != 3 {
+			t.Errorf("rank %d: sum %d, want 3", r.ID(), sum)
+		}
+		if r.ID() == 1 {
+			r.Send(p, 0, 7, []byte("hello"))
+		}
+		done.Wait(p)
+		if r.ID() == 0 && (got.Source != 1 || got.Tag != 7 || string(buf[:got.Count]) != "hello") {
+			t.Errorf("wildcard receive got %+v %q, want rank 1's tag-7 hello", got, buf[:got.Count])
+		}
+	})
 }

@@ -42,10 +42,13 @@
 // collectives itself, so collectives on different communicators may be in flight on
 // one rank at once; on one communicator a rank runs one collective at a
 // time, as MPI requires. A Rank embeds its world communicator, and Dup
-// makes more (MPI-IO gives each open file one). What GatherBytes,
-// AllgatherBytes and AllgatherU64 return lives in buffers of the
-// communicator's own, valid until its next collective: read it at once or
-// copy it.
+// makes more (MPI-IO gives each open file one). Collectives use tags above
+// every application tag, which AnyTag does not match, so a wildcard
+// receive never takes a collective's message. Allgather, the equal-count
+// MPI_Allgather, is posted whole like Alltoallv: one round of n-1
+// messages. What it and AllgatherU64 return lives in a buffer of the
+// communicator's own, valid until its next collective: read it at once
+// or copy it.
 package mpi
 
 import (
@@ -62,14 +65,9 @@ const (
 	AnyTag    = -1
 )
 
-// Tag space: application tags must stay below reservedTagBase; ReserveTags
-// hands out blocks in [reservedTagBase, collTagBase) for library services
-// (e.g. MPI-IO shared file pointers), and collectives use tags above
-// collTagBase.
-const (
-	reservedTagBase = 1 << 19
-	collTagBase     = 1 << 20
-)
+// Tag space: application tags stay below collTagBase, and collectives use
+// the tags above it, which AnyTag does not match.
+const collTagBase = 1 << 20
 
 const (
 	eagerCredits = 16
@@ -92,8 +90,6 @@ type World struct {
 	k     *sim.Kernel
 	prof  *model.Profile
 	ranks []*Rank
-
-	reservedTags int
 }
 
 // NewWorld builds a world with one rank per NIC and connects every pair.
@@ -122,21 +118,6 @@ func NewWorld(nics []*via.NIC) *World {
 		}
 	}
 	return w
-}
-
-// ReserveTags returns the base of a block of n previously unused service
-// tags. The caller must ensure a single rank allocates and distributes the
-// value (the usual pattern: rank 0 reserves, then broadcasts).
-func (w *World) ReserveTags(n int) int {
-	if n <= 0 {
-		panic("mpi: ReserveTags needs n > 0")
-	}
-	base := reservedTagBase + w.reservedTags
-	w.reservedTags += n
-	if base+n > collTagBase {
-		panic("mpi: service tag space exhausted")
-	}
-	return base
 }
 
 // Rank returns rank i.
@@ -215,20 +196,15 @@ type Comm struct {
 	ctx uint32 // 0: the world communicator
 	seq int    // collective sequence, advancing identically on every rank
 
-	// What the gather collectives return, valid until the communicator's
-	// next collective: GatherBytes' parts (one buffer per source),
-	// AllgatherBytes' flat copy and the views into it, and AllgatherU64's
-	// values. The words carry sizes and integers: a message's buffer must
-	// outlive the call that sends it, so they live here rather than on a
-	// stack. A communicator runs one collective at a time, so no two calls
-	// share them.
-	parts                [][]byte
-	flat                 []byte
-	views                [][]byte
-	u64s                 []uint64
-	sizeOut, sizeIn, val [8]byte
+	// What Allgather and AllgatherU64 return, valid until the next
+	// collective, and val, the integer AllgatherU64 and BcastU64 send: a
+	// message's buffer escapes the call that sends it, so it lives here
+	// rather than on a stack.
+	gather []byte
+	u64s   []uint64
+	val    [8]byte
 
-	// Alltoallv's posted receives and its sends, in step order.
+	// A posted exchange's receives and its sends, in step order.
 	posts []*recv
 	sends []*Req
 }
@@ -248,8 +224,9 @@ func (r *Rank) Dup(c *Comm) {
 // size. Its rendezvous pull reads into buf with the RDMA descriptor read,
 // whose completion lands in readDone, in the receiving proc for an RTS
 // that arrived first or in a proc of its own, run, for an RTS that found
-// the receive posted (rts keeps that RTS). As a rendezvous send it waits
-// on done for the FIN that carries its token.
+// the receive posted (rts keeps that RTS), which carries traceCtx, the
+// trace context of the proc that made the receive. As a rendezvous send
+// it waits on done for the FIN that carries its token.
 type recv struct {
 	r        *Rank
 	ctx      uint32
@@ -262,6 +239,7 @@ type recv struct {
 	read     via.Descriptor
 	readDone sim.Future[via.Completion]
 	token    uint64
+	traceCtx uint64
 	run      func(p *sim.Proc) // q.pullPosted
 	next     *recv
 }

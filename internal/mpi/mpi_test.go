@@ -298,26 +298,22 @@ func TestBcast(t *testing.T) {
 	})
 }
 
+// TestGatherAllgather: Allgather puts every rank's equally sized data in
+// its slot of the result on every rank, for eager and rendezvous sizes.
 func TestGatherAllgather(t *testing.T) {
-	world(t, 4, func(p *sim.Proc, r *Rank) {
-		mine := mkdata(100*(r.ID()+1), byte(r.ID()))
-		parts := r.GatherBytes(p, 0, mine)
-		if r.ID() == 0 {
+	for _, size := range []int{300, eagerMax + 100} {
+		world(t, 4, func(p *sim.Proc, r *Rank) {
+			all := r.Allgather(p, mkdata(size, byte(r.ID())))
+			if len(all) != 4*size {
+				t.Fatalf("rank %d: allgather of %d bytes returned %d", r.ID(), size, len(all))
+			}
 			for i := 0; i < 4; i++ {
-				if !bytes.Equal(parts[i], mkdata(100*(i+1), byte(i))) {
-					t.Errorf("gather part %d mismatch", i)
+				if !bytes.Equal(all[i*size:(i+1)*size], mkdata(size, byte(i))) {
+					t.Errorf("allgather of %d bytes: part %d mismatch at rank %d", size, i, r.ID())
 				}
 			}
-		} else if parts != nil {
-			t.Error("non-root got gather data")
-		}
-		all := r.AllgatherBytes(p, mine)
-		for i := 0; i < 4; i++ {
-			if !bytes.Equal(all[i], mkdata(100*(i+1), byte(i))) {
-				t.Errorf("allgather part %d mismatch at rank %d", i, r.ID())
-			}
-		}
-	})
+		})
+	}
 }
 
 func TestAllreduce(t *testing.T) {

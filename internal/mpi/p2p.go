@@ -130,9 +130,9 @@ func (r *Rank) selfSend(p *sim.Proc, ctx uint32, tag int, data []byte) {
 }
 
 // Recv blocks until a message matching (src, tag) arrives; wildcards
-// AnySource/AnyTag are honored. The payload lands in buf (truncated if buf
-// is short, like an MPI receive into a smaller type map would error — here
-// we deliver the prefix).
+// AnySource/AnyTag are honored, AnyTag for application tags only. The
+// payload lands in buf (truncated if buf is short, like an MPI receive
+// into a smaller type map would error — here we deliver the prefix).
 func (c *Comm) Recv(p *sim.Proc, src, tag int, buf []byte) RecvStatus {
 	st, _ := c.irecv(p, src, tag, buf, nil).wait(p)
 	return st
@@ -147,7 +147,7 @@ func (c *Comm) irecv(p *sim.Proc, src, tag int, buf []byte, into func(src, n int
 	r := c.r
 	r.nic.Node.Compute(p, r.world.prof.MarshalCost)
 	q := r.newRecv(c.ctx, src, tag, buf)
-	q.into = into
+	q.into, q.traceCtx = into, p.TraceCtx()
 	if q.env = r.takeUnexpected(c.ctx, src, tag); q.env == nil {
 		r.posted = append(r.posted, q)
 	}
@@ -233,11 +233,18 @@ func (r *Rank) keep(env *envelope, data []byte) {
 	copy(env.data, data)
 }
 
+// matches reports whether a receive of (src, tag) takes a message from
+// msrc with mtag. AnyTag matches application tags only: a collective's
+// message goes to the collective's own receive.
+func matches(src, tag, msrc, mtag int) bool {
+	return (src == AnySource || src == msrc) && (tag == mtag || tag == AnyTag && mtag < collTagBase)
+}
+
 // takeUnexpected pops the first queued envelope of context ctx matching
 // (src, tag).
 func (r *Rank) takeUnexpected(ctx uint32, src, tag int) *envelope {
 	for i, env := range r.unexpected {
-		if env.ctx == ctx && (src == AnySource || src == env.src) && (tag == AnyTag || tag == env.tag) {
+		if env.ctx == ctx && matches(src, tag, env.src, env.tag) {
 			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
 			return env
 		}
@@ -249,7 +256,7 @@ func (r *Rank) takeUnexpected(ctx uint32, src, tag int) *envelope {
 // message from src with tag.
 func (r *Rank) matchPosted(ctx uint32, src, tag int) *recv {
 	for i, q := range r.posted {
-		if q.ctx == ctx && (q.src == AnySource || q.src == src) && (q.tag == AnyTag || q.tag == tag) {
+		if q.ctx == ctx && matches(q.src, q.tag, src, tag) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
 			return q
 		}
@@ -370,7 +377,7 @@ func (r *Rank) arrival(p *sim.Proc, n int, s *slot) {
 			q.rts = env
 			q.sized(env.src, env.size)
 			s.finish(p, n)
-			r.world.k.Spawn(r.pullName, q.run)
+			r.world.k.Spawn(r.pullName, q.run).SetTraceCtx(q.traceCtx)
 			return
 		}
 		e := r.newEnv()
@@ -429,8 +436,8 @@ func (req *Req) send(p *sim.Proc) {
 	req.done.Set(RecvStatus{Source: req.c.r.id, Tag: req.tag, Count: len(req.data)})
 }
 
-// Isend starts a nonblocking send. The data buffer must stay untouched
-// until Wait returns.
+// Isend starts a nonblocking send, in a proc that carries the caller's
+// trace context. The data buffer must stay untouched until Wait returns.
 func (c *Comm) Isend(p *sim.Proc, dst, tag int, data []byte) *Req {
 	r := c.r
 	req := r.freeReqs
@@ -443,7 +450,7 @@ func (c *Comm) Isend(p *sim.Proc, dst, tag int, data []byte) *Req {
 		req.run = req.send
 	}
 	req.c, req.dst, req.tag, req.data = c, dst, tag, data
-	r.world.k.Spawn(r.isendName, req.run)
+	r.world.k.Spawn(r.isendName, req.run).SetTraceCtx(p.TraceCtx())
 	return req
 }
 

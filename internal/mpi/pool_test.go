@@ -281,7 +281,7 @@ func TestReqWaitedTwicePanics(t *testing.T) {
 
 // TestCollectivesOnTwoCommsAtOnce runs collectives on two communicators of
 // the same ranks at once, each in a helper proc of its own on every rank,
-// beside the world's: all-gathers of rank-sized blobs, all-to-alls (eager
+// beside the world's: all-gathers of round-sized blobs, all-to-alls (eager
 // on one, rendezvous on the other) and reductions. The two communicators
 // number their collectives alike, so their tags are equal, and a rank's
 // helpers start their rounds at staggered instants, so the two interleave
@@ -291,7 +291,7 @@ func TestReqWaitedTwicePanics(t *testing.T) {
 func TestCollectivesOnTwoCommsAtOnce(t *testing.T) {
 	const n, rounds = 4, 5
 	blob := func(comm, rank, round int) []byte {
-		return mkdata(10+comm*50+rank*7+round, byte(comm*67+rank*13+round))
+		return mkdata(10+comm*50+round, byte(comm*67+rank*13+round))
 	}
 	block := func(comm, src, dst, round int) []byte {
 		size := 100 + src*10 + dst + round
@@ -303,9 +303,10 @@ func TestCollectivesOnTwoCommsAtOnce(t *testing.T) {
 	run := func(p *sim.Proc, c *Comm, id, comm int) {
 		for i := range rounds {
 			p.Wait(sim.Time(1+(id*3+comm*5)%7) * 10 * sim.Microsecond)
-			all := c.AllgatherBytes(p, blob(comm, id, i))
-			for src, got := range all {
-				if !bytes.Equal(got, blob(comm, src, i)) {
+			m := len(blob(comm, id, i))
+			all := c.Allgather(p, blob(comm, id, i))
+			for src := range n {
+				if !bytes.Equal(all[src*m:(src+1)*m], blob(comm, src, i)) {
 					t.Errorf("comm %d rank %d round %d: gathered blob of %d differs", comm, id, i, src)
 				}
 			}

@@ -22,7 +22,7 @@ func (f *File) SetAtomicity(p *sim.Proc, on bool) error {
 		return ErrClosed
 	}
 	f.atomic = on
-	if f.rank != nil && f.rank.Size() > 1 {
+	if !f.serial() {
 		f.comm.Barrier(p)
 	}
 	return nil

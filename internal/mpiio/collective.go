@@ -80,7 +80,7 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 		return 0, ErrNegative
 	}
 	r := f.rank
-	if r == nil || r.Size() == 1 || f.atomic {
+	if f.serial() || f.atomic {
 		return f.WriteAt(p, off, buf)
 	}
 	if f.tr != nil {
@@ -251,7 +251,7 @@ func (f *File) ReadAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 		return 0, ErrNegative
 	}
 	r := f.rank
-	if r == nil || r.Size() == 1 || f.atomic {
+	if f.serial() || f.atomic {
 		return f.ReadAt(p, off, buf)
 	}
 	if f.tr != nil {
@@ -605,10 +605,10 @@ func (f *File) exchangeExtents(p *sim.Proc, segs []Segment) (gmin, gmax int64, a
 	}
 	binary.LittleEndian.PutUint64(f.ext[0:], uint64(lo))
 	binary.LittleEndian.PutUint64(f.ext[8:], uint64(hi))
-	all := f.comm.AllgatherBytes(p, f.ext[:])
-	for _, e := range all {
-		l := int64(binary.LittleEndian.Uint64(e[0:]))
-		h := int64(binary.LittleEndian.Uint64(e[8:]))
+	all := f.comm.Allgather(p, f.ext[:])
+	for i := 0; i < len(all); i += len(f.ext) {
+		l := int64(binary.LittleEndian.Uint64(all[i:]))
+		h := int64(binary.LittleEndian.Uint64(all[i+8:]))
 		if l < 0 {
 			continue
 		}

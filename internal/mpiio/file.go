@@ -65,9 +65,8 @@ type File struct {
 	ftype *Datatype // nil: flat (contiguous) view
 	ptr   int64     // individual file pointer, in view data-space bytes
 
-	svc       *fileService // rank 0's file service (service.go); nil: serial
-	sharedPtr int64        // a serial file's shared pointer (shared.go)
-	atomic    bool         // atomic mode (atomic.go)
+	sharedPtr int64 // a serial file's shared pointer (shared.go)
+	atomic    bool  // atomic mode (atomic.go)
 	closed    bool
 
 	tr    *trace.Tracer // from the driver, when it has one (nil: untraced)
@@ -124,7 +123,9 @@ func Open(p *sim.Proc, rank *mpi.Rank, drv Driver, name string, mode int, hints 
 			return nil, err
 		}
 	}
-	f.startService(p)
+	if rank.ID() == 0 {
+		rank.World().Kernel().SpawnDaemon(f.name+".svc", f.serve)
+	}
 	rank.Barrier(p)
 	return f, nil
 }
@@ -365,7 +366,7 @@ func (f *File) SetSize(p *sim.Proc, n int64) error {
 		return ErrClosed
 	}
 	var err error
-	if f.rank == nil || f.rank.Size() == 1 {
+	if f.serial() {
 		return f.h.Resize(p, n)
 	}
 	if f.rank.ID() == 0 {
@@ -397,7 +398,7 @@ func (f *File) Preallocate(p *sim.Proc, n int64) error {
 		}
 		return f.h.Resize(p, n)
 	}
-	if f.rank == nil || f.rank.Size() == 1 {
+	if f.serial() {
 		return grow()
 	}
 	var err error
@@ -422,7 +423,7 @@ func (f *File) Close(p *sim.Proc) error {
 	if f.closed {
 		return nil
 	}
-	if f.rank != nil && f.rank.Size() > 1 {
+	if !f.serial() {
 		f.comm.Barrier(p)
 	}
 	f.closed = true

@@ -44,7 +44,7 @@ func (f *File) SeekShared(p *sim.Proc, off int64) error {
 	if off < 0 {
 		return ErrNegative
 	}
-	if f.svc == nil {
+	if f.serial() {
 		f.sharedPtr = off
 		return nil
 	}
@@ -59,7 +59,7 @@ func (f *File) SeekShared(p *sim.Proc, off int64) error {
 // the ranks' buffers are placed in rank order starting at the shared
 // pointer, which advances by the total.
 func (f *File) orderedOffsets(p *sim.Proc, n int) int64 {
-	if f.svc == nil {
+	if f.serial() {
 		return f.spCall(p, svcFetchAdd, int64(n))
 	}
 	r := f.rank
