@@ -14,7 +14,8 @@ import (
 )
 
 // credits is the number of outstanding requests a session allows (and the
-// number of receive descriptors each side pre-posts).
+// number of receive descriptors each side pre-posts). A power of two: the
+// slot pools are sim.Chan rings over rooms of this length.
 const credits = 8
 
 // Options configures a client session.
@@ -85,34 +86,6 @@ func (s *slot) Grow(n int) []byte { return s.reg.Grow(s.i, HeaderLen+n)[HeaderLe
 // release clears the first n bytes, the most the slot's message wrote, and
 // gives the slot's bytes back.
 func (s *slot) release(n int) { s.reg.Release(s.i, n) }
-
-// slotPool holds a session's idle send slots. get hands out the slot freed
-// most recently; it parks while no slot is idle. Which slot it is no longer
-// decides memory, since an idle slot holds none. (Receive slots are not
-// pooled: VIA consumes posted receives in order.)
-type slotPool[S any] struct {
-	idle  []S
-	ready sim.Chan[struct{}] // one token per idle slot: where get parks
-}
-
-// init sets the pool up in place over room, an empty slice with room for
-// every slot, which the session owns.
-func (sp *slotPool[S]) init(k *sim.Kernel, room []S) {
-	sp.idle = room
-	sp.ready.Init(k, 0, nil)
-}
-
-func (sp *slotPool[S]) get(p *sim.Proc) S {
-	sp.ready.Recv(p)
-	s := sp.idle[len(sp.idle)-1]
-	sp.idle = sp.idle[:len(sp.idle)-1]
-	return s
-}
-
-func (sp *slotPool[S]) put(s S) {
-	sp.idle = append(sp.idle, s)
-	sp.ready.TrySend(struct{}{})
-}
 
 // Call is an in-flight request (the unit of the client's asynchronous API).
 // It carries everything the request needs until it is collected: the
@@ -242,7 +215,7 @@ type Client struct {
 	vi      via.VI
 	cq      via.CQ
 	credits sim.Credits
-	reqPool slotPool[*slot]
+	reqPool sim.Chan[*slot] // idle request slots, oldest freed first
 	first   Call
 	w       wr
 
@@ -340,7 +313,7 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	nic.InitCQ(&c.cq, nic.Label("dafs.cq"), c.dispatch)
 	nic.InitVI(&c.vi, &c.cq, &c.cq)
 	c.credits.Init(c.k, credits)
-	c.reqPool.init(c.k, c.reqIdle[:0])
+	c.reqPool.Init(c.k, 0, c.reqIdle[:])
 	c.first.init(c)
 	c.putCall(&c.first)
 
@@ -359,7 +332,7 @@ func Dial(p *sim.Proc, nic *via.NIC, srv *Server, opts *Options) (*Client, error
 	for i := 0; i < credits; i++ {
 		qs, rs := &c.slots[2*i], &c.slots[2*i+1]
 		qs.reg, qs.i = &c.reqReg, i
-		c.reqPool.put(qs)
+		c.reqPool.TrySend(qs)
 		rs.reg, rs.i = &c.respReg, i
 		rs.desc = via.Descriptor{Region: &c.respReg, Offset: i * c.slotSize, Len: c.slotSize, Ctx: rs}
 		if err := c.vi.PostRecv(p, &rs.desc); err != nil {
@@ -443,7 +416,7 @@ func (c *Client) dispatch(p *sim.Proc, comp via.Completion) {
 			c.fail(comp.Err)
 		}
 		s.release(comp.Desc.Len)
-		c.reqPool.put(s)
+		c.reqPool.TrySend(s)
 	case via.OpRecv:
 		s := comp.Desc.Ctx.(*slot)
 		if comp.Err != nil {
@@ -585,7 +558,7 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 	// proc — so parking on the slot pool or send queue below cannot
 	// deadlock against the release.
 	c.credits.Acquire(p, 1)
-	s := c.reqPool.get(p)
+	s, _ := c.reqPool.Recv(p)
 	c.m.credits.Add(1)
 	if wait := p.Now() - t0; wait > 0 {
 		c.m.creditWait.Observe(int64(wait))
@@ -596,7 +569,7 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 	enc(w)
 	if w.Err() != nil {
 		s.release(HeaderLen + w.Len())
-		c.reqPool.put(s)
+		c.reqPool.TrySend(s)
 		c.credits.Release(1)
 		c.m.credits.Add(-1)
 		c.tr.End(op)
@@ -623,7 +596,7 @@ func (c *Client) start(p *sim.Proc, proc Proc, into []byte, enc func(w *wr)) (*C
 		c.untrack(xid)
 		c.putCall(call)
 		s.release(n)
-		c.reqPool.put(s)
+		c.reqPool.TrySend(s)
 		c.credits.Release(1)
 		c.m.credits.Add(-1)
 		c.tr.End(op)

@@ -62,7 +62,7 @@ func scriptPeer(t *testing.T, r *rig, st Status, body []byte) {
 				rst, rbody = StatusOK, nil
 			}
 			rbody = rbody[:min(len(rbody), sess.slotSize-HeaderLen)] // a reply fills one slot at most
-			rs := sess.respPool.get(p)
+			rs, _ := sess.respPool.Recv(p)
 			n := HeaderLen + len(rbody)
 			msg := rs.reg.Grow(rs.i, n)
 			encodeHeader(msg, Header{Proc: hdr.Proc, XID: hdr.XID, Status: rst, BodyLen: uint32(len(rbody))})
@@ -70,11 +70,11 @@ func scriptPeer(t *testing.T, r *rig, st Status, body []byte) {
 			rs.desc = via.Descriptor{Op: via.OpSend, Region: rs.reg, Offset: rs.i * sess.slotSize, Len: n, Ctx: rs}
 			if err := sess.vi.PostSend(p, &rs.desc); err != nil {
 				rs.release(n)
-				sess.respPool.put(rs)
+				sess.respPool.TrySend(rs)
 			}
 		case *respSlot:
 			ctx.release(comp.Desc.Len)
-			ctx.sess.respPool.put(ctx)
+			ctx.sess.respPool.TrySend(ctx)
 		}
 	})
 }

@@ -14,7 +14,7 @@ import (
 func forgeResponse(t *testing.T, p *sim.Proc, r *rig, xid uint32) {
 	t.Helper()
 	sess := r.srv.sessions[0]
-	rs := sess.respPool.get(p)
+	rs, _ := sess.respPool.Recv(p)
 	encodeHeader(rs.bytes(), Header{Proc: ProcGetattr, XID: xid, Status: StatusOK})
 	rs.desc = via.Descriptor{Op: via.OpSend, Region: rs.reg, Offset: rs.i * sess.slotSize, Len: HeaderLen, Ctx: rs}
 	if err := sess.vi.PostSend(p, &rs.desc); err != nil {

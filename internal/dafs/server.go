@@ -21,10 +21,6 @@ const serverWorkers = 4
 type ServerStats struct {
 	Sessions         int64
 	Requests         int64
-	InlineReads      int64
-	InlineWrites     int64
-	DirectReads      int64
-	DirectWrites     int64
 	InlineReadBytes  int64
 	InlineWriteBytes int64
 	DirectReadBytes  int64
@@ -55,10 +51,8 @@ type Server struct {
 
 // session is the server-side state of one client connection.
 type session struct {
-	id        int
-	srv       *Server
 	vi        via.VI
-	respPool  slotPool[*respSlot]
+	respPool  sim.Chan[*respSlot]
 	maxInline int
 	slotSize  int
 	closed    bool
@@ -193,15 +187,13 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 	}
 	s.node.Compute(p, s.prof.DAFSOpCost) // session setup
 	sess := &session{
-		id:        len(s.sessions),
-		srv:       s,
 		maxInline: o.MaxInline,
 		slotSize:  slotSize,
 	}
 	vi := &sess.vi
 	s.nic.InitVI(vi, s.cq, s.cq)
 	via.Connect(clientVI, vi)
-	sess.respPool.init(s.k, sess.respIdle[:0])
+	sess.respPool.Init(s.k, 0, sess.respIdle[:])
 	s.nic.RegisterRing(p, &sess.reqReg, sess.reqTable[:], slotSize)
 	s.nic.RegisterRing(p, &sess.respReg, sess.respTable[:], slotSize)
 	for i := 0; i < credits; i++ {
@@ -217,7 +209,7 @@ func (s *Server) accept(p *sim.Proc, clientVI *via.VI, o Options, slotSize int) 
 		}
 		rs := &sess.resps[i]
 		rs.reg, rs.i, rs.sess = &sess.respReg, i, sess
-		sess.respPool.put(rs)
+		sess.respPool.TrySend(rs)
 	}
 	s.sessions = append(s.sessions, sess)
 	s.stats.Sessions++
@@ -240,7 +232,7 @@ func (s *Server) dispatch(p *sim.Proc, comp via.Completion) {
 	case *respSlot:
 		bye := ctx.bye
 		ctx.release(comp.Desc.Len)
-		ctx.sess.respPool.put(ctx)
+		ctx.sess.respPool.TrySend(ctx)
 		if bye {
 			// Nothing references the session's buffers once its
 			// DISCONNECT reply is out.
@@ -300,7 +292,7 @@ func (s *Server) handle(p *sim.Proc, ws *workerState, req *reqSlot) {
 	ws.r.Reset(body)
 	st, rp := s.exec(p, ws, sess, hdr.Proc, &ws.r)
 
-	rs := sess.respPool.get(p)
+	rs, _ := sess.respPool.Recv(p)
 	w := &ws.w
 	w.ResetGrow(&rs.slot)
 	if st == StatusOK {
@@ -464,7 +456,6 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		t0 := p.Now()
 		s.node.Compute(p, sim.TransferTime(int64(n), s.prof.ServerMemBW))
 		s.chargeCPU(p, p.Now()-t0)
-		s.stats.InlineReads++
 		s.stats.InlineReadBytes += int64(n)
 		return StatusOK, reply{f: f, off: off, n: uint32(n)}
 
@@ -486,7 +477,6 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if err != nil {
 			return StatusInval, reply{}
 		}
-		s.stats.InlineWrites++
 		s.stats.InlineWriteBytes += int64(n)
 		return StatusOK, reply{n: uint32(n)}
 
@@ -509,7 +499,6 @@ func (s *Server) exec(p *sim.Proc, ws *workerState, sess *session, proc Proc, r 
 		if _, err := f.WriteAt(data, off); err != nil {
 			return StatusInval, reply{}
 		}
-		s.stats.InlineWrites++
 		s.stats.InlineWriteBytes += int64(len(data))
 		return StatusOK, reply{off: off}
 
@@ -671,7 +660,6 @@ func (s *Server) execReadBatch(p *sim.Proc, ws *workerState, sess *session, f *s
 			return st, reply{}
 		}
 	}
-	s.stats.DirectReads++
 	s.stats.DirectReadBytes += int64(got)
 	return StatusOK, reply{n: uint32(got)}
 }
@@ -699,7 +687,6 @@ func (s *Server) execWriteBatch(p *sim.Proc, ws *workerState, sess *session, f *
 		}
 		pos += sg.Len
 	}
-	s.stats.DirectWrites++
 	s.stats.DirectWriteBytes += int64(total)
 	return StatusOK, reply{n: uint32(total)}
 }

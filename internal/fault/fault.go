@@ -149,7 +149,6 @@ type budget struct {
 // consumed in simulated-event order, so two runs of the same plan make
 // identical per-cell decisions.
 type Injector struct {
-	k      *sim.Kernel
 	events []Event // validated, sorted by (At, original index)
 
 	stalls map[string][]window
@@ -164,7 +163,6 @@ func New(k *sim.Kernel, pl Plan) *Injector {
 		panic(err)
 	}
 	in := &Injector{
-		k:      k,
 		events: append([]Event(nil), pl.Events...),
 		stalls: make(map[string][]window),
 		drops:  make(map[string][]*budget),

@@ -75,7 +75,6 @@ type HistPoint struct {
 type instrument struct {
 	name    string
 	kind    Kind
-	shared  bool
 	v       int64
 	fn      func() int64
 	hist    stats.Histogram
@@ -151,10 +150,9 @@ func (r *Registry) registerShared(name string, kind Kind) *instrument {
 		if prev.kind != kind {
 			panic(fmt.Sprintf("metrics: shared registration of %q as %v conflicts with existing %v", name, kind, prev.kind))
 		}
-		prev.shared = true
 		return prev
 	}
-	in := &instrument{name: name, kind: kind, shared: true}
+	in := &instrument{name: name, kind: kind}
 	r.byName[name] = in
 	r.order = append(r.order, in)
 	return in

@@ -69,6 +69,8 @@ const (
 // the tags above it, which AnyTag does not match.
 const collTagBase = 1 << 20
 
+// eagerCredits is a pair's send and receive slot count, a power of two:
+// the send pool is a sim.Chan ring over a room of that length.
 const (
 	eagerCredits = 16
 	envLen       = 32
@@ -145,17 +147,17 @@ func (s *slot) release(n int) { s.reg.Release(s.i, n) }
 
 // pair is one direction-agnostic endpoint of a rank-to-rank connection.
 type pair struct {
-	peer     int
 	vi       *via.VI
-	credits  sim.Credits      // sender-side credits toward this peer
-	back     *sim.Credits     // the peer's credits toward this rank, returned on consumption
-	sendPool *sim.Chan[*slot] // free send bounce slots
+	credits  sim.Credits     // sender-side credits toward this peer
+	back     *sim.Credits    // the peer's credits toward this rank, returned on consumption
+	sendPool sim.Chan[*slot] // free send bounce slots
 
 	// The bounce rings, registered into records the pair owns, with their
-	// slot tables and slots.
+	// slot tables, slots and the send pool's room.
 	sendReg, recvReg     via.Region
 	sendTable, recvTable [eagerCredits][]byte
 	sendSlots, recvSlots [eagerCredits]slot
+	sendIdle             [eagerCredits]*slot
 }
 
 // Rank is one MPI process endpoint. All methods must be called from the
@@ -293,12 +295,9 @@ func connectPair(a, b *Rank) {
 	viB := b.nic.NewVI(b.cq, b.cq)
 	via.Connect(viA, viB)
 	mk := func(r *Rank, vi *via.VI, peer int) *pair {
-		pr := &pair{
-			peer:     peer,
-			vi:       vi,
-			sendPool: sim.NewChan[*slot](w.k, 0),
-		}
+		pr := &pair{vi: vi}
 		pr.credits.Init(w.k, eagerCredits)
+		pr.sendPool.Init(w.k, 0, pr.sendIdle[:])
 		ss := w.slotSize()
 		r.nic.RegisterCachedRing(&pr.sendReg, pr.sendTable[:], ss)
 		r.nic.RegisterCachedRing(&pr.recvReg, pr.recvTable[:], ss)

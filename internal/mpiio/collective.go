@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -28,6 +27,10 @@ import (
 //     owners issue few large driver writes.
 //     Reads: ranks ship their (offset, length) requests to the owners,
 //     which read the pieces and ship them back.
+//  4. The ranks agree on success with one Allreduce.
+//
+// Steps 1, 2 and 4 are one body for both directions (collective); only
+// step 3 is the direction's own (writeAll, readAll).
 //
 // Writes stream their exchange one source at a time
 // (mpi.AlltoallvStream), the pipelined two-phase of Thakur, Gropp and
@@ -73,31 +76,42 @@ import (
 // fine). In atomic mode each rank writes independently under the file
 // lock, as a serial file does.
 func (f *File) WriteAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
+	return f.collective(p, off, buf, true)
+}
+
+// ReadAtAll is the collective MPI_File_read_at_all. The returned count is
+// the total number of bytes delivered into buf (short at EOF holes). In
+// atomic mode each rank reads independently under the file lock.
+func (f *File) ReadAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
+	return f.collective(p, off, buf, false)
+}
+
+// collective is the two-phase body of both directions: it plans the
+// call's file domains, hands packing and exchange to writeAll or readAll,
+// and closes with the ranks' agreement on success, which also orders the
+// data for any later collective. A failed write counts 0 bytes; a failed
+// read counts the bytes it scattered and reports its own error first.
+func (f *File) collective(p *sim.Proc, off int64, buf []byte, write bool) (int, error) {
 	if f.closed {
 		return 0, ErrClosed
 	}
 	if off < 0 {
 		return 0, ErrNegative
 	}
-	r := f.rank
 	if f.serial() || f.atomic {
-		return f.WriteAt(p, off, buf)
+		return f.transferAt(p, off, buf, write)
 	}
-	if f.tr != nil {
-		id := f.tr.Begin(f.track, trace.LayerMPIIO, "write-all", trace.OpID(p.TraceCtx()))
-		old := p.SetTraceCtx(uint64(id))
-		defer func() {
-			p.SetTraceCtx(old)
-			f.tr.End(id)
-		}()
+	name, peerErr := "read-all", errPeerRead
+	if write {
+		name, peerErr = "write-all", errPeerWrite
 	}
+	defer f.opSpan(p, name)()
 	d := f.drv.core()
 	sc := d.getScratch()
 	defer d.putScratch(sc)
 	sc.segs = f.physSegs(sc.segs, off, len(buf))
-	segs := sc.segs
 	endPlan := f.aggSpan(p, "plan")
-	gmin, gmax, any := f.exchangeExtents(p, segs)
+	gmin, gmax, any := f.exchangeExtents(p, sc.segs)
 	if !any {
 		endPlan()
 		return 0, nil
@@ -105,28 +119,109 @@ func (f *File) WriteAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
 	pt := f.collPartition(gmin, gmax)
 	endPlan()
 
-	// Phase 1: pack one write block per domain owner.
-	endPack := f.aggSpan(p, "pack")
-	blocks := packBlocks(sc, pt, r.Size(), segs, buf)
-	f.drv.Node().CopyMem(p, len(buf))
-	endPack()
-
-	// Phase 2: exchange and aggregate.
-	aggErr := f.exchangeWrite(p, sc, blocks)
-
-	// Completion + error propagation (also orders the data for any
-	// subsequent collective).
+	var n int
+	var err error
+	if write {
+		err = f.writeAll(p, sc, pt, buf)
+	} else {
+		n, err = f.readAll(p, sc, pt, buf)
+	}
 	ok := int64(1)
-	if aggErr != nil {
+	if err != nil {
 		ok = 0
 	}
 	if f.comm.AllreduceI64(p, ok, mpi.OpMin) == 0 {
-		if aggErr != nil {
-			return 0, aggErr
+		if err == nil {
+			err = peerErr
 		}
-		return 0, fmt.Errorf("mpiio: collective write failed on a peer")
+		return n, err
 	}
-	return len(buf), nil
+	if write {
+		n = len(buf)
+	}
+	return n, nil
+}
+
+// writeAll packs one write block per domain owner (phase 1), then streams
+// them to their owners, which write them (phase 2).
+func (f *File) writeAll(p *sim.Proc, sc *scratch, pt aggregate.Partition, buf []byte) error {
+	endPack := f.aggSpan(p, "pack")
+	blocks := packBlocks(sc, pt, f.rank.Size(), sc.segs, buf)
+	f.drv.Node().CopyMem(p, len(buf))
+	endPack()
+	return f.exchangeWrite(p, sc, blocks)
+}
+
+// readAll ships this rank's (offset, length) requests to their domain
+// owners (phase 1), serves this rank's domain and exchanges the data back
+// (phase 2), and scatters the replies into buf. It returns the bytes
+// scattered and, failing, its first error: the exchange's, else a corrupt
+// reply, else an empty reply to a nonempty request list, which means its
+// owner failed.
+func (f *File) readAll(p *sim.Proc, sc *scratch, pt aggregate.Partition, buf []byte) (int, error) {
+	n := f.rank.Size()
+	// A counting walk sizes both per-owner lists first, and the filling
+	// walk remembers where each request's data belongs in buf.
+	endPack := f.aggSpan(p, "pack")
+	sc.counts = zeroed(sc.counts, 2*n)
+	counts, reqSizes := sc.counts[:n], sc.counts[n:]
+	eachPiece(pt, sc.segs, func(a int, _ int64, _, _ int) { counts[a]++ })
+	for a, k := range counts {
+		reqSizes[a] = k * tupleHdr
+	}
+	reqPayloads := sc.out.cut(reqSizes)
+	myReqs := sc.refs.cut(counts)
+	eachPiece(pt, sc.segs, func(a int, off int64, take, bufPos int) {
+		pl := binary.LittleEndian.AppendUint64(reqPayloads[a], uint64(off))
+		reqPayloads[a] = binary.LittleEndian.AppendUint32(pl, uint32(take))
+		myReqs[a] = append(myReqs[a], reqRef{bufPos: bufPos, n: take})
+	})
+	endPack()
+	endEx := f.aggSpan(p, "exchange")
+	reqs := f.exchangeRequests(p, sc, reqPayloads)
+	endEx()
+
+	datas, err := f.exchangeRead(p, sc, reqs)
+
+	endScatter := f.aggSpan(p, "scatter")
+	total := 0
+	var scatterErr error
+	failed := false
+	for a, reply := range datas {
+		refs := myReqs[a]
+		if len(refs) == 0 {
+			continue
+		}
+		if len(reply) == 0 {
+			failed = true
+			continue
+		}
+		if len(reply) < replyHdr*len(refs) {
+			scatterErr = errCorruptReply
+			continue
+		}
+		avails, data := reply[:replyHdr*len(refs)], reply[replyHdr*len(refs):]
+		for i, ref := range refs {
+			avail := int(binary.LittleEndian.Uint32(avails[i*replyHdr:]))
+			if avail > ref.n || len(data) < avail {
+				scatterErr = errCorruptReply
+				break
+			}
+			copy(buf[ref.bufPos:ref.bufPos+avail], data[:avail])
+			data = data[avail:]
+			total += avail
+		}
+	}
+	f.drv.Node().CopyMem(p, total)
+	endScatter()
+	switch {
+	case err != nil:
+	case scatterErr != nil:
+		err = scatterErr
+	case failed:
+		err = errPeerRead
+	}
+	return total, err
 }
 
 // exchangeWrite streams the write blocks to their owners, each source's
@@ -238,119 +333,6 @@ func (f *File) startRuns(p *sim.Proc, sc *scratch, kept []writeBlock) error {
 	}
 	f.drv.Node().CopyMem(p, assembled) // collective-buffer assembly copy
 	return err
-}
-
-// ReadAtAll is the collective MPI_File_read_at_all. The returned count is
-// the total number of bytes delivered into buf (short at EOF holes). In
-// atomic mode each rank reads independently under the file lock.
-func (f *File) ReadAtAll(p *sim.Proc, off int64, buf []byte) (int, error) {
-	if f.closed {
-		return 0, ErrClosed
-	}
-	if off < 0 {
-		return 0, ErrNegative
-	}
-	r := f.rank
-	if f.serial() || f.atomic {
-		return f.ReadAt(p, off, buf)
-	}
-	if f.tr != nil {
-		id := f.tr.Begin(f.track, trace.LayerMPIIO, "read-all", trace.OpID(p.TraceCtx()))
-		old := p.SetTraceCtx(uint64(id))
-		defer func() {
-			p.SetTraceCtx(old)
-			f.tr.End(id)
-		}()
-	}
-	d := f.drv.core()
-	sc := d.getScratch()
-	defer d.putScratch(sc)
-	sc.segs = f.physSegs(sc.segs, off, len(buf))
-	segs := sc.segs
-	endPlan := f.aggSpan(p, "plan")
-	gmin, gmax, any := f.exchangeExtents(p, segs)
-	if !any {
-		endPlan()
-		return 0, nil
-	}
-	n := r.Size()
-	pt := f.collPartition(gmin, gmax)
-	endPlan()
-	node := f.drv.Node()
-
-	// Phase 1: send (offset, length) request tuples to domain owners,
-	// remembering where each tuple's data belongs in buf. A counting walk
-	// sizes both per-owner lists first.
-	endPack := f.aggSpan(p, "pack")
-	sc.counts = zeroed(sc.counts, 2*n)
-	counts, reqSizes := sc.counts[:n], sc.counts[n:]
-	eachPiece(pt, segs, func(a int, _ int64, _, _ int) { counts[a]++ })
-	for a, k := range counts {
-		reqSizes[a] = k * tupleHdr
-	}
-	reqPayloads := sc.out.cut(reqSizes)
-	myReqs := sc.refs.cut(counts)
-	eachPiece(pt, segs, func(a int, off int64, take, bufPos int) {
-		pl := binary.LittleEndian.AppendUint64(reqPayloads[a], uint64(off))
-		reqPayloads[a] = binary.LittleEndian.AppendUint32(pl, uint32(take))
-		myReqs[a] = append(myReqs[a], reqRef{bufPos: bufPos, n: take})
-	})
-	endPack()
-	endEx := f.aggSpan(p, "exchange")
-	reqs := f.exchangeRequests(p, sc, reqPayloads)
-	endEx()
-
-	// Phase 2: serve my domain and exchange the data back.
-	datas, aggErr := f.exchangeRead(p, sc, reqs)
-
-	// Scatter the replies into buf. An empty reply to a nonempty request
-	// list means its owner failed, which the Allreduce below reports.
-	endScatter := f.aggSpan(p, "scatter")
-	total := 0
-	failed := false
-	var scatterErr error
-	for a, reply := range datas {
-		refs := myReqs[a]
-		if len(refs) == 0 {
-			continue
-		}
-		if len(reply) == 0 {
-			failed = true
-			continue
-		}
-		if len(reply) < replyHdr*len(refs) {
-			scatterErr = errCorruptReply
-			continue
-		}
-		avails, data := reply[:replyHdr*len(refs)], reply[replyHdr*len(refs):]
-		for i, ref := range refs {
-			avail := int(binary.LittleEndian.Uint32(avails[i*replyHdr:]))
-			if avail > ref.n || len(data) < avail {
-				scatterErr = errCorruptReply
-				break
-			}
-			copy(buf[ref.bufPos:ref.bufPos+avail], data[:avail])
-			data = data[avail:]
-			total += avail
-		}
-	}
-	node.CopyMem(p, total)
-	endScatter()
-
-	ok := int64(1)
-	if aggErr != nil || scatterErr != nil || failed {
-		ok = 0
-	}
-	if f.comm.AllreduceI64(p, ok, mpi.OpMin) == 0 {
-		if aggErr != nil {
-			return total, aggErr
-		}
-		if scatterErr != nil {
-			return total, scatterErr
-		}
-		return total, fmt.Errorf("mpiio: collective read failed on a peer")
-	}
-	return total, nil
 }
 
 // ReadAll is the collective read at the individual file pointer
@@ -686,6 +668,8 @@ var (
 	errCorruptPayload = errors.New("mpiio: corrupt collective payload")
 	errCorruptRequest = errors.New("mpiio: corrupt collective request")
 	errCorruptReply   = errors.New("mpiio: corrupt collective reply")
+	errPeerRead       = errors.New("mpiio: collective read failed on a peer")
+	errPeerWrite      = errors.New("mpiio: collective write failed on a peer")
 )
 
 // writeBlock is a parsed write block: its piece headers and its data.

@@ -58,7 +58,6 @@ type File struct {
 	rank  *mpi.Rank // nil for serial (non-MPI) use
 	comm  mpi.Comm  // the file's communicator, a duplicate of rank's world
 	name  string
-	mode  int
 	hints Hints
 
 	disp  int64
@@ -82,7 +81,7 @@ func Open(p *sim.Proc, rank *mpi.Rank, drv Driver, name string, mode int, hints 
 	if err := checkAccessMode(mode); err != nil {
 		return nil, err
 	}
-	f := &File{drv: drv, rank: rank, name: name, mode: mode, hints: hints.withDefaults()}
+	f := &File{drv: drv, rank: rank, name: name, hints: hints.withDefaults()}
 	c := drv.core()
 	f.hints.NoBatch = f.hints.NoBatch || c.dafsTransfer == nil
 	if c.tr.Enabled() {
@@ -203,18 +202,11 @@ func (f *File) transferAt(p *sim.Proc, off int64, buf []byte, write bool) (int, 
 	if len(buf) == 0 {
 		return 0, nil
 	}
-	if f.tr != nil {
-		name := "read"
-		if write {
-			name = "write"
-		}
-		id := f.tr.Begin(f.track, trace.LayerMPIIO, name, trace.OpID(p.TraceCtx()))
-		old := p.SetTraceCtx(uint64(id))
-		defer func() {
-			p.SetTraceCtx(old)
-			f.tr.End(id)
-		}()
+	name := "read"
+	if write {
+		name = "write"
 	}
+	defer f.opSpan(p, name)()
 	f.lock(p)
 	defer f.unlock(p)
 	pos := f.disp + off // a flat view is one extent: no segment list to build
@@ -227,15 +219,28 @@ func (f *File) transferAt(p *sim.Proc, off int64, buf []byte, write bool) (int, 
 		switch {
 		case len(segs) == 1:
 			pos = segs[0].Off
-		case f.hints.Sieving && write:
-			return f.sieveWrite(p, sc, segs, buf)
 		case f.hints.Sieving:
-			return f.sieveRead(p, sc, segs, buf)
+			return f.sieve(p, sc, segs, buf, write)
 		default:
 			return f.listIO(p, sc, segs, buf, write)
 		}
 	}
 	return transfer(p, f.h, pos, buf, write)
+}
+
+// opSpan opens the span of an MPI-IO call and makes it p's trace context,
+// so the layers below nest under it; the returned func ends the span and
+// restores the context.
+func (f *File) opSpan(p *sim.Proc, name string) func() {
+	if f.tr == nil {
+		return func() {}
+	}
+	id := f.tr.Begin(f.track, trace.LayerMPIIO, name, trace.OpID(p.TraceCtx()))
+	old := p.SetTraceCtx(uint64(id))
+	return func() {
+		p.SetTraceCtx(old)
+		f.tr.End(id)
+	}
 }
 
 // listIO moves a noncontiguous request: through the driver's batch
@@ -365,15 +370,7 @@ func (f *File) SetSize(p *sim.Proc, n int64) error {
 	if f.closed {
 		return ErrClosed
 	}
-	var err error
-	if f.serial() {
-		return f.h.Resize(p, n)
-	}
-	if f.rank.ID() == 0 {
-		err = f.h.Resize(p, n)
-	}
-	f.comm.Barrier(p)
-	return err
+	return f.onRoot(p, func() error { return f.h.Resize(p, n) })
 }
 
 // Preallocate ensures the file is at least n bytes long (MPI_File_
@@ -388,22 +385,25 @@ func (f *File) Preallocate(p *sim.Proc, n int64) error {
 	if n < 0 {
 		return ErrNegative
 	}
-	grow := func() error {
+	return f.onRoot(p, func() error {
 		size, err := f.h.Size(p)
-		if err != nil {
+		if err != nil || size >= n {
 			return err
 		}
-		if size >= n {
-			return nil
-		}
 		return f.h.Resize(p, n)
-	}
+	})
+}
+
+// onRoot makes a file-wide change once: directly on a serial file, else on
+// rank 0, after which the file's barrier holds every rank until it is done.
+// Only rank 0 sees fn's error.
+func (f *File) onRoot(p *sim.Proc, fn func() error) error {
 	if f.serial() {
-		return grow()
+		return fn()
 	}
 	var err error
 	if f.rank.ID() == 0 {
-		err = grow()
+		err = fn()
 	}
 	f.comm.Barrier(p)
 	return err

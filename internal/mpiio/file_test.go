@@ -266,6 +266,54 @@ func TestSievingEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		// The window's edges: a read past EOF, a write that extends the
+		// file, and segments larger than the window.
+		t.Run(name+"-edges", func(t *testing.T) {
+			c := cluster.New(cluster.Config{Clients: 1, DAFS: true})
+			c.K.Spawn("app", func(p *sim.Proc) {
+				cl, err := c.DialDAFS(p, 0, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				f, _ := Open(p, nil, NewDAFSDriver(cl), "e", ModeRdWr|ModeCreate, &Hints{Sieving: sieve, SieveBufSize: 8192})
+				f.WriteAt(p, 0, body(10000, 0xFF))
+				f.SetView(0, Vector(32, 512, 2048))
+				// Five blocks lie below the 10,000-byte end.
+				if n, err := f.ReadAt(p, 0, make([]byte, 32*512)); err != nil || n != 5*512 {
+					t.Errorf("read past EOF: n=%d err=%v, want %d", n, err, 5*512)
+				}
+				want := body(32*512, 0x3)
+				if n, err := f.WriteAt(p, 0, want); err != nil || n != len(want) {
+					t.Errorf("extending write: n=%d err=%v", n, err)
+				}
+				// A hole past the old end reads back as zeros.
+				f.SetView(0, nil)
+				hole := body(40960-39424, 0x7)
+				if n, err := f.ReadAt(p, 39424, hole); err != nil || n != len(hole) || !bytes.Equal(hole, make([]byte, len(hole))) {
+					t.Errorf("hole past the old end: n=%d err=%v, want zeros", n, err)
+				}
+				// Each 10,000-byte segment is larger than the window and
+				// moves on its own.
+				f.SetView(0, Vector(2, 10000, 20000))
+				big := body(20000, 0x5)
+				if n, err := f.WriteAt(p, 0, big); err != nil || n != len(big) {
+					t.Errorf("oversized write: n=%d err=%v", n, err)
+				}
+				got := make([]byte, len(big))
+				if n, err := f.ReadAt(p, 0, got); err != nil || n != len(big) || !bytes.Equal(got, big) {
+					t.Errorf("oversized read: n=%d err=%v, data equal %v", n, err, bytes.Equal(got, big))
+				}
+				f.Close(p)
+			})
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			// The sieved run's driver ops and copies fix its end instant.
+			if end := sim.Time(4_221_391); sieve && c.K.Now() != end {
+				t.Errorf("sieved run ended at %d, want %d", c.K.Now(), end)
+			}
+		})
 	}
 }
 

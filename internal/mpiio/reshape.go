@@ -41,7 +41,6 @@ type Reshape struct {
 	d      *striped
 	shadow *striped // the driver over the new layout; nil once Commit retired it into d
 	old    *pool    // the layout being left, kept for Cleanup after Commit rewires d
-	epoch  uint32
 
 	pairs []reshapePair
 
@@ -66,7 +65,6 @@ func (d *StripedDAFSDriver) PrepareReshape(p *sim.Proc, clients []*dafs.Client, 
 		d:      &d.striped,
 		shadow: &striped{pool: newDAFSPool(clients, st, epoch), Retry: d.Retry, ResilverRate: d.ResilverRate},
 		old:    d.pool,
-		epoch:  epoch,
 	}
 	for _, h := range append([]*stripedHandle(nil), d.handles...) {
 		if err := rs.attach(p, h); err != nil {

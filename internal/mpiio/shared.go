@@ -44,15 +44,10 @@ func (f *File) SeekShared(p *sim.Proc, off int64) error {
 	if off < 0 {
 		return ErrNegative
 	}
-	if f.serial() {
-		f.sharedPtr = off
-		return nil
-	}
-	if f.rank.ID() == 0 {
+	return f.onRoot(p, func() error {
 		f.spCall(p, svcSet, off)
-	}
-	f.comm.Barrier(p)
-	return nil
+		return nil
+	})
 }
 
 // orderedOffsets computes this rank's offset for an ordered collective:

@@ -33,7 +33,6 @@ type Proc struct {
 	w       *worker       // bound at first dispatch; nil before start and after finish
 	fn      func(p *Proc) // current assignment
 	step    func(p *Proc) // engines only: runs once per step event, never parks
-	done    bool
 	daemon  bool
 	armed   bool  // a step event or a wake is arranged (engines end when not)
 	holds   uint8 // Resource holds whose duration p is working out (UseFunc); park panics while non-zero
@@ -111,7 +110,6 @@ func (k *Kernel) spawn(name string, fn, step func(p *Proc)) *Proc {
 		p = k.freeProcs[n-1]
 		k.freeProcs[n-1] = nil
 		k.freeProcs = k.freeProcs[:n-1]
-		p.done = false
 		p.daemon = false
 		p.traceCtx = 0
 		p.holds = 0
@@ -194,7 +192,6 @@ func (k *Kernel) stepEngine(p *Proc) {
 			return
 		}
 		if !p.armed {
-			p.done = true
 			p.step = nil
 			k.removeLive(p)
 			k.freeProcs = append(k.freeProcs, p)
@@ -255,7 +252,6 @@ func (w *worker) exec(k *Kernel) {
 		if r != nil && k.failure == nil {
 			k.failure = &procPanic{proc: p.Name, value: r, stack: debug.Stack()}
 		}
-		p.done = true
 		p.fn = nil
 		k.removeLive(p)
 	}()

@@ -61,7 +61,6 @@ const indexRoom = 64
 // a nil page is a hole and reads as zeros.
 type File struct {
 	id    FileID
-	name  string
 	size  int64
 	pages [][]byte // page i holds bytes [i*pageSize, (i+1)*pageSize)
 }
@@ -76,7 +75,7 @@ func (s *Store) Create(name string) (*File, error) {
 		return nil, ErrExists
 	}
 	s.next++
-	f := &File{id: s.next, name: name}
+	f := &File{id: s.next}
 	s.files[name] = f
 	s.byID[f.id] = f
 	return f, nil

@@ -71,7 +71,6 @@ var (
 
 // Provider owns all NICs on one fabric.
 type Provider struct {
-	Fab  *fabric.Fabric
 	K    *sim.Kernel
 	Prof *model.Profile
 
@@ -100,7 +99,7 @@ type Provider struct {
 
 // NewProvider creates a VIA provider for the fabric.
 func NewProvider(fab *fabric.Fabric) *Provider {
-	return &Provider{Fab: fab, K: fab.K, Prof: fab.Prof, nics: make(map[fabric.NodeID]*NIC)}
+	return &Provider{K: fab.K, Prof: fab.Prof, nics: make(map[fabric.NodeID]*NIC)}
 }
 
 // Stats aggregates a NIC's activity counters.
