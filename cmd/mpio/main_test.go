@@ -68,9 +68,9 @@ func TestOutputs(t *testing.T) {
 		}
 	}
 	for _, d := range []struct{ what, path, want string }{
-		{"trace T6 Chrome export", chrome6, "c20f4d1cd65d0fbb83ad7924c18b2b1244ee0c2a72e13dce5893728481e2cf42"},
+		{"trace T6 Chrome export", chrome6, "099d9ce62d3f1af240e06ec89903f09349643054a28518f69518303f17499d28"},
 		{"trace T15 Chrome export", chrome15, "c3efa6baf68efe51c37c13582f130893d36333bac62c2c5833276d6d103e704a"},
-		{"trace T17 Chrome export", chrome17, "02fcdb5afcdc875eeab32a2bfb078d1b8ad21ee63067522baf1839e9eafbbff6"},
+		{"trace T17 Chrome export", chrome17, "b0895f4b117fbb40a4c9757cc11a68a1e22dbbbac21df08480d6d550d2038957"},
 	} {
 		raw, err := os.ReadFile(d.path)
 		if err != nil {

@@ -6,7 +6,7 @@ func Example() {
 	main()
 	// Output:
 	// checkpointed 512 x 512 matrix (2MB) across 4 ranks
-	// collective write: 23.594ms (88.9 MB/s aggregate)
-	// collective read:  22.027ms (95.2 MB/s aggregate)
-	// file verified row-major on the server; simulated time 46.578ms
+	// collective write: 22.845ms (91.8 MB/s aggregate)
+	// collective read:  21.271ms (98.6 MB/s aggregate)
+	// file verified row-major on the server; simulated time 45.074ms
 }

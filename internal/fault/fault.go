@@ -156,9 +156,9 @@ type Injector struct {
 	dups   map[string][]*budget
 }
 
-// New builds an injector for the plan on the kernel. The plan must
+// New builds an injector for the plan. The plan must
 // validate; experiments treat a bad schedule as a configuration bug.
-func New(k *sim.Kernel, pl Plan) *Injector {
+func New(pl Plan) *Injector {
 	if err := pl.Validate(); err != nil {
 		panic(err)
 	}
@@ -197,7 +197,7 @@ func Installer(pl Plan) func(*sim.Kernel) *Injector {
 	if err := pl.Validate(); err != nil {
 		panic(err)
 	}
-	return func(k *sim.Kernel) *Injector { return New(k, pl) }
+	return func(*sim.Kernel) *Injector { return New(pl) }
 }
 
 // Events returns the schedule sorted by time — the component-level events

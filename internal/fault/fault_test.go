@@ -59,7 +59,7 @@ func TestKindString(t *testing.T) {
 // TestInjectorEventsSorted: Events() returns the schedule in time order
 // regardless of plan order (the cluster wires component faults from it).
 func TestInjectorEventsSorted(t *testing.T) {
-	in := New(sim.NewKernel(), Plan{Events: []Event{
+	in := New(Plan{Events: []Event{
 		{At: 3 * sim.Millisecond, Kind: ServerCrash, Node: "late"},
 		{At: sim.Millisecond, Kind: ServerCrash, Node: "early"},
 		{At: 2 * sim.Millisecond, Kind: ServerCrash, Node: "mid"},
@@ -75,7 +75,7 @@ func TestInjectorEventsSorted(t *testing.T) {
 // lands inside another stays stalled to the later end).
 func TestStallUntil(t *testing.T) {
 	ms := sim.Millisecond
-	in := New(sim.NewKernel(), Plan{Events: []Event{
+	in := New(Plan{Events: []Event{
 		{At: 2 * ms, Kind: NICStall, Node: "n", Dur: 2 * ms},  // [2,4)
 		{At: 3 * ms, Kind: NICStall, Node: "n", Dur: 3 * ms},  // [3,6) — overlaps, extends
 		{At: 10 * ms, Kind: NICStall, Node: "n", Dur: 1 * ms}, // [10,11) — separate
@@ -104,7 +104,7 @@ func TestStallUntil(t *testing.T) {
 // consumed once per affected cell, in schedule order; drops win over dups.
 func TestTxVerdictBudgets(t *testing.T) {
 	ms := sim.Millisecond
-	in := New(sim.NewKernel(), Plan{Events: []Event{
+	in := New(Plan{Events: []Event{
 		{At: 1 * ms, Kind: DropCell, Node: "n", Count: 2},
 		{At: 1 * ms, Kind: DupCell, Node: "n"}, // Count 0 means 1
 	}})
@@ -145,5 +145,5 @@ func TestNewRejectsInvalidPlan(t *testing.T) {
 			t.Error("New accepted an invalid plan")
 		}
 	}()
-	New(sim.NewKernel(), Plan{Events: []Event{{Kind: ServerCrash, Node: "n"}}})
+	New(Plan{Events: []Event{{Kind: ServerCrash, Node: "n"}}})
 }

@@ -52,6 +52,13 @@ import (
 // its merged ranges in contiguous chunks, all started at once, before the
 // reply exchange, which cuts each source's reply from them.
 //
+// The client copy rides the exchange, owner by owner, as ROMIO moves each
+// destination's share as it is ready: each write block is packed from the
+// user buffer as its stream step sends it, this rank's own first, so the
+// own list write starts after one block's copy rather than the whole
+// call's; and each reply is scattered into the user buffer as the
+// exchange hands it over, while the later replies are still arriving.
+//
 // Every exchange buffer is persistent, as ROMIO's collective buffer is:
 // the blocks and requests a rank sends, what it receives from each
 // source, an aggregator's replies and its NoBatch collective buffer all
@@ -142,22 +149,31 @@ func (f *File) collective(p *sim.Proc, off int64, buf []byte, write bool) (int, 
 	return n, nil
 }
 
-// writeAll packs one write block per domain owner (phase 1), then streams
-// them to their owners, which write them (phase 2).
+// writeAll sizes one write block per domain owner with a counting walk
+// and cuts them from the set's outgoing slab (phase 1), then streams them
+// to their owners, which write them (phase 2). Each block is filled, and
+// its copy charged, as the stream sends it (stream.fill), this rank's own
+// first: its owner's list write starts after that block's copy, not the
+// whole call's.
 func (f *File) writeAll(p *sim.Proc, sc *scratch, pt aggregate.Partition, buf []byte) error {
-	endPack := f.aggSpan(p, "pack")
-	blocks := packBlocks(sc, pt, f.rank.Size(), sc.segs, buf)
-	f.drv.Node().CopyMem(p, len(buf))
-	endPack()
-	return f.exchangeWrite(p, sc, blocks)
+	n := f.rank.Size()
+	sc.counts = zeroed(sc.counts, 2*n)
+	pieces, sizes := sc.counts[:n], sc.counts[n:]
+	eachPiece(pt, sc.segs, func(a int, _ int64, take, _ int) {
+		pieces[a]++
+		sizes[a] += tupleHdr + take
+	})
+	st := sc.st.start(f, p, buf)
+	st.pt, st.segs, st.blocks, st.pieces = pt, sc.segs, sc.out.cut(sizes), pieces
+	return f.exchangeWrite(p, sc, st.send)
 }
 
 // readAll ships this rank's (offset, length) requests to their domain
 // owners (phase 1), serves this rank's domain and exchanges the data back
-// (phase 2), and scatters the replies into buf. It returns the bytes
-// scattered and, failing, its first error: the exchange's, else a corrupt
-// reply, else an empty reply to a nonempty request list, which means its
-// owner failed.
+// (phase 2), each owner's reply scattered into buf as the exchange hands
+// it over (stream.scatter). It returns the bytes scattered and, failing,
+// its first error: the exchange's, else a corrupt reply, else an empty
+// reply to a nonempty request list, which means its owner failed.
 func (f *File) readAll(p *sim.Proc, sc *scratch, pt aggregate.Partition, buf []byte) (int, error) {
 	n := f.rank.Size()
 	// A counting walk sizes both per-owner lists first, and the filling
@@ -181,58 +197,28 @@ func (f *File) readAll(p *sim.Proc, sc *scratch, pt aggregate.Partition, buf []b
 	reqs := f.exchangeRequests(p, sc, reqPayloads)
 	endEx()
 
-	datas, err := f.exchangeRead(p, sc, reqs)
-
-	endScatter := f.aggSpan(p, "scatter")
-	total := 0
-	var scatterErr error
-	failed := false
-	for a, reply := range datas {
-		refs := myReqs[a]
-		if len(refs) == 0 {
-			continue
-		}
-		if len(reply) == 0 {
-			failed = true
-			continue
-		}
-		if len(reply) < replyHdr*len(refs) {
-			scatterErr = errCorruptReply
-			continue
-		}
-		avails, data := reply[:replyHdr*len(refs)], reply[replyHdr*len(refs):]
-		for i, ref := range refs {
-			avail := int(binary.LittleEndian.Uint32(avails[i*replyHdr:]))
-			if avail > ref.n || len(data) < avail {
-				scatterErr = errCorruptReply
-				break
-			}
-			copy(buf[ref.bufPos:ref.bufPos+avail], data[:avail])
-			data = data[avail:]
-			total += avail
-		}
-	}
-	f.drv.Node().CopyMem(p, total)
-	endScatter()
+	st := sc.st.start(f, p, buf)
+	st.refs = myReqs
+	err := f.exchangeRead(p, sc, reqs, st.recv)
 	switch {
 	case err != nil:
-	case scatterErr != nil:
-		err = scatterErr
-	case failed:
+	case st.err != nil:
+		err = st.err
+	case st.failed:
 		err = errPeerRead
 	}
-	return total, err
+	return st.total, err
 }
 
-// exchangeWrite streams the write blocks to their owners, each source's
-// block received into that source's buffer of the set. With batch I/O a
-// list write starts on each block the moment it arrives, this rank's own
-// first, as packed; with NoBatch the blocks are kept and, after the
-// stream, written as contiguous runs (startRuns). Then it waits for every
-// write it started. After a failure it starts no more writes, but it
-// stays in the exchange, which every rank must finish.
-func (f *File) exchangeWrite(p *sim.Proc, sc *scratch, blocks [][]byte) error {
-	n := len(blocks)
+// exchangeWrite streams the write blocks send produces to their owners,
+// each source's block received into that source's buffer of the set. With
+// batch I/O a list write starts on each block the moment it arrives, this
+// rank's own first, as soon as it is packed; with NoBatch the blocks are
+// kept and, after the stream, written as contiguous runs (startRuns). Then
+// it waits for every write it started. After a failure it starts no more
+// writes, but it stays in the exchange, which every rank must finish.
+func (f *File) exchangeWrite(p *sim.Proc, sc *scratch, send func(dst int) []byte) error {
+	n := f.rank.Size()
 	sc.ops = sc.ops[:0]
 	var kept []writeBlock // NoBatch: the blocks by source, for startRuns
 	if f.hints.NoBatch {
@@ -241,7 +227,7 @@ func (f *File) exchangeWrite(p *sim.Proc, sc *scratch, blocks [][]byte) error {
 	}
 	var err error
 	endEx := f.aggSpan(p, "exchange")
-	f.comm.AlltoallvStream(p, func(dst int) []byte { return blocks[dst] }, sc.in.reset(n), func(src int, b []byte) {
+	f.comm.AlltoallvStream(p, send, sc.in.reset(n), func(src int, b []byte) {
 		if err != nil {
 			return
 		}
@@ -401,7 +387,8 @@ func (f *File) exchangeRequests(p *sim.Proc, sc *scratch, send [][]byte) [][]byt
 
 // exchangeRead serves this rank's domain and sends each source its reply,
 // cut from the set's replies, over the posted exchange; each owner's reply
-// to this rank is received into that owner's buffer of the set. With batch
+// to this rank is received into that owner's buffer of the set and handed
+// to recv in the exchange's step order, this rank's own first. With batch
 // I/O it starts one list read per source, straight into the data area of
 // that source's reply, in the order the exchange ships the replies (this
 // rank's own first), and waits on each source's read only when the
@@ -412,7 +399,7 @@ func (f *File) exchangeRequests(p *sim.Proc, sc *scratch, send [][]byte) [][]byt
 // and each send cuts its source's reply from that buffer. After a failure
 // the remaining sources get empty replies, but every started read is
 // waited and the exchange runs to the end, as every rank must.
-func (f *File) exchangeRead(p *sim.Proc, sc *scratch, reqs [][]byte) ([][]byte, error) {
+func (f *File) exchangeRead(p *sim.Proc, sc *scratch, reqs [][]byte, recv func(src int, reply []byte)) error {
 	n, me := len(reqs), f.rank.ID()
 	var err error
 	sc.sizes = zeroed(sc.sizes, n)
@@ -459,8 +446,6 @@ func (f *File) exchangeRead(p *sim.Proc, sc *scratch, reqs [][]byte) ([][]byte, 
 		}
 	}
 
-	sc.got = zeroed(sc.got, n)
-	datas := sc.got
 	endEx := f.aggSpan(p, "exchange")
 	f.comm.Alltoallv(p, func(dst int) []byte {
 		if f.hints.NoBatch {
@@ -489,9 +474,9 @@ func (f *File) exchangeRead(p *sim.Proc, sc *scratch, reqs [][]byte) ([][]byte, 
 			return nil
 		}
 		return reply
-	}, sc.in.reset(n), func(src int, data []byte) { datas[src] = data })
+	}, sc.in.reset(n), recv)
 	endEx()
-	return datas, err
+	return err
 }
 
 // collBuf is what the contiguous reader read: the merged, sorted ranges it
@@ -713,29 +698,106 @@ func readReq(pl []byte) (off int64, n int) {
 	return int64(binary.LittleEndian.Uint64(pl)), int(binary.LittleEndian.Uint32(pl[8:]))
 }
 
-// packBlocks cuts segs, consecutive bytes of buf, at the partition's domain
-// boundaries into one write block per owner, every block cut from the
-// set's outgoing slab at the size a counting walk found.
-func packBlocks(sc *scratch, pt aggregate.Partition, n int, segs []Segment, buf []byte) [][]byte {
-	sc.counts = zeroed(sc.counts, 3*n)
-	hdr, data, sizes := sc.counts[:n], sc.counts[n:2*n], sc.counts[2*n:] // per owner: write cursors, block size
-	eachPiece(pt, segs, func(a int, _ int64, take, _ int) {
-		data[a] += tupleHdr // the data starts after every header
-		sizes[a] += tupleHdr + take
-	})
-	blocks := sc.out.cut(sizes)
-	for a := range blocks {
-		blocks[a] = blocks[a][:sizes[a]]
+// stream is a collective call's side of its data exchange, in the call's
+// working set with its callbacks bound once per set, so that handing them
+// to the exchange allocates nothing. A write fills each owner's block as
+// the stream sends it (fill, the send); a read scatters each owner's reply
+// as the exchange hands it over (scatter, the recv). Either way the
+// call's client copy is paid owner by owner, overlapped with the exchange
+// steps and the I/O already started, instead of whole before the first
+// byte goes out or after the last one lands.
+type stream struct {
+	f   *File
+	p   *sim.Proc
+	buf []byte
+
+	pt     aggregate.Partition // write: the call's file domains
+	segs   []Segment           // write: the call's physical segments, consecutive bytes of buf
+	blocks [][]byte            // write: each owner's block, cut at its size
+	pieces []int               // write: this rank's pieces in each owner's domain
+	refs   [][]reqRef          // read: where each owner's reply lands in buf
+	total  int                 // read: bytes scattered
+	err    error               // read: a corrupt reply
+	failed bool                // read: an empty reply to a nonempty request list
+
+	send func(dst int) []byte        // fill, bound once
+	recv func(src int, reply []byte) // scatter, bound once
+}
+
+// start binds the stream to one call, and its callbacks on first use.
+func (s *stream) start(f *File, p *sim.Proc, buf []byte) *stream {
+	if s.send == nil {
+		s.send, s.recv = s.fill, s.scatter
 	}
+	*s = stream{f: f, p: p, buf: buf, send: s.send, recv: s.recv}
+	return s
+}
+
+// fill packs this rank's pieces in dst's domain into dst's block,
+// charging the data copy in a pack span of its own, and returns the
+// block. An empty block copies nothing.
+func (s *stream) fill(dst int) []byte {
+	b := s.blocks[dst][:cap(s.blocks[dst])]
+	if len(b) == 0 {
+		return b
+	}
+	end := s.f.aggSpan(s.p, "pack")
+	s.f.drv.Node().CopyMem(s.p, packBlock(b, s.pt, s.segs, s.buf, dst, s.pieces[dst]))
+	end()
+	return b
+}
+
+// scatter copies src's reply to where this rank's requests of src belong
+// in buf and charges the copy in a scatter span of its own. A reply to no
+// request is ignored; an empty reply to a nonempty request list marks the
+// stream failed, and a reply that does not answer the requests marks it
+// corrupt.
+func (s *stream) scatter(src int, reply []byte) {
+	refs := s.refs[src]
+	switch {
+	case len(refs) == 0:
+		return
+	case len(reply) == 0:
+		s.failed = true
+		return
+	case len(reply) < replyHdr*len(refs):
+		s.err = errCorruptReply
+		return
+	}
+	end := s.f.aggSpan(s.p, "scatter")
+	avails, data := reply[:replyHdr*len(refs)], reply[replyHdr*len(refs):]
+	moved := 0
+	for i, ref := range refs {
+		avail := int(binary.LittleEndian.Uint32(avails[i*replyHdr:]))
+		if avail > ref.n || len(data) < avail {
+			s.err = errCorruptReply
+			break
+		}
+		copy(s.buf[ref.bufPos:ref.bufPos+avail], data[:avail])
+		data = data[avail:]
+		moved += avail
+	}
+	s.f.drv.Node().CopyMem(s.p, moved)
+	end()
+	s.total += moved
+}
+
+// packBlock fills b, owner dst's write block, with the k pieces of segs
+// (consecutive bytes of buf) that lie in dst's domain: their headers, then
+// their data. It returns the data bytes copied.
+func packBlock(b []byte, pt aggregate.Partition, segs []Segment, buf []byte, dst, k int) int {
+	hdr, data := 0, k*tupleHdr // the data starts after every header
 	eachPiece(pt, segs, func(a int, off int64, take, bufPos int) {
-		b := blocks[a]
-		binary.LittleEndian.PutUint64(b[hdr[a]:], uint64(off))
-		binary.LittleEndian.PutUint32(b[hdr[a]+8:], uint32(take))
-		copy(b[data[a]:], buf[bufPos:bufPos+take])
-		hdr[a] += tupleHdr
-		data[a] += take
+		if a != dst {
+			return
+		}
+		binary.LittleEndian.PutUint64(b[hdr:], uint64(off))
+		binary.LittleEndian.PutUint32(b[hdr+8:], uint32(take))
+		copy(b[data:], buf[bufPos:bufPos+take])
+		hdr += tupleHdr
+		data += take
 	})
-	return blocks
+	return data - k*tupleHdr
 }
 
 // eachPiece cuts segs, consecutive bytes of one user buffer, at the

@@ -79,7 +79,13 @@ func (o countedOp) Wait(p *sim.Proc) (int, error) {
 func TestWriteBlockCorrupt(t *testing.T) {
 	pt := aggregate.Domains(layout.Striping{Width: 1}, 0, 1000, 2, true) // owners split at 500
 	buf := pattern(500)
-	blocks := packBlocks(new(scratch), pt, 2, []Segment{{Off: 0, Len: 300}, {Off: 600, Len: 200}}, buf)
+	segs := []Segment{{Off: 0, Len: 300}, {Off: 600, Len: 200}}
+	blocks := [][]byte{make([]byte, tupleHdr+300), make([]byte, tupleHdr+200)}
+	for a, b := range blocks {
+		if n := packBlock(b, pt, segs, buf, a, 1); n != len(b)-tupleHdr {
+			t.Fatalf("owner %d: packed %d data bytes, want %d", a, n, len(b)-tupleHdr)
+		}
+	}
 	for a, want := range []struct {
 		seg  Segment
 		data []byte

@@ -107,7 +107,9 @@ type Handle interface {
 
 // AsyncOp is an in-flight driver operation. It is waited exactly once: a
 // driver may recycle the op once Wait returns, so a second Wait, or any use
-// of the op after the first, is a bug.
+// of the op after the first, is a bug. A read whose Wait fails leaves its
+// buffer's contents undefined, as MPI does: part of it may have been
+// delivered.
 type AsyncOp interface {
 	Wait(p *sim.Proc) (int, error)
 }

@@ -181,7 +181,8 @@ func (f *File) physSegs(segs []Segment, off int64, n int) []Segment {
 
 // ReadAt reads len(buf) view bytes starting at view offset off
 // (MPI_File_read_at). The returned count is the total number of bytes
-// transferred.
+// transferred. After a failed read the contents of buf are undefined, as
+// MPI leaves them.
 func (f *File) ReadAt(p *sim.Proc, off int64, buf []byte) (int, error) {
 	return f.transferAt(p, off, buf, false)
 }

@@ -36,7 +36,7 @@ type scratch struct {
 	replies slab[byte]   // an aggregator's read replies, one per source
 	in      recvBufs     // the data exchange's receive buffer per source
 	reqs    recvBufs     // the request exchange's receive buffer per source
-	got     [][]byte     // the reply each owner sent this rank
+	st      stream       // the data exchange's per-owner fill or scatter
 
 	kept   []writeBlock // NoBatch: the write blocks by source
 	tuples []tuple      // NoBatch: their pieces in file order
@@ -61,10 +61,12 @@ func (d *striped) getScratch() *scratch {
 }
 
 // putScratch gives a set back once every operation of its call has been
-// waited. The waited operations are dropped, so a pooled set pins none.
+// waited. The waited operations and the call's stream are dropped, so a
+// pooled set pins none of them.
 func (d *striped) putScratch(sc *scratch) {
 	clear(sc.ops)
 	clear(sc.chunks)
+	sc.st = stream{send: sc.st.send, recv: sc.st.recv}
 	d.scratch = append(d.scratch, sc)
 }
 

@@ -46,6 +46,10 @@ type work interface {
 	request(u, t, r int) request
 	// absorb takes the value that object returned.
 	absorb(u, t, r, v int)
+	// stage moves unit u's bytes on the client, once per unit: a write's
+	// just before its first flight issues, a read's once a replica has
+	// delivered them. Only a list transfer's staged plans copy anything.
+	stage(p *sim.Proc, u int)
 }
 
 // flight is one rank object's share of a dispatch: unit u on the rank-r
@@ -186,22 +190,27 @@ func zeroed[T any](buf []T, n int) []T {
 }
 
 // begin issues a dispatch of n units. A write goes to every replica of
-// every unit, unit by unit (write-all); a read to each unit's first usable
-// replica, moving on when a session fails at start (read-any). Units with
-// no usable replica stay idle for finish to re-drive. The flights are laid
-// out in fl's storage, grown when it is short (fl may be nil). On a hard
-// error the flights already issued are drained and no flights are
-// returned.
+// every unit, unit by unit (write-all), each unit staged just before its
+// flights; a read to each unit's first usable replica, moving on when a
+// session fails at start (read-any). Units with no usable replica stay
+// idle for finish to re-drive. The flights are laid out in fl's storage,
+// grown when it is short (fl may be nil). On a hard error the flights
+// already issued are drained and no flights are returned.
 func (d *striped) begin(p *sim.Proc, w work, n int, write bool, fl []flight) ([]flight, error) {
 	st := d.striping
 	if write {
 		fl = slices.Grow(fl[:0], n*st.R())
 		for u := 0; u < n; u++ {
+			w.stage(p, u)
 			for r := 0; r < st.R(); r++ {
 				fl = append(fl, flight{u: u, t: st.ReplicaServer(w.primary(u), r), r: r})
+				if err := d.issue(p, w, &fl[len(fl)-1], false); err != nil && !isSessionErr(err) {
+					d.drain(p, w, fl)
+					return nil, err
+				}
 			}
 		}
-		return fl, d.launch(p, w, fl)
+		return fl, nil
 	}
 	fl = zeroed(fl, n)
 	for u := range fl {
@@ -222,8 +231,10 @@ func (d *striped) begin(p *sim.Proc, w work, n int, write bool, fl []flight) ([]
 // over any flight order with R flights per unit). Flights are settled in
 // order and a unit is judged the moment its last flight is in: a write
 // nobody acked, or a read whose replica failed, is re-driven on the spot,
-// and replicas that missed an acked write are excluded from read-any.
-// After a hard error the remaining flights are still drained.
+// and replicas that missed an acked write are excluded from read-any. A
+// read unit is staged as soon as it is delivered, while the later units'
+// flights are still in the air. After a hard error the remaining flights
+// are still drained, and no further unit is staged.
 func (d *striped) finish(p *sim.Proc, w work, fl []flight, write bool) error {
 	type unit struct {
 		seen   int   // flights settled so far
@@ -268,6 +279,9 @@ func (d *striped) finish(p *sim.Proc, w work, fl []flight, write bool) error {
 					d.exclude(fl[j].t)
 				}
 			}
+		}
+		if !write && firstErr == nil {
+			w.stage(p, f.u)
 		}
 	}
 	return firstErr

@@ -25,6 +25,7 @@ type nameWork struct {
 
 func (w *nameWork) primary(u int) int     { return u }
 func (w *nameWork) present(t, r int) bool { return true }
+func (w *nameWork) stage(*sim.Proc, int)  {}
 
 func (w *nameWork) request(u, t, r int) request {
 	return request{kind: w.kind, name: w.d.objName(w.name, r)}
@@ -251,6 +252,8 @@ func (o *fragOp) absorb(u, t, r, v int) {
 	}
 }
 
+func (o *fragOp) stage(*sim.Proc, int) {}
+
 // Wait implements AsyncOp: a write counts every fragment some replica
 // acked; a read reports the contiguous prefix (a plain sum would
 // over-count past EOF holes). The op then goes back to the free list,
@@ -323,6 +326,8 @@ func (w *objWork) absorb(u, t, r, v int) {
 		w.sizes[u] = int64(v)
 	}
 }
+
+func (w *objWork) stage(*sim.Proc, int) {}
 
 // Size implements Handle: the logical size is recovered from the
 // per-server stripe-object sizes through the layout's inverse mapping.
@@ -425,9 +430,12 @@ func (h *stripedHandle) Close(p *sim.Proc) error {
 // registration cache and moved with no client copy: the one plan of the
 // identity layout (width 1), every two-phase aggregator's block (its
 // stripe-aligned domain is one server's), any list inside one stripe.
-// Only a plan of more than one run stages: a write packs the user buffer
-// into the plan's staging buffer, and a read scatters it back on
-// completion.
+// Only a plan of more than one run stages, and each staged plan pays its
+// own copy at the moment its bytes move, not the whole call's up front: a
+// write packs the plan into its staging buffer just before the plan's
+// first flight issues, while the plans before it are already on the
+// wire, and a read scatters a plan back as soon as its flight delivers,
+// while the later plans' flights are still in the air.
 
 // planOp is a list transfer in flight: one unit per server gather plan.
 // The op owns its plans, their DAFS segment lists and its flights until it
@@ -437,14 +445,14 @@ func (h *stripedHandle) Close(p *sim.Proc) error {
 // of the same shape plans and issues without allocating.
 type planOp struct {
 	*stripedHandle
-	write bool
-	plans []aggregate.ServerPlan
-	specs slab[dafs.SegSpec] // per plan: its Segs as the DAFS leaf sends them
-	stage [][]byte           // per plan: its staging buffer, kept across reuse; nil for a plan that never staged
-	wins  []win              // per plan: the pinned window its request names
-	buf   []byte             // the user buffer the plans' copy maps refer to
-	fl    []flight
-	got   int64 // bytes moved: what the servers delivered, or the plans' total once written
+	write   bool
+	plans   []aggregate.ServerPlan
+	specs   slab[dafs.SegSpec] // per plan: its Segs as the DAFS leaf sends them
+	staging [][]byte           // per plan: its staging buffer, kept across reuse; nil for a plan that never staged
+	wins    []win              // per plan: the pinned window its request names
+	buf     []byte             // the user buffer the plans' copy maps refer to
+	fl      []flight
+	got     int64 // bytes moved: what the servers delivered, or the plans' total once written
 }
 
 // win is a list request's RDMA window: a registration Pin returned and
@@ -503,37 +511,29 @@ func (o *planOp) absorb(u, t, r, v int) {
 // map is more than one run of the user buffer.
 func (o *planOp) staged(u int) bool { return len(o.plans[u].Copies) > 1 }
 
-// copyStaging moves every staged plan's bytes between the user buffer and
-// its staging buffer — pack before a write, scatter after a read — as one
-// assembly memcpy charged to the client CPU. With no staged plan it does
-// nothing.
-func (o *planOp) copyStaging(p *sim.Proc, span string, pack bool) {
-	var moved int64
-	for u, pl := range o.plans {
-		if o.staged(u) {
-			moved += pl.Total
-		}
-	}
-	if moved == 0 {
+// stage moves a staged plan's bytes between the user buffer and its
+// staging buffer — a write's pack, shared by the plan's R flights and any
+// re-drive, or a read's scatter — as one assembly memcpy charged to the
+// client CPU. A single-run plan moves in place and copies nothing.
+func (o *planOp) stage(p *sim.Proc, u int) {
+	if !o.staged(u) {
 		return
 	}
-	d := o.drv
+	d, pl, staging := o.drv, o.plans[u], o.staging[u]
+	span := "scatter"
+	if o.write {
+		span = "pack"
+	}
 	id := d.tr.Begin(d.node.Name, trace.LayerAggregate, span, trace.OpID(p.TraceCtx()))
-	for u, pl := range o.plans {
-		if !o.staged(u) {
-			continue
-		}
-		stage := o.stage[u]
-		for _, cp := range pl.Copies {
-			user, staged := o.buf[cp.BufOff:cp.BufOff+cp.Len], stage[cp.StageOff:cp.StageOff+cp.Len]
-			if pack {
-				copy(staged, user)
-			} else {
-				copy(user, staged)
-			}
+	for _, cp := range pl.Copies {
+		user, staged := o.buf[cp.BufOff:cp.BufOff+cp.Len], staging[cp.StageOff:cp.StageOff+cp.Len]
+		if o.write {
+			copy(staged, user)
+		} else {
+			copy(user, staged)
 		}
 	}
-	d.node.CopyMem(p, int(moved))
+	d.node.CopyMem(p, int(pl.Total))
 	d.tr.End(id)
 }
 
@@ -550,17 +550,17 @@ func (o *planOp) window(p *sim.Proc, u int) win {
 		cp := pl.Copies[0]
 		buf = o.buf[cp.BufOff : cp.BufOff+cp.Len]
 	} else {
-		for len(o.stage) <= u {
-			o.stage = append(o.stage, nil)
+		for len(o.staging) <= u {
+			o.staging = append(o.staging, nil)
 		}
-		if int64(len(o.stage[u])) < pl.Total {
+		if int64(len(o.staging[u])) < pl.Total {
 			size := int64(4 << 10)
 			for size < pl.Total {
 				size <<= 1
 			}
-			o.stage[u] = make([]byte, size)
+			o.staging[u] = make([]byte, size)
 		}
-		buf = o.stage[u]
+		buf = o.staging[u]
 	}
 	reg, off := o.drv.nic.Pin(p, buf)
 	return win{reg, off}
@@ -580,17 +580,17 @@ func (o *planOp) unwindow(p *sim.Proc) {
 	}
 	clear(o.wins)
 	clear(o.fl)
-	*o = planOp{plans: o.plans, specs: o.specs, stage: o.stage, wins: o.wins[:0], fl: o.fl[:0]}
+	*o = planOp{plans: o.plans, specs: o.specs, staging: o.staging, wins: o.wins[:0], fl: o.fl[:0]}
 	d.freePlans = append(d.freePlans, o)
 }
 
 // Wait implements AsyncOp. A read's count is the byte sum the servers
-// delivered (batch reads zero-fill EOF holes inside the window).
+// delivered (batch reads zero-fill EOF holes inside the window). A failed
+// read counts 0 bytes, and what its buffer holds is undefined, as MPI
+// leaves it: the plans delivered before the failure have been scattered
+// into it.
 func (o *planOp) Wait(p *sim.Proc) (int, error) {
 	err := o.drv.finish(p, o, o.fl, o.write)
-	if err == nil && !o.write {
-		o.copyStaging(p, "scatter", false)
-	}
 	got := o.got
 	if err == nil && o.write {
 		for _, pl := range o.plans {
@@ -622,13 +622,10 @@ func (h *stripedHandle) StartList(p *sim.Proc, segs []Segment, buf []byte, write
 	o := d.newPlanOp(h, segs, buf, write)
 
 	// The operation owns its windows from here: the issue-failure path
-	// below and Wait are the two places they go back. A write packs its
-	// staged plans now.
+	// below and Wait are the two places they go back. Each staged plan is
+	// packed by begin just before it issues.
 	for u := range o.plans {
 		o.wins = append(o.wins, o.window(p, u))
-	}
-	if write {
-		o.copyStaging(p, "pack", true)
 	}
 	var err error
 	if o.fl, err = d.begin(p, o, len(o.plans), write, o.fl); err != nil {

@@ -219,7 +219,7 @@ func TestStripedBatchUnreplicatedCrashFails(t *testing.T) {
 func stagingBuffers(drv *StripedDAFSDriver) int {
 	n := 0
 	for _, o := range drv.freePlans {
-		for _, b := range o.stage {
+		for _, b := range o.staging {
 			if b != nil {
 				n++
 			}

@@ -384,9 +384,9 @@ func TestScriptEveryStack(t *testing.T) {
 	stacks := []stack{
 		{single[0], 9364238},
 		{single[1], 47717310},
-		striped(3, 1, 0, 44107746),
-		striped(4, 2, 0, 58637794),
-		striped(4, 2, 20*sim.Millisecond, 59106622),
+		striped(3, 1, 0, 44066515),
+		striped(4, 2, 0, 58594546),
+		striped(4, 2, 20*sim.Millisecond, 59029176),
 		{single[2], 93007993},
 		{driverCase{name: "nfs-striped/3", cfg: cluster.Config{Clients: 1, Servers: 3, NFS: true},
 			dial: func(p *sim.Proc, c *cluster.Cluster) (Driver, error) {

@@ -232,7 +232,7 @@ func TestFaultedCellsAreFreedOnce(t *testing.T) {
 	// Verdicts are per transmitted data cell, drops first: the first cell
 	// of message 0 is dropped, the next three (message 0's) are duplicated,
 	// and so are the first two of message 1.
-	prov.Faults = fault.New(p2.k, fault.Plan{Events: []fault.Event{
+	prov.Faults = fault.New(fault.Plan{Events: []fault.Event{
 		{At: 1, Kind: fault.DropCell, Node: "a", Count: 1},
 		{At: 1, Kind: fault.DupCell, Node: "a", Count: 5},
 	}})
