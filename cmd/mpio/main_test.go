@@ -20,15 +20,18 @@ import (
 // and everything else, the model's series. A change to how the kernel
 // runs the model moves only the first. T4 is the paper's single-client
 // DAFS read, pinned by its stdout. T6 is the traced run over a single DAFS server,
-// T15's point 5 the striped contiguous path (2 clients, 2 servers) and
-// T17's point 8 the strided collective over four servers; each of these
-// runs' Chrome export is pinned beside its stdout. list T18 pins how a
+// T15's point 5 the striped contiguous path (2 clients, 2 servers),
+// T17's point 7 the strided list I/O over four servers (each client's
+// fan-out starts on its own server) and its point 8 the strided
+// collective over the same four; each of these runs' Chrome export is
+// pinned beside its stdout. list T18 pins how a
 // table's points are numbered.
 // T19 is the elastic-membership run: a live join, re-silver and commit.
 func TestOutputs(t *testing.T) {
 	dir := t.TempDir()
 	json, json19 := filepath.Join(dir, "t16.json"), filepath.Join(dir, "t19.json")
-	chrome6, chrome15, chrome17 := filepath.Join(dir, "t6.json"), filepath.Join(dir, "t15.json"), filepath.Join(dir, "t17.json")
+	chrome6, chrome15 := filepath.Join(dir, "t6.json"), filepath.Join(dir, "t15.json")
+	chrome17b, chrome17 := filepath.Join(dir, "t17-7.json"), filepath.Join(dir, "t17.json")
 	for _, tc := range []struct {
 		golden string
 		args   []string
@@ -39,6 +42,7 @@ func TestOutputs(t *testing.T) {
 		{"trace-T15.txt", []string{"trace", "T15", "-point", "5", "-hist", "-trace", chrome15}},
 		{"trace-T4.txt", []string{"trace", "T4", "-hist"}},
 		{"trace-T6.txt", []string{"trace", "T6", "-hist", "-trace", chrome6}},
+		{"trace-T17-7.txt", []string{"trace", "T17", "-point", "7", "-hist", "-trace", chrome17b}},
 		{"trace-T17.txt", []string{"trace", "T17", "-point", "8", "-hist", "-trace", chrome17}},
 		{"stat-T16.txt", []string{"stat", "T16", "-json", json}},
 		{"stat-T19.txt", []string{"stat", "T19", "-interval", "25ms", "-json", json19}},
@@ -70,6 +74,7 @@ func TestOutputs(t *testing.T) {
 	for _, d := range []struct{ what, path, want string }{
 		{"trace T6 Chrome export", chrome6, "099d9ce62d3f1af240e06ec89903f09349643054a28518f69518303f17499d28"},
 		{"trace T15 Chrome export", chrome15, "c3efa6baf68efe51c37c13582f130893d36333bac62c2c5833276d6d103e704a"},
+		{"trace T17 point 7 Chrome export", chrome17b, "6665b39a277d33c2b73b532a42a3b6da37de729c15ff33558d262d599680ef1c"},
 		{"trace T17 Chrome export", chrome17, "b0895f4b117fbb40a4c9757cc11a68a1e22dbbbac21df08480d6d550d2038957"},
 	} {
 		raw, err := os.ReadFile(d.path)

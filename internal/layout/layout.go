@@ -74,6 +74,14 @@ func ReplicaName(name string, r int) string {
 	return fmt.Sprintf("%s#%d", name, r)
 }
 
+// Server returns the index of the server holding logical byte off.
+func (s Striping) Server(off int64) int {
+	if s.Width == 1 {
+		return 0
+	}
+	return int(off / s.StripeSize % int64(s.Width))
+}
+
 // Fragment is one piece of a logical extent on one server.
 type Fragment struct {
 	// Server is the index of the server holding the bytes.

@@ -181,3 +181,15 @@ func TestContiguousCountEOFMidStripe(t *testing.T) {
 		t.Errorf("ContiguousCount empty = %d", got)
 	}
 }
+
+// TestServerIsFirstFragment: Server names the server of an extent's first
+// fragment, the identity's server 0 whatever its stripe size.
+func TestServerIsFirstFragment(t *testing.T) {
+	for _, s := range []Striping{{StripeSize: 0, Width: 1}, {StripeSize: 64, Width: 3}, {StripeSize: 4096, Width: 4}} {
+		for _, off := range []int64{0, 1, 63, 64, 191, 192, 4095, 4096, 12345, 1 << 20} {
+			if got, want := s.Server(off), s.Map(off, 1)[0].Server; got != want {
+				t.Errorf("%+v: Server(%d) = %d, want %d", s, off, got, want)
+			}
+		}
+	}
+}

@@ -258,14 +258,23 @@ func (f *File) listIO(p *sim.Proc, sc *scratch, segs []Segment, buf []byte, writ
 	return f.perSegIO(p, sc, segs, buf, write)
 }
 
-// perSegIO issues one pipelined driver operation per segment. A failed
-// start stops the issuing, and every operation already started is waited
-// out before the first error returns.
+// perSegIO issues one pipelined driver operation per segment, from the
+// first segment on the client's own server to the end of the list and
+// then the list's head. A failed start stops the issuing, and every
+// operation already started is waited out before the first error returns.
 func (f *File) perSegIO(p *sim.Proc, sc *scratch, segs []Segment, buf []byte, write bool) (int, error) {
 	sc.ops = slices.Grow(sc.ops[:0], len(segs))
 	var err error
-	pos := 0
-	for _, s := range segs {
+	first, pos := f.drv.core().ownSeg(segs)
+	for k := range segs {
+		i := first + k
+		if i >= len(segs) {
+			i -= len(segs)
+		}
+		if i == 0 {
+			pos = 0
+		}
+		s := segs[i]
 		var op AsyncOp
 		if op, err = f.h.Start(p, s.Off, buf[pos:pos+int(s.Len)], write); err != nil {
 			break

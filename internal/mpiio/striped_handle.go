@@ -1,6 +1,8 @@
 package mpiio
 
 import (
+	"slices"
+
 	"dafsio/internal/aggregate"
 	"dafsio/internal/dafs"
 	"dafsio/internal/layout"
@@ -462,8 +464,35 @@ type win struct {
 	off int
 }
 
+// own is the server this client starts a noncontiguous call's fan-out on,
+// its node ID modulo the width, before it walks the other servers in
+// order, wrapping at the end. Clients are numbered after the servers, so
+// at full width client i starts on server i: clients issuing the same
+// shape at once each fill a different server's session window first,
+// rather than all queueing on server 0 while the rest sit idle.
+// Contiguous requests keep stripe order.
+func (d *striped) own() int { return int(d.node.ID) % d.striping.Width }
+
+// ownSeg returns the index of the first of segs whose first byte lies on
+// the own server, and where its bytes start in the call's buffer; 0, 0
+// when none does. A per-segment call issues from there to the end of the
+// list and then its head, so each server's segments still go out as one
+// run.
+func (d *striped) ownSeg(segs []Segment) (int, int) {
+	own, pos := d.own(), 0
+	for i, s := range segs {
+		if d.striping.Server(s.Off) == own {
+			return i, pos
+		}
+		pos += int(s.Len)
+	}
+	return 0, 0
+}
+
 // newPlanOp takes an op from the free list (or makes one) and plans segs
-// on it, the plans and their segment lists in the op's own storage.
+// on it, the plans and their segment lists in the op's own storage, led
+// by the plan of the own server (or the next one after it that has
+// bytes).
 func (d *striped) newPlanOp(h *stripedHandle, segs []Segment, buf []byte, write bool) *planOp {
 	var o *planOp
 	if n := len(d.freePlans); n > 0 {
@@ -473,6 +502,18 @@ func (d *striped) newPlanOp(h *stripedHandle, segs []Segment, buf []byte, write 
 	}
 	o.stripedHandle, o.write, o.buf = h, write, buf
 	o.plans = aggregate.AppendGather(o.plans[:0], d.striping, segs)
+	// Lead with the first plan on or after the own server, the plans
+	// before it following the last: a rotation in place by three
+	// reversals.
+	k, own := 0, d.own()
+	for k < len(o.plans) && o.plans[k].Server < own {
+		k++
+	}
+	if k > 0 && k < len(o.plans) {
+		slices.Reverse(o.plans[:k])
+		slices.Reverse(o.plans[k:])
+		slices.Reverse(o.plans)
+	}
 	n := 0
 	for _, pl := range o.plans {
 		n += len(pl.Segs)
